@@ -11,7 +11,8 @@
 //              first-encounter order: (name, origin, deterministic uid).
 //              VarIds are arrival-order pool indices and do NOT survive a
 //              restart; (name, uid) is the cross-process identity that
-//              ExprPool::InternVar re-interns deterministically.
+//              ExprPool::InternVar re-interns deterministically. Engine
+//              variable names are rendered from their VarKey on export.
 //   expr table the deduped expression DAG in dependency order (children
 //              strictly before parents), each node referencing earlier
 //              entries by index — the serialized mirror of the pool's
@@ -50,7 +51,8 @@ namespace res {
 inline constexpr uint32_t kFactsLogVersion = 1;
 
 // One var-table entry. `origin` is the VarOrigin encoding (validated on
-// parse); `uid` the creator's deterministic namespace key (VarInfo::uid).
+// parse); `uid` the creator's deterministic namespace key
+// (ExprPool::var_uid).
 struct FactsLogVar {
   std::string name;
   uint8_t origin = 0;

@@ -303,16 +303,16 @@ void ResEngine::RecordFault(Status status) {
   }
 }
 
-const Expr* ResEngine::FreshVar(TaskCtx* tctx, const char* tag, VarOrigin origin) {
-  uint64_t uid = HashCombine(tctx->ns, tctx->var_seq);
-  std::string name =
-      StrFormat("%s_%llx_%u", tag, static_cast<unsigned long long>(tctx->ns),
-                tctx->var_seq);
-  ++tctx->var_seq;
+const Expr* ResEngine::FreshVar(TaskCtx* tctx, VarTag tag, VarOrigin origin) {
+  VarKey key;
+  key.tag = tag;
+  key.seq = tctx->var_seq++;
+  key.ns = tctx->ns;
+  const uint64_t uid = HashCombine(key.ns, key.seq);
   // InternVar, not Var: under a shared runtime pool, the identical search
   // position in another run over this module re-uses the same node (within
-  // one run the names are collision-free, so this is plain registration).
-  const Expr* v = pool_->InternVar(name, origin, uid);
+  // one run the keys are collision-free, so this is plain registration).
+  const Expr* v = pool_->InternVar(key, origin, uid);
   // Reuse hit iff the variable predates this run (construction watermark):
   // a deterministic property of the variable, not of call timing. Counted
   // into the task-local stats so only committed tasks contribute — see
@@ -648,10 +648,10 @@ int ResEngine::ScreenRefutes(const SpecNode& n, uint64_t* hit_seq) {
 // Unit execution: the S_pre -> S' -> (S' ⊇ S_post) step of §2.4.
 // ---------------------------------------------------------------------------
 
-void ResEngine::ExecuteUnit(Hypothesis h, const UnitPlan& plan,
+void ResEngine::ExecuteUnit(const Hypothesis& base, const UnitPlan& plan,
                             const std::vector<int64_t>& forced_choices,
                             TaskCtx* tctx, std::vector<Hypothesis>* out) {
-  const Hypothesis pristine = h;  // fork base
+  Hypothesis h = base;  // `base` stays pristine: forks re-run from it
   SymThread& st = h.state.threads()[plan.tid];
   assert(!st.frames.empty());
   SymFrame& frame = st.frames.back();
@@ -681,7 +681,7 @@ void ResEngine::ExecuteUnit(Hypothesis h, const UnitPlan& plan,
   if (plan.check_frame_post) {
     for (RegId r = 0; r < fn.num_regs; ++r) {
       if (wset[r]) {
-        pre_regs[r] = FreshVar(tctx, "reg", VarOrigin::kHavocReg);
+        pre_regs[r] = FreshVar(tctx, VarTag::kReg, VarOrigin::kHavocReg);
       }
     }
   }
@@ -739,7 +739,7 @@ void ResEngine::ExecuteUnit(Hypothesis h, const UnitPlan& plan,
     for (int64_t c : options) {
       std::vector<int64_t> child = forced_choices;
       child.push_back(c);
-      ExecuteUnit(pristine, plan, child, tctx, out);
+      ExecuteUnit(base, plan, child, tctx, out);
     }
     forked = true;
     return std::nullopt;
@@ -804,7 +804,7 @@ void ResEngine::ExecuteUnit(Hypothesis h, const UnitPlan& plan,
       return cell.written;
     }
     if (cell.preread_var == nullptr) {
-      cell.preread_var = FreshVar(tctx, "mem", VarOrigin::kHavocMem);
+      cell.preread_var = FreshVar(tctx, VarTag::kMem, VarOrigin::kHavocMem);
     }
     return cell.preread_var;
   };
@@ -826,7 +826,7 @@ void ResEngine::ExecuteUnit(Hypothesis h, const UnitPlan& plan,
       std::unordered_set<VarId> vars;
       CollectVars(addr_expr, &vars);
       for (VarId v : vars) {
-        if (pool_->var_info(v).origin == VarOrigin::kInput) {
+        if (pool_->var_origin(v) == VarOrigin::kInput) {
           a.address_input_tainted = true;
         }
       }
@@ -955,7 +955,7 @@ void ResEngine::ExecuteUnit(Hypothesis h, const UnitPlan& plan,
         break;
       }
       case Opcode::kInput: {
-        const Expr* v = FreshVar(tctx, "in", VarOrigin::kInput);
+        const Expr* v = FreshVar(tctx, VarTag::kIn, VarOrigin::kInput);
         env[inst.rd] = v;
         UnitEvent ev;
         ev.kind = UnitEventKind::kInput;
@@ -1171,7 +1171,7 @@ void ResEngine::ExecuteUnit(Hypothesis h, const UnitPlan& plan,
       }
       const Expr* pre = cell.preread_var != nullptr
                             ? cell.preread_var
-                            : FreshVar(tctx, "mem", VarOrigin::kHavocMem);
+                            : FreshVar(tctx, VarTag::kMem, VarOrigin::kHavocMem);
       h.state.WriteMem(addr, pre);
     } else if (cell.preread_var != nullptr) {
       // Read but never written: the pre-value equals the post-value.
@@ -1346,7 +1346,7 @@ std::vector<ResEngine::Hypothesis> ResEngine::TryReverseCallEntry(
   st2.frames.pop_back();
 
   std::vector<Hypothesis> out;
-  ExecuteUnit(std::move(h2), plan, {}, tctx, &out);
+  ExecuteUnit(h2, plan, {}, tctx, &out);
   return out;
 }
 
@@ -1383,7 +1383,7 @@ std::vector<ResEngine::Hypothesis> ResEngine::TryReverseReturn(const Hypothesis&
   if (call.rd != kNoReg) {
     plan.ret_must_equal = caller.regs[call.rd];
     // Before the return, the caller's result register held arbitrary data.
-    caller.regs[call.rd] = FreshVar(tctx, "reg", VarOrigin::kHavocReg);
+    caller.regs[call.rd] = FreshVar(tctx, VarTag::kReg, VarOrigin::kHavocReg);
   }
 
   SymFrame callee;
@@ -1393,12 +1393,12 @@ std::vector<ResEngine::Hypothesis> ResEngine::TryReverseReturn(const Hypothesis&
   callee.caller_result_reg = call.rd;
   callee.regs.reserve(callee_fn.num_regs);
   for (uint16_t r = 0; r < callee_fn.num_regs; ++r) {
-    callee.regs.push_back(FreshVar(tctx, "reg", VarOrigin::kHavocReg));
+    callee.regs.push_back(FreshVar(tctx, VarTag::kReg, VarOrigin::kHavocReg));
   }
   st2.frames.push_back(std::move(callee));
 
   std::vector<Hypothesis> out;
-  ExecuteUnit(std::move(h2), plan, {}, tctx, &out);
+  ExecuteUnit(h2, plan, {}, tctx, &out);
   return out;
 }
 
@@ -1930,16 +1930,20 @@ ResResult ResEngine::Run() {
   uint64_t pre_done[4] = {0, 0, 0, 0};
   uint64_t waited[4] = {0, 0, 0, 0};
   auto ensure_done = [&](const std::shared_ptr<SpecNode>& n, Task t) {
-    auto t0 = std::chrono::steady_clock::now();
+    // Times the wait only when RES_SCHED_DEBUG prints it.
     struct Timer {
+      double* sink;  // nullptr: not timing
       std::chrono::steady_clock::time_point t0;
-      double* sink;
       ~Timer() {
-        *sink += std::chrono::duration<double, std::milli>(
-                     std::chrono::steady_clock::now() - t0)
-                     .count();
+        if (sink != nullptr) {
+          *sink += std::chrono::duration<double, std::milli>(
+                       std::chrono::steady_clock::now() - t0)
+                       .count();
+        }
       }
-    } timer{t0, &wait_ms[static_cast<int>(t)]};
+    } timer{sched.debug ? &wait_ms[static_cast<int>(t)] : nullptr,
+            sched.debug ? std::chrono::steady_clock::now()
+                        : std::chrono::steady_clock::time_point{}};
     if (pool == nullptr) {
       if (task_state(n.get(), t) == SpecNode::St::kDone) {
         ++pre_done[static_cast<int>(t)];

@@ -285,7 +285,10 @@ class ResEngine {
     // True when this unit's entry edge consumes one LBR ring entry.
     bool consumes_lbr = false;
   };
-  void ExecuteUnit(Hypothesis h, const UnitPlan& plan,
+  // Executes `plan` over a copy of `base` and appends each feasible result
+  // to `out`; an address or spawn fork re-executes from `base` once per
+  // option, with the choice pinned in `forced_choices`.
+  void ExecuteUnit(const Hypothesis& base, const UnitPlan& plan,
                    const std::vector<int64_t>& forced_choices, TaskCtx* tctx,
                    std::vector<Hypothesis>* out);
 
@@ -325,7 +328,7 @@ class ResEngine {
       const std::set<uint64_t>& mutexes) const;
   bool AllThreadsAtBirth(const Hypothesis& h) const;
 
-  const Expr* FreshVar(TaskCtx* tctx, const char* tag, VarOrigin origin);
+  const Expr* FreshVar(TaskCtx* tctx, VarTag tag, VarOrigin origin);
 
   void MergeStats(const ResStats& delta, const SolverStats& solver_delta);
 

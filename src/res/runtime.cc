@@ -190,11 +190,10 @@ Result<std::vector<uint8_t>> ResRuntime::ExportFacts(const Module& module) {
     if (found != var_index.end()) {
       return found->second;
     }
-    VarInfo info = pool_.var_info(id);
     FactsLogVar v;
-    v.name = std::move(info.name);
-    v.origin = static_cast<uint8_t>(info.origin);
-    v.uid = info.uid;
+    v.name = pool_.var_name(id);
+    v.origin = static_cast<uint8_t>(pool_.var_origin(id));
+    v.uid = pool_.var_uid(id);
     uint32_t idx = static_cast<uint32_t>(log.vars.size());
     log.vars.push_back(std::move(v));
     var_index.emplace(id, idx);

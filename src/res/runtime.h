@@ -14,8 +14,8 @@
 //     directly — and it is what makes constraints, check-cache entries, and
 //     clause-store cores pointer-comparable ACROSS runs. Engine-minted
 //     variables go through ExprPool::InternVar, keyed by their
-//     deterministic (name, uid): identical search positions in two runs of
-//     the same module re-intern to the same variable node.
+//     deterministic (VarKey, uid): identical search positions in two runs
+//     of the same module re-intern to the same variable node.
 //   - CheckCache: cold-check outcomes are pure functions of (constraint
 //     set, solver fingerprint, decision mode), so a shared cache never
 //     changes any run's output — only its cost. Entries are epoch-tagged

@@ -1,6 +1,7 @@
 #include "src/symbolic/expr.h"
 
 #include <cassert>
+#include <charconv>
 #include <limits>
 
 #include "src/support/hash.h"
@@ -103,9 +104,66 @@ int64_t ApplyBinOp(BinOp op, int64_t a, int64_t b) {
   return 0;
 }
 
-bool ExprPool::NodeEq::operator()(const Expr* x, const Expr* y) const {
-  return x->kind == y->kind && x->bin_op == y->bin_op && x->value == y->value &&
-         x->var == y->var && x->a == y->a && x->b == y->b && x->c == y->c;
+namespace {
+
+bool SameNode(const Expr& x, const Expr& y) {
+  return x.kind == y.kind && x.bin_op == y.bin_op && x.value == y.value &&
+         x.var == y.var && x.a == y.a && x.b == y.b && x.c == y.c;
+}
+
+const char* VarTagName(VarTag tag) {
+  switch (tag) {
+    case VarTag::kReg: return "reg";
+    case VarTag::kMem: return "mem";
+    case VarTag::kIn: return "in";
+  }
+  return "?";
+}
+
+uint64_t HashVarKey(const VarKey& key) {
+  const uint64_t seq_tag =
+      (static_cast<uint64_t>(key.seq) << 8) | static_cast<uint8_t>(key.tag);
+  return HashU64(HashCombine(key.ns, seq_tag));
+}
+
+}  // namespace
+
+std::string VarKeyName(const VarKey& key) {
+  return StrFormat("%s_%llx_%u", VarTagName(key.tag),
+                   static_cast<unsigned long long>(key.ns), key.seq);
+}
+
+std::optional<VarKey> ParseVarKeyName(std::string_view name) {
+  const size_t first = name.find('_');
+  const size_t last = name.rfind('_');
+  if (first == std::string_view::npos || first == last) {
+    return std::nullopt;
+  }
+  VarKey key;
+  const std::string_view tag = name.substr(0, first);
+  if (tag == "reg") {
+    key.tag = VarTag::kReg;
+  } else if (tag == "mem") {
+    key.tag = VarTag::kMem;
+  } else if (tag == "in") {
+    key.tag = VarTag::kIn;
+  } else {
+    return std::nullopt;
+  }
+  auto parse = [](std::string_view digits, int base, auto* out) {
+    const char* end = digits.data() + digits.size();
+    auto [ptr, ec] = std::from_chars(digits.data(), end, *out, base);
+    return ec == std::errc() && ptr == end;
+  };
+  if (!parse(name.substr(first + 1, last - first - 1), 16, &key.ns) ||
+      !parse(name.substr(last + 1), 10, &key.seq)) {
+    return std::nullopt;
+  }
+  // Only the canonical spelling is the key's: "reg_0a_1" stays a name.
+  if (VarKeyName(key) != name) {
+    return std::nullopt;
+  }
+  return key;
 }
 
 int DetExprCompare(const Expr* x, const Expr* y) {
@@ -141,7 +199,9 @@ const Expr* ExprPool::Intern(Expr node) {
   h = HashCombine(h, reinterpret_cast<uintptr_t>(node.a));
   h = HashCombine(h, reinterpret_cast<uintptr_t>(node.b));
   h = HashCombine(h, reinterpret_cast<uintptr_t>(node.c));
-  node.hash = h;
+  // Identity hash, mixed because the shard index probes from its low bits.
+  // Only the index slot keeps it.
+  h = HashU64(h);
   // Content hash: pure function of structure + var uids (never of VarIds,
   // node ids, or pointers), so it is identical across runs/thread counts.
   uint64_t d = HashCombine(HashU64(static_cast<uint64_t>(node.kind)),
@@ -154,28 +214,64 @@ const Expr* ExprPool::Intern(Expr node) {
 
   Shard& shard = shards_[d % kShardCount];
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.interned.find(&node);
-  if (it != shard.interned.end()) {
-    return *it;
+  auto* slot =
+      shard.index.Probe(h, [&node](const Expr* e) { return SameNode(*e, node); });
+  if (slot->handle != nullptr) {
+    return slot->handle;
   }
-  size_t slot = shard.count % kArenaChunkNodes;
-  if (slot == 0) {
+  size_t chunk_slot = shard.count % kArenaChunkNodes;
+  if (chunk_slot == 0) {
     shard.arena.push_back(std::make_unique<Expr[]>(kArenaChunkNodes));
   }
   // Unique across shards (interleaved), but assignment order — and hence the
   // id value — depends on scheduling; never use ids for semantic decisions.
   node.id = static_cast<uint32_t>(shard.count * kShardCount + (d % kShardCount));
-  Expr* stored = &shard.arena.back()[slot];
+  Expr* stored = &shard.arena.back()[chunk_slot];
   *stored = node;
   ++shard.count;
-  shard.interned.insert(stored);
+  shard.index.Fill(slot, h, stored);
   return stored;
 }
 
 const Expr* ExprPool::Const(int64_t value) {
+  // Direct-mapped: a colliding constant evicts the entry. Entries point at
+  // immutable nodes, published with release and read with acquire.
+  const size_t index =
+      HashU64(static_cast<uint64_t>(value)) & (kConstCacheSize - 1);
+  std::atomic<const Expr*>& entry = const_cache_[index];
+  const Expr* cached = entry.load(std::memory_order_acquire);
+  if (cached != nullptr && cached->value == value) {
+    return cached;
+  }
   Expr node;
   node.kind = ExprKind::kConst;
   node.value = value;
+  const Expr* e = Intern(node);
+  entry.store(e, std::memory_order_release);
+  return e;
+}
+
+VarId ExprPool::AddVar(const VarRecord& record) {
+  const VarId id = static_cast<VarId>(vars_.size());
+  vars_.push_back(record);
+  return id;
+}
+
+VarId ExprPool::AddNamedVar(const std::string& name, VarOrigin origin,
+                            uint64_t uid) {
+  VarRecord record;
+  record.name = static_cast<uint32_t>(names_.size());
+  record.origin = origin;
+  record.uid = uid;
+  names_.push_back(name);
+  return AddVar(record);
+}
+
+const Expr* ExprPool::VarNode(VarId id, uint64_t uid) {
+  Expr node;
+  node.kind = ExprKind::kVar;
+  node.var = id;
+  node.value = static_cast<int64_t>(uid);  // see Expr::value
   return Intern(node);
 }
 
@@ -189,47 +285,59 @@ const Expr* ExprPool::Var(const std::string& name, VarOrigin origin) {
 }
 
 const Expr* ExprPool::Var(const std::string& name, VarOrigin origin, uint64_t uid) {
-  VarInfo info;
-  info.name = name;
-  info.origin = origin;
-  info.uid = uid;
+  VarId id;
   {
     std::lock_guard<std::mutex> lock(vars_mu_);
-    info.id = static_cast<VarId>(vars_.size());
-    vars_.push_back(info);
+    id = AddNamedVar(name, origin, uid);
   }
-  Expr node;
-  node.kind = ExprKind::kVar;
-  node.var = info.id;
-  node.value = static_cast<int64_t>(uid);  // see Expr::value
-  return Intern(node);
+  return VarNode(id, uid);
+}
+
+const Expr* ExprPool::InternVar(const VarKey& key, VarOrigin origin,
+                                uint64_t uid) {
+  const uint64_t h = HashVarKey(key);
+  VarId id;
+  {
+    std::lock_guard<std::mutex> lock(vars_mu_);
+    auto* slot = keyed_vars_.Probe(
+        h, [&](VarId stored) { return vars_[stored - 1].key == key; });
+    if (slot->handle != 0 && vars_[slot->handle - 1].uid == uid) {
+      ++var_intern_hits_;
+      id = slot->handle - 1;
+    } else {
+      VarRecord record;
+      record.key = key;
+      record.origin = origin;
+      record.uid = uid;
+      id = AddVar(record);
+      if (slot->handle != 0) {
+        slot->handle = id + 1;  // uid mismatch: newest registration wins
+      } else {
+        keyed_vars_.Fill(slot, h, id + 1);
+      }
+    }
+  }
+  return VarNode(id, uid);
 }
 
 const Expr* ExprPool::InternVar(const std::string& name, VarOrigin origin,
                                 uint64_t uid) {
+  if (std::optional<VarKey> key = ParseVarKeyName(name)) {
+    return InternVar(*key, origin, uid);
+  }
   VarId id;
   {
     std::lock_guard<std::mutex> lock(vars_mu_);
-    auto it = interned_vars_.find(name);
-    if (it != interned_vars_.end() && vars_[it->second].uid == uid) {
+    auto it = named_vars_.find(name);
+    if (it != named_vars_.end() && vars_[it->second].uid == uid) {
       ++var_intern_hits_;
       id = it->second;
     } else {
-      VarInfo info;
-      info.name = name;
-      info.origin = origin;
-      info.uid = uid;
-      info.id = static_cast<VarId>(vars_.size());
-      id = info.id;
-      vars_.push_back(std::move(info));
-      interned_vars_[name] = id;  // uid mismatch: newest registration wins
+      id = AddNamedVar(name, origin, uid);
+      named_vars_[name] = id;  // uid mismatch: newest registration wins
     }
   }
-  Expr node;
-  node.kind = ExprKind::kVar;
-  node.var = id;
-  node.value = static_cast<int64_t>(uid);  // see Expr::value
-  return Intern(node);
+  return VarNode(id, uid);
 }
 
 uint64_t ExprPool::var_intern_hits() const {
@@ -244,13 +352,20 @@ size_t ExprPool::Reclaim() {
   for (Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
     freed += shard.count;
-    shard.interned.clear();
+    shard.index.Clear();
     shard.arena.clear();
     shard.count = 0;
   }
+  // Emptied before any later Const() can run, so the cache never hands out
+  // a freed node.
+  for (std::atomic<const Expr*>& entry : const_cache_) {
+    entry.store(nullptr, std::memory_order_relaxed);
+  }
   std::lock_guard<std::mutex> lock(vars_mu_);
   vars_.clear();
-  interned_vars_.clear();
+  keyed_vars_.Clear();
+  named_vars_.clear();
+  names_.clear();
   ++reclaim_epochs_;
   return freed;
 }
@@ -260,9 +375,27 @@ uint64_t ExprPool::reclaim_epochs() const {
   return reclaim_epochs_;
 }
 
-VarInfo ExprPool::var_info(VarId id) const {
+std::string ExprPool::var_name(VarId id) const {
+  VarKey key;
+  {
+    std::lock_guard<std::mutex> lock(vars_mu_);
+    const VarRecord& record = vars_[id];
+    if (record.name != kNoName) {
+      return names_[record.name];
+    }
+    key = record.key;
+  }
+  return VarKeyName(key);
+}
+
+VarOrigin ExprPool::var_origin(VarId id) const {
   std::lock_guard<std::mutex> lock(vars_mu_);
-  return vars_[id];
+  return vars_[id].origin;
+}
+
+uint64_t ExprPool::var_uid(VarId id) const {
+  std::lock_guard<std::mutex> lock(vars_mu_);
+  return vars_[id].uid;
 }
 
 size_t ExprPool::var_count() const {
@@ -474,7 +607,7 @@ std::string ExprToString(const ExprPool& pool, const Expr* e) {
     case ExprKind::kConst:
       return std::to_string(e->value);
     case ExprKind::kVar:
-      return pool.var_info(e->var).name;
+      return pool.var_name(e->var);
     case ExprKind::kBinary:
       return StrFormat("(%s %s %s)", std::string(BinOpName(e->bin_op)).c_str(),
                        ExprToString(pool, e->a).c_str(),

@@ -9,11 +9,14 @@
 #define RES_SYMBOLIC_EXPR_H_
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -48,25 +51,24 @@ BinOp BinOpFromOpcode(Opcode op);
 // Thread-safety: nodes are immutable after interning, so any number of
 // threads may read a node concurrently without synchronization (they must
 // have received the pointer through a synchronized edge, which interning
-// under the shard mutex provides).
+// under the shard mutex, or the constant cache's acquire load, provides).
 struct Expr {
   ExprKind kind;
   BinOp bin_op = BinOp::kAdd;
   // kConst: the constant. kVar: the variable's deterministic uid (see
-  // VarInfo::uid) — stored here so content-based ordering and hashing need
-  // no pool lookup. Code must check kind before interpreting `value` as a
+  // ExprPool::var_uid) — stored here so content-based ordering and hashing
+  // need no pool lookup. Code must check kind before interpreting `value` as a
   // constant (is_const() guards every such use).
   int64_t value = 0;
   VarId var = 0;              // kVar
+  uint32_t id = 0;            // pool-assigned, unique (NOT deterministic)
   const Expr* a = nullptr;    // kBinary lhs / kSelect cond
   const Expr* b = nullptr;    // kBinary rhs / kSelect if-true
   const Expr* c = nullptr;    // kSelect if-false
-  uint64_t hash = 0;          // identity hash (mixes child pointers)
   // Content hash: a pure function of the expression's structure (and var
   // uids), identical across runs and thread counts. The basis for every
   // ordering decision that must be deterministic under parallel interning.
   uint64_t det_hash = 0;
-  uint32_t id = 0;            // pool-assigned, unique (NOT deterministic)
 
   bool is_const() const { return kind == ExprKind::kConst; }
   bool is_var() const { return kind == ExprKind::kVar; }
@@ -95,31 +97,45 @@ enum class VarOrigin : uint8_t {
   kUnknown = 3,
 };
 
-struct VarInfo {
-  VarId id = 0;
-  std::string name;
-  VarOrigin origin = VarOrigin::kUnknown;
-  // Deterministic ordering key. VarIds are assigned in interning-arrival
-  // order, which varies across thread counts; uids are derived from the
-  // creator's deterministic namespace (reverse engine) or from the name
-  // (legacy callers), so semantic decisions sort by uid instead of id.
-  uint64_t uid = 0;
+// The prefix of a reverse-engine variable's rendered name.
+enum class VarTag : uint8_t { kReg = 0, kMem = 1, kIn = 2 };
+
+// Integer identity of a reverse-engine variable: the creating task's
+// deterministic namespace, its per-task sequence number and a tag. The pool
+// stores the integers, never a string; VarKeyName renders the name
+// "<tag>_<ns hex>_<seq>" only where one is printed (ExprToString, RESFACT1
+// export).
+struct VarKey {
+  VarTag tag = VarTag::kReg;
+  uint32_t seq = 0;
+  uint64_t ns = 0;
+
+  bool operator==(const VarKey&) const = default;
 };
+
+std::string VarKeyName(const VarKey& key);
+// The key whose VarKeyName is exactly `name`, if there is one: "reg_1a_3"
+// parses, while "reg_01a_3" and "reg_1A_3" do not (they do not render back).
+std::optional<VarKey> ParseVarKeyName(std::string_view name);
 
 // Owning, interning factory. Smart constructors simplify aggressively:
 // constant folding, algebraic identities, select folding — so "concrete in,
 // concrete out" holds wherever the coredump pins values.
 //
-// Nodes live in bump-allocated arena chunks: interning probes the hash set
-// with a stack-constructed candidate first and only claims an arena slot on
-// a miss, so the hot intern path performs no per-node heap allocation.
+// Nodes live in bump-allocated arena chunks. Each shard indexes its nodes
+// in an open-addressing array of (mixed 64-bit hash, Expr*) slots: a probe
+// compares hashes before it dereferences a node, and a miss claims an arena
+// slot and an index slot, so interning allocates only when an arena chunk
+// fills or an index array doubles. Const() first consults a direct-mapped
+// cache of recently interned constants.
 //
-// Thread-safety: fully thread-safe. The intern table and arenas are striped
+// Thread-safety: fully thread-safe. The intern index and arenas are striped
 // into kShardCount independently locked shards (selected by content hash),
 // so concurrent interning from reverse-engine worker threads contends only
-// on same-shard collisions. The variable registry has its own mutex; it is
-// a deque, so VarInfo storage is stable and var_info() can return a copy
-// taken under the lock. Interned node *reads* take no lock (see Expr).
+// on same-shard collisions. The constant cache is lock-free: its entries
+// are atomic pointers to immutable nodes. The variable registry has its own
+// mutex; var_origin() and var_uid() read under it and copy no string.
+// Interned node *reads* take no lock (see Expr).
 class ExprPool {
  public:
   ExprPool();
@@ -138,15 +154,20 @@ class ExprPool {
   const Expr* Var(const std::string& name, VarOrigin origin);
   const Expr* Var(const std::string& name, VarOrigin origin, uint64_t uid);
   // Content-addressed variant for pools shared across engine runs (the
-  // ResRuntime substrate): returns the existing variable when (name, uid)
-  // was already registered, registering a fresh one otherwise. Within a
-  // single run the reverse engine's names are collision-free (they embed
-  // the deterministic task namespace), so InternVar behaves exactly like
+  // ResRuntime substrate): returns the existing variable when (key, uid)
+  // was already registered, registering a fresh one otherwise (a key that
+  // comes back with another uid gets a new variable, which the key then
+  // names). Within a single run the reverse engine's keys are collision-free
+  // (they hold the deterministic task namespace), so InternVar behaves like
   // Var there; across runs over the same module, identical search positions
   // re-intern to the same node — which is what makes constraints, check
   // cache entries, and learned clauses pointer-comparable across tasks.
   // Cross-run hits are counted in var_intern_hits() (scheduling-dependent
   // under speculative parallel exploration; a reuse gauge, not an oracle).
+  const Expr* InternVar(const VarKey& key, VarOrigin origin, uint64_t uid);
+  // The same by name, for names read back from a fact log: a name that
+  // ParseVarKeyName accepts re-interns through its key, so it meets the
+  // engine's variable; any other name is matched by its exact string.
   const Expr* InternVar(const std::string& name, VarOrigin origin, uint64_t uid);
   const Expr* Binary(BinOp op, const Expr* a, const Expr* b);
   const Expr* Select(const Expr* cond, const Expr* if_true, const Expr* if_false);
@@ -158,24 +179,32 @@ class ExprPool {
   // Boolean negation of a 0/1 expression (or any expression, != 0 semantics).
   const Expr* Not(const Expr* e);
 
-  VarInfo var_info(VarId id) const;
+  // The variable's printed name: its key rendered by VarKeyName, or the
+  // string it was registered under.
+  std::string var_name(VarId id) const;
+  VarOrigin var_origin(VarId id) const;
+  // Deterministic ordering key. VarIds are assigned in interning-arrival
+  // order, which varies across thread counts; uids are derived from the
+  // creator's deterministic namespace (reverse engine) or from the name
+  // (legacy callers), so semantic decisions sort by uid instead of id.
+  uint64_t var_uid(VarId id) const;
   size_t var_count() const;
   size_t node_count() const;
   // Cross-run variable reuse: InternVar calls answered by an existing
   // registration instead of minting a fresh variable.
   uint64_t var_intern_hits() const;
 
-  // Drops every interned node and registered variable, returning the pool
-  // to its empty just-constructed baseline (cumulative counters like
-  // var_intern_hits survive). Returns the number of nodes freed. This is
-  // the reclaimable-epoch hook for long-lived shared pools: a standing
-  // daemon whose pool outgrows its budget reclaims between waves instead of
-  // growing forever. REQUIRES external quiescence — no concurrent pool use,
-  // and every holder of Expr* / VarId from this pool (check caches, clause
-  // stores, synthesized suffixes) dropped or cleared first; stale pointers
-  // dangle after reclaim. ResRuntime::ReclaimSubstrate orchestrates that
-  // ordering — callers should go through it rather than calling this
-  // directly.
+  // Drops every interned node and registered variable and empties the
+  // constant cache, returning the pool to its empty just-constructed
+  // baseline (cumulative counters like var_intern_hits survive). Returns
+  // the number of nodes freed. This is the reclaimable-epoch hook for
+  // long-lived shared pools: a standing daemon whose pool outgrows its
+  // budget reclaims between waves instead of growing forever. REQUIRES
+  // external quiescence — no concurrent pool use, and every holder of
+  // Expr* / VarId from this pool (check caches, clause stores, synthesized
+  // suffixes) dropped or cleared first; stale pointers dangle after
+  // reclaim. ResRuntime::ReclaimSubstrate orchestrates that ordering —
+  // callers should go through it rather than calling this directly.
   size_t Reclaim();
   // Completed Reclaim() calls (monotone across the pool's lifetime).
   uint64_t reclaim_epochs() const;
@@ -183,28 +212,103 @@ class ExprPool {
  private:
   static constexpr size_t kArenaChunkNodes = 1024;
   static constexpr size_t kShardCount = 16;
+  static constexpr size_t kConstCacheSize = 1024;  // a power of two
+  static constexpr uint32_t kNoName = UINT32_MAX;
 
-  const Expr* Intern(Expr node);
+  // Open-addressing hash index of (hash, handle) slots: linear probing over
+  // a power-of-two array kept at most 3/4 full; Handle{} marks an empty
+  // slot. Unsynchronized — the owner's mutex guards it.
+  template <typename Handle>
+  class FlatIndex {
+   public:
+    struct Slot {
+      uint64_t hash = 0;
+      Handle handle{};
+    };
+    // The slot holding a handle stored under `hash` that satisfies `eq`, or
+    // else the empty slot where such a handle belongs. `eq` only sees
+    // handles whose stored hash equals `hash`.
+    template <typename Eq>
+    Slot* Probe(uint64_t hash, Eq eq) {
+      if (slots_.empty()) {
+        slots_.resize(kMinSlots);
+      }
+      const size_t mask = slots_.size() - 1;
+      for (size_t i = hash & mask;; i = (i + 1) & mask) {
+        Slot& slot = slots_[i];
+        if (slot.handle == Handle{} || (slot.hash == hash && eq(slot.handle))) {
+          return &slot;
+        }
+      }
+    }
+    // Fills the empty slot Probe returned; the pointer is stale afterwards.
+    void Fill(Slot* slot, uint64_t hash, Handle handle) {
+      slot->hash = hash;
+      slot->handle = handle;
+      if (++used_ * 4 > slots_.size() * 3) {
+        Grow();
+      }
+    }
+    void Clear() {
+      std::vector<Slot>().swap(slots_);
+      used_ = 0;
+    }
 
-  struct NodeHash {
-    size_t operator()(const Expr* e) const { return static_cast<size_t>(e->hash); }
-  };
-  struct NodeEq {
-    bool operator()(const Expr* x, const Expr* y) const;
+   private:
+    static constexpr size_t kMinSlots = 64;
+
+    void Grow() {
+      std::vector<Slot> old(slots_.size() * 2);
+      old.swap(slots_);
+      const size_t mask = slots_.size() - 1;
+      for (const Slot& slot : old) {
+        if (slot.handle == Handle{}) {
+          continue;
+        }
+        size_t i = slot.hash & mask;
+        while (slots_[i].handle != Handle{}) {
+          i = (i + 1) & mask;
+        }
+        slots_[i] = slot;
+      }
+    }
+
+    std::vector<Slot> slots_;  // empty, or a power-of-two size
+    size_t used_ = 0;
   };
 
   struct Shard {
     mutable std::mutex mu;
     std::vector<std::unique_ptr<Expr[]>> arena;  // fixed-size, bump-filled
     size_t count = 0;
-    std::unordered_set<const Expr*, NodeHash, NodeEq> interned;
+    FlatIndex<const Expr*> index;
   };
 
+  // A registered variable: a key (engine variables) or an index into
+  // names_ (variables registered by name).
+  struct VarRecord {
+    VarKey key;
+    uint32_t name = kNoName;
+    VarOrigin origin = VarOrigin::kUnknown;
+    uint64_t uid = 0;
+  };
+
+  const Expr* Intern(Expr node);
+  // Appends `record` to vars_ and returns its id. Requires vars_mu_.
+  VarId AddVar(const VarRecord& record);
+  // Registers a variable under `name` (stored in names_). Requires vars_mu_.
+  VarId AddNamedVar(const std::string& name, VarOrigin origin, uint64_t uid);
+  const Expr* VarNode(VarId id, uint64_t uid);
+
   std::array<Shard, kShardCount> shards_;
+  std::array<std::atomic<const Expr*>, kConstCacheSize> const_cache_{};
   mutable std::mutex vars_mu_;
-  std::deque<VarInfo> vars_;  // deque: stable storage under growth
-  // InternVar registry: (name, uid) -> VarId, guarded by vars_mu_.
-  std::unordered_map<std::string, VarId> interned_vars_;
+  std::deque<VarRecord> vars_;  // guarded by vars_mu_
+  // InternVar registries, guarded by vars_mu_: VarKey -> VarId + 1 (0 marks
+  // an empty slot), and the cold path for names that are not a VarKey's.
+  FlatIndex<VarId> keyed_vars_;
+  std::unordered_map<std::string, VarId> named_vars_;
+  std::vector<std::string> names_;  // guarded by vars_mu_
   uint64_t var_intern_hits_ = 0;  // guarded by vars_mu_
   uint64_t reclaim_epochs_ = 0;   // guarded by vars_mu_
 };

@@ -741,7 +741,7 @@ struct Solver::StrategyEnv {
     std::vector<std::pair<uint64_t, VarId>> keyed;
     keyed.reserve(free_vars.size());
     for (VarId v : free_vars) {
-      keyed.emplace_back(solver->pool_->var_info(v).uid, v);
+      keyed.emplace_back(solver->pool_->var_uid(v), v);
     }
     std::sort(keyed.begin(), keyed.end());
     order.clear();
@@ -986,7 +986,7 @@ class Solver::SearchStrategy : public Solver::Strategy {
         std::vector<std::pair<uint64_t, VarId>> vs;
         vs.reserve(involved.size());
         for (VarId iv : involved) {
-          vs.emplace_back(env_->solver->pool_->var_info(iv).uid, iv);
+          vs.emplace_back(env_->solver->pool_->var_uid(iv), iv);
         }
         std::sort(vs.begin(), vs.end());
         VarId v = vs[rng_.NextBelow(vs.size())].second;

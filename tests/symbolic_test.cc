@@ -4,6 +4,7 @@
 #include <functional>
 
 #include "src/support/rng.h"
+#include "src/support/string_util.h"
 #include "src/symbolic/expr.h"
 #include "src/symbolic/solver.h"
 
@@ -103,6 +104,121 @@ TEST_F(ExprTest, CollectVarsFindsAll) {
   EXPECT_EQ(vars.size(), 2u);
   EXPECT_TRUE(vars.count(v->var));
   EXPECT_TRUE(vars.count(w->var));
+}
+
+// --- Pool contracts: reclaim, keyed variables, rendered names. ---
+
+VarKey MakeKey(VarTag tag, uint64_t ns, uint32_t seq) {
+  VarKey key;
+  key.tag = tag;
+  key.ns = ns;
+  key.seq = seq;
+  return key;
+}
+
+TEST_F(ExprTest, ReclaimRestartsCountsAndHandsOutLiveNodes) {
+  const Expr* v = pool_.InternVar(MakeKey(VarTag::kReg, 7, 0), VarOrigin::kHavocReg, 11);
+  pool_.Add(v, pool_.Const(5));
+  pool_.Select(v, pool_.Const(1), pool_.Const(-1));
+  ASSERT_GT(pool_.node_count(), 0u);
+  ASSERT_EQ(pool_.var_count(), 1u);
+  EXPECT_EQ(pool_.Reclaim(), 6u);
+  EXPECT_EQ(pool_.node_count(), 0u);
+  EXPECT_EQ(pool_.var_count(), 0u);
+
+  // A constant cached before Reclaim must be re-interned, not handed back:
+  // the count shows the intern, and ASan flags any read of the freed node.
+  const Expr* five = pool_.Const(5);
+  ASSERT_TRUE(five->is_const());
+  EXPECT_EQ(five->value, 5);
+  EXPECT_EQ(pool_.node_count(), 1u);
+  EXPECT_EQ(pool_.Const(5), five);
+  EXPECT_EQ(pool_.node_count(), 1u);
+
+  const Expr* w = pool_.InternVar(MakeKey(VarTag::kReg, 7, 0), VarOrigin::kHavocReg, 11);
+  ASSERT_TRUE(w->is_var());
+  EXPECT_EQ(w->var, 0u);
+  EXPECT_EQ(pool_.var_count(), 1u);
+  EXPECT_EQ(pool_.var_intern_hits(), 0u);  // the registry was emptied too
+  const Expr* sum = pool_.Add(w, five);
+  EXPECT_EQ(sum->kind, ExprKind::kBinary);
+  EXPECT_EQ(sum->a, w);
+  EXPECT_EQ(sum->b, five);
+  EXPECT_EQ(pool_.node_count(), 3u);
+  EXPECT_EQ(pool_.reclaim_epochs(), 1u);
+}
+
+TEST_F(ExprTest, KeyedVariablesInternByKeyAndUid) {
+  const VarKey key = MakeKey(VarTag::kMem, 0x1f, 4);
+  const Expr* v = pool_.InternVar(key, VarOrigin::kHavocMem, 42);
+  EXPECT_EQ(pool_.var_intern_hits(), 0u);
+  EXPECT_EQ(pool_.InternVar(key, VarOrigin::kHavocMem, 42), v);
+  EXPECT_EQ(pool_.var_intern_hits(), 1u);
+  EXPECT_EQ(pool_.var_count(), 1u);
+  EXPECT_EQ(pool_.var_origin(v->var), VarOrigin::kHavocMem);
+  EXPECT_EQ(pool_.var_uid(v->var), 42u);
+
+  // One uid under two keys: two variables.
+  const Expr* other_key = pool_.InternVar(MakeKey(VarTag::kMem, 0x1f, 5),
+                                          VarOrigin::kHavocMem, 42);
+  EXPECT_NE(other_key, v);
+  const Expr* other_tag = pool_.InternVar(MakeKey(VarTag::kReg, 0x1f, 4),
+                                          VarOrigin::kHavocReg, 42);
+  EXPECT_NE(other_tag, v);
+  EXPECT_NE(other_tag, other_key);
+  // One key under two uids: two variables, and the key then names the newer.
+  const Expr* other_uid = pool_.InternVar(key, VarOrigin::kHavocMem, 43);
+  EXPECT_NE(other_uid, v);
+  EXPECT_EQ(pool_.InternVar(key, VarOrigin::kHavocMem, 43), other_uid);
+  EXPECT_EQ(pool_.var_count(), 4u);
+  EXPECT_EQ(pool_.var_intern_hits(), 2u);
+}
+
+TEST_F(ExprTest, EngineVariableNamesRenderAndReinternLikeStrings) {
+  struct Case {
+    VarTag tag;
+    const char* tag_name;
+    uint64_t ns;
+    uint32_t seq;
+  };
+  const Case cases[] = {{VarTag::kReg, "reg", 0x1a2b3c4d5e6f7081ULL, 0},
+                        {VarTag::kMem, "mem", 0, 17},
+                        {VarTag::kIn, "in", 0xffffffffffffffffULL, 4294967295u}};
+  for (const Case& c : cases) {
+    const VarKey key = MakeKey(c.tag, c.ns, c.seq);
+    const uint64_t uid = c.ns ^ c.seq;
+    const Expr* v = pool_.InternVar(key, VarOrigin::kHavocReg, uid);
+    // The spelling engine variables had when they were named by StrFormat.
+    const std::string name = StrFormat(
+        "%s_%llx_%u", c.tag_name, static_cast<unsigned long long>(c.ns), c.seq);
+    EXPECT_EQ(VarKeyName(key), name);
+    EXPECT_EQ(ExprToString(pool_, v), name);
+    EXPECT_EQ(pool_.var_name(v->var), name);
+    ASSERT_TRUE(ParseVarKeyName(name).has_value());
+    EXPECT_EQ(*ParseVarKeyName(name), key);
+    // A fact log names the variable; re-interning the name finds it.
+    EXPECT_EQ(pool_.InternVar(name, VarOrigin::kHavocReg, uid), v);
+  }
+
+  const Expr* canonical =
+      pool_.InternVar(MakeKey(VarTag::kReg, 0xa, 1), VarOrigin::kHavocReg, 9);
+  EXPECT_EQ(ExprToString(pool_, canonical), "reg_a_1");
+  for (const char* spelling : {"reg_0A_01", "reg_A_1", "reg_a_01", "reg_0a_1"}) {
+    EXPECT_FALSE(ParseVarKeyName(spelling).has_value()) << spelling;
+    const Expr* named = pool_.InternVar(spelling, VarOrigin::kHavocReg, 9);
+    EXPECT_NE(named, canonical) << spelling;
+    EXPECT_EQ(ExprToString(pool_, named), spelling);
+    // Exact string identity on the name path.
+    EXPECT_EQ(pool_.InternVar(spelling, VarOrigin::kHavocReg, 9), named);
+  }
+  for (const char* malformed :
+       {"reg", "reg_a", "reg__1", "reg_a_", "foo_a_1", "reg_a_1_2", "reg_-a_1",
+        "reg_a_4294967296", "reg_10000000000000000_1", "in_a_+1", ""}) {
+    EXPECT_FALSE(ParseVarKeyName(malformed).has_value()) << malformed;
+  }
+  // Names registered by Var keep their spelling, whatever it looks like.
+  EXPECT_EQ(ExprToString(pool_, pool_.Var("reg_a_1", VarOrigin::kUnknown)),
+            "reg_a_1");
 }
 
 // Property: random expressions evaluate identically before and after
