@@ -33,7 +33,7 @@ int main() {
     double res_ms = res_timer.ElapsedMs();
     json.Append(StrFormat("arbitrary_length/n=%llu",
                           static_cast<unsigned long long>(n)),
-                res_ms, res.stats, /*num_threads=*/1);
+                res_ms, res.stats);
 
     ForwardSynthOptions fwd_options;
     fwd_options.max_blocks = 50'000;  // ~12s of search; longer prefixes time out

@@ -3,17 +3,6 @@
 // Also the incremental-solver scaling probe: at each distance it reports the
 // solver work (propagation rounds, constraint visits, cache/model-reuse
 // hits) and appends machine-readable records to BENCH_res_scaling.json.
-//
-// Second section: the parallel-frontier scaling curve — the same engine run
-// at depth >= 100 across worker-thread counts. Output is byte-identical at
-// every thread count (the determinism tests enforce it); only wall-clock
-// changes, and only when the hardware actually has cores to spend: on a
-// single-core host (common for CI containers) extra workers time-slice one
-// CPU and the curve is flat-to-negative. The records land in
-// BENCH_res_scaling.json with the num_threads field so the trajectory is
-// comparable across machines and PRs.
-#include <thread>
-
 #include "bench/bench_util.h"
 #include "src/res/res_api.h"
 #include "src/support/string_util.h"
@@ -57,60 +46,11 @@ int main() {
              ? "NO"
              : std::string(RootCauseKindName(result.causes.front().kind))});
     json.Append(StrFormat("suffix_depth/distance=%u", distance), ms,
-                result.stats, options.num_threads);
+                result.stats);
   }
   PrintTable(rows);
   std::printf("\nexpected shape: suffix length and hypotheses grow with the "
               "distance; the cause is found at every distance\n");
-
-  // --- Parallel frontier expansion: thread scaling at depth >= 100. ---
-  const unsigned hw = std::thread::hardware_concurrency();
-  PrintHeader(StrFormat("F2b: thread scaling at distance 128 (hardware cores: %u)",
-                        hw == 0 ? 1 : hw));
-  const uint32_t kScalingDistance = 128;
-  Module module = BuildRootCauseDistance(kScalingDistance);
-  auto run = RunToFailure(module, spec, {});
-  if (!run.ok()) {
-    std::printf("no failure; skipping thread scaling\n");
-    return 0;
-  }
-  std::vector<std::vector<std::string>> trows;
-  trows.push_back({"threads", "time(ms)", "speedup", "suffix units", "cause"});
-  double base_ms = 0;
-  for (size_t threads : {1u, 2u, 4u, 8u}) {
-    ResOptions options;
-    options.max_units = 256;
-    options.num_threads = threads;
-    // Best-of-3 to damp scheduler noise; records keep the best run.
-    double best = 0;
-    ResResult result;
-    for (int rep = 0; rep < 3; ++rep) {
-      WallTimer timer;
-      ResEngine engine(module, run.value().dump, options);
-      result = engine.Run();
-      double ms = timer.ElapsedMs();
-      if (rep == 0 || ms < best) {
-        best = ms;
-      }
-    }
-    if (threads == 1) {
-      base_ms = best;
-    }
-    trows.push_back(
-        {std::to_string(threads), StrFormat("%.1f", best),
-         StrFormat("%.2fx", base_ms > 0 ? base_ms / best : 0.0),
-         result.suffix ? std::to_string(result.suffix->units.size()) : "-",
-         result.causes.empty()
-             ? "NO"
-             : std::string(RootCauseKindName(result.causes.front().kind))});
-    json.Append(StrFormat("suffix_depth/distance=%u/threads=%zu",
-                          kScalingDistance, threads),
-                best, result.stats, threads);
-  }
-  PrintTable(trows);
-  std::printf("\nexpected shape: >=2x at 4 threads when >=4 hardware cores are "
-              "available (the three per-hypothesis lanes — explore, solver "
-              "gate, root-cause detect — overlap); flat on single-core hosts\n");
 
   // --- Incremental root-cause detection: scan economy at distance 200. ---
   // Rescan mode re-walks the whole materialized suffix for every verified
@@ -150,7 +90,7 @@ int main() {
     json.Append(StrFormat("suffix_depth/distance=%u/detector=%s",
                           kDetectorDistance,
                           incremental ? "incremental" : "rescan"),
-                ms, result.stats, options.num_threads);
+                ms, result.stats);
   }
   PrintTable(drows);
   std::printf("\nexpected shape: incremental scans >=10x fewer units than "
@@ -199,7 +139,7 @@ int main() {
                      std::to_string(result.stats.hypotheses_explored)});
     json.Append(StrFormat("suffix_depth/clause_sharing/solver=%s",
                           portfolio ? "portfolio" : "fixed"),
-                ms, result.stats, options.num_threads);
+                ms, result.stats);
   }
   PrintTable(crows);
   std::printf("\nexpected shape: the portfolio run reports clause hits > 0 "

@@ -279,7 +279,7 @@ int main() {
   }
 
   // --- T2d: the standing daemon — a mixed-module stream through the wave
-  //     scheduler. Serial waves (num_threads = 1, wave parallelism 1), so
+  //     scheduler. Serial waves (wave parallelism 1), so
   //     every promotion/wave counter is deterministic and baseline-gated
   //     (wave_promotions floored: a daemon that stops promoting between
   //     waves has lost the wave-scheduling payoff).
@@ -353,7 +353,7 @@ int main() {
   //     FIRST dump can never hit promoted facts (nothing precedes its
   //     watermark); a process warm-started from the previous run's exported
   //     fact log screens against the imported cores immediately. Serial
-  //     (num_threads = 1, parallel 1), so promoted_clause_hits and
+  //     (parallel 1), so promoted_clause_hits and
   //     promoted_cache_hits are deterministic and baseline-gated as FLOORS:
   //     a restart that stops reusing its own saved facts is the regression.
   PrintHeader("T2e: warm start from a durable fact log");

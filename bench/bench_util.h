@@ -50,12 +50,11 @@ inline void PrintTable(const std::vector<std::vector<std::string>>& rows) {
 }
 
 // One bench data point. Wall-clock is machine-dependent; every other field
-// is a deterministic engine/solver counter (at num_threads=1), which is
+// is a deterministic engine/solver counter (for serial batches), which is
 // what tools/check_bench.py regression-gates against bench/baselines.json.
 struct BenchRecord {
   std::string name;
   double wall_ms = 0;
-  size_t num_threads = 1;
   uint64_t hypotheses_explored = 0;
   uint64_t solver_checks = 0;
   uint64_t cache_hits = 0;
@@ -159,7 +158,7 @@ struct BenchRecord {
 
   // Fills every counter field from a single engine run's merged stats.
   void FromStats(const ResStats& stats) {
-    *this = BenchRecord{name, wall_ms, num_threads};
+    *this = BenchRecord{name, wall_ms};
     Accumulate(stats);
   }
 };
@@ -181,7 +180,7 @@ class BenchJsonWriter {
         f,
         "{\"name\": \"%s\", \"wall_ms\": %.3f, "
         "\"hypotheses_explored\": %llu, \"solver_checks\": %llu, "
-        "\"cache_hits\": %llu, \"num_threads\": %zu, "
+        "\"cache_hits\": %llu, "
         "\"propagated_constraints\": %llu, \"detector_units_scanned\": %llu, "
         "\"clauses_learned\": %llu, \"clause_hits\": %llu, "
         "\"budget_exhaustions\": %llu, \"strategy_wins_interval\": %llu, "
@@ -201,7 +200,7 @@ class BenchJsonWriter {
         r.name.c_str(), r.wall_ms,
         static_cast<unsigned long long>(r.hypotheses_explored),
         static_cast<unsigned long long>(r.solver_checks),
-        static_cast<unsigned long long>(r.cache_hits), r.num_threads,
+        static_cast<unsigned long long>(r.cache_hits),
         static_cast<unsigned long long>(r.propagated_constraints),
         static_cast<unsigned long long>(r.detector_units_scanned),
         static_cast<unsigned long long>(r.clauses_learned),
@@ -236,12 +235,10 @@ class BenchJsonWriter {
   }
 
   // Convenience: record an engine run (all counters from its stats).
-  void Append(const std::string& name, double wall_ms, const ResStats& stats,
-              size_t num_threads = 1) {
+  void Append(const std::string& name, double wall_ms, const ResStats& stats) {
     BenchRecord r;
     r.name = name;
     r.wall_ms = wall_ms;
-    r.num_threads = num_threads;
     r.FromStats(stats);
     Append(r);
   }

@@ -2,20 +2,16 @@
 
 #include <algorithm>
 #include <cassert>
-#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <map>
-#include <mutex>
-#include <atomic>
-#include <chrono>
-#include <cstdlib>
 
 #include "src/res/runtime.h"
 #include "src/support/hash.h"
 #include "src/support/logging.h"
 #include "src/support/persistent.h"
 #include "src/support/string_util.h"
-#include "src/support/thread_pool.h"
 
 namespace res {
 
@@ -100,10 +96,9 @@ std::string_view StopReasonName(StopReason r) {
 }
 
 // One node of the backward search tree — the *exploration* state only.
-// Solver products (context, model, verified flag) live on the SpecNode that
-// wraps the hypothesis, because gating runs as a separate pipeline lane:
-// exploration of a child may start before its parent's solver verdict
-// exists, and the two lanes must not share mutable fields.
+// Solver products (context, model, verified flag) are the node's Gated
+// record, produced when Run pops and gates the node; its children share
+// that record to fork the parent's context.
 //
 // Forking copies O(delta) plus small bounded aggregates, never the
 // accumulated bulk: the snapshot is COW, the suffix spine (SuffixChainNode)
@@ -134,98 +129,38 @@ struct ResEngine::Hypothesis {
   size_t depth() const { return units_backward ? units_backward->depth : 0; }
 };
 
-// Per-task context: a deterministic fresh-variable namespace plus private
-// stats sinks. Every task derives its namespace from its position in the
-// search tree (never from global counters), so the variables it mints — and
-// therefore everything the solver decides about them — are identical
-// regardless of how tasks interleave across worker threads.
+// Per-step context: a deterministic fresh-variable namespace plus private
+// stats sinks. A node's namespace derives from its position in the search
+// tree (never from global counters), so the variables it mints are a pure
+// function of that position — which is also what lets a shared runtime pool
+// hand the same variable node to the same position in another run.
 struct ResEngine::TaskCtx {
   uint64_t ns = 0;       // deterministic namespace for FreshVar
-  uint32_t var_seq = 0;  // per-task variable counter
+  uint32_t var_seq = 0;  // per-step variable counter
   ResStats stats;        // engine counters (merged at commit)
   SolverStats sstats;    // solver counters (merged at commit)
 };
 
-// One speculation-tree node: a hypothesis plus the states/results of its
-// (up to three) tasks. Field ownership protocol: task-result fields are
-// written exclusively by the running task and read by the main thread only
-// after observing state == kDone under the scheduler mutex; tree fields
-// (children, parent) are main-thread-only.
-struct ResEngine::SpecNode {
-  enum class St : uint8_t { kIdle = 0, kRunning = 1, kDone = 2 };
-
-  Hypothesis h;
-  uint64_t ns = 0;
-  bool is_root = false;
-  bool all_at_birth = false;
-  // Set (under the scheduler mutex) when the committer discards this
-  // subtree: no further tasks may be launched for it. Any still-running
-  // task completes normally; its continuation sees the flag and stops.
-  bool abandoned = false;
-  // Kept until this node's gate has forked parent's solver context; cleared
-  // afterwards so ancestors free progressively (and to break parent<->child
-  // shared_ptr cycles).
-  std::shared_ptr<SpecNode> parent;
-  SpecNode* parent_raw = nullptr;
-
-  // Gate lane: solver verdict over h.constraints, context forked from the
-  // parent's post-gate context (the incremental chain dependency).
-  St gate_state = St::kIdle;
-  bool gate_passed = false;
-  bool verified = false;
+// A gated node's solver products: its post-gate incremental context and
+// witness model, which each child forks at its own gate.
+struct ResEngine::Gated {
   SolverContext ctx;
   Assignment model;
-  ResStats gate_stats;
-  SolverStats gate_sstats;
-  // UNSAT core behind a failed gate (task-written before kDone); published
-  // to the shared clause store by the commit thread, in commit order.
-  std::vector<const Expr*> gate_core;
-  // Learned-clause screen bookkeeping, written ONLY by the main thread:
-  // screen_base / parent_screen_seq when the node is pushed onto the commit
-  // stack, screen_seq when it is popped. Worker tasks never read these.
-  size_t screen_base = 0;          // parent's constraint count at push time
-  uint64_t parent_screen_seq = 0;  // store prefix the parent's screen covered
-  uint64_t screen_seq = 0;         // store prefix this node's screen covered
-
-  // Explore lane: ungated children (independent of the gate verdict).
-  St explore_state = St::kIdle;
-  std::vector<Hypothesis> explore_out;
-  ResStats explore_stats;
-  SolverStats explore_sstats;
-  std::vector<std::shared_ptr<SpecNode>> children;
-  bool children_built = false;
-
-  // Complete-start lane (all-at-birth nodes only; runs after the gate).
-  St complete_state = St::kIdle;
-  bool complete_ok = false;
-  bool complete_verified = false;
-  Hypothesis complete_h;
-  Assignment complete_model;
-  ResStats complete_stats;
-  SolverStats complete_sstats;
-
-  // Detect lane (verified nodes when stop_at_root_cause; runs after gate).
-  St detect_state = St::kIdle;
-  SynthesizedSuffix det_suffix;
-  std::vector<RootCause> det_causes;
-  DetectorStats det_dstats;
+  bool verified = false;
 };
 
-// Scheduler shared state: guards every SpecNode task-state field once a
-// worker pool exists, and carries the completion signal.
-struct ResEngine::Sched {
-  std::mutex mu;
-  std::condition_variable cv;
-  size_t outstanding = 0;  // submitted but not yet completed tasks
-  // Set when Run has its result: completing tasks stop launching
-  // successors, so `outstanding` drains promptly instead of cascading
-  // through the remaining speculation tree.
-  bool stopping = false;
-  // Per-run task-execution telemetry (RES_SCHED_DEBUG only; merged under
-  // `mu` by the completion handler).
-  bool debug = false;
-  double lane_exec_ms[4] = {0, 0, 0, 0};
-  uint64_t lane_runs[4] = {0, 0, 0, 0};
+// One entry of the commit loop's DFS stack: an ungated hypothesis, its
+// variable namespace, and its parent's solver products (nullptr for the
+// root, which needs no gate).
+struct ResEngine::StackEntry {
+  Hypothesis h;
+  uint64_t ns = 0;
+  std::shared_ptr<const Gated> parent;
+  // Learned-clause screen bookkeeping: the parent's constraint count (h's
+  // constraints past it are fresh) and the store prefix the parent's own
+  // screen covered.
+  size_t screen_base = 0;
+  uint64_t parent_screen_seq = 0;
 };
 
 namespace {
@@ -271,8 +206,8 @@ ResEngine::ResEngine(const Module& module, const Coredump& dump, ResOptions opti
   var_watermark_ = pool_->var_count();
   if (facts_ != nullptr && options_.consult_promoted) {
     // Fixed snapshot: every screen in this run sees exactly this prefix, so
-    // verdicts stay pure functions of (dump, options, snapshot) at any
-    // thread count.
+    // verdicts stay pure functions of (dump, options, snapshot) whatever
+    // other runs promote meanwhile.
     promoted_ = &facts_->promoted_clauses;
     promoted_watermark_ =
         options_.promoted_watermark.value_or(promoted_->published());
@@ -296,10 +231,8 @@ ResEngine::ResEngine(const Module& module, const Coredump& dump, ResOptions opti
 }
 
 void ResEngine::RecordFault(Status status) {
-  std::lock_guard<std::mutex> lock(fault_mu_);
-  if (!faulted_.load(std::memory_order_relaxed)) {
-    fault_status_ = std::move(status);
-    faulted_.store(true, std::memory_order_release);
+  if (fault_.ok()) {
+    fault_ = std::move(status);
   }
 }
 
@@ -314,8 +247,7 @@ const Expr* ResEngine::FreshVar(TaskCtx* tctx, VarTag tag, VarOrigin origin) {
   // one run the keys are collision-free, so this is plain registration).
   const Expr* v = pool_->InternVar(key, origin, uid);
   // Reuse hit iff the variable predates this run (construction watermark):
-  // a deterministic property of the variable, not of call timing. Counted
-  // into the task-local stats so only committed tasks contribute — see
+  // a deterministic property of the variable, not of call timing — see
   // ResStats::expr_reuse_hits.
   if (v->var < var_watermark_) {
     ++tctx->stats.expr_reuse_hits;
@@ -361,12 +293,11 @@ void ResEngine::MergeStats(const ResStats& d, const SolverStats& sd) {
   s.budget_exhaustions += sd.budget_exhaustions;
   s.promoted_cache_hits += sd.promoted_cache_hits;
   // Cold-check keys append in merge order == commit order, so the engine's
-  // final journal is deterministic (speculative tasks that are discarded
-  // are never merged).
+  // final journal is deterministic.
   s.cold_check_keys.insert(s.cold_check_keys.end(), sd.cold_check_keys.begin(),
                            sd.cold_check_keys.end());
   // clauses_learned / clause_hits / promoted_clause_hits are counted
-  // directly by the commit thread (never through per-task sinks), so they
+  // directly by the commit loop (never through per-step sinks), so they
   // need no merge here.
 }
 
@@ -545,72 +476,47 @@ bool ResEngine::CommitFresh(Hypothesis* h, std::vector<const Expr*> fresh,
   return true;
 }
 
-// The solver half of the old CheckAndCommit, as a standalone pipeline lane:
-// forks the parent's post-gate context and checks this node's constraint
-// vector. Runs after the parent's gate (the incremental-context chain) but
-// independently of — typically concurrently with — deeper exploration.
-void ResEngine::GateNode(SpecNode* n) {
-  // Unknown verdicts keep the parent's witness, mirroring the sequential
-  // engine where the forked hypothesis retained the inherited model.
-  n->model = n->parent_raw != nullptr ? n->parent_raw->model : Assignment{};
-  // Speculative learned-clause consult: if an already-published core is a
-  // subset of this node's constraint set, the set is UNSAT — skip the
-  // solver. Advisory only: the verdict the engine *commits* comes from the
-  // deterministic commit-time screen (ScreenRefutes), which provably
-  // refutes every node this probe can (any core visible here was published
-  // before this node's commit), so worker timing never shows through.
-  if (options_.solver_portfolio && n->parent_raw != nullptr &&
-      (clause_store_.published() > 0 || promoted_watermark_ > 0)) {
-    const uint64_t up_to = clause_store_.published();
-    const size_t base = n->parent_raw->h.constraints.size();
-    std::vector<const Expr*> fresh;
-    n->h.constraints.AppendSuffixTo(base, &fresh);
-    auto contains = [n](const Expr* e) { return n->h.constraint_set.contains(e); };
-    for (const Expr* f : fresh) {
-      if (clause_store_.RefutesByMember(f, up_to, contains) ||
-          (promoted_ != nullptr &&
-           promoted_->RefutesByMember(f, promoted_watermark_, contains))) {
-        n->gate_passed = false;
-        ++n->gate_stats.pruned_unsat;
-        return;
-      }
-    }
+bool ResEngine::GateNode(const StackEntry& n, Gated* g, TaskCtx* tctx,
+                         std::vector<const Expr*>* core) {
+  if (n.parent == nullptr) {
+    g->verified = true;  // the base case needs no gate
+    return true;
   }
+  // Unknown verdicts keep the parent's witness as the node's model.
+  g->model = n.parent->model;
   SolveOutcome outcome;
   if (options_.incremental_solving) {
-    n->ctx = n->parent_raw != nullptr ? n->parent_raw->ctx : SolverContext{};
-    outcome = solver_.CheckIncremental(&n->ctx, n->h.constraints, &n->gate_sstats);
+    g->ctx = n.parent->ctx;
+    outcome = solver_.CheckIncremental(&g->ctx, n.h.constraints, &tctx->sstats);
   } else {
-    outcome = solver_.Check(n->h.constraints, &n->gate_sstats);
+    outcome = solver_.Check(n.h.constraints, &tctx->sstats);
   }
   if (!outcome.fault.ok()) {
     // Injected solver failure: fail the RUN, not the hypothesis — treating
     // it as UNSAT/unknown would silently change the verdict. The node is
     // left un-passed so nothing downstream consumes the poisoned check.
     RecordFault(std::move(outcome.fault));
-    n->gate_passed = false;
-    return;
+    return false;
   }
   switch (outcome.result) {
     case SatResult::kUnsat:
-      n->gate_passed = false;
-      n->gate_core = std::move(outcome.core);
-      ++n->gate_stats.pruned_unsat;
-      return;
+      *core = std::move(outcome.core);
+      ++tctx->stats.pruned_unsat;
+      return false;
     case SatResult::kSat:
-      n->gate_passed = true;
-      n->verified = true;
-      n->model = std::move(outcome.model);
-      return;
+      g->verified = true;
+      g->model = std::move(outcome.model);
+      return true;
     case SatResult::kUnknown:
-      n->gate_passed = true;
-      n->verified = false;
-      ++n->gate_stats.unknown_kept;
-      return;
+      g->verified = false;
+      ++tctx->stats.unknown_kept;
+      return true;
   }
+  return false;
 }
 
-int ResEngine::ScreenRefutes(const SpecNode& n, uint64_t* hit_seq) {
+int ResEngine::ScreenRefutes(const StackEntry& n, uint64_t screen_seq,
+                             uint64_t* hit_seq) {
   auto contains = [&n](const Expr* e) { return n.h.constraint_set.contains(e); };
   // (i) Cores containing one of this node's fresh constraints. A core made
   // entirely of inherited constraints with seq <= parent_screen_seq would
@@ -619,13 +525,13 @@ int ResEngine::ScreenRefutes(const SpecNode& n, uint64_t* hit_seq) {
   std::vector<const Expr*> fresh;
   n.h.constraints.AppendSuffixTo(n.screen_base, &fresh);
   for (const Expr* f : fresh) {
-    if (clause_store_.RefutesByMember(f, n.screen_seq, contains, hit_seq)) {
+    if (clause_store_.RefutesByMember(f, screen_seq, contains, hit_seq)) {
       return 1;
     }
   }
   // (ii) ...cores published after the parent's screen ran can apply.
-  if (n.screen_seq > n.parent_screen_seq &&
-      clause_store_.RefutesNewSince(n.parent_screen_seq, n.screen_seq, contains,
+  if (screen_seq > n.parent_screen_seq &&
+      clause_store_.RefutesNewSince(n.parent_screen_seq, screen_seq, contains,
                                     hit_seq)) {
     return 1;
   }
@@ -769,10 +675,11 @@ void ResEngine::ExecuteUnit(const Hypothesis& base, const UnitPlan& plan,
       }
     }
     bool complete = false;
+    Status fault;
     std::vector<int64_t> values =
         solver_.EnumerateValues(e, context, options_.address_fork_limit, &complete,
-                                &tctx->sstats);
-    if (values.empty()) {
+                                &tctx->sstats, &fault);
+    if (values.empty() && fault.ok()) {
       // The bias may have over-constrained; retry with the sound context.
       std::vector<const Expr*> plain;
       plain.reserve(h.constraints.size() + cons.size());
@@ -781,7 +688,14 @@ void ResEngine::ExecuteUnit(const Hypothesis& base, const UnitPlan& plan,
         plain.push_back(c);
       }
       values = solver_.EnumerateValues(e, plain, options_.address_fork_limit,
-                                       &complete, &tctx->sstats);
+                                       &complete, &tctx->sstats, &fault);
+    }
+    if (!fault.ok()) {
+      // Injected solver failure: fail the run, as GateNode does — reading it
+      // as "no address fits" would silently prune the hypothesis.
+      RecordFault(std::move(fault));
+      infeasible = true;
+      return std::nullopt;
     }
     if (values.empty()) {
       if (!complete) {
@@ -1238,7 +1152,7 @@ void ResEngine::ExecuteUnit(const Hypothesis& base, const UnitPlan& plan,
   }
 
   // Commit the unit's constraints (dedup + literal-false pruning). The
-  // solver gate itself runs later, as the child SpecNode's gate task.
+  // solver gate itself runs later, when the commit loop pops the child.
   if (!CommitFresh(&h, std::move(cons), tctx)) {
     return;
   }
@@ -1433,62 +1347,56 @@ std::vector<ResEngine::Hypothesis> ResEngine::TryMarkBirth(const Hypothesis& h,
 }
 
 // All-at-birth completion: the snapshot must equal the program's initial
-// state (globals at their initializers, empty heap). Runs as a gate-lane
-// task: it needs the node's post-gate solver context, and its own solver
-// check is the final gate of the synthesized full execution.
-void ResEngine::CompleteStartNode(SpecNode* n) {
-  n->complete_ok = false;
-  for (const auto& [base, a] : n->h.state.heap()) {
+// state (globals at their initializers, empty heap). It needs the node's
+// post-gate solver context, and its own solver check is the final gate of
+// the synthesized full execution.
+std::optional<SynthesizedSuffix> ResEngine::CompleteStartNode(
+    const Hypothesis& h, const Gated& g, TaskCtx* tctx) {
+  for (const auto& [base, a] : h.state.heap()) {
     if (a.state != SnapAllocState::kUnallocated) {
-      return;
+      return std::nullopt;
     }
   }
-  Hypothesis h2 = n->h;
+  Hypothesis h2 = h;
   std::vector<const Expr*> cons;
-  for (const GlobalVar& g : module_.globals()) {
-    for (uint64_t w = 0; w < g.size_words; ++w) {
-      uint64_t addr = g.address + w * kWordSize;
+  for (const GlobalVar& gv : module_.globals()) {
+    for (uint64_t w = 0; w < gv.size_words; ++w) {
+      uint64_t addr = gv.address + w * kWordSize;
       const Expr* value = h2.state.ReadMem(pool_, addr);
       if (value == nullptr) {
         if (options_.treat_as_minidump) {
           continue;
         }
-        return;
+        return std::nullopt;
       }
-      cons.push_back(pool_->Eq(value, pool_->Const(g.init[w])));
+      cons.push_back(pool_->Eq(value, pool_->Const(gv.init[w])));
     }
   }
-  TaskCtx tctx;
-  tctx.stats = ResStats{};
-  if (!CommitFresh(&h2, std::move(cons), &tctx)) {
-    n->complete_stats = tctx.stats;
-    return;
+  if (!CommitFresh(&h2, std::move(cons), tctx)) {
+    return std::nullopt;
   }
-  SolverContext cctx = n->ctx;  // fork this node's post-gate context
+  SolverContext cctx = g.ctx;  // fork this node's post-gate context
   SolveOutcome outcome =
       options_.incremental_solving
-          ? solver_.CheckIncremental(&cctx, h2.constraints, &tctx.sstats)
-          : solver_.Check(h2.constraints, &tctx.sstats);
+          ? solver_.CheckIncremental(&cctx, h2.constraints, &tctx->sstats)
+          : solver_.Check(h2.constraints, &tctx->sstats);
+  if (!outcome.fault.ok()) {
+    // As in GateNode: an injected failure fails the run, never reads as an
+    // unverified start.
+    RecordFault(std::move(outcome.fault));
+    return std::nullopt;
+  }
   switch (outcome.result) {
     case SatResult::kUnsat:
-      ++tctx.stats.pruned_unsat;
-      break;
+      ++tctx->stats.pruned_unsat;
+      return std::nullopt;
     case SatResult::kSat:
-      n->complete_ok = true;
-      n->complete_verified = true;
-      n->complete_model = std::move(outcome.model);
-      n->complete_h = std::move(h2);
-      break;
+      return Finalize(h2, outcome.model, /*verified=*/true);
     case SatResult::kUnknown:
-      n->complete_ok = true;
-      n->complete_verified = false;
-      n->complete_model = n->model;  // inherited witness, as in GateNode
-      ++tctx.stats.unknown_kept;
-      n->complete_h = std::move(h2);
-      break;
+      ++tctx->stats.unknown_kept;
+      return Finalize(h2, g.model, /*verified=*/false);  // inherited witness
   }
-  n->complete_stats = tctx.stats;
-  n->complete_sstats = tctx.sstats;
+  return std::nullopt;
 }
 
 bool ResEngine::AllThreadsAtBirth(const Hypothesis& h) const {
@@ -1574,59 +1482,42 @@ std::vector<ResEngine::Hypothesis> ResEngine::Expand(const Hypothesis& h,
 RES_FAULT_SITE(kFaultExplore, "engine.lane.explore", StatusCode::kInternal);
 RES_FAULT_SITE(kFaultDetect, "engine.lane.detect", StatusCode::kInternal);
 
-void ResEngine::ExploreNode(SpecNode* n) {
-  {
-    Status fault = faults_.Check(kFaultExplore);
-    if (!fault.ok()) {
-      // Neutral lane result (no children); the run-level verdict comes from
-      // the post-quiescence fault check in Run, never from this node.
-      RecordFault(std::move(fault));
-      return;
-    }
-  }
-  TaskCtx tctx;
-  tctx.ns = n->ns;
-  n->explore_out = Expand(n->h, &tctx);
-  n->explore_stats = tctx.stats;
-  n->explore_sstats = tctx.sstats;
-}
-
-void ResEngine::DetectNode(SpecNode* n) {
+std::vector<RootCause> ResEngine::DetectNode(const Hypothesis& h,
+                                             const Gated& g,
+                                             SynthesizedSuffix* suffix,
+                                             DetectorStats* dstats) {
   {
     Status fault = faults_.Check(kFaultDetect);
     if (!fault.ok()) {
       RecordFault(std::move(fault));
-      return;
+      return {};
     }
   }
   if (!options_.incremental_root_causes) {
     // The full-rescan oracle: materialize the suffix and run every detector
     // pass over it.
-    n->det_suffix = Finalize(n->h, n->model, n->verified);
-    n->det_causes =
-        DetectRootCauses(module_, dump_, n->det_suffix, pool_, &n->det_dstats);
-    return;
+    *suffix = Finalize(h, g.model, g.verified);
+    return DetectRootCauses(module_, dump_, *suffix, pool_, dstats);
   }
   // Incremental path: detection consumes the context folded along the
-  // chain; the suffix is materialized only when a cause actually fired (the
-  // committer never reads det_suffix otherwise).
+  // chain; the suffix is materialized only when a cause actually fired.
   std::map<uint64_t, uint32_t> owners;
-  if (n->h.rc_ctx.conc_candidate) {
+  if (h.rc_ctx.conc_candidate) {
     // The lockset scan will run; seed it with exactly the initial lock
     // owners Finalize would publish.
-    std::set<uint64_t> mutexes(n->h.rc_ctx.lock_mutexes.begin(),
-                               n->h.rc_ctx.lock_mutexes.end());
+    std::set<uint64_t> mutexes(h.rc_ctx.lock_mutexes.begin(),
+                               h.rc_ctx.lock_mutexes.end());
     mutexes.insert(rc_setup_.blocked_mutexes.begin(),
                    rc_setup_.blocked_mutexes.end());
-    owners = InitialLockOwners(n->h, n->model, mutexes);
+    owners = InitialLockOwners(h, g.model, mutexes);
   }
-  n->det_causes = DetectRootCausesIncremental(module_, dump_, rc_setup_,
-                                              n->h.rc_ctx,
-                                              n->h.units_backward.get(), owners,
-                                              &n->det_dstats);
-  if (!n->det_causes.empty()) {
-    n->det_suffix = Finalize(n->h, n->model, n->verified);
+  std::vector<RootCause> causes = DetectRootCausesIncremental(
+      module_, dump_, rc_setup_, h.rc_ctx, h.units_backward.get(), owners,
+      dstats);
+  if (!causes.empty()) {
+    *suffix = Finalize(h, g.model, g.verified);
   }
+  return causes;
 }
 
 std::map<uint64_t, uint32_t> ResEngine::InitialLockOwners(
@@ -1689,369 +1580,21 @@ ResResult ResEngine::Run() {
     return result;
   }
 
-  // --- The deterministic task scheduler. ---
+  // --- The commit loop: a depth-first search, one node at a time. ---
   //
-  // Every popped hypothesis is a SpecNode with up to three tasks:
-  //   explore  — symbolic execution of all backward extensions (no gate);
-  //              depends only on the node's own exploration state, so it can
-  //              run before the node's solver verdict exists.
-  //   gate     — solver verdict over the node's constraint vector, with the
-  //              incremental context forked from the parent's post-gate
-  //              context (the chain dependency of PR 1's solver design).
-  //   detect   — Finalize + root-cause detection (after the gate: needs the
-  //              model). For all-at-birth nodes a complete-start task takes
-  //              the place of explore/detect.
-  //
-  // With num_threads == 1 every task runs inline, exactly reproducing the
-  // classic sequential engine. With num_threads > 1 tasks run on a worker
-  // pool and are *speculated* down the DFS order, but the main thread
-  // commits results in the exact single-threaded pop order and replays the
-  // exact sequential termination logic, so StopReason / suffix / causes are
-  // byte-identical to num_threads=1; speculative work past a termination
-  // point is simply discarded (its stats are never merged).
-  // Lane pool: the runtime's shared pool when it has one (dump-level and
-  // intra-run parallelism compose under one thread budget), a private
-  // per-run pool otherwise. Lane tasks never block, so sharing the pool
-  // across concurrent engines cannot deadlock; this engine still waits for
-  // its own outstanding count to drain before returning.
-  std::unique_ptr<ThreadPool> owned_lane_pool;
-  ThreadPool* pool = nullptr;
-  if (options_.num_threads > 1) {
-    ThreadPool* shared =
-        options_.runtime != nullptr ? options_.runtime->lane_pool() : nullptr;
-    if (shared != nullptr) {
-      pool = shared;
-    } else {
-      owned_lane_pool = std::make_unique<ThreadPool>(options_.num_threads);
-      pool = owned_lane_pool.get();
-    }
+  // Each popped node is screened against the learned clauses, gated by the
+  // solver (its incremental context forked from the parent's post-gate
+  // context), then checked for root causes (verified nodes, when
+  // stop_at_root_cause) or for a complete start (all-at-birth nodes), and
+  // otherwise expanded. Its children are pushed so the first is popped next.
+  std::vector<StackEntry> stack;
+  {
+    StackEntry root;
+    root.h = MakeInitialHypothesis();
+    root.ns = HashCombine(0x9e5u, 1);
+    stack.push_back(std::move(root));
   }
-  const size_t workers = pool != nullptr ? pool->size() : 0;
-  Sched sched;
-
-  auto root = std::make_shared<SpecNode>();
-  root->h = MakeInitialHypothesis();
-  root->ns = HashCombine(0x9e5u, 1);
-  root->is_root = true;
-  root->all_at_birth = AllThreadsAtBirth(root->h);
-  root->gate_state = SpecNode::St::kDone;  // the base case needs no gate
-  root->gate_passed = true;
-  root->verified = true;
-
-  std::vector<std::shared_ptr<SpecNode>> stack;
-  stack.push_back(root);
-
-  // Builds SpecNode children from a completed explore task, assigning each
-  // the deterministic namespace derived from (parent namespace, index).
-  auto build_children = [this](const std::shared_ptr<SpecNode>& n) {
-    n->children.reserve(n->explore_out.size());
-    for (size_t i = 0; i < n->explore_out.size(); ++i) {
-      auto child = std::make_shared<SpecNode>();
-      child->h = std::move(n->explore_out[i]);
-      child->ns = HashCombine(n->ns, i + 1);
-      child->all_at_birth = AllThreadsAtBirth(child->h);
-      child->parent = n;
-      child->parent_raw = n.get();
-      n->children.push_back(std::move(child));
-    }
-    n->explore_out.clear();
-    n->children_built = true;
-  };
-
-  enum class Task : uint8_t { kGate, kExplore, kDetect, kComplete };
-  auto task_state = [](SpecNode* n, Task t) -> SpecNode::St& {
-    switch (t) {
-      case Task::kGate: return n->gate_state;
-      case Task::kExplore: return n->explore_state;
-      case Task::kDetect: return n->detect_state;
-      default: return n->complete_state;
-    }
-  };
-  sched.debug = std::getenv("RES_SCHED_DEBUG") != nullptr;
-  // Returns the task's execution time in ms (0 unless debugging).
-  auto run_task_body = [this, &sched](SpecNode* n, Task t) -> double {
-    std::chrono::steady_clock::time_point tt0;
-    if (sched.debug) {
-      tt0 = std::chrono::steady_clock::now();
-    }
-    switch (t) {
-      case Task::kGate: GateNode(n); break;
-      case Task::kExplore: ExploreNode(n); break;
-      case Task::kDetect: DetectNode(n); break;
-      case Task::kComplete: CompleteStartNode(n); break;
-    }
-    if (!sched.debug) {
-      return 0;
-    }
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - tt0)
-        .count();
-  };
   const bool detecting = options_.stop_at_root_cause;
-  // Eligibility predicates (pure functions of node-creation state).
-  auto wants_explore = [this](const SpecNode* n) {
-    return !n->all_at_birth && n->h.depth() < options_.max_units;
-  };
-
-  const size_t max_outstanding = workers * 4 + 4;
-
-  // Launch on the pool. Caller must hold sched.mu and have checked kIdle.
-  // Declared as std::function so task continuations can reference it
-  // recursively (a completing worker launches its successors itself —
-  // keeping the gate->detect chain off the main thread's wakeup latency).
-  std::function<void(const std::shared_ptr<SpecNode>&, Task)> launch_locked;
-  // Launches every now-runnable idle task of `n` (no recursion). Holding
-  // sched.mu. Safe to call from main or from a completing worker.
-  auto schedule_node_locked = [&](const std::shared_ptr<SpecNode>& n) {
-    if (sched.stopping || n->abandoned ||
-        sched.outstanding >= max_outstanding) {
-      return;
-    }
-    if (n->gate_state == SpecNode::St::kDone && !n->gate_passed) {
-      return;  // pruned: this subtree will be discarded, don't feed it
-    }
-    // Launch the gate once the parent's verdict exists (and only for
-    // survivors — a failed parent's subtree is doomed, don't gate it).
-    // parent_raw is only dereferenced while the gate is idle, when the
-    // parent shared_ptr is still held and the pointee alive.
-    if (n->gate_state == SpecNode::St::kIdle &&
-        (n->parent_raw == nullptr ||
-         (n->parent_raw->gate_state == SpecNode::St::kDone &&
-          n->parent_raw->gate_passed))) {
-      launch_locked(n, Task::kGate);
-    }
-    if (n->explore_state == SpecNode::St::kIdle && wants_explore(n.get()) &&
-        sched.outstanding < max_outstanding) {
-      launch_locked(n, Task::kExplore);
-    }
-    if (n->gate_state == SpecNode::St::kDone) {
-      if (n->parent) {
-        n->parent.reset();  // ancestor chain may now free progressively
-      }
-      if (n->gate_passed) {
-        if (detecting && n->verified && n->detect_state == SpecNode::St::kIdle &&
-            sched.outstanding < max_outstanding) {
-          launch_locked(n, Task::kDetect);
-        }
-        if (n->all_at_birth && n->complete_state == SpecNode::St::kIdle &&
-            sched.outstanding < max_outstanding) {
-          launch_locked(n, Task::kComplete);
-        }
-      }
-    }
-    if (n->explore_state == SpecNode::St::kDone && !n->children_built) {
-      build_children(n);
-    }
-  };
-  // Completion continuation: advance this node and its direct children.
-  // Deeper descendants advance when their own parents' tasks complete, so
-  // the per-completion cost stays O(children) while the lane chains
-  // (gate->child gate, explore->child explore) self-propagate at worker
-  // speed instead of main-thread wakeup speed.
-  auto on_task_done_locked = [&](const std::shared_ptr<SpecNode>& n) {
-    if (sched.stopping || n->abandoned) {
-      return;
-    }
-    schedule_node_locked(n);
-    if (n->gate_state == SpecNode::St::kDone && !n->gate_passed) {
-      return;  // the committer will discard the children unseen
-    }
-    for (const auto& child : n->children) {
-      schedule_node_locked(child);
-    }
-  };
-  launch_locked = [&](const std::shared_ptr<SpecNode>& n, Task t) {
-    task_state(n.get(), t) = SpecNode::St::kRunning;
-    ++sched.outstanding;
-    // The shared_ptr capture keeps the node (and via parent, the gate's
-    // context source) alive for the task's duration even if the scheduler
-    // discards the tree early.
-    pool->Submit([&sched, &on_task_done_locked, n, t, run_task_body, task_state] {
-      double exec_ms = run_task_body(n.get(), t);
-      {
-        std::lock_guard<std::mutex> lock(sched.mu);
-        task_state(n.get(), t) = SpecNode::St::kDone;
-        --sched.outstanding;
-        sched.lane_exec_ms[static_cast<int>(t)] += exec_ms;
-        ++sched.lane_runs[static_cast<int>(t)];
-        on_task_done_locked(n);
-        // Notify while still holding the lock: with a shared (runtime) lane
-        // pool there is no pool-join before Run returns, so the moment a
-        // waiter can observe outstanding == 0 the Sched may be destroyed —
-        // nothing here may touch it after the unlock.
-        sched.cv.notify_all();
-      }
-    });
-  };
-
-  // Speculation pump: walks the virtual DFS order (commit stack top first,
-  // descending into already-materialized children) and launches every
-  // runnable idle task within the lookahead window. Holding sched.mu. This
-  // is the recovery path for work the completion continuations skipped
-  // (outstanding cap, or subtrees that only became relevant later).
-  const size_t max_visits = workers * 4 + 16;
-  std::function<void(const std::shared_ptr<SpecNode>&, size_t&)> visit =
-      [&](const std::shared_ptr<SpecNode>& n, size_t& visits) {
-        if (visits == 0) {
-          return;
-        }
-        --visits;
-        if (sched.outstanding >= max_outstanding) {
-          return;
-        }
-        schedule_node_locked(n);
-        for (const auto& child : n->children) {
-          if (visits == 0 || sched.outstanding >= max_outstanding) {
-            return;
-          }
-          visit(child, visits);
-        }
-      };
-  // The node currently being committed: already popped, but its subtree is
-  // exactly where the next work lives (on a linear chain the stack is empty
-  // during a commit — without this the pump would speculate nothing).
-  std::shared_ptr<SpecNode> committing;
-  auto pump_locked = [&] {
-    size_t visits = max_visits;
-    if (committing != nullptr) {
-      visit(committing, visits);
-    }
-    for (auto it = stack.rbegin(); it != stack.rend() && visits > 0; ++it) {
-      if (sched.outstanding >= max_outstanding) {
-        break;
-      }
-      visit(*it, visits);
-    }
-  };
-
-  // Blocks until `n`'s task `t` has completed. Inline mode runs the body on
-  // the calling thread; pool mode pumps speculation while waiting.
-  double wait_ms[4] = {0, 0, 0, 0};
-  uint64_t pre_done[4] = {0, 0, 0, 0};
-  uint64_t waited[4] = {0, 0, 0, 0};
-  auto ensure_done = [&](const std::shared_ptr<SpecNode>& n, Task t) {
-    // Times the wait only when RES_SCHED_DEBUG prints it.
-    struct Timer {
-      double* sink;  // nullptr: not timing
-      std::chrono::steady_clock::time_point t0;
-      ~Timer() {
-        if (sink != nullptr) {
-          *sink += std::chrono::duration<double, std::milli>(
-                       std::chrono::steady_clock::now() - t0)
-                       .count();
-        }
-      }
-    } timer{sched.debug ? &wait_ms[static_cast<int>(t)] : nullptr,
-            sched.debug ? std::chrono::steady_clock::now()
-                        : std::chrono::steady_clock::time_point{}};
-    if (pool == nullptr) {
-      if (task_state(n.get(), t) == SpecNode::St::kDone) {
-        ++pre_done[static_cast<int>(t)];
-      } else {
-        ++waited[static_cast<int>(t)];
-      }
-      SpecNode::St& st = task_state(n.get(), t);
-      if (st == SpecNode::St::kIdle) {
-        st = SpecNode::St::kRunning;
-        run_task_body(n.get(), t);
-        st = SpecNode::St::kDone;
-      }
-      if (t == Task::kGate && n->parent) {
-        n->parent.reset();
-      }
-      if (t == Task::kExplore && !n->children_built) {
-        build_children(n);
-      }
-      return;
-    }
-    std::unique_lock<std::mutex> lock(sched.mu);
-    if (task_state(n.get(), t) == SpecNode::St::kDone) {
-      ++pre_done[static_cast<int>(t)];
-    } else {
-      ++waited[static_cast<int>(t)];
-    }
-    // The pump only walks the stack, so tasks of already-popped nodes (the
-    // detect/complete/explore of the node being committed) must be launched
-    // here; their dependencies hold by commit-order construction.
-    if (task_state(n.get(), t) == SpecNode::St::kIdle) {
-      launch_locked(n, t);
-    }
-    pump_locked();
-    while (task_state(n.get(), t) != SpecNode::St::kDone) {
-      sched.cv.wait(lock);
-      pump_locked();
-    }
-    if (t == Task::kExplore && !n->children_built) {
-      build_children(n);
-    }
-  };
-
-  // Subtrees discarded while one of their tasks is still running are
-  // parked here: the nodes stay alive for the in-flight task, and their
-  // parent<->child shared_ptr cycles are broken at shutdown, once the pool
-  // is quiescent. Quiescent subtrees (always the case in inline mode) are
-  // released immediately instead, matching the sequential engine's
-  // free-on-prune memory profile.
-  std::vector<std::shared_ptr<SpecNode>> discarded;
-  std::function<void(SpecNode*)> release_tree = [&](SpecNode* n) {
-    for (const auto& child : n->children) {
-      release_tree(child.get());
-      child->parent.reset();
-    }
-    n->children.clear();
-  };
-  // Marks a subtree off-limits for new launches and reports whether any of
-  // its tasks is still running. Caller holds sched.mu (pool mode).
-  std::function<bool(SpecNode*)> abandon_tree = [&](SpecNode* n) {
-    n->abandoned = true;
-    bool running = n->gate_state == SpecNode::St::kRunning ||
-                   n->explore_state == SpecNode::St::kRunning ||
-                   n->detect_state == SpecNode::St::kRunning ||
-                   n->complete_state == SpecNode::St::kRunning;
-    for (const auto& child : n->children) {
-      running = abandon_tree(child.get()) || running;
-    }
-    return running;
-  };
-  // Discards a subtree the commit loop will never consume.
-  auto discard_subtree = [&](std::shared_ptr<SpecNode> n) {
-    if (pool == nullptr) {
-      release_tree(n.get());
-      return;
-    }
-    std::lock_guard<std::mutex> lock(sched.mu);
-    if (abandon_tree(n.get())) {
-      discarded.push_back(std::move(n));  // a task still references it
-    } else {
-      release_tree(n.get());
-    }
-  };
-  auto shutdown = [&] {
-    if (pool != nullptr) {
-      std::unique_lock<std::mutex> lock(sched.mu);
-      sched.stopping = true;
-      sched.cv.wait(lock, [&] { return sched.outstanding == 0; });
-    }
-    pool = nullptr;
-    owned_lane_pool.reset();  // a shared (runtime) pool is left running
-    // The node being committed was already popped off the stack; on an
-    // early return (cause found, reached start) its speculatively built
-    // subtree still holds parent<->child shared_ptr cycles — break them
-    // like every other tree, or the whole subtree leaks.
-    if (committing != nullptr) {
-      release_tree(committing.get());
-      committing.reset();
-    }
-    for (const auto& n : stack) {
-      release_tree(n.get());
-    }
-    for (const auto& n : discarded) {
-      release_tree(n.get());
-    }
-    discarded.clear();
-  };
-
-  // --- The commit loop: byte-for-byte the sequential engine's semantics. ---
 
   // Root-cause candidate under refinement (see below).
   std::optional<SynthesizedSuffix> candidate;
@@ -2066,49 +1609,26 @@ ResResult ResEngine::Run() {
     bool has = false;
   };
   BestHyp best;
-  auto consider_best = [&best](const SpecNode& n) {
-    bool better = !best.has || n.h.depth() > best.h.depth() ||
-                  (n.h.depth() == best.h.depth() && n.verified && !best.verified);
+  auto consider_best = [&best](const Hypothesis& h, const Gated& g) {
+    bool better = !best.has || h.depth() > best.h.depth() ||
+                  (h.depth() == best.h.depth() && g.verified && !best.verified);
     if (better) {
-      best.h = n.h;
-      best.model = n.model;
-      best.verified = n.verified;
+      best.h = h;
+      best.model = g.model;
+      best.verified = g.verified;
       best.has = true;
     }
   };
 
   uint64_t committed_pops = 0;
   auto finish = [&](ResResult&& r) {
-    shutdown();
     stats_.solver.clauses_evicted = clause_store_.evicted_count();
-    if (sched.debug) {
-      std::fprintf(stderr,
-                   "[sched] exec gate=%.2fms/%llu explore=%.2fms/%llu "
-                   "detect=%.2fms/%llu complete=%.2fms/%llu\n",
-                   sched.lane_exec_ms[0], (unsigned long long)sched.lane_runs[0],
-                   sched.lane_exec_ms[1], (unsigned long long)sched.lane_runs[1],
-                   sched.lane_exec_ms[2], (unsigned long long)sched.lane_runs[2],
-                   sched.lane_exec_ms[3], (unsigned long long)sched.lane_runs[3]);
-      std::fprintf(stderr,
-                   "[sched] gate: %.2fms (pre %llu wait %llu) explore: %.2fms "
-                   "(pre %llu wait %llu) detect: %.2fms (pre %llu wait %llu) "
-                   "complete: %.2fms\n",
-                   wait_ms[0], (unsigned long long)pre_done[0],
-                   (unsigned long long)waited[0], wait_ms[1],
-                   (unsigned long long)pre_done[1], (unsigned long long)waited[1],
-                   wait_ms[2], (unsigned long long)pre_done[2],
-                   (unsigned long long)waited[2], wait_ms[3]);
-    }
-    if (faulted_.load(std::memory_order_acquire)) {
-      // Post-quiescence override: the pool has drained, so EVERY lane task
-      // that was ever started has run its fault check — any armed site on a
-      // committed path has fired by now, on every schedule. Discarding the
-      // in-progress result (stats included) makes the kTaskFailed output a
-      // constant, byte-identical at any thread count.
-      std::lock_guard<std::mutex> lock(fault_mu_);
+    if (!fault_.ok()) {
+      // A recorded fault fails the whole run: the in-progress result (stats
+      // included) is discarded, so the kTaskFailed output is a constant.
       ResResult failed;
       failed.stop = StopReason::kTaskFailed;
-      failed.status = fault_status_;
+      failed.status = fault_;
       return failed;
     }
     stats_.committed_units = committed_pops;
@@ -2118,41 +1638,34 @@ ResResult ResEngine::Run() {
 
   bool budget_hit = false;
   bool deadline_hit = false;
-  // RES_CLAUSE_DEBUG=1 dumps every published core to stderr (the clause-
-  // sharing analogue of RES_SCHED_DEBUG).
+  // RES_CLAUSE_DEBUG=1 dumps every published core to stderr.
   const bool clause_debug = std::getenv("RES_CLAUSE_DEBUG") != nullptr;
   while (!stack.empty()) {
-    // Injected/internal lane failure: stop committing immediately (cheap
-    // relaxed poll; the authoritative re-check happens after shutdown in
-    // finish, so the verdict itself never depends on when this poll wins).
-    if (faulted_.load(std::memory_order_relaxed)) {
+    // Injected/internal failure: stop committing.
+    if (!fault_.ok()) {
       break;
     }
     // Step-deadline watchdog: counts every committed pop — screen-refuted
     // and gate-failed nodes included — so UNSAT-heavy searches that barely
-    // advance hypotheses_explored still terminate. Committed pops happen in
-    // single-thread DFS order, so the deadline verdict is byte-identical at
-    // any thread count (wall clock never enters the decision).
+    // advance hypotheses_explored still terminate. Wall clock never enters
+    // the decision.
     ++committed_pops;
     if (options_.deadline_units != 0 &&
         committed_pops > options_.deadline_units) {
       deadline_hit = true;
       break;
     }
-    std::shared_ptr<SpecNode> n = stack.back();
-    committing = n;
+    StackEntry n = std::move(stack.back());
+    stack.pop_back();
     // Deterministic learned-clause screen: refute this hypothesis from the
-    // store's committed prefix before (possibly) paying for its gate. The
-    // snapshot, the store contents, and therefore the verdict are pure
-    // functions of the committed search prefix — identical at every thread
-    // count. A screen-refuted node behaves exactly like a gate-failed one,
-    // except its (possibly still speculating) gate stats are never merged —
-    // in inline mode the gate never even runs.
-    n->screen_seq = clause_store_.published();
-    if (options_.solver_portfolio && !n->is_root &&
-        (n->screen_seq > 0 || promoted_watermark_ > 0)) {
+    // store's committed prefix before paying for its gate. The verdict is a
+    // pure function of the committed search prefix. A screen-refuted node
+    // behaves exactly like a gate-failed one, except no gate runs.
+    const uint64_t screen_seq = clause_store_.published();
+    if (options_.solver_portfolio && n.parent != nullptr &&
+        (screen_seq > 0 || promoted_watermark_ > 0)) {
       uint64_t hit_seq = 0;
-      int refuted = ScreenRefutes(*n, &hit_seq);
+      int refuted = ScreenRefutes(n, screen_seq, &hit_seq);
       if (refuted != 0) {
         if (refuted == 1) {
           ++stats_.solver.clause_hits;
@@ -2162,56 +1675,57 @@ ResResult ResEngine::Run() {
           promoted_->RecordHit(hit_seq);
         }
         ++stats_.pruned_unsat;
-        stack.pop_back();
-        discard_subtree(std::move(n));
         continue;
       }
     }
-    ensure_done(n, Task::kGate);
-    if (!n->gate_passed) {
-      // The sequential engine pruned this child inside its parent's Expand;
-      // it never reached the frontier, so it consumes no budget.
-      MergeStats(n->gate_stats, n->gate_sstats);
-      if (options_.solver_portfolio && !n->gate_core.empty()) {
+    Gated g;
+    TaskCtx gate;
+    std::vector<const Expr*> core;
+    if (!GateNode(n, &g, &gate, &core)) {
+      // A refuted node never reaches the frontier, so it consumes no
+      // budget.
+      MergeStats(gate.stats, gate.sstats);
+      if (options_.solver_portfolio && !core.empty()) {
         if (clause_debug) {
-          std::fprintf(stderr, "[core] size=%zu:\n", n->gate_core.size());
-          for (const Expr* e : n->gate_core) {
+          std::fprintf(stderr, "[core] size=%zu:\n", core.size());
+          for (const Expr* e : core) {
             std::fprintf(stderr, "  %s\n", ExprToString(*pool_, e).c_str());
           }
         }
-        if (clause_store_.Publish(std::move(n->gate_core))) {
+        if (clause_store_.Publish(std::move(core))) {
           ++stats_.solver.clauses_learned;
         }
       }
-      stack.pop_back();
-      discard_subtree(std::move(n));
       continue;
     }
+    // A passing gate that meets the spent budget stops the run with its
+    // stats unmerged.
     if (stats_.hypotheses_explored >= options_.max_hypotheses) {
       budget_hit = true;
       break;
     }
-    stack.pop_back();
-    MergeStats(n->gate_stats, n->gate_sstats);
+    MergeStats(gate.stats, gate.sstats);
     ++stats_.hypotheses_explored;
-    if (!n->is_root) {
+    if (n.parent != nullptr) {
       ++stats_.expansions;
     }
-    stats_.max_depth = std::max(stats_.max_depth, n->h.depth());
-    if (n->verified) {
-      stats_.max_sat_depth = std::max(stats_.max_sat_depth, n->h.depth());
+    stats_.max_depth = std::max(stats_.max_depth, n.h.depth());
+    if (g.verified) {
+      stats_.max_sat_depth = std::max(stats_.max_sat_depth, n.h.depth());
     }
-    consider_best(*n);
+    consider_best(n.h, g);
 
-    if (n->verified && detecting) {
-      ensure_done(n, Task::kDetect);
-      stats_.detector_units_scanned += n->det_dstats.units_scanned;
-      stats_.detector_rescans_avoided += n->det_dstats.rescans_avoided;
-      if (!n->det_causes.empty()) {
-        int strength = CauseStrength(n->det_causes.front());
+    if (g.verified && detecting) {
+      SynthesizedSuffix suffix;
+      DetectorStats dstats;
+      std::vector<RootCause> causes = DetectNode(n.h, g, &suffix, &dstats);
+      stats_.detector_units_scanned += dstats.units_scanned;
+      stats_.detector_rescans_avoided += dstats.rescans_avoided;
+      if (!causes.empty()) {
+        int strength = CauseStrength(causes.front());
         if (!candidate.has_value() || strength > candidate_strength) {
-          candidate = std::move(n->det_suffix);
-          candidate_causes = std::move(n->det_causes);
+          candidate = std::move(suffix);
+          candidate_causes = std::move(causes);
           candidate_strength = strength;
           refine_deadline = stats_.hypotheses_explored + kRefineBudget;
         }
@@ -2233,13 +1747,14 @@ ResResult ResEngine::Run() {
       return finish(std::move(result));
     }
 
-    if (n->all_at_birth) {
-      ensure_done(n, Task::kComplete);
-      MergeStats(n->complete_stats, n->complete_sstats);
-      if (n->complete_ok) {
+    if (AllThreadsAtBirth(n.h)) {
+      TaskCtx complete;
+      std::optional<SynthesizedSuffix> start =
+          CompleteStartNode(n.h, g, &complete);
+      MergeStats(complete.stats, complete.sstats);
+      if (start.has_value()) {
         result.stop = StopReason::kReachedStart;
-        result.suffix =
-            Finalize(n->complete_h, n->complete_model, n->complete_verified);
+        result.suffix = std::move(start);
         DetectorStats dstats;
         result.causes =
             DetectRootCauses(module_, dump_, *result.suffix, pool_, &dstats);
@@ -2257,28 +1772,29 @@ ResResult ResEngine::Run() {
       continue;
     }
 
-    if (n->h.depth() >= options_.max_units) {
+    if (n.h.depth() >= options_.max_units) {
       continue;
     }
-    ensure_done(n, Task::kExplore);
-    MergeStats(n->explore_stats, n->explore_sstats);
     {
-      // Workers mutate the children vector (build_children continuation)
-      // under sched.mu; move it out under the same lock.
-      std::unique_lock<std::mutex> lock(sched.mu, std::defer_lock);
-      if (pool != nullptr) {
-        lock.lock();
+      Status fault = faults_.Check(kFaultExplore);
+      if (!fault.ok()) {
+        RecordFault(std::move(fault));
+        continue;
       }
-      for (auto it = n->children.rbegin(); it != n->children.rend(); ++it) {
-        // Clause-screen bookkeeping: which suffix of the child's constraint
-        // vector is fresh, and which store prefix this node's screen already
-        // covered on the child's behalf. Main-thread-only fields (workers
-        // never read them), so writing here races with nothing.
-        (*it)->screen_base = n->h.constraints.size();
-        (*it)->parent_screen_seq = n->screen_seq;
-        stack.push_back(std::move(*it));
-      }
-      n->children.clear();
+    }
+    TaskCtx explore;
+    explore.ns = n.ns;
+    std::vector<Hypothesis> children = Expand(n.h, &explore);
+    MergeStats(explore.stats, explore.sstats);
+    auto gated = std::make_shared<const Gated>(std::move(g));
+    for (size_t i = children.size(); i-- > 0;) {
+      StackEntry child;
+      child.h = std::move(children[i]);
+      child.ns = HashCombine(n.ns, i + 1);
+      child.parent = gated;
+      child.screen_base = n.h.constraints.size();
+      child.parent_screen_seq = screen_seq;
+      stack.push_back(std::move(child));
     }
   }
 

@@ -18,10 +18,8 @@
 #ifndef RES_RES_REVERSE_ENGINE_H_
 #define RES_RES_REVERSE_ENGINE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -80,14 +78,15 @@ struct ResOptions {
   uint64_t solver_seed = 7;
   // Deterministic step deadline: the total number of hypotheses the commit
   // loop may pop (committed work, NOT wall clock — so the deadline verdict
-  // is byte-identical at any thread count) before the run cancels its
-  // in-flight lanes and stops with kDeadlineExceeded. 0 = no deadline.
+  // is byte-identical on any host and under any load) before the run stops
+  // with kDeadlineExceeded. 0 = no deadline.
   // Unlike max_hypotheses (which only counts solver-verified expansions),
   // this bounds EVERY committed node, so UNSAT-heavy pathological dumps
   // that explore without verifying still terminate.
   uint64_t deadline_units = 0;
   // Fault injection (see src/support/faultpoint.h): plan consulted by the
-  // engine-lane sites ("engine.lane.explore", "engine.lane.detect"), and
+  // engine's expand and detect steps ("engine.lane.explore",
+  // "engine.lane.detect" — names kept so existing plans still fire), and
   // forwarded to the solver ("solver.strategy"). nullptr falls back to the
   // RES_FAULT_PLAN env plan; fault_task scopes hits to this engine's batch
   // index. A fired fault fails the run with kTaskFailed (see ResResult).
@@ -100,10 +99,9 @@ struct ResOptions {
   // genuine backward step to survive matching.
   size_t hw_confidence_depth = 2;
   // Shared substrate to attach this run to (see src/res/runtime.h): the
-  // process-wide ExprPool, check cache, per-module facts (backward CFG +
-  // promoted clause store), and — when the runtime owns a lane pool — the
-  // worker threads. nullptr (the default) keeps the classic self-contained
-  // engine: private pool, private cache, per-run thread pool. Output is
+  // process-wide ExprPool, check cache and per-module facts (backward CFG +
+  // promoted clause store). nullptr (the default) keeps the classic
+  // self-contained engine: private pool, private cache. Output is
   // byte-identical either way; only cold-start cost and cross-run fact
   // reuse change. The runtime must outlive the engine and its results.
   ResRuntime* runtime = nullptr;
@@ -119,15 +117,6 @@ struct ResOptions {
   // no matter when its engine is lazily constructed). Values beyond the
   // store's published count are clamped by the store's own probes.
   std::optional<uint64_t> promoted_watermark;
-  // Worker threads for hypothesis processing. 1 = fully inline,
-  // single-threaded execution — the differential-testing oracle. N > 1
-  // pipelines the three independent per-hypothesis lanes (symbolic
-  // exploration, incremental solver gating, root-cause detection) across a
-  // worker pool while the main thread commits results in the exact
-  // single-threaded order, so StopReason, suffix, and root causes are
-  // byte-identical to num_threads=1 by construction; only wall-clock time
-  // (and scheduling-dependent solver cache/timing counters) changes.
-  size_t num_threads = 1;
 };
 
 enum class StopReason : uint8_t {
@@ -143,13 +132,14 @@ enum class StopReason : uint8_t {
 
 std::string_view StopReasonName(StopReason r);
 
-// Aggregated per-worker and merged in deterministic commit order. The
-// counters below are identical across num_threads settings, EXCEPT the
-// solver cache counters (cache_hits/cache_misses/model_reuse_hits, the
-// work counters they gate, and the per-strategy step counters downstream
-// of them), which depend on which speculative task warmed the shared check
-// cache first. The learned-clause counters (clauses_learned/clause_hits)
-// ARE deterministic: both are counted by the commit thread in commit order.
+// Counted in commit order by the run's one thread. For a solo engine every
+// counter is a pure function of (dump, options). Under a shared ResRuntime
+// the solver cache counters (cache_hits/cache_misses/model_reuse_hits,
+// promoted_cache_hits, the work counters they gate, and the per-strategy
+// step counters downstream of them) can also vary with dump-level
+// parallelism: concurrent runs promote into and read the shared check
+// cache. The learned-clause counters (clauses_learned/clause_hits) are
+// deterministic at any parallelism.
 struct ResStats {
   uint64_t hypotheses_explored = 0;
   uint64_t expansions = 0;
@@ -166,10 +156,8 @@ struct ResStats {
   // Cross-run variable reuse: FreshVar calls answered by a variable
   // registered in the shared pool BEFORE this run began (engine-construction
   // watermark; always 0 without a runtime). Unlike the pool's raw
-  // var_intern_hits gauge, this is a commit-order deterministic counter:
-  // lane tasks count below-watermark interns locally and the single-thread
-  // commit loop merges exactly the committed tasks, so at a fixed watermark
-  // the total is a pure function of (dump, options) at ANY num_threads.
+  // var_intern_hits gauge, this is a commit-order deterministic counter: at
+  // a fixed watermark the total is a pure function of (dump, options).
   uint64_t expr_reuse_hits = 0;
   // Detector work economy (see DetectorStats in root_cause.h): units visited
   // by any root-cause detector pass, and whole-suffix passes answered from
@@ -181,7 +169,6 @@ struct ResStats {
   uint64_t detector_rescans_avoided = 0;
   // Nodes popped by the commit loop — the deterministic abstract clock the
   // step deadline (ResOptions::deadline_units) is measured against.
-  // Identical at every thread count (single-thread DFS commit order).
   uint64_t committed_units = 0;
   // Runs aborted by the step-deadline watchdog (0 or 1 per Run; summed by
   // batch callers). Deterministic: the deadline counts committed pops.
@@ -205,15 +192,11 @@ struct ResResult {
 };
 
 // Thread-safety: a ResEngine instance is driven from one thread (Run is not
-// reentrant); with options.num_threads > 1 it spawns its own worker pool
-// internally and joins it before Run returns. The shared substrate the
-// workers touch concurrently — ExprPool interning, the Solver check cache,
-// CowOverlay frozen layers — is individually thread-safe (see those
-// headers); everything else a worker task reads (parent hypotheses, the
-// module, the dump) is frozen for the task's duration, and everything it
-// writes (its own hypothesis copy, its stats delta) is task-private until
-// the main thread merges it in deterministic commit order. pool() and
-// stats() must only be called while no Run is in flight.
+// reentrant) and starts no threads. Distinct engines may run concurrently
+// over one ResRuntime: the substrate they share — ExprPool interning, the
+// Solver check cache, the promoted clause stores — is individually
+// thread-safe (see those headers). pool() and stats() must only be called
+// while no Run is in flight.
 class ResEngine {
  public:
   // `module` and `dump` must outlive the engine AND any SynthesizedSuffix it
@@ -238,16 +221,17 @@ class ResEngine {
 
  private:
   struct Hypothesis;
-  struct SpecNode;
   struct TaskCtx;
-  struct Sched;
+  struct Gated;
+  struct StackEntry;
 
   Hypothesis MakeInitialHypothesis();
   // All single-unit extensions of `h` (one per thread × predecessor edge ×
   // pointer concretization, minus everything structurally pruned). Children
   // are returned UNGATED: their fresh constraints are committed to the
-  // constraint vector but not yet solver-checked (the gate runs as its own
-  // task so exploration can pipeline ahead of verification).
+  // constraint vector but not yet solver-checked. Run gates each child when
+  // it pops it, after the clause screen, so a child refuted by a core that
+  // an earlier sibling's subtree learned never pays for a solver call.
   std::vector<Hypothesis> Expand(const Hypothesis& h, TaskCtx* tctx);
 
   std::vector<Hypothesis> TryReversePartial(const Hypothesis& h, uint32_t tid,
@@ -265,8 +249,7 @@ class ResEngine {
   // frame, havocking its write set, collecting matching constraints, and —
   // when `check_frame_post` — requiring written registers to equal their
   // post values. Forks on symbolic addresses / spawn linking. Appends
-  // resulting hypotheses (with the SuffixUnit attached and solver-checked)
-  // to `out`.
+  // resulting hypotheses (with the SuffixUnit attached, ungated) to `out`.
   struct UnitPlan {
     uint32_t tid = 0;
     BlockRef block;
@@ -294,29 +277,39 @@ class ResEngine {
 
   // Deduplicates `fresh` against h's constraint set and appends the
   // survivors. Returns false (counting the prune) when a constraint is
-  // literally false. The solver half of the old CheckAndCommit lives in
-  // GateNode so it can run as a separate pipeline lane.
+  // literally false. The solver check itself is GateNode's.
   bool CommitFresh(Hypothesis* h, std::vector<const Expr*> fresh, TaskCtx* tctx);
 
-  // --- Per-hypothesis task bodies (run inline or on the worker pool). ---
-  void GateNode(SpecNode* n);          // solver verdict for n's constraints
-  void DetectNode(SpecNode* n);        // Finalize + DetectRootCauses
-  void CompleteStartNode(SpecNode* n); // all-at-birth initial-state match
-  void ExploreNode(SpecNode* n);       // Expand into ungated children
+  // --- Per-node steps of Run's commit loop. ---
+  // Solver verdict for n's constraint vector, with the incremental context
+  // forked from the parent's post-gate context into *g. False when the gate
+  // refutes the node (its UNSAT core, if any, in *core) or faults.
+  bool GateNode(const StackEntry& n, Gated* g, TaskCtx* tctx,
+                std::vector<const Expr*>* core);
+  // Root-cause detection on h's suffix under g's model; *suffix is filled
+  // (materialized) whenever a cause fired.
+  std::vector<RootCause> DetectNode(const Hypothesis& h, const Gated& g,
+                                    SynthesizedSuffix* suffix,
+                                    DetectorStats* dstats);
+  // All-at-birth completion: the finalized full execution when h's snapshot
+  // matches the program's initial state, nullopt otherwise.
+  std::optional<SynthesizedSuffix> CompleteStartNode(const Hypothesis& h,
+                                                     const Gated& g,
+                                                     TaskCtx* tctx);
 
   bool LbrAllowsEdge(const Hypothesis& h, uint32_t tid, const Pc& branch_source,
                      const Pc& branch_dest) const;
 
-  // Learned-clause commit protocol (main thread only): does a core already
-  // published by the run-local store (seq <= n.screen_seq) — or by the
-  // module's promoted store within this run's fixed watermark — refute n's
-  // constraint set? Checks cores touching n's fresh constraints plus local
-  // cores published since the parent's screen — everything older that could
-  // refute n would have refuted an ancestor at its own screen (constraints
-  // are append-only, and every node screens against the same promoted
-  // watermark). Returns 0 = no, 1 = local store (seq in *hit_seq), 2 =
-  // promoted store (promoted seq in *hit_seq).
-  int ScreenRefutes(const SpecNode& n, uint64_t* hit_seq);
+  // Learned-clause commit protocol: does a core already published by the
+  // run-local store (seq <= screen_seq) — or by the module's promoted store
+  // within this run's fixed watermark — refute n's constraint set? Checks
+  // cores touching n's fresh constraints plus local cores published since
+  // the parent's screen — everything older that could refute n would have
+  // refuted an ancestor at its own screen (constraints are append-only, and
+  // every node screens against the same promoted watermark). Returns 0 =
+  // no, 1 = local store (seq in *hit_seq), 2 = promoted store (promoted seq
+  // in *hit_seq).
+  int ScreenRefutes(const StackEntry& n, uint64_t screen_seq, uint64_t* hit_seq);
 
   SynthesizedSuffix Finalize(const Hypothesis& h, const Assignment& model,
                              bool verified) const;
@@ -332,11 +325,9 @@ class ResEngine {
 
   void MergeStats(const ResStats& delta, const SolverStats& solver_delta);
 
-  // Records the first injected/internal fault any lane hits (thread-safe;
-  // later faults are dropped). The commit loop polls faulted_ to fast-abort,
-  // and Run re-checks it AFTER the worker pool has quiesced, so the
-  // kTaskFailed verdict is schedule-independent whenever the armed site lies
-  // on a path every schedule commits (see faultpoint.h).
+  // Records the run's first injected/internal fault (later ones are
+  // dropped). The commit loop stops at its next pop, and Run then reports
+  // kTaskFailed with this status.
   void RecordFault(Status status);
 
   const Module& module_;
@@ -353,9 +344,9 @@ class ResEngine {
   std::unique_ptr<ExprPool> owned_pool_;
   ExprPool* pool_;
   Solver solver_;
-  // Run-local learned-clause store (solver_portfolio only). Workers consult
-  // it speculatively inside GateNode (advisory, sound); the commit loop is
-  // the single publisher and runs the deterministic screen — see Run().
+  // Run-local learned-clause store (solver_portfolio only). The commit loop
+  // publishes failed gates' cores and screens every popped node against
+  // it — see Run().
   ClauseStore clause_store_;
   // Module-global promoted cores (runtime + consult_promoted only): a
   // read/record-hit view bounded by the watermark taken at construction.
@@ -372,13 +363,11 @@ class ResEngine {
   // Per-thread error-log entries (oldest first), split from the global log.
   std::vector<std::vector<ErrorLogEntry>> thread_logs_;
   bool log_was_full_ = false;
-  // Fault-injection scope for the engine-lane sites (two words; copies of
+  // Fault-injection scope for the engine's own sites (two words; copies of
   // options_.fault_plan / fault_task).
   FaultScope faults_;
-  // First fault recorded by any lane (see RecordFault).
-  std::atomic<bool> faulted_{false};
-  std::mutex fault_mu_;
-  Status fault_status_;
+  // First fault the run recorded (see RecordFault).
+  Status fault_;
 };
 
 // The solver fingerprint a ResEngine constructed with `options` will carry

@@ -20,11 +20,7 @@ ModuleFacts::ModuleFacts(const Module& m, const ResRuntimeOptions& options)
                        options.promoted_clause_capacity) {}
 
 ResRuntime::ResRuntime(ResRuntimeOptions options)
-    : options_(options), check_cache_(options.check_cache_max_entries) {
-  if (options_.worker_threads > 0) {
-    lane_pool_ = std::make_unique<ThreadPool>(options_.worker_threads);
-  }
-}
+    : options_(options), check_cache_(options.check_cache_max_entries) {}
 
 ResRuntime::~ResRuntime() = default;
 

@@ -2,7 +2,7 @@
 // §3.1: bucketing and rating *streams* of incoming coredumps).
 //
 // A standalone ResEngine spins up everything it needs per run: an ExprPool,
-// a solver check cache, a learned-clause store, a worker pool. That is the
+// a solver check cache, a learned-clause store. That is the
 // right shape for one interactive debugging session and the wrong shape for
 // a triage service: a batch over N dumps pays N cold starts and shares
 // nothing, even when every dump comes from the same module. ResRuntime
@@ -24,12 +24,11 @@
 //   - Per-module facts (FactsFor): the backward CFG, built once per module
 //     instead of once per engine, and the module-global promoted
 //     ClauseStore fed by the promotion protocol below.
-//   - ThreadPool: one shared lane pool for the engines' pipelined
-//     explore/gate/detect tasks (PR 2), so dump-level parallelism and
-//     intra-run parallelism compose under a single thread budget instead of
-//     multiplying. Lane tasks never block, so any number of engines may
-//     share the pool deadlock-free; each engine still waits for its own
-//     outstanding tasks before returning.
+//
+// The runtime owns no threads. Concurrency in RES lives at dump
+// granularity: TriageService workers and TriageDaemon waves run whole
+// engines in parallel over one runtime, each engine searching on its
+// caller's thread.
 //
 // Promotion protocol (the cross-task analogue of PR 4's commit-order clause
 // protocol): a batch commit thread — TriageService's caller thread —
@@ -40,8 +39,8 @@
 // promoted counts are therefore pure functions of the committed searches
 // and the submission order. Engines snapshot the promoted store at
 // construction (a fixed watermark), so within one run every screen verdict
-// remains a pure function of (dump, options, snapshot) — byte-identical at
-// any thread count.
+// remains a pure function of (dump, options, snapshot), however many other
+// runs share the runtime concurrently.
 //
 // Thread-safety: all public methods are thread-safe. Promote serializes
 // internally, preserving a deterministic publication order as long as each
@@ -59,7 +58,6 @@
 #include "src/ir/module.h"
 #include "src/support/faultpoint.h"
 #include "src/support/status.h"
-#include "src/support/thread_pool.h"
 #include "src/symbolic/expr.h"
 #include "src/symbolic/solver.h"
 #include "src/vm/predecode.h"
@@ -67,9 +65,6 @@
 namespace res {
 
 struct ResRuntimeOptions {
-  // Shared lane-pool threads for engines running with num_threads > 1.
-  // 0 = no shared pool; such engines fall back to a private per-run pool.
-  size_t worker_threads = 0;
   // Shared memo-cache bound (same semantics as the solver's private cache).
   size_t check_cache_max_entries = 1 << 18;
   // Core capacity of each module's promoted store. Unlike the run-local
@@ -121,8 +116,6 @@ class ResRuntime {
 
   ExprPool* pool() { return &pool_; }
   CheckCache* check_cache() { return &check_cache_; }
-  // The shared lane pool, or nullptr when worker_threads == 0.
-  ThreadPool* lane_pool() { return lane_pool_.get(); }
   const ResRuntimeOptions& options() const { return options_; }
 
   // Fresh check-cache epoch for one engine run.
@@ -237,7 +230,6 @@ class ResRuntime {
   ResRuntimeOptions options_;
   ExprPool pool_;
   CheckCache check_cache_;
-  std::unique_ptr<ThreadPool> lane_pool_;
   std::atomic<uint32_t> epoch_{1};  // 0 is the no-runtime default epoch
   struct FactsEntry {
     std::shared_ptr<ModuleFacts> facts;

@@ -87,7 +87,7 @@ struct SnapAlloc {
 // through them (Find/ForEach), and drop copies. The private delta is NOT
 // synchronized: Set requires that the writing thread exclusively owns this
 // particular CowOverlay copy (the reverse engine guarantees it — each
-// worker task mutates only the hypothesis it owns; shared ancestors are
+// engine step mutates only the hypothesis it owns; shared ancestors are
 // frozen and read-only).
 class CowOverlay {
  public:

@@ -5,7 +5,7 @@
 // faults — without crashing the batch or poisoning cross-task state. Those
 // recovery paths are only trustworthy if they can be *exercised*: this
 // header provides named fault sites compiled into the hot paths (coredump
-// deserialization, IR verification, solver strategy dispatch, engine lanes,
+// deserialization, IR verification, solver strategy dispatch, engine steps,
 // runtime promotion) and a FaultPlan that makes a chosen site fail on its
 // Nth hit, deterministically, as an ordinary Status error.
 //
@@ -26,12 +26,13 @@
 // release builds.
 //
 // Determinism contract: an armed fault fires exactly once, on the Nth
-// matching hit. Hit ORDER across speculative engine lanes is
-// schedule-dependent, so plans that need schedule-independent outcomes
-// (the fault-sweep tests) arm nth=1 on a site the committed path is
-// guaranteed to execute: then every schedule fires the arm, the engine
-// records the identical Status, and the recovery output is byte-identical
-// at any thread count (see ResEngine::Run's finish-time fault check).
+// matching hit. One engine run hits its sites in a fixed order (it searches
+// on one thread), so a task-scoped arm fires on the same check in every
+// run, and the engine fails that run with the injected Status (see
+// ResEngine::Run's finish-time fault check). Across concurrently running
+// dumps the hit order of an unscoped (kAnyTask) arm is schedule-dependent;
+// plans that need schedule-independent outcomes scope their arms to a
+// task.
 #ifndef RES_SUPPORT_FAULTPOINT_H_
 #define RES_SUPPORT_FAULTPOINT_H_
 
@@ -72,7 +73,7 @@ class FaultSite {
 std::vector<std::string_view> RegisteredFaultSites();
 
 // A set of armed faults: site -> fire on the Nth matching hit. Thread-safe;
-// one plan may be consulted concurrently by any number of engine lanes.
+// one plan may be consulted concurrently by any number of engine runs.
 class FaultPlan {
  public:
   // Matches any task scope (see FaultScope).

@@ -13,7 +13,7 @@
 // may concurrently copy containers that share a spine, read through them,
 // and drop copies. The private tail/delta is NOT synchronized: mutating
 // members require that the writing thread exclusively owns this particular
-// copy — which the engine's ownership protocol guarantees (each worker task
+// copy — which the engine's ownership protocol guarantees (each engine step
 // mutates only the hypothesis it owns).
 #ifndef RES_SUPPORT_PERSISTENT_H_
 #define RES_SUPPORT_PERSISTENT_H_

@@ -131,7 +131,7 @@ std::optional<VarKey> ParseVarKeyName(std::string_view name);
 //
 // Thread-safety: fully thread-safe. The intern index and arenas are striped
 // into kShardCount independently locked shards (selected by content hash),
-// so concurrent interning from reverse-engine worker threads contends only
+// so engines interning concurrently over a shared runtime pool contend only
 // on same-shard collisions. The constant cache is lock-free: its entries
 // are atomic pointers to immutable nodes. The variable registry has its own
 // mutex; var_origin() and var_uid() read under it and copy no string.
@@ -163,7 +163,7 @@ class ExprPool {
   // re-intern to the same node — which is what makes constraints, check
   // cache entries, and learned clauses pointer-comparable across tasks.
   // Cross-run hits are counted in var_intern_hits() (scheduling-dependent
-  // under speculative parallel exploration; a reuse gauge, not an oracle).
+  // when engines run concurrently; a reuse gauge, not an oracle).
   const Expr* InternVar(const VarKey& key, VarOrigin origin, uint64_t uid);
   // The same by name, for names read back from a fact log: a name that
   // ParseVarKeyName accepts re-interns through its key, so it meets the

@@ -390,8 +390,8 @@ bool ClauseStore::Publish(std::vector<const Expr*> core) {
   return true;
 }
 
-// --- Memoized check cache (striped; shared across engine worker threads
-//     and, through ResRuntime, across engines). ---
+// --- Memoized check cache (striped; shared, through ResRuntime, across
+//     concurrently running engines). ---
 
 void CheckCache::Store(const CheckKey& k, uint64_t fingerprint, uint32_t epoch,
                        std::vector<const Expr*> sorted_unique,
@@ -1129,9 +1129,9 @@ SolveOutcome Solver::CheckWith(SolverContext* ctx,
   // is an O(delta) commutative-hash update away) but for determinism: a
   // cached outcome is the *cold-canonical* verdict and model for the set,
   // which can differ from what this context's own (chain-ordered) state
-  // would compute, and whether the entry exists depends on which
-  // speculative task warmed the cache first — adopting it on a warm chain
-  // would make engine output depend on worker timing.
+  // would compute, and whether the entry exists depends on which checks
+  // ran first — adopting it on a warm chain would make engine output depend
+  // on check history (and, under a shared runtime, on timing).
   //
   // Determinism: cold checks absorb the *canonical* (DetExprLess-sorted,
   // deduped) vector, on hits and misses alike, so the context's binding /
@@ -1383,7 +1383,7 @@ SolveOutcome Solver::CheckIncremental(
 
 std::vector<int64_t> Solver::EnumerateValues(
     const Expr* target, const std::vector<const Expr*>& constraints, size_t limit,
-    bool* complete, SolverStats* stats) {
+    bool* complete, SolverStats* stats, Status* fault) {
   SolverStats* st = stats != nullptr ? stats : &stats_;
   *complete = false;
   std::vector<int64_t> values;
@@ -1400,6 +1400,12 @@ std::vector<int64_t> Solver::EnumerateValues(
     // function of the constraint set alone, not of portfolio scheduling.
     SolveOutcome outcome =
         CheckWith(&ctx, input, st, /*allow_portfolio=*/false);
+    if (!outcome.fault.ok()) {
+      if (fault != nullptr) {
+        *fault = std::move(outcome.fault);
+      }
+      return {};
+    }
     if (outcome.result == SatResult::kUnsat) {
       *complete = true;  // no further values exist
       return values;

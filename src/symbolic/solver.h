@@ -273,12 +273,13 @@ class SolverContext {
 // published through an atomic count (acquire/release), so readers never
 // lock the payload.
 //
-// Determinism protocol (see docs/ARCHITECTURE.md): only the engine's commit
-// thread publishes, in commit order, which makes the sequence numbering —
-// and therefore any query bounded by a published() snapshot taken on the
-// commit thread — a pure function of the committed prefix of the search.
-// Worker-side (speculative) queries are sound but advisory: any refutation
-// they find is re-derived deterministically by the commit-time screen.
+// Determinism protocol (see docs/ARCHITECTURE.md): each store has one
+// logical publisher — a run-local store the engine's commit loop, in commit
+// order; a module's promoted store ResRuntime::Promote, in submission
+// order — which makes the sequence numbering, and therefore any query
+// bounded by a published() snapshot, a pure function of the committed
+// prefix of the search. Concurrent engines may read a promoted store while
+// it is published to.
 // Bounded learning: the store keeps at most `live_capacity` cores live.
 // Publishing past that bound evicts the live core with the fewest screen
 // hits (ties break toward the oldest seq) instead of refusing to learn —
@@ -510,7 +511,7 @@ class CheckCache {
     // (slicing can change which strategy finds the model first), so
     // entries never cross modes — otherwise a fixed-pipeline consumer
     // (EnumerateValues) could adopt a portfolio model, making its values
-    // depend on which speculative task warmed the cache first.
+    // depend on which earlier check warmed the cache first.
     bool portfolio = false;
     uint32_t epoch = 0;        // owning engine run
     uint64_t fingerprint = 0;  // solver options + seed
@@ -597,11 +598,15 @@ class Solver {
   // "symbolic addresses" case). Always runs the classic fixed pipeline:
   // enumeration IS its decision procedure, and the values found — which
   // feed address-concretization forks, i.e. engine output — must not depend
-  // on portfolio scheduling.
+  // on portfolio scheduling. When the "solver.strategy" fault site fires on
+  // one of its checks, the enumeration stops, returns no values, and stores
+  // the injected error in `*fault` (when given) — like SolveOutcome::fault,
+  // a task-fatal failure rather than an answer.
   std::vector<int64_t> EnumerateValues(const Expr* target,
                                        const std::vector<const Expr*>& constraints,
                                        size_t limit, bool* complete,
-                                       SolverStats* stats = nullptr);
+                                       SolverStats* stats = nullptr,
+                                       Status* fault = nullptr);
 
   const SolverStats& stats() const { return stats_; }
   // Hash of every outcome-relevant option plus the seed; the shared-cache

@@ -3,12 +3,11 @@
 // The paper's headline use case (§3.1) is a WER-style backend consuming a
 // *stream* of coredumps. The solo classes in triage.h spin up a fresh engine
 // per call; this service instead schedules per-dump RES tasks over one
-// ResRuntime (shared ExprPool, check cache, per-module facts, lane pool) and
-// commits results on the calling thread in dump-submission order:
+// ResRuntime (shared ExprPool, check cache, per-module facts) and commits
+// results on the calling thread in dump-submission order:
 //
 //   submit dumps ──> per-dump engine runs (up to max_parallel_dumps
-//                    concurrently, each itself running ResOptions::num_threads
-//                    pipelined lanes on the runtime's shared pool)
+//                    concurrently, each searching on its worker's thread)
 //              ──> commit thread: promote the task's module-level facts
 //                  (learned cores, cold-check keys) in submission order,
 //                  derive bucket + ratings from the ONE engine run, stream
@@ -17,8 +16,8 @@
 // Output contract: every report's res_bucket / cause_signature / res_rating
 // is byte-identical to a solo ResBucketer::BucketFor /
 // ResExploitabilityRater::Rate run over the same dump with the same
-// ResOptions (tests/triage_batch_test.cc pins this across engine thread
-// counts and batch parallelism). Cross-task reuse changes cost, not output.
+// ResOptions (tests/triage_batch_test.cc pins this across batch
+// parallelism). Cross-task reuse changes cost, not output.
 //
 // Determinism of the reuse counters: TriageStats::clause_promotions and
 // cache_promotions are computed by the commit thread from per-task artifacts
@@ -34,7 +33,7 @@
 // deterministic counters at a fixed configuration: both are counted per
 // task against a construction-time watermark and merged by the commit
 // thread in commit order, so with max_parallel_dumps == 1 they are pure
-// functions of (dumps, options) at ANY engine thread count. With
+// functions of (dumps, options). With
 // max_parallel_dumps > 1, engines construct concurrently, so the
 // expr-reuse var watermark (unlike the explicitly pinned clause watermark)
 // can vary with worker timing; promoted_cache_hits (key promotion is
@@ -128,10 +127,10 @@ struct TriageOptions {
   // Dump-level parallelism: how many RES tasks may be in flight at once.
   size_t max_parallel_dumps = 1;
   // Consult and publish module-level facts across tasks. Off = every task
-  // is a cold solo run (still sharing the pool and lane threads).
+  // is a cold solo run (still sharing the pool).
   bool cross_task_reuse = true;
   // Fault-injection plan threaded through every failure domain the batch
-  // touches (deserialize, validate, verify, solver, engine lanes,
+  // touches (deserialize, validate, verify, solver, engine steps,
   // promotion), scoped per dump index. nullptr falls back to the
   // RES_FAULT_PLAN env plan. See src/support/faultpoint.h.
   FaultPlan* fault_plan = nullptr;

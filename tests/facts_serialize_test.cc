@@ -2,7 +2,7 @@
 // contract. A fact log exported at a wave boundary and imported into a
 // fresh runtime must act as that runtime's batch-start snapshot watermark:
 // the restarted pipeline's reports are byte-identical to an uninterrupted
-// one at every (engine threads × wave parallelism) combination, while the
+// one at every wave parallelism, while the
 // first warm wave's reuse counters go from 0 to >0. Corrupt, truncated, or
 // mismatched logs must be rejected with status codes — never a crash —
 // under the same mutation sweep the coredump deserializer survives. The
@@ -43,17 +43,9 @@ void ExpectSameVerdict(const TriageReport& got, const TriageReport& want,
       << label;
 }
 
-ResRuntimeOptions RuntimeFor(size_t threads) {
-  ResRuntimeOptions rt;
-  rt.worker_threads = threads > 1 ? 4 : 0;
-  return rt;
-}
-
-TriageOptions TriageFor(size_t threads, size_t parallel,
-                        ResOptions res = ResOptions{}) {
+TriageOptions TriageFor(size_t parallel, ResOptions res = ResOptions{}) {
   TriageOptions options;
   options.res = std::move(res);
-  options.res.num_threads = threads;
   options.max_parallel_dumps = parallel;
   return options;
 }
@@ -134,7 +126,7 @@ TEST_F(FactsSerializeTest, EmptyLogRoundTrips) {
 
 TEST_F(FactsSerializeTest, ExportImportExportIsByteIdentical) {
   ResRuntime a;
-  TriageService service(&a, module_, TriageFor(1, 1));
+  TriageService service(&a, module_, TriageFor(1));
   TriageStats tstats;
   service.RunBatch(DumpPtrs(0, 3), &tstats);
   ASSERT_GT(tstats.cache_promotions, 0u);
@@ -159,7 +151,7 @@ TEST_F(FactsSerializeTest, ExportImportExportIsByteIdentical) {
 
 TEST_F(FactsSerializeTest, SummaryMentionsSections) {
   ResRuntime a;
-  TriageService service(&a, module_, TriageFor(1, 1));
+  TriageService service(&a, module_, TriageFor(1));
   service.RunBatch(DumpPtrs(0, 2));
   Result<FactsLog> log = ParseFactsLog(MustExport(&a, module_));
   ASSERT_TRUE(log.ok());
@@ -176,57 +168,49 @@ TEST_F(FactsSerializeTest, SummaryMentionsSections) {
 // uninterrupted runtime's, and the deterministic promotion/reuse counters
 // match too (cache-entry counters are exempt — entries are memoization and
 // are deliberately not serialized).
-TEST_F(FactsSerializeTest, WarmStartMatchesUninterruptedAcrossMatrix) {
-  for (size_t threads : {1u, 2u, 8u}) {
-    for (size_t parallel : {1u, 2u}) {
-      const std::string label = "threads=" + std::to_string(threads) +
-                                "/parallel=" + std::to_string(parallel);
-      // Uninterrupted: both batches on one runtime.
-      ResRuntime uninterrupted(RuntimeFor(threads));
-      TriageStats want_stats;
-      std::vector<TriageReport> want;
-      {
-        TriageService s1(&uninterrupted, module_,
-                         TriageFor(threads, parallel));
-        s1.RunBatch(DumpPtrs(0, 3));
-        TriageService s2(&uninterrupted, module_,
-                         TriageFor(threads, parallel));
-        want = s2.RunBatch(DumpPtrs(3, 5), &want_stats);
-      }
-      // Interrupted: batch 1, export, process death (a fresh runtime),
-      // import, batch 2.
-      ResRuntime a(RuntimeFor(threads));
-      {
-        TriageService s1(&a, module_, TriageFor(threads, parallel));
-        s1.RunBatch(DumpPtrs(0, 3));
-      }
-      std::vector<uint8_t> exported = MustExport(&a, module_);
-      ResRuntime b(RuntimeFor(threads));
-      ResOptions res;
-      res.num_threads = threads;
-      Result<ResRuntime::FactsImport> imported =
-          b.ImportFacts(module_, exported, ResSolverFingerprint(res));
-      ASSERT_TRUE(imported.ok()) << label << ": "
-                                 << imported.status().ToString();
-      TriageStats got_stats;
-      TriageService s2(&b, module_, TriageFor(threads, parallel));
-      std::vector<TriageReport> got = s2.RunBatch(DumpPtrs(3, 5), &got_stats);
-
-      ASSERT_EQ(got.size(), want.size()) << label;
-      for (size_t i = 0; i < want.size(); ++i) {
-        ExpectSameVerdict(got[i], want[i],
-                          label + "/dump=" + std::to_string(i));
-      }
-      // The deterministic counters: the imported snapshot reproduces the
-      // uninterrupted watermark exactly.
-      EXPECT_EQ(got_stats.promoted_clause_hits, want_stats.promoted_clause_hits)
-          << label;
-      EXPECT_EQ(got_stats.clause_promotions, want_stats.clause_promotions)
-          << label;
-      EXPECT_EQ(got_stats.cache_promotions, want_stats.cache_promotions)
-          << label;
-      EXPECT_EQ(got_stats.quarantined, 0u) << label;
+TEST_F(FactsSerializeTest, WarmStartMatchesUninterruptedAcrossParallelism) {
+  for (size_t parallel : {1u, 2u}) {
+    const std::string label = "parallel=" + std::to_string(parallel);
+    // Uninterrupted: both batches on one runtime.
+    ResRuntime uninterrupted;
+    TriageStats want_stats;
+    std::vector<TriageReport> want;
+    {
+      TriageService s1(&uninterrupted, module_, TriageFor(parallel));
+      s1.RunBatch(DumpPtrs(0, 3));
+      TriageService s2(&uninterrupted, module_, TriageFor(parallel));
+      want = s2.RunBatch(DumpPtrs(3, 5), &want_stats);
     }
+    // Interrupted: batch 1, export, process death (a fresh runtime),
+    // import, batch 2.
+    ResRuntime a;
+    {
+      TriageService s1(&a, module_, TriageFor(parallel));
+      s1.RunBatch(DumpPtrs(0, 3));
+    }
+    std::vector<uint8_t> exported = MustExport(&a, module_);
+    ResRuntime b;
+    Result<ResRuntime::FactsImport> imported =
+        b.ImportFacts(module_, exported, ResSolverFingerprint(ResOptions{}));
+    ASSERT_TRUE(imported.ok()) << label << ": "
+                               << imported.status().ToString();
+    TriageStats got_stats;
+    TriageService s2(&b, module_, TriageFor(parallel));
+    std::vector<TriageReport> got = s2.RunBatch(DumpPtrs(3, 5), &got_stats);
+
+    ASSERT_EQ(got.size(), want.size()) << label;
+    for (size_t i = 0; i < want.size(); ++i) {
+      ExpectSameVerdict(got[i], want[i], label + "/dump=" + std::to_string(i));
+    }
+    // The deterministic counters: the imported snapshot reproduces the
+    // uninterrupted watermark exactly.
+    EXPECT_EQ(got_stats.promoted_clause_hits, want_stats.promoted_clause_hits)
+        << label;
+    EXPECT_EQ(got_stats.clause_promotions, want_stats.clause_promotions)
+        << label;
+    EXPECT_EQ(got_stats.cache_promotions, want_stats.cache_promotions)
+        << label;
+    EXPECT_EQ(got_stats.quarantined, 0u) << label;
   }
 }
 
@@ -251,7 +235,7 @@ TEST_F(FactsSerializeTest, WarmFirstWaveReusesImportedFacts) {
   // Cold control.
   ResRuntime cold;
   TriageStats cold_stats;
-  TriageService cold_service(&cold, module, TriageFor(1, 1, res));
+  TriageService cold_service(&cold, module, TriageFor(1, res));
   std::vector<TriageReport> cold_reports =
       cold_service.RunBatch(wave, &cold_stats);
   ASSERT_EQ(cold_reports.size(), 2u);
@@ -267,7 +251,7 @@ TEST_F(FactsSerializeTest, WarmFirstWaveReusesImportedFacts) {
   EXPECT_GT(imported.value().keys_imported, 0u);
 
   TriageStats warm_stats;
-  TriageService warm_service(&warm, module, TriageFor(1, 1, res));
+  TriageService warm_service(&warm, module, TriageFor(1, res));
   std::vector<TriageReport> warm_reports =
       warm_service.RunBatch(wave, &warm_stats);
   ASSERT_EQ(warm_reports.size(), 2u);
@@ -308,7 +292,7 @@ TEST_F(FactsSerializeTest, DaemonWarmStartRoundTrip) {
   };
 
   TriageDaemonOptions base;
-  base.triage = TriageFor(1, 1);
+  base.triage = TriageFor(1);
   std::map<uint64_t, TriageReport> want =
       run_daemon(DumpPtrs(0, 5), base, nullptr);
   ASSERT_EQ(want.size(), 5u);
@@ -370,7 +354,7 @@ TEST_F(FactsSerializeTest, VersionMismatchRejected) {
 
 TEST_F(FactsSerializeTest, WrongModuleFingerprintRejected) {
   ResRuntime a;
-  TriageService service(&a, module_, TriageFor(1, 1));
+  TriageService service(&a, module_, TriageFor(1));
   service.RunBatch(DumpPtrs(0, 2));
   std::vector<uint8_t> exported = MustExport(&a, module_);
 
@@ -386,7 +370,7 @@ TEST_F(FactsSerializeTest, WrongModuleFingerprintRejected) {
 
 TEST_F(FactsSerializeTest, SolverFingerprintMismatchRejected) {
   ResRuntime a;
-  TriageService service(&a, module_, TriageFor(1, 1));
+  TriageService service(&a, module_, TriageFor(1));
   TriageStats tstats;
   service.RunBatch(DumpPtrs(0, 2), &tstats);
   ASSERT_GT(tstats.cache_promotions, 0u);  // the log must carry keys
@@ -422,7 +406,7 @@ TEST_F(FactsSerializeTest, EmptyCoreIsCorrupt) {
 
 TEST_F(FactsSerializeTest, TruncationSweepYieldsDataLoss) {
   ResRuntime a;
-  TriageService service(&a, module_, TriageFor(1, 1));
+  TriageService service(&a, module_, TriageFor(1));
   service.RunBatch(DumpPtrs(0, 3));
   const std::vector<uint8_t> bytes = MustExport(&a, module_);
   ASSERT_GT(bytes.size(), 16u);
@@ -439,7 +423,7 @@ TEST_F(FactsSerializeTest, TruncationSweepYieldsDataLoss) {
 
 TEST_F(FactsSerializeTest, CorruptionFuzzSweepNeverCrashes) {
   ResRuntime a;
-  TriageService service(&a, module_, TriageFor(1, 1));
+  TriageService service(&a, module_, TriageFor(1));
   service.RunBatch(DumpPtrs(0, 3));
   const std::vector<uint8_t> bytes = MustExport(&a, module_);
   ASSERT_GT(bytes.size(), 16u);
@@ -502,7 +486,7 @@ TEST_F(FactsSerializeTest, CorruptionFuzzSweepNeverCrashes) {
 
 TEST_F(FactsSerializeTest, DaemonImportFaultColdStarts) {
   ResRuntime a;
-  TriageService service(&a, module_, TriageFor(1, 1));
+  TriageService service(&a, module_, TriageFor(1));
   service.RunBatch(DumpPtrs(0, 3));
   std::vector<uint8_t> exported = MustExport(&a, module_);
 
@@ -510,7 +494,7 @@ TEST_F(FactsSerializeTest, DaemonImportFaultColdStarts) {
   auto run_tail = [&](TriageDaemonOptions options, TriageDaemonStats* stats) {
     ResRuntime runtime;
     std::map<uint64_t, TriageReport> reports;
-    options.triage = TriageFor(1, 1);
+    options.triage = TriageFor(1);
     options.wave_size = 2;
     options.on_report = [&](const TriageReport& r) { reports[r.index] = r; };
     TriageDaemon daemon(&runtime, options);

@@ -2,11 +2,7 @@
 // ResOptions::incremental_root_causes on or off, the engine's StopReason,
 // synthesized suffix, root causes, and hardware verdict must be
 // byte-identical — the full-rescan DetectRootCauses is the differential
-// oracle the folded RootCauseContext is pinned to (mirroring
-// concurrency_determinism_test.cc for the threading model). The matrix also
-// crosses thread counts 1/2/8: the detect lane runs speculatively on the
-// worker pool, so the incremental context must hold the invariant under
-// pipelining too.
+// oracle the folded RootCauseContext is pinned to.
 //
 // What MAY differ between the modes is exactly the detector work economy:
 // the last test pins the ResStats counters' direction (incremental scans
@@ -24,13 +20,12 @@ namespace res {
 namespace {
 
 // Everything observable about an engine run, rendered to one string so a
-// mismatch diff shows exactly which facet diverged (same shape as
-// concurrency_determinism_test.cc's signature).
+// mismatch diff shows exactly which facet diverged (the signature of
+// engine_golden_test.cc plus initial lock owners and cause details).
 std::string RunSignature(const Module& module, const Coredump& dump,
                          ResOptions options, bool incremental,
-                         size_t num_threads, ResStats* stats_out = nullptr) {
+                         ResStats* stats_out = nullptr) {
   options.incremental_root_causes = incremental;
-  options.num_threads = num_threads;
   ResEngine engine(module, dump, options);
   ResResult result = engine.Run();
   if (stats_out != nullptr) {
@@ -75,21 +70,13 @@ std::string RunSignature(const Module& module, const Coredump& dump,
 
 void ExpectModeInvariant(const char* label, const Module& module,
                          const Coredump& dump, ResOptions options) {
-  // The full-rescan oracle, single-threaded: the reference signature.
-  std::string oracle = RunSignature(module, dump, options,
-                                    /*incremental=*/false, /*num_threads=*/1);
-  for (size_t threads : {1u, 2u, 8u}) {
-    std::string incremental =
-        RunSignature(module, dump, options, /*incremental=*/true, threads);
-    EXPECT_EQ(oracle, incremental)
-        << label << ": incremental detection at num_threads=" << threads
-        << " diverged from the full-rescan oracle";
-    std::string rescan =
-        RunSignature(module, dump, options, /*incremental=*/false, threads);
-    EXPECT_EQ(oracle, rescan)
-        << label << ": rescan mode at num_threads=" << threads
-        << " diverged from its single-threaded self";
-  }
+  // The full-rescan oracle: the reference signature.
+  std::string oracle =
+      RunSignature(module, dump, options, /*incremental=*/false);
+  std::string incremental =
+      RunSignature(module, dump, options, /*incremental=*/true);
+  EXPECT_EQ(oracle, incremental)
+      << label << ": incremental detection diverged from the full-rescan oracle";
 }
 
 TEST(RootCauseIncrementalTest, WorkloadCorpusIsModeInvariant) {
@@ -118,7 +105,7 @@ TEST(RootCauseIncrementalTest, DeepSuffixChainIsModeInvariant) {
 }
 
 TEST(RootCauseIncrementalTest, FullSynthesisIsModeInvariant) {
-  // stop_at_root_cause=false: no detect lane, detection runs once on the
+  // stop_at_root_cause=false: no per-node detection; it runs once on the
   // final suffix — the incremental context must be inert, not wrong.
   Module module = BuildDivByZeroInput();
   const WorkloadSpec& spec = WorkloadByName("div_by_zero_input");
@@ -154,9 +141,9 @@ TEST(RootCauseIncrementalTest, IncrementalDetectionSavesScans) {
   ResStats inc_stats;
   ResStats rescan_stats;
   std::string a = RunSignature(module, run.value().dump, options,
-                               /*incremental=*/true, 1, &inc_stats);
+                               /*incremental=*/true, &inc_stats);
   std::string b = RunSignature(module, run.value().dump, options,
-                               /*incremental=*/false, 1, &rescan_stats);
+                               /*incremental=*/false, &rescan_stats);
   ASSERT_EQ(a, b);
   EXPECT_GT(inc_stats.detector_rescans_avoided, 0u);
   EXPECT_EQ(rescan_stats.detector_rescans_avoided, 0u);

@@ -4,16 +4,14 @@
 // byte-identical — the classic fixed pipeline (each strategy run to
 // completion, no clause sharing) is the differential oracle the budgeted
 // round-robin scheduler and the learned-clause store are pinned to
-// (mirroring root_cause_incremental_test.cc for the detector and
-// concurrency_determinism_test.cc for the threading model). Like those
-// oracles, on/off byte-identity is a corpus-level contract: a stored core
+// (mirroring root_cause_incremental_test.cc for the detector). Like that
+// oracle, on/off byte-identity is a corpus-level contract: a stored core
 // refuting a set the incomplete solver alone would keep as kUnknown is a
 // legitimate (sound-direction) divergence window — these tests pin that
 // the window never opens on the corpus at default options (see
-// docs/ARCHITECTURE.md §5.2). Thread-count invariance, by contrast, holds
-// by construction: clause publication happens on the commit thread in
-// commit order, so the screen verdicts — and with them the whole search —
-// are identical at any thread count.
+// docs/ARCHITECTURE.md §5.2). Repeat-run identity, by contrast, holds by
+// construction: clause publication happens in commit order, so the screen
+// verdicts — and with them the whole search — repeat exactly.
 //
 // What MAY differ between the modes is exactly the solver work economy:
 // per-strategy step/win counters, budget exhaustions, and the learned-
@@ -266,9 +264,8 @@ TEST(ClauseStoreTest, EvictionKeepsLearningAndFollowsHits) {
 // root_cause_incremental_test.cc's signature).
 std::string RunSignature(const Module& module, const Coredump& dump,
                          ResOptions options, bool portfolio,
-                         size_t num_threads, ResStats* stats_out = nullptr) {
+                         ResStats* stats_out = nullptr) {
   options.solver_portfolio = portfolio;
-  options.num_threads = num_threads;
   ResEngine engine(module, dump, options);
   ResResult result = engine.Run();
   if (stats_out != nullptr) {
@@ -313,21 +310,12 @@ std::string RunSignature(const Module& module, const Coredump& dump,
 
 void ExpectModeInvariant(const char* label, const Module& module,
                          const Coredump& dump, ResOptions options) {
-  // The fixed-pipeline oracle, single-threaded: the reference signature.
-  std::string oracle = RunSignature(module, dump, options,
-                                    /*portfolio=*/false, /*num_threads=*/1);
-  for (size_t threads : {1u, 2u, 8u}) {
-    std::string portfolio =
-        RunSignature(module, dump, options, /*portfolio=*/true, threads);
-    EXPECT_EQ(oracle, portfolio)
-        << label << ": portfolio at num_threads=" << threads
-        << " diverged from the fixed-pipeline oracle";
-    std::string fixed =
-        RunSignature(module, dump, options, /*portfolio=*/false, threads);
-    EXPECT_EQ(oracle, fixed)
-        << label << ": fixed pipeline at num_threads=" << threads
-        << " diverged from its single-threaded self";
-  }
+  // The fixed-pipeline oracle: the reference signature.
+  std::string oracle = RunSignature(module, dump, options, /*portfolio=*/false);
+  std::string portfolio =
+      RunSignature(module, dump, options, /*portfolio=*/true);
+  EXPECT_EQ(oracle, portfolio)
+      << label << ": portfolio diverged from the fixed-pipeline oracle";
 }
 
 TEST(SolverPortfolioTest, WorkloadCorpusIsModeInvariant) {
@@ -390,10 +378,10 @@ TEST(SolverPortfolioTest, LearnedClausesAreReusedOnTheDeepChain) {
 
   ResStats portfolio_stats;
   std::string portfolio = RunSignature(module, run.value().dump, options,
-                                       /*portfolio=*/true, 1, &portfolio_stats);
+                                       /*portfolio=*/true, &portfolio_stats);
   ResStats oracle_stats;
   std::string oracle = RunSignature(module, run.value().dump, options,
-                                    /*portfolio=*/false, 1, &oracle_stats);
+                                    /*portfolio=*/false, &oracle_stats);
   EXPECT_EQ(oracle, portfolio)
       << "clause sharing changed the engine's conclusions";
   EXPECT_GT(portfolio_stats.solver.clauses_learned, 0u);
@@ -402,25 +390,18 @@ TEST(SolverPortfolioTest, LearnedClausesAreReusedOnTheDeepChain) {
   EXPECT_EQ(oracle_stats.solver.clauses_learned, 0u);
   EXPECT_EQ(oracle_stats.solver.clause_hits, 0u);
 
-  // The sharing must also be thread-count invariant: publication happens in
-  // commit order, so the hit count itself is deterministic.
-  for (size_t threads : {2u, 8u}) {
-    ResStats threaded_stats;
-    std::string threaded = RunSignature(module, run.value().dump, options,
-                                        /*portfolio=*/true, threads,
-                                        &threaded_stats);
-    EXPECT_EQ(portfolio, threaded) << "num_threads=" << threads;
-    EXPECT_EQ(portfolio_stats.solver.clause_hits,
-              threaded_stats.solver.clause_hits)
-        << "num_threads=" << threads;
-  }
+  // Publication happens in commit order, so the hit count itself is
+  // deterministic: a repeat run reproduces it.
+  ResStats repeat_stats;
+  EXPECT_EQ(portfolio, RunSignature(module, run.value().dump, options,
+                                    /*portfolio=*/true, &repeat_stats));
+  EXPECT_EQ(portfolio_stats.solver.clause_hits, repeat_stats.solver.clause_hits);
 }
 
 TEST(SolverPortfolioTest, TightBudgetStaysDeterministic) {
   // A starved budget may weaken verdicts (kUnknown instead of a decision),
   // which legitimately changes the search — but it must do so as a pure
-  // function of the constraint sets: identical across thread counts and
-  // across repeated runs.
+  // function of the constraint sets: identical across repeated runs.
   Module module = BuildRootCauseDistance(16);
   WorkloadSpec spec = WorkloadByName("semantic_assert");
   auto run = RunToFailure(module, spec, {});
@@ -428,12 +409,12 @@ TEST(SolverPortfolioTest, TightBudgetStaysDeterministic) {
   ResOptions options;
   options.max_units = 64;
   options.solver_budget_steps = 16;
-  std::string first = RunSignature(module, run.value().dump, options,
-                                   /*portfolio=*/true, 1);
-  for (size_t threads : {1u, 2u, 8u}) {
+  std::string first =
+      RunSignature(module, run.value().dump, options, /*portfolio=*/true);
+  for (int round = 0; round < 2; ++round) {
     EXPECT_EQ(first, RunSignature(module, run.value().dump, options,
-                                  /*portfolio=*/true, threads))
-        << "num_threads=" << threads;
+                                  /*portfolio=*/true))
+        << "round " << round;
   }
 }
 

@@ -1,5 +1,5 @@
-// Batch triage must be observationally invisible: for any engine thread
-// count and any dump-level parallelism, TriageService::RunBatch's verdicts
+// Batch triage must be observationally invisible: for any dump-level
+// parallelism, TriageService::RunBatch's verdicts
 // (bucket, rating, root-cause signature) must be byte-identical to solo
 // ResBucketer / ResExploitabilityRater runs over the same dumps with the
 // same options — cross-task reuse through the shared ResRuntime changes
@@ -45,7 +45,7 @@ void ExpectReportsMatchSolo(const std::vector<TriageReport>& reports,
   }
 }
 
-TEST(TriageBatchTest, BatchMatchesSoloAcrossThreadsAndParallelism) {
+TEST(TriageBatchTest, BatchMatchesSoloAcrossParallelism) {
   struct Corpus {
     const char* workload;
     std::vector<std::vector<int64_t>> inputs;  // one dump per entry
@@ -73,31 +73,25 @@ TEST(TriageBatchTest, BatchMatchesSoloAcrossThreadsAndParallelism) {
       dumps.push_back(std::move(run).value().dump);
     }
 
-    const ResOptions res_options;  // defaults, num_threads set per config
+    const ResOptions res_options;  // defaults
     std::vector<SoloVerdict> solo;
     for (const Coredump& dump : dumps) {
       solo.push_back(Solo(module, dump, res_options));
     }
 
-    for (size_t threads : {1u, 2u, 8u}) {
-      for (size_t parallel : {1u, 2u}) {
-        ResRuntimeOptions rt_options;
-        rt_options.worker_threads = threads > 1 ? 4 : 0;
-        ResRuntime runtime(rt_options);
-        TriageOptions options;
-        options.res = res_options;
-        options.res.num_threads = threads;
-        options.max_parallel_dumps = parallel;
-        TriageService service(&runtime, module, options);
-        std::string label =
-            std::string(corpus.workload) + "/threads=" +
-            std::to_string(threads) + "/parallel=" + std::to_string(parallel);
-        ExpectReportsMatchSolo(service.RunBatch(dumps), solo, label.c_str());
-        // A second batch on the now-warm runtime consults the facts the
-        // first batch promoted — output must still be byte-identical.
-        ExpectReportsMatchSolo(service.RunBatch(dumps), solo,
-                               (label + "/warm").c_str());
-      }
+    for (size_t parallel : {1u, 2u}) {
+      ResRuntime runtime;
+      TriageOptions options;
+      options.res = res_options;
+      options.max_parallel_dumps = parallel;
+      TriageService service(&runtime, module, options);
+      std::string label = std::string(corpus.workload) + "/parallel=" +
+                          std::to_string(parallel);
+      ExpectReportsMatchSolo(service.RunBatch(dumps), solo, label.c_str());
+      // A second batch on the now-warm runtime consults the facts the
+      // first batch promoted — output must still be byte-identical.
+      ExpectReportsMatchSolo(service.RunBatch(dumps), solo,
+                             (label + "/warm").c_str());
     }
   }
 }
@@ -119,13 +113,12 @@ class SameModuleBatch : public ::testing::Test {
     res_options_.max_hypotheses = 1000;
   }
 
-  TriageStats RunSameDumpBatch(size_t copies, size_t threads, size_t parallel,
+  TriageStats RunSameDumpBatch(size_t copies, size_t parallel,
                                ResRuntime* runtime,
                                std::vector<TriageReport>* reports = nullptr) {
     std::vector<const Coredump*> dumps(copies, &dump_);
     TriageOptions options;
     options.res = res_options_;
-    options.res.num_threads = threads;
     options.max_parallel_dumps = parallel;
     TriageService service(runtime, module_, options);
     TriageStats stats;
@@ -144,45 +137,35 @@ class SameModuleBatch : public ::testing::Test {
 TEST_F(SameModuleBatch, PromotionCountersDeterministicAndPositive) {
   // Serial batches: task i's engine sees the promotions of tasks 0..i-1, so
   // identical dumps must show genuine cross-task reuse — and the promotion
-  // counters must be invariant across engine thread counts and repeats.
+  // counters must repeat exactly on a fresh runtime.
   const SoloVerdict solo = Solo(module_, dump_, res_options_);
   TriageStats reference;
   for (int repeat = 0; repeat < 2; ++repeat) {
-    for (size_t threads : {1u, 2u, 8u}) {
-      ResRuntimeOptions rt_options;
-      rt_options.worker_threads = threads > 1 ? 4 : 0;
-      ResRuntime runtime(rt_options);
-      std::vector<TriageReport> reports;
-      TriageStats stats =
-          RunSameDumpBatch(/*copies=*/3, threads, /*parallel=*/1, &runtime,
-                           &reports);
-      for (const TriageReport& report : reports) {
-        EXPECT_EQ(report.res_bucket, solo.bucket) << "threads=" << threads;
-        EXPECT_EQ(report.res_rating, solo.rating) << "threads=" << threads;
-      }
-      EXPECT_GT(stats.clause_promotions, 0u) << "threads=" << threads;
-      EXPECT_GT(stats.cache_promotions, 0u) << "threads=" << threads;
-      EXPECT_GT(stats.promoted_clause_hits, 0u)
-          << "threads=" << threads
-          << ": later tasks re-derived conflicts instead of reusing them";
-      EXPECT_GT(stats.expr_reuse_hits, 0u)
-          << "threads=" << threads
-          << ": identical dumps must re-intern earlier tasks' variables";
-      if (repeat == 0 && threads == 1) {
-        reference = stats;
-      } else {
-        EXPECT_EQ(stats.clause_promotions, reference.clause_promotions)
-            << "threads=" << threads << " repeat=" << repeat;
-        EXPECT_EQ(stats.cache_promotions, reference.cache_promotions)
-            << "threads=" << threads << " repeat=" << repeat;
-        EXPECT_EQ(stats.promoted_clause_hits, reference.promoted_clause_hits)
-            << "threads=" << threads << " repeat=" << repeat;
-        // PR 5 tail c: no longer a racy pool gauge — a commit-order counter
-        // against the construction watermark, thread-count invariant in
-        // serial batches.
-        EXPECT_EQ(stats.expr_reuse_hits, reference.expr_reuse_hits)
-            << "threads=" << threads << " repeat=" << repeat;
-      }
+    ResRuntime runtime;
+    std::vector<TriageReport> reports;
+    TriageStats stats = RunSameDumpBatch(/*copies=*/3, /*parallel=*/1,
+                                         &runtime, &reports);
+    for (const TriageReport& report : reports) {
+      EXPECT_EQ(report.res_bucket, solo.bucket) << "repeat=" << repeat;
+      EXPECT_EQ(report.res_rating, solo.rating) << "repeat=" << repeat;
+    }
+    EXPECT_GT(stats.clause_promotions, 0u) << "repeat=" << repeat;
+    EXPECT_GT(stats.cache_promotions, 0u) << "repeat=" << repeat;
+    EXPECT_GT(stats.promoted_clause_hits, 0u)
+        << "repeat=" << repeat
+        << ": later tasks re-derived conflicts instead of reusing them";
+    EXPECT_GT(stats.expr_reuse_hits, 0u)
+        << "repeat=" << repeat
+        << ": identical dumps must re-intern earlier tasks' variables";
+    if (repeat == 0) {
+      reference = stats;
+    } else {
+      EXPECT_EQ(stats.clause_promotions, reference.clause_promotions);
+      EXPECT_EQ(stats.cache_promotions, reference.cache_promotions);
+      EXPECT_EQ(stats.promoted_clause_hits, reference.promoted_clause_hits);
+      // No longer a racy pool gauge — a commit-order counter against the
+      // construction watermark, deterministic in serial batches.
+      EXPECT_EQ(stats.expr_reuse_hits, reference.expr_reuse_hits);
     }
   }
 }
@@ -192,19 +175,17 @@ TEST_F(SameModuleBatch, ParallelBatchesReuseAcrossBatches) {
   // batch the tasks are independent (deterministic watermark), and the
   // *next* batch over the same module reaps the promotions.
   const SoloVerdict solo = Solo(module_, dump_, res_options_);
-  ResRuntime runtime;  // no lane pool: engines run single-threaded lanes
+  ResRuntime runtime;
   std::vector<TriageReport> first_reports;
-  TriageStats first = RunSameDumpBatch(/*copies=*/3, /*threads=*/1,
-                                       /*parallel=*/2, &runtime,
+  TriageStats first = RunSameDumpBatch(/*copies=*/3, /*parallel=*/2, &runtime,
                                        &first_reports);
   EXPECT_GT(first.clause_promotions, 0u);
   EXPECT_EQ(first.promoted_clause_hits, 0u)
       << "batch-start watermark was empty; nothing to reuse yet";
 
   std::vector<TriageReport> second_reports;
-  TriageStats second = RunSameDumpBatch(/*copies=*/3, /*threads=*/1,
-                                        /*parallel=*/2, &runtime,
-                                        &second_reports);
+  TriageStats second = RunSameDumpBatch(/*copies=*/3, /*parallel=*/2,
+                                        &runtime, &second_reports);
   EXPECT_EQ(second.clause_promotions, 0u)
       << "identical dumps cannot contribute new module-level cores";
   EXPECT_GT(second.promoted_clause_hits, 0u)

@@ -1,8 +1,8 @@
 // The standing daemon must be observationally invisible scheduling: for a
 // given submission order, TriageDaemon's report stream must be
 // byte-identical to a sequence of TriageService::RunBatch calls over the
-// same per-module chunks at the same wave boundaries — at every (engine
-// threads × wave parallelism × wave size) combination, with or without the
+// same per-module chunks at the same wave boundaries — at every (wave
+// parallelism × wave size) combination, with or without the
 // bounded-memory knobs (facts eviction, substrate reclaim) engaged: reuse
 // changes cost, never output. Backpressure must reject deterministically,
 // shutdown must drain everything admitted, and the daemon's own fault sites
@@ -41,17 +41,9 @@ void ExpectSameVerdict(const TriageReport& got, const TriageReport& want,
       << label;
 }
 
-ResRuntimeOptions RuntimeFor(size_t threads) {
-  ResRuntimeOptions rt;
-  rt.worker_threads = threads > 1 ? 4 : 0;
-  return rt;
-}
-
-TriageOptions TriageFor(size_t threads, size_t parallel,
-                        ResOptions res = ResOptions{}) {
+TriageOptions TriageFor(size_t parallel, ResOptions res = ResOptions{}) {
   TriageOptions options;
   options.res = std::move(res);
-  options.res.num_threads = threads;
   options.max_parallel_dumps = parallel;
   return options;
 }
@@ -68,8 +60,8 @@ struct Sub {
 // submission seq.
 std::map<uint64_t, TriageReport> RunDaemonStream(
     const std::vector<Sub>& stream, const TriageDaemonOptions& base,
-    size_t threads, TriageDaemonStats* stats_out = nullptr) {
-  ResRuntime runtime(RuntimeFor(threads));
+    TriageDaemonStats* stats_out = nullptr) {
+  ResRuntime runtime;
   std::map<uint64_t, TriageReport> reports;
   std::mutex mu;
   TriageDaemonOptions options = base;
@@ -99,16 +91,15 @@ std::map<uint64_t, TriageReport> RunDaemonStream(
 // order (trailing partial last).
 std::vector<TriageReport> ReferenceBatches(
     const Module& module, const std::vector<const Coredump*>& dumps,
-    size_t wave_size, size_t threads, size_t parallel,
-    TriageStats* agg = nullptr) {
-  ResRuntime runtime(RuntimeFor(threads));
+    size_t wave_size, size_t parallel, TriageStats* agg = nullptr) {
+  ResRuntime runtime;
   std::vector<TriageReport> out;
   const size_t k = wave_size == 0 ? dumps.size() : wave_size;
   for (size_t start = 0; start < dumps.size(); start += k) {
     const size_t end = std::min(dumps.size(), start + k);
     std::vector<const Coredump*> chunk(dumps.begin() + start,
                                        dumps.begin() + end);
-    TriageService service(&runtime, module, TriageFor(threads, parallel));
+    TriageService service(&runtime, module, TriageFor(parallel));
     TriageStats stats;
     std::vector<TriageReport> reports = service.RunBatch(chunk, &stats);
     out.insert(out.end(), reports.begin(), reports.end());
@@ -166,50 +157,47 @@ class TriageDaemonTest : public ::testing::Test {
 
 TEST_F(TriageDaemonTest, DaemonMatchesRunBatchAcrossConfigs) {
   const std::vector<Sub> stream = SingleModuleStream();
-  for (size_t threads : {1u, 2u, 8u}) {
-    for (size_t parallel : {1u, 2u}) {
-      for (size_t wave_size : {1u, 3u, 0u}) {  // 0 = one wave holds all
-        const std::string label = "threads=" + std::to_string(threads) +
-                                  "/parallel=" + std::to_string(parallel) +
-                                  "/wave=" + std::to_string(wave_size);
-        TriageStats ref_agg;
-        std::vector<TriageReport> ref = ReferenceBatches(
-            module_, DumpPtrs(), wave_size, threads, parallel, &ref_agg);
-        ASSERT_EQ(ref.size(), stream.size()) << label;
+  for (size_t parallel : {1u, 2u}) {
+    for (size_t wave_size : {1u, 3u, 0u}) {  // 0 = one wave holds all
+      const std::string label = "parallel=" + std::to_string(parallel) +
+                                "/wave=" + std::to_string(wave_size);
+      TriageStats ref_agg;
+      std::vector<TriageReport> ref = ReferenceBatches(
+          module_, DumpPtrs(), wave_size, parallel, &ref_agg);
+      ASSERT_EQ(ref.size(), stream.size()) << label;
 
-        TriageDaemonOptions options;
-        options.triage = TriageFor(threads, parallel);
-        options.wave_size = wave_size;
-        TriageDaemonStats dstats;
-        std::map<uint64_t, TriageReport> got =
-            RunDaemonStream(stream, options, threads, &dstats);
-        ASSERT_EQ(got.size(), stream.size()) << label;
-        for (size_t i = 0; i < ref.size(); ++i) {
-          ASSERT_TRUE(got.count(i)) << label << "/seq=" << i;
-          ExpectSameVerdict(got[i], ref[i],
-                            label + "/seq=" + std::to_string(i));
-        }
-        // Promotion counters are deterministic per wave, so the daemon's
-        // aggregates equal the explicit batch sequence's.
-        EXPECT_EQ(dstats.clause_promotions, ref_agg.clause_promotions)
-            << label;
-        EXPECT_EQ(dstats.cache_promotions, ref_agg.cache_promotions) << label;
-        EXPECT_EQ(dstats.promoted_clause_hits, ref_agg.promoted_clause_hits)
-            << label;
-        EXPECT_EQ(dstats.wave_promotions,
-                  ref_agg.clause_promotions + ref_agg.cache_promotions)
-            << label;
-        if (parallel == 1) {
-          // Commit-order deterministic counter (ROADMAP PR 5 tail c):
-          // thread-invariant whenever engines construct serially.
-          EXPECT_EQ(dstats.expr_reuse_hits, ref_agg.expr_reuse_hits) << label;
-        }
-        const size_t n = stream.size();
-        const size_t k = wave_size == 0 ? n : wave_size;
-        EXPECT_EQ(dstats.waves, (n + k - 1) / k) << label;
-        EXPECT_EQ(dstats.completed, n) << label;
-        EXPECT_EQ(dstats.quarantined, 0u) << label;
+      TriageDaemonOptions options;
+      options.triage = TriageFor(parallel);
+      options.wave_size = wave_size;
+      TriageDaemonStats dstats;
+      std::map<uint64_t, TriageReport> got =
+          RunDaemonStream(stream, options, &dstats);
+      ASSERT_EQ(got.size(), stream.size()) << label;
+      for (size_t i = 0; i < ref.size(); ++i) {
+        ASSERT_TRUE(got.count(i)) << label << "/seq=" << i;
+        ExpectSameVerdict(got[i], ref[i],
+                          label + "/seq=" + std::to_string(i));
       }
+      // Promotion counters are deterministic per wave, so the daemon's
+      // aggregates equal the explicit batch sequence's.
+      EXPECT_EQ(dstats.clause_promotions, ref_agg.clause_promotions)
+          << label;
+      EXPECT_EQ(dstats.cache_promotions, ref_agg.cache_promotions) << label;
+      EXPECT_EQ(dstats.promoted_clause_hits, ref_agg.promoted_clause_hits)
+          << label;
+      EXPECT_EQ(dstats.wave_promotions,
+                ref_agg.clause_promotions + ref_agg.cache_promotions)
+          << label;
+      if (parallel == 1) {
+        // Commit-order deterministic counter: exact whenever engines
+        // construct serially.
+        EXPECT_EQ(dstats.expr_reuse_hits, ref_agg.expr_reuse_hits) << label;
+      }
+      const size_t n = stream.size();
+      const size_t k = wave_size == 0 ? n : wave_size;
+      EXPECT_EQ(dstats.waves, (n + k - 1) / k) << label;
+      EXPECT_EQ(dstats.completed, n) << label;
+      EXPECT_EQ(dstats.quarantined, 0u) << label;
     }
   }
 }
@@ -233,19 +221,19 @@ TEST_F(TriageDaemonTest, MixedModuleStreamCutsWavesPerModule) {
     stream.push_back({&other, &other_dump});
   }
   TriageDaemonOptions options;
-  options.triage = TriageFor(1, 1);
+  options.triage = TriageFor(1);
   options.wave_size = 2;
   TriageDaemonStats dstats;
   std::map<uint64_t, TriageReport> got =
-      RunDaemonStream(stream, options, 1, &dstats);
+      RunDaemonStream(stream, options, &dstats);
   ASSERT_EQ(got.size(), 6u);
   EXPECT_EQ(dstats.waves, 4u);
 
   std::vector<const Coredump*> uaf = {&dumps_[0], &dumps_[1], &dumps_[2]};
   std::vector<TriageReport> uaf_ref =
-      ReferenceBatches(module_, uaf, 2, 1, 1);
+      ReferenceBatches(module_, uaf, 2, 1);
   std::vector<const Coredump*> ovf(3, &other_dump);
-  std::vector<TriageReport> ovf_ref = ReferenceBatches(other, ovf, 2, 1, 1);
+  std::vector<TriageReport> ovf_ref = ReferenceBatches(other, ovf, 2, 1);
   for (size_t i = 0; i < 3; ++i) {
     ExpectSameVerdict(got[i * 2], uaf_ref[i],
                       "uaf/seq=" + std::to_string(i * 2));
@@ -274,31 +262,27 @@ TEST_F(TriageDaemonTest, FactsEvictionBoundKeepsOutputByteIdentical) {
                              {&second, &second_dumps[0]},
                              {&module_, &dumps_[1]},
                              {&second, &second_dumps[1]}};
-  for (size_t threads : {1u, 2u}) {
-    for (size_t parallel : {1u, 2u}) {
-      const std::string label = "threads=" + std::to_string(threads) +
-                                "/parallel=" + std::to_string(parallel);
-      TriageDaemonOptions unbounded;
-      unbounded.triage = TriageFor(threads, parallel);
-      unbounded.wave_size = 2;
-      std::map<uint64_t, TriageReport> want =
-          RunDaemonStream(stream, unbounded, threads);
+  for (size_t parallel : {1u, 2u}) {
+    const std::string label = "parallel=" + std::to_string(parallel);
+    TriageDaemonOptions unbounded;
+    unbounded.triage = TriageFor(parallel);
+    unbounded.wave_size = 2;
+    std::map<uint64_t, TriageReport> want = RunDaemonStream(stream, unbounded);
 
-      TriageDaemonOptions bounded = unbounded;
-      bounded.facts_max_resident = 1;
-      bounded.facts_ttl_waves = 1;
-      TriageDaemonStats dstats;
-      std::map<uint64_t, TriageReport> got =
-          RunDaemonStream(stream, bounded, threads, &dstats);
-      ASSERT_EQ(got.size(), want.size()) << label;
-      for (const auto& [seq, report] : want) {
-        ExpectSameVerdict(got[seq], report,
-                          label + "/seq=" + std::to_string(seq));
-      }
-      EXPECT_GT(dstats.facts_evicted, 0u) << label;
-      EXPECT_GT(dstats.facts_ttl_evicted, 0u) << label;
-      EXPECT_EQ(dstats.quarantined, 0u) << label;
+    TriageDaemonOptions bounded = unbounded;
+    bounded.facts_max_resident = 1;
+    bounded.facts_ttl_waves = 1;
+    TriageDaemonStats dstats;
+    std::map<uint64_t, TriageReport> got =
+        RunDaemonStream(stream, bounded, &dstats);
+    ASSERT_EQ(got.size(), want.size()) << label;
+    for (const auto& [seq, report] : want) {
+      ExpectSameVerdict(got[seq], report,
+                        label + "/seq=" + std::to_string(seq));
     }
+    EXPECT_GT(dstats.facts_evicted, 0u) << label;
+    EXPECT_GT(dstats.facts_ttl_evicted, 0u) << label;
+    EXPECT_EQ(dstats.quarantined, 0u) << label;
   }
 }
 
@@ -322,11 +306,11 @@ TEST_F(TriageDaemonTest, SubstrateReclaimKeepsOutputByteIdentical) {
 
   std::vector<Sub> stream(3, Sub{&module, &dump});
   TriageDaemonOptions unbounded;
-  unbounded.triage = TriageFor(1, 1, res);
+  unbounded.triage = TriageFor(1, res);
   unbounded.wave_size = 1;
   TriageDaemonStats warm_stats;
   std::map<uint64_t, TriageReport> want =
-      RunDaemonStream(stream, unbounded, 1, &warm_stats);
+      RunDaemonStream(stream, unbounded, &warm_stats);
   ASSERT_GT(warm_stats.clause_promotions, 0u);
   ASSERT_GT(warm_stats.promoted_clause_hits, 0u);
 
@@ -334,7 +318,7 @@ TEST_F(TriageDaemonTest, SubstrateReclaimKeepsOutputByteIdentical) {
   bounded.expr_pool_node_budget = 1;
   TriageDaemonStats dstats;
   std::map<uint64_t, TriageReport> got =
-      RunDaemonStream(stream, bounded, 1, &dstats);
+      RunDaemonStream(stream, bounded, &dstats);
   ASSERT_EQ(got.size(), want.size());
   for (const auto& [seq, report] : want) {
     ExpectSameVerdict(got[seq], report, "seq=" + std::to_string(seq));
@@ -352,7 +336,7 @@ TEST_F(TriageDaemonTest, SubstrateReclaimKeepsOutputByteIdentical) {
 TEST_F(TriageDaemonTest, BackpressureRejectsDeterministicallyWhenFull) {
   ResRuntime runtime;
   TriageDaemonOptions options;
-  options.triage = TriageFor(1, 1);
+  options.triage = TriageFor(1);
   options.wave_size = 2;
   options.queue_capacity = 2;
   std::map<uint64_t, TriageReport> reports;
@@ -388,7 +372,7 @@ TEST_F(TriageDaemonTest, BackpressureRejectsDeterministicallyWhenFull) {
 TEST_F(TriageDaemonTest, ShutdownDrainsEverythingAdmitted) {
   ResRuntime runtime;
   TriageDaemonOptions options;
-  options.triage = TriageFor(1, 1);
+  options.triage = TriageFor(1);
   options.wave_size = 4;  // 6 submissions: one full wave + a partial
   std::map<uint64_t, TriageReport> reports;
   options.on_report = [&](const TriageReport& r) { reports[r.index] = r; };
@@ -415,10 +399,10 @@ TEST_F(TriageDaemonTest, StandingThreadMatchesExplicitPumping) {
   // stream. Byte-compare against the explicit-pump run.
   const std::vector<Sub> stream = SingleModuleStream();
   TriageDaemonOptions explicit_options;
-  explicit_options.triage = TriageFor(1, 1);
+  explicit_options.triage = TriageFor(1);
   explicit_options.wave_size = 2;
   std::map<uint64_t, TriageReport> want =
-      RunDaemonStream(stream, explicit_options, 1);
+      RunDaemonStream(stream, explicit_options);
 
   ResRuntime runtime;
   TriageDaemonOptions options = explicit_options;
@@ -470,10 +454,10 @@ TEST_F(TriageDaemonTest, DaemonFaultSitesQuarantineExactlyThePoisonedDump) {
       const std::string label =
           std::string(c.site) + "/wave=" + std::to_string(wave_size);
       TriageDaemonOptions base;
-      base.triage = TriageFor(1, 1);
+      base.triage = TriageFor(1);
       base.wave_size = wave_size;
       std::map<uint64_t, TriageReport> ref =
-          RunDaemonStream(survivors, base, 1);
+          RunDaemonStream(survivors, base);
       ASSERT_EQ(ref.size(), 2u) << label;
 
       FaultPlan plan;
@@ -482,7 +466,7 @@ TEST_F(TriageDaemonTest, DaemonFaultSitesQuarantineExactlyThePoisonedDump) {
       poisoned.fault_plan = &plan;
       TriageDaemonStats dstats;
       std::map<uint64_t, TriageReport> got =
-          RunDaemonStream(stream, poisoned, 1, &dstats);
+          RunDaemonStream(stream, poisoned, &dstats);
       ASSERT_EQ(got.size(), 3u) << label;
       EXPECT_GE(plan.fired(), 1u) << label << ": site never reached";
       EXPECT_EQ(got[1].outcome, TriageOutcome::kQuarantined) << label;
@@ -509,12 +493,12 @@ TEST_F(TriageDaemonTest, UnarmedDaemonChecksAreInert) {
   std::vector<Sub> stream = {{&module_, &dumps_[0]}, {&module_, &dumps_[1]}};
   for (FaultPlan* plan : {static_cast<FaultPlan*>(nullptr), &unmatched}) {
     TriageDaemonOptions options;
-    options.triage = TriageFor(1, 1);
+    options.triage = TriageFor(1);
     options.wave_size = 2;
     options.fault_plan = plan;
     TriageDaemonStats dstats;
     std::map<uint64_t, TriageReport> got =
-        RunDaemonStream(stream, options, 1, &dstats);
+        RunDaemonStream(stream, options, &dstats);
     ASSERT_EQ(got.size(), 2u);
     EXPECT_EQ(dstats.quarantined, 0u);
     for (const auto& [seq, report] : got) {
@@ -534,7 +518,7 @@ TEST_F(TriageDaemonTest, SerializedIngestQuarantinesCorruptBlobInItsSlot) {
   blobs[1].resize(blobs[1].size() / 2);  // truncated upload
   ResRuntime runtime;
   TriageDaemonOptions options;
-  options.triage = TriageFor(1, 1);
+  options.triage = TriageFor(1);
   options.wave_size = 3;
   std::map<uint64_t, TriageReport> reports;
   options.on_report = [&](const TriageReport& r) { reports[r.index] = r; };

@@ -5,7 +5,9 @@
 // degraded task promotes module-global. The step-deadline watchdog is
 // measured on the same abstract clock as the search itself (committed
 // pops), so deadline verdicts, degraded retries, and quarantines are
-// byte-identical at any engine thread count and any dump-level parallelism.
+// byte-identical at any dump-level parallelism. An injected solver fault
+// anywhere in a run fails that run outright: no verdict is published from
+// a search the fault cut short.
 // See docs/ARCHITECTURE.md §7 for the contract and src/support/faultpoint.h
 // for the injection machinery.
 #include <gtest/gtest.h>
@@ -108,12 +110,9 @@ class TriageFaultTest : public ::testing::Test {
 
   std::vector<TriageReport> RunBlobs(
       const std::vector<std::vector<uint8_t>>& blobs, FaultPlan* plan,
-      size_t threads, size_t parallel, TriageStats* stats) {
-    ResRuntimeOptions rt_options;
-    rt_options.worker_threads = threads > 1 ? 4 : 0;
-    ResRuntime runtime(rt_options);
+      size_t parallel, TriageStats* stats) {
+    ResRuntime runtime;
     TriageOptions options;
-    options.res.num_threads = threads;
     options.max_parallel_dumps = parallel;
     options.fault_plan = plan;
     TriageService service(&runtime, module_, options);
@@ -153,49 +152,45 @@ TEST_F(TriageFaultTest, SiteSweepQuarantinesExactlyThePoisonedDump) {
       {"engine.lane.detect", StatusCode::kInternal},
       {"runtime.promote", StatusCode::kInternal},
   };
-  for (size_t threads : {1u, 2u, 8u}) {
-    for (size_t parallel : {1u, 2u}) {
-      // Reference: the same batch submitted without the poisoned dump.
-      const std::vector<std::vector<uint8_t>> survivors = {blobs_[0],
-                                                           blobs_[2]};
-      TriageStats ref_stats;
-      std::vector<TriageReport> ref =
-          RunBlobs(survivors, nullptr, threads, parallel, &ref_stats);
-      ASSERT_EQ(ref.size(), 2u);
-      ASSERT_EQ(ref[0].outcome, TriageOutcome::kOk);
-      ASSERT_EQ(ref[1].outcome, TriageOutcome::kOk);
+  for (size_t parallel : {1u, 2u}) {
+    // Reference: the same batch submitted without the poisoned dump.
+    const std::vector<std::vector<uint8_t>> survivors = {blobs_[0], blobs_[2]};
+    TriageStats ref_stats;
+    std::vector<TriageReport> ref =
+        RunBlobs(survivors, nullptr, parallel, &ref_stats);
+    ASSERT_EQ(ref.size(), 2u);
+    ASSERT_EQ(ref[0].outcome, TriageOutcome::kOk);
+    ASSERT_EQ(ref[1].outcome, TriageOutcome::kOk);
 
-      for (const SiteCase& c : cases) {
-        const std::string label = std::string(c.site) +
-                                  "/threads=" + std::to_string(threads) +
-                                  "/parallel=" + std::to_string(parallel);
-        FaultPlan plan;
-        plan.Arm(c.site, 1, 1);  // poison dump 1, first hit
-        TriageStats stats;
-        std::vector<TriageReport> reports =
-            RunBlobs(blobs_, &plan, threads, parallel, &stats);
-        ASSERT_EQ(reports.size(), 3u) << label;
-        EXPECT_GE(plan.fired(), 1u) << label << ": site never reached";
-        EXPECT_EQ(reports[1].outcome, TriageOutcome::kQuarantined) << label;
-        EXPECT_EQ(reports[1].status.code(), c.code) << label;
-        EXPECT_EQ(reports[1].res_bucket,
-                  "quarantine:" + std::string(StatusCodeName(c.code)))
-            << label;
-        EXPECT_TRUE(reports[1].cause_signature.empty()) << label;
-        EXPECT_EQ(stats.quarantined, 1u) << label;
-        EXPECT_EQ(stats.deadline_exceeded, 0u) << label;
-        // Failure isolation: the surviving reports are byte-identical to the
-        // batch that never saw the poisoned dump...
-        ExpectSameVerdict(reports[0], ref[0], label + "/dump0");
-        ExpectSameVerdict(reports[2], ref[1], label + "/dump2");
-        // ...and so is everything the batch promoted (poison-free promotion:
-        // a failed task publishes no cores and no check keys).
-        EXPECT_EQ(stats.clause_promotions, ref_stats.clause_promotions)
-            << label;
-        EXPECT_EQ(stats.cache_promotions, ref_stats.cache_promotions) << label;
-        EXPECT_EQ(stats.promoted_clause_hits, ref_stats.promoted_clause_hits)
-            << label;
-      }
+    for (const SiteCase& c : cases) {
+      const std::string label =
+          std::string(c.site) + "/parallel=" + std::to_string(parallel);
+      FaultPlan plan;
+      plan.Arm(c.site, 1, 1);  // poison dump 1, first hit
+      TriageStats stats;
+      std::vector<TriageReport> reports =
+          RunBlobs(blobs_, &plan, parallel, &stats);
+      ASSERT_EQ(reports.size(), 3u) << label;
+      EXPECT_GE(plan.fired(), 1u) << label << ": site never reached";
+      EXPECT_EQ(reports[1].outcome, TriageOutcome::kQuarantined) << label;
+      EXPECT_EQ(reports[1].status.code(), c.code) << label;
+      EXPECT_EQ(reports[1].res_bucket,
+                "quarantine:" + std::string(StatusCodeName(c.code)))
+          << label;
+      EXPECT_TRUE(reports[1].cause_signature.empty()) << label;
+      EXPECT_EQ(stats.quarantined, 1u) << label;
+      EXPECT_EQ(stats.deadline_exceeded, 0u) << label;
+      // Failure isolation: the surviving reports are byte-identical to the
+      // batch that never saw the poisoned dump...
+      ExpectSameVerdict(reports[0], ref[0], label + "/dump0");
+      ExpectSameVerdict(reports[2], ref[1], label + "/dump2");
+      // ...and so is everything the batch promoted (poison-free promotion:
+      // a failed task publishes no cores and no check keys).
+      EXPECT_EQ(stats.clause_promotions, ref_stats.clause_promotions)
+          << label;
+      EXPECT_EQ(stats.cache_promotions, ref_stats.cache_promotions) << label;
+      EXPECT_EQ(stats.promoted_clause_hits, ref_stats.promoted_clause_hits)
+          << label;
     }
   }
 }
@@ -221,51 +216,42 @@ TEST_F(TriageFaultTest, SiteSweepThroughDaemonIngestPath) {
       {"engine.lane.detect", StatusCode::kInternal},
       {"runtime.promote", StatusCode::kInternal},
   };
-  for (size_t threads : {1u, 8u}) {
-    for (size_t parallel : {1u, 2u}) {
-      const std::vector<std::vector<uint8_t>> survivors = {blobs_[0],
-                                                           blobs_[2]};
-      TriageStats ref_stats;
-      std::vector<TriageReport> ref =
-          RunBlobs(survivors, nullptr, threads, parallel, &ref_stats);
-      ASSERT_EQ(ref.size(), 2u);
+  for (size_t parallel : {1u, 2u}) {
+    const std::vector<std::vector<uint8_t>> survivors = {blobs_[0], blobs_[2]};
+    TriageStats ref_stats;
+    std::vector<TriageReport> ref =
+        RunBlobs(survivors, nullptr, parallel, &ref_stats);
+    ASSERT_EQ(ref.size(), 2u);
 
-      for (const SiteCase& c : cases) {
-        const std::string label = "daemon/" + std::string(c.site) +
-                                  "/threads=" + std::to_string(threads) +
-                                  "/parallel=" + std::to_string(parallel);
-        FaultPlan plan;
-        plan.Arm(c.site, 1, 1);
-        ResRuntimeOptions rt_options;
-        rt_options.worker_threads = threads > 1 ? 4 : 0;
-        ResRuntime runtime(rt_options);
-        TriageDaemonOptions options;
-        options.triage.res.num_threads = threads;
-        options.triage.max_parallel_dumps = parallel;
-        options.wave_size = 2;
-        options.fault_plan = &plan;
-        std::map<uint64_t, TriageReport> reports;
-        options.on_report = [&](const TriageReport& r) {
-          reports[r.index] = r;
-        };
-        TriageDaemon daemon(&runtime, options);
-        for (const auto& blob : blobs_) {
-          ASSERT_TRUE(daemon.SubmitSerialized(module_, blob).ok()) << label;
-        }
-        daemon.Shutdown();  // drains: full wave {0,1} then partial {2}
-        ASSERT_EQ(reports.size(), 3u) << label;
-        EXPECT_GE(plan.fired(), 1u) << label << ": site never reached";
-        EXPECT_EQ(reports[1].outcome, TriageOutcome::kQuarantined) << label;
-        EXPECT_EQ(reports[1].status.code(), c.code) << label;
-        EXPECT_EQ(reports[1].res_bucket,
-                  "quarantine:" + std::string(StatusCodeName(c.code)))
-            << label;
-        TriageDaemonStats dstats = daemon.stats();
-        EXPECT_EQ(dstats.quarantined, 1u) << label;
-        EXPECT_EQ(dstats.waves, 2u) << label;
-        ExpectSameVerdict(reports[0], ref[0], label + "/dump0");
-        ExpectSameVerdict(reports[2], ref[1], label + "/dump2");
+    for (const SiteCase& c : cases) {
+      const std::string label = "daemon/" + std::string(c.site) +
+                                "/parallel=" + std::to_string(parallel);
+      FaultPlan plan;
+      plan.Arm(c.site, 1, 1);
+      ResRuntime runtime;
+      TriageDaemonOptions options;
+      options.triage.max_parallel_dumps = parallel;
+      options.wave_size = 2;
+      options.fault_plan = &plan;
+      std::map<uint64_t, TriageReport> reports;
+      options.on_report = [&](const TriageReport& r) { reports[r.index] = r; };
+      TriageDaemon daemon(&runtime, options);
+      for (const auto& blob : blobs_) {
+        ASSERT_TRUE(daemon.SubmitSerialized(module_, blob).ok()) << label;
       }
+      daemon.Shutdown();  // drains: full wave {0,1} then partial {2}
+      ASSERT_EQ(reports.size(), 3u) << label;
+      EXPECT_GE(plan.fired(), 1u) << label << ": site never reached";
+      EXPECT_EQ(reports[1].outcome, TriageOutcome::kQuarantined) << label;
+      EXPECT_EQ(reports[1].status.code(), c.code) << label;
+      EXPECT_EQ(reports[1].res_bucket,
+                "quarantine:" + std::string(StatusCodeName(c.code)))
+          << label;
+      TriageDaemonStats dstats = daemon.stats();
+      EXPECT_EQ(dstats.quarantined, 1u) << label;
+      EXPECT_EQ(dstats.waves, 2u) << label;
+      ExpectSameVerdict(reports[0], ref[0], label + "/dump0");
+      ExpectSameVerdict(reports[2], ref[1], label + "/dump2");
     }
   }
 }
@@ -278,7 +264,7 @@ TEST_F(TriageFaultTest, ModuleVerifyFaultFailsEverySlot) {
     plan.Arm("ir.verify");
     TriageStats stats;
     std::vector<TriageReport> reports =
-        RunBlobs(blobs_, &plan, 1, parallel, &stats);
+        RunBlobs(blobs_, &plan, parallel, &stats);
     ASSERT_EQ(reports.size(), 3u);
     for (const TriageReport& r : reports) {
       EXPECT_EQ(r.outcome, TriageOutcome::kQuarantined) << r.index;
@@ -291,7 +277,7 @@ TEST_F(TriageFaultTest, ModuleVerifyFaultFailsEverySlot) {
   FaultPlan scoped;
   scoped.Arm("ir.verify", 1, 1);
   TriageStats stats;
-  std::vector<TriageReport> reports = RunBlobs(blobs_, &scoped, 1, 1, &stats);
+  std::vector<TriageReport> reports = RunBlobs(blobs_, &scoped, 1, &stats);
   EXPECT_EQ(scoped.fired(), 0u);
   ASSERT_EQ(reports.size(), 3u);
   for (const TriageReport& r : reports) {
@@ -303,7 +289,7 @@ TEST_F(TriageFaultTest, CorruptBlobQuarantinesOnlyItsSlot) {
   std::vector<std::vector<uint8_t>> blobs = blobs_;
   blobs[1].resize(blobs[1].size() / 2);  // truncated mid-wire
   TriageStats stats;
-  std::vector<TriageReport> reports = RunBlobs(blobs, nullptr, 1, 1, &stats);
+  std::vector<TriageReport> reports = RunBlobs(blobs, nullptr, 1, &stats);
   ASSERT_EQ(reports.size(), 3u);
   EXPECT_EQ(reports[1].outcome, TriageOutcome::kQuarantined);
   EXPECT_EQ(reports[1].status.code(), StatusCode::kDataLoss);
@@ -314,7 +300,7 @@ TEST_F(TriageFaultTest, CorruptBlobQuarantinesOnlyItsSlot) {
 
 // ---------------------------------------------------------------------------
 // Step-deadline watchdog: measured in committed pops, so verdicts are pure
-// functions of (dump, options) — never of wall clock or thread count.
+// functions of (dump, options) — never of wall clock or host load.
 
 class DeadlineTest : public ::testing::Test {
  protected:
@@ -336,34 +322,24 @@ class DeadlineTest : public ::testing::Test {
   ResOptions res_options_;
 };
 
-TEST_F(DeadlineTest, EngineDeadlineIsDeterministicAcrossThreads) {
-  ResOptions options = res_options_;
-  options.num_threads = 1;
-  const ResResult full = ResEngine(module_, dump_, options).Run();
+TEST_F(DeadlineTest, EngineDeadlineIsDeterministic) {
+  const ResResult full = ResEngine(module_, dump_, res_options_).Run();
   ASSERT_NE(full.stop, StopReason::kDeadlineExceeded);
   const uint64_t u_full = full.stats.committed_units;
   ASSERT_GT(u_full, 2u);
-  // The abstract clock itself is thread-count invariant (single-thread DFS
-  // commit order), so a deadline CAN be deterministic at all.
-  for (size_t threads : {2u, 8u}) {
-    ResOptions t = options;
-    t.num_threads = threads;
-    EXPECT_EQ(ResEngine(module_, dump_, t).Run().stats.committed_units, u_full)
-        << "threads=" << threads;
-  }
-  // A deadline below the run's length cancels it identically everywhere;
-  // a truncated search never claims a hardware-error verdict.
-  for (size_t threads : {1u, 8u}) {
-    ResOptions t = options;
-    t.num_threads = threads;
-    t.deadline_units = u_full / 2;
-    const ResResult r = ResEngine(module_, dump_, t).Run();
-    EXPECT_EQ(r.stop, StopReason::kDeadlineExceeded) << "threads=" << threads;
-    EXPECT_EQ(r.stats.deadline_cancels, 1u) << "threads=" << threads;
-    EXPECT_EQ(r.stats.committed_units, u_full / 2 + 1)
-        << "threads=" << threads;
-    EXPECT_FALSE(r.hardware_error_suspected) << "threads=" << threads;
-  }
+  // The abstract clock itself repeats exactly, so a deadline CAN be
+  // deterministic at all.
+  EXPECT_EQ(ResEngine(module_, dump_, res_options_).Run().stats.committed_units,
+            u_full);
+  // A deadline below the run's length cancels it at exactly that pop; a
+  // truncated search never claims a hardware-error verdict.
+  ResOptions options = res_options_;
+  options.deadline_units = u_full / 2;
+  const ResResult r = ResEngine(module_, dump_, options).Run();
+  EXPECT_EQ(r.stop, StopReason::kDeadlineExceeded);
+  EXPECT_EQ(r.stats.deadline_cancels, 1u);
+  EXPECT_EQ(r.stats.committed_units, u_full / 2 + 1);
+  EXPECT_FALSE(r.hardware_error_suspected);
 }
 
 TEST_F(DeadlineTest, DeadlineTriggersDegradedRetryThenQuarantine) {
@@ -372,7 +348,6 @@ TEST_F(DeadlineTest, DeadlineTriggersDegradedRetryThenQuarantine) {
   // off, budget halved — mirrors TriageService's DegradedProfile) to 2.
   ResOptions full_options = res_options_;
   full_options.max_units = 4;
-  full_options.num_threads = 1;
   const uint64_t u_full =
       ResEngine(module_, dump_, full_options).Run().stats.committed_units;
   ResOptions degraded_options = full_options;
@@ -387,64 +362,101 @@ TEST_F(DeadlineTest, DeadlineTriggersDegradedRetryThenQuarantine) {
   // Deadline exactly at the degraded run's length: the full-fidelity attempt
   // overshoots, the degraded retry fits. Same plan at every configuration.
   std::string degraded_bucket;
-  for (size_t threads : {1u, 2u, 8u}) {
-    for (size_t parallel : {1u, 2u}) {
-      const std::string label = "threads=" + std::to_string(threads) +
-                                "/parallel=" + std::to_string(parallel);
-      ResRuntimeOptions rt_options;
-      rt_options.worker_threads = threads > 1 ? 4 : 0;
-      ResRuntime runtime(rt_options);
-      TriageOptions options;
-      options.res = full_options;
-      options.res.num_threads = threads;
-      options.res.deadline_units = u_deg;
-      options.max_parallel_dumps = parallel;
-      TriageService service(&runtime, module_, options);
-      TriageStats stats;
-      std::vector<TriageReport> reports =
-          service.RunBatch(std::vector<const Coredump*>{&dump_}, &stats);
-      ASSERT_EQ(reports.size(), 1u) << label;
-      EXPECT_EQ(reports[0].outcome, TriageOutcome::kDegraded) << label;
-      EXPECT_TRUE(reports[0].degraded) << label;
-      EXPECT_TRUE(reports[0].status.ok()) << label;
-      EXPECT_FALSE(reports[0].res_bucket.empty()) << label;
-      EXPECT_EQ(reports[0].stats.committed_units, u_deg) << label;
-      EXPECT_EQ(stats.deadline_exceeded, 1u) << label;
-      EXPECT_EQ(stats.degraded_retries, 1u) << label;
-      EXPECT_EQ(stats.quarantined, 0u) << label;
-      // The degraded verdict itself is deterministic across configurations.
-      if (degraded_bucket.empty()) {
-        degraded_bucket = reports[0].res_bucket;
-      } else {
-        EXPECT_EQ(reports[0].res_bucket, degraded_bucket) << label;
-      }
-    }
-  }
-
-  // A deadline even the degraded profile can't meet: retry once, then
-  // quarantine as resource exhaustion — never hang, never crash.
-  for (size_t threads : {1u, 8u}) {
-    const std::string label = "threads=" + std::to_string(threads);
-    ResRuntimeOptions rt_options;
-    rt_options.worker_threads = threads > 1 ? 4 : 0;
-    ResRuntime runtime(rt_options);
+  for (size_t parallel : {1u, 2u}) {
+    const std::string label = "parallel=" + std::to_string(parallel);
+    ResRuntime runtime;
     TriageOptions options;
     options.res = full_options;
-    options.res.num_threads = threads;
-    options.res.deadline_units = 1;
+    options.res.deadline_units = u_deg;
+    options.max_parallel_dumps = parallel;
     TriageService service(&runtime, module_, options);
     TriageStats stats;
     std::vector<TriageReport> reports =
         service.RunBatch(std::vector<const Coredump*>{&dump_}, &stats);
     ASSERT_EQ(reports.size(), 1u) << label;
-    EXPECT_EQ(reports[0].outcome, TriageOutcome::kQuarantined) << label;
-    EXPECT_EQ(reports[0].status.code(), StatusCode::kResourceExhausted)
-        << label;
-    EXPECT_EQ(reports[0].res_bucket, "quarantine:resource_exhausted") << label;
-    EXPECT_EQ(stats.deadline_exceeded, 2u) << label;
+    EXPECT_EQ(reports[0].outcome, TriageOutcome::kDegraded) << label;
+    EXPECT_TRUE(reports[0].degraded) << label;
+    EXPECT_TRUE(reports[0].status.ok()) << label;
+    EXPECT_FALSE(reports[0].res_bucket.empty()) << label;
+    EXPECT_EQ(reports[0].stats.committed_units, u_deg) << label;
+    EXPECT_EQ(stats.deadline_exceeded, 1u) << label;
     EXPECT_EQ(stats.degraded_retries, 1u) << label;
-    EXPECT_EQ(stats.quarantined, 1u) << label;
+    EXPECT_EQ(stats.quarantined, 0u) << label;
+    // The degraded verdict itself is deterministic across configurations.
+    if (degraded_bucket.empty()) {
+      degraded_bucket = reports[0].res_bucket;
+    } else {
+      EXPECT_EQ(reports[0].res_bucket, degraded_bucket) << label;
+    }
   }
+
+  // A deadline even the degraded profile can't meet: retry once, then
+  // quarantine as resource exhaustion — never hang, never crash.
+  ResRuntime runtime;
+  TriageOptions options;
+  options.res = full_options;
+  options.res.deadline_units = 1;
+  TriageService service(&runtime, module_, options);
+  TriageStats stats;
+  std::vector<TriageReport> reports =
+      service.RunBatch(std::vector<const Coredump*>{&dump_}, &stats);
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_EQ(reports[0].outcome, TriageOutcome::kQuarantined);
+  EXPECT_EQ(reports[0].status.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(reports[0].res_bucket, "quarantine:resource_exhausted");
+  EXPECT_EQ(stats.deadline_exceeded, 2u);
+  EXPECT_EQ(stats.degraded_retries, 1u);
+  EXPECT_EQ(stats.quarantined, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Solver-fault sweep: arms "solver.strategy" at every hit index a run
+// reaches (nth = 1, 2, ... until the arm no longer fires) over the workload
+// corpus, with and without stop_at_root_cause. Wherever the fault lands —
+// a gate, the complete-start check, or an address enumeration — the run
+// must fail with the injected status and publish nothing. Deterministic
+// because one engine searches on one thread: hit k is the same solver
+// check in every run.
+
+TEST(EngineFaultSweepTest, EverySolverFaultFailsTheRun) {
+  size_t fired_runs = 0;
+  for (const char* name :
+       {"div_by_zero_input", "semantic_assert", "use_after_free", "double_free",
+        "racy_counter", "buffer_overflow", "atomicity_violation",
+        "order_violation"}) {
+    const WorkloadSpec& spec = WorkloadByName(name);
+    Module module = spec.build();
+    FailureRunOptions run_options;
+    run_options.require_live_peers = spec.requires_live_peers;
+    auto run = RunToFailure(module, spec, run_options);
+    ASSERT_TRUE(run.ok()) << name;
+    const Coredump& dump = run.value().dump;
+    for (bool stop_at_root_cause : {true, false}) {
+      for (uint64_t nth = 1;; ++nth) {
+        const std::string label = std::string(name) + "/stop_at_root_cause=" +
+                                  std::to_string(stop_at_root_cause) +
+                                  "/nth=" + std::to_string(nth);
+        FaultPlan plan;
+        plan.Arm("solver.strategy", nth);
+        ResOptions options;
+        options.stop_at_root_cause = stop_at_root_cause;
+        options.fault_plan = &plan;
+        const ResResult r = ResEngine(module, dump, options).Run();
+        if (plan.fired() == 0) {
+          break;  // the run makes fewer than nth solver checks
+        }
+        ++fired_runs;
+        EXPECT_EQ(r.stop, StopReason::kTaskFailed) << label;
+        EXPECT_EQ(r.status.code(), StatusCode::kInternal) << label;
+        EXPECT_EQ(r.status.message(), "fault injected at solver.strategy")
+            << label;
+        EXPECT_FALSE(r.suffix.has_value()) << label;
+        EXPECT_TRUE(r.causes.empty()) << label;
+        EXPECT_FALSE(r.hardware_error_suspected) << label;
+      }
+    }
+  }
+  EXPECT_GT(fired_runs, 0u);
 }
 
 }  // namespace

@@ -3,10 +3,11 @@
 
 The bench binaries append one JSON object per data point (JSON Lines; see
 bench/README.md for the schema). Wall-clock is machine-dependent, but the
-engine/solver *counters* are deterministic at num_threads=1 — pure functions
-of the workload — so they regression-gate cleanly across machines: this
-script compares the latest record per name against bench/baselines.json and
-fails when a gated counter regresses more than the configured tolerance.
+engine/solver *counters* are deterministic for one engine run or a serial
+batch — pure functions of the workload — so they regression-gate cleanly
+across machines: this script compares the latest record per name against
+bench/baselines.json and fails when a gated counter regresses more than the
+configured tolerance.
 
 Usage:
   tools/check_bench.py --bench build/BENCH_res_scaling.json \
