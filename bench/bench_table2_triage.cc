@@ -58,7 +58,7 @@ int main() {
       r.res_bucket =
           std::string(name) + "|" + res.BucketFor(run.value().dump, &stats);
       res_ms += res_timer.ElapsedMs();
-      record.Accumulate(stats);
+      record.stats.res += stats;
       // (The workload prefix models "same program component" — different
       // modules cannot collide in either scheme; accuracy is judged on how
       // a scheme groups reports *within* a program.)
@@ -125,20 +125,18 @@ int main() {
     record.name = StrFormat("table2_triage/batch=%s/dumps=%zu", label,
                             dumps.size());
     record.wall_ms = timer.ElapsedMs();
-    for (const TriageReport& report : reports) {
-      record.Accumulate(report.stats);
-    }
-    record.FromBatch(tstats);
+    record.stats += tstats;
     json.Append(record);
     std::printf("%s: %zu dumps, %.1f dumps/sec, %.1f ms cold-start saved, "
                 "%llu clause promotions, %llu cache promotions, "
                 "%llu promoted-clause hits, %llu shared-var reuses\n",
-                label, tstats.dumps, tstats.dumps_per_sec,
+                label, tstats.dumps, tstats.dumps_per_sec(),
                 tstats.cold_start_saved_ms,
                 static_cast<unsigned long long>(tstats.clause_promotions),
                 static_cast<unsigned long long>(tstats.cache_promotions),
-                static_cast<unsigned long long>(tstats.promoted_clause_hits),
-                static_cast<unsigned long long>(tstats.expr_reuse_hits));
+                static_cast<unsigned long long>(
+                    tstats.res.solver.promoted_clause_hits),
+                static_cast<unsigned long long>(tstats.res.expr_reuse_hits));
   };
 
   // Same bug, two crash paths, four reports: the bread-and-butter stream.
@@ -212,10 +210,7 @@ int main() {
       record.name = StrFormat("table2_triage/batch=corrupted_stream/dumps=%zu",
                               blobs.size());
       record.wall_ms = timer.ElapsedMs();
-      for (const TriageReport& report : reports) {
-        record.Accumulate(report.stats);
-      }
-      record.FromBatch(tstats);
+      record.stats += tstats;
       json.Append(record);
       std::printf("corrupted_stream: %zu dumps, %llu quarantined, "
                   "%llu triaged ok\n",
@@ -262,10 +257,7 @@ int main() {
       record.name = StrFormat("table2_triage/batch=deadline_degraded/dumps=%zu",
                               dumps.size());
       record.wall_ms = timer.ElapsedMs();
-      for (const TriageReport& report : reports) {
-        record.Accumulate(report.stats);
-      }
-      record.FromBatch(tstats);
+      record.stats += tstats;
       json.Append(record);
       std::printf("deadline_degraded: %zu dumps, deadline %llu units, "
                   "%llu deadline cancels, %llu degraded retries, "
@@ -309,10 +301,6 @@ int main() {
       options.triage.res.max_units = 48;
       options.triage.res.max_hypotheses = 1000;
       options.wave_size = 2;
-      BenchRecord record;
-      options.on_report = [&record](const TriageReport& report) {
-        record.Accumulate(report.stats);
-      };
       TriageDaemon daemon(&runtime, options);
       WallTimer timer;
       // Interleaved arrivals: u r u r u r u — each module's waves cut at
@@ -329,23 +317,22 @@ int main() {
         daemon.Pump();
       }
       daemon.Shutdown();
-      const double wall_ms = timer.ElapsedMs();
-      TriageDaemonStats dstats = daemon.stats();
+      BenchRecord record;
       record.name =
           StrFormat("table2_triage/daemon=mixed_stream/dumps=%zu", submitted);
-      record.wall_ms = wall_ms;
-      record.FromDaemon(dstats);
-      record.dumps_per_sec =
-          wall_ms > 0 ? 1000.0 * static_cast<double>(submitted) / wall_ms : 0;
+      record.wall_ms = timer.ElapsedMs();
+      record.stats = daemon.stats();
+      const TriageDaemonStats& dstats = record.stats;
       json.Append(record);
       std::printf("daemon_stream: %zu dumps, %llu waves, %llu wave "
                   "promotions, %llu promoted-clause hits, %llu shared-var "
                   "reuses, %.1f dumps/sec\n",
                   submitted, static_cast<unsigned long long>(dstats.waves),
                   static_cast<unsigned long long>(dstats.wave_promotions),
-                  static_cast<unsigned long long>(dstats.promoted_clause_hits),
-                  static_cast<unsigned long long>(dstats.expr_reuse_hits),
-                  record.dumps_per_sec);
+                  static_cast<unsigned long long>(
+                      dstats.res.solver.promoted_clause_hits),
+                  static_cast<unsigned long long>(dstats.res.expr_reuse_hits),
+                  dstats.dumps_per_sec());
     }
   }
 
@@ -392,10 +379,7 @@ int main() {
         record.name = StrFormat("table2_triage/warm_start/dumps=%zu",
                                 warm_wave.size());
         record.wall_ms = timer.ElapsedMs();
-        for (const TriageReport& report : reports) {
-          record.Accumulate(report.stats);
-        }
-        record.FromBatch(tstats);
+        record.stats += tstats;
         json.Append(record);
         std::printf("warm_start: fact log %zu bytes (%llu cores, %llu keys "
                     "imported), first-dump promoted-clause hits cold %llu -> "
@@ -410,8 +394,10 @@ int main() {
                         cold_reports[0].stats.solver.promoted_clause_hits),
                     static_cast<unsigned long long>(
                         reports[0].stats.solver.promoted_clause_hits),
-                    static_cast<unsigned long long>(tstats.promoted_clause_hits),
-                    static_cast<unsigned long long>(tstats.promoted_cache_hits));
+                    static_cast<unsigned long long>(
+                        tstats.res.solver.promoted_clause_hits),
+                    static_cast<unsigned long long>(
+                        tstats.res.solver.promoted_cache_hits));
       }
     }
   }

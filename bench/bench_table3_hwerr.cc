@@ -76,7 +76,7 @@ int main() {
       }
       ++produced;
       HwAnalysis analysis = analyzer.Analyze(dump.value());
-      counters.Accumulate(analysis.stats);
+      counters.stats.res += analysis.stats;
       switch (analysis.verdict) {
         case HwVerdict::kHardwareError: ++hw; break;
         case HwVerdict::kSoftwareBug: ++sw; break;
@@ -106,7 +106,7 @@ int main() {
         Coredump corrupted = run.value().dump;
         InjectMemoryBitFlip(&corrupted, &rng);
         HwAnalysis analysis = analyzer.Analyze(corrupted);
-        counters.Accumulate(analysis.stats);
+        counters.stats.res += analysis.stats;
         switch (analysis.verdict) {
           case HwVerdict::kHardwareError: ++hw; break;
           case HwVerdict::kSoftwareBug: ++sw; break;
@@ -138,7 +138,7 @@ int main() {
         Coredump corrupted = run.value().dump;
         InjectRegisterCorruption(&corrupted, &rng);
         HwAnalysis analysis = analyzer.Analyze(corrupted);
-        counters.Accumulate(analysis.stats);
+        counters.stats.res += analysis.stats;
         switch (analysis.verdict) {
           case HwVerdict::kHardwareError: ++hw; break;
           case HwVerdict::kSoftwareBug: ++sw; break;
@@ -173,7 +173,7 @@ int main() {
       ++total;
       HardwareErrorAnalyzer analyzer(module);
       HwAnalysis analysis = analyzer.Analyze(run.value().dump);
-      counters.Accumulate(analysis.stats);
+      counters.stats.res += analysis.stats;
       switch (analysis.verdict) {
         case HwVerdict::kHardwareError: ++hw; break;
         case HwVerdict::kSoftwareBug: ++sw; break;
@@ -206,7 +206,7 @@ int main() {
       ++produced;
       Coredump mini = MakeMinidump(dump.value());
       HwAnalysis analysis = analyzer.Analyze(mini);
-      counters.Accumulate(analysis.stats);
+      counters.stats.res += analysis.stats;
       switch (analysis.verdict) {
         case HwVerdict::kHardwareError: ++hw; break;
         case HwVerdict::kSoftwareBug: ++sw; break;

@@ -101,11 +101,12 @@ int main() {
     std::printf("  [%s: %zu dumps, %.1f dumps/sec, %llu clause promotions, "
                 "%llu cache promotions, %llu promoted-clause hits, "
                 "%llu shared-var reuses]\n",
-                program.c_str(), stats.dumps, stats.dumps_per_sec,
+                program.c_str(), stats.dumps, stats.dumps_per_sec(),
                 static_cast<unsigned long long>(stats.clause_promotions),
                 static_cast<unsigned long long>(stats.cache_promotions),
-                static_cast<unsigned long long>(stats.promoted_clause_hits),
-                static_cast<unsigned long long>(stats.expr_reuse_hits));
+                static_cast<unsigned long long>(
+                    stats.res.solver.promoted_clause_hits),
+                static_cast<unsigned long long>(stats.res.expr_reuse_hits));
   };
   triage_program("storage_daemon", uaf_program);
   triage_program("frontend", overflow_program);

@@ -12,6 +12,10 @@ namespace res {
 
 namespace {
 
+constexpr size_t kMaxStates = 100'000;    // frontier growth bound
+constexpr size_t kAddressForkLimit = 8;   // symbolic-pointer fan-out
+constexpr uint64_t kSolverSeed = 11;
+
 struct FwdFrame {
   FuncId func = kNoFunc;
   BlockId block = 0;
@@ -35,7 +39,7 @@ class ForwardSearch {
       : module_(module),
         dump_(dump),
         options_(options),
-        solver_(&pool_, options.solver_seed) {}
+        solver_(&pool_, kSolverSeed) {}
 
   ForwardSynthResult Run() {
     ForwardSynthResult result;
@@ -69,7 +73,7 @@ class ForwardSearch {
 
     while (!stack.empty()) {
       if (result.blocks_executed >= options_.max_blocks ||
-          stack.size() >= options_.max_states) {
+          stack.size() >= kMaxStates) {
         result.budget_exhausted = true;
         return result;
       }
@@ -172,7 +176,7 @@ class ForwardSearch {
           } else {
             bool complete = false;
             std::vector<int64_t> values = solver_.EnumerateValues(
-                addr_expr, state->constraints, options_.address_fork_limit,
+                addr_expr, state->constraints, kAddressForkLimit,
                 &complete);
             if (values.empty()) {
               state->frames.clear();  // unresolved: drop path

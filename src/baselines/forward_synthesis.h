@@ -20,9 +20,6 @@ namespace res {
 
 struct ForwardSynthOptions {
   size_t max_blocks = 2'000'000;    // total blocks symbolically executed
-  size_t max_states = 100'000;      // frontier growth bound
-  size_t address_fork_limit = 8;
-  uint64_t solver_seed = 11;
 };
 
 struct ForwardSynthResult {

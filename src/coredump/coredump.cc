@@ -98,6 +98,9 @@ Status Coredump::Validate(const Module& module,
       return DataLoss("allocation sequence outside heap epoch");
     }
   }
+  if (error_log.size() > kErrorLogCapacity) {
+    return DataLoss("error log longer than its ring");
+  }
   for (const ErrorLogEntry& e : error_log) {
     if (e.thread >= threads.size()) {
       return DataLoss("error-log thread index out of range");

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <map>
 
@@ -16,6 +14,15 @@
 namespace res {
 
 namespace {
+
+constexpr size_t kAddressForkLimit = 8;  // symbolic-pointer fan-out
+constexpr uint64_t kSolverSeed = 7;
+// A feasible suffix of at least this many units must exist for the dump to
+// be considered software-explainable; otherwise Run reports a suspected
+// hardware error when the frontier exhausts. Depth 1 is trivially
+// satisfiable (it merely re-reads dump state), so this requires one genuine
+// backward step to survive matching.
+constexpr size_t kHwConfidenceDepth = 2;
 
 // Heap allocations round byte sizes up to whole words (see Heap::Allocate).
 uint64_t SizeWordsFromBytes(uint64_t bytes) {
@@ -129,16 +136,17 @@ struct ResEngine::Hypothesis {
   size_t depth() const { return units_backward ? units_backward->depth : 0; }
 };
 
-// Per-step context: a deterministic fresh-variable namespace plus private
-// stats sinks. A node's namespace derives from its position in the search
+// Per-step context: a deterministic fresh-variable namespace plus a private
+// stats sink. A node's namespace derives from its position in the search
 // tree (never from global counters), so the variables it mints are a pure
 // function of that position — which is also what lets a shared runtime pool
 // hand the same variable node to the same position in another run.
 struct ResEngine::TaskCtx {
   uint64_t ns = 0;       // deterministic namespace for FreshVar
   uint32_t var_seq = 0;  // per-step variable counter
-  ResStats stats;        // engine counters (merged at commit)
-  SolverStats sstats;    // solver counters (merged at commit)
+  // The step's counters, merged at commit (`stats.solver` is the solver's
+  // sink).
+  ResStats stats;
 };
 
 // A gated node's solver products: its post-gate incremental context and
@@ -177,7 +185,7 @@ SolverOptions MakeSolverOptions(const ResOptions& options) {
 }  // namespace
 
 uint64_t ResSolverFingerprint(const ResOptions& options) {
-  return SolverFingerprint(options.solver_seed, MakeSolverOptions(options));
+  return SolverFingerprint(kSolverSeed, MakeSolverOptions(options));
 }
 
 ResEngine::ResEngine(const Module& module, const Coredump& dump, ResOptions options)
@@ -194,7 +202,7 @@ ResEngine::ResEngine(const Module& module, const Coredump& dump, ResOptions opti
                                              : std::make_unique<ExprPool>()),
       pool_(options.runtime != nullptr ? options.runtime->pool()
                                        : owned_pool_.get()),
-      solver_(pool_, options.solver_seed, MakeSolverOptions(options),
+      solver_(pool_, kSolverSeed, MakeSolverOptions(options),
               options.runtime != nullptr ? options.runtime->check_cache()
                                          : nullptr,
               options.runtime != nullptr ? options.runtime->NextEpoch() : 0) {
@@ -212,9 +220,6 @@ ResEngine::ResEngine(const Module& module, const Coredump& dump, ResOptions opti
     promoted_watermark_ =
         options_.promoted_watermark.value_or(promoted_->published());
   }
-  if (!dump.has_memory) {
-    options_.treat_as_minidump = true;
-  }
   if (options_.incremental_root_causes) {
     rc_setup_ = MakeRootCauseSetup(module, dump);
   }
@@ -225,7 +230,7 @@ ResEngine::ResEngine(const Module& module, const Coredump& dump, ResOptions opti
     }
   }
   // A full ring means older entries may have rotated out.
-  log_was_full_ = dump.error_log.size() >= 64;
+  log_was_full_ = dump.error_log.size() >= kErrorLogCapacity;
   faults_.plan = options_.fault_plan;
   faults_.task = options_.fault_task;
 }
@@ -256,50 +261,6 @@ const Expr* ResEngine::FreshVar(TaskCtx* tctx, VarTag tag, VarOrigin origin) {
 }
 
 uint64_t ResEngine::solver_fingerprint() const { return solver_.fingerprint(); }
-
-void ResEngine::MergeStats(const ResStats& d, const SolverStats& sd) {
-  stats_.expansions += d.expansions;
-  stats_.pruned_unsat += d.pruned_unsat;
-  stats_.pruned_structural += d.pruned_structural;
-  stats_.pruned_lbr += d.pruned_lbr;
-  stats_.pruned_errlog += d.pruned_errlog;
-  stats_.address_forks += d.address_forks;
-  stats_.address_unresolved += d.address_unresolved;
-  stats_.unknown_kept += d.unknown_kept;
-  stats_.duplicate_constraints += d.duplicate_constraints;
-  stats_.expr_reuse_hits += d.expr_reuse_hits;
-  stats_.detector_units_scanned += d.detector_units_scanned;
-  stats_.detector_rescans_avoided += d.detector_rescans_avoided;
-
-  SolverStats& s = stats_.solver;
-  s.checks += sd.checks;
-  s.incremental_checks += sd.incremental_checks;
-  s.eq_bindings += sd.eq_bindings;
-  s.interval_cuts += sd.interval_cuts;
-  s.enumerated_points += sd.enumerated_points;
-  s.search_steps += sd.search_steps;
-  s.propagation_rounds += sd.propagation_rounds;
-  s.propagated_constraints += sd.propagated_constraints;
-  s.model_reuse_hits += sd.model_reuse_hits;
-  s.cache_hits += sd.cache_hits;
-  s.cache_misses += sd.cache_misses;
-  s.sat += sd.sat;
-  s.unsat += sd.unsat;
-  s.unknown += sd.unknown;
-  for (size_t i = 0; i < kNumStrategies; ++i) {
-    s.strategy_steps[i] += sd.strategy_steps[i];
-    s.strategy_wins[i] += sd.strategy_wins[i];
-  }
-  s.budget_exhaustions += sd.budget_exhaustions;
-  s.promoted_cache_hits += sd.promoted_cache_hits;
-  // Cold-check keys append in merge order == commit order, so the engine's
-  // final journal is deterministic.
-  s.cold_check_keys.insert(s.cold_check_keys.end(), sd.cold_check_keys.begin(),
-                           sd.cold_check_keys.end());
-  // clauses_learned / clause_hits / promoted_clause_hits are counted
-  // directly by the commit loop (never through per-step sinks), so they
-  // need no merge here.
-}
 
 ResEngine::Hypothesis ResEngine::MakeInitialHypothesis() {
   Hypothesis h;
@@ -372,7 +333,7 @@ bool ResEngine::CheckTrapConsistency(std::string* why) const {
     }
     case TrapKind::kUseAfterFree:
     case TrapKind::kMemoryFault: {
-      if (options_.treat_as_minidump) {
+      if (!dump_.has_memory) {
         return true;  // cannot validate without heap metadata
       }
       uint64_t addr = trap.address;
@@ -412,7 +373,7 @@ bool ResEngine::CheckTrapConsistency(std::string* why) const {
       return fail("memory fault at mapped, allocated address");
     }
     case TrapKind::kDoubleFree: {
-      if (options_.treat_as_minidump) {
+      if (!dump_.has_memory) {
         return true;  // no heap metadata to validate against
       }
       for (const Allocation& a : dump_.heap_allocations) {
@@ -428,7 +389,7 @@ bool ResEngine::CheckTrapConsistency(std::string* why) const {
     case TrapKind::kInvalidFree:
       return true;
     case TrapKind::kUnlockNotOwned: {
-      if (options_.treat_as_minidump) {
+      if (!dump_.has_memory) {
         return true;
       }
       auto owner = dump_.memory.ReadWord(trap.address);
@@ -487,9 +448,10 @@ bool ResEngine::GateNode(const StackEntry& n, Gated* g, TaskCtx* tctx,
   SolveOutcome outcome;
   if (options_.incremental_solving) {
     g->ctx = n.parent->ctx;
-    outcome = solver_.CheckIncremental(&g->ctx, n.h.constraints, &tctx->sstats);
+    outcome = solver_.CheckIncremental(&g->ctx, n.h.constraints,
+                                       &tctx->stats.solver);
   } else {
-    outcome = solver_.Check(n.h.constraints, &tctx->sstats);
+    outcome = solver_.Check(n.h.constraints, &tctx->stats.solver);
   }
   if (!outcome.fault.ok()) {
     // Injected solver failure: fail the RUN, not the hypothesis — treating
@@ -677,8 +639,8 @@ void ResEngine::ExecuteUnit(const Hypothesis& base, const UnitPlan& plan,
     bool complete = false;
     Status fault;
     std::vector<int64_t> values =
-        solver_.EnumerateValues(e, context, options_.address_fork_limit, &complete,
-                                &tctx->sstats, &fault);
+        solver_.EnumerateValues(e, context, kAddressForkLimit, &complete,
+                                &tctx->stats.solver, &fault);
     if (values.empty() && fault.ok()) {
       // The bias may have over-constrained; retry with the sound context.
       std::vector<const Expr*> plain;
@@ -687,8 +649,8 @@ void ResEngine::ExecuteUnit(const Hypothesis& base, const UnitPlan& plan,
       for (const Expr* c : cons) {
         plain.push_back(c);
       }
-      values = solver_.EnumerateValues(e, plain, options_.address_fork_limit,
-                                       &complete, &tctx->sstats, &fault);
+      values = solver_.EnumerateValues(e, plain, kAddressForkLimit,
+                                       &complete, &tctx->stats.solver, &fault);
     }
     if (!fault.ok()) {
       // Injected solver failure: fail the run, as GateNode does — reading it
@@ -1070,7 +1032,7 @@ void ResEngine::ExecuteUnit(const Hypothesis& base, const UnitPlan& plan,
   }
 
   // --- Memory matching: S' must agree with S_post on every touched word. ---
-  const bool minidump = options_.treat_as_minidump;
+  const bool minidump = !dump_.has_memory;
   for (auto& [addr, cell] : cells) {
     const Expr* post = h.state.ReadMem(pool_, addr);
     if (post == nullptr && !minidump) {
@@ -1364,7 +1326,7 @@ std::optional<SynthesizedSuffix> ResEngine::CompleteStartNode(
       uint64_t addr = gv.address + w * kWordSize;
       const Expr* value = h2.state.ReadMem(pool_, addr);
       if (value == nullptr) {
-        if (options_.treat_as_minidump) {
+        if (!dump_.has_memory) {
           continue;
         }
         return std::nullopt;
@@ -1378,8 +1340,8 @@ std::optional<SynthesizedSuffix> ResEngine::CompleteStartNode(
   SolverContext cctx = g.ctx;  // fork this node's post-gate context
   SolveOutcome outcome =
       options_.incremental_solving
-          ? solver_.CheckIncremental(&cctx, h2.constraints, &tctx->sstats)
-          : solver_.Check(h2.constraints, &tctx->sstats);
+          ? solver_.CheckIncremental(&cctx, h2.constraints, &tctx->stats.solver)
+          : solver_.Check(h2.constraints, &tctx->stats.solver);
   if (!outcome.fault.ok()) {
     // As in GateNode: an injected failure fails the run, never reads as an
     // unverified start.
@@ -1485,7 +1447,7 @@ RES_FAULT_SITE(kFaultDetect, "engine.lane.detect", StatusCode::kInternal);
 std::vector<RootCause> ResEngine::DetectNode(const Hypothesis& h,
                                              const Gated& g,
                                              SynthesizedSuffix* suffix,
-                                             DetectorStats* dstats) {
+                                             ResStats* stats) {
   {
     Status fault = faults_.Check(kFaultDetect);
     if (!fault.ok()) {
@@ -1497,7 +1459,7 @@ std::vector<RootCause> ResEngine::DetectNode(const Hypothesis& h,
     // The full-rescan oracle: materialize the suffix and run every detector
     // pass over it.
     *suffix = Finalize(h, g.model, g.verified);
-    return DetectRootCauses(module_, dump_, *suffix, pool_, dstats);
+    return DetectRootCauses(module_, dump_, *suffix, pool_, stats);
   }
   // Incremental path: detection consumes the context folded along the
   // chain; the suffix is materialized only when a cause actually fired.
@@ -1513,7 +1475,7 @@ std::vector<RootCause> ResEngine::DetectNode(const Hypothesis& h,
   }
   std::vector<RootCause> causes = DetectRootCausesIncremental(
       module_, dump_, rc_setup_, h.rc_ctx, h.units_backward.get(), owners,
-      dstats);
+      stats);
   if (!causes.empty()) {
     *suffix = Finalize(h, g.model, g.verified);
   }
@@ -1638,8 +1600,6 @@ ResResult ResEngine::Run() {
 
   bool budget_hit = false;
   bool deadline_hit = false;
-  // RES_CLAUSE_DEBUG=1 dumps every published core to stderr.
-  const bool clause_debug = std::getenv("RES_CLAUSE_DEBUG") != nullptr;
   while (!stack.empty()) {
     // Injected/internal failure: stop committing.
     if (!fault_.ok()) {
@@ -1684,14 +1644,8 @@ ResResult ResEngine::Run() {
     if (!GateNode(n, &g, &gate, &core)) {
       // A refuted node never reaches the frontier, so it consumes no
       // budget.
-      MergeStats(gate.stats, gate.sstats);
+      stats_ += gate.stats;
       if (options_.solver_portfolio && !core.empty()) {
-        if (clause_debug) {
-          std::fprintf(stderr, "[core] size=%zu:\n", core.size());
-          for (const Expr* e : core) {
-            std::fprintf(stderr, "  %s\n", ExprToString(*pool_, e).c_str());
-          }
-        }
         if (clause_store_.Publish(std::move(core))) {
           ++stats_.solver.clauses_learned;
         }
@@ -1704,7 +1658,7 @@ ResResult ResEngine::Run() {
       budget_hit = true;
       break;
     }
-    MergeStats(gate.stats, gate.sstats);
+    stats_ += gate.stats;
     ++stats_.hypotheses_explored;
     if (n.parent != nullptr) {
       ++stats_.expansions;
@@ -1717,10 +1671,7 @@ ResResult ResEngine::Run() {
 
     if (g.verified && detecting) {
       SynthesizedSuffix suffix;
-      DetectorStats dstats;
-      std::vector<RootCause> causes = DetectNode(n.h, g, &suffix, &dstats);
-      stats_.detector_units_scanned += dstats.units_scanned;
-      stats_.detector_rescans_avoided += dstats.rescans_avoided;
+      std::vector<RootCause> causes = DetectNode(n.h, g, &suffix, &stats_);
       if (!causes.empty()) {
         int strength = CauseStrength(causes.front());
         if (!candidate.has_value() || strength > candidate_strength) {
@@ -1751,15 +1702,12 @@ ResResult ResEngine::Run() {
       TaskCtx complete;
       std::optional<SynthesizedSuffix> start =
           CompleteStartNode(n.h, g, &complete);
-      MergeStats(complete.stats, complete.sstats);
+      stats_ += complete.stats;
       if (start.has_value()) {
         result.stop = StopReason::kReachedStart;
         result.suffix = std::move(start);
-        DetectorStats dstats;
         result.causes =
-            DetectRootCauses(module_, dump_, *result.suffix, pool_, &dstats);
-        stats_.detector_units_scanned += dstats.units_scanned;
-        stats_.detector_rescans_avoided += dstats.rescans_avoided;
+            DetectRootCauses(module_, dump_, *result.suffix, pool_, &stats_);
         if (result.causes.empty() && candidate.has_value()) {
           // A shallower suffix explained the failure better than the full
           // path (e.g. the racing window); prefer that explanation.
@@ -1785,7 +1733,7 @@ ResResult ResEngine::Run() {
     TaskCtx explore;
     explore.ns = n.ns;
     std::vector<Hypothesis> children = Expand(n.h, &explore);
-    MergeStats(explore.stats, explore.sstats);
+    stats_ += explore.stats;
     auto gated = std::make_shared<const Gated>(std::move(g));
     for (size_t i = children.size(); i-- > 0;) {
       StackEntry child;
@@ -1817,18 +1765,15 @@ ResResult ResEngine::Run() {
       result.stop = StopReason::kMaxDepth;
     }
     result.suffix = Finalize(best.h, best.model, best.verified);
-    DetectorStats dstats;
     result.causes =
-        DetectRootCauses(module_, dump_, *result.suffix, pool_, &dstats);
-    stats_.detector_units_scanned += dstats.units_scanned;
-    stats_.detector_rescans_avoided += dstats.rescans_avoided;
+        DetectRootCauses(module_, dump_, *result.suffix, pool_, &stats_);
   }
   // Hardware verdict: the search space was exhausted and no feasible suffix
   // of the required confidence depth exists — no execution of P can have
   // produced this coredump (paper §3.2). A truncated search (budget or
   // deadline) never claims it: the evidence is incomplete.
   if (!budget_hit && !deadline_hit &&
-      stats_.max_sat_depth < options_.hw_confidence_depth) {
+      stats_.max_sat_depth < kHwConfidenceDepth) {
     result.hardware_error_suspected = true;
   }
   return finish(std::move(result));

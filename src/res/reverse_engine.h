@@ -30,6 +30,7 @@
 #include "src/res/root_cause.h"
 #include "src/res/snapshot.h"
 #include "src/res/suffix.h"
+#include "src/support/counters.h"
 #include "src/support/faultpoint.h"
 #include "src/support/status.h"
 #include "src/symbolic/expr.h"
@@ -43,11 +44,9 @@ struct ModuleFacts;
 struct ResOptions {
   size_t max_units = 64;             // suffix length bound (in blocks)
   size_t max_hypotheses = 50000;     // exploration budget
-  size_t address_fork_limit = 8;     // symbolic-pointer concretization fan-out
   bool use_lbr = true;               // consume LBR breadcrumbs
   bool use_error_log = true;         // consume error-log breadcrumbs
   bool stop_at_root_cause = true;    // stop once a detector fires
-  bool treat_as_minidump = false;    // ablation: ignore the memory image
   // Ablation: when false, every solver gate re-solves the hypothesis's
   // whole constraint vector monolithically instead of reusing its
   // SolverContext. Exists so differential tests can pin the incremental
@@ -75,7 +74,6 @@ struct ResOptions {
   // unlimited. The default covers every strategy running to completion, so
   // exhaustion only occurs when configured tighter.
   uint64_t solver_budget_steps = 1 << 17;
-  uint64_t solver_seed = 7;
   // Deterministic step deadline: the total number of hypotheses the commit
   // loop may pop (committed work, NOT wall clock — so the deadline verdict
   // is byte-identical on any host and under any load) before the run stops
@@ -92,12 +90,6 @@ struct ResOptions {
   // index. A fired fault fails the run with kTaskFailed (see ResResult).
   FaultPlan* fault_plan = nullptr;
   int fault_task = FaultPlan::kAnyTask;
-  // A feasible suffix of at least this many units must exist for the dump to
-  // be considered software-explainable; otherwise Run reports a suspected
-  // hardware error when the frontier exhausts. Depth 1 is trivially
-  // satisfiable (it merely re-reads dump state), so the default requires one
-  // genuine backward step to survive matching.
-  size_t hw_confidence_depth = 2;
   // Shared substrate to attach this run to (see src/res/runtime.h): the
   // process-wide ExprPool, check cache and per-module facts (backward CFG +
   // promoted clause store). nullptr (the default) keeps the classic
@@ -140,42 +132,52 @@ std::string_view StopReasonName(StopReason r);
 // parallelism: concurrent runs promote into and read the shared check
 // cache. The learned-clause counters (clauses_learned/clause_hits) are
 // deterministic at any parallelism.
+//
+// Every ResStats counter, once (see src/support/counters.h). Detector work
+// economy: with incremental_root_causes detector_units_scanned grows with
+// the number of appended units (O(1) per hypothesis step); in rescan mode it
+// grows with (verified hypotheses x suffix depth).
+#define RES_ENGINE_STATS(SUM, MAX)                                             \
+  SUM(hypotheses_explored)     /* nodes committed past the solver gate */      \
+  SUM(expansions)              /* committed nodes other than the root */       \
+  SUM(pruned_unsat)            /* refuted: false constraint, gate or clause */ \
+  SUM(pruned_structural)       /* predecessor choices the CFG/dump rule out */ \
+  SUM(pruned_lbr)              /* choices the LBR breadcrumbs rule out */      \
+  SUM(pruned_errlog)           /* choices the error log rules out */           \
+  SUM(address_forks)           /* symbolic-pointer concretization forks */     \
+  SUM(address_unresolved)      /* pointers enumeration could not resolve */    \
+  SUM(unknown_kept)            /* unknown gate verdicts kept unverified */     \
+  /* Pointer-identical constraints dropped before reaching the solver          \
+     (interning makes structural duplicates pointer-equal). */                 \
+  SUM(duplicate_constraints)                                                   \
+  /* Cross-run variable reuse: FreshVar calls answered by a variable           \
+     registered in the shared pool BEFORE this run began (construction         \
+     watermark; always 0 without a runtime). Commit-order deterministic: at    \
+     a fixed watermark the total is a pure function of (dump, options). */     \
+  SUM(expr_reuse_hits)                                                         \
+  SUM(detector_units_scanned)  /* units visited by any detector pass */        \
+  SUM(detector_rescans_avoided) /* passes answered by the incremental ctx */   \
+  /* Nodes popped by the commit loop: the deterministic abstract clock the     \
+     step deadline (ResOptions::deadline_units) is measured against. */        \
+  SUM(committed_units)                                                         \
+  SUM(deadline_cancels)        /* runs the step deadline stopped (0 or 1) */   \
+  MAX(max_depth)               /* deepest committed hypothesis */              \
+  MAX(max_sat_depth)           /* deepest solver-verified hypothesis */
+
 struct ResStats {
-  uint64_t hypotheses_explored = 0;
-  uint64_t expansions = 0;
-  uint64_t pruned_unsat = 0;
-  uint64_t pruned_structural = 0;
-  uint64_t pruned_lbr = 0;
-  uint64_t pruned_errlog = 0;
-  uint64_t address_forks = 0;
-  uint64_t address_unresolved = 0;
-  uint64_t unknown_kept = 0;
-  // Pointer-identical constraints dropped before reaching the solver
-  // (interning makes structural duplicates pointer-equal).
-  uint64_t duplicate_constraints = 0;
-  // Cross-run variable reuse: FreshVar calls answered by a variable
-  // registered in the shared pool BEFORE this run began (engine-construction
-  // watermark; always 0 without a runtime). Unlike the pool's raw
-  // var_intern_hits gauge, this is a commit-order deterministic counter: at
-  // a fixed watermark the total is a pure function of (dump, options).
-  uint64_t expr_reuse_hits = 0;
-  // Detector work economy (see DetectorStats in root_cause.h): units visited
-  // by any root-cause detector pass, and whole-suffix passes answered from
-  // the incremental context instead of a rescan. With
-  // incremental_root_causes the scan count grows with the number of
-  // appended units (O(1) per hypothesis step); in rescan mode it grows with
-  // (verified hypotheses x suffix depth).
-  uint64_t detector_units_scanned = 0;
-  uint64_t detector_rescans_avoided = 0;
-  // Nodes popped by the commit loop — the deterministic abstract clock the
-  // step deadline (ResOptions::deadline_units) is measured against.
-  uint64_t committed_units = 0;
-  // Runs aborted by the step-deadline watchdog (0 or 1 per Run; summed by
-  // batch callers). Deterministic: the deadline counts committed pops.
-  uint64_t deadline_cancels = 0;
-  size_t max_depth = 0;
-  size_t max_sat_depth = 0;
+  RES_ENGINE_STATS(RES_COUNTER_FIELD, RES_COUNTER_FIELD)
   SolverStats solver;
+
+  ResStats& operator+=(const ResStats& o) {
+    RES_ENGINE_STATS(RES_COUNTER_SUM, RES_COUNTER_MAX)
+    solver += o.solver;
+    return *this;
+  }
+  template <typename Fn>
+  void ForEachCounter(Fn&& fn) const {
+    RES_ENGINE_STATS(RES_COUNTER_VISIT, RES_COUNTER_VISIT)
+    solver.ForEachCounter(fn);
+  }
 };
 
 struct ResResult {
@@ -286,11 +288,12 @@ class ResEngine {
   // refutes the node (its UNSAT core, if any, in *core) or faults.
   bool GateNode(const StackEntry& n, Gated* g, TaskCtx* tctx,
                 std::vector<const Expr*>* core);
-  // Root-cause detection on h's suffix under g's model; *suffix is filled
-  // (materialized) whenever a cause fired.
+  // Root-cause detection on h's suffix under g's model, counting detector
+  // work into *stats; *suffix is filled (materialized) whenever a cause
+  // fired.
   std::vector<RootCause> DetectNode(const Hypothesis& h, const Gated& g,
                                     SynthesizedSuffix* suffix,
-                                    DetectorStats* dstats);
+                                    ResStats* stats);
   // All-at-birth completion: the finalized full execution when h's snapshot
   // matches the program's initial state, nullopt otherwise.
   std::optional<SynthesizedSuffix> CompleteStartNode(const Hypothesis& h,
@@ -322,8 +325,6 @@ class ResEngine {
   bool AllThreadsAtBirth(const Hypothesis& h) const;
 
   const Expr* FreshVar(TaskCtx* tctx, VarTag tag, VarOrigin origin);
-
-  void MergeStats(const ResStats& delta, const SolverStats& solver_delta);
 
   // Records the run's first injected/internal fault (later ones are
   // dropped). The commit loop stops at its next pop, and Run then reports

@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 
+#include "src/res/reverse_engine.h"
 #include "src/support/string_util.h"
 
 namespace res {
@@ -206,7 +207,7 @@ const Instruction* InstructionAt(const Module& module, const Pc& pc) {
 // incremental taint fallback. Counts visited units into `stats` when given.
 ValueOrigin TrackRegisterOriginView(const Module& module, const UnitsView& units,
                                     uint32_t tid, RegId reg, size_t from_unit,
-                                    uint32_t before_index, DetectorStats* stats) {
+                                    uint32_t before_index, ResStats* stats) {
   OriginFold fold;
   fold.live_regs.insert(reg);
   if (units.empty()) {
@@ -225,7 +226,7 @@ ValueOrigin TrackRegisterOriginView(const Module& module, const UnitsView& units
       scan_end = std::min(scan_end, before_index);
     }
     if (stats != nullptr) {
-      ++stats->units_scanned;
+      ++stats->detector_units_scanned;
     }
     fold.ProcessUnit(module, u, tid, scan_end);
   }
@@ -573,7 +574,7 @@ std::optional<RootCause> DetectDeadlockCycle(const Module& module,
 std::vector<RootCause> DetectRootCauses(const Module& module, const Coredump& dump,
                                         const SynthesizedSuffix& suffix,
                                         const ExprPool* pool,
-                                        DetectorStats* stats) {
+                                        ResStats* stats) {
   (void)pool;
   std::vector<RootCause> causes;
 
@@ -587,7 +588,7 @@ std::vector<RootCause> DetectRootCauses(const Module& module, const Coredump& du
   // Buffer overflow witness: a write whose symbolic base object differs from
   // the object the concrete address landed in.
   if (stats != nullptr) {
-    stats->units_scanned += view.size();
+    stats->detector_units_scanned += view.size();
   }
   for (size_t ui = 0; ui < view.size(); ++ui) {
     const SuffixUnit& u = *view[ui];
@@ -612,7 +613,7 @@ std::vector<RootCause> DetectRootCauses(const Module& module, const Coredump& du
   // precise label for races, atomicity and order violations, and frequently
   // the only explanation for assert failures.
   if (stats != nullptr) {
-    stats->units_scanned += view.size();
+    stats->detector_units_scanned += view.size();
   }
   DetectConcurrencyBugs(module, view, suffix.initial_lock_owners, &causes);
 
@@ -620,7 +621,7 @@ std::vector<RootCause> DetectRootCauses(const Module& module, const Coredump& du
     case TrapKind::kUseAfterFree:
     case TrapKind::kDoubleFree: {
       if (stats != nullptr) {
-        stats->units_scanned += view.size();
+        stats->detector_units_scanned += view.size();
       }
       for (const SuffixUnit* u : view) {
         AppendFreeMatchCauses(module, dump, *u, &causes);
@@ -766,7 +767,7 @@ std::vector<RootCause> DetectRootCausesIncremental(
     const Module& module, const Coredump& dump, const RootCauseSetup& setup,
     const RootCauseContext& ctx, const SuffixChainNode* chain_head,
     const std::map<uint64_t, uint32_t>& initial_lock_owners,
-    DetectorStats* stats) {
+    ResStats* stats) {
   std::vector<RootCause> causes;
 
   if (setup.deadlock.has_value()) {
@@ -788,7 +789,7 @@ std::vector<RootCause> DetectRootCausesIncremental(
   // Overflow pass: replay the prebuilt witnesses (chain order == the
   // oracle's emission order); only the rare taint refinement walks units.
   if (stats != nullptr && n_units > 0) {
-    ++stats->rescans_avoided;
+    ++stats->detector_rescans_avoided;
   }
   for (const RootCauseContext::OverflowWitness* w = ctx.overflows.get();
        w != nullptr; w = w->prev.get()) {
@@ -806,18 +807,18 @@ std::vector<RootCause> DetectRootCausesIncremental(
   // Concurrency pass: skipped outright while the screen proves it empty.
   if (ctx.conc_candidate) {
     if (stats != nullptr) {
-      stats->units_scanned += n_units;
+      stats->detector_units_scanned += n_units;
     }
     DetectConcurrencyBugs(module, ensure_view(), initial_lock_owners, &causes);
   } else if (stats != nullptr && n_units > 0) {
-    ++stats->rescans_avoided;
+    ++stats->detector_rescans_avoided;
   }
 
   switch (dump.trap.kind) {
     case TrapKind::kUseAfterFree:
     case TrapKind::kDoubleFree: {
       if (stats != nullptr && n_units > 0) {
-        ++stats->rescans_avoided;
+        ++stats->detector_rescans_avoided;
       }
       for (const RootCauseContext::FreeUnit* f = ctx.frees.get(); f != nullptr;
            f = f->prev.get()) {
@@ -835,7 +836,7 @@ std::vector<RootCause> DetectRootCausesIncremental(
         break;
       }
       if (stats != nullptr && n_units > 0) {
-        ++stats->rescans_avoided;
+        ++stats->detector_rescans_avoided;
       }
       AppendOriginTrapCause(module, dump, ctx.origin.Finish(), &causes);
       break;

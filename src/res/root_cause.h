@@ -64,16 +64,12 @@ struct RootCause {
   std::string BucketSignature(const Module& module) const;
 };
 
-// Detector work accounting, for the incremental-vs-rescan economy.
-struct DetectorStats {
-  // Units visited by any detector pass. The incremental path pays exactly
-  // one visit per appended unit (the fold) plus whatever fallback scans it
-  // could not answer from context; the oracle pays O(suffix) per call.
-  uint64_t units_scanned = 0;
-  // Whole-suffix detector passes answered from incremental context instead
-  // of a rescan.
-  uint64_t rescans_avoided = 0;
-};
+// Detector work is counted into ResStats (src/res/reverse_engine.h):
+// detector_units_scanned and detector_rescans_avoided. The incremental path
+// pays exactly one visit per appended unit (the fold) plus whatever fallback
+// scans it could not answer from context; the oracle pays O(suffix) per
+// call.
+struct ResStats;
 
 // Where a register value came from, chasing def-use chains backward through
 // one thread's top-frame units.
@@ -127,11 +123,11 @@ ValueOrigin TrackRegisterOrigin(const Module& module, const SynthesizedSuffix& s
 // derived from flags recorded on the suffix's accesses plus the def-use
 // walk — and is kept (nullable) so the signature stays stable if a
 // detector needs expression inspection again. `stats` (optional)
-// accumulates detector work counters.
+// accumulates the detector work counters.
 std::vector<RootCause> DetectRootCauses(const Module& module, const Coredump& dump,
                                         const SynthesizedSuffix& suffix,
                                         const ExprPool* pool,
-                                        DetectorStats* stats = nullptr);
+                                        ResStats* stats = nullptr);
 
 // Deadlock detection needs no suffix: the waits-for cycle is in the dump.
 std::optional<RootCause> DetectDeadlockCycle(const Module& module,
@@ -221,7 +217,7 @@ std::vector<RootCause> DetectRootCausesIncremental(
     const Module& module, const Coredump& dump, const RootCauseSetup& setup,
     const RootCauseContext& ctx, const SuffixChainNode* chain_head,
     const std::map<uint64_t, uint32_t>& initial_lock_owners,
-    DetectorStats* stats);
+    ResStats* stats);
 
 }  // namespace res
 

@@ -8,7 +8,7 @@
 
 namespace res {
 
-ModuleFacts::ModuleFacts(const Module& m, const ResRuntimeOptions& options)
+ModuleFacts::ModuleFacts(const Module& m)
     : module(&m),
       cfg(ModuleCfg::Build(m)),
       predecoded(PredecodedModule::Build(m)),
@@ -16,11 +16,9 @@ ModuleFacts::ModuleFacts(const Module& m, const ResRuntimeOptions& options)
       // live capacity == slot slab: the full-slab check in Publish fires
       // before any eviction could, so promoted cores are never displaced
       // out from under a running engine's watermark.
-      promoted_clauses(options.promoted_clause_capacity,
-                       options.promoted_clause_capacity) {}
+      promoted_clauses(kPromotedClauseCapacity, kPromotedClauseCapacity) {}
 
-ResRuntime::ResRuntime(ResRuntimeOptions options)
-    : options_(options), check_cache_(options.check_cache_max_entries) {}
+ResRuntime::ResRuntime() = default;
 
 ResRuntime::~ResRuntime() = default;
 
@@ -29,7 +27,7 @@ std::shared_ptr<ModuleFacts> ResRuntime::FactsFor(const Module& module) {
   auto it = facts_.find(&module);
   if (it == facts_.end()) {
     FactsEntry entry;
-    entry.facts = std::make_shared<ModuleFacts>(module, options_);
+    entry.facts = std::make_shared<ModuleFacts>(module);
     it = facts_.emplace(&module, std::move(entry)).first;
   }
   it->second.last_use_tick = facts_tick_;
@@ -296,7 +294,7 @@ Result<ResRuntime::FactsImport> ResRuntime::ImportFacts(
   }
   if (it == facts_.end()) {
     FactsEntry entry;
-    entry.facts = std::make_shared<ModuleFacts>(module, options_);
+    entry.facts = std::make_shared<ModuleFacts>(module);
     it = facts_.emplace(&module, std::move(entry)).first;
   }
   if (it->second.facts.use_count() > 1) {

@@ -64,24 +64,20 @@
 
 namespace res {
 
-struct ResRuntimeOptions {
-  // Shared memo-cache bound (same semantics as the solver's private cache).
-  size_t check_cache_max_entries = 1 << 18;
-  // Core capacity of each module's promoted store. Unlike the run-local
-  // stores, the promoted store NEVER evicts individual cores: a running
-  // engine's fixed watermark may cover any promoted core, and the
-  // determinism contract requires the covered prefix to stay visible for
-  // the whole run — so at capacity, promotion simply stops for that module.
-  // (Whole-entry residency is bounded separately: EvictIdleFacts /
-  // ReclaimSubstrate drop a module's facts only while no run pins them.)
-  size_t promoted_clause_capacity = 16384;
-};
+// Core capacity of each module's promoted store. Unlike the run-local
+// stores, the promoted store NEVER evicts individual cores: a running
+// engine's fixed watermark may cover any promoted core, and the determinism
+// contract requires the covered prefix to stay visible for the whole run —
+// so at capacity, promotion simply stops for that module. (Whole-entry
+// residency is bounded separately: EvictIdleFacts / ReclaimSubstrate drop a
+// module's facts only while no run pins them.)
+inline constexpr size_t kPromotedClauseCapacity = 16384;
 
 // Facts scoped to one module, built on first use and shared by every run
 // over that module. The promoted ClauseStore is published to exclusively by
 // ResRuntime::Promote (single logical publisher, serialized internally).
 struct ModuleFacts {
-  ModuleFacts(const Module& m, const ResRuntimeOptions& options);
+  explicit ModuleFacts(const Module& m);
 
   const Module* module;
   ModuleCfg cfg;
@@ -109,14 +105,13 @@ struct ModuleFacts {
 
 class ResRuntime {
  public:
-  explicit ResRuntime(ResRuntimeOptions options = {});
+  ResRuntime();
   ResRuntime(const ResRuntime&) = delete;
   ResRuntime& operator=(const ResRuntime&) = delete;
   ~ResRuntime();
 
   ExprPool* pool() { return &pool_; }
   CheckCache* check_cache() { return &check_cache_; }
-  const ResRuntimeOptions& options() const { return options_; }
 
   // Fresh check-cache epoch for one engine run.
   uint32_t NextEpoch() { return epoch_.fetch_add(1, std::memory_order_relaxed); }
@@ -227,7 +222,6 @@ class ResRuntime {
                                   uint64_t solver_fingerprint);
 
  private:
-  ResRuntimeOptions options_;
   ExprPool pool_;
   CheckCache check_cache_;
   std::atomic<uint32_t> epoch_{1};  // 0 is the no-runtime default epoch

@@ -13,6 +13,20 @@ namespace {
 constexpr int64_t kIntMin = std::numeric_limits<int64_t>::min();
 constexpr int64_t kIntMax = std::numeric_limits<int64_t>::max();
 
+// Fixed solver limits. Each one can change a check's outcome, so each is
+// part of the solver fingerprint.
+constexpr size_t kMaxPropagationRounds = 32;  // phase-1 fixpoint cap
+constexpr size_t kMaxEnumVars = 4;            // exhaustive enumeration caps
+constexpr uint64_t kMaxEnumPoints = 65536;
+constexpr uint64_t kSearchRestarts = 8;
+constexpr uint64_t kSearchSteps = 512;        // per restart
+constexpr uint64_t kEnumSlice = 4096;         // enumeration points per turn
+constexpr uint64_t kSearchSlice = 256;        // local-search steps per turn
+// Largest conflict (in constraints) still reported as an UNSAT core.
+constexpr size_t kMaxCoreSize = 12;
+// Memo cache bound (a shard resets when it fills its share).
+constexpr size_t kCheckCacheMaxEntries = 1 << 18;
+
 // splitmix64 finalizer: decorrelates det_hash values before the commutative
 // XOR fold of the cache key, so structurally-related constraints do not
 // cancel each other systematically.
@@ -136,8 +150,8 @@ int64_t SatSub(int64_t a, int64_t b) {
 using Prov = SolverContext::Prov;
 
 // Merges `from` into `into`, deduping by pointer; overflow poisons. A cap
-// of 0 means core derivation is disabled: poison immediately so provenance
-// never accumulates (BuildCore could not consume it anyway).
+// of 0 means provenance tracking is off: poison immediately so provenance
+// never accumulates (no core will be built from it anyway).
 void MergeProv(Prov* into, const Prov& from, size_t cap) {
   if (cap == 0 || from.overflow) {
     into->overflow = true;
@@ -277,15 +291,15 @@ std::string_view StrategyKindName(StrategyKind k) {
 // computed the identical result itself.
 uint64_t SolverFingerprint(uint64_t seed, const SolverOptions& o) {
   uint64_t f = HashCombine(0x5e55u, seed);
-  f = HashCombine(f, o.max_propagation_rounds);
-  f = HashCombine(f, o.max_enum_vars);
-  f = HashCombine(f, o.max_enum_points);
-  f = HashCombine(f, o.search_restarts);
-  f = HashCombine(f, o.search_steps);
+  f = HashCombine(f, kMaxPropagationRounds);
+  f = HashCombine(f, kMaxEnumVars);
+  f = HashCombine(f, kMaxEnumPoints);
+  f = HashCombine(f, kSearchRestarts);
+  f = HashCombine(f, kSearchSteps);
   f = HashCombine(f, o.budget_steps);
-  f = HashCombine(f, o.enum_slice);
-  f = HashCombine(f, o.search_slice);
-  f = HashCombine(f, o.max_core_size);
+  f = HashCombine(f, kEnumSlice);
+  f = HashCombine(f, kSearchSlice);
+  f = HashCombine(f, kMaxCoreSize);
   return f;
 }
 
@@ -294,7 +308,6 @@ Solver::Solver(ExprPool* pool, uint64_t seed, SolverOptions options,
     : pool_(pool),
       seed_(seed),
       options_(options),
-      own_cache_(options.check_cache_max_entries),
       cache_(shared_cache != nullptr ? shared_cache : &own_cache_),
       cache_epoch_(cache_epoch),
       fingerprint_(SolverFingerprint(seed, options)) {}
@@ -398,7 +411,7 @@ void CheckCache::Store(const CheckKey& k, uint64_t fingerprint, uint32_t epoch,
                        const SolveOutcome& outcome) {
   CacheShard& shard = shards_[k.set_key % kCacheShards];
   std::lock_guard<std::mutex> lock(shard.mu);
-  if (shard.entries >= max_entries_ / kCacheShards) {
+  if (shard.entries >= kCheckCacheMaxEntries / kCacheShards) {
     shard.map.clear();
     shard.entries = 0;
   }
@@ -450,8 +463,8 @@ void Solver::Propagate(SolverContext* ctx, const std::vector<const Expr*>& fresh
   // every Prov on first touch, so the bookkeeping below degenerates to
   // copying empty vectors (verdicts are unaffected: provenance never
   // decides anything).
-  const bool track_prov = portfolio && options_.max_core_size > 0;
-  const size_t prov_cap = track_prov ? options_.max_core_size : 0;
+  const bool track_prov = portfolio;
+  const size_t prov_cap = track_prov ? kMaxCoreSize : 0;
   ctx->absorbed_ = new_absorbed;
   for (const Expr* c : pending) {
     ctx->det_set_hash_ ^= c->det_hash;
@@ -547,7 +560,7 @@ void Solver::Propagate(SolverContext* ctx, const std::vector<const Expr*>& fresh
 
   // New bindings may simplify older residual constraints (and vice versa):
   // iterate the classic substitution fixpoint over the whole residual.
-  for (size_t round = 0; round + 1 < options_.max_propagation_rounds; ++round) {
+  for (size_t round = 0; round + 1 < kMaxPropagationRounds; ++round) {
     ++stats->propagation_rounds;
     new_binding = false;
     bool any_rewrite = false;
@@ -603,10 +616,7 @@ void Solver::Propagate(SolverContext* ctx, const std::vector<const Expr*>& fresh
 std::vector<const Expr*> Solver::BuildCore(
     const SolverContext& ctx,
     const std::vector<const SolverContext::Prov*>& seeds) const {
-  const size_t cap = options_.max_core_size;
-  if (cap == 0) {
-    return {};
-  }
+  const size_t cap = kMaxCoreSize;
   std::vector<const Expr*> core;
   std::unordered_set<const Expr*> in_core;
   std::unordered_set<VarId> visited;
@@ -822,9 +832,8 @@ class Solver::EnumerationStrategy : public Solver::Strategy {
     SolverContext* ctx = env_->ctx;
     if (!initialized_) {
       initialized_ = true;
-      const SolverOptions& opt = env_->solver->options_;
       bool enumerable =
-          env_->order.size() <= opt.max_enum_vars && !env_->order.empty();
+          env_->order.size() <= kMaxEnumVars && !env_->order.empty();
       uint64_t points = 1;
       for (VarId v : env_->order) {
         if (!enumerable) {
@@ -836,8 +845,7 @@ class Solver::EnumerationStrategy : public Solver::Strategy {
           break;
         }
         uint64_t w = it->second.width();
-        if (w == 0 || w > opt.max_enum_points ||
-            points > opt.max_enum_points / w) {
+        if (w == 0 || w > kMaxEnumPoints || points > kMaxEnumPoints / w) {
           enumerable = false;
           break;
         }
@@ -933,9 +941,8 @@ class Solver::SearchStrategy : public Solver::Strategy {
 
   uint64_t Step(uint64_t slice, SolveOutcome* out) override {
     SolverContext* ctx = env_->ctx;
-    const SolverOptions& opt = env_->solver->options_;
     uint64_t consumed = 0;
-    while (restart_ < opt.search_restarts) {
+    while (restart_ < kSearchRestarts) {
       if (need_candidate_) {
         candidate_.clear();
         for (VarId v : env_->order) {
@@ -955,7 +962,7 @@ class Solver::SearchStrategy : public Solver::Strategy {
         step_ = 0;
         need_candidate_ = false;
       }
-      for (; step_ < opt.search_steps; ++step_) {
+      for (; step_ < kSearchSteps; ++step_) {
         if (consumed >= slice) {
           return consumed;  // yield mid-restart; state resumes next turn
         }
@@ -1299,10 +1306,10 @@ SolveOutcome Solver::CheckWith(SolverContext* ctx,
             slice = std::numeric_limits<uint64_t>::max();  // atomic pass
             break;
           case StrategyKind::kEnumeration:
-            slice = options_.enum_slice;
+            slice = kEnumSlice;
             break;
           default:
-            slice = options_.search_slice;
+            slice = kSearchSlice;
             break;
         }
         slice = std::min(slice, budget - spent);

@@ -42,9 +42,10 @@
 // provenance tracked through equality propagation (which source constraints
 // produced each binding), interval tightening (which constraint set each
 // bound), and enumeration (the residual that excluded every point). Cores
-// are capped at SolverOptions::max_core_size; oversized conflicts are
-// simply not reported. The reverse engine interns cores into a shared
-// ClauseStore so sibling hypotheses repeating the conflict refute in O(1).
+// are capped at a fixed size (kMaxCoreSize in solver.cc); oversized
+// conflicts are simply not reported. The reverse engine interns cores into a
+// shared ClauseStore so sibling hypotheses repeating the conflict refute in
+// O(1).
 #ifndef RES_SYMBOLIC_SOLVER_H_
 #define RES_SYMBOLIC_SOLVER_H_
 
@@ -56,10 +57,12 @@
 #include <limits>
 #include <map>
 #include <mutex>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "src/support/counters.h"
 #include "src/support/faultpoint.h"
 #include "src/support/persistent.h"
 #include "src/support/rng.h"
@@ -124,70 +127,83 @@ struct CheckKey {
   bool portfolio = false;
 };
 
+// Every SolverStats counter, once (see src/support/counters.h). A
+// PER_STRATEGY entry is an array indexed by StrategyKind, summed element-wise
+// and reported as one `<field>_<kind>` key per strategy.
+#define RES_SOLVER_STATS(SUM, SUM_AS, PER_STRATEGY)                            \
+  SUM_AS(checks, solver_checks)  /* satisfiability checks issued */            \
+  SUM(incremental_checks)        /* checks that reused a warm context */       \
+  SUM(eq_bindings)               /* equality bindings propagated */            \
+  SUM(interval_cuts)             /* interval bounds tightened */               \
+  SUM(enumerated_points)         /* enumeration points tried */                \
+  SUM(search_steps)              /* local-search mutation steps */             \
+  SUM(propagation_rounds)        /* phase-1 fixpoint iterations */             \
+  SUM(propagated_constraints)    /* per-constraint substitution visits */      \
+  SUM(model_reuse_hits)          /* SAT via the cached-model fast path */      \
+  SUM(cache_hits)                /* memoized check-cache hits */               \
+  SUM(cache_misses)              /* checks the memo cache could not answer */  \
+  SUM(sat)                       /* checks answered SAT */                     \
+  SUM(unsat)                     /* checks answered UNSAT */                   \
+  SUM(unknown)                   /* checks answered unknown */                 \
+  /* Abstract steps consumed per portfolio strategy (interval: residual        \
+     constraints visited; enumeration: points tried; search: mutations). */    \
+  PER_STRATEGY(strategy_steps)                                                 \
+  PER_STRATEGY(strategy_wins)    /* SAT/UNSAT verdicts decided per strategy */ \
+  SUM(budget_exhaustions)        /* checks ended unknown by the step budget */ \
+  SUM(clauses_learned)           /* UNSAT cores published to the store */      \
+  SUM(clause_hits)               /* hypotheses refuted by a stored core */     \
+  SUM(clauses_evicted)           /* cores evicted to keep on learning */       \
+  /* Hypotheses refuted by a core promoted from an earlier task's run          \
+     (deterministic: screened against a store snapshot fixed at engine         \
+     construction). */                                                         \
+  SUM(promoted_clause_hits)                                                    \
+  /* Cache hits whose entry was visible only through key promotion, i.e.       \
+     another task's cold solve (scheduling-dependent, like the other cache     \
+     counters). */                                                             \
+  SUM(promoted_cache_hits)
+
+#define RES_STRATEGY_FIELD(field) uint64_t field[kNumStrategies] = {};
+#define RES_STRATEGY_SUM(field)                                                \
+  for (size_t i = 0; i < kNumStrategies; ++i) {                                \
+    field[i] += o.field[i];                                                    \
+  }
+#define RES_STRATEGY_VISIT(field)                                              \
+  for (size_t i = 0; i < kNumStrategies; ++i) {                                \
+    fn(std::string(#field "_") +                                               \
+           std::string(StrategyKindName(static_cast<StrategyKind>(i))),        \
+       field[i]);                                                              \
+  }
+
 struct SolverStats {
-  uint64_t checks = 0;
-  uint64_t incremental_checks = 0;   // checks that reused a warm context
-  uint64_t eq_bindings = 0;
-  uint64_t interval_cuts = 0;
-  uint64_t enumerated_points = 0;
-  uint64_t search_steps = 0;
-  uint64_t propagation_rounds = 0;   // phase-1 fixpoint iterations
-  uint64_t propagated_constraints = 0;  // per-constraint substitution visits
-  uint64_t model_reuse_hits = 0;     // SAT via the cached-model fast path
-  uint64_t cache_hits = 0;           // memoized check-cache hits
-  uint64_t cache_misses = 0;
-  uint64_t sat = 0;
-  uint64_t unsat = 0;
-  uint64_t unknown = 0;
-  // --- Portfolio counters (indexed by StrategyKind). ---
-  // Abstract steps consumed per strategy (interval: residual constraints
-  // visited; enumeration: points tried; search: mutation steps).
-  uint64_t strategy_steps[kNumStrategies] = {0, 0, 0};
-  // Definitive verdicts (SAT or UNSAT) decided by each strategy.
-  uint64_t strategy_wins[kNumStrategies] = {0, 0, 0};
-  // Checks abandoned as kUnknown because the portfolio step budget ran out.
-  uint64_t budget_exhaustions = 0;
-  // --- Learned-clause (UNSAT core) counters. ---
-  uint64_t clauses_learned = 0;  // cores published to the shared store
-  uint64_t clause_hits = 0;      // hypotheses refuted by a stored core
-  uint64_t clauses_evicted = 0;  // cores evicted to keep the store learning
-  // --- Cross-task (ResRuntime) reuse counters. ---
-  // Hypotheses refuted by a core promoted from an earlier task's run
-  // (deterministic: counted by the commit thread against a store snapshot
-  // fixed at engine construction).
-  uint64_t promoted_clause_hits = 0;
-  // Cache hits whose entry was visible only through key promotion, i.e.
-  // answered with another task's cold-solve (scheduling-dependent, like the
-  // other cache counters).
-  uint64_t promoted_cache_hits = 0;
+  RES_SOLVER_STATS(RES_COUNTER_FIELD, RES_COUNTER_FIELD, RES_STRATEGY_FIELD)
   // Journal of the cold-check keys this run consulted the shared cache for.
-  // The engine merges per-task journals in deterministic commit order, so a
-  // completed run's journal is a pure function of the committed search —
-  // it is what the batch scheduler promotes (TriageStats::cache_promotions).
+  // The engine merges per-step journals in commit order, so a completed
+  // run's journal is a pure function of the committed search — it is what
+  // the batch scheduler promotes (TriageStats::cache_promotions).
   std::vector<CheckKey> cold_check_keys;
+
+  SolverStats& operator+=(const SolverStats& o) {
+    RES_SOLVER_STATS(RES_COUNTER_SUM, RES_COUNTER_SUM, RES_STRATEGY_SUM)
+    cold_check_keys.insert(cold_check_keys.end(), o.cold_check_keys.begin(),
+                           o.cold_check_keys.end());
+    return *this;
+  }
+  template <typename Fn>
+  void ForEachCounter(Fn&& fn) const {
+    RES_SOLVER_STATS(RES_COUNTER_VISIT, RES_COUNTER_VISIT_AS,
+                     RES_STRATEGY_VISIT)
+  }
 };
 
 struct SolverOptions {
-  size_t max_propagation_rounds = 32;
-  size_t max_enum_vars = 4;          // exhaustive enumeration variable cap
-  uint64_t max_enum_points = 65536;  // exhaustive enumeration point cap
-  uint64_t search_restarts = 8;
-  uint64_t search_steps = 512;       // per restart
-  size_t check_cache_max_entries = 1 << 18;  // memo cache bound (then reset)
-  // --- Portfolio scheduling. ---
   bool portfolio = true;             // false = classic fixed pipeline
   // Total abstract steps a single check may spend across all strategies; 0
   // means unlimited. Enforced at slice granularity (the interval pass is
   // atomic, so one check can overshoot by up to one full tightening pass).
   // The default comfortably covers the worst case of every strategy running
-  // to completion (max_enum_points + restarts*steps), so budget exhaustion
-  // only occurs when explicitly configured tighter.
+  // to completion (enumeration's point cap plus every local-search restart),
+  // so budget exhaustion only occurs when explicitly configured tighter.
   uint64_t budget_steps = 1 << 17;
-  uint64_t enum_slice = 4096;        // enumeration points per rotation turn
-  uint64_t search_slice = 256;       // local-search steps per rotation turn
-  // Largest conflict (in constraints) still reported as an UNSAT core;
-  // 0 disables core derivation entirely.
-  size_t max_core_size = 12;
   // --- Fault injection (see src/support/faultpoint.h). ---
   // Plan consulted by the "solver.strategy" site at every check; nullptr
   // falls back to the RES_FAULT_PLAN env plan. Not part of the solver
@@ -197,11 +213,11 @@ struct SolverOptions {
   int fault_task = FaultPlan::kAnyTask;
 };
 
-// Pure function of everything that can change a check's outcome (the seed
-// plus the solver-relevant option fields); the promotion protocol tags
-// promoted cold-check keys with it. Declared here so warm-start callers
-// (fact-log import) can compute the expected fingerprint without
-// constructing a Solver.
+// Pure function of everything that can change a check's outcome (the seed,
+// the solver-relevant option fields and the solver's fixed limits); the
+// promotion protocol tags promoted cold-check keys with it. Declared here so
+// warm-start callers (fact-log import) can compute the expected fingerprint
+// without constructing a Solver.
 uint64_t SolverFingerprint(uint64_t seed, const SolverOptions& o);
 
 // Per-hypothesis persistent solving state. The reverse engine stores one per
@@ -444,9 +460,6 @@ class ClauseStore {
 // in-Solver cache, plus a mutex-guarded promoted-key set.
 class CheckCache {
  public:
-  explicit CheckCache(size_t max_entries = 1 << 18)
-      : max_entries_(max_entries) {}
-
   template <typename ContainsFn>
   bool Lookup(const CheckKey& k, uint64_t fingerprint, uint32_t epoch,
               const ContainsFn& contains, SolveOutcome* out,
@@ -536,7 +549,6 @@ class CheckCache {
     return promoted_.count(promo_key) != 0;
   }
 
-  size_t max_entries_;
   std::array<CacheShard, kCacheShards> shards_;
   mutable std::mutex promoted_mu_;
   std::unordered_set<uint64_t> promoted_;
@@ -662,7 +674,7 @@ class Solver {
   // Derives the UNSAT core for a conflict seeded by `seeds` (input-
   // constraint provenance of the contradicting facts), closing over the
   // bindings the contradiction substituted through. Empty when the closure
-  // exceeds options_.max_core_size (or core derivation is disabled).
+  // exceeds kMaxCoreSize.
   std::vector<const Expr*> BuildCore(
       const SolverContext& ctx,
       const std::vector<const SolverContext::Prov*>& seeds) const;

@@ -253,18 +253,10 @@ size_t TriageDaemon::RunWave(const Module& module, std::vector<Pending> wave) {
   service.RunBatchAdmitted(dumps, std::move(admit), &tstats);
   {
     std::lock_guard<std::mutex> lock(state_mu_);
+    stats_ += tstats;
     ++stats_.waves;
     stats_.wave_promotions +=
         tstats.clause_promotions + tstats.cache_promotions;
-    stats_.clause_promotions += tstats.clause_promotions;
-    stats_.cache_promotions += tstats.cache_promotions;
-    stats_.promoted_clause_hits += tstats.promoted_clause_hits;
-    stats_.promoted_cache_hits += tstats.promoted_cache_hits;
-    stats_.expr_reuse_hits += tstats.expr_reuse_hits;
-    stats_.quarantined += tstats.quarantined;
-    stats_.deadline_exceeded += tstats.deadline_exceeded;
-    stats_.degraded_retries += tstats.degraded_retries;
-    stats_.completed += n;
   }
   // Bounded-memory step, strictly between waves (no engine in flight on
   // this daemon; pump_mu_ is held). Cost-only by the reuse invariant:

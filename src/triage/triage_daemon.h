@@ -132,41 +132,42 @@ struct TriageDaemonOptions {
   std::function<void(const TriageReport&)> on_report;
 };
 
-// Monotone daemon counters. Deterministic at wave parallelism 1 for a
-// fixed submission order (they aggregate TriageStats counters that are
-// themselves deterministic per wave — see triage_service.h).
-struct TriageDaemonStats {
-  uint64_t submitted = 0;     // Submit calls (accepted + rejected)
-  uint64_t admitted = 0;      // accepted into the queue
-  uint64_t rejected = 0;      // backpressure rejections (queue full)
-  uint64_t completed = 0;     // dumps whose report has streamed
-  uint64_t waves = 0;         // RunBatch calls issued
-  // Facts promoted at wave boundaries (clause + cache promotions): the
-  // wave-scheduling payoff counter — serial single-batch scheduling ties
-  // it, batch-start-snapshot scheduling loses it.
-  uint64_t wave_promotions = 0;
-  // Aggregated TriageStats (see triage_service.h for semantics).
-  uint64_t clause_promotions = 0;
-  uint64_t cache_promotions = 0;
-  uint64_t promoted_clause_hits = 0;
-  uint64_t promoted_cache_hits = 0;
-  uint64_t expr_reuse_hits = 0;
-  uint64_t quarantined = 0;
-  uint64_t deadline_exceeded = 0;
-  uint64_t degraded_retries = 0;
-  // Bounded-memory counters.
-  uint64_t facts_evicted = 0;          // ModuleFacts entries dropped
-  uint64_t facts_ttl_evicted = 0;      // the subset dropped by TTL
-  uint64_t promoted_cores_dropped = 0; // live cores on dropped/cleared facts
-  uint64_t pool_reclaims = 0;          // successful ReclaimSubstrate calls
-  uint64_t pool_nodes_reclaimed = 0;   // ExprPool nodes freed by those
-  uint64_t promoted_keys_dropped = 0;  // promoted check keys cleared
-  // Durable-facts counters (warm start / save-on-shutdown).
-  uint64_t facts_imported = 0;         // fact logs applied
-  uint64_t facts_import_failed = 0;    // rejected logs (cold start instead)
-  uint64_t imported_cores = 0;         // promoted cores restored by imports
-  uint64_t imported_keys = 0;          // promoted check keys restored
-  uint64_t facts_exported = 0;         // fact logs handed to export_facts
+// Every daemon-only counter, once (see src/support/counters.h).
+#define RES_DAEMON_STATS(SUM)                                                  \
+  SUM(submitted)               /* Submit calls (accepted + rejected) */        \
+  SUM(admitted)                /* accepted into the queue */                   \
+  SUM(rejected)                /* backpressure rejections (queue full) */      \
+  SUM(waves)                   /* RunBatch calls issued */                     \
+  /* Facts promoted at wave boundaries (clause + cache promotions): the        \
+     wave-scheduling payoff counter. Serial single-batch scheduling ties       \
+     it; batch-start-snapshot scheduling loses it. */                          \
+  SUM(wave_promotions)                                                         \
+  /* Bounded memory. */                                                        \
+  SUM(facts_evicted)           /* ModuleFacts entries dropped */               \
+  SUM(facts_ttl_evicted)       /* the subset dropped by TTL */                 \
+  SUM(promoted_cores_dropped)  /* live cores on dropped/cleared facts */       \
+  SUM(pool_reclaims)           /* successful ReclaimSubstrate calls */         \
+  SUM(pool_nodes_reclaimed)    /* ExprPool nodes freed by those */             \
+  SUM(promoted_keys_dropped)   /* promoted check keys cleared */               \
+  /* Durable facts (warm start / save-on-shutdown). */                         \
+  SUM(facts_imported)          /* fact logs applied */                         \
+  SUM(facts_import_failed)     /* rejected logs (cold start instead) */        \
+  SUM(imported_cores)          /* promoted cores restored by imports */        \
+  SUM(imported_keys)           /* promoted check keys restored */              \
+  SUM(facts_exported)          /* fact logs handed to export_facts */
+
+// Monotone daemon counters: every wave's TriageStats, summed with one +=
+// per wave (so `dumps` counts the dumps whose report has streamed), plus
+// the daemon's own list. Deterministic at wave parallelism 1 for a fixed
+// submission order (the per-wave counters are — see triage_service.h).
+struct TriageDaemonStats : TriageStats {
+  RES_DAEMON_STATS(RES_COUNTER_FIELD)
+
+  template <typename Fn>
+  void ForEachCounter(Fn&& fn) const {
+    TriageStats::ForEachCounter(fn);
+    RES_DAEMON_STATS(RES_COUNTER_VISIT)
+  }
 };
 
 class TriageDaemon {

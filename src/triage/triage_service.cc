@@ -20,10 +20,12 @@ double MsSince(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-// The deterministic degraded retry profile: half the suffix depth, the
-// classic (non-portfolio) solver pipeline, half the per-check step budget.
-// Same deadline — the point is to fit under it with a cheaper search, not
-// to wait longer.
+// The deterministic degraded retry profile: half the suffix depth and the
+// classic (non-portfolio) solver pipeline. Same deadline — the point is to
+// fit under it with a cheaper search, not to wait longer. The fixed
+// pipeline never reads the per-check step budget, so halving it changes no
+// check: it only re-keys the solver fingerprint, keeping the retry's
+// check-cache entries apart from the full-fidelity run's.
 ResOptions DegradedProfile(ResOptions base) {
   base.max_units = std::max<size_t>(1, base.max_units / 2);
   base.solver_portfolio = false;
@@ -245,12 +247,7 @@ std::vector<TriageReport> TriageService::RunBatchImpl(
     report.heuristic_rating = HeuristicExploitabilityRater().Rate(*dumps[i]);
     report.hardware_error_suspected = t.result.hardware_error_suspected;
     report.stats = t.result.stats;
-    tstats.promoted_clause_hits += report.stats.solver.promoted_clause_hits;
-    tstats.promoted_cache_hits += report.stats.solver.promoted_cache_hits;
-    // Commit-order deterministic (PR 5 tail c): each engine counts its own
-    // below-watermark re-interns per committed task, replacing the old
-    // batch-wide pool-gauge delta that raced with concurrent batches.
-    tstats.expr_reuse_hits += report.stats.expr_reuse_hits;
+    tstats.res += report.stats;
     t.engine.reset();  // release the run's state before later dumps commit
     if (options_.on_result) {
       options_.on_result(report);
@@ -320,18 +317,13 @@ std::vector<TriageReport> TriageService::RunBatchImpl(
   }
 
   tstats.wall_ms = MsSince(batch_start);
-  tstats.first_dump_ms = tasks[0].wall_ms;
   if (n > 1) {
     double rest = 0;
     for (size_t i = 1; i < n; ++i) {
       rest += tasks[i].wall_ms;
     }
-    const double saved =
-        tstats.first_dump_ms * static_cast<double>(n - 1) - rest;
+    const double saved = tasks[0].wall_ms * static_cast<double>(n - 1) - rest;
     tstats.cold_start_saved_ms = saved > 0 ? saved : 0;
-  }
-  if (tstats.wall_ms > 0) {
-    tstats.dumps_per_sec = static_cast<double>(n) / (tstats.wall_ms / 1000.0);
   }
   if (stats_out != nullptr) {
     *stats_out = tstats;

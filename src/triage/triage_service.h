@@ -29,11 +29,12 @@
 // previous task's promotion (maximal intra-batch reuse); parallel batches
 // pin the batch-start watermark before any worker runs (intra-batch
 // independence, cross-batch reuse) — either way the watermarks are
-// schedule-independent. promoted_clause_hits and expr_reuse_hits are
-// deterministic counters at a fixed configuration: both are counted per
-// task against a construction-time watermark and merged by the commit
-// thread in commit order, so with max_parallel_dumps == 1 they are pure
-// functions of (dumps, options). With
+// schedule-independent. The engine counters a batch sums into
+// TriageStats::res include two reuse counters, promoted_clause_hits and
+// expr_reuse_hits, that are deterministic at a fixed configuration: both
+// are counted per task against a construction-time watermark and merged by
+// the commit thread in commit order, so with max_parallel_dumps == 1 they
+// are pure functions of (dumps, options). With
 // max_parallel_dumps > 1, engines construct concurrently, so the
 // expr-reuse var watermark (unlike the explicitly pinned clause watermark)
 // can vary with worker timing; promoted_cache_hits (key promotion is
@@ -94,29 +95,45 @@ struct TriageReport {
   ResStats stats;                   // the engine run's merged counters
 };
 
+// Every TriageStats counter, once (see src/support/counters.h). The
+// promotion counters are counted by the commit thread in submission order;
+// the failure-surface counters derive from per-task outcomes that are pure
+// functions of (dumps, options, fault plan, batch config). All are
+// deterministic.
+#define RES_TRIAGE_STATS(SUM)                                                  \
+  SUM(dumps)                /* dumps submitted, quarantined ones included */   \
+  SUM(clause_promotions)    /* cores newly published module-global */          \
+  SUM(cache_promotions)     /* check keys newly promoted module-global */      \
+  SUM(quarantined)          /* reports with outcome kQuarantined */            \
+  SUM(deadline_exceeded)    /* engine runs stopped by the step deadline */     \
+  SUM(degraded_retries)     /* degraded-profile retries launched */
+
 struct TriageStats {
-  size_t dumps = 0;
-  // Deterministic promotion counters (commit thread, submission order).
-  uint64_t clause_promotions = 0;  // cores newly published module-global
-  uint64_t cache_promotions = 0;   // check keys newly promoted
-  // Cross-task reuse counters summed over the batch's committed runs (see
-  // the header comment for which are deterministic at which configuration).
-  uint64_t promoted_clause_hits = 0;  // hypotheses refuted by promoted cores
-  uint64_t promoted_cache_hits = 0;   // cache hits via promoted keys
-  uint64_t expr_reuse_hits = 0;       // below-watermark variable re-interns
-  // Failure-surface counters (deterministic: derived by the commit thread
-  // from per-task outcomes that are pure functions of (dumps, options,
-  // fault plan, batch config)).
-  uint64_t quarantined = 0;         // reports with outcome kQuarantined
-  uint64_t deadline_exceeded = 0;   // engine runs stopped by the deadline
-  uint64_t degraded_retries = 0;    // degraded-profile retries launched
-  // Wall-clock shape of the batch (machine-dependent).
+  RES_TRIAGE_STATS(RES_COUNTER_FIELD)
+  // The committed runs' engine counters, summed in commit order (see the
+  // header comment for which are deterministic at which configuration).
+  ResStats res;
+  // Wall-clock shape (machine-dependent; summed by += like the counters).
   double wall_ms = 0;
-  double first_dump_ms = 0;
   // Rough cold-start economy: what the tail dumps saved versus paying the
   // first dump's cost again, (first - mean(rest)) * (n - 1), floored at 0.
   double cold_start_saved_ms = 0;
-  double dumps_per_sec = 0;
+
+  double dumps_per_sec() const {
+    return wall_ms > 0 ? static_cast<double>(dumps) / (wall_ms / 1000.0) : 0;
+  }
+  TriageStats& operator+=(const TriageStats& o) {
+    RES_TRIAGE_STATS(RES_COUNTER_SUM)
+    res += o.res;
+    wall_ms += o.wall_ms;
+    cold_start_saved_ms += o.cold_start_saved_ms;
+    return *this;
+  }
+  template <typename Fn>
+  void ForEachCounter(Fn&& fn) const {
+    res.ForEachCounter(fn);
+    RES_TRIAGE_STATS(RES_COUNTER_VISIT)
+  }
 };
 
 struct TriageOptions {

@@ -18,6 +18,8 @@
 namespace res {
 
 inline constexpr size_t kLbrDepth = 16;
+// Entries an ErrorLog keeps before rotating out the oldest.
+inline constexpr size_t kErrorLogCapacity = 64;
 
 struct BranchRecord {
   Pc source;  // the branch instruction (terminator)
@@ -71,25 +73,21 @@ struct ErrorLogEntry {
   bool operator==(const ErrorLogEntry&) const = default;
 };
 
-// Bounded application log; only the most recent `capacity` entries survive,
-// mirroring log rotation.
+// Bounded application log; only the most recent kErrorLogCapacity entries
+// survive, mirroring log rotation.
 class ErrorLog {
  public:
-  explicit ErrorLog(size_t capacity = 64) : capacity_(capacity) {}
-
   void Append(const ErrorLogEntry& e) {
     entries_.push_back(e);
-    if (entries_.size() > capacity_) {
+    if (entries_.size() > kErrorLogCapacity) {
       entries_.erase(entries_.begin());
     }
   }
 
   const std::vector<ErrorLogEntry>& entries() const { return entries_; }
   void Restore(std::vector<ErrorLogEntry> entries) { entries_ = std::move(entries); }
-  size_t capacity() const { return capacity_; }
 
  private:
-  size_t capacity_;
   std::vector<ErrorLogEntry> entries_;
 };
 

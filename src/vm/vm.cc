@@ -67,7 +67,6 @@ int64_t EvalBinary(Opcode op, int64_t a, int64_t b) {
 Vm::Vm(const Module* module, VmOptions options)
     : module_(module),
       options_(options),
-      error_log_(options.error_log_capacity),
       scheduler_(&default_scheduler_) {}
 
 Status Vm::Reset() {
@@ -75,7 +74,7 @@ Status Vm::Reset() {
   heap_ = Heap();
   threads_.clear();
   lbr_.clear();
-  error_log_ = ErrorLog(options_.error_log_capacity);
+  error_log_ = ErrorLog();
   trap_ = TrapInfo();
   stopped_ = false;
   main_exited_ = false;

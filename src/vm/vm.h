@@ -30,7 +30,6 @@ namespace res {
 
 struct VmOptions {
   uint64_t max_steps = 50'000'000;
-  size_t error_log_capacity = 64;
   // Records the full sequence of (thread, block) entries — ground truth for
   // tests; never available to RES itself (that would be recording!).
   bool record_block_trace = false;

@@ -7,9 +7,16 @@
 
 namespace res {
 
+namespace {
+
+// Scheduler seeds tried before a workload is declared non-failing.
+constexpr uint64_t kMaxSeedTries = 20000;
+
+}  // namespace
+
 Result<FailureRun> RunToFailure(const Module& module, const WorkloadSpec& spec,
                                 FailureRunOptions options) {
-  for (uint64_t attempt = 0; attempt < options.max_seed_tries; ++attempt) {
+  for (uint64_t attempt = 0; attempt < kMaxSeedTries; ++attempt) {
     uint64_t seed = options.first_seed + attempt;
     VmOptions vm_options;
     vm_options.max_steps = options.max_steps_per_try;
@@ -69,7 +76,7 @@ Result<FailureRun> RunToFailure(const Module& module, const WorkloadSpec& spec,
   return NotFound(StrFormat("workload '%s' did not produce trap '%s' within %llu seeds",
                             spec.name.c_str(),
                             std::string(TrapKindName(spec.expected_trap)).c_str(),
-                            static_cast<unsigned long long>(options.max_seed_tries)));
+                            static_cast<unsigned long long>(kMaxSeedTries)));
 }
 
 Result<Coredump> RunWithMemoryFault(const Module& module,

@@ -20,7 +20,6 @@ namespace res {
 
 struct FailureRunOptions {
   uint64_t first_seed = 1;
-  uint64_t max_seed_tries = 20000;
   uint64_t max_steps_per_try = 200000;
   // Require that no thread has exited when the trap fires (keeps racing
   // peers' stacks in the dump).

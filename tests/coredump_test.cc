@@ -315,5 +315,22 @@ TEST(ValidateTest, RejectsSemanticGarbage) {
   }
 }
 
+TEST(ValidateTest, ErrorLogNoLongerThanItsRing) {
+  // No VM keeps more than kErrorLogCapacity entries, but wire bytes can
+  // carry any number: a full ring validates, one entry more is data loss.
+  WorkloadDump wd = ModuleAndDumpOf("use_after_free");
+  ErrorLogEntry entry;
+  entry.thread = wd.dump.trap.thread;
+  entry.pc = wd.dump.trap.pc;
+  Coredump full = wd.dump;
+  full.error_log.assign(kErrorLogCapacity, entry);
+  Status s = full.Validate(wd.module);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  Coredump over = wd.dump;
+  over.error_log.assign(kErrorLogCapacity + 1, entry);
+  s = over.Validate(wd.module);
+  EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s.ToString();
+}
+
 }  // namespace
 }  // namespace res

@@ -1,8 +1,9 @@
 // Golden engine signatures: each case's full observable outcome — stop
 // reason, hardware verdict, synthesized suffix (units, schedule, rendered
-// constraints), root causes — is hashed and compared against a checked-in
-// line. The lines were generated by the engine this suite pins, so a
-// mismatch means the search changed what it publishes. On a mismatch the
+// constraints), root causes, and every engine and solver counter — is hashed
+// and compared against a checked-in line. The lines were generated by the
+// engine this suite pins, so a mismatch means the search changed what it
+// publishes or what it counts. On a mismatch the
 // test prints the full signature and the line the current engine would
 // check in; update the table only after reviewing why the output moved.
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <cinttypes>
 #include <iterator>
 #include <string>
+#include <string_view>
 
 #include "src/res/res_api.h"
 #include "src/support/hash.h"
@@ -74,6 +76,12 @@ Signature RunSignature(const Module& module, const Coredump& dump,
   if (!result.causes.empty()) {
     sig.first_cause = std::string(RootCauseKindName(result.causes.front().kind));
   }
+  // Every engine and solver counter, one line each, walked from the lists.
+  sig.text += "counters:\n";
+  result.stats.ForEachCounter([&sig](std::string_view key, uint64_t value) {
+    sig.text += StrFormat("%s=%llu\n", std::string(key).c_str(),
+                          static_cast<unsigned long long>(value));
+  });
   return sig;
 }
 
@@ -86,20 +94,20 @@ void ExpectGolden(const char* name, const char* golden, const Module& module,
 
 // Golden lines, one per case.
 constexpr const char* kCorpusGolden[] = {
-    "div_by_zero_input root_cause_found 2 div_by_zero f877f713fc2652bb",
-    "semantic_assert root_cause_found 2 semantic_bug 7016823d228316f3",
-    "use_after_free root_cause_found 4 use_after_free 498b5876d3c385f0",
-    "double_free root_cause_found 3 double_free 57179e1b5fc49d21",
-    "racy_counter root_cause_found 5 atomicity_violation a494b2768a4a18d5",
-    "buffer_overflow root_cause_found 3 buffer_overflow b034d74cb239ca01",
+    "div_by_zero_input root_cause_found 2 div_by_zero 2a41d41801d156d6",
+    "semantic_assert root_cause_found 2 semantic_bug d86e6618e5b1e7db",
+    "use_after_free root_cause_found 4 use_after_free a6f3971bf4ef6526",
+    "double_free root_cause_found 3 double_free ad244a064d2ba4f9",
+    "racy_counter root_cause_found 5 atomicity_violation 3384711ff8f03dc6",
+    "buffer_overflow root_cause_found 3 buffer_overflow 354af35c068f718a",
     "atomicity_violation root_cause_found 3 atomicity_violation "
-    "7eba13eff50e3b4b",
-    "order_violation reached_start 6 order_violation 209ba216ed1e7c4a",
+    "da596f1d25210549",
+    "order_violation reached_start 6 order_violation 746aafc94b2507c6",
 };
 constexpr const char* kDeepChainGolden =
-    "root_cause_distance_48 root_cause_found 50 semantic_bug a12124e3c74e512b";
+    "root_cause_distance_48 root_cause_found 50 semantic_bug c516da69c49acf21";
 constexpr const char* kFullSynthesisGolden =
-    "full_synthesis reached_start 2 div_by_zero af7f4929fd9447c9";
+    "full_synthesis reached_start 2 div_by_zero c4f0effa0808c8a3";
 
 TEST(EngineGoldenTest, WorkloadCorpus) {
   const char* names[] = {"div_by_zero_input", "semantic_assert",

@@ -204,7 +204,8 @@ TEST_F(FactsSerializeTest, WarmStartMatchesUninterruptedAcrossParallelism) {
     }
     // The deterministic counters: the imported snapshot reproduces the
     // uninterrupted watermark exactly.
-    EXPECT_EQ(got_stats.promoted_clause_hits, want_stats.promoted_clause_hits)
+    EXPECT_EQ(got_stats.res.solver.promoted_clause_hits,
+              want_stats.res.solver.promoted_clause_hits)
         << label;
     EXPECT_EQ(got_stats.clause_promotions, want_stats.clause_promotions)
         << label;
@@ -262,10 +263,10 @@ TEST_F(FactsSerializeTest, WarmFirstWaveReusesImportedFacts) {
   }
   // ...while the FIRST dump now reuses: 0 -> >0 across the restart.
   EXPECT_GT(warm_reports[0].stats.solver.promoted_clause_hits, 0u);
-  EXPECT_GT(warm_stats.promoted_clause_hits, 0u);
+  EXPECT_GT(warm_stats.res.solver.promoted_clause_hits, 0u);
   // The promoted keys make the second dump's cache hits via-promotion
   // (serial: deterministic).
-  EXPECT_GT(warm_stats.promoted_cache_hits, 0u);
+  EXPECT_GT(warm_stats.res.solver.promoted_cache_hits, 0u);
 }
 
 // The daemon-level round trip: save-on-shutdown, restart, load-on-start.

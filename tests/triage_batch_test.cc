@@ -151,10 +151,10 @@ TEST_F(SameModuleBatch, PromotionCountersDeterministicAndPositive) {
     }
     EXPECT_GT(stats.clause_promotions, 0u) << "repeat=" << repeat;
     EXPECT_GT(stats.cache_promotions, 0u) << "repeat=" << repeat;
-    EXPECT_GT(stats.promoted_clause_hits, 0u)
+    EXPECT_GT(stats.res.solver.promoted_clause_hits, 0u)
         << "repeat=" << repeat
         << ": later tasks re-derived conflicts instead of reusing them";
-    EXPECT_GT(stats.expr_reuse_hits, 0u)
+    EXPECT_GT(stats.res.expr_reuse_hits, 0u)
         << "repeat=" << repeat
         << ": identical dumps must re-intern earlier tasks' variables";
     if (repeat == 0) {
@@ -162,10 +162,11 @@ TEST_F(SameModuleBatch, PromotionCountersDeterministicAndPositive) {
     } else {
       EXPECT_EQ(stats.clause_promotions, reference.clause_promotions);
       EXPECT_EQ(stats.cache_promotions, reference.cache_promotions);
-      EXPECT_EQ(stats.promoted_clause_hits, reference.promoted_clause_hits);
+      EXPECT_EQ(stats.res.solver.promoted_clause_hits,
+                reference.res.solver.promoted_clause_hits);
       // No longer a racy pool gauge — a commit-order counter against the
       // construction watermark, deterministic in serial batches.
-      EXPECT_EQ(stats.expr_reuse_hits, reference.expr_reuse_hits);
+      EXPECT_EQ(stats.res.expr_reuse_hits, reference.res.expr_reuse_hits);
     }
   }
 }
@@ -180,7 +181,7 @@ TEST_F(SameModuleBatch, ParallelBatchesReuseAcrossBatches) {
   TriageStats first = RunSameDumpBatch(/*copies=*/3, /*parallel=*/2, &runtime,
                                        &first_reports);
   EXPECT_GT(first.clause_promotions, 0u);
-  EXPECT_EQ(first.promoted_clause_hits, 0u)
+  EXPECT_EQ(first.res.solver.promoted_clause_hits, 0u)
       << "batch-start watermark was empty; nothing to reuse yet";
 
   std::vector<TriageReport> second_reports;
@@ -188,9 +189,9 @@ TEST_F(SameModuleBatch, ParallelBatchesReuseAcrossBatches) {
                                         &runtime, &second_reports);
   EXPECT_EQ(second.clause_promotions, 0u)
       << "identical dumps cannot contribute new module-level cores";
-  EXPECT_GT(second.promoted_clause_hits, 0u)
+  EXPECT_GT(second.res.solver.promoted_clause_hits, 0u)
       << "the warm batch re-derived conflicts the first batch promoted";
-  EXPECT_GT(second.promoted_cache_hits, 0u)
+  EXPECT_GT(second.res.solver.promoted_cache_hits, 0u)
       << "the warm batch re-solved constraint sets the first batch promoted";
   for (const std::vector<TriageReport>* reports :
        {&first_reports, &second_reports}) {
@@ -212,7 +213,7 @@ TEST_F(SameModuleBatch, CrossTaskReuseOffIsColdEveryTime) {
   std::vector<TriageReport> reports = service.RunBatch(dumps, &stats);
   EXPECT_EQ(stats.clause_promotions, 0u);
   EXPECT_EQ(stats.cache_promotions, 0u);
-  EXPECT_EQ(stats.promoted_clause_hits, 0u);
+  EXPECT_EQ(stats.res.solver.promoted_clause_hits, 0u);
   const SoloVerdict solo = Solo(module_, dump_, res_options_);
   for (const TriageReport& report : reports) {
     EXPECT_EQ(report.res_bucket, solo.bucket);

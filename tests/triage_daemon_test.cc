@@ -104,10 +104,7 @@ std::vector<TriageReport> ReferenceBatches(
     std::vector<TriageReport> reports = service.RunBatch(chunk, &stats);
     out.insert(out.end(), reports.begin(), reports.end());
     if (agg != nullptr) {
-      agg->clause_promotions += stats.clause_promotions;
-      agg->cache_promotions += stats.cache_promotions;
-      agg->promoted_clause_hits += stats.promoted_clause_hits;
-      agg->expr_reuse_hits += stats.expr_reuse_hits;
+      *agg += stats;
     }
   }
   return out;
@@ -183,7 +180,8 @@ TEST_F(TriageDaemonTest, DaemonMatchesRunBatchAcrossConfigs) {
       EXPECT_EQ(dstats.clause_promotions, ref_agg.clause_promotions)
           << label;
       EXPECT_EQ(dstats.cache_promotions, ref_agg.cache_promotions) << label;
-      EXPECT_EQ(dstats.promoted_clause_hits, ref_agg.promoted_clause_hits)
+      EXPECT_EQ(dstats.res.solver.promoted_clause_hits,
+                ref_agg.res.solver.promoted_clause_hits)
           << label;
       EXPECT_EQ(dstats.wave_promotions,
                 ref_agg.clause_promotions + ref_agg.cache_promotions)
@@ -191,12 +189,13 @@ TEST_F(TriageDaemonTest, DaemonMatchesRunBatchAcrossConfigs) {
       if (parallel == 1) {
         // Commit-order deterministic counter: exact whenever engines
         // construct serially.
-        EXPECT_EQ(dstats.expr_reuse_hits, ref_agg.expr_reuse_hits) << label;
+        EXPECT_EQ(dstats.res.expr_reuse_hits, ref_agg.res.expr_reuse_hits)
+            << label;
       }
       const size_t n = stream.size();
       const size_t k = wave_size == 0 ? n : wave_size;
       EXPECT_EQ(dstats.waves, (n + k - 1) / k) << label;
-      EXPECT_EQ(dstats.completed, n) << label;
+      EXPECT_EQ(dstats.dumps, n) << label;
       EXPECT_EQ(dstats.quarantined, 0u) << label;
     }
   }
@@ -312,7 +311,7 @@ TEST_F(TriageDaemonTest, SubstrateReclaimKeepsOutputByteIdentical) {
   std::map<uint64_t, TriageReport> want =
       RunDaemonStream(stream, unbounded, &warm_stats);
   ASSERT_GT(warm_stats.clause_promotions, 0u);
-  ASSERT_GT(warm_stats.promoted_clause_hits, 0u);
+  ASSERT_GT(warm_stats.res.solver.promoted_clause_hits, 0u);
 
   TriageDaemonOptions bounded = unbounded;
   bounded.expr_pool_node_budget = 1;
@@ -328,7 +327,7 @@ TEST_F(TriageDaemonTest, SubstrateReclaimKeepsOutputByteIdentical) {
   EXPECT_GT(dstats.promoted_cores_dropped, 0u);
   EXPECT_GT(dstats.promoted_keys_dropped, 0u);
   // Reclaim forfeits cross-wave reuse: every wave is cold again.
-  EXPECT_EQ(dstats.promoted_clause_hits, 0u);
+  EXPECT_EQ(dstats.res.solver.promoted_clause_hits, 0u);
 }
 
 // --- Backpressure and teardown. -------------------------------------------
@@ -366,7 +365,7 @@ TEST_F(TriageDaemonTest, BackpressureRejectsDeterministicallyWhenFull) {
   TriageDaemonStats stats = daemon.stats();
   EXPECT_EQ(stats.submitted, 4u);  // 3 accepted + 1 rejected
   EXPECT_EQ(stats.admitted, 3u);
-  EXPECT_EQ(stats.completed, 3u);
+  EXPECT_EQ(stats.dumps, 3u);
 }
 
 TEST_F(TriageDaemonTest, ShutdownDrainsEverythingAdmitted) {

@@ -189,7 +189,8 @@ TEST_F(TriageFaultTest, SiteSweepQuarantinesExactlyThePoisonedDump) {
       EXPECT_EQ(stats.clause_promotions, ref_stats.clause_promotions)
           << label;
       EXPECT_EQ(stats.cache_promotions, ref_stats.cache_promotions) << label;
-      EXPECT_EQ(stats.promoted_clause_hits, ref_stats.promoted_clause_hits)
+      EXPECT_EQ(stats.res.solver.promoted_clause_hits,
+                ref_stats.res.solver.promoted_clause_hits)
           << label;
     }
   }

@@ -436,15 +436,16 @@ TEST(VmLbrTest, RingKeepsOnlyLast16) {
 }
 
 TEST(VmErrorLogTest, RotatesAtCapacity) {
-  ErrorLog log(4);
-  for (int i = 0; i < 10; ++i) {
+  ErrorLog log;
+  const int64_t n = static_cast<int64_t>(kErrorLogCapacity) + 6;
+  for (int64_t i = 0; i < n; ++i) {
     ErrorLogEntry e;
     e.value = i;
     log.Append(e);
   }
-  ASSERT_EQ(log.entries().size(), 4u);
-  EXPECT_EQ(log.entries().front().value, 6);
-  EXPECT_EQ(log.entries().back().value, 9);
+  ASSERT_EQ(log.entries().size(), kErrorLogCapacity);
+  EXPECT_EQ(log.entries().front().value, 6);  // oldest surviving
+  EXPECT_EQ(log.entries().back().value, n - 1);
 }
 
 TEST(VmRecorderTest, FullMemoryRecorderSeesEveryAccess) {

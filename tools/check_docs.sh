@@ -2,15 +2,20 @@
 # Docs link/path checker: fails if README.md, docs/ARCHITECTURE.md, or
 # docs/SCENARIOS.md reference repository paths that do not exist, if
 # the SCENARIOS.md scheduler-policy catalog drifts out of sync with the
-# registry in src/vm/scheduler_spec.cc, or if the RESMOD1 wire-format
+# registry in src/vm/scheduler_spec.cc, if the RESMOD1 wire-format
 # version documented in ARCHITECTURE.md §12 drifts from the codec's
-# kVersion constant in src/ir/module_serialize.cc.
+# kVersion constant in src/ir/module_serialize.cc, or if bench/README.md's
+# bench-only key table drifts from the keys bench/bench_util.h writes
+# beside the stats lists.
 #
 # Checked references:
 #   - markdown links pointing into the repo:  [text](path)
 #   - inline code spans that look like paths: `src/res/reverse_engine.h`
 #   - policy names: every RegisteredSchedulerPolicies() row must appear as
 #     a catalog table row in docs/SCENARIOS.md, and vice versa
+#   - bench-only keys: every key BenchJsonWriter writes outside the stats
+#     lists must be a row of bench/README.md's "Bench-only keys" table, and
+#     vice versa
 #
 # Usage: tools/check_docs.sh   (from the repository root)
 set -u
@@ -120,11 +125,44 @@ check_module_format_sync() {
   fi
 }
 
+check_bench_keys_sync() {
+  local util="bench/bench_util.h" readme="bench/README.md"
+  if [ ! -f "$util" ] || [ ! -f "$readme" ]; then
+    echo "ERROR: bench key sync inputs missing ($util, $readme)"
+    fail=1
+    return
+  fi
+  # Bench-only keys are the writer's literal add("key", ...) calls plus the
+  # RES_BENCH_VALUES entries, which look like:  X(uint64_t, sweep_runs)
+  local written documented
+  written="$( { grep -oE 'add\("[a-z_]+"' "$util" | grep -oE '"[a-z_]+"' \
+                  | tr -d '"'
+                grep -oE '^\s*X\([a-z0-9_:]+, [a-z_]+\)' "$util" \
+                  | grep -oE '[a-z_]+\)' | tr -d ')'; } | sort)"
+  # Table rows of the "### Bench-only keys" section: | `key` | ... |
+  documented="$(awk '/^### Bench-only keys/ { on = 1; next }
+                     /^#/ { on = 0 }
+                     on' "$readme" \
+      | grep -oE '^\| `[a-z_]+` ' | grep -oE '`[a-z_]+`' | tr -d '\`' | sort)"
+  if [ -z "$written" ]; then
+    echo "ERROR: no bench-only keys found in $util (pattern drift?)"
+    fail=1
+    return
+  fi
+  if [ "$written" != "$documented" ]; then
+    echo "ERROR: bench-only key table out of sync"
+    echo "  writer ($util): $(echo $written)"
+    echo "  table  ($readme): $(echo $documented)"
+    fail=1
+  fi
+}
+
 check_doc README.md
 check_doc docs/ARCHITECTURE.md
 check_doc docs/SCENARIOS.md
 check_policy_sync
 check_module_format_sync
+check_bench_keys_sync
 
 if [ "$fail" -ne 0 ]; then
   echo "docs check FAILED"
