@@ -1,18 +1,25 @@
 // Golden engine signatures: each case's full observable outcome — stop
 // reason, hardware verdict, synthesized suffix (units, schedule, rendered
-// constraints), root causes, and every engine and solver counter — is hashed
-// and compared against a checked-in line. The lines were generated by the
-// engine this suite pins, so a mismatch means the search changed what it
-// publishes or what it counts. On a mismatch the
-// test prints the full signature and the line the current engine would
-// check in; update the table only after reviewing why the output moved.
+// constraints), root causes, every engine and solver counter, and the size
+// of the run's expression pool — is hashed and compared against a
+// checked-in line. Each line carries two hashes: the full one, and one over
+// the output alone (counters left out) with every variable renamed by first
+// appearance, so a change that only renumbers the variables the engine mints
+// keeps the second hash while moving the first. The lines were generated by
+// the engine this suite pins, so a mismatch means the search changed what it
+// publishes or what it counts. On a mismatch the test prints the full
+// signature and the line the current engine would check in; update the table
+// only after reviewing why the output moved.
 #include <gtest/gtest.h>
 
 #include <cinttypes>
 #include <iterator>
+#include <map>
+#include <regex>
 #include <string>
 #include <string_view>
 
+#include "src/ir/builder.h"
 #include "src/res/res_api.h"
 #include "src/support/hash.h"
 #include "src/support/string_util.h"
@@ -22,6 +29,29 @@
 namespace res {
 namespace {
 
+// `text` with every engine variable (`<tag>_<ns hex>_<seq>`, see
+// VarKeyName) renamed `<tag>#<k>`, k numbering the distinct variables in
+// order of first appearance.
+std::string RenameVars(const std::string& text) {
+  static const std::regex kVar(R"(\b(reg|mem|in)_[0-9a-f]+_[0-9]+\b)");
+  std::map<std::string, std::string> names;
+  std::string out;
+  auto last = text.cbegin();
+  for (std::sregex_iterator it(text.begin(), text.end(), kVar), end;
+       it != end; ++it) {
+    const std::smatch& m = *it;
+    out.append(last, m[0].first);
+    auto [slot, fresh] = names.emplace(m.str(), "");
+    if (fresh) {
+      slot->second = StrFormat("%s#%zu", m.str(1).c_str(), names.size() - 1);
+    }
+    out += slot->second;
+    last = m[0].second;
+  }
+  out.append(last, text.cend());
+  return out;
+}
+
 // Everything observable about an engine run, rendered to one string.
 // Deliberately includes the constraint vector (rendered through the
 // deterministic variable names) and the per-unit schedule, not just coarse
@@ -30,12 +60,14 @@ struct Signature {
   std::string stop;
   size_t units = 0;
   std::string first_cause = "none";
-  std::string text;
+  std::string text;     // the output, then every counter
+  std::string renamed;  // the output alone, variables renamed (RenameVars)
 
-  // `<case> <stop> <units> <first cause> <64-bit hash of the signature>`.
+  // `<case> <stop> <units> <first cause> <hash of text> <hash of renamed>`.
   std::string Line(const char* name) const {
-    return StrFormat("%s %s %zu %s %016" PRIx64, name, stop.c_str(), units,
-                     first_cause.c_str(), FnvHashString(text));
+    return StrFormat("%s %s %zu %s %016" PRIx64 " %016" PRIx64, name,
+                     stop.c_str(), units, first_cause.c_str(),
+                     FnvHashString(text), FnvHashString(renamed));
   }
 };
 
@@ -76,12 +108,17 @@ Signature RunSignature(const Module& module, const Coredump& dump,
   if (!result.causes.empty()) {
     sig.first_cause = std::string(RootCauseKindName(result.causes.front().kind));
   }
-  // Every engine and solver counter, one line each, walked from the lists.
+  sig.renamed = RenameVars(sig.text);
+  // Every engine and solver counter, one line each, walked from the lists,
+  // then the size of the run's private pool.
   sig.text += "counters:\n";
   result.stats.ForEachCounter([&sig](std::string_view key, uint64_t value) {
     sig.text += StrFormat("%s=%llu\n", std::string(key).c_str(),
                           static_cast<unsigned long long>(value));
   });
+  sig.text += StrFormat("pool_vars=%zu\npool_nodes=%zu\n",
+                        engine.pool()->var_count(),
+                        engine.pool()->node_count());
   return sig;
 }
 
@@ -94,20 +131,38 @@ void ExpectGolden(const char* name, const char* golden, const Module& module,
 
 // Golden lines, one per case.
 constexpr const char* kCorpusGolden[] = {
-    "div_by_zero_input root_cause_found 2 div_by_zero 2a41d41801d156d6",
-    "semantic_assert root_cause_found 2 semantic_bug d86e6618e5b1e7db",
-    "use_after_free root_cause_found 4 use_after_free a6f3971bf4ef6526",
-    "double_free root_cause_found 3 double_free ad244a064d2ba4f9",
-    "racy_counter root_cause_found 5 atomicity_violation 3384711ff8f03dc6",
-    "buffer_overflow root_cause_found 3 buffer_overflow 354af35c068f718a",
+    "div_by_zero_input root_cause_found 2 div_by_zero "
+    "104d2f273fc82d71 db2e290cb0b1f603",
+    "semantic_assert root_cause_found 2 semantic_bug "
+    "2fdd739adfdf9270 ccb30f9374a36c77",
+    "use_after_free root_cause_found 4 use_after_free "
+    "2a29a2d5add591ee b464612ff13a544a",
+    "double_free root_cause_found 3 double_free "
+    "9693e7d81f89feca 9cf00da63237a67d",
+    "racy_counter root_cause_found 5 atomicity_violation "
+    "8f7ce8d5d6d59d09 6641805f830a202e",
+    "buffer_overflow root_cause_found 3 buffer_overflow "
+    "ad2472c8eee47e1c 3dbfa7c92043f515",
     "atomicity_violation root_cause_found 3 atomicity_violation "
-    "da596f1d25210549",
-    "order_violation reached_start 6 order_violation 746aafc94b2507c6",
+    "e74ee1a5b95dc897 117eff5a023a2151",
+    "order_violation reached_start 6 order_violation "
+    "107bd140ba4b5480 b11148896be58671",
 };
 constexpr const char* kDeepChainGolden =
-    "root_cause_distance_48 root_cause_found 50 semantic_bug c516da69c49acf21";
+    "root_cause_distance_48 root_cause_found 50 semantic_bug "
+    "cb1a25c59f25665a 0aad6abaa80e9f44";
 constexpr const char* kFullSynthesisGolden =
-    "full_synthesis reached_start 2 div_by_zero c4f0effa0808c8a3";
+    "full_synthesis reached_start 2 div_by_zero "
+    "0b006a8d5229fb85 b7df6adde8c565f8";
+constexpr const char* kSpawnForkGolden[] = {
+    "racy_wide4_budget budget 17 atomicity_violation "
+    "79ab0992dc3c8ad8 73b9f3cef314777c",
+    "racy_wide4_full reached_start 21 atomicity_violation "
+    "c3152ebfa0553040 9b9a64d84b4435be",
+};
+constexpr const char* kAddressForkGolden =
+    "address_fork reached_start 2 semantic_bug "
+    "c0b7c24de193b9a9 c1e2349b9bcf6a8f";
 
 TEST(EngineGoldenTest, WorkloadCorpus) {
   const char* names[] = {"div_by_zero_input", "semantic_assert",
@@ -153,6 +208,70 @@ TEST(EngineGoldenTest, FullSynthesis) {
   options.stop_at_root_cause = false;
   ExpectGolden("full_synthesis", kFullSynthesisGolden, module,
                run.value().dump, options);
+}
+
+TEST(EngineGoldenTest, SpawnForks) {
+  // Four identical live workers: reversing main's kSpawns links each to one
+  // of several threads still at birth, a multi-way choice at every spawn.
+  // Full synthesis under a tight and a looser hypothesis budget.
+  Module module = BuildRacyCounterWide(4);
+  const WorkloadSpec& spec = WorkloadByName("racy_counter");
+  FailureRunOptions run_options;
+  run_options.require_live_peers = spec.requires_live_peers;
+  auto run = RunToFailure(module, spec, run_options);
+  ASSERT_TRUE(run.ok());
+  ResOptions options;
+  options.stop_at_root_cause = false;
+  options.max_units = 48;
+  const char* names[] = {"racy_wide4_budget", "racy_wide4_full"};
+  const size_t budgets[] = {50, 200};
+  static_assert(std::size(names) == std::size(kSpawnForkGolden));
+  for (size_t i = 0; i < std::size(names); ++i) {
+    options.max_hypotheses = budgets[i];
+    ExpectGolden(names[i], kSpawnForkGolden[i], module, run.value().dump,
+                 options);
+  }
+}
+
+// Stores 7 through `slots + Select(x < 10, 0, 8)` with x an input, then
+// asserts that the two slots do not sum to 7: reversing the store forks on
+// its symbolic address.
+Module BuildAddressFork() {
+  ModuleBuilder mb;
+  mb.AddGlobal("slots", 2);
+  FunctionBuilder fb = mb.DefineFunction("main", 0);
+  BlockId verify = fb.NewBlock("verify");
+  fb.SetInsertPoint(0);
+  RegId x = fb.Input(0);
+  RegId ten = fb.Const(10);
+  RegId low = fb.CmpLtS(x, ten);
+  RegId zero = fb.Const(0);
+  RegId eight = fb.Const(8);
+  RegId offset = fb.Select(low, zero, eight);
+  RegId slots = fb.GlobalAddr("slots");
+  RegId addr = fb.Add(slots, offset);
+  RegId seven = fb.Const(7);
+  fb.Store(addr, 0, seven);
+  fb.Br(verify);
+  fb.SetInsertPoint(verify);
+  RegId first = fb.LoadGlobal("slots", 0);
+  RegId second = fb.LoadGlobal("slots", 1);
+  RegId sum = fb.Add(first, second);
+  RegId bad = fb.Const(7);
+  RegId ok = fb.CmpNe(sum, bad);
+  fb.Assert(ok, "the slots sum to 7");
+  fb.Halt();
+  fb.Finish();
+  mb.SetEntry("main");
+  return std::move(mb).Build();
+}
+
+TEST(EngineGoldenTest, AddressFork) {
+  Module module = BuildAddressFork();
+  auto run = RunToFailure(module, WorkloadByName("semantic_assert"), {});
+  ASSERT_TRUE(run.ok());
+  ExpectGolden("address_fork", kAddressForkGolden, module, run.value().dump,
+               ResOptions{});
 }
 
 }  // namespace
