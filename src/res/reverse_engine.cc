@@ -4,6 +4,7 @@
 #include <cassert>
 #include <limits>
 #include <map>
+#include <utility>
 
 #include "src/res/runtime.h"
 #include "src/support/hash.h"
@@ -516,88 +517,108 @@ int ResEngine::ScreenRefutes(const StackEntry& n, uint64_t screen_seq,
 // Unit execution: the S_pre -> S' -> (S' ⊇ S_post) step of §2.4.
 // ---------------------------------------------------------------------------
 
-void ResEngine::ExecuteUnit(const Hypothesis& base, const UnitPlan& plan,
-                            const std::vector<int64_t>& forced_choices,
-                            TaskCtx* tctx, std::vector<Hypothesis>* out) {
-  Hypothesis h = base;  // `base` stays pristine: forks re-run from it
-  SymThread& st = h.state.threads()[plan.tid];
-  assert(!st.frames.empty());
-  SymFrame& frame = st.frames.back();
-  assert(frame.func == plan.block.func);
-  const Function& fn = module_.function(plan.block.func);
-  const BasicBlock& bb = fn.blocks[plan.block.block];
-  const uint32_t end = plan.end_index;
-  assert(end <= bb.instructions.size());
-
-  // Static register write set of the unit (kCall's rd is written at return
-  // time, i.e. by a *later* unit, so it is excluded here).
-  std::vector<bool> wset(fn.num_regs, false);
-  for (uint32_t i = 0; i < end; ++i) {
-    const Instruction& inst = bb.instructions[i];
-    if (inst.op == Opcode::kCall) {
-      continue;
-    }
-    if (auto w = InstructionWrittenReg(inst)) {
-      wset[*w] = true;
-    }
-  }
-
-  // S_pre registers: havoc the write set (paper §2.4: "replacing every
-  // memory location overwritten by B with an unconstrained symbolic value").
-  std::vector<const Expr*> post_regs = frame.regs;
-  std::vector<const Expr*> pre_regs = post_regs;
-  if (plan.check_frame_post) {
-    for (RegId r = 0; r < fn.num_regs; ++r) {
-      if (wset[r]) {
-        pre_regs[r] = FreshVar(tctx, VarTag::kReg, VarOrigin::kHavocReg);
-      }
-    }
-  }
-  std::vector<const Expr*> env = pre_regs;
-
-  std::vector<const Expr*> cons = plan.extra_constraints;
-
-  // Unit-local memory cells.
+// The in-progress unit: everything ExecuteUnit's forward run mutates. A
+// multi-way choice forks it, and each option continues from its own copy.
+struct ResEngine::UnitState {
   struct MemCell {
     const Expr* preread_var = nullptr;  // value before the unit (if read)
     const Expr* written = nullptr;      // latest value written by the unit
   };
-  std::map<uint64_t, MemCell> cells;
-
-  SuffixUnit unit;
-  unit.tid = plan.tid;
-  unit.block = plan.block;
-  unit.end_index = plan.end_index;
-  unit.includes_terminator = plan.includes_terminator;
-
   struct HeapAccess {
     uint32_t pos;
     uint64_t addr;
   };
-  std::vector<HeapAccess> heap_accesses;
   struct HeapEvent {
     uint32_t pos;
     bool is_alloc;
     uint64_t base;
   };
+
+  Hypothesis h;                        // the copy of `base` being extended
+  std::vector<bool> wset;              // the unit's static register write set
+  std::vector<const Expr*> post_regs;  // the frame's registers in S_post
+  std::vector<const Expr*> pre_regs;   // ... in S_pre (write set havocked)
+  std::vector<const Expr*> env;        // register values so far
+  std::vector<const Expr*> cons;       // matching constraints so far
+  std::map<uint64_t, MemCell> cells;   // unit-local memory
+  SuffixUnit unit;
+  std::vector<HeapAccess> heap_accesses;
   std::vector<HeapEvent> heap_events;
   std::vector<std::pair<Pc, const Expr*>> outputs;  // forward order
   std::vector<uint64_t> claimed_allocs;             // kAlloc bases unwound here
+  uint32_t next = 0;              // the instruction to run next
+  std::optional<int64_t> pinned;  // a fork's option for instruction `next`
+};
 
-  size_t forced_cursor = 0;
+void ResEngine::ExecuteUnit(const Hypothesis& base, const UnitPlan& plan,
+                            TaskCtx* tctx, std::vector<Hypothesis>* out) {
+  UnitState s;
+  s.h = base;
+  const SymThread& st = base.state.threads()[plan.tid];
+  assert(!st.frames.empty());
+  const SymFrame& frame = st.frames.back();
+  assert(frame.func == plan.block.func);
+  const Function& fn = module_.function(plan.block.func);
+  const BasicBlock& bb = fn.blocks[plan.block.block];
+  assert(plan.end_index <= bb.instructions.size());
+
+  // Static register write set of the unit (kCall's rd is written at return
+  // time, i.e. by a *later* unit, so it is excluded here).
+  s.wset.assign(fn.num_regs, false);
+  for (uint32_t i = 0; i < plan.end_index; ++i) {
+    const Instruction& inst = bb.instructions[i];
+    if (inst.op == Opcode::kCall) {
+      continue;
+    }
+    if (auto w = InstructionWrittenReg(inst)) {
+      s.wset[*w] = true;
+    }
+  }
+
+  // S_pre registers: havoc the write set (paper §2.4: "replacing every
+  // memory location overwritten by B with an unconstrained symbolic value").
+  s.post_regs = frame.regs;
+  s.pre_regs = s.post_regs;
+  if (plan.check_frame_post) {
+    for (RegId r = 0; r < fn.num_regs; ++r) {
+      if (s.wset[r]) {
+        s.pre_regs[r] = FreshVar(tctx, VarTag::kReg, VarOrigin::kHavocReg);
+      }
+    }
+  }
+  s.env = s.pre_regs;
+  s.cons = plan.extra_constraints;
+  s.unit.tid = plan.tid;
+  s.unit.block = plan.block;
+  s.unit.end_index = plan.end_index;
+  s.unit.includes_terminator = plan.includes_terminator;
+  ContinueUnit(plan, std::move(s), tctx, out);
+}
+
+void ResEngine::ContinueUnit(const UnitPlan& plan, UnitState s, TaskCtx* tctx,
+                             std::vector<Hypothesis>* out) {
+  const Function& fn = module_.function(plan.block.func);
+  const BasicBlock& bb = fn.blocks[plan.block.block];
+  const uint32_t end = plan.end_index;
+  // The parts of `s` the instruction cases below read and write.
+  Hypothesis& h = s.h;
+  std::vector<const Expr*>& env = s.env;
+  std::vector<const Expr*>& cons = s.cons;
+  std::map<uint64_t, UnitState::MemCell>& cells = s.cells;
+  SuffixUnit& unit = s.unit;
+
   bool forked = false;
   bool infeasible = false;
 
-  // Resolves a multi-way choice. Single options resolve in place (and do not
-  // consume a forced slot, so parent and child runs stay aligned); genuine
-  // forks re-execute the unit once per option with the choice pinned.
+  // Resolves a multi-way choice, which every instruction makes before its
+  // first write: `s` is still the state at the instruction's start. A
+  // single option resolves in place. Otherwise each option continues from
+  // its own copy of `s`, re-entering this instruction with the option
+  // pinned, and this run stops.
   auto choose_single_aware =
       [&](const std::vector<int64_t>& options) -> std::optional<int64_t> {
     if (options.size() == 1) {
       return options[0];
-    }
-    if (forced_cursor < forced_choices.size()) {
-      return forced_choices[forced_cursor++];
     }
     if (options.empty()) {
       infeasible = true;
@@ -605,9 +626,9 @@ void ResEngine::ExecuteUnit(const Hypothesis& base, const UnitPlan& plan,
     }
     tctx->stats.address_forks += options.size();
     for (int64_t c : options) {
-      std::vector<int64_t> child = forced_choices;
-      child.push_back(c);
-      ExecuteUnit(base, plan, child, tctx, out);
+      UnitState fork = s;
+      fork.pinned = c;
+      ContinueUnit(plan, std::move(fork), tctx, out);
     }
     forked = true;
     return std::nullopt;
@@ -621,6 +642,13 @@ void ResEngine::ExecuteUnit(const Hypothesis& base, const UnitPlan& plan,
   auto concretize = [&](const Expr* e) -> std::optional<uint64_t> {
     if (e->is_const()) {
       return static_cast<uint64_t>(e->value);
+    }
+    if (s.pinned) {
+      // A fork re-entering this instruction: the option was enumerated
+      // before the fork, from this same state.
+      const int64_t value = *std::exchange(s.pinned, std::nullopt);
+      cons.push_back(pool_->Eq(e, pool_->Const(value)));
+      return static_cast<uint64_t>(value);
     }
     std::vector<const Expr*> context;
     context.reserve(h.constraints.size() + cons.size());
@@ -675,7 +703,7 @@ void ResEngine::ExecuteUnit(const Hypothesis& base, const UnitPlan& plan,
   };
 
   auto mem_read = [&](uint64_t addr) -> const Expr* {
-    MemCell& cell = cells[addr];
+    UnitState::MemCell& cell = cells[addr];
     if (cell.written != nullptr) {
       return cell.written;
     }
@@ -709,12 +737,13 @@ void ResEngine::ExecuteUnit(const Hypothesis& base, const UnitPlan& plan,
     }
     unit.accesses.push_back(a);
     if (IsHeapAddress(addr)) {
-      heap_accesses.push_back(HeapAccess{pos, addr});
+      s.heap_accesses.push_back({pos, addr});
     }
   };
 
   // --- Forward symbolic execution of the unit. ---
-  for (uint32_t i = 0; i < end && !forked && !infeasible; ++i) {
+  for (; s.next < end && !forked && !infeasible; ++s.next) {
+    const uint32_t i = s.next;
     const Instruction& inst = bb.instructions[i];
     const Pc pc{plan.block.func, plan.block.block, i};
     const bool is_terminator_pos = (i + 1 == bb.instructions.size());
@@ -773,8 +802,8 @@ void ResEngine::ExecuteUnit(const Hypothesis& base, const UnitPlan& plan,
           if (a.state == SnapAllocState::kUnallocated) {
             continue;
           }
-          if (std::find(claimed_allocs.begin(), claimed_allocs.end(), base) !=
-              claimed_allocs.end()) {
+          if (std::find(s.claimed_allocs.begin(), s.claimed_allocs.end(),
+                        base) != s.claimed_allocs.end()) {
             continue;
           }
           if (target == nullptr || a.alloc_seq > target->alloc_seq) {
@@ -800,8 +829,8 @@ void ResEngine::ExecuteUnit(const Hypothesis& base, const UnitPlan& plan,
           cons.push_back(pool_->Binary(BinOp::kLeS, size_expr, pool_->Const(hi)));
         }
         env[inst.rd] = pool_->Const(static_cast<int64_t>(target->base));
-        claimed_allocs.push_back(target->base);
-        heap_events.push_back(HeapEvent{i, /*is_alloc=*/true, target->base});
+        s.claimed_allocs.push_back(target->base);
+        s.heap_events.push_back({i, /*is_alloc=*/true, target->base});
         UnitEvent ev;
         ev.kind = UnitEventKind::kAlloc;
         ev.pc = pc;
@@ -822,7 +851,7 @@ void ResEngine::ExecuteUnit(const Hypothesis& base, const UnitPlan& plan,
           infeasible = true;
           break;
         }
-        heap_events.push_back(HeapEvent{i, /*is_alloc=*/false, *base});
+        s.heap_events.push_back({i, /*is_alloc=*/false, *base});
         UnitEvent ev;
         ev.kind = UnitEventKind::kFree;
         ev.pc = pc;
@@ -841,7 +870,7 @@ void ResEngine::ExecuteUnit(const Hypothesis& base, const UnitPlan& plan,
         break;
       }
       case Opcode::kOutput: {
-        outputs.emplace_back(pc, env[inst.ra]);
+        s.outputs.emplace_back(pc, env[inst.ra]);
         UnitEvent ev;
         ev.kind = UnitEventKind::kOutput;
         ev.pc = pc;
@@ -898,7 +927,8 @@ void ResEngine::ExecuteUnit(const Hypothesis& base, const UnitPlan& plan,
             candidates.push_back(static_cast<int64_t>(u.id));
           }
         }
-        auto chosen = choose_single_aware(candidates);
+        auto chosen = s.pinned ? std::exchange(s.pinned, std::nullopt)
+                               : choose_single_aware(candidates);
         if (!chosen) {
           break;
         }
@@ -995,7 +1025,7 @@ void ResEngine::ExecuteUnit(const Hypothesis& base, const UnitPlan& plan,
   }
 
   // --- Heap access validation against the unit's alloc/free timeline. ---
-  for (const HeapAccess& acc : heap_accesses) {
+  for (const UnitState::HeapAccess& acc : s.heap_accesses) {
     const SnapAlloc* a = h.state.FindAlloc(acc.addr);
     if (a == nullptr || a->state == SnapAllocState::kUnallocated) {
       ++tctx->stats.pruned_structural;
@@ -1005,7 +1035,7 @@ void ResEngine::ExecuteUnit(const Hypothesis& base, const UnitPlan& plan,
     uint32_t alloc_pos = 0;
     bool freed_here = false;
     uint32_t free_pos = 0;
-    for (const HeapEvent& ev : heap_events) {
+    for (const UnitState::HeapEvent& ev : s.heap_events) {
       if (ev.base != a->base) {
         continue;
       }
@@ -1059,28 +1089,29 @@ void ResEngine::ExecuteUnit(const Hypothesis& base, const UnitPlan& plan,
   }
 
   // --- Register matching. ---
+  SymFrame& frame = h.state.threads()[plan.tid].frames.back();
   if (plan.check_frame_post) {
     for (RegId r = 0; r < fn.num_regs; ++r) {
-      if (wset[r]) {
-        cons.push_back(pool_->Eq(env[r], post_regs[r]));
+      if (s.wset[r]) {
+        cons.push_back(pool_->Eq(env[r], s.post_regs[r]));
       }
     }
-    frame.regs = pre_regs;
+    frame.regs = std::move(s.pre_regs);
   }
   frame.block = plan.block.block;
   frame.index = 0;
 
   // --- Heap metadata rewind. ---
-  for (const HeapEvent& ev : heap_events) {
+  for (const UnitState::HeapEvent& ev : s.heap_events) {
     SnapAlloc& a = h.state.MutableHeap()[ev.base];
     a.state = ev.is_alloc ? SnapAllocState::kUnallocated : SnapAllocState::kAllocated;
   }
 
   // --- Error-log breadcrumbs (§2.4). ---
-  if (options_.use_error_log && !outputs.empty()) {
+  if (options_.use_error_log && !s.outputs.empty()) {
     const std::vector<ErrorLogEntry>& tlog = thread_logs_[plan.tid];
     size_t rem = h.errlog_remaining[plan.tid];
-    size_t k = outputs.size();
+    size_t k = s.outputs.size();
     size_t matched = std::min(rem, k);
     if (k > rem && !log_was_full_) {
       // The complete log is missing outputs this unit would have produced.
@@ -1089,7 +1120,7 @@ void ResEngine::ExecuteUnit(const Hypothesis& base, const UnitPlan& plan,
     }
     for (size_t j = 0; j < matched; ++j) {
       const ErrorLogEntry& entry = tlog[rem - matched + j];
-      const auto& [opc, oval] = outputs[k - matched + j];
+      const auto& [opc, oval] = s.outputs[k - matched + j];
       if (entry.pc != opc) {
         ++tctx->stats.pruned_errlog;
         return;
@@ -1138,7 +1169,7 @@ std::vector<ResEngine::Hypothesis> ResEngine::TryReversePartial(const Hypothesis
   plan.includes_terminator = false;
   plan.check_frame_post = true;
   plan.consumes_lbr = false;
-  ExecuteUnit(h, plan, {}, tctx, &out);
+  ExecuteUnit(h, plan, tctx, &out);
   for (Hypothesis& h2 : out) {
     h2.state.threads()[tid].partial_done = true;
   }
@@ -1169,7 +1200,7 @@ std::vector<ResEngine::Hypothesis> ResEngine::TryReverseLocal(const Hypothesis& 
   plan.check_frame_post = true;
   plan.branch_cond_edge = edge.cond_edge;
   plan.consumes_lbr = true;
-  ExecuteUnit(h, plan, {}, tctx, &out);
+  ExecuteUnit(h, plan, tctx, &out);
   return out;
 }
 
@@ -1222,7 +1253,7 @@ std::vector<ResEngine::Hypothesis> ResEngine::TryReverseCallEntry(
   st2.frames.pop_back();
 
   std::vector<Hypothesis> out;
-  ExecuteUnit(h2, plan, {}, tctx, &out);
+  ExecuteUnit(h2, plan, tctx, &out);
   return out;
 }
 
@@ -1274,7 +1305,7 @@ std::vector<ResEngine::Hypothesis> ResEngine::TryReverseReturn(const Hypothesis&
   st2.frames.push_back(std::move(callee));
 
   std::vector<Hypothesis> out;
-  ExecuteUnit(h2, plan, {}, tctx, &out);
+  ExecuteUnit(h2, plan, tctx, &out);
   return out;
 }
 

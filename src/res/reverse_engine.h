@@ -144,7 +144,7 @@ std::string_view StopReasonName(StopReason r);
   SUM(pruned_structural)       /* predecessor choices the CFG/dump rule out */ \
   SUM(pruned_lbr)              /* choices the LBR breadcrumbs rule out */      \
   SUM(pruned_errlog)           /* choices the error log rules out */           \
-  SUM(address_forks)           /* symbolic-pointer concretization forks */     \
+  SUM(address_forks)     /* options of multi-way choices: addresses, spawns */ \
   SUM(address_unresolved)      /* pointers enumeration could not resolve */    \
   SUM(unknown_kept)            /* unknown gate verdicts kept unverified */     \
   /* Pointer-identical constraints dropped before reaching the solver          \
@@ -247,11 +247,8 @@ class ResEngine {
   std::vector<Hypothesis> TryMarkBirth(const Hypothesis& h, uint32_t tid,
                                        const PredEdge* spawn_edge, TaskCtx* tctx);
 
-  // Executes instructions [0, end_index) of `block` on thread `tid`'s top
-  // frame, havocking its write set, collecting matching constraints, and —
-  // when `check_frame_post` — requiring written registers to equal their
-  // post values. Forks on symbolic addresses / spawn linking. Appends
-  // resulting hypotheses (with the SuffixUnit attached, ungated) to `out`.
+  // One unit to reverse: instructions [0, end_index) of `block` on thread
+  // `tid`'s top frame, plus the structural step's matching obligations.
   struct UnitPlan {
     uint32_t tid = 0;
     BlockRef block;
@@ -270,12 +267,19 @@ class ResEngine {
     // True when this unit's entry edge consumes one LBR ring entry.
     bool consumes_lbr = false;
   };
-  // Executes `plan` over a copy of `base` and appends each feasible result
-  // to `out`; an address or spawn fork re-executes from `base` once per
-  // option, with the choice pinned in `forced_choices`.
-  void ExecuteUnit(const Hypothesis& base, const UnitPlan& plan,
-                   const std::vector<int64_t>& forced_choices, TaskCtx* tctx,
+  struct UnitState;
+  // Executes `plan` over a copy of `base`: havocs the unit's register write
+  // set into S_pre, runs the unit forward symbolically, and matches the
+  // result against S_post — written memory and, when `check_frame_post`,
+  // written registers must equal their post values. Appends each feasible
+  // result (its SuffixUnit attached, ungated) to `out`.
+  void ExecuteUnit(const Hypothesis& base, const UnitPlan& plan, TaskCtx* tctx,
                    std::vector<Hypothesis>* out);
+  // Runs `s` on from instruction s.next. At a multi-way choice (a symbolic
+  // address, a spawn linkage) each option continues from its own copy of
+  // `s`, in option order, so the unit's prefix executes once per fork point.
+  void ContinueUnit(const UnitPlan& plan, UnitState s, TaskCtx* tctx,
+                    std::vector<Hypothesis>* out);
 
   // Deduplicates `fresh` against h's constraint set and appends the
   // survivors. Returns false (counting the prune) when a constraint is
