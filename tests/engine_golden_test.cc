@@ -156,13 +156,13 @@ constexpr const char* kFullSynthesisGolden =
     "0b006a8d5229fb85 b7df6adde8c565f8";
 constexpr const char* kSpawnForkGolden[] = {
     "racy_wide4_budget budget 17 atomicity_violation "
-    "79ab0992dc3c8ad8 73b9f3cef314777c",
+    "3aa64733c49aac73 73b9f3cef314777c",
     "racy_wide4_full reached_start 21 atomicity_violation "
-    "c3152ebfa0553040 9b9a64d84b4435be",
+    "8ca86f4615e3be58 9b9a64d84b4435be",
 };
 constexpr const char* kAddressForkGolden =
     "address_fork reached_start 2 semantic_bug "
-    "c0b7c24de193b9a9 c1e2349b9bcf6a8f";
+    "4a4327a5f2681ad4 c1e2349b9bcf6a8f";
 
 TEST(EngineGoldenTest, WorkloadCorpus) {
   const char* names[] = {"div_by_zero_input", "semantic_assert",
