@@ -537,7 +537,7 @@ struct ResEngine::UnitState {
   Hypothesis h;                        // the copy of `base` being extended
   std::vector<bool> wset;              // the unit's static register write set
   std::vector<const Expr*> post_regs;  // the frame's registers in S_post
-  std::vector<const Expr*> pre_regs;   // ... in S_pre (write set havocked)
+  std::vector<const Expr*> pre_regs;   // ... and in S_pre, write set havocked
   std::vector<const Expr*> env;        // register values so far
   std::vector<const Expr*> cons;       // matching constraints so far
   std::map<uint64_t, MemCell> cells;   // unit-local memory

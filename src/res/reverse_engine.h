@@ -144,7 +144,10 @@ std::string_view StopReasonName(StopReason r);
   SUM(pruned_structural)       /* predecessor choices the CFG/dump rule out */ \
   SUM(pruned_lbr)              /* choices the LBR breadcrumbs rule out */      \
   SUM(pruned_errlog)           /* choices the error log rules out */           \
-  SUM(address_forks)     /* options of multi-way choices: addresses, spawns */ \
+  /* Options summed over every multi-way choice in a unit: symbolic            \
+     addresses and spawn linkages. The name predates spawn forks; perfbench    \
+     reads it. */                                                              \
+  SUM(address_forks)                                                           \
   SUM(address_unresolved)      /* pointers enumeration could not resolve */    \
   SUM(unknown_kept)            /* unknown gate verdicts kept unverified */     \
   /* Pointer-identical constraints dropped before reaching the solver          \
