@@ -12,10 +12,10 @@
 // only after reviewing why the output moved.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cinttypes>
 #include <iterator>
 #include <map>
-#include <regex>
 #include <string>
 #include <string_view>
 
@@ -23,32 +23,45 @@
 #include "src/res/res_api.h"
 #include "src/support/hash.h"
 #include "src/support/string_util.h"
+#include "src/symbolic/expr.h"
 #include "src/workloads/harness.h"
 #include "src/workloads/workloads.h"
 
 namespace res {
 namespace {
 
-// `text` with every engine variable (`<tag>_<ns hex>_<seq>`, see
-// VarKeyName) renamed `<tag>#<k>`, k numbering the distinct variables in
-// order of first appearance.
+// `text` with every engine variable (a word that ParseVarKeyName accepts)
+// renamed `<tag>#<k>`, k numbering the distinct variables in order of first
+// appearance.
 std::string RenameVars(const std::string& text) {
-  static const std::regex kVar(R"(\b(reg|mem|in)_[0-9a-f]+_[0-9]+\b)");
+  auto is_word = [](char c) {
+    return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
+  };
   std::map<std::string, std::string> names;
   std::string out;
-  auto last = text.cbegin();
-  for (std::sregex_iterator it(text.begin(), text.end(), kVar), end;
-       it != end; ++it) {
-    const std::smatch& m = *it;
-    out.append(last, m[0].first);
-    auto [slot, fresh] = names.emplace(m.str(), "");
+  size_t i = 0;
+  while (i < text.size()) {
+    if (!is_word(text[i])) {
+      out += text[i++];
+      continue;
+    }
+    size_t end = i;
+    while (end < text.size() && is_word(text[end])) {
+      ++end;
+    }
+    const std::string word = text.substr(i, end - i);
+    i = end;
+    if (!ParseVarKeyName(word)) {
+      out += word;
+      continue;
+    }
+    auto [slot, fresh] = names.emplace(word, "");
     if (fresh) {
-      slot->second = StrFormat("%s#%zu", m.str(1).c_str(), names.size() - 1);
+      slot->second = StrFormat("%s#%zu", word.substr(0, word.find('_')).c_str(),
+                               names.size() - 1);
     }
     out += slot->second;
-    last = m[0].second;
   }
-  out.append(last, text.cend());
   return out;
 }
 
