@@ -11,11 +11,12 @@ Usage (from the repository root):
   tools/perf_trajectory.py check
 
 `append` runs `perfbench/run.py --workload <w> --seed <seed> --trace 0` for
-every workload BENCHMARK.json lists, in the checkout at --root (default: this
-repository, so `--root` lets one file hold a parent commit's entries too). It
+every workload BENCHMARK.json lists, for BENCHMARK.json's run_seconds each,
+so that entries compare. It runs in the checkout at --root (default: this
+repository, so `--root` lets the file hold a parent commit's entries too) and
 appends one line:
 
-  {"label": str, "seed": int, "seconds": float,
+  {"label": str, "seed": int, "seconds": number,
    "host": {"nproc", "build_type", "optimized", "compiler", "git_rev",
             "src_digest"},
    "workloads": {"<name>": {"correct": bool, "attempted": int,
@@ -73,8 +74,7 @@ def run_workload(root, workload, seed, seconds):
 
 
 def append(args):
-    workloads, _, run_seconds = load_spec()
-    seconds = args.seconds if args.seconds is not None else run_seconds
+    workloads, _, seconds = load_spec()
     entry = {"label": args.label, "seed": args.seed, "seconds": seconds,
              "host": None, "workloads": {}}
     for workload in workloads:
@@ -92,9 +92,9 @@ def append(args):
     problems = validate(entry)
     if problems:
         raise SystemExit("entry not appended:\n  " + "\n  ".join(problems))
-    with open(args.file, "a", encoding="utf-8") as f:
+    with open(TRAJECTORY, "a", encoding="utf-8") as f:
         f.write(json.dumps(entry, sort_keys=True) + "\n")
-    print(f"appended '{args.label}' seed {args.seed} to {args.file}")
+    print(f"appended '{args.label}' seed {args.seed} to {TRAJECTORY}")
 
 
 def validate(entry):
@@ -132,18 +132,18 @@ def validate(entry):
     return problems
 
 
-def check(args):
-    if not os.path.isfile(args.file):
-        raise SystemExit(f"{args.file}: missing")
+def check(_args):
+    if not os.path.isfile(TRAJECTORY):
+        raise SystemExit(f"{TRAJECTORY}: missing")
     bad = number = 0
-    with open(args.file, encoding="utf-8") as f:
+    with open(TRAJECTORY, encoding="utf-8") as f:
         for number, line in enumerate(f, 1):
             try:
                 problems = validate(json.loads(line))
             except (json.JSONDecodeError, AttributeError, TypeError) as e:
                 problems = [f"malformed entry: {e}"]
             for p in problems:
-                print(f"{args.file}:{number}: {p}")
+                print(f"{TRAJECTORY}:{number}: {p}")
             bad += bool(problems)
     if bad:
         raise SystemExit(f"perf trajectory check FAILED ({bad} bad entries)")
@@ -152,15 +152,10 @@ def check(args):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--file", default=TRAJECTORY,
-                        help="trajectory file (default: %(default)s)")
     sub = parser.add_subparsers(dest="command", required=True)
     a = sub.add_parser("append", help="run perfbench and append one entry")
     a.add_argument("--label", required=True)
     a.add_argument("--seed", type=int, required=True)
-    a.add_argument("--seconds", type=float,
-                   help="timed seconds per workload (default: BENCHMARK.json "
-                        "run_seconds)")
     a.add_argument("--root", default=ROOT,
                    help="checkout whose perfbench to run (default: this one)")
     sub.add_parser("check", help="validate every entry")
