@@ -336,70 +336,5 @@ int main() {
     }
   }
 
-  // --- T2e: warm start from a durable fact log (ISSUE 8). A cold process's
-  //     FIRST dump can never hit promoted facts (nothing precedes its
-  //     watermark); a process warm-started from the previous run's exported
-  //     fact log screens against the imported cores immediately. Serial
-  //     (parallel 1), so promoted_clause_hits and
-  //     promoted_cache_hits are deterministic and baseline-gated as FLOORS:
-  //     a restart that stops reusing its own saved facts is the regression.
-  PrintHeader("T2e: warm start from a durable fact log");
-  {
-    Module module = BuildRacyCounterWide(4);
-    WorkloadSpec spec = WorkloadByName("racy_counter");
-    FailureRunOptions run_options;
-    run_options.require_live_peers = spec.requires_live_peers;
-    auto run = RunToFailure(module, spec, run_options);
-    if (run.ok()) {
-      ResOptions res_options;
-      res_options.stop_at_root_cause = false;
-      res_options.max_units = 48;
-      res_options.max_hypotheses = 1000;
-      TriageOptions options;
-      options.res = res_options;
-      const std::vector<Coredump> warm_wave(2, run.value().dump);
-
-      // Yesterday's process: a cold batch whose shutdown exports the log.
-      ResRuntime cold;
-      TriageStats cold_stats;
-      std::vector<TriageReport> cold_reports =
-          TriageService(&cold, module, options).RunBatch(warm_wave, &cold_stats);
-      auto exported = cold.ExportFacts(module);
-
-      if (exported.ok() && !cold_reports.empty()) {
-        // Today's process: fresh runtime, import, same first wave.
-        ResRuntime warm;
-        auto imported = warm.ImportFacts(module, exported.value(),
-                                         ResSolverFingerprint(res_options));
-        TriageService service(&warm, module, options);
-        TriageStats tstats;
-        WallTimer timer;
-        std::vector<TriageReport> reports = service.RunBatch(warm_wave, &tstats);
-        BenchRecord record;
-        record.name = StrFormat("table2_triage/warm_start/dumps=%zu",
-                                warm_wave.size());
-        record.wall_ms = timer.ElapsedMs();
-        record.stats += tstats;
-        json.Append(record);
-        std::printf("warm_start: fact log %zu bytes (%llu cores, %llu keys "
-                    "imported), first-dump promoted-clause hits cold %llu -> "
-                    "warm %llu, wave promoted-clause hits %llu, "
-                    "promoted-cache hits %llu\n",
-                    exported.value().size(),
-                    static_cast<unsigned long long>(
-                        imported.ok() ? imported.value().cores_imported : 0),
-                    static_cast<unsigned long long>(
-                        imported.ok() ? imported.value().keys_imported : 0),
-                    static_cast<unsigned long long>(
-                        cold_reports[0].stats.solver.promoted_clause_hits),
-                    static_cast<unsigned long long>(
-                        reports[0].stats.solver.promoted_clause_hits),
-                    static_cast<unsigned long long>(
-                        tstats.res.solver.promoted_clause_hits),
-                    static_cast<unsigned long long>(
-                        tstats.res.solver.promoted_cache_hits));
-      }
-    }
-  }
   return 0;
 }

@@ -2,8 +2,8 @@
 //
 // Modules have so far traveled only as text IR (ParseModule/PrintModule);
 // this is the compact versioned container the sweep driver mints fixtures in
-// and resdbg auto-detects by magic. Same codec idiom as the coredump and
-// fact-log formats: little-endian, u64 magic + u32 version, every untrusted
+// and resdbg auto-detects by magic. Same codec idiom as the coredump
+// format: little-endian, u64 magic + u32 version, every untrusted
 // length checked against the remaining payload (FitsRemaining) before it is
 // trusted. docs/ARCHITECTURE.md §12.
 #ifndef RES_IR_MODULE_SERIALIZE_H_

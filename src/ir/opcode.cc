@@ -107,20 +107,6 @@ bool IsBinaryAlu(Opcode op) {
   }
 }
 
-bool IsComparison(Opcode op) {
-  switch (op) {
-    case Opcode::kCmpEq:
-    case Opcode::kCmpNe:
-    case Opcode::kCmpLtS:
-    case Opcode::kCmpLeS:
-    case Opcode::kCmpLtU:
-    case Opcode::kCmpLeU:
-      return true;
-    default:
-      return false;
-  }
-}
-
 bool ParseOpcode(std::string_view name, Opcode* out) {
   for (const auto& entry : kOpcodeTable) {
     if (entry.name == name) {

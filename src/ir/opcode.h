@@ -78,9 +78,6 @@ bool IsTerminator(Opcode op);
 // True for the three-operand ALU ops rd <- ra (op) rb.
 bool IsBinaryAlu(Opcode op);
 
-// True for comparison opcodes (result is 0/1).
-bool IsComparison(Opcode op);
-
 // Parses an opcode name; returns false if unknown.
 bool ParseOpcode(std::string_view name, Opcode* out);
 

@@ -185,10 +185,6 @@ SolverOptions MakeSolverOptions(const ResOptions& options) {
 
 }  // namespace
 
-uint64_t ResSolverFingerprint(const ResOptions& options) {
-  return SolverFingerprint(kSolverSeed, MakeSolverOptions(options));
-}
-
 ResEngine::ResEngine(const Module& module, const Coredump& dump, ResOptions options)
     : module_(module),
       dump_(dump),

@@ -378,13 +378,6 @@ class ResEngine {
   Status fault_;
 };
 
-// The solver fingerprint a ResEngine constructed with `options` will carry
-// (== that engine's solver_fingerprint()): a pure function of the
-// solver-relevant option fields. Warm-start callers pass it to
-// ResRuntime::ImportFacts to validate a fact log's promoted keys before
-// any engine exists.
-uint64_t ResSolverFingerprint(const ResOptions& options);
-
 }  // namespace res
 
 #endif  // RES_RES_REVERSE_ENGINE_H_

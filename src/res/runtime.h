@@ -86,21 +86,7 @@ struct ModuleFacts {
   // sweeps, daemon waves). Like the CFG it references only the Module, so
   // ReclaimSubstrate leaves it intact; whole-entry eviction drops it.
   PredecodedModule predecoded;
-  // PrintModule-based fingerprint (facts_serialize.h ModuleFingerprint),
-  // computed once here instead of re-printing the module on every
-  // export/import.
-  uint64_t fingerprint = 0;
   ClauseStore promoted_clauses;
-  // Commit-order journal of this module's promoted cold-check keys. The
-  // shared CheckCache keeps only an irreversible hash of a promoted key, so
-  // the exportable identity — the key plus the solver fingerprint it was
-  // committed under — lives here. Guarded by ResRuntime::promote_mu_;
-  // cleared together with the promoted store by ReclaimSubstrate.
-  struct PromotedKey {
-    CheckKey key;
-    uint64_t solver_fingerprint = 0;
-  };
-  std::vector<PromotedKey> promoted_keys;
 };
 
 class ResRuntime {
@@ -186,40 +172,6 @@ class ResRuntime {
   Promotion Promote(const Module& module, const ClauseStore& task_cores,
                     const std::vector<CheckKey>& cold_keys,
                     uint64_t solver_fingerprint, const FaultScope& faults = {});
-
-  // --- Durable facts (the versioned fact log; src/res/facts_serialize.h).
-  // Export snapshots a module's promoted state; import replays it as the
-  // batch-start snapshot watermark of a fresh runtime, so a warm-started
-  // process produces byte-identical reports while its first wave's reuse
-  // counters go from 0 to >0. See docs/ARCHITECTURE.md §10.
-
-  // Serializes `module`'s promoted facts — the live promoted cores in
-  // publication-seq order plus the promoted cold-check key journal — as a
-  // versioned fact log. Quiescence-gated like ReclaimSubstrate: fails with
-  // kFailedPrecondition while any run pins this module's facts. A module
-  // with no facts entry exports a valid empty log.
-  Result<std::vector<uint8_t>> ExportFacts(const Module& module);
-
-  struct FactsImport {
-    uint64_t cores_imported = 0;  // cores published into the module store
-    uint64_t keys_imported = 0;   // check keys newly promoted
-  };
-
-  // Applies a fact log to `module`: re-interns the serialized expression
-  // DAG through the shared pool (content-addressed, so rebuilt nodes are
-  // pointer-identical to any the process already minted), publishes the
-  // cores in their original seq order, and promotes the journaled keys.
-  // Rejects a log whose module fingerprint does not match `module`, or
-  // whose keys carry a solver fingerprint other than `solver_fingerprint`
-  // (see ResSolverFingerprint), with kFailedPrecondition; truncated or
-  // corrupt bytes with kDataLoss; a module whose facts are pinned by a live
-  // run with kFailedPrecondition. All-or-nothing: a rejected import
-  // publishes nothing. Idempotent: the store dedups republished cores and
-  // the cache dedups repromoted keys, so importing the same log twice
-  // equals importing it once.
-  Result<FactsImport> ImportFacts(const Module& module,
-                                  const std::vector<uint8_t>& bytes,
-                                  uint64_t solver_fingerprint);
 
  private:
   ExprPool pool_;

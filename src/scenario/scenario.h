@@ -22,7 +22,7 @@
 // and the detected root causes are byte-compared. The root cause is a
 // property of the bug, not of the interleaving that exposed it, so the
 // canonical cause signature must agree across schedules — a brand-new
-// determinism axis alongside the batch-parallelism / daemon / restart ones.
+// determinism axis alongside the batch-parallelism and daemon ones.
 #ifndef RES_SCENARIO_SCENARIO_H_
 #define RES_SCENARIO_SCENARIO_H_
 

@@ -90,17 +90,19 @@ std::optional<int64_t> ParseInt64(std::string_view text) {
     } else {
       return std::nullopt;
     }
-    uint64_t next = value * static_cast<uint64_t>(base) + static_cast<uint64_t>(digit);
-    if (next < value) {
+    // Checked before multiplying: a product can wrap past any later sum.
+    if (value > (std::numeric_limits<uint64_t>::max() - digit) / base) {
       return std::nullopt;  // overflow
     }
-    value = next;
+    value = value * base + digit;
   }
   if (negative) {
     if (value > (1ULL << 63)) {
       return std::nullopt;
     }
-    return -static_cast<int64_t>(value);
+    // Negated in unsigned arithmetic: 2^63 maps to INT64_MIN without ever
+    // negating a signed INT64_MIN.
+    return static_cast<int64_t>(-value);
   }
   if (value > static_cast<uint64_t>(std::numeric_limits<int64_t>::max())) {
     return std::nullopt;

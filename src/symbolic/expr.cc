@@ -257,16 +257,6 @@ VarId ExprPool::AddVar(const VarRecord& record) {
   return id;
 }
 
-VarId ExprPool::AddNamedVar(const std::string& name, VarOrigin origin,
-                            uint64_t uid) {
-  VarRecord record;
-  record.name = static_cast<uint32_t>(names_.size());
-  record.origin = origin;
-  record.uid = uid;
-  names_.push_back(name);
-  return AddVar(record);
-}
-
 const Expr* ExprPool::VarNode(VarId id, uint64_t uid) {
   Expr node;
   node.kind = ExprKind::kVar;
@@ -285,10 +275,15 @@ const Expr* ExprPool::Var(const std::string& name, VarOrigin origin) {
 }
 
 const Expr* ExprPool::Var(const std::string& name, VarOrigin origin, uint64_t uid) {
+  VarRecord record;
+  record.origin = origin;
+  record.uid = uid;
   VarId id;
   {
     std::lock_guard<std::mutex> lock(vars_mu_);
-    id = AddNamedVar(name, origin, uid);
+    record.name = static_cast<uint32_t>(names_.size());
+    names_.push_back(name);
+    id = AddVar(record);
   }
   return VarNode(id, uid);
 }
@@ -320,26 +315,6 @@ const Expr* ExprPool::InternVar(const VarKey& key, VarOrigin origin,
   return VarNode(id, uid);
 }
 
-const Expr* ExprPool::InternVar(const std::string& name, VarOrigin origin,
-                                uint64_t uid) {
-  if (std::optional<VarKey> key = ParseVarKeyName(name)) {
-    return InternVar(*key, origin, uid);
-  }
-  VarId id;
-  {
-    std::lock_guard<std::mutex> lock(vars_mu_);
-    auto it = named_vars_.find(name);
-    if (it != named_vars_.end() && vars_[it->second].uid == uid) {
-      ++var_intern_hits_;
-      id = it->second;
-    } else {
-      id = AddNamedVar(name, origin, uid);
-      named_vars_[name] = id;  // uid mismatch: newest registration wins
-    }
-  }
-  return VarNode(id, uid);
-}
-
 uint64_t ExprPool::var_intern_hits() const {
   std::lock_guard<std::mutex> lock(vars_mu_);
   return var_intern_hits_;
@@ -364,7 +339,6 @@ size_t ExprPool::Reclaim() {
   std::lock_guard<std::mutex> lock(vars_mu_);
   vars_.clear();
   keyed_vars_.Clear();
-  named_vars_.clear();
   names_.clear();
   ++reclaim_epochs_;
   return freed;

@@ -103,8 +103,7 @@ enum class VarTag : uint8_t { kReg = 0, kMem = 1, kIn = 2 };
 // Integer identity of a reverse-engine variable: the creating task's
 // deterministic namespace, its per-task sequence number and a tag. The pool
 // stores the integers, never a string; VarKeyName renders the name
-// "<tag>_<ns hex>_<seq>" only where one is printed (ExprToString, RESFACT1
-// export).
+// "<tag>_<ns hex>_<seq>" only where one is printed (ExprToString).
 struct VarKey {
   VarTag tag = VarTag::kReg;
   uint32_t seq = 0;
@@ -165,10 +164,6 @@ class ExprPool {
   // Cross-run hits are counted in var_intern_hits() (scheduling-dependent
   // when engines run concurrently; a reuse gauge, not an oracle).
   const Expr* InternVar(const VarKey& key, VarOrigin origin, uint64_t uid);
-  // The same by name, for names read back from a fact log: a name that
-  // ParseVarKeyName accepts re-interns through its key, so it meets the
-  // engine's variable; any other name is matched by its exact string.
-  const Expr* InternVar(const std::string& name, VarOrigin origin, uint64_t uid);
   const Expr* Binary(BinOp op, const Expr* a, const Expr* b);
   const Expr* Select(const Expr* cond, const Expr* if_true, const Expr* if_false);
 
@@ -296,18 +291,15 @@ class ExprPool {
   const Expr* Intern(Expr node);
   // Appends `record` to vars_ and returns its id. Requires vars_mu_.
   VarId AddVar(const VarRecord& record);
-  // Registers a variable under `name` (stored in names_). Requires vars_mu_.
-  VarId AddNamedVar(const std::string& name, VarOrigin origin, uint64_t uid);
   const Expr* VarNode(VarId id, uint64_t uid);
 
   std::array<Shard, kShardCount> shards_;
   std::array<std::atomic<const Expr*>, kConstCacheSize> const_cache_{};
   mutable std::mutex vars_mu_;
   std::deque<VarRecord> vars_;  // guarded by vars_mu_
-  // InternVar registries, guarded by vars_mu_: VarKey -> VarId + 1 (0 marks
-  // an empty slot), and the cold path for names that are not a VarKey's.
+  // InternVar registry, guarded by vars_mu_: VarKey -> VarId + 1 (0 marks
+  // an empty slot).
   FlatIndex<VarId> keyed_vars_;
-  std::unordered_map<std::string, VarId> named_vars_;
   std::vector<std::string> names_;  // guarded by vars_mu_
   uint64_t var_intern_hits_ = 0;  // guarded by vars_mu_
   uint64_t reclaim_epochs_ = 0;   // guarded by vars_mu_

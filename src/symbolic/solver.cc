@@ -286,9 +286,13 @@ std::string_view StrategyKindName(StrategyKind k) {
   return "?";
 }
 
-// Pure function of everything that can change a check's outcome: a solver
+namespace {
+
+// Pure function of everything that can change a check's outcome (the seed,
+// the solver-relevant option fields and the solver's fixed limits): a solver
 // only ever adopts a shared-cache entry written by a solver that would have
-// computed the identical result itself.
+// computed the identical result itself, and the promotion protocol tags
+// promoted cold-check keys with it.
 uint64_t SolverFingerprint(uint64_t seed, const SolverOptions& o) {
   uint64_t f = HashCombine(0x5e55u, seed);
   f = HashCombine(f, kMaxPropagationRounds);
@@ -302,6 +306,8 @@ uint64_t SolverFingerprint(uint64_t seed, const SolverOptions& o) {
   f = HashCombine(f, kMaxCoreSize);
   return f;
 }
+
+}  // namespace
 
 Solver::Solver(ExprPool* pool, uint64_t seed, SolverOptions options,
                CheckCache* shared_cache, uint32_t cache_epoch)

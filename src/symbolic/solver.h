@@ -213,13 +213,6 @@ struct SolverOptions {
   int fault_task = FaultPlan::kAnyTask;
 };
 
-// Pure function of everything that can change a check's outcome (the seed,
-// the solver-relevant option fields and the solver's fixed limits); the
-// promotion protocol tags promoted cold-check keys with it. Declared here so
-// warm-start callers (fact-log import) can compute the expected fingerprint
-// without constructing a Solver.
-uint64_t SolverFingerprint(uint64_t seed, const SolverOptions& o);
-
 // Per-hypothesis persistent solving state. The reverse engine stores one per
 // hypothesis and copies it when a hypothesis forks; all cached facts are
 // monotone (constraints are only ever appended), so a child context remains

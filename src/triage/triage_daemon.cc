@@ -10,26 +10,13 @@ namespace res {
 // The daemon's own failure domains (see ARCHITECTURE.md §7 for the site
 // table). Ingest faults surface as kAborted (the submission was accepted
 // but its payload must not be trusted); wave-boundary faults as kInternal
-// (the scheduler refused to hand the slot to an engine); import faults as
-// kDataLoss (the warm-start snapshot read back corrupt — the module
-// cold-starts, nothing else happens).
+// (the scheduler refused to hand the slot to an engine).
 RES_FAULT_SITE(kFaultDaemonIngest, "daemon.ingest", StatusCode::kAborted);
 RES_FAULT_SITE(kFaultDaemonPromoteWave, "daemon.promote_wave",
                StatusCode::kInternal);
-RES_FAULT_SITE(kFaultDaemonImportFacts, "daemon.import_facts",
-               StatusCode::kDataLoss);
 
 TriageDaemon::TriageDaemon(ResRuntime* runtime, TriageDaemonOptions options)
     : runtime_(runtime), options_(std::move(options)) {
-  // Warm start before the standing thread (and with it any wave) exists:
-  // imported facts must be the batch-start snapshot of the FIRST wave, not
-  // race with it. Failures are contained per snapshot (counted in stats).
-  for (const TriageDaemonOptions::FactsSnapshot& snap : options_.import_facts) {
-    if (snap.module != nullptr) {
-      Status ignored = ImportFacts(*snap.module, snap.bytes);
-      (void)ignored;
-    }
-  }
   if (options_.start_thread) {
     thread_ = std::thread([this] { ThreadMain(); });
   }
@@ -87,47 +74,8 @@ Result<uint64_t> TriageDaemon::Enqueue(const Module& module, Coredump dump,
   queues_[&module].push_back(std::move(p));
   ++pending_count_;
   ++stats_.admitted;
-  if (std::find(touched_modules_.begin(), touched_modules_.end(), &module) ==
-      touched_modules_.end()) {
-    touched_modules_.push_back(&module);
-  }
   cv_.notify_all();
   return seq;
-}
-
-Status TriageDaemon::ImportFacts(const Module& module,
-                                 const std::vector<uint8_t>& bytes) {
-  Status status =
-      FaultScope{options_.fault_plan}.Check(kFaultDaemonImportFacts);
-  ResRuntime::FactsImport imported;
-  if (status.ok()) {
-    // The expected solver fingerprint is the one this daemon's full-fidelity
-    // waves will commit under (degraded retries run a different fingerprint
-    // but never promote, so it cannot appear in a healthy log).
-    Result<ResRuntime::FactsImport> result = runtime_->ImportFacts(
-        module, bytes, ResSolverFingerprint(options_.triage.res));
-    if (result.ok()) {
-      imported = result.value();
-    } else {
-      status = result.status();
-    }
-  }
-  std::lock_guard<std::mutex> lock(state_mu_);
-  if (status.ok()) {
-    ++stats_.facts_imported;
-    stats_.imported_cores += imported.cores_imported;
-    stats_.imported_keys += imported.keys_imported;
-    if (std::find(touched_modules_.begin(), touched_modules_.end(), &module) ==
-        touched_modules_.end()) {
-      // An imported module exports on shutdown even if it never saw
-      // traffic: dropping a restart-loop daemon's snapshot would lose the
-      // facts it was restarted to keep.
-      touched_modules_.push_back(&module);
-    }
-  } else {
-    ++stats_.facts_import_failed;
-  }
-  return status;
 }
 
 bool TriageDaemon::HasFullWaveLocked() const {
@@ -313,27 +261,6 @@ void TriageDaemon::Shutdown() {
   // No-thread mode (or anything the thread left behind): drain here, so
   // every admitted dump has streamed its report by the time we return.
   Drain();
-  // Save-on-shutdown, once, after the drain: no wave is in flight, so
-  // every module's facts are unpinned and ExportFacts succeeds unless an
-  // outside engine run holds them (that module is skipped — a later
-  // Shutdown call cannot retry because the pass is once-per-daemon).
-  std::vector<const Module*> to_export;
-  {
-    std::lock_guard<std::mutex> lock(state_mu_);
-    if (!exported_ && options_.export_facts) {
-      exported_ = true;
-      to_export = touched_modules_;
-    }
-  }
-  for (const Module* module : to_export) {
-    Result<std::vector<uint8_t>> log = runtime_->ExportFacts(*module);
-    if (!log.ok()) {
-      continue;
-    }
-    options_.export_facts(*module, log.value());
-    std::lock_guard<std::mutex> lock(state_mu_);
-    ++stats_.facts_exported;
-  }
 }
 
 bool TriageDaemon::accepting() const {

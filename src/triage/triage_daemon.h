@@ -108,24 +108,6 @@ struct TriageDaemonOptions {
   // Fault-injection plan for the daemon sites and everything below them.
   // nullptr falls back to the RES_FAULT_PLAN env plan.
   FaultPlan* fault_plan = nullptr;
-  // --- Durable facts (warm start; see src/res/facts_serialize.h). ---
-  // Fact logs applied by the constructor before the daemon processes its
-  // first wave (the load-on-start path). Each import runs through the
-  // "daemon.import_facts" fault site; a rejected log — corrupt, wrong
-  // module/solver fingerprint, or faulted — is counted in
-  // stats().facts_import_failed and that module simply cold-starts. Import
-  // failures never take the daemon down: warm start is cost-only, so
-  // refusing a snapshot cannot change any report.
-  struct FactsSnapshot {
-    const Module* module = nullptr;
-    std::vector<uint8_t> bytes;
-  };
-  std::vector<FactsSnapshot> import_facts;
-  // Save-on-shutdown: invoked by Shutdown after the drain completes (the
-  // runtime is quiescent), once per module this daemon touched — imported
-  // or submitted — in first-touch order, with the module's exported fact
-  // log. At most one export pass per daemon, even if Shutdown reruns.
-  std::function<void(const Module&, const std::vector<uint8_t>&)> export_facts;
   // Streamed per-report callback, invoked on the wave-committing thread in
   // submission order within each wave; report.index carries the GLOBAL
   // submission seq returned by Submit.
@@ -148,13 +130,7 @@ struct TriageDaemonOptions {
   SUM(promoted_cores_dropped)  /* live cores on dropped/cleared facts */       \
   SUM(pool_reclaims)           /* successful ReclaimSubstrate calls */         \
   SUM(pool_nodes_reclaimed)    /* ExprPool nodes freed by those */             \
-  SUM(promoted_keys_dropped)   /* promoted check keys cleared */               \
-  /* Durable facts (warm start / save-on-shutdown). */                         \
-  SUM(facts_imported)          /* fact logs applied */                         \
-  SUM(facts_import_failed)     /* rejected logs (cold start instead) */        \
-  SUM(imported_cores)          /* promoted cores restored by imports */        \
-  SUM(imported_keys)           /* promoted check keys restored */              \
-  SUM(facts_exported)          /* fact logs handed to export_facts */
+  SUM(promoted_keys_dropped)   /* promoted check keys cleared */
 
 // Monotone daemon counters: every wave's TriageStats, summed with one +=
 // per wave (so `dumps` counts the dumps whose report has streamed), plus
@@ -203,13 +179,6 @@ class TriageDaemon {
   // dump has streamed its report. Idempotent.
   void Shutdown();
 
-  // Applies one fact log (ResRuntime::ImportFacts under the daemon's
-  // configured solver fingerprint) through the "daemon.import_facts" fault
-  // site. The constructor calls this for options.import_facts; it is also
-  // callable directly while the module has no run in flight. Failure is
-  // contained — the module cold-starts and the daemon keeps serving.
-  Status ImportFacts(const Module& module, const std::vector<uint8_t>& bytes);
-
   bool accepting() const;
   size_t pending() const;
   TriageDaemonStats stats() const;
@@ -242,10 +211,6 @@ class TriageDaemon {
   uint64_t next_seq_ = 0;
   bool accepting_ = true;
   TriageDaemonStats stats_;
-  // Modules this daemon has touched (imported or submitted), first-touch
-  // order — the save-on-shutdown export order. Guarded by state_mu_.
-  std::vector<const Module*> touched_modules_;
-  bool exported_ = false;  // export_facts pass already ran
 
   std::mutex pump_mu_;  // serializes waves: at most one in flight
   std::thread thread_;

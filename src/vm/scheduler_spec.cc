@@ -1,6 +1,7 @@
 #include "src/vm/scheduler_spec.h"
 
 #include <charconv>
+#include <limits>
 
 #include "src/support/string_util.h"
 
@@ -141,6 +142,15 @@ Result<SchedulerSpec> ParseSchedulerSpec(std::string_view text) {
     }
     RES_ASSIGN_OR_RETURN(uint64_t parsed,
                          ParseKnobValue(spec.policy, knob, value));
+    // Every knob but seed and steps is a uint32_t field: a wider value is
+    // rejected, never truncated (truncation would print back unparseable).
+    if (knob != "seed" && knob != "steps" &&
+        parsed > std::numeric_limits<uint32_t>::max()) {
+      return InvalidArgument(StrFormat(
+          "scheduler spec: %.*s=%llu does not fit in 32 bits",
+          static_cast<int>(knob.size()), knob.data(),
+          static_cast<unsigned long long>(parsed)));
+    }
     if (knob == "seed") {
       spec.seed = parsed;
     } else if (knob == "quantum") {
@@ -153,8 +163,10 @@ Result<SchedulerSpec> ParseSchedulerSpec(std::string_view text) {
       }
       spec.permille = static_cast<uint32_t>(parsed);
     } else if (knob == "depth") {
-      if (parsed == 0) {
-        return InvalidArgument("scheduler spec: pct depth must be >= 1");
+      if (parsed == 0 || parsed > kMaxPctDepth) {
+        return InvalidArgument(
+            StrFormat("scheduler spec: pct depth must be in 1..%u",
+                      kMaxPctDepth));
       }
       spec.depth = static_cast<uint32_t>(parsed);
     } else if (knob == "steps") {

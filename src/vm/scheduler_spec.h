@@ -31,6 +31,10 @@
 
 namespace res {
 
+// Largest accepted pct depth. PctScheduler samples depth-1 change points up
+// front, so the cap bounds its construction; the corpus uses depths 1..5.
+inline constexpr uint32_t kMaxPctDepth = 64;
+
 struct SchedulerSpec {
   std::string policy = "rr";   // canonical registry name
   uint64_t seed = 1;           // random / pct / delay
@@ -61,7 +65,8 @@ struct SchedulerPolicyInfo {
 const std::vector<SchedulerPolicyInfo>& RegisteredSchedulerPolicies();
 
 // Parses a spec string. Errors (unknown policy, unknown or inapplicable
-// knob, malformed value, scripted policy) are InvalidArgument.
+// knob, malformed value, a value that does not fit its field, pct depth
+// above kMaxPctDepth, scripted policy) are InvalidArgument.
 Result<SchedulerSpec> ParseSchedulerSpec(std::string_view text);
 
 // Builds the scheduler the spec describes, using spec.seed for the seeded

@@ -1,9 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "src/cfg/cfg.h"
-#include "src/cfg/defuse.h"
-#include "src/cfg/dominators.h"
-#include "src/cfg/slicer.h"
 #include "src/ir/builder.h"
 #include "src/ir/verifier.h"
 #include "src/workloads/workloads.h"
@@ -88,122 +85,6 @@ TEST(CfgTest, SpawnEdges) {
     has_spawn_entry |= e.kind == PredKind::kSpawnEntry;
   }
   EXPECT_TRUE(has_spawn_entry);
-}
-
-TEST(DominatorsTest, Diamond) {
-  Module m = DiamondModule();
-  const Function& fn = m.function(m.entry());
-  Dominators dom = Dominators::Compute(fn);
-  EXPECT_TRUE(dom.Dominates(0, 1));
-  EXPECT_TRUE(dom.Dominates(0, 2));
-  EXPECT_TRUE(dom.Dominates(0, 3));
-  EXPECT_FALSE(dom.Dominates(1, 3));  // merge not dominated by then
-  EXPECT_TRUE(dom.Dominates(3, 3));   // reflexive
-  EXPECT_EQ(dom.ImmediateDominator(3), 0u);
-  EXPECT_EQ(dom.ImmediateDominator(1), 0u);
-}
-
-TEST(DominatorsTest, PostDominators) {
-  Module m = DiamondModule();
-  const Function& fn = m.function(m.entry());
-  Dominators pdom = Dominators::Compute(fn, /*post=*/true);
-  EXPECT_TRUE(pdom.Dominates(3, 0));  // merge post-dominates entry
-  EXPECT_TRUE(pdom.Dominates(3, 1));
-  EXPECT_FALSE(pdom.Dominates(1, 0));
-}
-
-TEST(DominatorsTest, LoopHeader) {
-  Module m = BuildLongExecution(10);
-  const Function& fn = m.function(m.entry());
-  Dominators dom = Dominators::Compute(fn);
-  // The loop head (block 1) dominates the body blocks (2..5).
-  for (BlockId b = 2; b <= 5; ++b) {
-    EXPECT_TRUE(dom.Dominates(1, b)) << b;
-  }
-}
-
-TEST(DefUseTest, BlockSummaries) {
-  Module m = DiamondModule();
-  const Function& fn = m.function(m.entry());
-  FunctionDefUse du = FunctionDefUse::Compute(fn);
-  // entry: loads g (reads memory), defines the condition register.
-  EXPECT_TRUE(du.block(0).reads_memory);
-  EXPECT_FALSE(du.block(0).writes_memory);
-  // then: stores (writes memory).
-  EXPECT_TRUE(du.block(1).writes_memory);
-  // The condition register is upward-exposed nowhere (defined before use).
-  const Function& worker_like = fn;
-  (void)worker_like;
-}
-
-TEST(DefUseTest, UpwardExposedUses) {
-  // r0 is read before written in a block that consumes a parameter.
-  Module m = BuildUseAfterFree();
-  FuncId release = *m.FindFunction("release");
-  FunctionDefUse du = FunctionDefUse::Compute(m.function(release));
-  // release's entry block loads a global into a fresh register: the global
-  // address register is defined locally, so no upward exposure for it; the
-  // param r0 is never used at all.
-  EXPECT_FALSE(du.block(0).upward_uses[0]);
-}
-
-TEST(SlicerTest, SliceFollowsDataFlow) {
-  Module m = BuildSemanticAssert();
-  ModuleCfg cfg = ModuleCfg::Build(m);
-  const Function& fn = m.function(m.entry());
-  // Criterion: the assert's condition register, just before the assert.
-  const BasicBlock& verify = fn.blocks[1];
-  uint32_t assert_idx = 0;
-  RegId cond = kNoReg;
-  for (uint32_t i = 0; i < verify.instructions.size(); ++i) {
-    if (verify.instructions[i].op == Opcode::kAssert) {
-      assert_idx = i;
-      cond = verify.instructions[i].rc;
-    }
-  }
-  SliceCriterion criterion;
-  criterion.location = Pc{m.entry(), 1, assert_idx};
-  criterion.regs = {cond};
-  SliceResult slice = ComputeBackwardSlice(m, cfg, criterion);
-  // The slice must include the load of `val`, the store, the mul and the
-  // input — i.e. reach the external input.
-  EXPECT_TRUE(slice.hit_input);
-  EXPECT_GE(slice.instructions.size(), 4u);
-}
-
-TEST(SlicerTest, MemoryCriterionIsCoarse) {
-  // PSE-style imprecision: with a memory criterion every store joins.
-  Module m = BuildLongExecution(4);
-  ModuleCfg cfg = ModuleCfg::Build(m);
-  SliceCriterion criterion;
-  criterion.location = Pc{m.entry(), 6, 0};  // crash block head
-  criterion.memory = true;
-  SliceResult slice = ComputeBackwardSlice(m, cfg, criterion);
-  // All stores in the loop join the slice although only `divisor` matters.
-  size_t stores = 0;
-  for (const Pc& pc : slice.instructions) {
-    const Instruction& inst =
-        m.function(pc.func).blocks[pc.block].instructions[pc.index];
-    stores += inst.op == Opcode::kStore ? 1 : 0;
-  }
-  EXPECT_GE(stores, 4u);  // imprecise by design: acc/i stores included
-}
-
-TEST(SlicerTest, UnrelatedCodeExcluded) {
-  Module m = BuildBufferOverflow();
-  ModuleCfg cfg = ModuleCfg::Build(m);
-  const Function& fn = m.function(m.entry());
-  // Criterion: registers of the canary check only, no memory.
-  SliceCriterion criterion;
-  criterion.location = Pc{m.entry(), 2, 0};
-  criterion.regs = {};
-  SliceResult slice = ComputeBackwardSlice(m, cfg, criterion);
-  // Empty criterion: only control-dependence (condbr) terms can join.
-  for (const Pc& pc : slice.instructions) {
-    const Instruction& inst = fn.blocks[pc.block].instructions[pc.index];
-    EXPECT_TRUE(inst.op == Opcode::kCondBr || IsComparison(inst.op))
-        << m.PcToString(pc);
-  }
 }
 
 }  // namespace

@@ -21,7 +21,6 @@
 #include "src/ir/module_serialize.h"
 #include "src/ir/printer.h"
 #include "src/replay/replay.h"
-#include "src/res/facts_serialize.h"
 #include "src/res/res_api.h"
 #include "src/res/runtime.h"
 #include "src/scenario/scenario.h"
@@ -224,7 +223,6 @@ TEST(PredecodeTest, CachedInModuleFacts) {
   ASSERT_NE(facts, nullptr);
   // The lowering rides the facts entry: built once, shared by every engine.
   EXPECT_EQ(facts->predecoded.op_count(), module.TotalInstructionCount());
-  EXPECT_EQ(facts->fingerprint, ModuleFingerprint(module));
   EXPECT_EQ(runtime.FactsFor(module), facts);
 
   // The cached lowering is usable as-is by a VM.

@@ -166,11 +166,17 @@ TEST(SchedulerSpecTest, ErrorsAreStatusNotCrash) {
        {"", "nosuch", "nosuch:seed=1", "rr:seed=1", "rr:quantum",
         "rr:quantum=abc", "rr:quantum=", "random:permille=1001",
         "pct:depth=0", "pct:steps=0", "delay:max_delay=0",
-        "rr:quantum=1,quantum"}) {
+        "rr:quantum=1,quantum", "pct:depth=4294967296",
+        "delay:max_delay=4294967296", "pct:depth=4294967295", "pct:depth=65",
+        "rr:quantum=4294967296", "delay:quantum=4294967296"}) {
     auto spec = ParseSchedulerSpec(text);
     EXPECT_FALSE(spec.ok()) << text;
     EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument) << text;
   }
+  // The bounds themselves parse.
+  EXPECT_EQ(ParseSchedulerSpec("pct:depth=64").value().depth, kMaxPctDepth);
+  EXPECT_EQ(ParseSchedulerSpec("delay:max_delay=4294967295").value().max_delay,
+            4294967295u);
 }
 
 TEST(SchedulerSpecTest, ScriptedPoliciesAreNotSpecConstructible) {

@@ -162,6 +162,11 @@ TEST(StringUtilTest, ParseInt64Extremes) {
   EXPECT_EQ(ParseInt64("9223372036854775807").value(), INT64_MAX);
   EXPECT_EQ(ParseInt64("-9223372036854775808").value(), INT64_MIN);
   EXPECT_FALSE(ParseInt64("9223372036854775808").has_value());
+  EXPECT_FALSE(ParseInt64("-9223372036854775809").has_value());
+  // value * 10 wraps here while the running sum still grows.
+  EXPECT_FALSE(ParseInt64("23058430092136939520").has_value());
+  EXPECT_FALSE(ParseInt64("-23058430092136939520").has_value());
+  EXPECT_FALSE(ParseInt64("0x10000000000000000").has_value());
 }
 
 TEST(StringUtilTest, StrJoin) {

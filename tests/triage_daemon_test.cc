@@ -13,12 +13,14 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "src/coredump/serialize.h"
+#include "src/res/runtime.h"
 #include "src/support/faultpoint.h"
 #include "src/triage/triage_daemon.h"
 #include "src/triage/triage_service.h"
@@ -288,7 +290,7 @@ TEST_F(TriageDaemonTest, FactsEvictionBoundKeepsOutputByteIdentical) {
 TEST_F(TriageDaemonTest, SubstrateReclaimKeepsOutputByteIdentical) {
   // The clause-learning module (it genuinely promotes cores and check
   // keys), with the pool budget pinned below any real pool: the daemon
-  // reclaims the whole substrate at EVERY wave boundary. Warm-start savings
+  // reclaims the whole substrate at EVERY wave boundary. Reuse savings
   // are forfeited; verdicts must not move, and the reclaim counters must
   // show promoted state actually being dropped.
   Module module = BuildRacyCounterWide(4);
@@ -532,6 +534,133 @@ TEST_F(TriageDaemonTest, SerializedIngestQuarantinesCorruptBlobInItsSlot) {
   EXPECT_EQ(reports[1].status.code(), StatusCode::kDataLoss);
   EXPECT_EQ(reports[0].outcome, TriageOutcome::kOk);
   EXPECT_EQ(reports[2].outcome, TriageOutcome::kOk);
+}
+
+// --- ResRuntime facts eviction: promotion faults vs eviction bookkeeping. --
+
+// A faulted promotion must not create the module's facts entry or bump its
+// eviction bookkeeping: victim selection has to stay identical to a batch
+// submitted without the failed dump.
+TEST(RuntimeEvictionTest, FaultedPromotionLeavesEvictionOrderUnchanged) {
+  Module a = WorkloadByName("use_after_free").build();
+  Module b = WorkloadByName("buffer_overflow").build();
+  ResRuntime runtime;
+  {
+    // a: 2 uses at tick 0, two promoted cores.
+    std::shared_ptr<ModuleFacts> fa = runtime.FactsFor(a);
+    runtime.FactsFor(a);
+    fa->promoted_clauses.Publish(
+        {runtime.pool()->Var("fa0", VarOrigin::kUnknown)});
+    fa->promoted_clauses.Publish(
+        {runtime.pool()->Var("fa1", VarOrigin::kUnknown)});
+  }
+  runtime.AdvanceFactsTick();
+  {
+    // b: 1 use at tick 1, one promoted core — the rightful capacity victim.
+    std::shared_ptr<ModuleFacts> fb = runtime.FactsFor(b);
+    fb->promoted_clauses.Publish(
+        {runtime.pool()->Var("fb0", VarOrigin::kUnknown)});
+  }
+  // Faulted promotion targeting b: before the fix this bumped b's
+  // uses/last_use_tick via FactsFor, tying it with a and flipping the
+  // victim to a (older tick). It must not.
+  FaultPlan plan;
+  plan.Arm("runtime.promote");
+  ClauseStore none(4, 4);
+  ResRuntime::Promotion promo =
+      runtime.Promote(b, none, {}, 0, FaultScope{&plan});
+  EXPECT_FALSE(promo.status.ok());
+  EXPECT_EQ(plan.fired(), 1u);
+  EXPECT_EQ(promo.new_cores, 0u);
+  EXPECT_EQ(promo.new_keys, 0u);
+
+  ResRuntime::FactsEviction ev = runtime.EvictIdleFacts(1, 0);
+  EXPECT_EQ(ev.facts_evicted, 1u);
+  EXPECT_EQ(ev.cores_dropped, 1u);  // b's single core, not a's two
+}
+
+TEST(RuntimeEvictionTest, FaultedPromotionCreatesNoFactsEntry) {
+  Module c = WorkloadByName("use_after_free").build();
+  ResRuntime runtime;
+  FaultPlan plan;
+  plan.Arm("runtime.promote");
+  ClauseStore none(4, 4);
+  EXPECT_FALSE(runtime.Promote(c, none, {}, 0, FaultScope{&plan}).status.ok());
+  runtime.AdvanceFactsTick();
+  // A TTL pass that would evict any idle entry finds none: the faulted
+  // promotion never registered c.
+  ResRuntime::FactsEviction ev = runtime.EvictIdleFacts(0, 1);
+  EXPECT_EQ(ev.facts_evicted, 0u);
+}
+
+// Pins the capacity pass's victim order: fewest uses first, ties broken
+// oldest last-use tick, pinned entries untouchable — both when evicting
+// one-by-one and when one call erases a whole prefix.
+TEST(RuntimeEvictionTest, EvictIdleFactsVictimOrder) {
+  WorkloadSpec spec = WorkloadByName("use_after_free");
+  Module m0 = spec.build(), m1 = spec.build(), m2 = spec.build(),
+         m3 = spec.build();
+  ResRuntime runtime;
+  auto touch = [&](const Module& m, size_t uses, size_t cores,
+                   const std::string& tag) {
+    std::shared_ptr<ModuleFacts> f;
+    for (size_t i = 0; i < uses; ++i) {
+      f = runtime.FactsFor(m);
+    }
+    for (size_t i = 0; i < cores; ++i) {
+      f->promoted_clauses.Publish(
+          {runtime.pool()->Var(tag + std::to_string(i), VarOrigin::kUnknown)});
+    }
+  };
+  // Distinct core counts identify each victim through cores_dropped.
+  touch(m0, 3, 1, "m0");  // tick 0
+  runtime.AdvanceFactsTick();
+  touch(m1, 1, 2, "m1");  // tick 1
+  runtime.AdvanceFactsTick();
+  touch(m2, 2, 4, "m2");  // tick 2
+  runtime.AdvanceFactsTick();
+  touch(m3, 1, 8, "m3");  // tick 3
+  // Victim order: m1 (1 use, tick 1) < m3 (1 use, tick 3) < m2 (2 uses)
+  // < m0 (3 uses).
+  ResRuntime::FactsEviction e1 = runtime.EvictIdleFacts(3, 0);
+  EXPECT_EQ(e1.facts_evicted, 1u);
+  EXPECT_EQ(e1.cores_dropped, 2u);  // m1
+  ResRuntime::FactsEviction e2 = runtime.EvictIdleFacts(2, 0);
+  EXPECT_EQ(e2.facts_evicted, 1u);
+  EXPECT_EQ(e2.cores_dropped, 8u);  // m3
+  {
+    // Pin m2 (the next victim): the pass must skip it and take m0.
+    std::shared_ptr<ModuleFacts> pin = runtime.FactsFor(m2);
+    ResRuntime::FactsEviction e3 = runtime.EvictIdleFacts(1, 0);
+    EXPECT_EQ(e3.facts_evicted, 1u);
+    EXPECT_EQ(e3.cores_dropped, 1u);  // m0, because m2 is pinned
+  }
+  // One call erasing a whole prefix takes victims in the same order.
+  ResRuntime rt2;
+  // Reuse the same modules: fresh runtime, fresh registry.
+  auto touch2 = [&](const Module& m, size_t uses, size_t cores,
+                    const std::string& tag) {
+    std::shared_ptr<ModuleFacts> f;
+    for (size_t i = 0; i < uses; ++i) {
+      f = rt2.FactsFor(m);
+    }
+    for (size_t i = 0; i < cores; ++i) {
+      f->promoted_clauses.Publish(
+          {rt2.pool()->Var(tag + std::to_string(i), VarOrigin::kUnknown)});
+    }
+  };
+  touch2(m0, 3, 1, "m0");
+  rt2.AdvanceFactsTick();
+  touch2(m1, 1, 2, "m1");
+  rt2.AdvanceFactsTick();
+  touch2(m2, 2, 4, "m2");
+  rt2.AdvanceFactsTick();
+  touch2(m3, 1, 8, "m3");
+  ResRuntime::FactsEviction batch = rt2.EvictIdleFacts(1, 0);
+  EXPECT_EQ(batch.facts_evicted, 3u);
+  EXPECT_EQ(batch.cores_dropped, 14u);  // m1 + m3 + m2
+  // The survivor is m0: its core count is intact.
+  EXPECT_EQ(rt2.FactsFor(m0)->promoted_clauses.live_count(), 1u);
 }
 
 }  // namespace

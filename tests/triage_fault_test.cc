@@ -45,7 +45,6 @@ TEST(FaultPlanTest, RegistryHasEveryPipelineSite) {
   EXPECT_TRUE(has("runtime.promote"));
   EXPECT_TRUE(has("daemon.ingest"));
   EXPECT_TRUE(has("daemon.promote_wave"));
-  EXPECT_TRUE(has("daemon.import_facts"));
 }
 
 TEST(FaultPlanTest, ParseArmsCountAndTaskScopes) {

@@ -18,10 +18,6 @@
 //   resdbg replay <program.resvm> <dump.core>
 //       Re-synthesizes and deterministically replays the failure,
 //       verifying the reproduced coredump against the original.
-//   resdbg facts <log.facts> [program.resvm]
-//       Inspects a durable fact log (header, section counts, solver
-//       fingerprints); with the program given, also checks that the log's
-//       module fingerprint matches it.
 //   resdbg modc <in> <out>
 //       Converts a module between the text IR format and the RESMOD1
 //       binary wire format (direction inferred from the input's bytes:
@@ -39,7 +35,6 @@
 #include "src/ir/module_serialize.h"
 #include "src/ir/printer.h"
 #include "src/replay/replay.h"
-#include "src/res/facts_serialize.h"
 #include "src/res/res_api.h"
 #include "src/scenario/scenario.h"
 #include "src/support/string_util.h"
@@ -365,35 +360,6 @@ int CmdModc(const std::string& in_path, const std::string& out_path) {
   return 0;
 }
 
-int CmdFacts(const std::string& log_path, const char* program) {
-  auto raw = ReadFile(log_path);
-  if (!raw.ok()) {
-    std::fprintf(stderr, "error: %s\n", raw.status().ToString().c_str());
-    return 2;
-  }
-  std::vector<uint8_t> bytes(raw.value().begin(), raw.value().end());
-  Result<FactsLog> log = ParseFactsLog(bytes);
-  if (!log.ok()) {
-    std::fprintf(stderr, "error: %s\n", log.status().ToString().c_str());
-    return 2;
-  }
-  std::printf("%s", FactsLogSummary(log.value()).c_str());
-  if (program != nullptr) {
-    auto module = LoadModule(program);
-    if (!module.ok()) {
-      std::fprintf(stderr, "error: %s\n",
-                   module.status().ToString().c_str());
-      return 2;
-    }
-    const uint64_t want = ModuleFingerprint(module.value());
-    const bool match = want == log.value().module_fingerprint;
-    std::printf("module %s: fingerprint %s\n", program,
-                match ? "MATCHES" : "DOES NOT MATCH");
-    return match ? 0 : 1;
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -405,7 +371,6 @@ int main(int argc, char** argv) {
                  "  resdbg analyze <program.resvm> <dump.core> [--max-units N]"
                  " [--no-breadcrumbs] [--full-path]\n"
                  "  resdbg replay <program.resvm> <dump.core>\n"
-                 "  resdbg facts <log.facts> [program.resvm]\n"
                  "  resdbg sweep <outdir> [--workloads a,b]"
                  " [--policies \"p1;p2\"] [--seeds N] [--first-seed N]"
                  " [--max-steps N] [--no-diff]\n"
@@ -415,9 +380,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   std::string cmd = argv[1];
-  if (cmd == "facts") {
-    return CmdFacts(argv[2], argc >= 4 ? argv[3] : nullptr);
-  }
   if (cmd == "sweep") {
     return CmdSweep(argv[2], argc - 3, argv + 3);
   }
