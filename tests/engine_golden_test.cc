@@ -126,6 +126,11 @@ Signature RunSignature(const Module& module, const Coredump& dump,
   // then the size of the run's private pool.
   sig.text += "counters:\n";
   result.stats.ForEachCounter([&sig](std::string_view key, uint64_t value) {
+    // The strategy scheduler's step, win and budget counters are left out:
+    // the lines hold for the one fixed solver order that replaces it.
+    if (key.starts_with("strategy_") || key == "budget_exhaustions") {
+      return;
+    }
     sig.text += StrFormat("%s=%llu\n", std::string(key).c_str(),
                           static_cast<unsigned long long>(value));
   });
@@ -145,37 +150,45 @@ void ExpectGolden(const char* name, const char* golden, const Module& module,
 // Golden lines, one per case.
 constexpr const char* kCorpusGolden[] = {
     "div_by_zero_input root_cause_found 2 div_by_zero "
-    "104d2f273fc82d71 db2e290cb0b1f603",
+    "82514110e81e79ad db2e290cb0b1f603",
     "semantic_assert root_cause_found 2 semantic_bug "
-    "2fdd739adfdf9270 ccb30f9374a36c77",
+    "77a1420c6db8ab14 ccb30f9374a36c77",
     "use_after_free root_cause_found 4 use_after_free "
-    "2a29a2d5add591ee b464612ff13a544a",
+    "db6d643ccce106b2 b464612ff13a544a",
     "double_free root_cause_found 3 double_free "
-    "9693e7d81f89feca 9cf00da63237a67d",
+    "d9cc98570c146912 9cf00da63237a67d",
     "racy_counter root_cause_found 5 atomicity_violation "
-    "8f7ce8d5d6d59d09 6641805f830a202e",
+    "b3c50a4d47e22c19 6641805f830a202e",
     "buffer_overflow root_cause_found 3 buffer_overflow "
-    "ad2472c8eee47e1c 3dbfa7c92043f515",
+    "d7f9e04e6ac10ee8 3dbfa7c92043f515",
     "atomicity_violation root_cause_found 3 atomicity_violation "
-    "e74ee1a5b95dc897 117eff5a023a2151",
+    "892d1f43e796e8e3 117eff5a023a2151",
     "order_violation reached_start 6 order_violation "
-    "107bd140ba4b5480 b11148896be58671",
+    "0b6288aa453b6490 b11148896be58671",
 };
 constexpr const char* kDeepChainGolden =
     "root_cause_distance_48 root_cause_found 50 semantic_bug "
-    "cb1a25c59f25665a 0aad6abaa80e9f44";
+    "a5320d4758721ec2 0aad6abaa80e9f44";
 constexpr const char* kFullSynthesisGolden =
     "full_synthesis reached_start 2 div_by_zero "
-    "0b006a8d5229fb85 b7df6adde8c565f8";
+    "cf1c086f6da51f29 b7df6adde8c565f8";
 constexpr const char* kSpawnForkGolden[] = {
     "racy_wide4_budget budget 17 atomicity_violation "
-    "3aa64733c49aac73 73b9f3cef314777c",
+    "57d4ed4e152f3c43 73b9f3cef314777c",
     "racy_wide4_full reached_start 21 atomicity_violation "
-    "8ca86f4615e3be58 9b9a64d84b4435be",
+    "f495c9306f30f6e0 9b9a64d84b4435be",
 };
 constexpr const char* kAddressForkGolden =
     "address_fork reached_start 2 semantic_bug "
-    "4a4327a5f2681ad4 c1e2349b9bcf6a8f";
+    "3d12849d95dadbf4 c1e2349b9bcf6a8f";
+constexpr const char* kDecisionProceduresGolden[] = {
+    "hash_chain_spilled reached_start 4 semantic_bug "
+    "2007a13bbfc2214a bf13edebe454f102",
+    "hash_chain_unspilled reached_start 4 semantic_bug "
+    "a17d6a91ff054dff 848b69faec13f5f8",
+    "long_execution_no_breadcrumbs max_depth 24 div_by_zero "
+    "30bb81b031870a24 3763096d7a63f978",
+};
 
 TEST(EngineGoldenTest, WorkloadCorpus) {
   const char* names[] = {"div_by_zero_input", "semantic_assert",
@@ -285,6 +298,37 @@ TEST(EngineGoldenTest, AddressFork) {
   ASSERT_TRUE(run.ok());
   ExpectGolden("address_fork", kAddressForkGolden, module, run.value().dump,
                ResOptions{});
+}
+
+TEST(EngineGoldenTest, DecisionProcedures) {
+  // Gates that propagation, the cached model and the memo cache cannot
+  // settle, so the solver's interval, enumeration and search steps decide
+  // them: a hash chain reversed through its spilled input, the same chain
+  // with the input held only in a register (the gates stay unknown), and a
+  // long loop searched without breadcrumbs.
+  ResOptions full;
+  full.stop_at_root_cause = false;
+  for (bool spill : {true, false}) {
+    const int64_t input = spill ? 42 : 77777777777;
+    Module module = BuildHashChain(spill, input);
+    WorkloadSpec spec = WorkloadByName("semantic_assert");
+    spec.channel0_inputs = {input};
+    spec.expected_trap = TrapKind::kAssertFailure;
+    auto run = RunToFailure(module, spec, {});
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    ExpectGolden(spill ? "hash_chain_spilled" : "hash_chain_unspilled",
+                 kDecisionProceduresGolden[spill ? 0 : 1], module,
+                 run.value().dump, full);
+  }
+  Module module = BuildLongExecution(64);
+  auto run = RunToFailure(module, WorkloadByName("div_by_zero_input"), {});
+  ASSERT_TRUE(run.ok());
+  ResOptions options = full;
+  options.max_units = 24;
+  options.use_lbr = false;
+  options.use_error_log = false;
+  ExpectGolden("long_execution_no_breadcrumbs", kDecisionProceduresGolden[2],
+               module, run.value().dump, options);
 }
 
 }  // namespace
