@@ -101,12 +101,12 @@ int main() {
                     static_cast<double>(scanned[0]));
   }
 
-  // --- Solver portfolio + learned-clause sharing on the interleaving frontier.
+  // --- Learned-clause sharing on the interleaving frontier.
   // Full synthesis over a 4-worker racy counter: sibling subtrees re-derive
   // permuted copies of the same conflicting constraint pairs, so the clause
   // store refutes them by membership probes instead of solver checks. Output
-  // is byte-identical portfolio on/off (tests/solver_portfolio_test.cc);
-  // the economy shows in clauses learned / hits and the solver verdict mix.
+  // is byte-identical sharing on/off (tests/clause_sharing_test.cc); the
+  // economy shows in clauses learned / hits and the solver verdict mix.
   PrintHeader("F2d: learned-clause sharing on the 4-worker interleaving frontier");
   Module cmodule = BuildRacyCounterWide(4);
   WorkloadSpec cspec = WorkloadByName("racy_counter");
@@ -118,32 +118,31 @@ int main() {
     return 0;
   }
   std::vector<std::vector<std::string>> crows;
-  crows.push_back({"solver", "time(ms)", "clauses learned", "clause hits",
+  crows.push_back({"sharing", "time(ms)", "clauses learned", "clause hits",
                    "solver unsat", "hypotheses"});
-  for (int mode = 0; mode < 2; ++mode) {
-    const bool portfolio = mode == 0;
+  for (bool sharing : {true, false}) {
     ResOptions options;
     options.stop_at_root_cause = false;
     options.max_units = 48;
     options.max_hypotheses = 1000;
-    options.solver_portfolio = portfolio;
+    options.clause_sharing = sharing;
     WallTimer timer;
     ResEngine engine(cmodule, crun.value().dump, options);
     ResResult result = engine.Run();
     double ms = timer.ElapsedMs();
     const SolverStats& solver = result.stats.solver;
-    crows.push_back({portfolio ? "portfolio" : "fixed", StrFormat("%.1f", ms),
+    crows.push_back({sharing ? "on" : "off", StrFormat("%.1f", ms),
                      std::to_string(solver.clauses_learned),
                      std::to_string(solver.clause_hits),
                      std::to_string(solver.unsat),
                      std::to_string(result.stats.hypotheses_explored)});
-    json.Append(StrFormat("suffix_depth/clause_sharing/solver=%s",
-                          portfolio ? "portfolio" : "fixed"),
+    json.Append(StrFormat("suffix_depth/clause_sharing/sharing=%s",
+                          sharing ? "on" : "off"),
                 ms, result.stats);
   }
   PrintTable(crows);
-  std::printf("\nexpected shape: the portfolio run reports clause hits > 0 "
+  std::printf("\nexpected shape: the sharing run reports clause hits > 0 "
               "(each one a sibling hypothesis refuted without a solver "
-              "check); the fixed run reports none\n");
+              "check); the run without sharing reports none\n");
   return 0;
 }

@@ -15,10 +15,11 @@ ModuleCfg ModuleCfg::Build(const Module& module) {
     total_blocks += fn.blocks.size();
   }
   cfg.preds_.resize(total_blocks);
-  cfg.succs_.resize(total_blocks);
-  cfg.return_blocks_.resize(module.functions().size());
-  cfg.call_sites_.resize(module.functions().size());
-  cfg.spawn_sites_.resize(module.functions().size());
+  // Per function: blocks ending in kRet, call sites (blocks ending in a
+  // kCall to it) and kSpawn locations targeting it.
+  std::vector<std::vector<BlockId>> return_blocks(module.functions().size());
+  std::vector<std::vector<BlockRef>> call_sites(module.functions().size());
+  std::vector<std::vector<Pc>> spawn_sites(module.functions().size());
 
   // Intra-function branch edges + call/return/spawn site collection.
   for (const Function& fn : module.functions()) {
@@ -29,14 +30,13 @@ ModuleCfg ModuleCfg::Build(const Module& module) {
       for (uint32_t i = 0; i < bb.instructions.size(); ++i) {
         const Instruction& inst = bb.instructions[i];
         if (inst.op == Opcode::kSpawn) {
-          cfg.spawn_sites_[inst.callee].push_back(Pc{fn.id, b, i});
+          spawn_sites[inst.callee].push_back(Pc{fn.id, b, i});
         }
       }
       const Instruction& term = bb.terminator();
       switch (term.op) {
         case Opcode::kBr: {
           BlockRef to{fn.id, term.target0};
-          cfg.succs_[cfg.Index(here)].push_back(SuccEdge{to, -1});
           cfg.preds_[cfg.Index(to)].push_back(
               PredEdge{PredKind::kLocalBranch, here, -1, {}, {}});
           break;
@@ -44,8 +44,6 @@ ModuleCfg ModuleCfg::Build(const Module& module) {
         case Opcode::kCondBr: {
           BlockRef t{fn.id, term.target0};
           BlockRef f{fn.id, term.target1};
-          cfg.succs_[cfg.Index(here)].push_back(SuccEdge{t, 0});
-          cfg.succs_[cfg.Index(here)].push_back(SuccEdge{f, 1});
           cfg.preds_[cfg.Index(t)].push_back(
               PredEdge{PredKind::kLocalBranch, here, 0, {}, {}});
           cfg.preds_[cfg.Index(f)].push_back(
@@ -53,11 +51,11 @@ ModuleCfg ModuleCfg::Build(const Module& module) {
           break;
         }
         case Opcode::kCall: {
-          cfg.call_sites_[term.callee].push_back(here);
+          call_sites[term.callee].push_back(here);
           break;
         }
         case Opcode::kRet: {
-          cfg.return_blocks_[fn.id].push_back(b);
+          return_blocks[fn.id].push_back(b);
           break;
         }
         case Opcode::kHalt:
@@ -71,24 +69,22 @@ ModuleCfg ModuleCfg::Build(const Module& module) {
   // Interprocedural edges.
   for (const Function& callee : module.functions()) {
     BlockRef entry{callee.id, 0};
-    for (const BlockRef& site : cfg.call_sites_[callee.id]) {
-      // call site -> callee entry (forward), callee entry <- call site (backward)
-      cfg.succs_[cfg.Index(site)].push_back(SuccEdge{entry, -1});
+    for (const BlockRef& site : call_sites[callee.id]) {
+      // callee entry <- call site
       cfg.preds_[cfg.Index(entry)].push_back(
           PredEdge{PredKind::kCallEntry, site, -1, {}, {}});
 
-      // callee return blocks -> call continuation
+      // call continuation <- callee return blocks
       const Function& caller = module.function(site.func);
       const Instruction& call = caller.blocks[site.block].terminator();
       BlockRef cont{site.func, call.target0};
-      for (BlockId rb : cfg.return_blocks_[callee.id]) {
+      for (BlockId rb : return_blocks[callee.id]) {
         BlockRef ret_block{callee.id, rb};
-        cfg.succs_[cfg.Index(ret_block)].push_back(SuccEdge{cont, -1});
         cfg.preds_[cfg.Index(cont)].push_back(
             PredEdge{PredKind::kReturn, ret_block, -1, site, {}});
       }
     }
-    for (const Pc& spawn : cfg.spawn_sites_[callee.id]) {
+    for (const Pc& spawn : spawn_sites[callee.id]) {
       cfg.preds_[cfg.Index(entry)].push_back(
           PredEdge{PredKind::kSpawnEntry, BlockRef{spawn.func, spawn.block}, -1, {},
                    spawn});
@@ -100,23 +96,5 @@ ModuleCfg ModuleCfg::Build(const Module& module) {
 const std::vector<PredEdge>& ModuleCfg::Predecessors(BlockRef b) const {
   return preds_[Index(b)];
 }
-
-const std::vector<SuccEdge>& ModuleCfg::Successors(BlockRef b) const {
-  return succs_[Index(b)];
-}
-
-const std::vector<BlockId>& ModuleCfg::ReturnBlocks(FuncId func) const {
-  return return_blocks_[func];
-}
-
-const std::vector<BlockRef>& ModuleCfg::CallSites(FuncId func) const {
-  return call_sites_[func];
-}
-
-const std::vector<Pc>& ModuleCfg::SpawnSites(FuncId func) const {
-  return spawn_sites_[func];
-}
-
-size_t ModuleCfg::BlockCount() const { return preds_.size(); }
 
 }  // namespace res

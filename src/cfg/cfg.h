@@ -46,12 +46,6 @@ struct PredEdge {
   Pc spawn_site;
 };
 
-// Successor edge (forward direction), used by the forward-synthesis baseline.
-struct SuccEdge {
-  BlockRef succ;
-  int cond_edge = -1;  // as above
-};
-
 // Whole-module CFG with interprocedural predecessor edges.
 class ModuleCfg {
  public:
@@ -61,18 +55,6 @@ class ModuleCfg {
   const Module& module() const { return *module_; }
 
   const std::vector<PredEdge>& Predecessors(BlockRef b) const;
-  const std::vector<SuccEdge>& Successors(BlockRef b) const;
-
-  // Blocks of `func` whose terminator is kRet.
-  const std::vector<BlockId>& ReturnBlocks(FuncId func) const;
-
-  // Call sites (blocks ending in kCall) targeting `func`.
-  const std::vector<BlockRef>& CallSites(FuncId func) const;
-
-  // Locations of kSpawn instructions targeting `func`.
-  const std::vector<Pc>& SpawnSites(FuncId func) const;
-
-  size_t BlockCount() const;
 
  private:
   ModuleCfg() = default;
@@ -82,10 +64,6 @@ class ModuleCfg {
   const Module* module_ = nullptr;
   std::vector<size_t> block_offset_;           // func -> flat index of its block 0
   std::vector<std::vector<PredEdge>> preds_;   // flat block index -> edges
-  std::vector<std::vector<SuccEdge>> succs_;
-  std::vector<std::vector<BlockId>> return_blocks_;  // per function
-  std::vector<std::vector<BlockRef>> call_sites_;    // per function
-  std::vector<std::vector<Pc>> spawn_sites_;         // per function
 };
 
 }  // namespace res

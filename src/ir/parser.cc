@@ -150,7 +150,7 @@ class Parser {
       return DataLoss(StrFormat("line %d: expected 'params'", lineno));
     }
     auto params = ParseInt64(lex.Next());
-    if (!params) {
+    if (!params || *params < 0 || *params > kNoReg) {
       return DataLoss(StrFormat("line %d: bad params count", lineno));
     }
     if (module_.FindFunction(name).has_value()) {
@@ -206,6 +206,12 @@ class Parser {
     g.name = name;
     g.address = module_.NextGlobalAddress();
     g.size_words = static_cast<uint64_t>(*size);
+    // Checked before `init` is sized from it.
+    if (g.address > kGlobalLimit ||
+        g.size_words > (kGlobalLimit - g.address) / kWordSize) {
+      return DataLoss(StrFormat("line %d: global '%s' extends past the globals "
+                                "segment", lineno, name.c_str()));
+    }
     std::string_view tok = lex.Next();
     if (tok == "=") {
       while (true) {
@@ -216,6 +222,10 @@ class Parser {
         auto val = ParseInt64(v);
         if (!val) {
           return DataLoss(StrFormat("line %d: bad global initializer", lineno));
+        }
+        if (g.init.size() == g.size_words) {
+          return DataLoss(StrFormat("line %d: more initializers than words",
+                                    lineno));
         }
         g.init.push_back(*val);
       }

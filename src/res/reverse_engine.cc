@@ -176,8 +176,6 @@ namespace {
 
 SolverOptions MakeSolverOptions(const ResOptions& options) {
   SolverOptions s;
-  s.portfolio = options.solver_portfolio;
-  s.budget_steps = options.solver_budget_steps;
   s.fault_plan = options.fault_plan;
   s.fault_task = options.fault_task;
   return s;
@@ -1649,7 +1647,7 @@ ResResult ResEngine::Run() {
     // pure function of the committed search prefix. A screen-refuted node
     // behaves exactly like a gate-failed one, except no gate runs.
     const uint64_t screen_seq = clause_store_.published();
-    if (options_.solver_portfolio && n.parent != nullptr &&
+    if (options_.clause_sharing && n.parent != nullptr &&
         (screen_seq > 0 || promoted_watermark_ > 0)) {
       uint64_t hit_seq = 0;
       int refuted = ScreenRefutes(n, screen_seq, &hit_seq);
@@ -1672,7 +1670,7 @@ ResResult ResEngine::Run() {
       // A refuted node never reaches the frontier, so it consumes no
       // budget.
       stats_ += gate.stats;
-      if (options_.solver_portfolio && !core.empty()) {
+      if (options_.clause_sharing && !core.empty()) {
         if (clause_store_.Publish(std::move(core))) {
           ++stats_.solver.clauses_learned;
         }

@@ -60,20 +60,14 @@ struct ResOptions {
   // detector to the monolithic one. Output is byte-identical either way;
   // only the ResStats detector counters differ.
   bool incremental_root_causes = true;
-  // When true (default), solver gates run the strategy portfolio (interval
-  // propagation / value enumeration / local search as budgeted competing
-  // strategies — see SolverOptions) AND hypotheses share a learned-clause
-  // store: minimized UNSAT cores published in deterministic commit order,
-  // so a sibling hypothesis repeating a proven conflict is refuted by O(1)
-  // membership probes instead of a solver call. When false, every gate runs
-  // the classic fixed pipeline with no clause sharing — the differential
-  // oracle (tests/solver_portfolio_test.cc pins the portfolio to it).
-  bool solver_portfolio = true;
-  // Total abstract solver steps one gate check may spend across the
-  // portfolio's strategies before giving up as kUnknown (sound); 0 =
-  // unlimited. The default covers every strategy running to completion, so
-  // exhaustion only occurs when configured tighter.
-  uint64_t solver_budget_steps = 1 << 17;
+  // When true (default), hypotheses share a learned-clause store: failed
+  // gates publish their minimized UNSAT cores in deterministic commit order,
+  // and every popped hypothesis is screened against them, so a sibling
+  // repeating a proven conflict is refuted by O(1) membership probes instead
+  // of a solver call. When false, every hypothesis goes to its gate — the
+  // reference tests/clause_sharing_test.cc pins sharing to, and the degraded
+  // retry profile (DegradedProfile).
+  bool clause_sharing = true;
   // Deterministic step deadline: the total number of hypotheses the commit
   // loop may pop (committed work, NOT wall clock — so the deadline verdict
   // is byte-identical on any host and under any load) before the run stops
@@ -127,10 +121,9 @@ std::string_view StopReasonName(StopReason r);
 // Counted in commit order by the run's one thread. For a solo engine every
 // counter is a pure function of (dump, options). Under a shared ResRuntime
 // the solver cache counters (cache_hits/cache_misses/model_reuse_hits,
-// promoted_cache_hits, the work counters they gate, and the per-strategy
-// step counters downstream of them) can also vary with dump-level
-// parallelism: concurrent runs promote into and read the shared check
-// cache. The learned-clause counters (clauses_learned/clause_hits) are
+// promoted_cache_hits, and the work counters they gate) can also vary with
+// dump-level parallelism: concurrent runs promote into and read the shared
+// check cache. The learned-clause counters (clauses_learned/clause_hits) are
 // deterministic at any parallelism.
 //
 // Every ResStats counter, once (see src/support/counters.h). Detector work
@@ -218,7 +211,7 @@ class ResEngine {
 
   ExprPool* pool() { return pool_; }
   const ResStats& stats() const { return stats_; }
-  // The run-local learned-clause store and the solver's option/seed
+  // The run-local learned-clause store and the solver's seed/limits
   // fingerprint — what a batch commit thread promotes after this run
   // committed (ResRuntime::Promote). Call only after Run returned.
   const ClauseStore& learned_clauses() const { return clause_store_; }
@@ -352,7 +345,7 @@ class ResEngine {
   std::unique_ptr<ExprPool> owned_pool_;
   ExprPool* pool_;
   Solver solver_;
-  // Run-local learned-clause store (solver_portfolio only). The commit loop
+  // Run-local learned-clause store (clause_sharing only). The commit loop
   // publishes failed gates' cores and screens every popped node against
   // it — see Run().
   ClauseStore clause_store_;

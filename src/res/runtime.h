@@ -17,7 +17,7 @@
 //     deterministic (VarKey, uid): identical search positions in two runs
 //     of the same module re-intern to the same variable node.
 //   - CheckCache: cold-check outcomes are pure functions of (constraint
-//     set, solver fingerprint, decision mode), so a shared cache never
+//     set, solver fingerprint), so a shared cache never
 //     changes any run's output — only its cost. Entries are epoch-tagged
 //     per engine run; a run sees its own entries (exactly the solo-run
 //     cache) plus entries for keys *promoted* by a batch commit thread.

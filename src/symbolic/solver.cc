@@ -20,8 +20,6 @@ constexpr size_t kMaxEnumVars = 4;            // exhaustive enumeration caps
 constexpr uint64_t kMaxEnumPoints = 65536;
 constexpr uint64_t kSearchRestarts = 8;
 constexpr uint64_t kSearchSteps = 512;        // per restart
-constexpr uint64_t kEnumSlice = 4096;         // enumeration points per turn
-constexpr uint64_t kSearchSlice = 256;        // local-search steps per turn
 // Largest conflict (in constraints) still reported as an UNSAT core.
 constexpr size_t kMaxCoreSize = 12;
 // Memo cache bound (a shard resets when it fills its share).
@@ -149,11 +147,10 @@ int64_t SatSub(int64_t a, int64_t b) {
 
 using Prov = SolverContext::Prov;
 
-// Merges `from` into `into`, deduping by pointer; overflow poisons. A cap
-// of 0 means provenance tracking is off: poison immediately so provenance
-// never accumulates (no core will be built from it anyway).
-void MergeProv(Prov* into, const Prov& from, size_t cap) {
-  if (cap == 0 || from.overflow) {
+// Merges `from` into `into`, deduping by pointer; growing past the core
+// cap, or merging a poisoned Prov, poisons.
+void MergeProv(Prov* into, const Prov& from) {
+  if (from.overflow) {
     into->overflow = true;
   }
   if (into->overflow) {
@@ -165,7 +162,7 @@ void MergeProv(Prov* into, const Prov& from, size_t cap) {
       into->srcs.push_back(e);
     }
   }
-  if (cap != 0 && into->srcs.size() > cap) {
+  if (into->srcs.size() > kMaxCoreSize) {
     into->overflow = true;
     into->srcs.clear();
   }
@@ -274,35 +271,19 @@ std::string_view SatResultName(SatResult r) {
   return "?";
 }
 
-std::string_view StrategyKindName(StrategyKind k) {
-  switch (k) {
-    case StrategyKind::kInterval:
-      return "interval";
-    case StrategyKind::kEnumeration:
-      return "enumeration";
-    case StrategyKind::kSearch:
-      return "search";
-  }
-  return "?";
-}
-
 namespace {
 
-// Pure function of everything that can change a check's outcome (the seed,
-// the solver-relevant option fields and the solver's fixed limits): a solver
-// only ever adopts a shared-cache entry written by a solver that would have
-// computed the identical result itself, and the promotion protocol tags
-// promoted cold-check keys with it.
-uint64_t SolverFingerprint(uint64_t seed, const SolverOptions& o) {
+// Pure function of everything that can change a check's outcome (the seed
+// and the solver's fixed limits): a solver only ever adopts a shared-cache
+// entry written by a solver that would have computed the identical result
+// itself, and the promotion protocol tags promoted cold-check keys with it.
+uint64_t SolverFingerprint(uint64_t seed) {
   uint64_t f = HashCombine(0x5e55u, seed);
   f = HashCombine(f, kMaxPropagationRounds);
   f = HashCombine(f, kMaxEnumVars);
   f = HashCombine(f, kMaxEnumPoints);
   f = HashCombine(f, kSearchRestarts);
   f = HashCombine(f, kSearchSteps);
-  f = HashCombine(f, o.budget_steps);
-  f = HashCombine(f, kEnumSlice);
-  f = HashCombine(f, kSearchSlice);
   f = HashCombine(f, kMaxCoreSize);
   return f;
 }
@@ -316,7 +297,7 @@ Solver::Solver(ExprPool* pool, uint64_t seed, SolverOptions options,
       options_(options),
       cache_(shared_cache != nullptr ? shared_cache : &own_cache_),
       cache_epoch_(cache_epoch),
-      fingerprint_(SolverFingerprint(seed, options)) {}
+      fingerprint_(SolverFingerprint(seed)) {}
 
 // --- Learned-clause store. ---
 
@@ -422,14 +403,12 @@ void CheckCache::Store(const CheckKey& k, uint64_t fingerprint, uint32_t epoch,
     shard.entries = 0;
   }
   shard.map[k.set_key].push_back(
-      Entry{std::move(sorted_unique), k.portfolio, epoch, fingerprint, outcome});
+      Entry{std::move(sorted_unique), epoch, fingerprint, outcome});
   ++shard.entries;
 }
 
 uint64_t CheckCache::PromoKey(const CheckKey& k, uint64_t fingerprint) {
-  uint64_t h = HashCombine(k.set_key, k.distinct);
-  h = HashCombine(h, k.portfolio ? 2u : 1u);
-  return HashCombine(h, fingerprint);
+  return HashCombine(HashCombine(k.set_key, k.distinct), fingerprint);
 }
 
 bool CheckCache::Promote(const CheckKey& k, uint64_t fingerprint) {
@@ -459,18 +438,9 @@ void CheckCache::Clear() {
 // --- Phase 1: incremental equality propagation (with conflict provenance). -
 
 void Solver::Propagate(SolverContext* ctx, const std::vector<const Expr*>& fresh,
-                       size_t new_absorbed, bool portfolio, SolverStats* stats) {
+                       size_t new_absorbed, SolverStats* stats) {
   assert(ctx->absorbed_ <= new_absorbed);
   const std::vector<const Expr*>& pending = fresh;
-  // Provenance only pays for itself when someone can consume the cores —
-  // the engine's clause store, active exactly when this check runs in
-  // portfolio mode (EnumerateValues' always-fixed checks discard cores, so
-  // they skip the tracking too). With tracking off a cap of 0 poisons
-  // every Prov on first touch, so the bookkeeping below degenerates to
-  // copying empty vectors (verdicts are unaffected: provenance never
-  // decides anything).
-  const bool track_prov = portfolio;
-  const size_t prov_cap = track_prov ? kMaxCoreSize : 0;
   ctx->absorbed_ = new_absorbed;
   for (const Expr* c : pending) {
     ctx->det_set_hash_ ^= c->det_hash;
@@ -492,10 +462,6 @@ void Solver::Propagate(SolverContext* ctx, const std::vector<const Expr*>& fresh
   };
   auto record_binding = [&](VarId var, const Expr* value, const Prov& prov) {
     ctx->bindings_[var] = value;
-    if (!track_prov) {
-      ctx->binding_prov_[var] = Prov{{}, true};  // poisoned: nothing tracked
-      return;
-    }
     // Transitive store-time provenance: the creating constraint plus the
     // provenance of every binding already substituted into the stored
     // value. Late bindings (vars still free in `value`) are closed over at
@@ -506,7 +472,7 @@ void Solver::Propagate(SolverContext* ctx, const std::vector<const Expr*>& fresh
     for (VarId d : deps) {
       auto pit = ctx->binding_prov_.find(d);
       if (pit != ctx->binding_prov_.end()) {
-        MergeProv(&p, pit->second, prov_cap);
+        MergeProv(&p, pit->second);
       }
     }
     ctx->binding_prov_[var] = std::move(p);
@@ -523,7 +489,7 @@ void Solver::Propagate(SolverContext* ctx, const std::vector<const Expr*>& fresh
     next.reserve(pending.size());
     for (const Expr* c : pending) {
       ++stats->propagated_constraints;
-      Prov prov = track_prov ? Prov{{c}, false} : Prov{{}, true};
+      Prov prov{{c}, false};
       const Expr* s = SubstituteFix(pool_, c, ctx->bindings_);
       if (s->is_const()) {
         if (s->value == 0) {
@@ -546,7 +512,7 @@ void Solver::Propagate(SolverContext* ctx, const std::vector<const Expr*>& fresh
           // Derived equality: follows from this constraint plus the
           // binding's sources.
           Prov merged = prov;
-          MergeProv(&merged, ctx->binding_prov_[solved->var], prov_cap);
+          MergeProv(&merged, ctx->binding_prov_[solved->var]);
           next.push_back(pool_->Eq(it->second, solved->value));
           next_prov.push_back(std::move(merged));
           continue;
@@ -600,7 +566,7 @@ void Solver::Propagate(SolverContext* ctx, const std::vector<const Expr*>& fresh
             continue;
           }
           Prov merged = prov;
-          MergeProv(&merged, ctx->binding_prov_[solved->var], prov_cap);
+          MergeProv(&merged, ctx->binding_prov_[solved->var]);
           next.push_back(pool_->Eq(it->second, solved->value));
           next_prov.push_back(std::move(merged));
           continue;
@@ -731,333 +697,219 @@ bool Solver::FinishSat(SolverContext* ctx, const ConstraintInput& constraints,
   return true;
 }
 
-// ---------------------------------------------------------------------------
-// The strategy portfolio. Each decision procedure is a resumable Strategy:
-// Step(slice) advances it by up to `slice` abstract steps and reports a
-// definitive verdict when one is reached. The fixed pipeline is the same
-// three strategies stepped to completion in order; the portfolio rotates
-// bounded slices through them under a total budget. Rotation order, slice
-// sizes, and every strategy's internal trajectory are pure functions of the
-// constraint set, so both modes are deterministic at any thread count.
-// ---------------------------------------------------------------------------
+// --- The decision procedures, in their fixed order. ---
 
-struct Solver::StrategyEnv {
-  Solver* solver = nullptr;
-  SolverContext* ctx = nullptr;
-  const ConstraintInput* input = nullptr;
-  SolverStats* stats = nullptr;
-  // Free variables of the residual, and the deterministic order (by the
-  // content-derived var uid, NOT VarId: ids vary with interning arrival
-  // order across thread counts) used by enumeration and search.
+// Interval tightening: one pass over the residual, then an emptiness check
+// per free variable. Also orders the free variables by their content-derived
+// uid (NOT VarId: ids vary with interning arrival order across thread
+// counts) for enumeration and search.
+bool Solver::TightenIntervals(SolverContext* ctx, std::vector<VarId>* order,
+                              SolveOutcome* out, SolverStats* stats) const {
   std::unordered_set<VarId> free_vars;
-  std::vector<VarId> order;
-  bool order_built = false;
-
-  void BuildOrder() {
-    std::vector<std::pair<uint64_t, VarId>> keyed;
-    keyed.reserve(free_vars.size());
-    for (VarId v : free_vars) {
-      keyed.emplace_back(solver->pool_->var_uid(v), v);
-    }
-    std::sort(keyed.begin(), keyed.end());
-    order.clear();
-    order.reserve(keyed.size());
-    for (const auto& [uid, v] : keyed) {
-      order.push_back(v);
-    }
-    order_built = true;
+  for (size_t i = 0; i < ctx->residual_.size(); ++i) {
+    const Expr* c = ctx->residual_[i];
+    CollectVars(c, &free_vars);
+    TightenFromComparison(&ctx->intervals_, &ctx->interval_prov_, c,
+                          ctx->residual_prov_[i], stats);
   }
-};
-
-class Solver::Strategy {
- public:
-  explicit Strategy(StrategyEnv* env) : env_(env) {}
-  virtual ~Strategy() = default;
-  virtual StrategyKind kind() const = 0;
-  // Advances by up to `slice` abstract steps; returns the steps consumed.
-  // On a definitive verdict, fills `out` (SAT with model / UNSAT with core)
-  // and returns with decided() == true.
-  virtual uint64_t Step(uint64_t slice, SolveOutcome* out) = 0;
-  bool decided() const { return decided_; }
-  bool exhausted() const { return exhausted_; }
-
- protected:
-  StrategyEnv* env_;
-  bool decided_ = false;
-  bool exhausted_ = false;
-};
-
-// Interval propagation: one tightening pass over the residual, then an
-// emptiness check per free variable. One-shot (a single Step decides or
-// exhausts); also responsible for building the shared variable order the
-// later strategies consume.
-class Solver::IntervalStrategy : public Solver::Strategy {
- public:
-  using Strategy::Strategy;
-  StrategyKind kind() const override { return StrategyKind::kInterval; }
-
-  uint64_t Step(uint64_t slice, SolveOutcome* out) override {
-    (void)slice;  // the pass is atomic; it always completes in one turn
-    SolverContext* ctx = env_->ctx;
-    uint64_t consumed = 0;
-    for (size_t i = 0; i < ctx->residual_.size(); ++i) {
-      const Expr* c = ctx->residual_[i];
-      CollectVars(c, &env_->free_vars);
-      TightenFromComparison(&ctx->intervals_, &ctx->interval_prov_, c,
-                            ctx->residual_prov_[i], env_->stats);
-      ++consumed;
+  std::vector<std::pair<uint64_t, VarId>> keyed;
+  keyed.reserve(free_vars.size());
+  for (VarId v : free_vars) {
+    keyed.emplace_back(pool_->var_uid(v), v);
+  }
+  std::sort(keyed.begin(), keyed.end());
+  order->reserve(keyed.size());
+  for (const auto& [uid, v] : keyed) {
+    order->push_back(v);
+  }
+  for (VarId v : free_vars) {
+    auto it = ctx->intervals_.find(v);
+    if (it != ctx->intervals_.end() && it->second.empty()) {
+      out->result = SatResult::kUnsat;
+      auto pit = ctx->interval_prov_.find(v);
+      if (pit != ctx->interval_prov_.end()) {
+        std::vector<const SolverContext::Prov*> seeds{&pit->second.first,
+                                                      &pit->second.second};
+        out->core = BuildCore(*ctx, seeds);
+      }
+      return true;
     }
-    env_->BuildOrder();
-    for (VarId v : env_->free_vars) {
-      auto it = ctx->intervals_.find(v);
-      if (it != ctx->intervals_.end() && it->second.empty()) {
-        out->result = SatResult::kUnsat;
-        auto pit = ctx->interval_prov_.find(v);
-        if (pit != ctx->interval_prov_.end()) {
-          std::vector<const SolverContext::Prov*> seeds{&pit->second.first,
-                                                        &pit->second.second};
-          out->core = env_->solver->BuildCore(*ctx, seeds);
-        }
-        decided_ = true;
+  }
+  return false;
+}
+
+// Exhaustive enumeration of small finite domains: an odometer over the
+// interval-bounded product space. Complete exhaustion proves UNSAT.
+bool Solver::Enumerate(SolverContext* ctx, const ConstraintInput& constraints,
+                       const std::vector<VarId>& order, SolveOutcome* out,
+                       SolverStats* stats) {
+  if (order.empty() || order.size() > kMaxEnumVars) {
+    return false;
+  }
+  uint64_t points = 1;
+  for (VarId v : order) {
+    auto it = ctx->intervals_.find(v);
+    if (it == ctx->intervals_.end() || !it->second.finite()) {
+      return false;
+    }
+    uint64_t w = it->second.width();
+    if (w == 0 || w > kMaxEnumPoints || points > kMaxEnumPoints / w) {
+      return false;
+    }
+    points *= w;
+  }
+  std::vector<int64_t> cursor(order.size());
+  for (size_t i = 0; i < order.size(); ++i) {
+    cursor[i] = ctx->intervals_[order[i]].lo;
+  }
+  while (true) {
+    ++stats->enumerated_points;
+    Assignment candidate;
+    for (size_t i = 0; i < order.size(); ++i) {
+      candidate[order[i]] = cursor[i];
+    }
+    bool all_ok = true;
+    for (const Expr* c : ctx->residual_) {
+      if (EvalExpr(c, candidate) == 0) {
+        all_ok = false;
         break;
       }
     }
-    exhausted_ = true;
-    return consumed;
+    if (all_ok && FinishSat(ctx, constraints, candidate, out, stats)) {
+      return true;
+    }
+    // Advance the odometer.
+    size_t i = 0;
+    for (; i < order.size(); ++i) {
+      if (cursor[i] < ctx->intervals_[order[i]].hi) {
+        ++cursor[i];
+        for (size_t j = 0; j < i; ++j) {
+          cursor[j] = ctx->intervals_[order[j]].lo;
+        }
+        break;
+      }
+    }
+    if (i == order.size()) {
+      // Exhausted: complete enumeration proves UNSAT. The core is the
+      // residual that excluded every point plus the constraints that
+      // bounded the enumerated domains.
+      out->result = SatResult::kUnsat;
+      std::vector<const SolverContext::Prov*> seeds;
+      seeds.reserve(ctx->residual_prov_.size() + 2 * order.size());
+      for (const Prov& p : ctx->residual_prov_) {
+        seeds.push_back(&p);
+      }
+      for (VarId v : order) {
+        auto pit = ctx->interval_prov_.find(v);
+        if (pit != ctx->interval_prov_.end()) {
+          seeds.push_back(&pit->second.first);
+          seeds.push_back(&pit->second.second);
+        }
+      }
+      out->core = BuildCore(*ctx, seeds);
+      return true;
+    }
   }
-};
+}
 
-// Exhaustive enumeration of small finite domains: resumable odometer over
-// the interval-bounded product space. Complete exhaustion proves UNSAT.
-class Solver::EnumerationStrategy : public Solver::Strategy {
- public:
-  using Strategy::Strategy;
-  StrategyKind kind() const override { return StrategyKind::kEnumeration; }
-
-  uint64_t Step(uint64_t slice, SolveOutcome* out) override {
-    SolverContext* ctx = env_->ctx;
-    if (!initialized_) {
-      initialized_ = true;
-      bool enumerable =
-          env_->order.size() <= kMaxEnumVars && !env_->order.empty();
-      uint64_t points = 1;
-      for (VarId v : env_->order) {
-        if (!enumerable) {
-          break;
-        }
-        auto it = ctx->intervals_.find(v);
-        if (it == ctx->intervals_.end() || !it->second.finite()) {
-          enumerable = false;
-          break;
-        }
-        uint64_t w = it->second.width();
-        if (w == 0 || w > kMaxEnumPoints || points > kMaxEnumPoints / w) {
-          enumerable = false;
-          break;
-        }
-        points *= w;
+// Randomized local search (sound for SAT only). The RNG is seeded from the
+// constraint set's content hash, so the search trajectory — and hence the
+// model found (or the failure to find one) — is a pure function of the
+// constraint set: identical across runs, thread counts, and regardless of
+// which other checks ran before this one.
+bool Solver::Search(SolverContext* ctx, const ConstraintInput& constraints,
+                    const std::vector<VarId>& order, SolveOutcome* out,
+                    SolverStats* stats) {
+  Rng rng(HashCombine(seed_, ctx->det_set_hash_));
+  Assignment candidate;
+  for (uint64_t restart = 0; restart < kSearchRestarts; ++restart) {
+    candidate.clear();
+    for (VarId v : order) {
+      auto it = ctx->intervals_.find(v);
+      int64_t seed_value = 0;
+      if (it != ctx->intervals_.end() && it->second.finite()) {
+        seed_value =
+            restart == 0
+                ? it->second.lo
+                : rng.NextInRange(std::max<int64_t>(it->second.lo, -4096),
+                                  std::min<int64_t>(it->second.hi, 4096));
+      } else if (restart > 0) {
+        seed_value = static_cast<int64_t>(rng.NextBelow(257)) - 128;
       }
-      if (!enumerable) {
-        exhausted_ = true;  // not applicable: yields to the other strategies
-        return 0;
-      }
-      cursor_.resize(env_->order.size());
-      for (size_t i = 0; i < env_->order.size(); ++i) {
-        cursor_[i] = ctx->intervals_[env_->order[i]].lo;
-      }
+      candidate[v] = seed_value;
     }
-    if (exhausted_) {
-      return 0;
-    }
-    uint64_t consumed = 0;
-    while (consumed < slice) {
-      ++consumed;
-      ++env_->stats->enumerated_points;
-      Assignment candidate;
-      for (size_t i = 0; i < env_->order.size(); ++i) {
-        candidate[env_->order[i]] = cursor_[i];
-      }
-      bool all_ok = true;
+    for (uint64_t step = 0; step < kSearchSteps; ++step) {
+      ++stats->search_steps;
+      const Expr* violated = nullptr;
       for (const Expr* c : ctx->residual_) {
         if (EvalExpr(c, candidate) == 0) {
-          all_ok = false;
+          violated = c;
           break;
         }
       }
-      if (all_ok &&
-          env_->solver->FinishSat(ctx, *env_->input, candidate, out,
-                                  env_->stats)) {
-        decided_ = true;
-        exhausted_ = true;
-        return consumed;
+      if (violated == nullptr) {
+        if (FinishSat(ctx, constraints, candidate, out, stats)) {
+          return true;
+        }
+        break;  // verification failed: next restart
       }
-      // Advance odometer.
-      size_t i = 0;
-      for (; i < env_->order.size(); ++i) {
-        if (cursor_[i] < ctx->intervals_[env_->order[i]].hi) {
-          ++cursor_[i];
-          for (size_t j = 0; j < i; ++j) {
-            cursor_[j] = ctx->intervals_[env_->order[j]].lo;
-          }
+      std::unordered_set<VarId> involved;
+      CollectVars(violated, &involved);
+      if (involved.empty()) {
+        break;
+      }
+      // Deterministic pick order (uid, not VarId — see TightenIntervals).
+      std::vector<std::pair<uint64_t, VarId>> vs;
+      vs.reserve(involved.size());
+      for (VarId iv : involved) {
+        vs.emplace_back(pool_->var_uid(iv), iv);
+      }
+      std::sort(vs.begin(), vs.end());
+      VarId v = vs[rng.NextBelow(vs.size())].second;
+      int64_t old = candidate[v];
+      // Mutations wrap in unsigned space: the search is free to roam the
+      // whole int64 ring, and signed overflow would be UB.
+      auto wrap_add = [](int64_t a, int64_t b) {
+        return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                                    static_cast<uint64_t>(b));
+      };
+      switch (rng.NextBelow(6)) {
+        case 0: candidate[v] = wrap_add(old, 1); break;
+        case 1: candidate[v] = wrap_add(old, -1); break;
+        case 2: candidate[v] = 0; break;
+        case 3:
+          candidate[v] =
+              wrap_add(old, static_cast<int64_t>(rng.NextBelow(64)) - 32);
           break;
-        }
-      }
-      if (i == env_->order.size()) {
-        // Exhausted: complete enumeration proves UNSAT. The core is the
-        // residual that excluded every point plus the constraints that
-        // bounded the enumerated domains.
-        out->result = SatResult::kUnsat;
-        std::vector<const SolverContext::Prov*> seeds;
-        seeds.reserve(ctx->residual_prov_.size() + 2 * env_->order.size());
-        for (const Prov& p : ctx->residual_prov_) {
-          seeds.push_back(&p);
-        }
-        for (VarId v : env_->order) {
-          auto pit = ctx->interval_prov_.find(v);
-          if (pit != ctx->interval_prov_.end()) {
-            seeds.push_back(&pit->second.first);
-            seeds.push_back(&pit->second.second);
-          }
-        }
-        out->core = env_->solver->BuildCore(*ctx, seeds);
-        decided_ = true;
-        exhausted_ = true;
-        return consumed;
-      }
-    }
-    return consumed;
-  }
-
- private:
-  bool initialized_ = false;
-  std::vector<int64_t> cursor_;
-};
-
-// Randomized local search (sound for SAT only): resumable restart/step
-// machine. The RNG is seeded from the constraint set's content hash, so the
-// search trajectory — and hence the model found (or the failure to find
-// one) — is a pure function of the constraint set: identical across runs,
-// thread counts, and regardless of which other checks ran before this one.
-class Solver::SearchStrategy : public Solver::Strategy {
- public:
-  explicit SearchStrategy(StrategyEnv* env)
-      : Strategy(env),
-        rng_(HashCombine(env->solver->seed_, env->ctx->det_set_hash_)) {}
-  StrategyKind kind() const override { return StrategyKind::kSearch; }
-
-  uint64_t Step(uint64_t slice, SolveOutcome* out) override {
-    SolverContext* ctx = env_->ctx;
-    uint64_t consumed = 0;
-    while (restart_ < kSearchRestarts) {
-      if (need_candidate_) {
-        candidate_.clear();
-        for (VarId v : env_->order) {
-          auto it = ctx->intervals_.find(v);
-          int64_t seed_value = 0;
-          if (it != ctx->intervals_.end() && it->second.finite()) {
-            seed_value =
-                restart_ == 0
-                    ? it->second.lo
-                    : rng_.NextInRange(std::max<int64_t>(it->second.lo, -4096),
-                                       std::min<int64_t>(it->second.hi, 4096));
-          } else if (restart_ > 0) {
-            seed_value = static_cast<int64_t>(rng_.NextBelow(257)) - 128;
-          }
-          candidate_[v] = seed_value;
-        }
-        step_ = 0;
-        need_candidate_ = false;
-      }
-      for (; step_ < kSearchSteps; ++step_) {
-        if (consumed >= slice) {
-          return consumed;  // yield mid-restart; state resumes next turn
-        }
-        ++consumed;
-        ++env_->stats->search_steps;
-        const Expr* violated = nullptr;
-        for (const Expr* c : ctx->residual_) {
-          if (EvalExpr(c, candidate_) == 0) {
-            violated = c;
-            break;
-          }
-        }
-        if (violated == nullptr) {
-          if (env_->solver->FinishSat(ctx, *env_->input, candidate_, out,
-                                      env_->stats)) {
-            decided_ = true;
-            exhausted_ = true;
-            return consumed;
-          }
-          break;  // verification failed: next restart
-        }
-        std::unordered_set<VarId> involved;
-        CollectVars(violated, &involved);
-        if (involved.empty()) {
-          break;
-        }
-        // Deterministic pick order (uid, not VarId — see BuildOrder).
-        std::vector<std::pair<uint64_t, VarId>> vs;
-        vs.reserve(involved.size());
-        for (VarId iv : involved) {
-          vs.emplace_back(env_->solver->pool_->var_uid(iv), iv);
-        }
-        std::sort(vs.begin(), vs.end());
-        VarId v = vs[rng_.NextBelow(vs.size())].second;
-        int64_t old = candidate_[v];
-        // Mutations wrap in unsigned space: the search is free to roam the
-        // whole int64 ring, and signed overflow would be UB.
-        auto wrap_add = [](int64_t a, int64_t b) {
-          return static_cast<int64_t>(static_cast<uint64_t>(a) +
-                                      static_cast<uint64_t>(b));
-        };
-        switch (rng_.NextBelow(6)) {
-          case 0: candidate_[v] = wrap_add(old, 1); break;
-          case 1: candidate_[v] = wrap_add(old, -1); break;
-          case 2: candidate_[v] = 0; break;
-          case 3:
-            candidate_[v] =
-                wrap_add(old, static_cast<int64_t>(rng_.NextBelow(64)) - 32);
-            break;
-          case 4: candidate_[v] = static_cast<int64_t>(rng_.Next()); break;
-          default: {
-            // Try to satisfy an equality directly: v := value making both
-            // sides equal if the other side is evaluable.
-            if (violated->kind == ExprKind::kBinary &&
-                violated->bin_op == BinOp::kEq) {
-              Assignment probe = candidate_;
-              probe.erase(v);
-              if (violated->a->is_var() && violated->a->var == v) {
-                candidate_[v] = EvalExpr(violated->b, probe);
-              } else if (violated->b->is_var() && violated->b->var == v) {
-                candidate_[v] = EvalExpr(violated->a, probe);
-              } else {
-                candidate_[v] =
-                    old ^ static_cast<int64_t>(1ULL << rng_.NextBelow(16));
-              }
+        case 4: candidate[v] = static_cast<int64_t>(rng.Next()); break;
+        default: {
+          // Try to satisfy an equality directly: v := value making both
+          // sides equal if the other side is evaluable.
+          if (violated->kind == ExprKind::kBinary &&
+              violated->bin_op == BinOp::kEq) {
+            Assignment probe = candidate;
+            probe.erase(v);
+            if (violated->a->is_var() && violated->a->var == v) {
+              candidate[v] = EvalExpr(violated->b, probe);
+            } else if (violated->b->is_var() && violated->b->var == v) {
+              candidate[v] = EvalExpr(violated->a, probe);
             } else {
-              candidate_[v] =
-                  old ^ static_cast<int64_t>(1ULL << rng_.NextBelow(16));
+              candidate[v] =
+                  old ^ static_cast<int64_t>(1ULL << rng.NextBelow(16));
             }
-            break;
+          } else {
+            candidate[v] =
+                old ^ static_cast<int64_t>(1ULL << rng.NextBelow(16));
           }
+          break;
         }
       }
-      ++restart_;
-      need_candidate_ = true;
     }
-    exhausted_ = true;  // search cannot prove UNSAT; it just runs dry
-    return consumed;
   }
+  return false;  // search cannot prove UNSAT; it just runs dry
+}
 
- private:
-  Rng rng_;
-  uint64_t restart_ = 0;
-  uint64_t step_ = 0;
-  bool need_candidate_ = true;
-  Assignment candidate_;
-};
-
-// --- Shared check core (propagation + the strategy portfolio). ---
+// --- Shared check core (propagation + the decision procedures). ---
 
 bool Solver::ConstraintInput::AllSatisfied(const Assignment& model) const {
   if (vec != nullptr) {
@@ -1081,7 +933,7 @@ RES_FAULT_SITE(kFaultSolver, "solver.strategy", StatusCode::kInternal);
 
 SolveOutcome Solver::CheckWith(SolverContext* ctx,
                                const ConstraintInput& constraints,
-                               SolverStats* stats, bool allow_portfolio) {
+                               SolverStats* stats) {
   SolveOutcome out;
   {
     Status fault = FaultScope{options_.fault_plan, options_.fault_task}
@@ -1103,10 +955,6 @@ SolveOutcome Solver::CheckWith(SolverContext* ctx,
   }
 
   const size_t total = constraints.size();
-  // Which decision function runs — and therefore which cache partition this
-  // check may consult (portfolio and fixed outcomes never cross) and
-  // whether conflict provenance is worth tracking.
-  const bool portfolio = allow_portfolio && options_.portfolio;
   // The fresh suffix past the context's absorbed prefix: every phase below
   // consumes at most this slice (plus, on the cold cache path, one full
   // canonicalized copy) — the warm-check cost stays O(delta).
@@ -1126,7 +974,7 @@ SolveOutcome Solver::CheckWith(SolverContext* ctx,
     if (model_ok) {
       ++stats->model_reuse_hits;
       // Still absorb the suffix so future UNSAT pruning keeps full power.
-      Propagate(ctx, fresh, total, portfolio, stats);
+      Propagate(ctx, fresh, total, stats);
       // A model verified against every constraint trumps any propagation
       // verdict; the conjunction is SAT by construction.
       ctx->unsat_ = false;
@@ -1173,7 +1021,6 @@ SolveOutcome Solver::CheckWith(SolverContext* ctx,
     }
     cache_key.set_key = ctx->set_key_ ^ key_delta;
     cache_key.distinct = static_cast<uint32_t>(ctx->distinct_ + distinct_delta);
-    cache_key.portfolio = portfolio;
     // Journal the key (hit or miss) — but only when a shared cache makes
     // promotion possible: the engine merges these in commit order, and the
     // batch scheduler promotes a committed run's keys. Private-cache
@@ -1193,7 +1040,7 @@ SolveOutcome Solver::CheckWith(SolverContext* ctx,
       if (via_promotion) {
         ++stats->promoted_cache_hits;
       }
-      Propagate(ctx, canonical, total, portfolio, stats);
+      Propagate(ctx, canonical, total, stats);
       if (cached.result == SatResult::kSat) {
         ctx->model_ = cached.model;
         ctx->has_model_ = true;
@@ -1237,9 +1084,9 @@ SolveOutcome Solver::CheckWith(SolverContext* ctx,
 
   // --- Phase 1: simplification + equality propagation to fixpoint. ---
   if (use_cache) {
-    Propagate(ctx, cache_vec, total, portfolio, stats);
+    Propagate(ctx, cache_vec, total, stats);
   } else {
-    Propagate(ctx, fresh, total, portfolio, stats);
+    Propagate(ctx, fresh, total, stats);
   }
 
   if (ctx->unsat_) {
@@ -1255,93 +1102,20 @@ SolveOutcome Solver::CheckWith(SolverContext* ctx,
       return out;
     }
     // Verification failed (e.g. a binding cycle); fall through to the
-    // strategies (search may still complete a model).
+    // decision procedures (search may still complete a model).
   }
 
-  // --- The strategy portfolio over the residual. ---
-  StrategyEnv env;
-  env.solver = this;
-  env.ctx = ctx;
-  env.input = &constraints;
-  env.stats = stats;
-  IntervalStrategy interval(&env);
-  EnumerationStrategy enumeration(&env);
-  SearchStrategy search(&env);
-  Strategy* rotation[kNumStrategies] = {&interval, &enumeration, &search};
-
-  auto run_strategy = [&](Strategy* st, uint64_t slice) -> bool {
-    uint64_t consumed = st->Step(slice, &out);
-    stats->strategy_steps[static_cast<size_t>(st->kind())] += consumed;
-    if (st->decided()) {
-      ++stats->strategy_wins[static_cast<size_t>(st->kind())];
-      if (out.result == SatResult::kUnsat) {
-        ++stats->unsat;
-      }
-      record(out);
-      return true;
+  // --- The decision procedures over the residual, each to completion. ---
+  std::vector<VarId> order;
+  if (TightenIntervals(ctx, &order, &out, stats) ||
+      Enumerate(ctx, constraints, order, &out, stats) ||
+      Search(ctx, constraints, order, &out, stats)) {
+    if (out.result == SatResult::kUnsat) {
+      ++stats->unsat;
     }
-    return false;
-  };
-
-  if (!portfolio) {
-    // The classic fixed pipeline: each strategy to completion, in order.
-    for (Strategy* st : rotation) {
-      while (!st->exhausted()) {
-        if (run_strategy(st, std::numeric_limits<uint64_t>::max())) {
-          return out;
-        }
-      }
-    }
-  } else {
-    // Budgeted round-robin: bounded slices in the fixed rotation order,
-    // early exit on the first definitive verdict.
-    uint64_t budget = options_.budget_steps == 0
-                          ? std::numeric_limits<uint64_t>::max()
-                          : options_.budget_steps;
-    uint64_t spent = 0;
-    bool progress = true;
-    while (progress && spent < budget) {
-      progress = false;
-      for (Strategy* st : rotation) {
-        if (st->exhausted()) {
-          continue;
-        }
-        uint64_t slice;
-        switch (st->kind()) {
-          case StrategyKind::kInterval:
-            slice = std::numeric_limits<uint64_t>::max();  // atomic pass
-            break;
-          case StrategyKind::kEnumeration:
-            slice = kEnumSlice;
-            break;
-          default:
-            slice = kSearchSlice;
-            break;
-        }
-        slice = std::min(slice, budget - spent);
-        if (slice == 0) {
-          break;
-        }
-        uint64_t before = stats->strategy_steps[static_cast<size_t>(st->kind())];
-        if (run_strategy(st, slice)) {
-          return out;
-        }
-        spent += stats->strategy_steps[static_cast<size_t>(st->kind())] - before;
-        progress = true;
-        if (spent >= budget) {
-          break;
-        }
-      }
-    }
-    bool any_left = false;
-    for (Strategy* st : rotation) {
-      any_left = any_left || !st->exhausted();
-    }
-    if (any_left && spent >= budget) {
-      ++stats->budget_exhaustions;
-    }
+    record(out);
+    return out;
   }
-
   out.result = SatResult::kUnknown;
   ++stats->unknown;
   record(out);
@@ -1408,11 +1182,7 @@ std::vector<int64_t> Solver::EnumerateValues(
   input.vec = &work;
   for (size_t i = 0; i < limit + 1; ++i) {
     ++st->checks;
-    // Fixed pipeline regardless of the portfolio option: the values found
-    // feed address-concretization forks (engine output), so they must be a
-    // function of the constraint set alone, not of portfolio scheduling.
-    SolveOutcome outcome =
-        CheckWith(&ctx, input, st, /*allow_portfolio=*/false);
+    SolveOutcome outcome = CheckWith(&ctx, input, st);
     if (!outcome.fault.ok()) {
       if (fault != nullptr) {
         *fault = std::move(outcome.fault);

@@ -7,21 +7,11 @@
 // exhaustive enumeration of finite domains). Anything else is kUnknown,
 // which RES treats conservatively (hypothesis kept, marked unverified).
 //
-// Strategy portfolio (the default): after equality propagation, the three
-// decision procedures — interval propagation, exhaustive enumeration of
-// small finite domains, and randomized local search — run as pluggable
-// Strategy objects under a deterministic budget scheduler. Strategies are
-// resumable: each rotation turn advances one strategy by a bounded slice of
-// abstract steps, in a FIXED rotation order (interval -> enumeration ->
-// search), and the check returns on the first SAT/UNSAT verdict. The total
-// step budget (SolverOptions::budget_steps) bounds the worst-case cost of a
-// single check at slice granularity — the interval pass is atomic, so a
-// check can overshoot by at most one full tightening pass over the residual
-// plus one slice; exhausting the budget yields kUnknown (sound) and counts
-// a budget_exhaustion. With SolverOptions::portfolio=false the classic fixed
-// pipeline runs instead — each strategy to completion, in the same order —
-// and is the differential oracle for the portfolio (the strategy *bodies*
-// are shared; only the scheduling differs).
+// One decision procedure: after equality propagation, three steps run over
+// the residual in a fixed order, each to completion under constant limits —
+// interval tightening, exhaustive enumeration of small finite domains, then
+// randomized local search — and the check returns the first definitive
+// verdict. When all three give up, the answer is kUnknown.
 //
 // Incremental solving (the RES hot path): a SolverContext persists the
 // equality-propagation bindings, interval state, and simplified residual of
@@ -41,11 +31,11 @@
 // subset of *input* constraints that alone is unsatisfiable — derived from
 // provenance tracked through equality propagation (which source constraints
 // produced each binding), interval tightening (which constraint set each
-// bound), and enumeration (the residual that excluded every point). Cores
-// are capped at a fixed size (kMaxCoreSize in solver.cc); oversized
-// conflicts are simply not reported. The reverse engine interns cores into a
-// shared ClauseStore so sibling hypotheses repeating the conflict refute in
-// O(1).
+// bound), and enumeration (the residual that excluded every point); every
+// check tracks it. Cores are capped at a fixed size (kMaxCoreSize in
+// solver.cc); oversized conflicts are simply not reported. The reverse
+// engine interns cores into a shared ClauseStore so sibling hypotheses
+// repeating the conflict refute in O(1).
 #ifndef RES_SYMBOLIC_SOLVER_H_
 #define RES_SYMBOLIC_SOLVER_H_
 
@@ -74,12 +64,6 @@ namespace res {
 enum class SatResult : uint8_t { kSat = 0, kUnsat = 1, kUnknown = 2 };
 
 std::string_view SatResultName(SatResult r);
-
-// The portfolio's strategies, in their fixed deterministic rotation order.
-enum class StrategyKind : uint8_t { kInterval = 0, kEnumeration = 1, kSearch = 2 };
-inline constexpr size_t kNumStrategies = 3;
-
-std::string_view StrategyKindName(StrategyKind k);
 
 struct SolveOutcome {
   SatResult result = SatResult::kUnknown;
@@ -117,20 +101,16 @@ struct Interval {
 };
 
 // Identity of one memoized cold-check key: the commutative content hash of
-// the deduped constraint set, its cardinality, and the decision-function
-// partition. This is what the cross-task promotion protocol publishes (see
-// CheckCache): a promoted key makes every cache entry for that set visible
-// to all engine epochs.
+// the deduped constraint set and its cardinality. This is what the
+// cross-task promotion protocol publishes (see CheckCache): a promoted key
+// makes every cache entry for that set visible to all engine epochs.
 struct CheckKey {
   uint64_t set_key = 0;
   uint32_t distinct = 0;
-  bool portfolio = false;
 };
 
-// Every SolverStats counter, once (see src/support/counters.h). A
-// PER_STRATEGY entry is an array indexed by StrategyKind, summed element-wise
-// and reported as one `<field>_<kind>` key per strategy.
-#define RES_SOLVER_STATS(SUM, SUM_AS, PER_STRATEGY)                            \
+// Every SolverStats counter, once (see src/support/counters.h).
+#define RES_SOLVER_STATS(SUM, SUM_AS)                                          \
   SUM_AS(checks, solver_checks)  /* satisfiability checks issued */            \
   SUM(incremental_checks)        /* checks that reused a warm context */       \
   SUM(eq_bindings)               /* equality bindings propagated */            \
@@ -145,11 +125,6 @@ struct CheckKey {
   SUM(sat)                       /* checks answered SAT */                     \
   SUM(unsat)                     /* checks answered UNSAT */                   \
   SUM(unknown)                   /* checks answered unknown */                 \
-  /* Abstract steps consumed per portfolio strategy (interval: residual        \
-     constraints visited; enumeration: points tried; search: mutations). */    \
-  PER_STRATEGY(strategy_steps)                                                 \
-  PER_STRATEGY(strategy_wins)    /* SAT/UNSAT verdicts decided per strategy */ \
-  SUM(budget_exhaustions)        /* checks ended unknown by the step budget */ \
   SUM(clauses_learned)           /* UNSAT cores published to the store */      \
   SUM(clause_hits)               /* hypotheses refuted by a stored core */     \
   SUM(clauses_evicted)           /* cores evicted to keep on learning */       \
@@ -162,20 +137,8 @@ struct CheckKey {
      counters). */                                                             \
   SUM(promoted_cache_hits)
 
-#define RES_STRATEGY_FIELD(field) uint64_t field[kNumStrategies] = {};
-#define RES_STRATEGY_SUM(field)                                                \
-  for (size_t i = 0; i < kNumStrategies; ++i) {                                \
-    field[i] += o.field[i];                                                    \
-  }
-#define RES_STRATEGY_VISIT(field)                                              \
-  for (size_t i = 0; i < kNumStrategies; ++i) {                                \
-    fn(std::string(#field "_") +                                               \
-           std::string(StrategyKindName(static_cast<StrategyKind>(i))),        \
-       field[i]);                                                              \
-  }
-
 struct SolverStats {
-  RES_SOLVER_STATS(RES_COUNTER_FIELD, RES_COUNTER_FIELD, RES_STRATEGY_FIELD)
+  RES_SOLVER_STATS(RES_COUNTER_FIELD, RES_COUNTER_FIELD)
   // Journal of the cold-check keys this run consulted the shared cache for.
   // The engine merges per-step journals in commit order, so a completed
   // run's journal is a pure function of the committed search — it is what
@@ -183,27 +146,18 @@ struct SolverStats {
   std::vector<CheckKey> cold_check_keys;
 
   SolverStats& operator+=(const SolverStats& o) {
-    RES_SOLVER_STATS(RES_COUNTER_SUM, RES_COUNTER_SUM, RES_STRATEGY_SUM)
+    RES_SOLVER_STATS(RES_COUNTER_SUM, RES_COUNTER_SUM)
     cold_check_keys.insert(cold_check_keys.end(), o.cold_check_keys.begin(),
                            o.cold_check_keys.end());
     return *this;
   }
   template <typename Fn>
   void ForEachCounter(Fn&& fn) const {
-    RES_SOLVER_STATS(RES_COUNTER_VISIT, RES_COUNTER_VISIT_AS,
-                     RES_STRATEGY_VISIT)
+    RES_SOLVER_STATS(RES_COUNTER_VISIT, RES_COUNTER_VISIT_AS)
   }
 };
 
 struct SolverOptions {
-  bool portfolio = true;             // false = classic fixed pipeline
-  // Total abstract steps a single check may spend across all strategies; 0
-  // means unlimited. Enforced at slice granularity (the interval pass is
-  // atomic, so one check can overshoot by up to one full tightening pass).
-  // The default comfortably covers the worst case of every strategy running
-  // to completion (enumeration's point cap plus every local-search restart),
-  // so budget exhaustion only occurs when explicitly configured tighter.
-  uint64_t budget_steps = 1 << 17;
   // --- Fault injection (see src/support/faultpoint.h). ---
   // Plan consulted by the "solver.strategy" site at every check; nullptr
   // falls back to the RES_FAULT_PLAN env plan. Not part of the solver
@@ -436,8 +390,8 @@ class ClauseStore {
 // Memoized cold-check cache, extracted from the Solver so a ResRuntime can
 // share one instance across every engine it hosts. Soundness of sharing
 // rests on the pure-function contract (see Solver below): a cold check's
-// outcome is a function of (constraint set, solver fingerprint, decision
-// mode) only, so whichever thread — in whichever engine — computes a set
+// outcome is a function of (constraint set, solver fingerprint) only, so
+// whichever thread — in whichever engine — computes a set
 // first stores exactly the verdict and model any other would have.
 //
 // Cross-task isolation: every entry is tagged with the owning engine's
@@ -446,8 +400,8 @@ class ClauseStore {
 // published module-globally by a batch commit thread, in dump-submission
 // order, after the owning task committed them (the check-cache half of the
 // ResRuntime promotion protocol; the clause half is ClauseStore). Entries
-// additionally carry the solver fingerprint, so engines with different
-// solver options or seeds never exchange outcomes.
+// additionally carry the solver fingerprint, so engines whose solvers have
+// different seeds never exchange outcomes.
 //
 // Thread-safety: fully thread-safe; striped shards exactly like the old
 // in-Solver cache, plus a mutex-guarded promoted-key set.
@@ -465,8 +419,7 @@ class CheckCache {
       return false;
     }
     for (const Entry& entry : it->second) {
-      if (entry.portfolio != k.portfolio || entry.key.size() != k.distinct ||
-          entry.fingerprint != fingerprint ||
+      if (entry.key.size() != k.distinct || entry.fingerprint != fingerprint ||
           (entry.epoch != epoch && !promoted)) {
         continue;
       }
@@ -512,15 +465,8 @@ class CheckCache {
  private:
   struct Entry {
     std::vector<const Expr*> key;  // sorted, deduped constraint pointers
-    // Which decision function computed `outcome`. Portfolio and fixed
-    // scheduling are two different pure functions of the constraint set
-    // (slicing can change which strategy finds the model first), so
-    // entries never cross modes — otherwise a fixed-pipeline consumer
-    // (EnumerateValues) could adopt a portfolio model, making its values
-    // depend on which earlier check warmed the cache first.
-    bool portfolio = false;
     uint32_t epoch = 0;        // owning engine run
-    uint64_t fingerprint = 0;  // solver options + seed
+    uint64_t fingerprint = 0;  // solver seed + fixed limits
     SolveOutcome outcome;
   };
   static constexpr size_t kCacheShards = 16;
@@ -600,13 +546,10 @@ class Solver {
   // Distinct values `target` can take subject to `constraints` (up to
   // `limit`). `complete` is set true when the returned set is provably
   // exhaustive. Used for pointer concretization (paper §2.4's omitted
-  // "symbolic addresses" case). Always runs the classic fixed pipeline:
-  // enumeration IS its decision procedure, and the values found — which
-  // feed address-concretization forks, i.e. engine output — must not depend
-  // on portfolio scheduling. When the "solver.strategy" fault site fires on
-  // one of its checks, the enumeration stops, returns no values, and stores
-  // the injected error in `*fault` (when given) — like SolveOutcome::fault,
-  // a task-fatal failure rather than an answer.
+  // "symbolic addresses" case). When the "solver.strategy" fault site fires
+  // on one of its checks, the enumeration stops, returns no values, and
+  // stores the injected error in `*fault` (when given) — like
+  // SolveOutcome::fault, a task-fatal failure rather than an answer.
   std::vector<int64_t> EnumerateValues(const Expr* target,
                                        const std::vector<const Expr*>& constraints,
                                        size_t limit, bool* complete,
@@ -614,7 +557,7 @@ class Solver {
                                        Status* fault = nullptr);
 
   const SolverStats& stats() const { return stats_; }
-  // Hash of every outcome-relevant option plus the seed; the shared-cache
+  // Hash of the seed and the solver's fixed limits; the shared-cache
   // partition tag (see CheckCache) and the promotion key salt.
   uint64_t fingerprint() const { return fingerprint_; }
 
@@ -638,26 +581,26 @@ class Solver {
     bool AllSatisfied(const Assignment& model) const;
   };
 
-  // Per-check state shared by the strategies (free vars of the residual and
-  // the deterministic enumeration/search variable order).
-  struct StrategyEnv;
-  class Strategy;
-  class IntervalStrategy;
-  class EnumerationStrategy;
-  class SearchStrategy;
-
-  // `allow_portfolio=false` pins the check to the classic fixed pipeline
-  // regardless of options (EnumerateValues: see above).
   SolveOutcome CheckWith(SolverContext* ctx, const ConstraintInput& constraints,
-                         SolverStats* stats, bool allow_portfolio = true);
+                         SolverStats* stats);
   // Phase 1: absorb `fresh` (the constraints not yet seen by `ctx`) into the
   // context (substitution + equality extraction to fixpoint) and advance
   // ctx->absorbed_ to `new_absorbed` (the caller's full vector length —
   // `fresh` may be a deduplicated/canonicalized copy of that suffix).
-  // `portfolio` is the check's effective mode: it gates conflict-provenance
-  // tracking, which only portfolio-mode consumers (the clause store) read.
   void Propagate(SolverContext* ctx, const std::vector<const Expr*>& fresh,
-                 size_t new_absorbed, bool portfolio, SolverStats* stats);
+                 size_t new_absorbed, SolverStats* stats);
+  // The decision procedures over ctx's residual, called in this order. Each
+  // runs to completion and returns true when it decided, filling `out` (SAT
+  // with a model, UNSAT with a core). TightenIntervals also returns the
+  // residual's free variables in the order the other two consume.
+  bool TightenIntervals(SolverContext* ctx, std::vector<VarId>* order,
+                        SolveOutcome* out, SolverStats* stats) const;
+  bool Enumerate(SolverContext* ctx, const ConstraintInput& constraints,
+                 const std::vector<VarId>& order, SolveOutcome* out,
+                 SolverStats* stats);
+  bool Search(SolverContext* ctx, const ConstraintInput& constraints,
+              const std::vector<VarId>& order, SolveOutcome* out,
+              SolverStats* stats);
   // Completes `free_assignment` into a full model (bound vars evaluated from
   // their bindings), re-verifies every input constraint, and fills `out` on
   // success.
@@ -678,8 +621,8 @@ class Solver {
   SolverStats stats_;  // sink for callers that pass no explicit stats
   // The memo cache: private by default, a ResRuntime's shared instance when
   // one was passed at construction. Entries are partitioned by fingerprint_
-  // (a hash of every outcome-relevant option plus the seed) so differently
-  // configured solvers sharing a cache never adopt each other's verdicts.
+  // so solvers with different seeds sharing a cache never adopt each
+  // other's verdicts.
   CheckCache own_cache_;
   CheckCache* cache_;
   uint32_t cache_epoch_;

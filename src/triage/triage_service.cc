@@ -20,22 +20,13 @@ double MsSince(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-// The deterministic degraded retry profile: half the suffix depth and the
-// classic (non-portfolio) solver pipeline. Same deadline — the point is to
-// fit under it with a cheaper search, not to wait longer. The fixed
-// pipeline never reads the per-check step budget, so halving it changes no
-// check: it only re-keys the solver fingerprint, keeping the retry's
-// check-cache entries apart from the full-fidelity run's.
+}  // namespace
+
 ResOptions DegradedProfile(ResOptions base) {
   base.max_units = std::max<size_t>(1, base.max_units / 2);
-  base.solver_portfolio = false;
-  base.solver_budget_steps = base.solver_budget_steps == 0
-                                 ? (1 << 16)
-                                 : std::max<uint64_t>(1, base.solver_budget_steps / 2);
+  base.clause_sharing = false;
   return base;
 }
-
-}  // namespace
 
 std::string_view TriageOutcomeName(TriageOutcome o) {
   switch (o) {

@@ -157,6 +157,11 @@ struct TriageOptions {
   std::function<void(const TriageReport&)> on_result;
 };
 
+// The deterministic degraded retry profile a task runs after its step
+// deadline fires: half the suffix depth and no clause sharing. Same deadline
+// — the point is to fit under it with a cheaper search, not to wait longer.
+ResOptions DegradedProfile(ResOptions base);
+
 // Thread-safety: RunBatch is driven from one thread at a time per service
 // instance; distinct services (even over the same runtime and module) may
 // run batches concurrently.

@@ -36,7 +36,7 @@ Module BuildRacyCounter();
 // The same bug with `workers` competing increment pairs: widens the
 // backward interleaving frontier so sibling subtrees re-derive permuted
 // copies of the same conflicting constraint pairs — the learned-clause
-// sharing workload (tests/solver_portfolio_test.cc and the F2d section of
+// sharing workload (tests/clause_sharing_test.cc and the F2d section of
 // bench_fig_suffix_depth). BuildRacyCounter() == BuildRacyCounterWide(2).
 Module BuildRacyCounterWide(int workers);
 

@@ -1,21 +1,19 @@
-// The solver strategy portfolio must be observationally invisible: with
-// ResOptions::solver_portfolio on or off, the engine's StopReason,
-// synthesized suffix, root causes, and hardware verdict must be
-// byte-identical — the classic fixed pipeline (each strategy run to
-// completion, no clause sharing) is the differential oracle the budgeted
-// round-robin scheduler and the learned-clause store are pinned to
-// (mirroring root_cause_incremental_test.cc for the detector). Like that
-// oracle, on/off byte-identity is a corpus-level contract: a stored core
-// refuting a set the incomplete solver alone would keep as kUnknown is a
-// legitimate (sound-direction) divergence window — these tests pin that
-// the window never opens on the corpus at default options (see
-// docs/ARCHITECTURE.md §5.2). Repeat-run identity, by contrast, holds by
-// construction: clause publication happens in commit order, so the screen
-// verdicts — and with them the whole search — repeat exactly.
+// Learned-clause sharing must be observationally invisible: with
+// ResOptions::clause_sharing on or off, the engine's StopReason, synthesized
+// suffix, root causes, and hardware verdict must be byte-identical — the
+// engine without sharing, where every hypothesis goes to its solver gate, is
+// the reference the commit-order clause store is pinned to. On/off
+// byte-identity is a corpus-level contract: a stored core refuting a set the
+// incomplete solver alone would keep as kUnknown is a legitimate
+// (sound-direction) divergence window — these tests pin that the window
+// never opens on the corpus at default options (see docs/ARCHITECTURE.md
+// §5.2). Repeat-run identity, by contrast, holds by construction: clause
+// publication happens in commit order, so the screen verdicts — and with
+// them the whole search — repeat exactly.
 //
 // What MAY differ between the modes is exactly the solver work economy:
-// per-strategy step/win counters, budget exhaustions, and the learned-
-// clause counters, which the last tests pin directionally.
+// the learned-clause counters, which the last test pins directionally. The
+// first tests pin the solver's one decision order and the cores it derives.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -31,53 +29,41 @@ namespace res {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Solver-level: strategy scheduling, budgets, cores, and the clause store.
+// Solver-level: the decision order, cores, and the clause store.
 // ---------------------------------------------------------------------------
 
-class PortfolioSolverTest : public ::testing::Test {
+class SolverCoreTest : public ::testing::Test {
  protected:
-  SolveOutcome Run(const std::vector<const Expr*>& constraints, bool portfolio,
-                   SolverStats* stats, uint64_t budget = 0) {
-    SolverOptions options;
-    options.portfolio = portfolio;
-    if (budget != 0) {
-      options.budget_steps = budget;
-    }
-    Solver solver(&pool_, /*seed=*/1, options);
+  SolveOutcome Run(const std::vector<const Expr*>& constraints,
+                   SolverStats* stats) {
+    Solver solver(&pool_, /*seed=*/1);
     return solver.Check(constraints, stats);
   }
 
   ExprPool pool_;
 };
 
-TEST_F(PortfolioSolverTest, EnumerationDecidesIdenticallyInBothModes) {
-  // x in [0, 20] with x % 3 == 2: propagation cannot invert kRemS, so the
-  // verdict comes from exhaustive enumeration — which must pick the same
-  // (first-in-odometer-order) model under portfolio slicing as under the
-  // fixed pipeline.
+TEST_F(SolverCoreTest, EnumerationRunsToTheFirstOdometerModel) {
+  // x in [0, 65535] with 8191 < (x & 0xffff): interval tightening cannot
+  // see through kAnd, so the check enumerates x upward from 0, and the
+  // first point that fits is 8192. Enumeration runs to completion before
+  // local search starts, so search takes no step.
   const Expr* x = pool_.Var("x", VarOrigin::kInput);
   std::vector<const Expr*> constraints = {
       pool_.Binary(BinOp::kLeS, pool_.Const(0), x),
-      pool_.Binary(BinOp::kLeS, x, pool_.Const(20)),
-      pool_.Eq(pool_.Binary(BinOp::kRemS, x, pool_.Const(3)), pool_.Const(2)),
+      pool_.Binary(BinOp::kLeS, x, pool_.Const(65535)),
+      pool_.Binary(BinOp::kLtS, pool_.Const(8191),
+                   pool_.Binary(BinOp::kAnd, x, pool_.Const(0xffff))),
   };
-  SolverStats fixed_stats;
-  SolveOutcome fixed = Run(constraints, /*portfolio=*/false, &fixed_stats);
-  SolverStats port_stats;
-  SolveOutcome port = Run(constraints, /*portfolio=*/true, &port_stats);
-  ASSERT_EQ(fixed.result, SatResult::kSat);
-  ASSERT_EQ(port.result, SatResult::kSat);
-  EXPECT_EQ(fixed.model.at(x->var), 2);  // first odometer point that fits
-  EXPECT_EQ(port.model.at(x->var), fixed.model.at(x->var));
-  EXPECT_EQ(fixed_stats.strategy_wins[static_cast<size_t>(
-                StrategyKind::kEnumeration)],
-            1u);
-  EXPECT_EQ(port_stats.strategy_wins[static_cast<size_t>(
-                StrategyKind::kEnumeration)],
-            1u);
+  SolverStats stats;
+  SolveOutcome out = Run(constraints, &stats);
+  ASSERT_EQ(out.result, SatResult::kSat);
+  EXPECT_EQ(out.model.at(x->var), 8192);
+  EXPECT_EQ(stats.enumerated_points, 8193u);
+  EXPECT_EQ(stats.search_steps, 0u);
 }
 
-TEST_F(PortfolioSolverTest, EnumerationUnsatCarriesASoundCore) {
+TEST_F(SolverCoreTest, EnumerationUnsatCarriesASoundCore) {
   // x in [5, 20] with x % 3 == 7: no remainder ever reaches 7, so complete
   // enumeration proves UNSAT. The reported core must be a subset of the
   // inputs that is *itself* UNSAT (re-checking just the core must refute).
@@ -88,7 +74,7 @@ TEST_F(PortfolioSolverTest, EnumerationUnsatCarriesASoundCore) {
       pool_.Eq(pool_.Binary(BinOp::kRemS, x, pool_.Const(3)), pool_.Const(7)),
   };
   SolverStats stats;
-  SolveOutcome out = Run(constraints, /*portfolio=*/true, &stats);
+  SolveOutcome out = Run(constraints, &stats);
   ASSERT_EQ(out.result, SatResult::kUnsat);
   ASSERT_FALSE(out.core.empty());
   for (const Expr* c : out.core) {
@@ -97,19 +83,12 @@ TEST_F(PortfolioSolverTest, EnumerationUnsatCarriesASoundCore) {
         << "core constraint is not one of the inputs";
   }
   SolverStats core_stats;
-  SolveOutcome recheck = Run(out.core, /*portfolio=*/true, &core_stats);
+  SolveOutcome recheck = Run(out.core, &core_stats);
   EXPECT_EQ(recheck.result, SatResult::kUnsat)
       << "the core alone must still be UNSAT";
-  // The fixed-pipeline oracle reaches the same verdict but derives no core:
-  // provenance tracking is active only when the clause store can consume
-  // it (portfolio mode), so the oracle arm pays nothing for it.
-  SolverStats fixed_stats;
-  SolveOutcome fixed = Run(constraints, /*portfolio=*/false, &fixed_stats);
-  EXPECT_EQ(fixed.result, SatResult::kUnsat);
-  EXPECT_TRUE(fixed.core.empty());
 }
 
-TEST_F(PortfolioSolverTest, PropagationConflictClosesCoreOverBindings) {
+TEST_F(SolverCoreTest, PropagationConflictClosesCoreOverBindings) {
   // x = 5, y = x, y = 7: the contradiction surfaces only after substituting
   // through both bindings, so the core must close over their sources — all
   // three constraints.
@@ -121,12 +100,12 @@ TEST_F(PortfolioSolverTest, PropagationConflictClosesCoreOverBindings) {
       pool_.Eq(y, pool_.Const(7)),
   };
   SolverStats stats;
-  SolveOutcome out = Run(constraints, /*portfolio=*/true, &stats);
+  SolveOutcome out = Run(constraints, &stats);
   ASSERT_EQ(out.result, SatResult::kUnsat);
   EXPECT_EQ(out.core.size(), 3u);
 }
 
-TEST_F(PortfolioSolverTest, SearchWinsWhenEnumerationCannotApply) {
+TEST_F(SolverCoreTest, SearchWinsWhenEnumerationCannotApply) {
   // x & 3 == 3 with no range constraints: intervals stay infinite, so
   // enumeration is inapplicable and local search must find a model. The
   // trajectory is seeded from the constraint set's content hash, so this is
@@ -135,49 +114,12 @@ TEST_F(PortfolioSolverTest, SearchWinsWhenEnumerationCannotApply) {
   std::vector<const Expr*> constraints = {
       pool_.Eq(pool_.Binary(BinOp::kAnd, x, pool_.Const(3)), pool_.Const(3)),
   };
-  for (bool portfolio : {false, true}) {
-    SolverStats stats;
-    SolveOutcome out = Run(constraints, portfolio, &stats);
-    ASSERT_EQ(out.result, SatResult::kSat) << "portfolio=" << portfolio;
-    EXPECT_EQ((out.model.at(x->var) & 3), 3);
-    EXPECT_EQ(
-        stats.strategy_wins[static_cast<size_t>(StrategyKind::kSearch)], 1u);
-    EXPECT_GT(
-        stats.strategy_steps[static_cast<size_t>(StrategyKind::kSearch)], 0u);
-  }
-}
-
-TEST_F(PortfolioSolverTest, BudgetExhaustionIsSoundAndCounted) {
-  // The [5, 20] x % 3 == 7 refutation needs 16 enumerated points; a budget
-  // of 8 steps cannot finish any strategy, so the portfolio must give up
-  // with kUnknown (sound: the engine keeps the hypothesis unverified) and
-  // count exactly one exhaustion. The fixed pipeline ignores the budget and
-  // still decides.
-  const Expr* x = pool_.Var("x", VarOrigin::kInput);
-  std::vector<const Expr*> constraints = {
-      pool_.Binary(BinOp::kLeS, pool_.Const(5), x),
-      pool_.Binary(BinOp::kLeS, x, pool_.Const(20)),
-      pool_.Eq(pool_.Binary(BinOp::kRemS, x, pool_.Const(3)), pool_.Const(7)),
-  };
-  SolverStats port_stats;
-  SolveOutcome port = Run(constraints, /*portfolio=*/true, &port_stats,
-                          /*budget=*/8);
-  EXPECT_EQ(port.result, SatResult::kUnknown);
-  EXPECT_EQ(port_stats.budget_exhaustions, 1u);
-  SolverStats fixed_stats;
-  SolveOutcome fixed = Run(constraints, /*portfolio=*/false, &fixed_stats,
-                           /*budget=*/8);
-  EXPECT_EQ(fixed.result, SatResult::kUnsat);
-  EXPECT_EQ(fixed_stats.budget_exhaustions, 0u);
-}
-
-TEST_F(PortfolioSolverTest, StrategyKindNamesMatchRotationOrder) {
-  // The JSONL per-strategy fields (bench/README.md) are keyed by these
-  // names in rotation order; renaming or reordering a strategy must show
-  // up here before it silently skews the bench schema.
-  EXPECT_EQ(StrategyKindName(StrategyKind::kInterval), "interval");
-  EXPECT_EQ(StrategyKindName(StrategyKind::kEnumeration), "enumeration");
-  EXPECT_EQ(StrategyKindName(StrategyKind::kSearch), "search");
+  SolverStats stats;
+  SolveOutcome out = Run(constraints, &stats);
+  ASSERT_EQ(out.result, SatResult::kSat);
+  EXPECT_EQ((out.model.at(x->var) & 3), 3);
+  EXPECT_EQ(stats.enumerated_points, 0u);
+  EXPECT_GT(stats.search_steps, 0u);
 }
 
 TEST(ClauseStoreTest, PublishAndRefute) {
@@ -255,17 +197,17 @@ TEST(ClauseStoreTest, EvictionKeepsLearningAndFollowsHits) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine-level: the portfolio (and its clause sharing) must not change what
-// the engine concludes — only what the work costs.
+// Engine-level: clause sharing must not change what the engine concludes —
+// only what the work costs.
 // ---------------------------------------------------------------------------
 
 // Everything observable about an engine run, rendered to one string so a
 // mismatch diff shows exactly which facet diverged (same shape as
 // root_cause_incremental_test.cc's signature).
 std::string RunSignature(const Module& module, const Coredump& dump,
-                         ResOptions options, bool portfolio,
+                         ResOptions options, bool sharing,
                          ResStats* stats_out = nullptr) {
-  options.solver_portfolio = portfolio;
+  options.clause_sharing = sharing;
   ResEngine engine(module, dump, options);
   ResResult result = engine.Run();
   if (stats_out != nullptr) {
@@ -308,29 +250,28 @@ std::string RunSignature(const Module& module, const Coredump& dump,
   return sig;
 }
 
-void ExpectModeInvariant(const char* label, const Module& module,
-                         const Coredump& dump, ResOptions options) {
-  // The fixed-pipeline oracle: the reference signature.
-  std::string oracle = RunSignature(module, dump, options, /*portfolio=*/false);
-  std::string portfolio =
-      RunSignature(module, dump, options, /*portfolio=*/true);
-  EXPECT_EQ(oracle, portfolio)
-      << label << ": portfolio diverged from the fixed-pipeline oracle";
+void ExpectSharingInvariant(const char* label, const Module& module,
+                            const Coredump& dump, ResOptions options) {
+  // Sharing off: the reference signature.
+  std::string reference = RunSignature(module, dump, options, /*sharing=*/false);
+  std::string shared = RunSignature(module, dump, options, /*sharing=*/true);
+  EXPECT_EQ(reference, shared)
+      << label << ": clause sharing diverged from the gate-only reference";
 }
 
-TEST(SolverPortfolioTest, WorkloadCorpusIsModeInvariant) {
+TEST(ClauseSharingTest, WorkloadCorpusIsSharingInvariant) {
   for (const WorkloadSpec& spec : AllWorkloads()) {
     Module module = spec.build();
     FailureRunOptions run_options;
     run_options.require_live_peers = spec.requires_live_peers;
     auto run = RunToFailure(module, spec, run_options);
     ASSERT_TRUE(run.ok()) << spec.name << ": " << run.status().ToString();
-    ExpectModeInvariant(spec.name.c_str(), module, run.value().dump,
-                        ResOptions{});
+    ExpectSharingInvariant(spec.name.c_str(), module, run.value().dump,
+                           ResOptions{});
   }
 }
 
-TEST(SolverPortfolioTest, DeepSuffixChainIsModeInvariant) {
+TEST(ClauseSharingTest, DeepSuffixChainIsSharingInvariant) {
   // The depth-scaling workload: a long linear chain keeps the incremental
   // solver contexts (and their conflict provenance) forked down a deep
   // chain.
@@ -340,13 +281,13 @@ TEST(SolverPortfolioTest, DeepSuffixChainIsModeInvariant) {
   ASSERT_TRUE(run.ok());
   ResOptions options;
   options.max_units = 128;
-  ExpectModeInvariant("root_cause_distance_48", module, run.value().dump,
-                      options);
+  ExpectSharingInvariant("root_cause_distance_48", module, run.value().dump,
+                         options);
 }
 
-TEST(SolverPortfolioTest, MonolithicGatesAreModeInvariant) {
+TEST(ClauseSharingTest, MonolithicGatesAreSharingInvariant) {
   // incremental_solving=false: every gate is a cold monolithic check, which
-  // exercises the portfolio through the memo-cache path.
+  // exercises the screen and the gates through the memo-cache path.
   Module module = BuildRacyCounter();
   const WorkloadSpec& spec = WorkloadByName("racy_counter");
   FailureRunOptions run_options;
@@ -355,16 +296,16 @@ TEST(SolverPortfolioTest, MonolithicGatesAreModeInvariant) {
   ASSERT_TRUE(run.ok());
   ResOptions options;
   options.incremental_solving = false;
-  ExpectModeInvariant("racy_counter_monolithic", module, run.value().dump,
-                      options);
+  ExpectSharingInvariant("racy_counter_monolithic", module, run.value().dump,
+                         options);
 }
 
-TEST(SolverPortfolioTest, LearnedClausesAreReusedOnTheDeepChain) {
+TEST(ClauseSharingTest, LearnedClausesAreReusedOnTheDeepChain) {
   // Full synthesis over the 4-worker interleaving space: sibling subtrees
   // repeatedly re-derive permutations of the same conflicting constraint
   // pairs over shared-ancestor havoc values, so the clause store must show
-  // genuine reuse (hits), and the fixed-pipeline oracle — with clause
-  // sharing off — must reach byte-identical conclusions without any.
+  // genuine reuse (hits), and the reference with clause sharing off must
+  // reach byte-identical conclusions without any.
   Module module = BuildRacyCounterWide(4);
   WorkloadSpec spec = WorkloadByName("racy_counter");
   FailureRunOptions run_options;
@@ -376,46 +317,26 @@ TEST(SolverPortfolioTest, LearnedClausesAreReusedOnTheDeepChain) {
   options.max_units = 48;
   options.max_hypotheses = 1000;
 
-  ResStats portfolio_stats;
-  std::string portfolio = RunSignature(module, run.value().dump, options,
-                                       /*portfolio=*/true, &portfolio_stats);
-  ResStats oracle_stats;
-  std::string oracle = RunSignature(module, run.value().dump, options,
-                                    /*portfolio=*/false, &oracle_stats);
-  EXPECT_EQ(oracle, portfolio)
+  ResStats shared_stats;
+  std::string shared = RunSignature(module, run.value().dump, options,
+                                    /*sharing=*/true, &shared_stats);
+  ResStats reference_stats;
+  std::string reference = RunSignature(module, run.value().dump, options,
+                                       /*sharing=*/false, &reference_stats);
+  EXPECT_EQ(reference, shared)
       << "clause sharing changed the engine's conclusions";
-  EXPECT_GT(portfolio_stats.solver.clauses_learned, 0u);
-  EXPECT_GT(portfolio_stats.solver.clause_hits, 0u)
+  EXPECT_GT(shared_stats.solver.clauses_learned, 0u);
+  EXPECT_GT(shared_stats.solver.clause_hits, 0u)
       << "no learned clause ever refuted a sibling hypothesis";
-  EXPECT_EQ(oracle_stats.solver.clauses_learned, 0u);
-  EXPECT_EQ(oracle_stats.solver.clause_hits, 0u);
+  EXPECT_EQ(reference_stats.solver.clauses_learned, 0u);
+  EXPECT_EQ(reference_stats.solver.clause_hits, 0u);
 
   // Publication happens in commit order, so the hit count itself is
   // deterministic: a repeat run reproduces it.
   ResStats repeat_stats;
-  EXPECT_EQ(portfolio, RunSignature(module, run.value().dump, options,
-                                    /*portfolio=*/true, &repeat_stats));
-  EXPECT_EQ(portfolio_stats.solver.clause_hits, repeat_stats.solver.clause_hits);
-}
-
-TEST(SolverPortfolioTest, TightBudgetStaysDeterministic) {
-  // A starved budget may weaken verdicts (kUnknown instead of a decision),
-  // which legitimately changes the search — but it must do so as a pure
-  // function of the constraint sets: identical across repeated runs.
-  Module module = BuildRootCauseDistance(16);
-  WorkloadSpec spec = WorkloadByName("semantic_assert");
-  auto run = RunToFailure(module, spec, {});
-  ASSERT_TRUE(run.ok());
-  ResOptions options;
-  options.max_units = 64;
-  options.solver_budget_steps = 16;
-  std::string first =
-      RunSignature(module, run.value().dump, options, /*portfolio=*/true);
-  for (int round = 0; round < 2; ++round) {
-    EXPECT_EQ(first, RunSignature(module, run.value().dump, options,
-                                  /*portfolio=*/true))
-        << "round " << round;
-  }
+  EXPECT_EQ(shared, RunSignature(module, run.value().dump, options,
+                                 /*sharing=*/true, &repeat_stats));
+  EXPECT_EQ(shared_stats.solver.clause_hits, repeat_stats.solver.clause_hits);
 }
 
 }  // namespace

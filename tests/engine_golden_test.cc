@@ -126,11 +126,6 @@ Signature RunSignature(const Module& module, const Coredump& dump,
   // then the size of the run's private pool.
   sig.text += "counters:\n";
   result.stats.ForEachCounter([&sig](std::string_view key, uint64_t value) {
-    // The strategy scheduler's step, win and budget counters are left out:
-    // the lines hold for the one fixed solver order that replaces it.
-    if (key.starts_with("strategy_") || key == "budget_exhaustions") {
-      return;
-    }
     sig.text += StrFormat("%s=%llu\n", std::string(key).c_str(),
                           static_cast<unsigned long long>(value));
   });

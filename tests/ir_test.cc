@@ -7,6 +7,7 @@
 #include "src/ir/parser.h"
 #include "src/ir/printer.h"
 #include "src/ir/verifier.h"
+#include "src/support/string_util.h"
 #include "src/workloads/workloads.h"
 
 namespace res {
@@ -313,6 +314,32 @@ TEST(ParserTest, RejectsDuplicateFunction) {
       "func main params 0 regs 0 {\nblock e:\n  halt\n}\n"
       "func main params 0 regs 0 {\nblock e:\n  halt\n}\nentry main\n");
   EXPECT_FALSE(m.ok());
+}
+
+TEST(ParserTest, RejectsOutOfRangeSizesAndCounts) {
+  // Each is data loss, before anything is allocated from the bad count: a
+  // global past the globals segment (the first size once threw bad_alloc,
+  // the second length_error), initializers beyond the global's words, and a
+  // params count outside [0, kNoReg] (both once wrapped to uint16_t).
+  const char* bad[] = {
+      "global g 1000000000000\n",
+      "global g 2305843009213693952\n",
+      "global g 1 = 5 6 7\n",
+      "func main params 65536 regs 0 {\nblock e:\n  halt\n}\nentry main\n",
+      "func main params -1 regs 0 {\nblock e:\n  halt\n}\nentry main\n",
+  };
+  for (const char* text : bad) {
+    auto m = ParseModule(text);
+    ASSERT_FALSE(m.ok()) << text;
+    EXPECT_EQ(m.status().code(), StatusCode::kDataLoss) << text;
+  }
+  // The largest global that still fits, and a full initializer list, parse.
+  EXPECT_TRUE(ParseModule(StrFormat("global g %llu\n",
+                                    static_cast<unsigned long long>(
+                                        (kGlobalLimit - kGlobalBase) /
+                                        kWordSize)))
+                  .ok());
+  EXPECT_TRUE(ParseModule("global g 3 = 5 6 7\n").ok());
 }
 
 TEST(ParserTest, ParsesQuotedAssertMessages) {

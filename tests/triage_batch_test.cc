@@ -96,7 +96,7 @@ TEST(TriageBatchTest, BatchMatchesSoloAcrossParallelism) {
   }
 }
 
-// The clause-learning workload from tests/solver_portfolio_test.cc: full
+// The clause-learning workload from tests/clause_sharing_test.cc: full
 // synthesis over the 4-worker interleaving space learns real UNSAT cores.
 class SameModuleBatch : public ::testing::Test {
  protected:

@@ -344,18 +344,14 @@ TEST_F(DeadlineTest, EngineDeadlineIsDeterministic) {
 
 TEST_F(DeadlineTest, DeadlineTriggersDegradedRetryThenQuarantine) {
   // Shallow profile so the calibration runs are cheap: the full profile
-  // explores to depth 4, the degraded retry (max_units halved, portfolio
-  // off, budget halved — mirrors TriageService's DegradedProfile) to 2.
+  // explores to depth 4, the degraded retry (DegradedProfile) to 2.
   ResOptions full_options = res_options_;
   full_options.max_units = 4;
   const uint64_t u_full =
       ResEngine(module_, dump_, full_options).Run().stats.committed_units;
-  ResOptions degraded_options = full_options;
-  degraded_options.max_units = full_options.max_units / 2;
-  degraded_options.solver_portfolio = false;
-  degraded_options.solver_budget_steps = full_options.solver_budget_steps / 2;
-  const uint64_t u_deg =
-      ResEngine(module_, dump_, degraded_options).Run().stats.committed_units;
+  const uint64_t u_deg = ResEngine(module_, dump_, DegradedProfile(full_options))
+                             .Run()
+                             .stats.committed_units;
   ASSERT_GT(u_deg, 1u);
   ASSERT_LT(u_deg, u_full);
 
