@@ -175,7 +175,7 @@ constexpr const char* kSpawnForkGolden[] = {
 };
 constexpr const char* kAddressForkGolden =
     "address_fork reached_start 2 semantic_bug "
-    "3d12849d95dadbf4 c1e2349b9bcf6a8f";
+    "46eae54c287bb544 c1e2349b9bcf6a8f";
 constexpr const char* kDecisionProceduresGolden[] = {
     "hash_chain_spilled reached_start 4 semantic_bug "
     "2007a13bbfc2214a bf13edebe454f102",
