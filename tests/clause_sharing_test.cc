@@ -32,7 +32,7 @@ namespace {
 // Solver-level: the decision order, cores, and the clause store.
 // ---------------------------------------------------------------------------
 
-class SolverCoreTest : public ::testing::Test {
+class SolverDecisionTest : public ::testing::Test {
  protected:
   SolveOutcome Run(const std::vector<const Expr*>& constraints,
                    SolverStats* stats) {
@@ -43,7 +43,7 @@ class SolverCoreTest : public ::testing::Test {
   ExprPool pool_;
 };
 
-TEST_F(SolverCoreTest, EnumerationRunsToTheFirstOdometerModel) {
+TEST_F(SolverDecisionTest, EnumerationRunsToTheFirstOdometerModel) {
   // x in [0, 65535] with 8191 < (x & 0xffff): interval tightening cannot
   // see through kAnd, so the check enumerates x upward from 0, and the
   // first point that fits is 8192. Enumeration runs to completion before
@@ -63,7 +63,7 @@ TEST_F(SolverCoreTest, EnumerationRunsToTheFirstOdometerModel) {
   EXPECT_EQ(stats.search_steps, 0u);
 }
 
-TEST_F(SolverCoreTest, EnumerationUnsatCarriesASoundCore) {
+TEST_F(SolverDecisionTest, EnumerationUnsatCarriesASoundCore) {
   // x in [5, 20] with x % 3 == 7: no remainder ever reaches 7, so complete
   // enumeration proves UNSAT. The reported core must be a subset of the
   // inputs that is *itself* UNSAT (re-checking just the core must refute).
@@ -88,7 +88,7 @@ TEST_F(SolverCoreTest, EnumerationUnsatCarriesASoundCore) {
       << "the core alone must still be UNSAT";
 }
 
-TEST_F(SolverCoreTest, PropagationConflictClosesCoreOverBindings) {
+TEST_F(SolverDecisionTest, PropagationConflictClosesCoreOverBindings) {
   // x = 5, y = x, y = 7: the contradiction surfaces only after substituting
   // through both bindings, so the core must close over their sources — all
   // three constraints.
@@ -105,7 +105,7 @@ TEST_F(SolverCoreTest, PropagationConflictClosesCoreOverBindings) {
   EXPECT_EQ(out.core.size(), 3u);
 }
 
-TEST_F(SolverCoreTest, SearchWinsWhenEnumerationCannotApply) {
+TEST_F(SolverDecisionTest, SearchWinsWhenEnumerationCannotApply) {
   // x & 3 == 3 with no range constraints: intervals stay infinite, so
   // enumeration is inapplicable and local search must find a model. The
   // trajectory is seeded from the constraint set's content hash, so this is

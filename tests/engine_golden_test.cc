@@ -297,10 +297,10 @@ TEST(EngineGoldenTest, AddressFork) {
 
 TEST(EngineGoldenTest, DecisionProcedures) {
   // Gates that propagation, the cached model and the memo cache cannot
-  // settle, so the solver's interval, enumeration and search steps decide
-  // them: a hash chain reversed through its spilled input, the same chain
-  // with the input held only in a register (the gates stay unknown), and a
-  // long loop searched without breadcrumbs.
+  // settle, so they reach the solver's decision procedures (local search
+  // does the work in all three): a hash chain reversed through its spilled
+  // input, the same chain with the input held only in a register (some
+  // gates stay unknown), and a long loop searched without breadcrumbs.
   ResOptions full;
   full.stop_at_root_cause = false;
   for (bool spill : {true, false}) {
