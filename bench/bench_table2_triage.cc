@@ -222,9 +222,10 @@ int main() {
   }
 
   // The degraded-retry stream: a step deadline the full-fidelity profile
-  // overshoots but the degraded retry (DegradedProfile) fits. Calibrated on the engine's own deterministic abstract
-  // clock (ResStats::committed_units), so the stream behaves identically on
-  // any machine.
+  // overshoots but the degraded retry (DegradedProfile) fits. Calibrated on
+  // the engine's own deterministic abstract clock
+  // (ResStats::committed_units), so the stream behaves identically on any
+  // machine.
   {
     Module module = BuildRacyCounterWide(4);
     WorkloadSpec spec = WorkloadByName("racy_counter");
