@@ -1,19 +1,22 @@
-// Dispatch-equivalence and wire-format tests for the fast execution
-// substrate (docs/ARCHITECTURE.md §12).
+// Golden VM signatures and wire-format tests for the execution substrate
+// (docs/ARCHITECTURE.md §12).
 //
-// The predecoded direct-threaded engine must be observationally
-// byte-identical to the classic tree-walking interpreter — same traps, same
-// step counts, same block traces, same recorder streams, same serialized
-// coredumps — across the workload corpus, every scheduler policy, and
-// multithreaded interleavings. The classic engine is the differential
-// oracle; any divergence is a bug in the lowering or the threaded loop.
+// Each golden line hashes everything observable about VM runs — traps, step
+// counts, block traces, consumed inputs, recorder streams and serialized
+// coredumps — over the workload corpus under every scheduler policy, the
+// scaling modules, an invalid opcode, a scenario sweep and a replayed
+// suffix. The classic tree-walking interpreter and the predecoded
+// direct-threaded engine both produce every line, so a mismatch on either
+// engine means the VM changed what it executes or what it freezes.
 //
 // The RESMOD1 binary module format gets the same treatment as the coredump
 // codec: byte-identical round-trips for accepted inputs, kDataLoss (never a
 // crash) for truncated or corrupted bytes.
 #include <gtest/gtest.h>
 
+#include <cinttypes>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -24,6 +27,7 @@
 #include "src/res/res_api.h"
 #include "src/res/runtime.h"
 #include "src/scenario/scenario.h"
+#include "src/support/hash.h"
 #include "src/support/string_util.h"
 #include "src/vm/predecode.h"
 #include "src/vm/scheduler_spec.h"
@@ -45,20 +49,35 @@ const char* const kPolicies[] = {
     "delay:seed=1,permille=300,max_delay=3",
 };
 
-// Everything observable about one VM run, rendered to one string so a
-// mismatch diff names the diverging facet. Includes the serialized coredump
-// bytes on failure traps — the strongest byte-identity statement the repo
-// has.
-std::string RunSignature(const Module& module, const std::string& policy,
+// `<case> <summary> <hash of text>`.
+std::string GoldenLine(const char* name, const std::string& summary,
+                       const std::string& text) {
+  return StrFormat("%s %s %016" PRIx64, name, summary.c_str(),
+                   FnvHashString(text));
+}
+
+// Everything observable about one VM run, rendered to one string. Includes
+// the serialized coredump bytes on failure traps — the strongest
+// byte-identity statement the repo has.
+struct VmSignature {
+  RunResult run;
+  std::string text;
+};
+
+VmSignature RunSignature(const Module& module, const std::string& policy,
                          uint64_t seed, const std::vector<int64_t>& inputs,
                          bool predecode) {
+  VmSignature out;
+  std::string& sig = out.text;
   auto spec = ParseSchedulerSpec(policy);
   if (!spec.ok()) {
-    return "bad spec: " + spec.status().ToString();
+    sig = "bad spec: " + spec.status().ToString();
+    return out;
   }
   auto scheduler = MakeScheduler(spec.value(), seed);
   if (!scheduler.ok()) {
-    return "bad scheduler: " + scheduler.status().ToString();
+    sig = "bad scheduler: " + scheduler.status().ToString();
+    return out;
   }
   VmOptions options;
   options.predecode = predecode;
@@ -73,11 +92,12 @@ std::string RunSignature(const Module& module, const std::string& policy,
   FullMemoryRecorder recorder;
   vm.set_recorder(&recorder);
   if (Status s = vm.Reset(); !s.ok()) {
-    return "reset failed: " + s.ToString();
+    sig = "reset failed: " + s.ToString();
+    return out;
   }
   RunResult run = vm.Run();
+  out.run = run;
 
-  std::string sig;
   sig += StrFormat("outcome=%d steps=%llu\n", static_cast<int>(run.outcome),
                    static_cast<unsigned long long>(run.steps));
   sig += StrFormat("trap=%s thread=%u pc=%s addr=%llu msg=%s\n",
@@ -109,46 +129,184 @@ std::string RunSignature(const Module& module, const std::string& policy,
     sig += StrFormat("dump_bytes=%zu\n", dump.size());
     sig.append(dump.begin(), dump.end());
   }
-  // The predecoded step counter is part of the contract: it must mirror
-  // steps exactly on the predecoded engine and stay zero on the classic one.
-  if (predecode ? vm.predecode_steps() != run.steps
-                : vm.predecode_steps() != 0) {
-    sig += StrFormat("BAD predecode_steps=%llu\n",
-                     static_cast<unsigned long long>(vm.predecode_steps()));
-  }
-  return sig;
+  return out;
 }
 
-TEST(PredecodeDifferentialTest, CorpusTimesPoliciesIsByteIdentical) {
-  for (const WorkloadSpec& spec : AllWorkloads()) {
-    Module module = spec.build();
-    for (const char* policy : kPolicies) {
-      for (uint64_t seed : {1u, 7u, 23u}) {
-        std::string classic =
-            RunSignature(module, policy, seed, spec.channel0_inputs,
-                         /*predecode=*/false);
-        std::string predecoded =
-            RunSignature(module, policy, seed, spec.channel0_inputs,
-                         /*predecode=*/true);
-        ASSERT_EQ(classic, predecoded)
-            << spec.name << " under " << policy << " seed " << seed
-            << " diverged from the classic oracle";
+// `<trap> <steps>` of one run.
+std::string RunSummary(const RunResult& run) {
+  return StrFormat("%s %llu", std::string(TrapKindName(run.trap.kind)).c_str(),
+                   static_cast<unsigned long long>(run.steps));
+}
+
+// Golden lines. A single run's line is `<case> <trap> <steps> <hash>`; a
+// workload's covers its 5 policies x 3 seeds as `<workload> <trapped runs>
+// <total steps> <hash>`; the sweep's is `sweep <crashes> <fixtures> <hash>`.
+constexpr const char* kCorpusGolden[] = {
+    "racy_counter 4 877 8769c19b2c5f3f75",
+    "atomicity_violation 6 455 f46a9c89758515d6",
+    "order_violation 14 173 94fa59388ec5f45b",
+    "buffer_overflow 15 270 eb58c1168bce203e",
+    "use_after_free 15 285 83d15c612b91da99",
+    "double_free 15 225 6284cf2257cffad8",
+    "div_by_zero_input 15 120 88af520c882e71f6",
+    "semantic_assert 15 165 7be43eb26f1e7bea",
+    "deadlock 6 378 616f7b156d4e8c32",
+    "locked_counter_input_bug 15 232 f02bcede5f3b491e",
+};
+constexpr const char* kScalingGolden[] = {
+    "long_execution_2000 none 49022 831bdaf6413fffc6",
+    "hash_chain_spilled assert_failure 29 680490a9159bb814",
+    "hash_chain_unspilled assert_failure 27 da0a3c38d325db79",
+    "root_cause_distance_64 none 460 9c00c53fa3447925",
+};
+constexpr const char* kInvalidOpcodeGolden =
+    "invalid_opcode invalid_opcode 1 e0a7f85630d580c5";
+constexpr const char* kSweepGolden = "sweep 4 2 0d8b9750adcad8a6";
+constexpr const char* kReplayGolden =
+    "replay_div_by_zero_input div_by_zero 8 9344a3d73c898a17";
+
+TEST(VmGoldenTest, WorkloadCorpusUnderEveryPolicy) {
+  const std::vector<WorkloadSpec>& specs = AllWorkloads();
+  ASSERT_EQ(specs.size(), std::size(kCorpusGolden));
+  for (bool predecode : {false, true}) {
+    for (size_t i = 0; i < specs.size(); ++i) {
+      const WorkloadSpec& spec = specs[i];
+      Module module = spec.build();
+      std::string text;
+      size_t trapped = 0;
+      uint64_t steps = 0;
+      for (const char* policy : kPolicies) {
+        for (uint64_t seed : {1u, 7u, 23u}) {
+          VmSignature sig = RunSignature(module, policy, seed,
+                                         spec.channel0_inputs, predecode);
+          trapped += sig.run.outcome == RunOutcome::kTrapped ? 1 : 0;
+          steps += sig.run.steps;
+          text += sig.text;
+        }
       }
+      EXPECT_EQ(GoldenLine(spec.name.c_str(),
+                           StrFormat("%zu %llu", trapped,
+                                     static_cast<unsigned long long>(steps)),
+                           text),
+                kCorpusGolden[i])
+          << "predecode=" << predecode;
     }
   }
 }
 
-TEST(PredecodeDifferentialTest, ScalingWorkloadsAgree) {
+TEST(VmGoldenTest, ScalingModules) {
   // The deep-loop and hash-mix generators: long single-thread hot paths,
   // exactly where a dispatch bug would hide from the tiny corpus programs.
-  for (Module module :
-       {BuildLongExecution(2000), BuildHashChain(true), BuildHashChain(false),
-        BuildRootCauseDistance(64)}) {
-    std::string classic = RunSignature(module, "rr:quantum=16", 1, {42},
-                                       /*predecode=*/false);
-    std::string predecoded = RunSignature(module, "rr:quantum=16", 1, {42},
-                                          /*predecode=*/true);
-    ASSERT_EQ(classic, predecoded);
+  const Module modules[] = {BuildLongExecution(2000), BuildHashChain(true),
+                            BuildHashChain(false), BuildRootCauseDistance(64)};
+  static_assert(std::size(modules) == std::size(kScalingGolden));
+  const char* names[] = {"long_execution_2000", "hash_chain_spilled",
+                         "hash_chain_unspilled", "root_cause_distance_64"};
+  for (bool predecode : {false, true}) {
+    for (size_t i = 0; i < std::size(modules); ++i) {
+      VmSignature sig =
+          RunSignature(modules[i], "rr:quantum=16", 1, {42}, predecode);
+      EXPECT_EQ(GoldenLine(names[i], RunSummary(sig.run), sig.text),
+                kScalingGolden[i])
+          << "predecode=" << predecode;
+    }
+  }
+}
+
+TEST(VmGoldenTest, InvalidOpcodeTrapsHonestly) {
+  // An opcode byte outside the enum must raise kInvalidOpcode (not a
+  // misleading memory fault), and the dump must survive the coredump codec.
+  Module module = BuildSemanticAssert();
+  Function* fn = module.mutable_function(module.entry());
+  ASSERT_FALSE(fn->blocks.empty());
+  ASSERT_FALSE(fn->blocks[0].instructions.empty());
+  fn->blocks[0].instructions[0].op = static_cast<Opcode>(200);
+
+  for (bool predecode : {false, true}) {
+    VmOptions options;
+    options.predecode = predecode;
+    Vm vm(&module, options);
+    ASSERT_TRUE(vm.Reset().ok());
+    RunResult run = vm.Run();
+    ASSERT_EQ(run.outcome, RunOutcome::kTrapped) << "predecode=" << predecode;
+    EXPECT_EQ(run.trap.kind, TrapKind::kInvalidOpcode);
+    EXPECT_EQ(run.trap.pc, (Pc{module.entry(), 0, 0}));
+    EXPECT_EQ(run.trap.message, "invalid opcode 200");
+
+    std::vector<uint8_t> bytes = SerializeCoredump(CaptureCoredump(vm));
+    auto dump = DeserializeCoredump(bytes);
+    ASSERT_TRUE(dump.ok()) << dump.status().ToString();
+    EXPECT_EQ(dump.value().trap.kind, TrapKind::kInvalidOpcode);
+
+    VmSignature sig = RunSignature(module, "rr:quantum=16", 1, {}, predecode);
+    EXPECT_EQ(GoldenLine("invalid_opcode", RunSummary(sig.run), sig.text),
+              kInvalidOpcodeGolden)
+        << "predecode=" << predecode;
+  }
+}
+
+TEST(VmGoldenTest, SweepDumpBlobs) {
+  // The fixture corpus and its manifest are downstream of these bytes.
+  ScenarioGrid grid;
+  grid.workloads = {"racy_counter"};
+  grid.policies = {"rr:quantum=1", "random:seed=1,permille=350"};
+  grid.seeds_per_cell = 4;
+  grid.max_steps_per_run = 20000;
+
+  for (bool predecode : {false, true}) {
+    grid.predecode = predecode;
+    auto sweep = RunSweep(grid);
+    ASSERT_TRUE(sweep.ok());
+    const SweepResult& result = sweep.value();
+    ASSERT_EQ(result.fixtures.size(), result.dump_blobs.size());
+    std::string text;
+    for (size_t i = 0; i < result.fixtures.size(); ++i) {
+      const FixtureRecord& f = result.fixtures[i];
+      text += StrFormat("%s %s seed=%llu steps=%llu\n", f.workload.c_str(),
+                        f.policy.c_str(),
+                        static_cast<unsigned long long>(f.seed),
+                        static_cast<unsigned long long>(f.steps));
+      text.append(result.dump_blobs[i].begin(), result.dump_blobs[i].end());
+    }
+    EXPECT_EQ(GoldenLine("sweep",
+                         StrFormat("%llu %zu",
+                                   static_cast<unsigned long long>(
+                                       result.stats.crashes),
+                                   result.fixtures.size()),
+                         text),
+              kSweepGolden)
+        << "predecode=" << predecode;
+  }
+}
+
+TEST(VmGoldenTest, ReplayedDump) {
+  const WorkloadSpec& spec = WorkloadByName("div_by_zero_input");
+  Module module = spec.build();
+  FailureRunOptions run_options;
+  run_options.require_live_peers = spec.requires_live_peers;
+  auto run = RunToFailure(module, spec, run_options);
+  ASSERT_TRUE(run.ok());
+  ResEngine engine(module, run.value().dump);
+  ResResult result = engine.Run();
+  ASSERT_TRUE(result.suffix.has_value() && result.suffix->verified);
+
+  // No lowering (the classic engine) and a shared one (the predecoded
+  // engine).
+  const PredecodedModule pm = PredecodedModule::Build(module);
+  const PredecodedModule* lowerings[] = {nullptr, &pm};
+  for (const PredecodedModule* lowering : lowerings) {
+    auto replay = ReplaySuffix(module, run.value().dump, *result.suffix,
+                               engine.pool(), lowering);
+    ASSERT_TRUE(replay.ok());
+    EXPECT_TRUE(replay.value().trap_matches);
+    EXPECT_TRUE(replay.value().state_matches);
+    std::vector<uint8_t> bytes =
+        SerializeCoredump(replay.value().replay_dump);
+    EXPECT_EQ(GoldenLine("replay_div_by_zero_input",
+                         RunSummary(replay.value().run),
+                         std::string(bytes.begin(), bytes.end())),
+              kReplayGolden)
+        << "shared lowering=" << (lowering != nullptr);
   }
 }
 
@@ -182,40 +340,6 @@ TEST(PredecodeTest, OpIndexPcRoundTrip) {
   }
 }
 
-TEST(PredecodeTest, InvalidOpcodeTrapsHonestlyOnBothEngines) {
-  // An opcode byte outside the enum must raise kInvalidOpcode (not a
-  // misleading memory fault), identically on both engines, and the dump
-  // must survive the coredump codec.
-  Module module = BuildSemanticAssert();
-  Function* fn = module.mutable_function(module.entry());
-  ASSERT_FALSE(fn->blocks.empty());
-  ASSERT_FALSE(fn->blocks[0].instructions.empty());
-  fn->blocks[0].instructions[0].op = static_cast<Opcode>(200);
-
-  for (bool predecode : {false, true}) {
-    VmOptions options;
-    options.predecode = predecode;
-    Vm vm(&module, options);
-    ASSERT_TRUE(vm.Reset().ok());
-    RunResult run = vm.Run();
-    ASSERT_EQ(run.outcome, RunOutcome::kTrapped) << "predecode=" << predecode;
-    EXPECT_EQ(run.trap.kind, TrapKind::kInvalidOpcode);
-    EXPECT_EQ(run.trap.pc, (Pc{module.entry(), 0, 0}));
-    EXPECT_EQ(run.trap.message, "invalid opcode 200");
-
-    std::vector<uint8_t> bytes = SerializeCoredump(CaptureCoredump(vm));
-    auto dump = DeserializeCoredump(bytes);
-    ASSERT_TRUE(dump.ok()) << dump.status().ToString();
-    EXPECT_EQ(dump.value().trap.kind, TrapKind::kInvalidOpcode);
-  }
-
-  std::string classic = RunSignature(module, "rr:quantum=16", 1, {},
-                                     /*predecode=*/false);
-  std::string predecoded = RunSignature(module, "rr:quantum=16", 1, {},
-                                        /*predecode=*/true);
-  EXPECT_EQ(classic, predecoded);
-}
-
 TEST(PredecodeTest, CachedInModuleFacts) {
   ResRuntime runtime;
   Module module = BuildRacyCounter();
@@ -232,56 +356,6 @@ TEST(PredecodeTest, CachedInModuleFacts) {
   RunResult run = vm.Run();
   EXPECT_GT(run.steps, 0u);
   EXPECT_EQ(vm.predecode_steps(), run.steps);
-}
-
-TEST(PredecodeTest, ReplaySuffixOnPredecodedEngineMatches) {
-  const WorkloadSpec& spec = WorkloadByName("div_by_zero_input");
-  Module module = spec.build();
-  FailureRunOptions run_options;
-  run_options.require_live_peers = spec.requires_live_peers;
-  auto run = RunToFailure(module, spec, run_options);
-  ASSERT_TRUE(run.ok());
-  ResEngine engine(module, run.value().dump);
-  ResResult result = engine.Run();
-  ASSERT_TRUE(result.suffix.has_value() && result.suffix->verified);
-
-  auto classic =
-      ReplaySuffix(module, run.value().dump, *result.suffix, engine.pool());
-  ASSERT_TRUE(classic.ok());
-  PredecodedModule pm = PredecodedModule::Build(module);
-  auto predecoded = ReplaySuffix(module, run.value().dump, *result.suffix,
-                                 engine.pool(), &pm);
-  ASSERT_TRUE(predecoded.ok());
-  EXPECT_TRUE(predecoded.value().trap_matches);
-  EXPECT_TRUE(predecoded.value().state_matches);
-  EXPECT_EQ(SerializeCoredump(classic.value().replay_dump),
-            SerializeCoredump(predecoded.value().replay_dump));
-}
-
-TEST(PredecodeTest, SweepIsPredecodeInvariant) {
-  // Flipping the sweep's engine must not change any minted byte — the
-  // fixture corpus and its manifest are downstream of this invariance.
-  ScenarioGrid grid;
-  grid.workloads = {"racy_counter"};
-  grid.policies = {"rr:quantum=1", "random:seed=1,permille=350"};
-  grid.seeds_per_cell = 4;
-  grid.max_steps_per_run = 20000;
-
-  grid.predecode = true;
-  auto on = RunSweep(grid);
-  ASSERT_TRUE(on.ok());
-  grid.predecode = false;
-  auto off = RunSweep(grid);
-  ASSERT_TRUE(off.ok());
-
-  ASSERT_EQ(on.value().fixtures.size(), off.value().fixtures.size());
-  EXPECT_EQ(on.value().stats.crashes, off.value().stats.crashes);
-  EXPECT_EQ(on.value().dump_blobs, off.value().dump_blobs);
-  for (size_t i = 0; i < on.value().fixtures.size(); ++i) {
-    EXPECT_EQ(on.value().fixtures[i].dump_fingerprint,
-              off.value().fixtures[i].dump_fingerprint);
-    EXPECT_EQ(on.value().fixtures[i].steps, off.value().fixtures[i].steps);
-  }
 }
 
 TEST(ModuleSerializeTest, CorpusRoundTripsByteIdentically) {
