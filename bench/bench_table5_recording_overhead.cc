@@ -2,6 +2,9 @@
 // expensive for production. Quotes: SMP-ReVirt ~400%, ODR ~60% overhead.
 // We regenerate the *shape* on our VM: full memory-op logging vs
 // input+schedule logging vs native, on CPU- and memory-bound workloads.
+#include <algorithm>
+#include <memory>
+
 #include "bench/bench_util.h"
 #include "src/support/string_util.h"
 #include "src/vm/vm.h"
@@ -11,8 +14,18 @@ using namespace res;  // NOLINT
 
 namespace {
 
-double TimeRun(const Module& module, Recorder* recorder, size_t* log_bytes) {
-  // Median of 5 runs.
+// One timed mode: the median of 5 runs, and what one run retired and logged.
+struct Timing {
+  double median_ms = -1;
+  uint64_t steps = 0;
+  size_t log_bytes = 0;
+};
+
+// Runs `module` 5 times, each on a fresh VM with a fresh recorder from
+// `make_recorder` (none when it is null: the native run).
+Timing TimeRun(const Module& module,
+               std::unique_ptr<Recorder> (*make_recorder)() = nullptr) {
+  Timing out;
   std::vector<double> times;
   for (int rep = 0; rep < 5; ++rep) {
     Vm vm(&module);
@@ -20,50 +33,21 @@ double TimeRun(const Module& module, Recorder* recorder, size_t* log_bytes) {
     vm.set_scheduler(&scheduler);
     QueueInputProvider inputs(/*fallback=*/1);  // divisor 1: no trap
     vm.set_input_provider(&inputs);
-    if (recorder != nullptr && rep == 0 && log_bytes != nullptr) {
-      // Only meter the log once (it grows per run otherwise).
-    }
-    vm.set_recorder(recorder);
+    std::unique_ptr<Recorder> recorder =
+        make_recorder != nullptr ? make_recorder() : nullptr;
+    vm.set_recorder(recorder.get());
     if (!vm.Reset().ok()) {
-      return -1;
-    }
-    WallTimer timer;
-    vm.Run();
-    times.push_back(timer.ElapsedMs());
-    if (recorder != nullptr && log_bytes != nullptr) {
-      *log_bytes = recorder->LogBytes();
-    }
-  }
-  std::sort(times.begin(), times.end());
-  return times[times.size() / 2];
-}
-
-// Times one engine (classic or predecoded) over the same workload, median
-// of 5; returns wall ms and fills the deterministic step counters from the
-// last run (identical across reps and engines — the dispatch-equivalence
-// contract, docs/ARCHITECTURE.md §12).
-double TimeEngine(const Module& module, bool predecode, uint64_t* steps,
-                  uint64_t* predecode_steps) {
-  std::vector<double> times;
-  for (int rep = 0; rep < 5; ++rep) {
-    VmOptions options;
-    options.predecode = predecode;
-    Vm vm(&module, options);
-    RoundRobinScheduler scheduler;
-    vm.set_scheduler(&scheduler);
-    QueueInputProvider inputs(/*fallback=*/1);  // divisor 1: no trap
-    vm.set_input_provider(&inputs);
-    if (!vm.Reset().ok()) {
-      return -1;
+      return out;
     }
     WallTimer timer;
     RunResult run = vm.Run();
     times.push_back(timer.ElapsedMs());
-    *steps = run.steps;
-    *predecode_steps = vm.predecode_steps();
+    out.steps = run.steps;
+    out.log_bytes = recorder != nullptr ? recorder->LogBytes() : 0;
   }
   std::sort(times.begin(), times.end());
-  return times[times.size() / 2];
+  out.median_ms = times[times.size() / 2];
+  return out;
 }
 
 }  // namespace
@@ -76,15 +60,14 @@ int main() {
   const uint64_t kIters = 300000;
   Module module = BuildLongExecution(kIters);
 
-  double native_ms = TimeRun(module, nullptr, nullptr);
-
-  FullMemoryRecorder full;
-  size_t full_bytes = 0;
-  double full_ms = TimeRun(module, &full, &full_bytes);
-
-  InputScheduleRecorder light;
-  size_t light_bytes = 0;
-  double light_ms = TimeRun(module, &light, &light_bytes);
+  const Timing native = TimeRun(module);
+  const Timing full = TimeRun(module, []() -> std::unique_ptr<Recorder> {
+    return std::make_unique<FullMemoryRecorder>();
+  });
+  const Timing light = TimeRun(module, []() -> std::unique_ptr<Recorder> {
+    return std::make_unique<InputScheduleRecorder>();
+  });
+  const double native_ms = native.median_ms;
 
   auto overhead = [native_ms](double ms) {
     return StrFormat("%+.0f%%", 100.0 * (ms - native_ms) / native_ms);
@@ -92,11 +75,12 @@ int main() {
   rows.push_back({"long_execution(300k)", "native (RES needs this)",
                   StrFormat("%.1f", native_ms), "baseline", "0 B"});
   rows.push_back({"long_execution(300k)", "full memory log (SMP-ReVirt-like)",
-                  StrFormat("%.1f", full_ms), overhead(full_ms),
-                  StrFormat("%.1f MiB", full_bytes / (1024.0 * 1024.0))});
+                  StrFormat("%.1f", full.median_ms), overhead(full.median_ms),
+                  StrFormat("%.1f MiB", full.log_bytes / (1024.0 * 1024.0))});
   rows.push_back({"long_execution(300k)", "input+schedule log (ODR-like)",
-                  StrFormat("%.1f", light_ms), overhead(light_ms),
-                  StrFormat("%.1f KiB", light_bytes / 1024.0)});
+                  StrFormat("%.1f", light.median_ms),
+                  overhead(light.median_ms),
+                  StrFormat("%zu B", light.log_bytes)});
   PrintTable(rows);
 
   // Wall-clock-only records (no engine runs here): the overhead *shape* is
@@ -108,62 +92,33 @@ int main() {
   r.wall_ms = native_ms;
   json.Append(r);
   r.name = "table5_recording_overhead/mode=full_memory_log";
-  r.wall_ms = full_ms;
+  r.wall_ms = full.median_ms;
   json.Append(r);
   r.name = "table5_recording_overhead/mode=input_schedule_log";
-  r.wall_ms = light_ms;
+  r.wall_ms = light.median_ms;
   json.Append(r);
   std::printf("\nexpected shape: full-logging overhead large and log size "
               "proportional to execution; RES's row is 'native' — it records "
               "nothing (paper quotes 400%% / 60%% for the two regimes)\n");
 
-  // --- Execution substrate: classic switch dispatch vs predecoded
-  // direct-threaded dispatch (docs/ARCHITECTURE.md §12). Same workload, no
-  // recorder; the step counters are deterministic and byte-identical across
-  // engines, so they are baselined as floors; throughput is wall-dependent
-  // and reported only.
-  PrintHeader("T5b: interpreter dispatch (classic vs predecoded)");
-  uint64_t classic_steps = 0, classic_pd = 0;
-  double classic_ms = TimeEngine(module, /*predecode=*/false, &classic_steps,
-                                 &classic_pd);
-  uint64_t pre_steps = 0, pre_pd = 0;
-  double pre_ms = TimeEngine(module, /*predecode=*/true, &pre_steps, &pre_pd);
-  auto per_sec = [](uint64_t steps, double ms) {
-    return ms > 0 ? 1000.0 * static_cast<double>(steps) / ms : 0.0;
-  };
-  std::vector<std::vector<std::string>> erows;
-  erows.push_back({"engine", "median ms", "steps", "Msteps/s", "speedup"});
-  erows.push_back({"classic switch", StrFormat("%.1f", classic_ms),
-                   StrFormat("%llu", (unsigned long long)classic_steps),
-                   StrFormat("%.2f", per_sec(classic_steps, classic_ms) / 1e6),
-                   "1.00x"});
-  erows.push_back({"predecoded direct-threaded", StrFormat("%.1f", pre_ms),
-                   StrFormat("%llu", (unsigned long long)pre_steps),
-                   StrFormat("%.2f", per_sec(pre_steps, pre_ms) / 1e6),
-                   StrFormat("%.2fx", pre_ms > 0 ? classic_ms / pre_ms : 0.0)});
-  PrintTable(erows);
-  if (classic_steps != pre_steps || pre_pd != pre_steps || classic_pd != 0) {
-    std::printf("DISPATCH-EQUIVALENCE VIOLATION: classic %llu steps (pd %llu) "
-                "vs predecoded %llu steps (pd %llu)\n",
-                (unsigned long long)classic_steps,
-                (unsigned long long)classic_pd, (unsigned long long)pre_steps,
-                (unsigned long long)pre_pd);
-    return 1;
-  }
+  // --- Execution substrate: the native runs' throughput on the predecoded
+  // direct-threaded VM (docs/ARCHITECTURE.md §12). The step count is
+  // deterministic, so it is baselined as a floor; throughput is
+  // wall-dependent and reported only.
+  PrintHeader("T5b: interpreter throughput (native run)");
+  const double steps_per_sec =
+      native_ms > 0 ? 1000.0 * static_cast<double>(native.steps) / native_ms
+                    : 0.0;
+  PrintTable({{"engine", "median ms", "steps", "Msteps/s"},
+              {"predecoded direct-threaded", StrFormat("%.1f", native_ms),
+               StrFormat("%llu", (unsigned long long)native.steps),
+               StrFormat("%.2f", steps_per_sec / 1e6)}});
 
   r = BenchRecord{};
-  r.name = "table5_recording_overhead/engine=classic";
-  r.wall_ms = classic_ms;
-  r.vm_steps = classic_steps;
-  r.vm_predecode_steps = classic_pd;
-  r.vm_steps_per_sec = per_sec(classic_steps, classic_ms);
-  json.Append(r);
-  r = BenchRecord{};
   r.name = "table5_recording_overhead/engine=predecode";
-  r.wall_ms = pre_ms;
-  r.vm_steps = pre_steps;
-  r.vm_predecode_steps = pre_pd;
-  r.vm_steps_per_sec = per_sec(pre_steps, pre_ms);
+  r.wall_ms = native_ms;
+  r.vm_steps = native.steps;
+  r.vm_steps_per_sec = steps_per_sec;
   json.Append(r);
   return 0;
 }

@@ -54,8 +54,8 @@ inline void PrintTable(const std::vector<std::vector<std::string>>& rows) {
 
 // Record keys that no stats list holds, one entry per key: X(type, key).
 // The sweep values are deterministic (the grid is fixed and every policy is
-// a pure function of (spec, seed)); vm_steps and vm_predecode_steps are
-// deterministic step counters; vm_steps_per_sec is wall-dependent.
+// a pure function of (spec, seed)); vm_steps is a deterministic step
+// counter; vm_steps_per_sec is wall-dependent.
 #define RES_BENCH_VALUES(X)                                                    \
   X(std::string, scheduler_policy)  /* canonical scheduler spec string */      \
   X(uint64_t, scheduler_seed)       /* first seed of the swept range */        \
@@ -66,7 +66,6 @@ inline void PrintTable(const std::vector<std::vector<std::string>>& rows) {
   X(uint64_t, diff_groups)          /* cross-schedule groups diffed */         \
   X(uint64_t, diff_causes_equal)    /* groups with byte-equal root cause */    \
   X(uint64_t, vm_steps)             /* instructions retired by the run */      \
-  X(uint64_t, vm_predecode_steps)   /* steps via the predecoded engine */      \
   X(double, vm_steps_per_sec)       /* vm_steps / wall seconds */
 
 // One bench data point: a name, its wall time, the stats it was given and

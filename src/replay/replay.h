@@ -49,10 +49,9 @@ struct ReplayOutcome {
 
 // End-to-end: build state, run, capture, compare. `pool` must be the engine
 // pool that produced the suffix. `predecoded`, when non-null, must be the
-// lowering of `module` (e.g. ResRuntime::ModuleFacts::predecoded) and runs
-// the replay on the predecoded engine — byte-identical outcome by the
-// dispatch-equivalence contract (docs/ARCHITECTURE.md §12), shared so a
-// daemon replaying many suffixes of one module lowers it once.
+// lowering of `module` (e.g. ResRuntime::ModuleFacts::predecoded); the VM
+// shares it instead of lowering the module itself, so a daemon replaying
+// many suffixes of one module lowers it once.
 Result<ReplayOutcome> ReplaySuffix(const Module& module, const Coredump& dump,
                                    const SynthesizedSuffix& suffix, ExprPool* pool,
                                    const PredecodedModule* predecoded = nullptr);

@@ -126,10 +126,7 @@ Result<SweepResult> RunSweep(const ScenarioGrid& grid) {
     Module module = wl->build();
     result.module_blobs.emplace_back(wl->name, SerializeModule(module));
     // One lowering per workload, shared by every grid point in the cell.
-    PredecodedModule predecoded;
-    if (grid.predecode) {
-      predecoded = PredecodedModule::Build(module);
-    }
+    const PredecodedModule predecoded = PredecodedModule::Build(module);
     for (const SchedulerSpec& spec : specs) {
       const std::string policy = spec.ToString();
       for (uint64_t i = 0; i < grid.seeds_per_cell; ++i) {
@@ -139,9 +136,7 @@ Result<SweepResult> RunSweep(const ScenarioGrid& grid) {
         VmOptions vm_options;
         vm_options.max_steps = grid.max_steps_per_run;
         Vm vm(&module, vm_options);
-        if (grid.predecode) {
-          vm.set_predecoded(&predecoded);
-        }
+        vm.set_predecoded(&predecoded);
         vm.set_scheduler(scheduler.get());
         QueueInputProvider inputs(/*fallback=*/0);
         inputs.PushAll(0, wl->channel0_inputs);

@@ -61,13 +61,6 @@ struct ScenarioGrid {
   // crashes are counted, not minted.
   bool require_live_peers = true;
   bool respect_workload_admission = true;
-  // Run every grid point on the predecoded VM engine (one PredecodedModule
-  // per workload, shared across the whole cell — the sweep is exactly the
-  // million-step driver the substrate exists for). Byte-equivalence with
-  // the classic engine is the dispatch-equivalence contract
-  // (docs/ARCHITECTURE.md §12), pinned by tests/predecode_test.cc; flipping
-  // this off must not change any fixture byte.
-  bool predecode = true;
 };
 
 // The fixed grid the sweep bench, the stress test, and `resdbg sweep`

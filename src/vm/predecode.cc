@@ -1,70 +1,22 @@
 #include "src/vm/predecode.h"
 
-#include <algorithm>
-
 namespace res {
-
-namespace {
-
-uint8_t FlagsFor(const Instruction& inst, bool is_block_end) {
-  uint8_t flags = is_block_end ? kDecodedFlagBlockEnd : 0;
-  switch (inst.op) {
-    case Opcode::kBr:
-    case Opcode::kCondBr:
-    case Opcode::kCall:
-      return flags | kDecodedFlagTerminator | kDecodedFlagRecordsBranch |
-             kDecodedFlagEntersBlock;
-    case Opcode::kRet:
-      // RecordBranch/EnterBlock fire only when a caller frame remains; the
-      // flag marks the obligation, the engine applies the condition.
-      return flags | kDecodedFlagTerminator | kDecodedFlagRecordsBranch |
-             kDecodedFlagEntersBlock;
-    case Opcode::kHalt:
-      return flags | kDecodedFlagTerminator;
-    case Opcode::kSpawn:
-      // Enters the spawned thread's entry block (not this thread's).
-      return flags | kDecodedFlagEntersBlock;
-    default:
-      return flags;
-  }
-}
-
-}  // namespace
 
 PredecodedModule PredecodedModule::Build(const Module& module) {
   PredecodedModule pm;
   const std::vector<Function>& funcs = module.functions();
-
-  // Pass 1: layout. Absolute first_op per function, per-block offsets.
   pm.funcs_.resize(funcs.size());
-  uint32_t next_op = 0;
+  pm.ops_.reserve(module.TotalInstructionCount());
   for (size_t fi = 0; fi < funcs.size(); ++fi) {
     PredecodedFunction& pf = pm.funcs_[fi];
-    pf.first_op = next_op;
-    pf.num_regs = funcs[fi].num_regs;
+    pf.first_op = static_cast<uint32_t>(pm.ops_.size());
     pf.block_first_op.reserve(funcs[fi].blocks.size());
-    uint32_t offset = 0;
     for (const BasicBlock& bb : funcs[fi].blocks) {
-      pf.block_first_op.push_back(offset);
-      offset += static_cast<uint32_t>(bb.instructions.size());
-    }
-    pf.op_count = offset;
-    next_op += offset;
-  }
-  pm.ops_.reserve(next_op);
-
-  // Pass 2: lower every instruction, pre-linking targets now that every
-  // function's layout is known.
-  for (size_t fi = 0; fi < funcs.size(); ++fi) {
-    const Function& fn = funcs[fi];
-    const PredecodedFunction& pf = pm.funcs_[fi];
-    for (size_t bi = 0; bi < fn.blocks.size(); ++bi) {
-      const std::vector<Instruction>& insts = fn.blocks[bi].instructions;
-      for (size_t ii = 0; ii < insts.size(); ++ii) {
-        const Instruction& inst = insts[ii];
+      pf.block_first_op.push_back(
+          static_cast<uint32_t>(pm.ops_.size()) - pf.first_op);
+      for (const Instruction& inst : bb.instructions) {
         DecodedOp op;
         op.raw_op = static_cast<uint8_t>(inst.op);
-        op.flags = FlagsFor(inst, ii + 1 == insts.size());
         op.rd = inst.rd;
         op.ra = inst.ra;
         op.rb = inst.rb;
@@ -72,18 +24,11 @@ PredecodedModule PredecodedModule::Build(const Module& module) {
         op.imm = inst.imm;
         op.target0 = inst.target0;
         op.target1 = inst.target1;
-        op.str_id = inst.str_id;
-        if (inst.target0 != kNoBlock && inst.target0 < fn.blocks.size()) {
-          op.target0_op = pf.first_op + pf.block_first_op[inst.target0];
-        }
-        if (inst.target1 != kNoBlock && inst.target1 < fn.blocks.size()) {
-          op.target1_op = pf.first_op + pf.block_first_op[inst.target1];
-        }
         op.callee = inst.callee;
-        if (inst.callee != kNoFunc && inst.callee < pm.funcs_.size()) {
-          op.callee_entry_op = pm.funcs_[inst.callee].first_op;
-          op.callee_num_regs = pm.funcs_[inst.callee].num_regs;
+        if (inst.callee < funcs.size()) {
+          op.callee_num_regs = funcs[inst.callee].num_regs;
         }
+        op.str_id = inst.str_id;
         if (!inst.args.empty()) {
           op.arg_begin = static_cast<uint32_t>(pm.arg_pool_.size());
           op.arg_count = static_cast<uint16_t>(inst.args.size());
@@ -95,57 +40,6 @@ PredecodedModule PredecodedModule::Build(const Module& module) {
     }
   }
   return pm;
-}
-
-uint32_t PredecodedModule::OpIndexForPc(const Pc& pc) const {
-  if (pc.func >= funcs_.size()) {
-    return kNoOpIndex;
-  }
-  const PredecodedFunction& pf = funcs_[pc.func];
-  if (pc.block >= pf.block_first_op.size()) {
-    return kNoOpIndex;
-  }
-  const uint32_t block_begin = pf.block_first_op[pc.block];
-  const uint32_t block_end = pc.block + 1 < pf.block_first_op.size()
-                                 ? pf.block_first_op[pc.block + 1]
-                                 : pf.op_count;
-  if (pc.index >= block_end - block_begin) {
-    return kNoOpIndex;
-  }
-  return pf.first_op + block_begin + pc.index;
-}
-
-Pc PredecodedModule::PcForOpIndex(uint32_t op_index) const {
-  if (op_index >= ops_.size()) {
-    return Pc{};  // func == kNoFunc
-  }
-  // Find the owning function: the last first_op <= op_index. Empty functions
-  // share a first_op with their successor; skipping zero-op entries keeps the
-  // search landing on the function that actually owns the op.
-  auto it = std::upper_bound(
-      funcs_.begin(), funcs_.end(), op_index,
-      [](uint32_t idx, const PredecodedFunction& pf) { return idx < pf.first_op; });
-  while (it != funcs_.begin()) {
-    --it;
-    if (it->op_count != 0) {
-      break;
-    }
-  }
-  const PredecodedFunction& pf = *it;
-  const uint32_t offset = op_index - pf.first_op;
-  auto bit = std::upper_bound(pf.block_first_op.begin(), pf.block_first_op.end(),
-                              offset);
-  // Same skip for empty blocks (cannot occur in verified modules, which
-  // require a terminator per block, but lowering is total).
-  uint32_t block = static_cast<uint32_t>(bit - pf.block_first_op.begin());
-  do {
-    --block;
-  } while (block > 0 && pf.block_first_op[block] > offset);
-  Pc pc;
-  pc.func = static_cast<FuncId>(it - funcs_.begin());
-  pc.block = block;
-  pc.index = offset - pf.block_first_op[block];
-  return pc;
 }
 
 }  // namespace res

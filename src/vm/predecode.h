@@ -1,20 +1,16 @@
-// Predecoded execution substrate: a one-time lowering of a verified Module
-// into a dense, cache-friendly instruction stream.
+// The VM's execution stream: a one-time lowering of a verified Module into
+// a dense, cache-friendly instruction array.
 //
-// The classic interpreter re-resolves function -> block -> instruction (three
-// vector indirections into a ~100-byte, vector-bearing Instruction) on every
-// step. PredecodedModule flattens each function into one contiguous array of
-// fixed-size POD DecodedOps: call argument lists live in a shared operand
-// pool (no std::vector on the hot path), branch/call/continuation targets are
-// pre-linked to absolute op indices, and the side-effect obligations of each
-// op (terminator, RecordBranch, EnterBlock, block boundary) are precomputed
-// as flags. An op-index <-> Pc bidirectional map keeps every externally
-// visible artifact — traps, breadcrumbs, LBR records, block traces, coredump
-// capture — speaking Pc byte-identically to the classic engine.
+// A Module resolves function -> block -> instruction through three vector
+// indirections into a ~100-byte, vector-bearing Instruction.
+// PredecodedModule flattens every function into one contiguous array of
+// fixed-size POD DecodedOps, and keeps call argument lists in a shared
+// operand pool, so the interpreter's hot loop touches no std::vector. The
+// VM still addresses ops by Pc (function, block, index), so traps,
+// breadcrumbs, LBR records, block traces and coredumps speak Pc.
 //
-// Lowering is total and never fails: out-of-range targets/callees (possible
-// only for unverified modules) link to kNoOpIndex and the executing engine
-// re-checks at runtime. docs/ARCHITECTURE.md §12.
+// Lowering is total and never fails: unknown opcode bytes are preserved
+// verbatim for the VM's invalid-opcode trap. docs/ARCHITECTURE.md §12.
 #ifndef RES_VM_PREDECODE_H_
 #define RES_VM_PREDECODE_H_
 
@@ -25,22 +21,11 @@
 
 namespace res {
 
-// Sentinel for "no pre-linked op" (absent target, or out-of-range link in an
-// unverified module).
-inline constexpr uint32_t kNoOpIndex = 0xffffffff;
-
-// Precomputed side-effect flags (DecodedOp::flags).
-inline constexpr uint8_t kDecodedFlagTerminator = 1u << 0;    // last-op kinds
-inline constexpr uint8_t kDecodedFlagBlockEnd = 1u << 1;      // last op of its block
-inline constexpr uint8_t kDecodedFlagRecordsBranch = 1u << 2; // emits an LBR record
-inline constexpr uint8_t kDecodedFlagEntersBlock = 1u << 3;   // emits a block-trace entry
-
 // One lowered instruction. Fixed-size POD: everything the hot loop needs is
 // inline; variable-length call args are (arg_begin, arg_count) into the
 // module-wide operand pool.
 struct DecodedOp {
   uint8_t raw_op = 0;     // the Opcode byte, preserved even when out of range
-  uint8_t flags = 0;      // kDecodedFlag* above
   RegId rd = kNoReg;
   RegId ra = kNoReg;
   RegId rb = kNoReg;
@@ -50,48 +35,31 @@ struct DecodedOp {
   int64_t imm = 0;
   BlockId target0 = kNoBlock;    // kBr target / kCondBr true / kCall continuation
   BlockId target1 = kNoBlock;    // kCondBr false-target
-  uint32_t target0_op = kNoOpIndex;  // absolute op index of target0's first op
-  uint32_t target1_op = kNoOpIndex;
-  FuncId callee = kNoFunc;           // kCall / kSpawn callee
-  uint32_t callee_entry_op = kNoOpIndex;  // absolute op index of callee entry
-  uint32_t arg_begin = 0;            // offset into PredecodedModule::arg_pool()
+  FuncId callee = kNoFunc;       // kCall / kSpawn callee
+  uint32_t arg_begin = 0;        // offset into the operand pool
   StrId str_id = kNoStr;
 
   Opcode op() const { return static_cast<Opcode>(raw_op); }
 };
 
-// Per-function layout: the function's ops occupy the half-open absolute range
-// [first_op, first_op + op_count) and block b starts at
+// Per-function layout: block b's ops start at absolute index
 // first_op + block_first_op[b].
 struct PredecodedFunction {
   uint32_t first_op = 0;
-  uint32_t op_count = 0;
-  uint16_t num_regs = 0;
   std::vector<uint32_t> block_first_op;
 };
 
 class PredecodedModule {
  public:
-  // Lowers `module`. Never fails: malformed links degrade to kNoOpIndex and
-  // unknown opcode bytes are preserved verbatim for the engine's honest
-  // invalid-opcode trap.
+  // Lowers `module`. Never fails.
   static PredecodedModule Build(const Module& module);
 
   const DecodedOp* ops() const { return ops_.data(); }
   size_t op_count() const { return ops_.size(); }
-  size_t function_count() const { return funcs_.size(); }
   const PredecodedFunction& function(FuncId f) const { return funcs_[f]; }
   const RegId* args(const DecodedOp& op) const {
     return arg_pool_.data() + op.arg_begin;
   }
-
-  // Absolute op index for a Pc, or kNoOpIndex when the Pc does not name an
-  // instruction of the lowered module.
-  uint32_t OpIndexForPc(const Pc& pc) const;
-
-  // Inverse map (binary search over the function/block layout). Returns a Pc
-  // with func == kNoFunc when `op_index` is out of range.
-  Pc PcForOpIndex(uint32_t op_index) const;
 
  private:
   std::vector<DecodedOp> ops_;

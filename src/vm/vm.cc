@@ -6,8 +6,8 @@
 #include "src/support/string_util.h"
 
 // Direct-threaded dispatch (computed goto) where the compiler supports the
-// GNU labels-as-values extension; everywhere else the predecoded engine
-// falls back to a portable dense switch over the same handler bodies.
+// GNU labels-as-values extension; everywhere else Step falls back to a
+// portable dense switch over the same handler bodies.
 #if defined(__GNUC__) || defined(__clang__)
 #define RES_VM_COMPUTED_GOTO 1
 #else
@@ -79,7 +79,6 @@ Status Vm::Reset() {
   stopped_ = false;
   main_exited_ = false;
   steps_ = 0;
-  predecode_steps_ = 0;
   current_tid_ = 0;
   block_trace_.clear();
   consumed_inputs_.clear();
@@ -119,7 +118,6 @@ void Vm::RestoreForReplay(AddressSpace memory, Heap heap, std::vector<Thread> th
   stopped_ = false;
   main_exited_ = false;
   steps_ = 0;
-  predecode_steps_ = 0;
   current_tid_ = 0;
   block_trace_.clear();
   consumed_inputs_.clear();
@@ -134,84 +132,12 @@ void Vm::RestoreForReplay(AddressSpace memory, Heap heap, std::vector<Thread> th
 RunResult Vm::Run() { return RunBounded(options_.max_steps - steps_); }
 
 void Vm::EnsurePredecoded() {
-  if (!options_.predecode || predecoded_ != nullptr) {
+  if (predecoded_ != nullptr) {
     return;
   }
   owned_predecoded_ =
       std::make_unique<PredecodedModule>(PredecodedModule::Build(*module_));
   predecoded_ = owned_predecoded_.get();
-}
-
-RunResult Vm::RunBounded(uint64_t budget) {
-  if (options_.predecode) {
-    return RunBoundedPredecoded(budget);
-  }
-  RunResult result;
-  uint64_t executed = 0;
-  while (!stopped_) {
-    if (executed >= budget || steps_ >= options_.max_steps) {
-      result.outcome = RunOutcome::kStepLimit;
-      result.trap.kind = TrapKind::kStepLimit;
-      result.steps = steps_;
-      return result;
-    }
-    std::vector<uint32_t> runnable;
-    for (const Thread& t : threads_) {
-      if (t.runnable()) {
-        runnable.push_back(t.id);
-      }
-    }
-    if (runnable.empty()) {
-      bool all_exited = true;
-      uint32_t blocked_tid = 0;
-      Pc blocked_pc;
-      for (const Thread& t : threads_) {
-        if (t.state == ThreadState::kBlockedOnLock ||
-            t.state == ThreadState::kBlockedOnJoin) {
-          all_exited = false;
-          blocked_tid = t.id;
-          blocked_pc = t.top().pc();
-          break;
-        }
-      }
-      if (all_exited) {
-        result.outcome = RunOutcome::kHalted;
-        result.steps = steps_;
-        return result;
-      }
-      RaiseTrap(TrapKind::kDeadlock, blocked_tid, blocked_pc, 0,
-                "all live threads blocked");
-      result.outcome = RunOutcome::kTrapped;
-      result.trap = trap_;
-      result.steps = steps_;
-      return result;
-    }
-
-    uint32_t tid = scheduler_->Pick(runnable, current_tid_);
-    if (scheduler_->failed()) {
-      result.outcome = RunOutcome::kScheduleDiverged;
-      result.steps = steps_;
-      return result;
-    }
-    current_tid_ = tid;
-    if (recorder_ != nullptr) {
-      recorder_->OnSchedule(tid);
-    }
-    ++steps_;
-    ++executed;
-    ++threads_[tid].steps_executed;
-    if (!Step(tid)) {
-      break;
-    }
-  }
-  result.steps = steps_;
-  if (trap_.kind != TrapKind::kNone) {
-    result.outcome = RunOutcome::kTrapped;
-    result.trap = trap_;
-  } else {
-    result.outcome = RunOutcome::kHalted;
-  }
-  return result;
 }
 
 void Vm::RaiseTrap(TrapKind kind, uint32_t tid, const Pc& pc, uint64_t address,
@@ -311,295 +237,7 @@ void Vm::ThreadExit(uint32_t tid, int64_t value) {
   }
 }
 
-bool Vm::Step(uint32_t tid) {
-  Thread& t = threads_[tid];
-  assert(t.runnable());
-  Frame& f = t.top();
-  const Function& fn = module_->function(f.func);
-  const BasicBlock& bb = fn.blocks[f.block];
-  assert(f.index < bb.instructions.size());
-  const Instruction& inst = bb.instructions[f.index];
-  const Pc pc = f.pc();
-
-  auto reg = [&f](RegId r) -> int64_t& { return f.regs[r]; };
-
-  switch (inst.op) {
-    case Opcode::kConst:
-      reg(inst.rd) = inst.imm;
-      break;
-    case Opcode::kMov:
-      reg(inst.rd) = reg(inst.ra);
-      break;
-    case Opcode::kSelect:
-      reg(inst.rd) = reg(inst.rc) != 0 ? reg(inst.ra) : reg(inst.rb);
-      break;
-    case Opcode::kDivS:
-    case Opcode::kRemS: {
-      int64_t b = reg(inst.rb);
-      int64_t a = reg(inst.ra);
-      if (b == 0 || (a == std::numeric_limits<int64_t>::min() && b == -1)) {
-        RaiseTrap(TrapKind::kDivByZero, tid, pc, 0,
-                  b == 0 ? "division by zero" : "signed division overflow");
-        return false;
-      }
-      reg(inst.rd) = EvalBinary(inst.op, a, b);
-      break;
-    }
-    case Opcode::kLoad: {
-      uint64_t addr = static_cast<uint64_t>(reg(inst.ra)) +
-                      static_cast<uint64_t>(inst.imm);
-      int64_t value = 0;
-      if (!CheckedRead(tid, pc, addr, &value)) {
-        return false;
-      }
-      reg(inst.rd) = value;
-      break;
-    }
-    case Opcode::kStore: {
-      uint64_t addr = static_cast<uint64_t>(reg(inst.ra)) +
-                      static_cast<uint64_t>(inst.imm);
-      if (!CheckedWrite(tid, pc, addr, reg(inst.rb))) {
-        return false;
-      }
-      break;
-    }
-    case Opcode::kAlloc: {
-      auto r = heap_.Allocate(static_cast<uint64_t>(reg(inst.ra)));
-      if (!r.ok()) {
-        RaiseTrap(TrapKind::kHeapExhausted, tid, pc, 0, r.status().message());
-        return false;
-      }
-      const Allocation* a = heap_.FindCovering(r.value());
-      Status map = memory_.MapRegion(r.value(), a->size_words);
-      assert(map.ok());
-      (void)map;
-      reg(inst.rd) = static_cast<int64_t>(r.value());
-      break;
-    }
-    case Opcode::kFree: {
-      uint64_t base = static_cast<uint64_t>(reg(inst.ra));
-      Status s = heap_.Free(base);
-      if (!s.ok()) {
-        RaiseTrap(s.code() == StatusCode::kFailedPrecondition
-                      ? TrapKind::kDoubleFree
-                      : TrapKind::kInvalidFree,
-                  tid, pc, base, s.message());
-        return false;
-      }
-      break;
-    }
-    case Opcode::kInput: {
-      int64_t value = inputs_ != nullptr ? inputs_->Next(tid, inst.imm) : 0;
-      reg(inst.rd) = value;
-      if (options_.record_consumed_inputs) {
-        consumed_inputs_.push_back(ConsumedInput{tid, inst.imm, value});
-      }
-      if (recorder_ != nullptr) {
-        recorder_->OnInput(tid, inst.imm, value);
-      }
-      break;
-    }
-    case Opcode::kOutput: {
-      ErrorLogEntry e;
-      e.thread = tid;
-      e.pc = pc;
-      e.channel = inst.imm;
-      e.value = reg(inst.ra);
-      e.message = inst.str_id;
-      error_log_.Append(e);
-      break;
-    }
-    case Opcode::kLock: {
-      uint64_t addr = static_cast<uint64_t>(reg(inst.ra));
-      int64_t owner = 0;
-      if (!CheckedRead(tid, pc, addr, &owner)) {
-        return false;
-      }
-      if (owner == 0) {
-        if (!CheckedWrite(tid, pc, addr, static_cast<int64_t>(tid) + 1)) {
-          return false;
-        }
-      } else {
-        // Held (possibly by us — recursive lock self-deadlocks, as with
-        // a non-recursive pthread mutex).
-        t.state = ThreadState::kBlockedOnLock;
-        t.blocked_on = addr;
-        return true;  // do not advance index; retried when woken
-      }
-      break;
-    }
-    case Opcode::kUnlock: {
-      uint64_t addr = static_cast<uint64_t>(reg(inst.ra));
-      int64_t owner = 0;
-      if (!CheckedRead(tid, pc, addr, &owner)) {
-        return false;
-      }
-      if (owner != static_cast<int64_t>(tid) + 1) {
-        RaiseTrap(TrapKind::kUnlockNotOwned, tid, pc, addr,
-                  StrFormat("unlock of mutex owned by %lld",
-                            static_cast<long long>(owner) - 1));
-        return false;
-      }
-      if (!CheckedWrite(tid, pc, addr, 0)) {
-        return false;
-      }
-      WakeLockWaiters(addr);
-      break;
-    }
-    case Opcode::kAtomicRmwAdd: {
-      uint64_t addr = static_cast<uint64_t>(reg(inst.ra));
-      int64_t old = 0;
-      if (!CheckedRead(tid, pc, addr, &old)) {
-        return false;
-      }
-      if (!CheckedWrite(tid, pc, addr,
-                        static_cast<int64_t>(static_cast<uint64_t>(old) +
-                                             static_cast<uint64_t>(reg(inst.rb))))) {
-        return false;
-      }
-      reg(inst.rd) = old;
-      break;
-    }
-    case Opcode::kSpawn: {
-      const Function& callee = module_->function(inst.callee);
-      Frame nf;
-      nf.func = callee.id;
-      nf.block = 0;
-      nf.index = 0;
-      nf.regs.assign(callee.num_regs, 0);
-      nf.regs[0] = reg(inst.ra);
-      // Replay: fill the lowest reserved (unborn) slot so thread ids match
-      // the original execution; otherwise append a fresh thread.
-      uint32_t new_tid = kMaxThreads;
-      for (Thread& cand : threads_) {
-        if (cand.state == ThreadState::kUnborn) {
-          new_tid = cand.id;
-          cand.state = ThreadState::kRunnable;
-          cand.frames.clear();
-          cand.frames.push_back(std::move(nf));
-          break;
-        }
-      }
-      if (new_tid == kMaxThreads) {
-        if (threads_.size() >= kMaxThreads) {
-          RaiseTrap(TrapKind::kThreadLimit, tid, pc, 0, "too many threads");
-          return false;
-        }
-        Thread nt;
-        nt.id = static_cast<uint32_t>(threads_.size());
-        nt.frames.push_back(std::move(nf));
-        new_tid = nt.id;
-        threads_.push_back(std::move(nt));  // may invalidate t/f references
-        lbr_.emplace_back();
-      }
-      Frame& spawner = threads_[tid].top();
-      spawner.regs[inst.rd] = static_cast<int64_t>(new_tid);
-      EnterBlock(new_tid, callee.id, 0);
-      ++spawner.index;
-      return true;
-    }
-    case Opcode::kJoin: {
-      int64_t target = reg(inst.ra);
-      if (target < 0 || static_cast<size_t>(target) >= threads_.size()) {
-        RaiseTrap(TrapKind::kMemoryFault, tid, pc, static_cast<uint64_t>(target),
-                  "join of invalid thread id");
-        return false;
-      }
-      if (threads_[static_cast<size_t>(target)].state != ThreadState::kExited) {
-        t.state = ThreadState::kBlockedOnJoin;
-        t.blocked_on = static_cast<uint64_t>(target);
-        return true;  // retried when the target exits
-      }
-      break;
-    }
-    case Opcode::kAssert: {
-      if (reg(inst.rc) == 0) {
-        RaiseTrap(TrapKind::kAssertFailure, tid, pc, 0, module_->str(inst.str_id));
-        return false;
-      }
-      break;
-    }
-    case Opcode::kYield:
-    case Opcode::kNop:
-      break;
-
-    // --- Terminators. ---
-    case Opcode::kBr: {
-      RecordBranch(tid, pc, f.func, inst.target0);
-      f.block = inst.target0;
-      f.index = 0;
-      scheduler_->OnBlockBoundary(tid);
-      EnterBlock(tid, f.func, f.block);
-      return true;
-    }
-    case Opcode::kCondBr: {
-      BlockId dest = reg(inst.rc) != 0 ? inst.target0 : inst.target1;
-      RecordBranch(tid, pc, f.func, dest);
-      f.block = dest;
-      f.index = 0;
-      scheduler_->OnBlockBoundary(tid);
-      EnterBlock(tid, f.func, f.block);
-      return true;
-    }
-    case Opcode::kCall: {
-      const Function& callee = module_->function(inst.callee);
-      // Caller resumes at the continuation once the callee returns.
-      f.block = inst.target0;
-      f.index = 0;
-      Frame nf;
-      nf.func = callee.id;
-      nf.block = 0;
-      nf.index = 0;
-      nf.regs.assign(callee.num_regs, 0);
-      for (size_t i = 0; i < inst.args.size(); ++i) {
-        nf.regs[i] = f.regs[inst.args[i]];
-      }
-      nf.caller_result_reg = inst.rd;
-      RecordBranch(tid, pc, callee.id, 0);
-      t.frames.push_back(std::move(nf));
-      scheduler_->OnBlockBoundary(tid);
-      EnterBlock(tid, callee.id, 0);
-      return true;
-    }
-    case Opcode::kRet: {
-      int64_t value = inst.ra != kNoReg ? reg(inst.ra) : 0;
-      RegId result_reg = f.caller_result_reg;
-      t.frames.pop_back();
-      if (t.frames.empty()) {
-        scheduler_->OnBlockBoundary(tid);
-        ThreadExit(tid, value);
-        return !stopped_;
-      }
-      Frame& caller = t.top();
-      if (result_reg != kNoReg) {
-        caller.regs[result_reg] = value;
-      }
-      RecordBranch(tid, pc, caller.func, caller.block);
-      scheduler_->OnBlockBoundary(tid);
-      EnterBlock(tid, caller.func, caller.block);
-      return true;
-    }
-    case Opcode::kHalt: {
-      scheduler_->OnBlockBoundary(tid);
-      ThreadExit(tid, 0);
-      return !stopped_;
-    }
-    default:
-      if (IsBinaryAlu(inst.op)) {
-        reg(inst.rd) = EvalBinary(inst.op, reg(inst.ra), reg(inst.rb));
-        break;
-      }
-      RaiseTrap(TrapKind::kInvalidOpcode, tid, pc, 0,
-                StrFormat("invalid opcode %u",
-                          static_cast<unsigned>(inst.op)));
-      return false;
-  }
-  ++f.index;
-  return true;
-}
-
-RunResult Vm::RunBoundedPredecoded(uint64_t budget) {
-  EnsurePredecoded();
+RunResult Vm::RunBounded(uint64_t budget) {
   RunResult result;
   uint64_t executed = 0;
   while (!stopped_) {
@@ -653,9 +291,8 @@ RunResult Vm::RunBoundedPredecoded(uint64_t budget) {
     }
     ++steps_;
     ++executed;
-    ++predecode_steps_;
     ++threads_[tid].steps_executed;
-    if (!StepPredecoded(tid)) {
+    if (!Step(tid)) {
       break;
     }
   }
@@ -681,7 +318,7 @@ RunResult Vm::RunBoundedPredecoded(uint64_t budget) {
 #define RES_OP_INVALID default:
 #endif
 
-bool Vm::StepPredecoded(uint32_t tid) {
+bool Vm::Step(uint32_t tid) {
   Thread& t = threads_[tid];
   assert(t.runnable());
   Frame& f = t.top();

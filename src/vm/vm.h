@@ -1,11 +1,12 @@
 // The resvm concrete interpreter.
 //
 // Executes a verified Module one instruction at a time under sequential
-// consistency. A pluggable Scheduler interleaves threads, a pluggable
-// InputProvider supplies environment values, and an optional Recorder
-// implements the record-replay baselines. On failure the VM freezes with
-// full state (memory, heap metadata, all thread stacks, LBR rings, error
-// log) ready for coredump capture.
+// consistency, fetching from its predecoded lowering (src/vm/predecode.h)
+// with direct-threaded dispatch. A pluggable Scheduler interleaves threads,
+// a pluggable InputProvider supplies environment values, and an optional
+// Recorder implements the record-replay baselines. On failure the VM
+// freezes with full state (memory, heap metadata, all thread stacks, LBR
+// rings, error log) ready for coredump capture. docs/ARCHITECTURE.md §12.
 #ifndef RES_VM_VM_H_
 #define RES_VM_VM_H_
 
@@ -35,12 +36,6 @@ struct VmOptions {
   bool record_block_trace = false;
   // Journals every consumed input (test ground truth, same caveat).
   bool record_consumed_inputs = false;
-  // Executes over the predecoded instruction stream (direct-threaded
-  // dispatch) instead of the classic tree-walking fetch. Observable behavior
-  // is byte-identical — the classic engine is kept as the differential
-  // oracle (docs/ARCHITECTURE.md §12). The PredecodedModule is built lazily
-  // at Reset unless one is shared via set_predecoded.
-  bool predecode = false;
 };
 
 struct BlockTraceEntry {
@@ -72,13 +67,10 @@ class Vm {
   void set_recorder(Recorder* r) { recorder_ = r; }
 
   // Shares an already-built lowering (e.g. the one cached in
-  // ResRuntime::ModuleFacts) and switches the VM onto the predecoded engine.
-  // The lowering must have been built from this VM's module and must outlive
-  // the VM. Non-owning.
-  void set_predecoded(const PredecodedModule* pm) {
-    predecoded_ = pm;
-    options_.predecode = pm != nullptr;
-  }
+  // ResRuntime::ModuleFacts) instead of building one at Reset or
+  // RestoreForReplay; call it before them. The lowering must have been
+  // built from this VM's module and must outlive the VM. Non-owning.
+  void set_predecoded(const PredecodedModule* pm) { predecoded_ = pm; }
 
   // (Re)initializes globals and the main thread. Must be called before Run
   // unless RestoreForReplay was used.
@@ -105,9 +97,6 @@ class Vm {
   const ErrorLog& error_log() const { return error_log_; }
   const LbrRing& lbr(uint32_t tid) const { return lbr_[tid]; }
   uint64_t steps() const { return steps_; }
-  // Steps executed by the predecoded engine (equals steps() when
-  // options.predecode is set; 0 under the classic engine).
-  uint64_t predecode_steps() const { return predecode_steps_; }
   const std::vector<BlockTraceEntry>& block_trace() const { return block_trace_; }
   const std::vector<ConsumedInput>& consumed_inputs() const { return consumed_inputs_; }
 
@@ -116,17 +105,7 @@ class Vm {
   // should stop (trap or main-thread exit).
   bool Step(uint32_t tid);
 
-  // The predecoded twin of Step: identical observable semantics, fetches
-  // from the flat DecodedOp stream with direct-threaded dispatch.
-  bool StepPredecoded(uint32_t tid);
-
-  // The predecoded driver loop: same scheduler decision points and counters
-  // as the classic loop, but reuses runnable_scratch_ (no per-step
-  // allocation) and dispatches via StepPredecoded.
-  RunResult RunBoundedPredecoded(uint64_t budget);
-
-  // Builds the owned lowering if the predecoded engine is selected and no
-  // shared PredecodedModule was provided.
+  // Builds the owned lowering unless a shared PredecodedModule was provided.
   void EnsurePredecoded();
 
   void RaiseTrap(TrapKind kind, uint32_t tid, const Pc& pc, uint64_t address,
@@ -155,7 +134,6 @@ class Vm {
   bool stopped_ = false;
   bool main_exited_ = false;
   uint64_t steps_ = 0;
-  uint64_t predecode_steps_ = 0;
   uint32_t current_tid_ = 0;
 
   const PredecodedModule* predecoded_ = nullptr;  // non-owning when shared

@@ -16,6 +16,8 @@ constexpr uint64_t kMaxSeedTries = 20000;
 
 Result<FailureRun> RunToFailure(const Module& module, const WorkloadSpec& spec,
                                 FailureRunOptions options) {
+  // One lowering per call, shared by every attempt's VM.
+  const PredecodedModule predecoded = PredecodedModule::Build(module);
   for (uint64_t attempt = 0; attempt < kMaxSeedTries; ++attempt) {
     uint64_t seed = options.first_seed + attempt;
     VmOptions vm_options;
@@ -23,6 +25,7 @@ Result<FailureRun> RunToFailure(const Module& module, const WorkloadSpec& spec,
     vm_options.record_block_trace = options.record_ground_truth;
     vm_options.record_consumed_inputs = options.record_ground_truth;
     Vm vm(&module, vm_options);
+    vm.set_predecoded(&predecoded);
     RandomScheduler scheduler(seed, spec.switch_permille);
     RoundRobinScheduler round_robin;
     if (spec.multithreaded) {

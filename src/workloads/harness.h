@@ -37,9 +37,10 @@ struct FailureRun {
   std::vector<ConsumedInput> consumed_inputs;
 };
 
-// Runs `spec` until its expected trap fires. Each attempt uses a fresh VM,
-// RandomScheduler(seed, spec.switch_permille) and the spec's scripted
-// channel-0 inputs (falling back to zeroes when the script is empty).
+// Runs `spec` until its expected trap fires. Each attempt uses a fresh VM
+// (all sharing one lowering of `module`), RandomScheduler(seed,
+// spec.switch_permille) and the spec's scripted channel-0 inputs (falling
+// back to zeroes when the script is empty).
 Result<FailureRun> RunToFailure(const Module& module, const WorkloadSpec& spec,
                                 FailureRunOptions options = {});
 

@@ -5,9 +5,12 @@
 // counts, block traces, consumed inputs, recorder streams and serialized
 // coredumps — over the workload corpus under every scheduler policy, the
 // scaling modules, an invalid opcode, a scenario sweep and a replayed
-// suffix. The classic tree-walking interpreter and the predecoded
-// direct-threaded engine both produce every line, so a mismatch on either
-// engine means the VM changed what it executes or what it freezes.
+// suffix. The lines were generated when the VM still had a second, classic
+// tree-walking interpreter beside the predecoded one, and both engines
+// produced every line, so they pin the VM's semantics rather than one
+// implementation of them: a mismatch means the VM changed what it executes
+// or what it freezes. On a mismatch the test prints the line the current VM
+// would check in; update the table only after reviewing why the runs moved.
 //
 // The RESMOD1 binary module format gets the same treatment as the coredump
 // codec: byte-identical round-trips for accepted inputs, kDataLoss (never a
@@ -65,8 +68,7 @@ struct VmSignature {
 };
 
 VmSignature RunSignature(const Module& module, const std::string& policy,
-                         uint64_t seed, const std::vector<int64_t>& inputs,
-                         bool predecode) {
+                         uint64_t seed, const std::vector<int64_t>& inputs) {
   VmSignature out;
   std::string& sig = out.text;
   auto spec = ParseSchedulerSpec(policy);
@@ -80,7 +82,6 @@ VmSignature RunSignature(const Module& module, const std::string& policy,
     return out;
   }
   VmOptions options;
-  options.predecode = predecode;
   options.record_block_trace = true;
   options.record_consumed_inputs = true;
   options.max_steps = 200000;
@@ -168,29 +169,26 @@ constexpr const char* kReplayGolden =
 TEST(VmGoldenTest, WorkloadCorpusUnderEveryPolicy) {
   const std::vector<WorkloadSpec>& specs = AllWorkloads();
   ASSERT_EQ(specs.size(), std::size(kCorpusGolden));
-  for (bool predecode : {false, true}) {
-    for (size_t i = 0; i < specs.size(); ++i) {
-      const WorkloadSpec& spec = specs[i];
-      Module module = spec.build();
-      std::string text;
-      size_t trapped = 0;
-      uint64_t steps = 0;
-      for (const char* policy : kPolicies) {
-        for (uint64_t seed : {1u, 7u, 23u}) {
-          VmSignature sig = RunSignature(module, policy, seed,
-                                         spec.channel0_inputs, predecode);
-          trapped += sig.run.outcome == RunOutcome::kTrapped ? 1 : 0;
-          steps += sig.run.steps;
-          text += sig.text;
-        }
+  for (size_t i = 0; i < specs.size(); ++i) {
+    const WorkloadSpec& spec = specs[i];
+    Module module = spec.build();
+    std::string text;
+    size_t trapped = 0;
+    uint64_t steps = 0;
+    for (const char* policy : kPolicies) {
+      for (uint64_t seed : {1u, 7u, 23u}) {
+        VmSignature sig =
+            RunSignature(module, policy, seed, spec.channel0_inputs);
+        trapped += sig.run.outcome == RunOutcome::kTrapped ? 1 : 0;
+        steps += sig.run.steps;
+        text += sig.text;
       }
-      EXPECT_EQ(GoldenLine(spec.name.c_str(),
-                           StrFormat("%zu %llu", trapped,
-                                     static_cast<unsigned long long>(steps)),
-                           text),
-                kCorpusGolden[i])
-          << "predecode=" << predecode;
     }
+    EXPECT_EQ(GoldenLine(spec.name.c_str(),
+                         StrFormat("%zu %llu", trapped,
+                                   static_cast<unsigned long long>(steps)),
+                         text),
+              kCorpusGolden[i]);
   }
 }
 
@@ -202,14 +200,10 @@ TEST(VmGoldenTest, ScalingModules) {
   static_assert(std::size(modules) == std::size(kScalingGolden));
   const char* names[] = {"long_execution_2000", "hash_chain_spilled",
                          "hash_chain_unspilled", "root_cause_distance_64"};
-  for (bool predecode : {false, true}) {
-    for (size_t i = 0; i < std::size(modules); ++i) {
-      VmSignature sig =
-          RunSignature(modules[i], "rr:quantum=16", 1, {42}, predecode);
-      EXPECT_EQ(GoldenLine(names[i], RunSummary(sig.run), sig.text),
-                kScalingGolden[i])
-          << "predecode=" << predecode;
-    }
+  for (size_t i = 0; i < std::size(modules); ++i) {
+    VmSignature sig = RunSignature(modules[i], "rr:quantum=16", 1, {42});
+    EXPECT_EQ(GoldenLine(names[i], RunSummary(sig.run), sig.text),
+              kScalingGolden[i]);
   }
 }
 
@@ -222,27 +216,22 @@ TEST(VmGoldenTest, InvalidOpcodeTrapsHonestly) {
   ASSERT_FALSE(fn->blocks[0].instructions.empty());
   fn->blocks[0].instructions[0].op = static_cast<Opcode>(200);
 
-  for (bool predecode : {false, true}) {
-    VmOptions options;
-    options.predecode = predecode;
-    Vm vm(&module, options);
-    ASSERT_TRUE(vm.Reset().ok());
-    RunResult run = vm.Run();
-    ASSERT_EQ(run.outcome, RunOutcome::kTrapped) << "predecode=" << predecode;
-    EXPECT_EQ(run.trap.kind, TrapKind::kInvalidOpcode);
-    EXPECT_EQ(run.trap.pc, (Pc{module.entry(), 0, 0}));
-    EXPECT_EQ(run.trap.message, "invalid opcode 200");
+  Vm vm(&module);
+  ASSERT_TRUE(vm.Reset().ok());
+  RunResult run = vm.Run();
+  ASSERT_EQ(run.outcome, RunOutcome::kTrapped);
+  EXPECT_EQ(run.trap.kind, TrapKind::kInvalidOpcode);
+  EXPECT_EQ(run.trap.pc, (Pc{module.entry(), 0, 0}));
+  EXPECT_EQ(run.trap.message, "invalid opcode 200");
 
-    std::vector<uint8_t> bytes = SerializeCoredump(CaptureCoredump(vm));
-    auto dump = DeserializeCoredump(bytes);
-    ASSERT_TRUE(dump.ok()) << dump.status().ToString();
-    EXPECT_EQ(dump.value().trap.kind, TrapKind::kInvalidOpcode);
+  std::vector<uint8_t> bytes = SerializeCoredump(CaptureCoredump(vm));
+  auto dump = DeserializeCoredump(bytes);
+  ASSERT_TRUE(dump.ok()) << dump.status().ToString();
+  EXPECT_EQ(dump.value().trap.kind, TrapKind::kInvalidOpcode);
 
-    VmSignature sig = RunSignature(module, "rr:quantum=16", 1, {}, predecode);
-    EXPECT_EQ(GoldenLine("invalid_opcode", RunSummary(sig.run), sig.text),
-              kInvalidOpcodeGolden)
-        << "predecode=" << predecode;
-  }
+  VmSignature sig = RunSignature(module, "rr:quantum=16", 1, {});
+  EXPECT_EQ(GoldenLine("invalid_opcode", RunSummary(sig.run), sig.text),
+            kInvalidOpcodeGolden);
 }
 
 TEST(VmGoldenTest, SweepDumpBlobs) {
@@ -253,30 +242,26 @@ TEST(VmGoldenTest, SweepDumpBlobs) {
   grid.seeds_per_cell = 4;
   grid.max_steps_per_run = 20000;
 
-  for (bool predecode : {false, true}) {
-    grid.predecode = predecode;
-    auto sweep = RunSweep(grid);
-    ASSERT_TRUE(sweep.ok());
-    const SweepResult& result = sweep.value();
-    ASSERT_EQ(result.fixtures.size(), result.dump_blobs.size());
-    std::string text;
-    for (size_t i = 0; i < result.fixtures.size(); ++i) {
-      const FixtureRecord& f = result.fixtures[i];
-      text += StrFormat("%s %s seed=%llu steps=%llu\n", f.workload.c_str(),
-                        f.policy.c_str(),
-                        static_cast<unsigned long long>(f.seed),
-                        static_cast<unsigned long long>(f.steps));
-      text.append(result.dump_blobs[i].begin(), result.dump_blobs[i].end());
-    }
-    EXPECT_EQ(GoldenLine("sweep",
-                         StrFormat("%llu %zu",
-                                   static_cast<unsigned long long>(
-                                       result.stats.crashes),
-                                   result.fixtures.size()),
-                         text),
-              kSweepGolden)
-        << "predecode=" << predecode;
+  auto sweep = RunSweep(grid);
+  ASSERT_TRUE(sweep.ok());
+  const SweepResult& result = sweep.value();
+  ASSERT_EQ(result.fixtures.size(), result.dump_blobs.size());
+  std::string text;
+  for (size_t i = 0; i < result.fixtures.size(); ++i) {
+    const FixtureRecord& f = result.fixtures[i];
+    text += StrFormat("%s %s seed=%llu steps=%llu\n", f.workload.c_str(),
+                      f.policy.c_str(),
+                      static_cast<unsigned long long>(f.seed),
+                      static_cast<unsigned long long>(f.steps));
+    text.append(result.dump_blobs[i].begin(), result.dump_blobs[i].end());
   }
+  EXPECT_EQ(GoldenLine("sweep",
+                       StrFormat("%llu %zu",
+                                 static_cast<unsigned long long>(
+                                     result.stats.crashes),
+                                 result.fixtures.size()),
+                       text),
+            kSweepGolden);
 }
 
 TEST(VmGoldenTest, ReplayedDump) {
@@ -290,8 +275,7 @@ TEST(VmGoldenTest, ReplayedDump) {
   ResResult result = engine.Run();
   ASSERT_TRUE(result.suffix.has_value() && result.suffix->verified);
 
-  // No lowering (the classic engine) and a shared one (the predecoded
-  // engine).
+  // A VM that builds its own lowering, and one given a shared lowering.
   const PredecodedModule pm = PredecodedModule::Build(module);
   const PredecodedModule* lowerings[] = {nullptr, &pm};
   for (const PredecodedModule* lowering : lowerings) {
@@ -310,36 +294,6 @@ TEST(VmGoldenTest, ReplayedDump) {
   }
 }
 
-TEST(PredecodeTest, OpIndexPcRoundTrip) {
-  for (const WorkloadSpec& spec : AllWorkloads()) {
-    Module module = spec.build();
-    PredecodedModule pm = PredecodedModule::Build(module);
-    ASSERT_EQ(pm.op_count(), module.TotalInstructionCount()) << spec.name;
-    uint32_t expect_index = 0;
-    for (FuncId f = 0; f < module.functions().size(); ++f) {
-      const Function& fn = module.function(f);
-      for (BlockId b = 0; b < fn.blocks.size(); ++b) {
-        for (uint32_t i = 0; i < fn.blocks[b].instructions.size(); ++i) {
-          Pc pc{f, b, i};
-          uint32_t op_index = pm.OpIndexForPc(pc);
-          ASSERT_EQ(op_index, expect_index) << module.PcToString(pc);
-          ASSERT_EQ(pm.PcForOpIndex(op_index), pc) << module.PcToString(pc);
-          // The lowered op preserves the opcode byte.
-          ASSERT_EQ(pm.ops()[op_index].op(),
-                    fn.blocks[b].instructions[i].op);
-          ++expect_index;
-        }
-      }
-    }
-    // Out-of-range queries answer with the sentinels, not UB.
-    EXPECT_EQ(pm.OpIndexForPc(Pc{static_cast<FuncId>(
-                  module.functions().size()), 0, 0}),
-              kNoOpIndex);
-    EXPECT_EQ(pm.PcForOpIndex(static_cast<uint32_t>(pm.op_count())).func,
-              kNoFunc);
-  }
-}
-
 TEST(PredecodeTest, CachedInModuleFacts) {
   ResRuntime runtime;
   Module module = BuildRacyCounter();
@@ -355,7 +309,6 @@ TEST(PredecodeTest, CachedInModuleFacts) {
   ASSERT_TRUE(vm.Reset().ok());
   RunResult run = vm.Run();
   EXPECT_GT(run.steps, 0u);
-  EXPECT_EQ(vm.predecode_steps(), run.steps);
 }
 
 TEST(ModuleSerializeTest, CorpusRoundTripsByteIdentically) {

@@ -93,7 +93,6 @@ int CmdRun(const std::string& program, int argc, char** argv) {
   sched_spec.policy = "random";
   sched_spec.permille = 300;
   bool seed_overridden = false;
-  bool predecode = false;
   uint64_t seed = 1;
   QueueInputProvider inputs(/*fallback=*/0);
   for (int i = 0; i < argc; ++i) {
@@ -109,13 +108,9 @@ int CmdRun(const std::string& program, int argc, char** argv) {
       sched_spec = parsed.value();
     } else if (std::strcmp(argv[i], "--input") == 0 && i + 1 < argc) {
       inputs.Push(0, std::strtoll(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--predecode") == 0) {
-      predecode = true;
     }
   }
-  VmOptions vm_options;
-  vm_options.predecode = predecode;
-  Vm vm(&module.value(), vm_options);
+  Vm vm(&module.value());
   auto scheduler = seed_overridden ? MakeScheduler(sched_spec, seed)
                                    : MakeScheduler(sched_spec);
   if (!scheduler.ok()) {
@@ -367,7 +362,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage:\n"
                  "  resdbg run <program.resvm> [--sched SPEC] [--seed N]"
-                 " [--input V]... [--predecode]\n"
+                 " [--input V]...\n"
                  "  resdbg analyze <program.resvm> <dump.core> [--max-units N]"
                  " [--no-breadcrumbs] [--full-path]\n"
                  "  resdbg replay <program.resvm> <dump.core>\n"
