@@ -440,14 +440,9 @@ bool ResEngine::GateNode(const StackEntry& n, Gated* g, TaskCtx* tctx,
   }
   // Unknown verdicts keep the parent's witness as the node's model.
   g->model = n.parent->model;
-  SolveOutcome outcome;
-  if (options_.incremental_solving) {
-    g->ctx = n.parent->ctx;
-    outcome = solver_.CheckIncremental(&g->ctx, n.h.constraints,
-                                       &tctx->stats.solver);
-  } else {
-    outcome = solver_.Check(n.h.constraints, &tctx->stats.solver);
-  }
+  g->ctx = n.parent->ctx;
+  SolveOutcome outcome = solver_.CheckIncremental(&g->ctx, n.h.constraints,
+                                                  &tctx->stats.solver);
   if (!outcome.fault.ok()) {
     // Injected solver failure: fail the RUN, not the hypothesis — treating
     // it as UNSAT/unknown would silently change the verdict. The node is
@@ -1364,9 +1359,7 @@ std::optional<SynthesizedSuffix> ResEngine::CompleteStartNode(
   }
   SolverContext cctx = g.ctx;  // fork this node's post-gate context
   SolveOutcome outcome =
-      options_.incremental_solving
-          ? solver_.CheckIncremental(&cctx, h2.constraints, &tctx->stats.solver)
-          : solver_.Check(h2.constraints, &tctx->stats.solver);
+      solver_.CheckIncremental(&cctx, h2.constraints, &tctx->stats.solver);
   if (!outcome.fault.ok()) {
     // As in GateNode: an injected failure fails the run, never reads as an
     // unverified start.

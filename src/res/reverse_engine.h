@@ -47,11 +47,6 @@ struct ResOptions {
   bool use_lbr = true;               // consume LBR breadcrumbs
   bool use_error_log = true;         // consume error-log breadcrumbs
   bool stop_at_root_cause = true;    // stop once a detector fires
-  // Ablation: when false, every solver gate re-solves the hypothesis's
-  // whole constraint vector monolithically instead of reusing its
-  // SolverContext. Exists so differential tests can pin the incremental
-  // path to the classic one.
-  bool incremental_solving = true;
   // When true (default), root-cause detection consumes the per-hypothesis
   // RootCauseContext folded along the suffix chain (O(delta) per appended
   // unit) instead of re-scanning the whole materialized suffix per verified

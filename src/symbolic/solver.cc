@@ -1132,16 +1132,6 @@ SolveOutcome Solver::Check(const std::vector<const Expr*>& constraints,
   return CheckWith(&cold, input, st);
 }
 
-SolveOutcome Solver::Check(const PersistentVector<const Expr*>& constraints,
-                           SolverStats* stats) {
-  SolverStats* st = stats != nullptr ? stats : &stats_;
-  ++st->checks;
-  SolverContext cold;
-  ConstraintInput input;
-  input.pvec = &constraints;
-  return CheckWith(&cold, input, st);
-}
-
 SolveOutcome Solver::CheckIncremental(SolverContext* ctx,
                                       const std::vector<const Expr*>& constraints,
                                       SolverStats* stats) {

@@ -43,7 +43,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <initializer_list>
 #include <limits>
 #include <map>
 #include <mutex>
@@ -525,20 +524,10 @@ class Solver {
                                 const std::vector<const Expr*>& constraints,
                                 SolverStats* stats = nullptr);
 
-  // Brace-list convenience (also disambiguates `Check({})` between the
-  // vector and persistent-vector overloads).
-  SolveOutcome Check(std::initializer_list<const Expr*> constraints,
-                     SolverStats* stats = nullptr) {
-    std::vector<const Expr*> vec(constraints);
-    return Check(vec, stats);
-  }
-
-  // Persistent-vector entry points: the reverse engine stores hypothesis
-  // constraint vectors structurally shared (O(delta) forks); these overloads
-  // consume them without materializing — a warm incremental check copies
+  // Persistent-vector entry point: the reverse engine stores hypothesis
+  // constraint vectors structurally shared (O(delta) forks); this overload
+  // consumes them without materializing — a warm incremental check copies
   // only the fresh suffix past ctx->absorbed().
-  SolveOutcome Check(const PersistentVector<const Expr*>& constraints,
-                     SolverStats* stats = nullptr);
   SolveOutcome CheckIncremental(SolverContext* ctx,
                                 const PersistentVector<const Expr*>& constraints,
                                 SolverStats* stats = nullptr);

@@ -285,21 +285,6 @@ TEST(ClauseSharingTest, DeepSuffixChainIsSharingInvariant) {
                          options);
 }
 
-TEST(ClauseSharingTest, MonolithicGatesAreSharingInvariant) {
-  // incremental_solving=false: every gate is a cold monolithic check, which
-  // exercises the screen and the gates through the memo-cache path.
-  Module module = BuildRacyCounter();
-  const WorkloadSpec& spec = WorkloadByName("racy_counter");
-  FailureRunOptions run_options;
-  run_options.require_live_peers = spec.requires_live_peers;
-  auto run = RunToFailure(module, spec, run_options);
-  ASSERT_TRUE(run.ok());
-  ResOptions options;
-  options.incremental_solving = false;
-  ExpectSharingInvariant("racy_counter_monolithic", module, run.value().dump,
-                         options);
-}
-
 TEST(ClauseSharingTest, LearnedClausesAreReusedOnTheDeepChain) {
   // Full synthesis over the 4-worker interleaving space: sibling subtrees
   // repeatedly re-derive permutations of the same conflicting constraint

@@ -158,47 +158,6 @@ TEST(SymSnapshotTest, ForkedSnapshotsAreIsolated) {
   EXPECT_EQ(child.ReadMem(&pool, g->address + 8 * 199), havoc);
 }
 
-TEST(ResEngineTest, IncrementalEngineMatchesMonolithicEngine) {
-  // The tentpole invariant: incremental constraint solving + COW snapshots
-  // must be observationally identical to the classic monolithic engine —
-  // same StopReason, same suffix length, same root causes — across
-  // workload classes.
-  for (const char* name :
-       {"div_by_zero_input", "semantic_assert", "use_after_free",
-        "double_free", "racy_counter", "buffer_overflow"}) {
-    const WorkloadSpec& spec = WorkloadByName(name);
-    Module module = spec.build();
-    FailureRunOptions run_options;
-    run_options.require_live_peers = spec.requires_live_peers;
-    auto run = RunToFailure(module, spec, run_options);
-    ASSERT_TRUE(run.ok()) << name;
-
-    ResOptions incremental;
-    ResOptions monolithic;
-    monolithic.incremental_solving = false;
-    ResEngine engine_inc(module, run.value().dump, incremental);
-    ResEngine engine_mono(module, run.value().dump, monolithic);
-    ResResult inc = engine_inc.Run();
-    ResResult mono = engine_mono.Run();
-
-    EXPECT_EQ(inc.stop, mono.stop) << name;
-    ASSERT_EQ(inc.suffix.has_value(), mono.suffix.has_value()) << name;
-    if (inc.suffix.has_value()) {
-      EXPECT_EQ(inc.suffix->units.size(), mono.suffix->units.size()) << name;
-      EXPECT_EQ(inc.suffix->verified, mono.suffix->verified) << name;
-    }
-    ASSERT_EQ(inc.causes.size(), mono.causes.size()) << name;
-    for (size_t i = 0; i < inc.causes.size(); ++i) {
-      EXPECT_EQ(inc.causes[i].kind, mono.causes[i].kind) << name;
-      EXPECT_EQ(inc.causes[i].BucketSignature(module),
-                mono.causes[i].BucketSignature(module))
-          << name;
-    }
-    EXPECT_EQ(inc.stats.hypotheses_explored, mono.stats.hypotheses_explored)
-        << name;
-  }
-}
-
 TEST(ResEngineTest, IncrementalSolvingReportsReuseAndDedup) {
   Module module = BuildRootCauseDistance(16);
   WorkloadSpec spec = WorkloadByName("semantic_assert");
