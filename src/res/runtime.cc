@@ -9,9 +9,9 @@ ModuleFacts::ModuleFacts(const Module& m)
     : module(&m),
       cfg(ModuleCfg::Build(m)),
       predecoded(PredecodedModule::Build(m)),
-      // live capacity == slot slab: the full-slab check in Publish fires
-      // before any eviction could, so promoted cores are never displaced
-      // out from under a running engine's watermark.
+      // live capacity == slot capacity: the full-slab check in Publish
+      // fires before any eviction could, so promoted cores are never
+      // displaced out from under a running engine's watermark.
       promoted_clauses(kPromotedClauseCapacity, kPromotedClauseCapacity) {}
 
 ResRuntime::ResRuntime() = default;

@@ -64,13 +64,15 @@
 
 namespace res {
 
-// Core capacity of each module's promoted store. Unlike the run-local
-// stores, the promoted store NEVER evicts individual cores: a running
-// engine's fixed watermark may cover any promoted core, and the determinism
-// contract requires the covered prefix to stay visible for the whole run —
-// so at capacity, promotion simply stops for that module. (Whole-entry
-// residency is bounded separately: EvictIdleFacts / ReclaimSubstrate drop a
-// module's facts only while no run pins them.)
+// Core cap of each module's promoted store: the most cores it may hold, not
+// an up-front allocation (its slots are allocated a chunk at a time, as
+// cores are promoted). Unlike the run-local stores, the promoted store
+// NEVER evicts individual cores: a running engine's fixed watermark may
+// cover any promoted core, and the determinism contract requires the
+// covered prefix to stay visible for the whole run — so at the cap,
+// promotion simply stops for that module. (Whole-entry residency is bounded
+// separately: EvictIdleFacts / ReclaimSubstrate drop a module's facts only
+// while no run pins them.)
 inline constexpr size_t kPromotedClauseCapacity = 16384;
 
 // Facts scoped to one module, built on first use and shared by every run

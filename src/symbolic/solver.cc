@@ -306,10 +306,11 @@ void ClauseStore::EvictOne() {
   uint32_t victim = std::numeric_limits<uint32_t>::max();
   uint32_t victim_hits = 0;
   for (uint32_t id = 0; id < count; ++id) {
-    if (slots_[id].evicted.load(std::memory_order_relaxed)) {
+    const Core& core = Slot(id);
+    if (core.evicted.load(std::memory_order_relaxed)) {
       continue;
     }
-    uint32_t h = slots_[id].hits.load(std::memory_order_relaxed);
+    uint32_t h = core.hits.load(std::memory_order_relaxed);
     if (victim == std::numeric_limits<uint32_t>::max() || h < victim_hits) {
       victim = id;  // ties keep the first (oldest seq) candidate
       victim_hits = h;
@@ -321,7 +322,7 @@ void ClauseStore::EvictOne() {
   // Purge the dedup entry first so the conflict can be re-learned later;
   // the by_member index keeps the id (probes skip it via the flag).
   uint64_t h = 0;
-  for (const Expr* e : slots_[victim].elems) {
+  for (const Expr* e : Slot(victim).elems) {
     h ^= MixKey(e->det_hash);
   }
   auto it = dedup_.find(h);
@@ -330,7 +331,7 @@ void ClauseStore::EvictOne() {
     bucket.erase(std::remove(bucket.begin(), bucket.end(), victim),
                  bucket.end());
   }
-  slots_[victim].evicted.store(true, std::memory_order_release);
+  Slot(victim).evicted.store(true, std::memory_order_release);
   live_.fetch_sub(1, std::memory_order_relaxed);
   evicted_.fetch_add(1, std::memory_order_relaxed);
 }
@@ -342,12 +343,8 @@ void ClauseStore::Clear() {
     shard.by_member.clear();
   }
   dedup_.clear();
-  const uint64_t count = count_.load(std::memory_order_relaxed);
-  for (uint64_t id = 0; id < count; ++id) {
-    slots_[id].elems.clear();
-    slots_[id].elems.shrink_to_fit();
-    slots_[id].hits.store(0, std::memory_order_relaxed);
-    slots_[id].evicted.store(false, std::memory_order_relaxed);
+  for (std::unique_ptr<Core[]>& chunk : chunks_) {
+    chunk.reset();
   }
   live_.store(0, std::memory_order_relaxed);
   evicted_.store(0, std::memory_order_relaxed);
@@ -359,7 +356,7 @@ bool ClauseStore::Publish(std::vector<const Expr*> core) {
     return false;
   }
   uint64_t count = count_.load(std::memory_order_relaxed);
-  if (count >= slots_.size()) {
+  if (count >= slot_capacity_) {
     return false;  // slot slab exhausted: stop learning entirely
   }
   uint64_t h = 0;
@@ -368,7 +365,7 @@ bool ClauseStore::Publish(std::vector<const Expr*> core) {
   }
   auto& bucket = dedup_[h];
   for (uint32_t id : bucket) {
-    if (slots_[id].elems == core) {
+    if (Slot(id).elems == core) {
       return false;  // already learned (and still live)
     }
   }
@@ -376,16 +373,20 @@ bool ClauseStore::Publish(std::vector<const Expr*> core) {
     EvictOne();
   }
   uint32_t id = static_cast<uint32_t>(count);
-  slots_[id].elems = std::move(core);
+  if (id % kChunkSlots == 0) {
+    chunks_[id / kChunkSlots] = std::make_unique<Core[]>(kChunkSlots);
+  }
+  Core& slot = Slot(id);
+  slot.elems = std::move(core);
   bucket.push_back(id);
-  for (const Expr* e : slots_[id].elems) {
+  for (const Expr* e : slot.elems) {
     Shard& shard = shards_[ShardOf(e)];
     std::lock_guard<std::mutex> lock(shard.mu);
     shard.by_member[e].push_back(id);
   }
   live_.fetch_add(1, std::memory_order_relaxed);
-  // Release: the slot (and its index entries) are fully written before the
-  // published count advances past it.
+  // Release: the slot, its chunk and its index entries are fully written
+  // before the published count advances past it.
   count_.store(count + 1, std::memory_order_release);
   return true;
 }

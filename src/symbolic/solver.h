@@ -45,6 +45,7 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -231,9 +232,11 @@ class SolverContext {
 // stored core is refuted in O(|core|) membership probes, without a solver
 // call. Sharded like the check cache: the per-constraint index (which cores
 // contain this constraint?) is striped across independently locked shards,
-// while the core slots themselves are a preallocated append-only array
-// published through an atomic count (acquire/release), so readers never
-// lock the payload.
+// while the core slots themselves are an append-only array published
+// through an atomic count (acquire/release), so readers never lock the
+// payload. The array is a chunk table sized once from `slot_capacity`; a
+// chunk of slots is allocated when its first seq is published, before the
+// count advances past it, so a store that learns little costs little.
 //
 // Determinism protocol (see docs/ARCHITECTURE.md): each store has one
 // logical publisher — a run-local store the engine's commit loop, in commit
@@ -258,7 +261,8 @@ class ClauseStore {
  public:
   explicit ClauseStore(size_t live_capacity = 4096, size_t slot_capacity = 0)
       : live_capacity_(live_capacity),
-        slots_(slot_capacity == 0 ? live_capacity * 4 : slot_capacity) {}
+        slot_capacity_(slot_capacity == 0 ? live_capacity * 4 : slot_capacity),
+        chunks_((slot_capacity_ + kChunkSlots - 1) / kChunkSlots) {}
 
   // Publishes a core (DetExprLess-sorted, deduped). Single-publisher: only
   // the engine's commit thread calls this. Returns true when the core was
@@ -272,7 +276,7 @@ class ClauseStore {
   // Commit-thread bookkeeping for eviction order: one deterministic screen
   // hit on core `seq`.
   void RecordHit(uint64_t seq) {
-    slots_[seq].hits.fetch_add(1, std::memory_order_relaxed);
+    Slot(seq).hits.fetch_add(1, std::memory_order_relaxed);
   }
   uint64_t evicted_count() const {
     return evicted_.load(std::memory_order_relaxed);
@@ -282,10 +286,10 @@ class ClauseStore {
   // The core behind `seq` (publisher / post-run readers; a concurrently
   // evicted core's elements stay valid — eviction never mutates payloads).
   const std::vector<const Expr*>& CoreElems(uint64_t seq) const {
-    return slots_[seq].elems;
+    return Slot(seq).elems;
   }
   bool IsEvicted(uint64_t seq) const {
-    return slots_[seq].evicted.load(std::memory_order_acquire);
+    return Slot(seq).evicted.load(std::memory_order_acquire);
   }
 
   // Does a live core with seq <= up_to containing `member` refute the set
@@ -308,7 +312,7 @@ class ClauseStore {
       ids = it->second;  // copy out: probe cores without holding the lock
     }
     for (uint32_t id : ids) {
-      if (id < limit && !IsEvicted(id) && CoreSubsetOf(slots_[id], contains)) {
+      if (id < limit && !IsEvicted(id) && CoreSubsetOf(Slot(id), contains)) {
         if (hit_seq != nullptr) {
           *hit_seq = id;
         }
@@ -325,7 +329,7 @@ class ClauseStore {
                        uint64_t* hit_seq = nullptr) const {
     uint64_t limit = std::min(up_to, published());
     for (uint64_t id = after; id < limit; ++id) {
-      if (!IsEvicted(id) && CoreSubsetOf(slots_[id], contains)) {
+      if (!IsEvicted(id) && CoreSubsetOf(Slot(id), contains)) {
         if (hit_seq != nullptr) {
           *hit_seq = id;
         }
@@ -341,12 +345,21 @@ class ClauseStore {
     std::atomic<uint32_t> hits{0};   // commit-thread screen hits
     std::atomic<bool> evicted{false};
   };
+  static constexpr size_t kChunkSlots = 64;
   static constexpr size_t kShards = 16;
   struct Shard {
     mutable std::mutex mu;
     std::unordered_map<const Expr*, std::vector<uint32_t>> by_member;
   };
 
+  // The slot behind `seq`. Its chunk exists once Publish has reached `seq`,
+  // so any seq below published() is safe to read.
+  Core& Slot(uint64_t seq) {
+    return chunks_[seq / kChunkSlots][seq % kChunkSlots];
+  }
+  const Core& Slot(uint64_t seq) const {
+    return chunks_[seq / kChunkSlots][seq % kChunkSlots];
+  }
   static size_t ShardOf(const Expr* e) {
     return (reinterpret_cast<uintptr_t>(e) >> 4) % kShards;
   }
@@ -376,8 +389,11 @@ class ClauseStore {
  private:
 
   size_t live_capacity_;
-  std::vector<Core> slots_;            // preallocated; never resized
-  std::atomic<uint64_t> count_{0};     // published prefix of slots_
+  size_t slot_capacity_;
+  // kChunkSlots slots per chunk; never resized. Chunk k is null until seq
+  // k * kChunkSlots is published, and Clear frees every chunk.
+  std::vector<std::unique_ptr<Core[]>> chunks_;
+  std::atomic<uint64_t> count_{0};     // published prefix of the slots
   std::atomic<uint64_t> live_{0};      // published minus evicted
   std::atomic<uint64_t> evicted_{0};
   std::array<Shard, kShards> shards_;  // member -> core ids (may run ahead

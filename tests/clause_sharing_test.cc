@@ -16,7 +16,10 @@
 // first tests pin the solver's one decision order and the cores it derives.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/ir/builder.h"
@@ -194,6 +197,151 @@ TEST(ClauseStoreTest, EvictionKeepsLearningAndFollowsHits) {
   EXPECT_EQ(store.evicted_count(), 2u);
   EXPECT_TRUE(store.RefutesByMember(a, store.published(), in_ac, &hit_seq));
   EXPECT_EQ(hit_seq, 3u);
+}
+
+// Core k of a store whose cores are {a, v_k}, DetExprLess-sorted.
+std::vector<const Expr*> PairCore(const Expr* a, const Expr* v) {
+  std::vector<const Expr*> core = {a, v};
+  std::sort(core.begin(), core.end(), DetExprLess);
+  return core;
+}
+
+TEST(ClauseStoreTest, SlabGrowsByChunkAndStopsAtCapacity) {
+  // 150 slots is not a whole number of chunks, and the 110 evictions below
+  // run past the first chunk boundary.
+  constexpr uint64_t kSlots = 150;
+  constexpr uint64_t kLive = 40;
+  ExprPool pool;
+  const Expr* a = pool.Var("a", VarOrigin::kInput);
+  std::vector<const Expr*> v;
+  for (uint64_t k = 0; k <= kSlots; ++k) {
+    v.push_back(pool.Var("v" + std::to_string(k), VarOrigin::kInput));
+  }
+  auto in_core = [&](uint64_t k) {
+    return [&, k](const Expr* e) { return e == a || e == v[k]; };
+  };
+
+  ClauseStore store(kLive, kSlots);
+  for (uint64_t k = 0; k < kSlots; ++k) {
+    ASSERT_TRUE(store.Publish(PairCore(a, v[k]))) << "seq " << k;
+    if (k == 0) {
+      store.RecordHit(0);  // seq 0 outlives every eviction below
+    }
+  }
+  // From seq 40 on, each publish evicted the oldest hitless live core:
+  // seqs 1..110 went, seq 0 and seqs 111..149 stayed.
+  const uint64_t published = store.published();
+  EXPECT_EQ(published, kSlots);
+  EXPECT_EQ(store.live_count(), kLive);
+  EXPECT_EQ(store.evicted_count(), 110u);
+  for (uint64_t k = 0; k < kSlots; ++k) {
+    const bool live = k == 0 || k > 110;
+    EXPECT_EQ(store.IsEvicted(k), !live) << "seq " << k;
+    EXPECT_EQ(store.CoreElems(k), PairCore(a, v[k])) << "seq " << k;
+    uint64_t by_member = kSlots;
+    uint64_t new_since = kSlots;
+    EXPECT_EQ(store.RefutesByMember(v[k], published, in_core(k), &by_member),
+              live)
+        << "seq " << k;
+    EXPECT_EQ(store.RefutesNewSince(0, published, in_core(k), &new_since),
+              live)
+        << "seq " << k;
+    if (live) {
+      EXPECT_EQ(by_member, k);
+      EXPECT_EQ(new_since, k);
+    }
+  }
+
+  // The slab is full: a new core is refused before any eviction.
+  EXPECT_FALSE(store.Publish(PairCore(a, v[kSlots])));
+  EXPECT_EQ(store.published(), kSlots);
+  EXPECT_EQ(store.evicted_count(), 110u);
+
+  store.Clear();
+  EXPECT_EQ(store.published(), 0u);
+  EXPECT_EQ(store.live_count(), 0u);
+  EXPECT_EQ(store.evicted_count(), 0u);
+  for (uint64_t k : {uint64_t{0}, uint64_t{64}, uint64_t{149}}) {
+    EXPECT_FALSE(store.RefutesByMember(v[k], kSlots, in_core(k)));
+    EXPECT_FALSE(store.RefutesNewSince(0, kSlots, in_core(k)));
+  }
+  ASSERT_TRUE(store.Publish(PairCore(a, v[149])));
+  EXPECT_EQ(store.published(), 1u);
+  uint64_t hit_seq = kSlots;
+  EXPECT_TRUE(store.RefutesByMember(v[149], 1, in_core(149), &hit_seq));
+  EXPECT_EQ(hit_seq, 0u);
+}
+
+TEST(ClauseStoreTest, ScreensWhilePromotionCrossesChunks) {
+  // The promoted shape (live capacity == slot capacity): one publisher
+  // fills 16 chunks while three readers screen the newest published core,
+  // as engines screen against a promoted store that Promote extends.
+  constexpr uint64_t kCapacity = 1000;
+  constexpr int kReaders = 3;
+  ExprPool pool;
+  const Expr* a = pool.Var("a", VarOrigin::kInput);
+  std::vector<const Expr*> v;
+  for (uint64_t k = 0; k <= kCapacity; ++k) {
+    v.push_back(pool.Var("v" + std::to_string(k), VarOrigin::kInput));
+  }
+  std::vector<std::vector<const Expr*>> cores;
+  for (const Expr* var : v) {
+    cores.push_back(PairCore(a, var));
+  }
+
+  ClauseStore store(kCapacity, kCapacity);
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> refused_in_capacity{0};
+  std::atomic<bool> refused_past_capacity{false};
+  std::thread publisher([&] {
+    for (uint64_t k = 0; k < kCapacity; ++k) {
+      if (!store.Publish(cores[k])) {
+        refused_in_capacity.fetch_add(1);
+      }
+      std::this_thread::yield();
+    }
+    refused_past_capacity = !store.Publish(cores[kCapacity]);
+    done.store(true, std::memory_order_release);
+  });
+
+  std::atomic<uint64_t> screens{0};
+  std::atomic<uint64_t> misses{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&] {
+      // Ends one screen after the publisher does.
+      for (bool last = false; !last;) {
+        last = done.load(std::memory_order_acquire);
+        const uint64_t n = store.published();
+        if (n == 0) {
+          continue;
+        }
+        const uint64_t seq = n - 1;
+        auto contains = [&](const Expr* e) { return e == a || e == v[seq]; };
+        uint64_t by_member = kCapacity;
+        uint64_t new_since = kCapacity;
+        const bool refuted =
+            store.RefutesByMember(v[seq], n, contains, &by_member) &&
+            by_member == seq &&
+            store.RefutesNewSince(seq, n, contains, &new_since) &&
+            new_since == seq && !store.IsEvicted(seq) &&
+            store.CoreElems(seq) == cores[seq];
+        misses.fetch_add(refuted ? 0 : 1);
+        screens.fetch_add(1);
+      }
+    });
+  }
+  publisher.join();
+  for (std::thread& t : readers) {
+    t.join();
+  }
+
+  EXPECT_EQ(refused_in_capacity.load(), 0u);
+  EXPECT_TRUE(refused_past_capacity.load());
+  EXPECT_EQ(store.published(), kCapacity);
+  EXPECT_EQ(store.evicted_count(), 0u);
+  EXPECT_GE(screens.load(), static_cast<uint64_t>(kReaders));
+  EXPECT_EQ(misses.load(), 0u) << "of " << screens.load() << " screens";
 }
 
 // ---------------------------------------------------------------------------
