@@ -9,6 +9,8 @@ Usage (from the repository root):
   tools/perf_trajectory.py append --label "<what was measured>" --seed 1
   tools/perf_trajectory.py append --label "<...>" --seed 7919 --root ../other
   tools/perf_trajectory.py check
+  tools/perf_trajectory.py pairs --root ../parent --workload fleet_mix \
+      --seed 1 --pairs 10
 
 `append` runs `perfbench/run.py --workload <w> --seed <seed> --trace 0` for
 every workload BENCHMARK.json lists, for BENCHMARK.json's run_seconds each,
@@ -29,12 +31,36 @@ The host record is perfbench's own, which every workload run must repeat;
 
 `check` validates every line: the workload names, the end-to-end metric
 names and units of BENCHMARK.json, finite values, and `par_ratio`.
+
+`pairs` compares a parent checkout (--root) with this one on one workload
+and seed. It runs perfbench alternately in the two checkouts, for
+BENCHMARK.json's run_seconds each; the side that runs first alternates from
+pair to pair. For every end-to-end metric it prints each side's median and
+quartiles, the ratio of the medians (change / parent), the pairs the change
+won (strictly better in the direction of `better`; ties count for neither
+side), and a verdict:
+
+  gain              the change won at least 9 of 10 pairs and the medians
+                    differ, in its favour, by more than the parent's
+                    interquartile range;
+  worse than bound  the change's median is worse than the parent's by more
+                    than the metric's bound;
+  unresolved        neither, and the parent's interquartile range is wider
+                    than the bound (unless every change run beat every
+                    parent run);
+  within bound      neither, otherwise.
+
+It also prints failed/attempted submissions per side, the as-measured
+`dumps_per_s` medians, and whether the corpus digest, the per-stream report
+digests and the ground-truth tables agree on every stream both sides ran.
 """
 
 import argparse
 import json
 import math
 import os
+import re
+import statistics
 import subprocess
 import sys
 
@@ -44,9 +70,13 @@ HOST_KEYS = ("nproc", "build_type", "optimized", "compiler", "git_rev",
              "src_digest")
 
 
-def load_spec():
+def read_benchmark():
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
-        spec = json.load(f)
+        return json.load(f)
+
+
+def load_spec():
+    spec = read_benchmark()
     workloads = [w["name"] for w in spec["workloads"]]
     units = {m["name"]: m["unit"] for m in spec["end_to_end"]}
     return workloads, units, spec["run_seconds"]
@@ -59,7 +89,7 @@ def par_ratio(entry):
 
 
 def run_workload(root, workload, seed, seconds):
-    """One untraced perfbench run: (host record, result object)."""
+    """One untraced perfbench run: (host record, result object, stdout)."""
     out = subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"), "--workload",
          workload, "--seed", str(seed), "--seconds", str(seconds), "--trace",
@@ -70,7 +100,7 @@ def run_workload(root, workload, seed, seconds):
         raise SystemExit(f"perfbench {workload} seed {seed} failed "
                          f"(exit {out.returncode}) in {root}")
     record = json.loads(lines[0])["record"]
-    return {k: record[k] for k in HOST_KEYS}, json.loads(lines[-1])
+    return {k: record[k] for k in HOST_KEYS}, json.loads(lines[-1]), out.stdout
 
 
 def append(args):
@@ -78,8 +108,8 @@ def append(args):
     entry = {"label": args.label, "seed": args.seed, "seconds": seconds,
              "host": None, "workloads": {}}
     for workload in workloads:
-        host, result = run_workload(os.path.abspath(args.root), workload,
-                                    args.seed, seconds)
+        host, result, _ = run_workload(os.path.abspath(args.root), workload,
+                                       args.seed, seconds)
         if entry["host"] not in (None, host):
             raise SystemExit(f"{workload}: host record {host} differs from "
                              f"{entry['host']}")
@@ -150,6 +180,127 @@ def check(_args):
     print(f"perf trajectory check OK ({number} entries)")
 
 
+def quartiles(values):
+    """(first quartile, median, third quartile), interpolating linearly."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def verdict(parent, change, wins, better, bound):
+    """The choosing-metrics verdict for one metric's paired runs."""
+    sign = 1 if better == "higher" else -1
+    q1, median, q3 = quartiles(parent)
+    gain = (statistics.median(change) - median) * sign
+    if 10 * wins >= 9 * len(parent) and gain > q3 - q1:
+        return "gain"
+    if gain < -bound * abs(median):
+        return "worse than bound"
+    if (q3 - q1 > bound * abs(median)
+            and min(v * sign for v in change) <= max(v * sign for v in parent)):
+        return "unresolved"
+    return "within bound"
+
+
+def identity(stdout):
+    """What a run's report stream must repeat: the corpus digest, each
+    stream's report digest, and the ground-truth table."""
+    corpus, streams, truth = None, {}, []
+    in_truth = False
+    for line in stdout.splitlines():
+        if line.startswith("corpus digest "):
+            corpus = line.split()[2].rstrip(":")
+        match = re.match(r"stream (\d+) report digest ([0-9a-f]+)$", line)
+        if match:
+            streams[int(match.group(1))] = match.group(2)
+        if line.startswith("ground truth over distinct dumps"):
+            in_truth = True
+        elif in_truth and not line.startswith("  "):
+            in_truth = False
+        if in_truth:
+            truth.append(line)
+    return corpus, streams, "\n".join(truth)
+
+
+def as_measured_rate(stdout):
+    match = re.search(r"^as measured: dumps_per_s ([0-9.eE+-]+)", stdout,
+                      re.MULTILINE)
+    return float(match.group(1)) if match else math.nan
+
+
+def compare_identity(runs):
+    """One line on whether both sides' runs agree on what identity() reads."""
+    corpora = {side: {identity(out)[0] for out in outs}
+               for side, outs in runs.items()}
+    truths = {side: {identity(out)[2] for out in outs}
+              for side, outs in runs.items()}
+    streams = {}
+    for side, outs in runs.items():
+        for out in outs:
+            for k, digest in identity(out)[1].items():
+                streams.setdefault(k, {}).setdefault(side, set()).add(digest)
+    shared = [k for k, sides in streams.items() if len(sides) == 2]
+    split = [k for k in shared
+             if len(streams[k]["parent"] | streams[k]["change"]) != 1]
+    corpus_ok = (len(corpora["parent"]) == 1
+                 and corpora["parent"] == corpora["change"])
+    truth_ok = len(truths["parent"]) == 1 and truths["parent"] == truths["change"]
+    agree = corpus_ok and truth_ok and not split
+    return (f"identity: {'AGREE' if agree else 'DIFFER'}: corpus digest "
+            f"{sorted(corpora['parent'])} vs {sorted(corpora['change'])}; "
+            f"report digests {len(shared) - len(split)}/{len(shared)} shared "
+            f"streams equal{' (differ: ' + str(split) + ')' if split else ''}; "
+            f"ground-truth tables {'equal' if truth_ok else 'differ'}")
+
+
+def pairs(args):
+    spec = read_benchmark()
+    seconds = spec["run_seconds"]
+    roots = {"parent": os.path.abspath(args.root), "change": ROOT}
+    results = {"parent": [], "change": []}
+    outputs = {"parent": [], "change": []}
+    for i in range(args.pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            _, result, stdout = run_workload(roots[side], args.workload,
+                                             args.seed, seconds)
+            results[side].append(result)
+            outputs[side].append(stdout)
+            sys.stderr.write(f"pair {i + 1}/{args.pairs} {side}: dumps_per_s "
+                             f"{result['metrics']['dumps_per_s']['value']:.4g}"
+                             "\n")
+    print(f"{args.workload} seed {args.seed}: {args.pairs} pairs of "
+          f"{seconds}-s runs, parent {roots['parent']}, change {roots['change']}")
+    print(f"{'metric':<17} {'parent median [q1-q3]':>28} "
+          f"{'change median [q1-q3]':>28} {'ratio':>7} {'wins':>6}  verdict")
+    for metric in spec["end_to_end"]:
+        name = metric["name"]
+        values = {side: [r["metrics"][name]["value"] for r in results[side]]
+                  for side in results}
+        sign = 1 if metric["better"] == "higher" else -1
+        wins = sum((c - p) * sign > 0
+                   for p, c in zip(values["parent"], values["change"]))
+        cells = []
+        for side in ("parent", "change"):
+            q1, median, q3 = quartiles(values[side])
+            cells.append(f"{median:.4g} [{q1:.4g}-{q3:.4g}]")
+        parent_median = statistics.median(values["parent"])
+        ratio = (statistics.median(values["change"]) / parent_median
+                 if parent_median else math.nan)
+        print(f"{name:<17} {cells[0]:>28} {cells[1]:>28} {ratio:>7.3f} "
+              f"{wins:>3}/{args.pairs:<2}  "
+              + verdict(values["parent"], values["change"], wins,
+                        metric["better"], metric["bound"]))
+    for side in ("parent", "change"):
+        failed = sum(r["failed"] for r in results[side])
+        attempted = sum(r["attempted"] for r in results[side])
+        rate = statistics.median(as_measured_rate(o) for o in outputs[side])
+        print(f"{side}: failed/attempted {failed}/{attempted}, as-measured "
+              f"dumps_per_s median {rate:.4g}")
+    print(compare_identity(outputs))
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -159,8 +310,14 @@ def main():
     a.add_argument("--root", default=ROOT,
                    help="checkout whose perfbench to run (default: this one)")
     sub.add_parser("check", help="validate every entry")
+    p = sub.add_parser("pairs", help="alternating parent/change runs of one "
+                       "workload, with a verdict per end-to-end metric")
+    p.add_argument("--root", required=True, help="the parent checkout")
+    p.add_argument("--workload", required=True)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args()
-    (append if args.command == "append" else check)(args)
+    {"append": append, "check": check, "pairs": pairs}[args.command](args)
 
 
 if __name__ == "__main__":
