@@ -231,14 +231,14 @@ def as_measured_rate(stdout):
 
 def compare_identity(runs):
     """One line on whether both sides' runs agree on what identity() reads."""
-    corpora = {side: {identity(out)[0] for out in outs}
-               for side, outs in runs.items()}
-    truths = {side: {identity(out)[2] for out in outs}
+    parsed = {side: [identity(out) for out in outs]
               for side, outs in runs.items()}
+    corpora = {side: {p[0] for p in ps} for side, ps in parsed.items()}
+    truths = {side: {p[2] for p in ps} for side, ps in parsed.items()}
     streams = {}
-    for side, outs in runs.items():
-        for out in outs:
-            for k, digest in identity(out)[1].items():
+    for side, ps in parsed.items():
+        for _, digests, _ in ps:
+            for k, digest in digests.items():
                 streams.setdefault(k, {}).setdefault(side, set()).add(digest)
     shared = [k for k, sides in streams.items() if len(sides) == 2]
     split = [k for k in shared
