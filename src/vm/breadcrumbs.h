@@ -54,11 +54,6 @@ class LbrRing {
     return out;
   }
 
-  void Restore(const std::vector<BranchRecord>& entries) {
-    entries_ = entries;
-    next_ = entries_.size() % kLbrDepth;
-  }
-
  private:
   std::vector<BranchRecord> entries_;
   size_t next_ = 0;
@@ -74,21 +69,32 @@ struct ErrorLogEntry {
 };
 
 // Bounded application log; only the most recent kErrorLogCapacity entries
-// survive, mirroring log rotation.
+// survive, mirroring log rotation. A ring like LbrRing: appending never
+// moves the survivors.
 class ErrorLog {
  public:
   void Append(const ErrorLogEntry& e) {
-    entries_.push_back(e);
-    if (entries_.size() > kErrorLogCapacity) {
-      entries_.erase(entries_.begin());
+    if (entries_.size() < kErrorLogCapacity) {
+      entries_.push_back(e);
+    } else {
+      entries_[next_] = e;
     }
+    next_ = (next_ + 1) % kErrorLogCapacity;
   }
 
-  const std::vector<ErrorLogEntry>& entries() const { return entries_; }
-  void Restore(std::vector<ErrorLogEntry> entries) { entries_ = std::move(entries); }
+  // Entries in execution order (oldest first).
+  std::vector<ErrorLogEntry> entries() const {
+    if (entries_.size() < kErrorLogCapacity) {
+      return entries_;
+    }
+    std::vector<ErrorLogEntry> out(entries_.begin() + next_, entries_.end());
+    out.insert(out.end(), entries_.begin(), entries_.begin() + next_);
+    return out;
+  }
 
  private:
   std::vector<ErrorLogEntry> entries_;
+  size_t next_ = 0;
 };
 
 }  // namespace res

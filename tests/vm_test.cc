@@ -442,10 +442,42 @@ TEST(VmErrorLogTest, RotatesAtCapacity) {
     ErrorLogEntry e;
     e.value = i;
     log.Append(e);
+    if (i == 2) {
+      // Before it fills, the log holds everything appended, in order.
+      std::vector<ErrorLogEntry> early = log.entries();
+      ASSERT_EQ(early.size(), 3u);
+      EXPECT_EQ(early[0].value, 0);
+      EXPECT_EQ(early[2].value, 2);
+    }
   }
-  ASSERT_EQ(log.entries().size(), kErrorLogCapacity);
-  EXPECT_EQ(log.entries().front().value, 6);  // oldest surviving
-  EXPECT_EQ(log.entries().back().value, n - 1);
+  // Every survivor, oldest first: the 6 oldest rotated out.
+  std::vector<ErrorLogEntry> entries = log.entries();
+  ASSERT_EQ(entries.size(), kErrorLogCapacity);
+  for (size_t i = 0; i < entries.size(); ++i) {
+    EXPECT_EQ(entries[i].value, static_cast<int64_t>(i) + 6) << "entry " << i;
+  }
+}
+
+TEST(VmErrorLogTest, CoredumpKeepsTheLastOutputsOldestFirst) {
+  // 100 loop iterations each log their counter (1..100); input 0 then
+  // divides by zero.
+  Module m = BuildLongExecution(100);
+  QueueInputProvider inputs;
+  inputs.Push(0, 0);
+  Vm vm(&m);
+  vm.set_input_provider(&inputs);
+  ASSERT_TRUE(vm.Reset().ok());
+  RunResult r = vm.Run();
+  ASSERT_EQ(r.outcome, RunOutcome::kTrapped);
+  EXPECT_EQ(r.trap.kind, TrapKind::kDivByZero);
+  EXPECT_EQ(r.steps, 2469u);
+
+  Coredump dump = CaptureCoredump(vm);
+  ASSERT_EQ(dump.error_log.size(), kErrorLogCapacity);
+  for (size_t i = 0; i < dump.error_log.size(); ++i) {
+    EXPECT_EQ(dump.error_log[i].value, static_cast<int64_t>(i) + 37)
+        << "entry " << i;
+  }
 }
 
 TEST(VmRecorderTest, FullMemoryRecorderSeesEveryAccess) {
