@@ -3,7 +3,8 @@
 // The VM executes one instruction at a time under sequential consistency
 // (the paper's stated memory model); the scheduler picks which runnable
 // thread steps next. Six policies:
-//  - RoundRobinScheduler: fixed quantum, deterministic.
+//  - RoundRobinScheduler: fixed quantum, deterministic. The only policy
+//    that grants steps (Scheduler::Grant): the VM asks it once a quantum.
 //  - RandomScheduler: seeded preemption — the workload corpus uses it to
 //    make concurrency bugs actually fire.
 //  - PctScheduler: randomized-priority (PCT-style) scheduling with a fixed
@@ -42,16 +43,37 @@ class Scheduler {
   // `current` is the previously running thread (may not be runnable).
   virtual uint32_t Pick(const std::vector<uint32_t>& runnable, uint32_t current) = 0;
 
+  // The grant: how many steps after the one it was just picked for the
+  // thread Pick returned may take with no Pick call. Each must be a step
+  // Pick would have given that thread, called with the same runnable set
+  // (OnBlockBoundary calls in between do not end a grant). The VM takes k
+  // of them, fewer than granted when the runnable set changes, and reports
+  // k > 0 through OnGrantedSteps before its next Pick; the scheduler must
+  // then be where k Pick calls returning that thread would have left it.
+  // Only round-robin grants steps.
+  virtual uint64_t Grant() const { return 0; }
+  virtual void OnGrantedSteps(uint64_t /*steps*/) {}
+
   // Notification: `tid` just finished a basic block (executed its terminator).
   virtual void OnBlockBoundary(uint32_t tid) {}
 
-  // True if the scheduler has diverged from its script (scripted replay only).
+  // True if the scheduler has diverged from its script (scripted replay
+  // only). Only Pick sets it.
   virtual bool failed() const { return false; }
 };
 
+// Runs the current thread for `quantum` more picks after the one that
+// switched to it, then moves to the next runnable tid. Its grant is the
+// rest of the quantum: the picks that would return the current thread
+// anyway, folded into ticks_ when the VM reports them.
 class RoundRobinScheduler : public Scheduler {
  public:
   explicit RoundRobinScheduler(uint32_t quantum = 16) : quantum_(quantum) {}
+
+  uint64_t Grant() const override { return quantum_ - ticks_; }
+  void OnGrantedSteps(uint64_t steps) override {
+    ticks_ += static_cast<uint32_t>(steps);
+  }
 
   uint32_t Pick(const std::vector<uint32_t>& runnable, uint32_t current) override {
     bool current_runnable = false;

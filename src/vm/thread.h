@@ -42,7 +42,6 @@ struct Thread {
   std::vector<Frame> frames;    // back() is the active frame
   uint64_t blocked_on = 0;      // mutex address or joined tid
   int64_t exit_value = 0;
-  uint64_t steps_executed = 0;
 
   bool runnable() const { return state == ThreadState::kRunnable; }
   Frame& top() { return frames.back(); }

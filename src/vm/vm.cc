@@ -1,13 +1,14 @@
 #include "src/vm/vm.h"
 
+#include <algorithm>
 #include <cassert>
 #include <limits>
 
 #include "src/support/string_util.h"
 
 // Direct-threaded dispatch (computed goto) where the compiler supports the
-// GNU labels-as-values extension; everywhere else Step falls back to a
-// portable dense switch over the same handler bodies.
+// GNU labels-as-values extension; everywhere else RunBounded falls back to
+// a portable dense switch over the same handler bodies.
 #if defined(__GNUC__) || defined(__clang__)
 #define RES_VM_COMPUTED_GOTO 1
 #else
@@ -15,54 +16,6 @@
 #endif
 
 namespace res {
-
-namespace {
-
-int64_t EvalBinary(Opcode op, int64_t a, int64_t b) {
-  uint64_t ua = static_cast<uint64_t>(a);
-  uint64_t ub = static_cast<uint64_t>(b);
-  switch (op) {
-    case Opcode::kAdd:
-      return static_cast<int64_t>(ua + ub);
-    case Opcode::kSub:
-      return static_cast<int64_t>(ua - ub);
-    case Opcode::kMul:
-      return static_cast<int64_t>(ua * ub);
-    case Opcode::kDivS:
-      return a / b;  // caller guards b != 0 and overflow
-    case Opcode::kRemS:
-      return a % b;
-    case Opcode::kAnd:
-      return static_cast<int64_t>(ua & ub);
-    case Opcode::kOr:
-      return static_cast<int64_t>(ua | ub);
-    case Opcode::kXor:
-      return static_cast<int64_t>(ua ^ ub);
-    case Opcode::kShl:
-      return static_cast<int64_t>(ua << (ub & 63));
-    case Opcode::kShrL:
-      return static_cast<int64_t>(ua >> (ub & 63));
-    case Opcode::kShrA:
-      return a >> (ub & 63);
-    case Opcode::kCmpEq:
-      return a == b ? 1 : 0;
-    case Opcode::kCmpNe:
-      return a != b ? 1 : 0;
-    case Opcode::kCmpLtS:
-      return a < b ? 1 : 0;
-    case Opcode::kCmpLeS:
-      return a <= b ? 1 : 0;
-    case Opcode::kCmpLtU:
-      return ua < ub ? 1 : 0;
-    case Opcode::kCmpLeU:
-      return ua <= ub ? 1 : 0;
-    default:
-      assert(false && "not a binary op");
-      return 0;
-  }
-}
-
-}  // namespace
 
 Vm::Vm(const Module* module, VmOptions options)
     : module_(module),
@@ -80,6 +33,8 @@ Status Vm::Reset() {
   main_exited_ = false;
   steps_ = 0;
   current_tid_ = 0;
+  runnable_stale_ = true;
+  turn_length_ = turn_left_ = 0;
   block_trace_.clear();
   consumed_inputs_.clear();
   EnsurePredecoded();
@@ -119,6 +74,8 @@ void Vm::RestoreForReplay(AddressSpace memory, Heap heap, std::vector<Thread> th
   main_exited_ = false;
   steps_ = 0;
   current_tid_ = 0;
+  runnable_stale_ = true;
+  turn_length_ = turn_left_ = 0;
   block_trace_.clear();
   consumed_inputs_.clear();
   EnsurePredecoded();
@@ -150,21 +107,21 @@ void Vm::RaiseTrap(TrapKind kind, uint32_t tid, const Pc& pc, uint64_t address,
   stopped_ = true;
 }
 
-bool Vm::CheckedRead(uint32_t tid, const Pc& pc, uint64_t addr, int64_t* out) {
+bool Vm::CheckedRead(uint32_t tid, const Frame& f, uint64_t addr, int64_t* out) {
   if (IsHeapAddress(addr)) {
     Heap::AccessVerdict verdict = heap_.CheckAccess(addr);
     if (verdict == Heap::AccessVerdict::kFreed) {
-      RaiseTrap(TrapKind::kUseAfterFree, tid, pc, addr, "read of freed memory");
+      RaiseTrap(TrapKind::kUseAfterFree, tid, f.pc(), addr, "read of freed memory");
       return false;
     }
     if (verdict == Heap::AccessVerdict::kUnallocated) {
-      RaiseTrap(TrapKind::kMemoryFault, tid, pc, addr, "read of unallocated heap");
+      RaiseTrap(TrapKind::kMemoryFault, tid, f.pc(), addr, "read of unallocated heap");
       return false;
     }
   }
   auto r = memory_.ReadWord(addr);
   if (!r.ok()) {
-    RaiseTrap(TrapKind::kMemoryFault, tid, pc, addr, r.status().message());
+    RaiseTrap(TrapKind::kMemoryFault, tid, f.pc(), addr, r.status().message());
     return false;
   }
   *out = r.value();
@@ -174,21 +131,21 @@ bool Vm::CheckedRead(uint32_t tid, const Pc& pc, uint64_t addr, int64_t* out) {
   return true;
 }
 
-bool Vm::CheckedWrite(uint32_t tid, const Pc& pc, uint64_t addr, int64_t value) {
+bool Vm::CheckedWrite(uint32_t tid, const Frame& f, uint64_t addr, int64_t value) {
   if (IsHeapAddress(addr)) {
     Heap::AccessVerdict verdict = heap_.CheckAccess(addr);
     if (verdict == Heap::AccessVerdict::kFreed) {
-      RaiseTrap(TrapKind::kUseAfterFree, tid, pc, addr, "write to freed memory");
+      RaiseTrap(TrapKind::kUseAfterFree, tid, f.pc(), addr, "write to freed memory");
       return false;
     }
     if (verdict == Heap::AccessVerdict::kUnallocated) {
-      RaiseTrap(TrapKind::kMemoryFault, tid, pc, addr, "write to unallocated heap");
+      RaiseTrap(TrapKind::kMemoryFault, tid, f.pc(), addr, "write to unallocated heap");
       return false;
     }
   }
   Status s = memory_.WriteWord(addr, value);
   if (!s.ok()) {
-    RaiseTrap(TrapKind::kMemoryFault, tid, pc, addr, s.message());
+    RaiseTrap(TrapKind::kMemoryFault, tid, f.pc(), addr, s.message());
     return false;
   }
   if (recorder_ != nullptr) {
@@ -214,6 +171,7 @@ void Vm::WakeLockWaiters(uint64_t mutex_addr) {
   for (Thread& t : threads_) {
     if (t.state == ThreadState::kBlockedOnLock && t.blocked_on == mutex_addr) {
       t.state = ThreadState::kRunnable;
+      runnable_stale_ = true;
     }
   }
 }
@@ -222,6 +180,7 @@ void Vm::WakeJoiners(uint32_t exited_tid) {
   for (Thread& t : threads_) {
     if (t.state == ThreadState::kBlockedOnJoin && t.blocked_on == exited_tid) {
       t.state = ThreadState::kRunnable;
+      runnable_stale_ = true;
     }
   }
 }
@@ -230,6 +189,7 @@ void Vm::ThreadExit(uint32_t tid, int64_t value) {
   Thread& t = threads_[tid];
   t.state = ThreadState::kExited;
   t.exit_value = value;
+  runnable_stale_ = true;
   WakeJoiners(tid);
   if (tid == 0) {
     main_exited_ = true;
@@ -237,100 +197,61 @@ void Vm::ThreadExit(uint32_t tid, int64_t value) {
   }
 }
 
-RunResult Vm::RunBounded(uint64_t budget) {
-  RunResult result;
-  uint64_t executed = 0;
-  while (!stopped_) {
-    if (executed >= budget || steps_ >= options_.max_steps) {
-      result.outcome = RunOutcome::kStepLimit;
-      result.trap.kind = TrapKind::kStepLimit;
-      result.steps = steps_;
-      return result;
-    }
-    runnable_scratch_.clear();
-    for (const Thread& t : threads_) {
-      if (t.runnable()) {
-        runnable_scratch_.push_back(t.id);
-      }
-    }
-    if (runnable_scratch_.empty()) {
-      bool all_exited = true;
-      uint32_t blocked_tid = 0;
-      Pc blocked_pc;
-      for (const Thread& t : threads_) {
-        if (t.state == ThreadState::kBlockedOnLock ||
-            t.state == ThreadState::kBlockedOnJoin) {
-          all_exited = false;
-          blocked_tid = t.id;
-          blocked_pc = t.top().pc();
-          break;
-        }
-      }
-      if (all_exited) {
-        result.outcome = RunOutcome::kHalted;
-        result.steps = steps_;
-        return result;
-      }
-      RaiseTrap(TrapKind::kDeadlock, blocked_tid, blocked_pc, 0,
-                "all live threads blocked");
-      result.outcome = RunOutcome::kTrapped;
-      result.trap = trap_;
-      result.steps = steps_;
-      return result;
-    }
-
-    uint32_t tid = scheduler_->Pick(runnable_scratch_, current_tid_);
-    if (scheduler_->failed()) {
-      result.outcome = RunOutcome::kScheduleDiverged;
-      result.steps = steps_;
-      return result;
-    }
-    current_tid_ = tid;
-    if (recorder_ != nullptr) {
-      recorder_->OnSchedule(tid);
-    }
-    ++steps_;
-    ++executed;
-    ++threads_[tid].steps_executed;
-    if (!Step(tid)) {
-      break;
-    }
-  }
-  result.steps = steps_;
-  if (trap_.kind != TrapKind::kNone) {
-    result.outcome = RunOutcome::kTrapped;
-    result.trap = trap_;
-  } else {
-    result.outcome = RunOutcome::kHalted;
-  }
-  return result;
-}
-
 // Handler prologue/epilogue shared between the two dispatch modes: RES_OP
 // opens a handler for one opcode (a case label under dense-switch, an
-// address-taken label under computed goto); handlers exit with an explicit
-// `goto advance` / `return`, never fall through.
+// address-taken label under computed goto). A handler never falls through;
+// it leaves by one of
+//   RES_NEXT()      the op ran straight through: step to the next op;
+//   RES_DISPATCH()  the handler moved `op` itself (a branch, call or return);
+//   goto schedule   a trap, or a change of threads or of runnability.
+// Dispatching a step takes one from the burst, tells the recorder, and
+// returns to `schedule` once the burst is spent.
+#define RES_BEGIN_STEP()                 \
+  if (left == 0) {                       \
+    goto schedule;                       \
+  }                                      \
+  --left;                                \
+  if (recorder != nullptr) {             \
+    recorder->OnSchedule(tid);           \
+  }
 #if RES_VM_COMPUTED_GOTO
 #define RES_OP(name) op_##name:
 #define RES_OP_INVALID op_invalid:
+#define RES_DISPATCH()                   \
+  do {                                   \
+    RES_BEGIN_STEP()                     \
+    if (op->raw_op >= kOpCount) {        \
+      goto op_invalid;                   \
+    }                                    \
+    goto* kDispatch[op->raw_op];         \
+  } while (0)
+#define RES_NEXT()                       \
+  do {                                   \
+    ++op;                                \
+    ++f->index;                          \
+    RES_DISPATCH();                      \
+  } while (0)
 #else
 #define RES_OP(name) case Opcode::name:
 #define RES_OP_INVALID default:
+#define RES_DISPATCH() goto dispatch
+#define RES_NEXT() goto advance
 #endif
+// Binary ALU ops: `expr` over the operands as signed (a, b) or unsigned
+// (ua, ub) words, wrapping.
+#define RES_BINARY_OP(name, expr)                            \
+  RES_OP(name) {                                             \
+    [[maybe_unused]] const int64_t a = regs[op->ra];         \
+    [[maybe_unused]] const int64_t b = regs[op->rb];         \
+    [[maybe_unused]] const uint64_t ua = static_cast<uint64_t>(a); \
+    [[maybe_unused]] const uint64_t ub = static_cast<uint64_t>(b); \
+    regs[op->rd] = static_cast<int64_t>(expr);               \
+    RES_NEXT();                                              \
+  }
 
-bool Vm::Step(uint32_t tid) {
-  Thread& t = threads_[tid];
-  assert(t.runnable());
-  Frame& f = t.top();
-  const PredecodedModule& pm = *predecoded_;
-  const PredecodedFunction& pfn = pm.function(f.func);
-  const DecodedOp& inst =
-      pm.ops()[pfn.first_op + pfn.block_first_op[f.block] + f.index];
-  const Pc pc = f.pc();
-
-  auto reg = [&f](RegId r) -> int64_t& { return f.regs[r]; };
-
+RunResult Vm::RunBounded(uint64_t budget) {
 #if RES_VM_COMPUTED_GOTO
+  constexpr size_t kOpCount = static_cast<size_t>(Opcode::kHalt) + 1;
   // One slot per opcode byte, in strict Opcode enum order.
   static const void* const kDispatch[] = {
       &&op_kConst,  &&op_kMov,    &&op_kAdd,    &&op_kSub,    &&op_kMul,
@@ -342,179 +263,281 @@ bool Vm::Step(uint32_t tid) {
       &&op_kSpawn,  &&op_kJoin,   &&op_kAssert, &&op_kYield,  &&op_kNop,
       &&op_kBr,     &&op_kCondBr, &&op_kCall,   &&op_kRet,    &&op_kHalt,
   };
-  static_assert(sizeof(kDispatch) / sizeof(kDispatch[0]) ==
-                    static_cast<size_t>(Opcode::kHalt) + 1,
+  static_assert(sizeof(kDispatch) / sizeof(kDispatch[0]) == kOpCount,
                 "dispatch table must cover the full opcode enum");
-  if (inst.raw_op >= sizeof(kDispatch) / sizeof(kDispatch[0])) {
-    goto op_invalid;
+#endif
+  const uint64_t room =
+      steps_ < options_.max_steps ? options_.max_steps - steps_ : 0;
+  const uint64_t end = steps_ + std::min(budget, room);
+  const PredecodedModule& pm = *predecoded_;
+  Recorder* const recorder = recorder_;
+  RunResult result;
+
+  // The running thread, its top frame and the op it executes next. A
+  // straight-line op advances `op` and the frame's index in place; the
+  // handlers that move control, frames, threads or runnability reload them.
+  uint32_t tid = current_tid_;
+  Thread* t = nullptr;
+  Frame* f = nullptr;
+  int64_t* regs = nullptr;
+  const DecodedOp* fn_ops = nullptr;      // the first op of f's function
+  const uint32_t* block_first = nullptr;  // its blocks' offsets from fn_ops
+  const DecodedOp* op = nullptr;
+  // A burst runs between two visits to `schedule`: at most `burst` steps
+  // of `tid`, of which `left` are still to go.
+  uint64_t burst = 0;
+  uint64_t left = 0;
+
+  auto enter_frame = [&] {
+    f = &t->top();
+    regs = f->regs.data();
+    const PredecodedFunction& pfn = pm.function(f->func);
+    fn_ops = pm.ops() + pfn.first_op;
+    block_first = pfn.block_first_op.data();
+    op = fn_ops + block_first[f->block] + f->index;
+  };
+
+schedule:
+  steps_ += burst - left;
+  turn_left_ -= burst - left;
+  if (stopped_) {
+    result.steps = steps_;
+    if (trap_.kind != TrapKind::kNone) {
+      result.outcome = RunOutcome::kTrapped;
+      result.trap = trap_;
+    } else {
+      result.outcome = RunOutcome::kHalted;
+    }
+    return result;
   }
-  goto* kDispatch[inst.raw_op];
-#else
-  switch (inst.op()) {
+  if (steps_ >= end) {
+    result.outcome = RunOutcome::kStepLimit;
+    result.trap.kind = TrapKind::kStepLimit;
+    result.steps = steps_;
+    return result;
+  }
+  if (turn_left_ == 0 || runnable_stale_) {
+    if (runnable_stale_) {
+      runnable_.clear();
+      for (const Thread& th : threads_) {
+        if (th.runnable()) {
+          runnable_.push_back(th.id);
+        }
+      }
+      runnable_stale_ = false;
+    }
+    if (runnable_.empty()) {
+      turn_length_ = turn_left_ = 0;  // no thread may run on
+      bool all_exited = true;
+      uint32_t blocked_tid = 0;
+      Pc blocked_pc;
+      for (const Thread& th : threads_) {
+        if (th.state == ThreadState::kBlockedOnLock ||
+            th.state == ThreadState::kBlockedOnJoin) {
+          all_exited = false;
+          blocked_tid = th.id;
+          blocked_pc = th.top().pc();
+          break;
+        }
+      }
+      result.steps = steps_;
+      if (all_exited) {
+        result.outcome = RunOutcome::kHalted;
+        return result;
+      }
+      RaiseTrap(TrapKind::kDeadlock, blocked_tid, blocked_pc, 0,
+                "all live threads blocked");
+      result.outcome = RunOutcome::kTrapped;
+      result.trap = trap_;
+      return result;
+    }
+    // The ending turn's steps past its picked one were granted.
+    if (turn_length_ - turn_left_ > 1) {
+      scheduler_->OnGrantedSteps(turn_length_ - turn_left_ - 1);
+    }
+    tid = scheduler_->Pick(runnable_, current_tid_);
+    if (scheduler_->failed()) {
+      turn_length_ = turn_left_ = 0;
+      result.outcome = RunOutcome::kScheduleDiverged;
+      result.steps = steps_;
+      return result;
+    }
+    current_tid_ = tid;
+    turn_length_ = turn_left_ = 1 + scheduler_->Grant();
+  }
+  burst = left = std::min(turn_left_, end - steps_);
+  t = &threads_[tid];
+  assert(t->runnable());
+  enter_frame();
+  RES_DISPATCH();
+
+#if !RES_VM_COMPUTED_GOTO
+dispatch:
+  RES_BEGIN_STEP()
+  switch (op->op()) {
 #endif
 
   RES_OP(kConst) {
-    reg(inst.rd) = inst.imm;
-    goto advance;
+    regs[op->rd] = op->imm;
+    RES_NEXT();
   }
   RES_OP(kMov) {
-    reg(inst.rd) = reg(inst.ra);
-    goto advance;
+    regs[op->rd] = regs[op->ra];
+    RES_NEXT();
   }
-  RES_OP(kAdd)
-  RES_OP(kSub)
-  RES_OP(kMul)
-  RES_OP(kAnd)
-  RES_OP(kOr)
-  RES_OP(kXor)
-  RES_OP(kShl)
-  RES_OP(kShrL)
-  RES_OP(kShrA)
-  RES_OP(kCmpEq)
-  RES_OP(kCmpNe)
-  RES_OP(kCmpLtS)
-  RES_OP(kCmpLeS)
-  RES_OP(kCmpLtU)
-  RES_OP(kCmpLeU) {
-    reg(inst.rd) = EvalBinary(inst.op(), reg(inst.ra), reg(inst.rb));
-    goto advance;
-  }
+  RES_BINARY_OP(kAdd, ua + ub)
+  RES_BINARY_OP(kSub, ua - ub)
+  RES_BINARY_OP(kMul, ua * ub)
+  RES_BINARY_OP(kAnd, ua & ub)
+  RES_BINARY_OP(kOr, ua | ub)
+  RES_BINARY_OP(kXor, ua ^ ub)
+  RES_BINARY_OP(kShl, ua << (ub & 63))
+  RES_BINARY_OP(kShrL, ua >> (ub & 63))
+  RES_BINARY_OP(kShrA, a >> (ub & 63))
+  RES_BINARY_OP(kCmpEq, a == b)
+  RES_BINARY_OP(kCmpNe, a != b)
+  RES_BINARY_OP(kCmpLtS, a < b)
+  RES_BINARY_OP(kCmpLeS, a <= b)
+  RES_BINARY_OP(kCmpLtU, ua < ub)
+  RES_BINARY_OP(kCmpLeU, ua <= ub)
   RES_OP(kDivS)
   RES_OP(kRemS) {
-    int64_t b = reg(inst.rb);
-    int64_t a = reg(inst.ra);
+    const int64_t a = regs[op->ra];
+    const int64_t b = regs[op->rb];
     if (b == 0 || (a == std::numeric_limits<int64_t>::min() && b == -1)) {
-      RaiseTrap(TrapKind::kDivByZero, tid, pc, 0,
+      RaiseTrap(TrapKind::kDivByZero, tid, f->pc(), 0,
                 b == 0 ? "division by zero" : "signed division overflow");
-      return false;
+      goto schedule;
     }
-    reg(inst.rd) = EvalBinary(inst.op(), a, b);
-    goto advance;
+    regs[op->rd] = op->op() == Opcode::kDivS ? a / b : a % b;
+    RES_NEXT();
   }
   RES_OP(kSelect) {
-    reg(inst.rd) = reg(inst.rc) != 0 ? reg(inst.ra) : reg(inst.rb);
-    goto advance;
+    regs[op->rd] = regs[op->rc] != 0 ? regs[op->ra] : regs[op->rb];
+    RES_NEXT();
   }
   RES_OP(kLoad) {
-    uint64_t addr =
-        static_cast<uint64_t>(reg(inst.ra)) + static_cast<uint64_t>(inst.imm);
+    const uint64_t addr =
+        static_cast<uint64_t>(regs[op->ra]) + static_cast<uint64_t>(op->imm);
     int64_t value = 0;
-    if (!CheckedRead(tid, pc, addr, &value)) {
-      return false;
+    if (!CheckedRead(tid, *f, addr, &value)) {
+      goto schedule;
     }
-    reg(inst.rd) = value;
-    goto advance;
+    regs[op->rd] = value;
+    RES_NEXT();
   }
   RES_OP(kStore) {
-    uint64_t addr =
-        static_cast<uint64_t>(reg(inst.ra)) + static_cast<uint64_t>(inst.imm);
-    if (!CheckedWrite(tid, pc, addr, reg(inst.rb))) {
-      return false;
+    const uint64_t addr =
+        static_cast<uint64_t>(regs[op->ra]) + static_cast<uint64_t>(op->imm);
+    if (!CheckedWrite(tid, *f, addr, regs[op->rb])) {
+      goto schedule;
     }
-    goto advance;
+    RES_NEXT();
   }
   RES_OP(kAlloc) {
-    auto r = heap_.Allocate(static_cast<uint64_t>(reg(inst.ra)));
+    auto r = heap_.Allocate(static_cast<uint64_t>(regs[op->ra]));
     if (!r.ok()) {
-      RaiseTrap(TrapKind::kHeapExhausted, tid, pc, 0, r.status().message());
-      return false;
+      RaiseTrap(TrapKind::kHeapExhausted, tid, f->pc(), 0, r.status().message());
+      goto schedule;
     }
     const Allocation* a = heap_.FindCovering(r.value());
     Status map = memory_.MapRegion(r.value(), a->size_words);
     assert(map.ok());
     (void)map;
-    reg(inst.rd) = static_cast<int64_t>(r.value());
-    goto advance;
+    regs[op->rd] = static_cast<int64_t>(r.value());
+    RES_NEXT();
   }
   RES_OP(kFree) {
-    uint64_t base = static_cast<uint64_t>(reg(inst.ra));
+    const uint64_t base = static_cast<uint64_t>(regs[op->ra]);
     Status s = heap_.Free(base);
     if (!s.ok()) {
       RaiseTrap(s.code() == StatusCode::kFailedPrecondition
                     ? TrapKind::kDoubleFree
                     : TrapKind::kInvalidFree,
-                tid, pc, base, s.message());
-      return false;
+                tid, f->pc(), base, s.message());
+      goto schedule;
     }
-    goto advance;
+    RES_NEXT();
   }
   RES_OP(kInput) {
-    int64_t value = inputs_ != nullptr ? inputs_->Next(tid, inst.imm) : 0;
-    reg(inst.rd) = value;
+    const int64_t value = inputs_ != nullptr ? inputs_->Next(tid, op->imm) : 0;
+    regs[op->rd] = value;
     if (options_.record_consumed_inputs) {
-      consumed_inputs_.push_back(ConsumedInput{tid, inst.imm, value});
+      consumed_inputs_.push_back(ConsumedInput{tid, op->imm, value});
     }
-    if (recorder_ != nullptr) {
-      recorder_->OnInput(tid, inst.imm, value);
+    if (recorder != nullptr) {
+      recorder->OnInput(tid, op->imm, value);
     }
-    goto advance;
+    RES_NEXT();
   }
   RES_OP(kOutput) {
     ErrorLogEntry e;
     e.thread = tid;
-    e.pc = pc;
-    e.channel = inst.imm;
-    e.value = reg(inst.ra);
-    e.message = inst.str_id;
+    e.pc = f->pc();
+    e.channel = op->imm;
+    e.value = regs[op->ra];
+    e.message = op->str_id;
     error_log_.Append(e);
-    goto advance;
+    RES_NEXT();
   }
   RES_OP(kLock) {
-    uint64_t addr = static_cast<uint64_t>(reg(inst.ra));
+    const uint64_t addr = static_cast<uint64_t>(regs[op->ra]);
     int64_t owner = 0;
-    if (!CheckedRead(tid, pc, addr, &owner)) {
-      return false;
+    if (!CheckedRead(tid, *f, addr, &owner)) {
+      goto schedule;
     }
-    if (owner == 0) {
-      if (!CheckedWrite(tid, pc, addr, static_cast<int64_t>(tid) + 1)) {
-        return false;
-      }
-    } else {
-      t.state = ThreadState::kBlockedOnLock;
-      t.blocked_on = addr;
-      return true;  // do not advance index; retried when woken
+    if (owner != 0) {
+      // Blocks without advancing; the lock is retried when woken.
+      t->state = ThreadState::kBlockedOnLock;
+      t->blocked_on = addr;
+      runnable_stale_ = true;
+      goto schedule;
     }
-    goto advance;
+    if (!CheckedWrite(tid, *f, addr, static_cast<int64_t>(tid) + 1)) {
+      goto schedule;
+    }
+    RES_NEXT();
   }
   RES_OP(kUnlock) {
-    uint64_t addr = static_cast<uint64_t>(reg(inst.ra));
+    const uint64_t addr = static_cast<uint64_t>(regs[op->ra]);
     int64_t owner = 0;
-    if (!CheckedRead(tid, pc, addr, &owner)) {
-      return false;
+    if (!CheckedRead(tid, *f, addr, &owner)) {
+      goto schedule;
     }
     if (owner != static_cast<int64_t>(tid) + 1) {
-      RaiseTrap(TrapKind::kUnlockNotOwned, tid, pc, addr,
+      RaiseTrap(TrapKind::kUnlockNotOwned, tid, f->pc(), addr,
                 StrFormat("unlock of mutex owned by %lld",
                           static_cast<long long>(owner) - 1));
-      return false;
+      goto schedule;
     }
-    if (!CheckedWrite(tid, pc, addr, 0)) {
-      return false;
+    if (!CheckedWrite(tid, *f, addr, 0)) {
+      goto schedule;
     }
     WakeLockWaiters(addr);
-    goto advance;
+    ++f->index;
+    goto schedule;
   }
   RES_OP(kAtomicRmwAdd) {
-    uint64_t addr = static_cast<uint64_t>(reg(inst.ra));
+    const uint64_t addr = static_cast<uint64_t>(regs[op->ra]);
     int64_t old = 0;
-    if (!CheckedRead(tid, pc, addr, &old)) {
-      return false;
+    if (!CheckedRead(tid, *f, addr, &old)) {
+      goto schedule;
     }
-    if (!CheckedWrite(tid, pc, addr,
+    if (!CheckedWrite(tid, *f, addr,
                       static_cast<int64_t>(static_cast<uint64_t>(old) +
-                                           static_cast<uint64_t>(reg(inst.rb))))) {
-      return false;
+                                           static_cast<uint64_t>(regs[op->rb])))) {
+      goto schedule;
     }
-    reg(inst.rd) = old;
-    goto advance;
+    regs[op->rd] = old;
+    RES_NEXT();
   }
   RES_OP(kSpawn) {
     Frame nf;
-    nf.func = inst.callee;
+    nf.func = op->callee;
     nf.block = 0;
     nf.index = 0;
-    nf.regs.assign(inst.callee_num_regs, 0);
-    nf.regs[0] = reg(inst.ra);
+    nf.regs.assign(op->callee_num_regs, 0);
+    nf.regs[0] = regs[op->ra];
     uint32_t new_tid = kMaxThreads;
     for (Thread& cand : threads_) {
       if (cand.state == ThreadState::kUnborn) {
@@ -527,125 +550,136 @@ bool Vm::Step(uint32_t tid) {
     }
     if (new_tid == kMaxThreads) {
       if (threads_.size() >= kMaxThreads) {
-        RaiseTrap(TrapKind::kThreadLimit, tid, pc, 0, "too many threads");
-        return false;
+        RaiseTrap(TrapKind::kThreadLimit, tid, f->pc(), 0, "too many threads");
+        goto schedule;
       }
       Thread nt;
       nt.id = static_cast<uint32_t>(threads_.size());
       nt.frames.push_back(std::move(nf));
       new_tid = nt.id;
-      threads_.push_back(std::move(nt));  // may invalidate t/f references
+      threads_.push_back(std::move(nt));  // may invalidate t and f
       lbr_.emplace_back();
     }
+    runnable_stale_ = true;
     Frame& spawner = threads_[tid].top();
-    spawner.regs[inst.rd] = static_cast<int64_t>(new_tid);
-    EnterBlock(new_tid, inst.callee, 0);
+    spawner.regs[op->rd] = static_cast<int64_t>(new_tid);
+    EnterBlock(new_tid, op->callee, 0);
     ++spawner.index;
-    return true;
+    goto schedule;
   }
   RES_OP(kJoin) {
-    int64_t target = reg(inst.ra);
+    const int64_t target = regs[op->ra];
     if (target < 0 || static_cast<size_t>(target) >= threads_.size()) {
-      RaiseTrap(TrapKind::kMemoryFault, tid, pc, static_cast<uint64_t>(target),
+      RaiseTrap(TrapKind::kMemoryFault, tid, f->pc(), static_cast<uint64_t>(target),
                 "join of invalid thread id");
-      return false;
+      goto schedule;
     }
     if (threads_[static_cast<size_t>(target)].state != ThreadState::kExited) {
-      t.state = ThreadState::kBlockedOnJoin;
-      t.blocked_on = static_cast<uint64_t>(target);
-      return true;  // retried when the target exits
+      // Blocks without advancing; retried when the target exits.
+      t->state = ThreadState::kBlockedOnJoin;
+      t->blocked_on = static_cast<uint64_t>(target);
+      runnable_stale_ = true;
+      goto schedule;
     }
-    goto advance;
+    RES_NEXT();
   }
   RES_OP(kAssert) {
-    if (reg(inst.rc) == 0) {
-      RaiseTrap(TrapKind::kAssertFailure, tid, pc, 0, module_->str(inst.str_id));
-      return false;
+    if (regs[op->rc] == 0) {
+      RaiseTrap(TrapKind::kAssertFailure, tid, f->pc(), 0, module_->str(op->str_id));
+      goto schedule;
     }
-    goto advance;
+    RES_NEXT();
   }
   RES_OP(kYield)
   RES_OP(kNop) {
-    goto advance;
+    RES_NEXT();
   }
 
   // --- Terminators. ---
   RES_OP(kBr) {
-    RecordBranch(tid, pc, f.func, inst.target0);
-    f.block = inst.target0;
-    f.index = 0;
+    RecordBranch(tid, f->pc(), f->func, op->target0);
+    f->block = op->target0;
+    f->index = 0;
     scheduler_->OnBlockBoundary(tid);
-    EnterBlock(tid, f.func, f.block);
-    return true;
+    EnterBlock(tid, f->func, f->block);
+    op = fn_ops + block_first[f->block];
+    RES_DISPATCH();
   }
   RES_OP(kCondBr) {
-    BlockId dest = reg(inst.rc) != 0 ? inst.target0 : inst.target1;
-    RecordBranch(tid, pc, f.func, dest);
-    f.block = dest;
-    f.index = 0;
+    const BlockId dest = regs[op->rc] != 0 ? op->target0 : op->target1;
+    RecordBranch(tid, f->pc(), f->func, dest);
+    f->block = dest;
+    f->index = 0;
     scheduler_->OnBlockBoundary(tid);
-    EnterBlock(tid, f.func, f.block);
-    return true;
+    EnterBlock(tid, f->func, f->block);
+    op = fn_ops + block_first[f->block];
+    RES_DISPATCH();
   }
   RES_OP(kCall) {
-    f.block = inst.target0;
-    f.index = 0;
+    const Pc pc = f->pc();
+    f->block = op->target0;
+    f->index = 0;
     Frame nf;
-    nf.func = inst.callee;
+    nf.func = op->callee;
     nf.block = 0;
     nf.index = 0;
-    nf.regs.assign(inst.callee_num_regs, 0);
-    const RegId* args = pm.args(inst);
-    for (uint16_t i = 0; i < inst.arg_count; ++i) {
-      nf.regs[i] = f.regs[args[i]];
+    nf.regs.assign(op->callee_num_regs, 0);
+    const RegId* args = pm.args(*op);
+    for (uint16_t i = 0; i < op->arg_count; ++i) {
+      nf.regs[i] = regs[args[i]];
     }
-    nf.caller_result_reg = inst.rd;
-    RecordBranch(tid, pc, inst.callee, 0);
-    t.frames.push_back(std::move(nf));
+    nf.caller_result_reg = op->rd;
+    RecordBranch(tid, pc, op->callee, 0);
+    t->frames.push_back(std::move(nf));  // may invalidate f
     scheduler_->OnBlockBoundary(tid);
-    EnterBlock(tid, inst.callee, 0);
-    return true;
+    EnterBlock(tid, op->callee, 0);
+    enter_frame();
+    RES_DISPATCH();
   }
   RES_OP(kRet) {
-    int64_t value = inst.ra != kNoReg ? reg(inst.ra) : 0;
-    RegId result_reg = f.caller_result_reg;
-    t.frames.pop_back();
-    if (t.frames.empty()) {
+    const int64_t value = op->ra != kNoReg ? regs[op->ra] : 0;
+    const RegId result_reg = f->caller_result_reg;
+    const Pc pc = f->pc();
+    t->frames.pop_back();
+    if (t->frames.empty()) {
       scheduler_->OnBlockBoundary(tid);
       ThreadExit(tid, value);
-      return !stopped_;
+      goto schedule;
     }
-    Frame& caller = t.top();
+    enter_frame();  // the caller, resuming at its call's continuation
     if (result_reg != kNoReg) {
-      caller.regs[result_reg] = value;
+      regs[result_reg] = value;
     }
-    RecordBranch(tid, pc, caller.func, caller.block);
+    RecordBranch(tid, pc, f->func, f->block);
     scheduler_->OnBlockBoundary(tid);
-    EnterBlock(tid, caller.func, caller.block);
-    return true;
+    EnterBlock(tid, f->func, f->block);
+    RES_DISPATCH();
   }
   RES_OP(kHalt) {
     scheduler_->OnBlockBoundary(tid);
     ThreadExit(tid, 0);
-    return !stopped_;
+    goto schedule;
   }
   RES_OP_INVALID {
-    RaiseTrap(TrapKind::kInvalidOpcode, tid, pc, 0,
-              StrFormat("invalid opcode %u",
-                        static_cast<unsigned>(inst.raw_op)));
-    return false;
+    RaiseTrap(TrapKind::kInvalidOpcode, tid, f->pc(), 0,
+              StrFormat("invalid opcode %u", static_cast<unsigned>(op->raw_op)));
+    goto schedule;
   }
 
 #if !RES_VM_COMPUTED_GOTO
   }
-#endif
-
 advance:
-  ++f.index;
-  return true;
+  ++op;
+  ++f->index;
+  goto dispatch;
+#endif
 }
 
+#undef RES_BEGIN_STEP
 #undef RES_OP
 #undef RES_OP_INVALID
+#undef RES_DISPATCH
+#undef RES_NEXT
+#undef RES_BINARY_OP
 
 }  // namespace res

@@ -1,12 +1,15 @@
 // The resvm concrete interpreter.
 //
 // Executes a verified Module one instruction at a time under sequential
-// consistency, fetching from its predecoded lowering (src/vm/predecode.h)
-// with direct-threaded dispatch. A pluggable Scheduler interleaves threads,
-// a pluggable InputProvider supplies environment values, and an optional
-// Recorder implements the record-replay baselines. On failure the VM
-// freezes with full state (memory, heap metadata, all thread stacks, LBR
-// rings, error log) ready for coredump capture. docs/ARCHITECTURE.md §12.
+// consistency, fetching from its predecoded lowering (src/vm/predecode.h).
+// One interpreter loop, RunBounded, holds both the scheduling and the
+// handlers, dispatched direct-threaded; a thread runs op after op in place
+// for as many steps as its scheduler picked and granted it. A pluggable
+// Scheduler interleaves threads, a pluggable InputProvider supplies
+// environment values, and an optional Recorder implements the record-replay
+// baselines. On failure the VM freezes with full state (memory, heap
+// metadata, all thread stacks, LBR rings, error log) ready for coredump
+// capture. docs/ARCHITECTURE.md §12.
 #ifndef RES_VM_VM_H_
 #define RES_VM_VM_H_
 
@@ -62,7 +65,11 @@ class Vm {
   explicit Vm(const Module* module, VmOptions options = {});
 
   // Non-owning collaborators; defaults: round-robin scheduler, zero inputs.
-  void set_scheduler(Scheduler* s) { scheduler_ = s; }
+  // A new scheduler makes the next step a Pick.
+  void set_scheduler(Scheduler* s) {
+    scheduler_ = s;
+    turn_length_ = turn_left_ = 0;
+  }
   void set_input_provider(InputProvider* p) { inputs_ = p; }
   void set_recorder(Recorder* r) { recorder_ = r; }
 
@@ -83,8 +90,9 @@ class Vm {
   RunResult Run();
 
   // Runs at most `steps` further instructions (incremental driving, used by
-  // the debugger). Returns the same result kinds; kStepLimit means "still
-  // running".
+  // the debugger and the fault injector). Returns the same result kinds;
+  // kStepLimit means "still running". Slicing a run into several calls
+  // changes nothing observable: a turn carries across them.
   RunResult RunBounded(uint64_t steps);
 
   // --- State inspection (coredump capture, tests, debugger). ---
@@ -101,23 +109,20 @@ class Vm {
   const std::vector<ConsumedInput>& consumed_inputs() const { return consumed_inputs_; }
 
  private:
-  // Executes one instruction of thread `tid`; returns false if the program
-  // should stop (trap or main-thread exit).
-  bool Step(uint32_t tid);
-
   // Builds the owned lowering unless a shared PredecodedModule was provided.
   void EnsurePredecoded();
 
   void RaiseTrap(TrapKind kind, uint32_t tid, const Pc& pc, uint64_t address,
                  std::string message);
 
-  // Memory access with heap poisoning checks. On failure raises a trap and
-  // returns false.
-  bool CheckedRead(uint32_t tid, const Pc& pc, uint64_t addr, int64_t* out);
-  bool CheckedWrite(uint32_t tid, const Pc& pc, uint64_t addr, int64_t value);
+  // Memory access with heap poisoning checks for thread `tid` at frame `f`'s
+  // pc. On failure raises a trap and returns false.
+  bool CheckedRead(uint32_t tid, const Frame& f, uint64_t addr, int64_t* out);
+  bool CheckedWrite(uint32_t tid, const Frame& f, uint64_t addr, int64_t value);
 
   void RecordBranch(uint32_t tid, const Pc& source, FuncId dfunc, BlockId dblock);
   void EnterBlock(uint32_t tid, FuncId func, BlockId block);
+  // These change thread states, so they mark the runnable set stale.
   void WakeLockWaiters(uint64_t mutex_addr);
   void WakeJoiners(uint32_t exited_tid);
   void ThreadExit(uint32_t tid, int64_t value);
@@ -138,7 +143,15 @@ class Vm {
 
   const PredecodedModule* predecoded_ = nullptr;  // non-owning when shared
   std::unique_ptr<PredecodedModule> owned_predecoded_;
-  std::vector<uint32_t> runnable_scratch_;  // hot-loop reuse, no per-step alloc
+
+  // The runnable tids, ascending; rebuilt only after a thread changed state.
+  std::vector<uint32_t> runnable_;
+  bool runnable_stale_ = true;
+  // The current turn: the step Pick chose current_tid_ for plus the steps
+  // the scheduler granted after it. A runnable-set change ends it early;
+  // otherwise it carries across RunBounded calls.
+  uint64_t turn_length_ = 0;
+  uint64_t turn_left_ = 0;
 
   RoundRobinScheduler default_scheduler_;
   Scheduler* scheduler_;

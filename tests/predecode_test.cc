@@ -67,8 +67,11 @@ struct VmSignature {
   std::string text;
 };
 
+// `slice` 0 runs the VM with Run(); k > 0 drives it with RunBounded(k)
+// calls to the same end.
 VmSignature RunSignature(const Module& module, const std::string& policy,
-                         uint64_t seed, const std::vector<int64_t>& inputs) {
+                         uint64_t seed, const std::vector<int64_t>& inputs,
+                         uint64_t slice = 0) {
   VmSignature out;
   std::string& sig = out.text;
   auto spec = ParseSchedulerSpec(policy);
@@ -96,7 +99,15 @@ VmSignature RunSignature(const Module& module, const std::string& policy,
     sig = "reset failed: " + s.ToString();
     return out;
   }
-  RunResult run = vm.Run();
+  RunResult run;
+  if (slice == 0) {
+    run = vm.Run();
+  } else {
+    do {
+      run = vm.RunBounded(slice);
+    } while (run.outcome == RunOutcome::kStepLimit &&
+             run.steps < options.max_steps);
+  }
   out.run = run;
 
   sig += StrFormat("outcome=%d steps=%llu\n", static_cast<int>(run.outcome),
@@ -189,6 +200,29 @@ TEST(VmGoldenTest, WorkloadCorpusUnderEveryPolicy) {
                                    static_cast<unsigned long long>(steps)),
                          text),
               kCorpusGolden[i]);
+  }
+}
+
+TEST(VmGoldenTest, RunBoundedSlicesMatchRun) {
+  // The fault injector runs to RunBounded(flip_after_steps) and then on,
+  // and the suffix debugger steps with RunBounded(1): a run sliced into
+  // bounded calls must be the run, whatever the slice length and policy.
+  for (const WorkloadSpec& spec : AllWorkloads()) {
+    Module module = spec.build();
+    for (const char* policy : kPolicies) {
+      for (uint64_t seed : {1u, 7u, 23u}) {
+        VmSignature whole =
+            RunSignature(module, policy, seed, spec.channel0_inputs);
+        for (uint64_t slice : {1u, 3u, 7u, 17u}) {
+          VmSignature sliced = RunSignature(module, policy, seed,
+                                            spec.channel0_inputs, slice);
+          EXPECT_TRUE(sliced.text == whole.text)
+              << spec.name << " " << policy << " seed " << seed
+              << " slice " << slice << ": " << RunSummary(sliced.run)
+              << " vs " << RunSummary(whole.run);
+        }
+      }
+    }
   }
 }
 

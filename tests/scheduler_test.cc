@@ -44,6 +44,70 @@ TEST(RoundRobinSchedulerTest, SwitchesImmediatelyWhenCurrentNotRunnable) {
   EXPECT_EQ(rr.Pick({0, 2}, /*current=*/1), 2u);
 }
 
+TEST(RoundRobinSchedulerTest, GrantedStepsMatchPickingEveryStep) {
+  // The runnable set per step: thread 2 appears in the middle of thread 1's
+  // grant (a spawn), and drops out in the middle of its own (it blocks).
+  auto runnable_at = [](size_t step) {
+    if (step >= 6 && step < 11) {
+      return std::vector<uint32_t>{0, 1, 2};
+    }
+    return std::vector<uint32_t>{0, 1};
+  };
+  const size_t kSteps = 30;
+
+  RoundRobinScheduler every_step(/*quantum=*/4);
+  std::vector<uint32_t> want;
+  uint32_t current = 0;
+  for (size_t i = 0; i < kSteps; ++i) {
+    current = every_step.Pick(runnable_at(i), current);
+    want.push_back(current);
+  }
+
+  // Drive a second one the way the VM does: a Pick starts a turn of
+  // 1 + Grant() steps; a runnable-set change ends the turn early; the
+  // granted steps taken are reported before the next Pick.
+  RoundRobinScheduler granted(/*quantum=*/4);
+  std::vector<uint32_t> got;
+  size_t picks = 0;
+  uint64_t turn_length = 0;
+  uint64_t turn_left = 0;
+  current = 0;
+  for (size_t i = 0; i < kSteps; ++i) {
+    const bool changed = i > 0 && runnable_at(i) != runnable_at(i - 1);
+    if (turn_left == 0 || changed) {
+      if (turn_length - turn_left > 1) {
+        granted.OnGrantedSteps(turn_length - turn_left - 1);
+      }
+      current = granted.Pick(runnable_at(i), current);
+      ++picks;
+      turn_length = turn_left = 1 + granted.Grant();
+    }
+    --turn_left;
+    got.push_back(current);
+  }
+  EXPECT_EQ(got, want);
+  EXPECT_LT(picks, kSteps / 3);
+}
+
+TEST(SchedulerGrantTest, OnlyRoundRobinGrants) {
+  PctScheduler pct(/*seed=*/1, /*depth=*/3, /*expected_steps=*/64);
+  RandomScheduler random(/*seed=*/1, /*switch_permille=*/0);
+  DelayInjectionScheduler delay(/*seed=*/1, /*permille=*/0);
+  ScriptedScheduler scripted({0, 0, 0});
+  SliceScheduler slice({{0, 100}});
+  Scheduler* const others[] = {&pct, &random, &delay, &scripted, &slice};
+  for (Scheduler* s : others) {
+    uint32_t current = 0;
+    for (int i = 0; i < 8; ++i) {
+      current = s->Pick({0, 1}, current);
+      EXPECT_EQ(s->Grant(), 0u) << "pick " << i;
+    }
+  }
+  RoundRobinScheduler rr(/*quantum=*/4);
+  rr.Pick({0, 1}, 0);
+  EXPECT_EQ(rr.Grant(), 3u);  // the rest of thread 0's quantum
+}
+
 TEST(PctSchedulerTest, SameSeedSameSchedule) {
   PctScheduler a(/*seed=*/7, /*depth=*/3, /*expected_steps=*/64);
   PctScheduler b(/*seed=*/7, /*depth=*/3, /*expected_steps=*/64);
