@@ -51,8 +51,13 @@ side), and a verdict:
   within bound      neither, otherwise.
 
 It also prints failed/attempted submissions per side, the as-measured
-`dumps_per_s` medians, and whether the corpus digest, the per-stream report
-digests and the ground-truth tables agree on every stream both sides ran.
+`dumps_per_s` medians (and the as-measured `vm_msteps_per_s` medians when
+the runs print that line, as `long_run` does), and whether the corpus
+digest, the per-stream report digests and the ground-truth tables agree on
+every stream both sides ran. A part that neither side printed reads "none
+printed" and does not count towards AGREE (`long_run` prints neither report
+digests nor a ground-truth table); a part that only one side printed, or
+that no run printed at all, makes the verdict DIFFER or NOTHING COMPARED.
 """
 
 import argparse
@@ -223,35 +228,65 @@ def identity(stdout):
     return corpus, streams, "\n".join(truth)
 
 
-def as_measured_rate(stdout):
-    match = re.search(r"^as measured: dumps_per_s ([0-9.eE+-]+)", stdout,
-                      re.MULTILINE)
+def as_measured(name, stdout):
+    """The first number after `name` at the start of a line, or NaN."""
+    match = re.search(rf"^{name} ([0-9.eE+-]+)", stdout, re.MULTILINE)
     return float(match.group(1)) if match else math.nan
 
 
 def compare_identity(runs):
-    """One line on whether both sides' runs agree on what identity() reads."""
+    """One line on whether both sides' runs agree on what identity() reads.
+
+    A part that no run of either side printed reads "none printed" and does
+    not count; one that only some runs printed differs."""
     parsed = {side: [identity(out) for out in outs]
               for side, outs in runs.items()}
-    corpora = {side: {p[0] for p in ps} for side, ps in parsed.items()}
-    truths = {side: {p[2] for p in ps} for side, ps in parsed.items()}
+    parts, verdicts = [], []
+
+    def once_per_run(index, name):
+        """Compares a part every run prints once: one value on both sides."""
+        values = {side: {p[index] for p in ps} for side, ps in parsed.items()}
+        if not any(v for vs in values.values() for v in vs):
+            parts.append(f"{name} none printed")
+            return None
+        ok = (len(values["parent"]) == 1 and all(values["parent"])
+              and values["parent"] == values["change"])
+        verdicts.append(ok)
+        return values, ok
+
+    corpus = once_per_run(0, "corpus digest")
+    if corpus:
+        values, _ = corpus
+        parts.append(f"corpus digest {sorted(map(str, values['parent']))} vs "
+                     f"{sorted(map(str, values['change']))}")
+
     streams = {}
     for side, ps in parsed.items():
         for _, digests, _ in ps:
             for k, digest in digests.items():
                 streams.setdefault(k, {}).setdefault(side, set()).add(digest)
-    shared = [k for k, sides in streams.items() if len(sides) == 2]
-    split = [k for k in shared
-             if len(streams[k]["parent"] | streams[k]["change"]) != 1]
-    corpus_ok = (len(corpora["parent"]) == 1
-                 and corpora["parent"] == corpora["change"])
-    truth_ok = len(truths["parent"]) == 1 and truths["parent"] == truths["change"]
-    agree = corpus_ok and truth_ok and not split
-    return (f"identity: {'AGREE' if agree else 'DIFFER'}: corpus digest "
-            f"{sorted(corpora['parent'])} vs {sorted(corpora['change'])}; "
-            f"report digests {len(shared) - len(split)}/{len(shared)} shared "
-            f"streams equal{' (differ: ' + str(split) + ')' if split else ''}; "
-            f"ground-truth tables {'equal' if truth_ok else 'differ'}")
+    printers = {side for sides in streams.values() for side in sides}
+    if not printers:
+        parts.append("report digests none printed")
+    elif len(printers) == 1:
+        verdicts.append(False)
+        parts.append(f"report digests printed by {printers.pop()} only")
+    else:
+        shared = [k for k, sides in streams.items() if len(sides) == 2]
+        split = [k for k in shared
+                 if len(streams[k]["parent"] | streams[k]["change"]) != 1]
+        verdicts.append(bool(shared) and not split)
+        parts.append(f"report digests {len(shared) - len(split)}/"
+                     f"{len(shared)} shared streams equal"
+                     + (f" (differ: {split})" if split else ""))
+
+    truth = once_per_run(2, "ground-truth tables")
+    if truth:
+        parts.append(f"ground-truth tables {'equal' if truth[1] else 'differ'}")
+
+    word = ("NOTHING COMPARED" if not verdicts
+            else "AGREE" if all(verdicts) else "DIFFER")
+    return f"identity: {word}: " + "; ".join(parts)
 
 
 def pairs(args):
@@ -295,9 +330,15 @@ def pairs(args):
     for side in ("parent", "change"):
         failed = sum(r["failed"] for r in results[side])
         attempted = sum(r["attempted"] for r in results[side])
-        rate = statistics.median(as_measured_rate(o) for o in outputs[side])
-        print(f"{side}: failed/attempted {failed}/{attempted}, as-measured "
-              f"dumps_per_s median {rate:.4g}")
+        rate = statistics.median(as_measured("as measured: dumps_per_s", o)
+                                 for o in outputs[side])
+        line = (f"{side}: failed/attempted {failed}/{attempted}, as-measured "
+                f"dumps_per_s median {rate:.4g}")
+        vm_rates = [as_measured("vm_msteps_per_s", o) for o in outputs[side]]
+        if not any(math.isnan(v) for v in vm_rates):
+            line += (f", as-measured vm_msteps_per_s median "
+                     f"{statistics.median(vm_rates):.4g}")
+        print(line)
     print(compare_identity(outputs))
 
 
