@@ -9,7 +9,9 @@
 #ifndef RES_VM_BREADCRUMBS_H_
 #define RES_VM_BREADCRUMBS_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -82,13 +84,13 @@ class ErrorLog {
     next_ = (next_ + 1) % kErrorLogCapacity;
   }
 
-  // Entries in execution order (oldest first).
+  // Entries in execution order (oldest first). Until the log fills, next_
+  // is its size, so the rotation is the identity.
   std::vector<ErrorLogEntry> entries() const {
-    if (entries_.size() < kErrorLogCapacity) {
-      return entries_;
-    }
-    std::vector<ErrorLogEntry> out(entries_.begin() + next_, entries_.end());
-    out.insert(out.end(), entries_.begin(), entries_.begin() + next_);
+    std::vector<ErrorLogEntry> out;
+    out.reserve(entries_.size());
+    std::rotate_copy(entries_.begin(), entries_.begin() + next_, entries_.end(),
+                     std::back_inserter(out));
     return out;
   }
 
