@@ -228,7 +228,8 @@ Result<ReplayOutcome> ReplaySuffix(const Module& module, const Coredump& dump,
 
   ReplayOutcome outcome;
   outcome.run = vm.Run();
-  outcome.schedule_followed = !scheduler.failed();
+  outcome.schedule_followed =
+      outcome.run.outcome != RunOutcome::kScheduleDiverged;
   outcome.replay_dump = CaptureCoredump(vm);
   outcome.trap_matches = outcome.run.outcome == RunOutcome::kTrapped &&
                          outcome.run.trap.kind == dump.trap.kind &&

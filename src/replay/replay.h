@@ -39,7 +39,7 @@ Result<ReplayState> BuildReplayState(const Module& module, const Coredump& dump,
                                      ExprPool* pool);
 
 struct ReplayOutcome {
-  bool schedule_followed = false;  // scripted schedule never diverged
+  bool schedule_followed = false;  // the run did not end kScheduleDiverged
   bool trap_matches = false;       // same trap kind / pc / thread / address
   bool state_matches = false;      // memory + stacks + heap equal the dump
   RunResult run;

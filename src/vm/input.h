@@ -2,9 +2,9 @@
 //
 // kInput is the IR's stand-in for every nondeterministic environment
 // interaction (network packets, file reads, time). In production these are
-// NOT recorded (the paper's premise); the VM still keeps a consumed-input
-// journal per run so tests can establish ground truth and so the ODR-style
-// recording baseline has something to log.
+// NOT recorded (the paper's premise); the VM reports every consumed value
+// to an attached Recorder (src/vm/recorder.h), which is how tests establish
+// ground truth and what the ODR-style recording baseline logs.
 #ifndef RES_VM_INPUT_H_
 #define RES_VM_INPUT_H_
 
@@ -13,15 +13,7 @@
 #include <map>
 #include <vector>
 
-#include "src/support/rng.h"
-
 namespace res {
-
-struct ConsumedInput {
-  uint32_t thread = 0;
-  int64_t channel = 0;
-  int64_t value = 0;
-};
 
 class InputProvider {
  public:
@@ -29,23 +21,6 @@ class InputProvider {
   // Next value on `channel` for `thread`. Must always succeed (production
   // inputs never "run out"; providers define the exhausted behaviour).
   virtual int64_t Next(uint32_t thread, int64_t channel) = 0;
-};
-
-// Deterministic pseudo-random inputs — models an environment the program
-// cannot predict but tests can reproduce from the seed.
-class RandomInputProvider : public InputProvider {
- public:
-  // Values are drawn uniformly from [lo, hi].
-  RandomInputProvider(uint64_t seed, int64_t lo = 0, int64_t hi = 255)
-      : rng_(seed), lo_(lo), hi_(hi) {}
-  int64_t Next(uint32_t thread, int64_t channel) override {
-    return rng_.NextInRange(lo_, hi_);
-  }
-
- private:
-  Rng rng_;
-  int64_t lo_;
-  int64_t hi_;
 };
 
 // Scripted per-channel queues; returns `fallback` when a queue is exhausted.
@@ -81,18 +56,15 @@ class ReplayInputProvider : public InputProvider {
   int64_t Next(uint32_t thread, int64_t channel) override {
     auto it = queues_.find(thread);
     if (it == queues_.end() || it->second.empty()) {
-      ran_dry_ = true;
       return 0;
     }
     int64_t v = it->second.front();
     it->second.pop_front();
     return v;
   }
-  bool ran_dry() const { return ran_dry_; }
 
  private:
   std::map<uint32_t, std::deque<int64_t>> queues_;
-  bool ran_dry_ = false;
 };
 
 }  // namespace res

@@ -7,13 +7,15 @@
 //    the SMP-ReVirt-style "make multicore executions reproducible" regime.
 //  - InputScheduleRecorder: logs only external inputs and scheduling
 //    decisions — the ODR-style output-deterministic regime.
+// A Recorder is the VM's only observer: tests take their ground truth
+// (blocks entered, inputs consumed) from one, never RES itself.
 #ifndef RES_VM_RECORDER_H_
 #define RES_VM_RECORDER_H_
 
 #include <cstdint>
 #include <vector>
 
-#include "src/ir/module.h"
+#include "src/cfg/cfg.h"
 
 namespace res {
 
@@ -42,6 +44,8 @@ class Recorder {
                           bool is_write) {}
   virtual void OnInput(uint32_t thread, int64_t channel, int64_t value) {}
   virtual void OnSchedule(uint32_t thread) {}
+  // `thread` entered `block`: its first block, a branch, call or return.
+  virtual void OnBlock(uint32_t thread, BlockRef block) {}
   virtual size_t LogBytes() const = 0;
 };
 

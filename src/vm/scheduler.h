@@ -2,7 +2,7 @@
 //
 // The VM executes one instruction at a time under sequential consistency
 // (the paper's stated memory model); the scheduler picks which runnable
-// thread steps next. Six policies:
+// thread steps next. Five policies:
 //  - RoundRobinScheduler: fixed quantum, deterministic. The only policy
 //    that grants steps (Scheduler::Grant): the VM asks it once a quantum.
 //  - RandomScheduler: seeded preemption — the workload corpus uses it to
@@ -12,16 +12,15 @@
 //    a probabilistic bug-depth guarantee.
 //  - DelayInjectionScheduler: round-robin with seeded extra yields injected
 //    at schedule points — perturbs an otherwise-fair schedule.
-//  - ScriptedScheduler: follows an explicit block-level schedule; this is
-//    how a synthesized RES suffix is replayed deterministically.
-//  - SliceScheduler: instruction-count slices, the replay-side counterpart
-//    of a synthesized suffix's schedule.
+//  - SliceScheduler: instruction-count slices; this is how a synthesized
+//    RES suffix is replayed deterministically.
 //
 // Every policy is a deterministic function of its constructor arguments:
 // the same (policy, knobs, seed) replays the same interleaving. The string
-// form ("pct:seed=7,depth=3") and the policy registry live in
-// src/vm/scheduler_spec.h; the schedule-space sweep driver that mints
-// coredump fixtures from policy x seed grids lives in src/scenario/.
+// form ("pct:seed=7,depth=3") and the policy registry of the four
+// exploration policies live in src/vm/scheduler_spec.h; the schedule-space
+// sweep driver that mints coredump fixtures from policy x seed grids lives
+// in src/scenario/.
 #ifndef RES_VM_SCHEDULER_H_
 #define RES_VM_SCHEDULER_H_
 
@@ -39,27 +38,24 @@ class Scheduler {
  public:
   virtual ~Scheduler() = default;
 
-  // Picks the next thread among `runnable` (non-empty, ascending tids).
-  // `current` is the previously running thread (may not be runnable).
+  // Pick's answer when a replay schedule names a thread that cannot run:
+  // the replay has diverged, and the VM stops with kScheduleDiverged.
+  static constexpr uint32_t kDiverged = UINT32_MAX;
+
+  // Picks the next thread among `runnable` (non-empty, ascending tids), or
+  // returns kDiverged. `current` is the previously running thread (may not
+  // be runnable).
   virtual uint32_t Pick(const std::vector<uint32_t>& runnable, uint32_t current) = 0;
 
   // The grant: how many steps after the one it was just picked for the
   // thread Pick returned may take with no Pick call. Each must be a step
-  // Pick would have given that thread, called with the same runnable set
-  // (OnBlockBoundary calls in between do not end a grant). The VM takes k
-  // of them, fewer than granted when the runnable set changes, and reports
-  // k > 0 through OnGrantedSteps before its next Pick; the scheduler must
-  // then be where k Pick calls returning that thread would have left it.
-  // Only round-robin grants steps.
+  // Pick would have given that thread, called with the same runnable set.
+  // The VM takes k of them, fewer than granted when the runnable set
+  // changes, and reports k > 0 through OnGrantedSteps before its next Pick;
+  // the scheduler must then be where k Pick calls returning that thread
+  // would have left it. Only round-robin grants steps.
   virtual uint64_t Grant() const { return 0; }
   virtual void OnGrantedSteps(uint64_t /*steps*/) {}
-
-  // Notification: `tid` just finished a basic block (executed its terminator).
-  virtual void OnBlockBoundary(uint32_t tid) {}
-
-  // True if the scheduler has diverged from its script (scripted replay
-  // only). Only Pick sets it.
-  virtual bool failed() const { return false; }
 };
 
 // Runs the current thread for `quantum` more picks after the one that
@@ -261,48 +257,12 @@ class DelayInjectionScheduler : public Scheduler {
   uint32_t delayed_tid_ = 0;
 };
 
-// Follows a block-granular script: entry i names the thread that must run
-// until it crosses its next block boundary. When the script is exhausted the
-// scheduler keeps scheduling the last thread (suffix replay ends at the trap
-// before that matters). If the scripted thread is not runnable, the replay
-// has diverged and failed() turns true (the VM stops).
-class ScriptedScheduler : public Scheduler {
- public:
-  explicit ScriptedScheduler(std::vector<uint32_t> script)
-      : script_(std::move(script)) {}
-
-  uint32_t Pick(const std::vector<uint32_t>& runnable, uint32_t current) override {
-    uint32_t want = position_ < script_.size() ? script_[position_] : current;
-    for (uint32_t t : runnable) {
-      if (t == want) {
-        return t;
-      }
-    }
-    failed_ = true;
-    return runnable.front();
-  }
-
-  void OnBlockBoundary(uint32_t tid) override {
-    if (position_ < script_.size() && script_[position_] == tid) {
-      ++position_;
-    }
-  }
-
-  bool failed() const override { return failed_; }
-  size_t position() const { return position_; }
-
- private:
-  std::vector<uint32_t> script_;
-  size_t position_ = 0;
-  bool failed_ = false;
-};
-
 // Instruction-count schedule slices, the replay-side counterpart of a
 // synthesized suffix's schedule: run slices_[i].first for slices_[i].second
 // instruction steps, then move on. Used to replay partial trailing blocks
 // and the final trap instruction precisely. Once the script is exhausted the
 // current thread keeps running (the replay trap fires before that matters);
-// an unavailable scripted thread marks the replay diverged.
+// an unavailable scripted thread is a divergence (Pick returns kDiverged).
 class SliceScheduler : public Scheduler {
  public:
   using Slice = std::pair<uint32_t, uint64_t>;  // (tid, instruction count)
@@ -314,7 +274,6 @@ class SliceScheduler : public Scheduler {
       used_ = 0;
     }
     if (pos_ >= slices_.size()) {
-      overran_ = true;
       for (uint32_t t : runnable) {
         if (t == current) {
           return current;
@@ -329,28 +288,13 @@ class SliceScheduler : public Scheduler {
         return want;
       }
     }
-    failed_ = true;
-    return runnable.front();
+    return kDiverged;
   }
-
-  bool failed() const override { return failed_; }
-  // True if execution needed more steps than the script provided. Overrun is
-  // NOT divergence: the scripted thread order was followed exactly, the
-  // program just kept running past the scripted window (falling back to
-  // "keep the current thread"). A replay that traps at the expected
-  // instruction never overruns — the trap fires on the final scripted slice
-  // — so an overrun after a successful replay means the synthesized schedule
-  // under-covered the suffix (fewer slice steps than the execution needed).
-  // Purely diagnostic today: no caller surfaces it, replay correctness is
-  // judged by trap/state comparison instead (src/replay/replay.h).
-  bool overran() const { return overran_; }
 
  private:
   std::vector<Slice> slices_;
   size_t pos_ = 0;
   uint64_t used_ = 0;
-  bool failed_ = false;
-  bool overran_ = false;
 };
 
 }  // namespace res

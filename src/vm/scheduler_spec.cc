@@ -51,20 +51,13 @@ const std::vector<SchedulerPolicyInfo>& RegisteredSchedulerPolicies() {
   static const std::vector<SchedulerPolicyInfo>* policies = [] {
     auto* v = new std::vector<SchedulerPolicyInfo>{
         {"rr", "quantum",
-         "fixed-quantum round-robin; fully deterministic, seed-free", true},
+         "fixed-quantum round-robin; fully deterministic, seed-free"},
         {"random", "seed,permille",
-         "seeded per-step preemption (the classic corpus driver)", true},
+         "seeded per-step preemption (the classic corpus driver)"},
         {"pct", "seed,depth,steps",
-         "randomized thread priorities with depth-1 seeded change points",
-         true},
+         "randomized thread priorities with depth-1 seeded change points"},
         {"delay", "seed,permille,max_delay,quantum",
-         "round-robin with seeded extra yields injected at schedule points",
-         true},
-        {"scripted", "",
-         "follows an explicit block-level schedule (suffix replay)", false},
-        {"slice", "",
-         "instruction-count schedule slices (precise trailing-block replay)",
-         false},
+         "round-robin with seeded extra yields injected at schedule points"},
     };
     return v;
   }();
@@ -113,12 +106,6 @@ Result<SchedulerSpec> ParseSchedulerSpec(std::string_view text) {
   if (info == nullptr) {
     return InvalidArgument(StrFormat(
         "scheduler spec: unknown policy '%.*s'",
-        static_cast<int>(name.size()), name.data()));
-  }
-  if (!info->spec_constructible) {
-    return InvalidArgument(StrFormat(
-        "scheduler spec: policy '%.*s' requires an explicit schedule and "
-        "cannot be built from a spec string",
         static_cast<int>(name.size()), name.data()));
   }
 
@@ -207,7 +194,7 @@ Result<std::unique_ptr<Scheduler>> MakeScheduler(const SchedulerSpec& spec,
         seed, spec.permille, spec.max_delay, spec.quantum));
   }
   return InvalidArgument(StrFormat(
-      "scheduler spec: policy '%s' cannot be built from a spec",
+      "scheduler spec: unknown policy '%s'",
       spec.policy.c_str()));
 }
 

@@ -14,8 +14,8 @@
 // what lets the scenario sweep driver (src/scenario/) treat each
 // policy x seed grid point as a reproducible workload variant.
 //
-// The scripted policies (scripted, slice) are registered for documentation
-// and discovery but are not spec-constructible: their defining argument is
+// The registry lists only the policies a spec can build. The replay
+// scheduler (SliceScheduler) is not among them: its defining argument is
 // an explicit schedule, produced by the replay pipeline, not a knob.
 #ifndef RES_VM_SCHEDULER_SPEC_H_
 #define RES_VM_SCHEDULER_SPEC_H_
@@ -52,12 +52,11 @@ struct SchedulerSpec {
 };
 
 // One registry row per policy. `knobs` is the comma-separated list of knob
-// names the policy accepts (empty for the scripted policies).
+// names the policy accepts.
 struct SchedulerPolicyInfo {
   std::string_view name;
   std::string_view knobs;
   std::string_view summary;
-  bool spec_constructible = true;
 };
 
 // All registered policies, in catalog order. docs/SCENARIOS.md's policy
@@ -66,11 +65,11 @@ const std::vector<SchedulerPolicyInfo>& RegisteredSchedulerPolicies();
 
 // Parses a spec string. Errors (unknown policy, unknown or inapplicable
 // knob, malformed value, a value that does not fit its field, pct depth
-// above kMaxPctDepth, scripted policy) are InvalidArgument.
+// above kMaxPctDepth) are InvalidArgument.
 Result<SchedulerSpec> ParseSchedulerSpec(std::string_view text);
 
 // Builds the scheduler the spec describes, using spec.seed for the seeded
-// policies. Returns InvalidArgument for non-spec-constructible policies.
+// policies. Returns InvalidArgument for an unregistered policy.
 Result<std::unique_ptr<Scheduler>> MakeScheduler(const SchedulerSpec& spec);
 
 // Grid-sweep form: same spec, explicit seed (overrides spec.seed). The

@@ -6,15 +6,6 @@
 
 #include "src/support/string_util.h"
 
-// Direct-threaded dispatch (computed goto) where the compiler supports the
-// GNU labels-as-values extension; everywhere else RunBounded falls back to
-// a portable dense switch over the same handler bodies.
-#if defined(__GNUC__) || defined(__clang__)
-#define RES_VM_COMPUTED_GOTO 1
-#else
-#define RES_VM_COMPUTED_GOTO 0
-#endif
-
 namespace res {
 
 Vm::Vm(const Module* module, VmOptions options)
@@ -35,8 +26,6 @@ Status Vm::Reset() {
   current_tid_ = 0;
   runnable_stale_ = true;
   turn_length_ = turn_left_ = 0;
-  block_trace_.clear();
-  consumed_inputs_.clear();
   EnsurePredecoded();
 
   for (const GlobalVar& g : module_->globals()) {
@@ -76,8 +65,6 @@ void Vm::RestoreForReplay(AddressSpace memory, Heap heap, std::vector<Thread> th
   current_tid_ = 0;
   runnable_stale_ = true;
   turn_length_ = turn_left_ = 0;
-  block_trace_.clear();
-  consumed_inputs_.clear();
   EnsurePredecoded();
   for (const Thread& t : threads_) {
     if (!t.frames.empty()) {
@@ -162,8 +149,8 @@ void Vm::RecordBranch(uint32_t tid, const Pc& source, FuncId dfunc, BlockId dblo
 }
 
 void Vm::EnterBlock(uint32_t tid, FuncId func, BlockId block) {
-  if (options_.record_block_trace) {
-    block_trace_.push_back(BlockTraceEntry{tid, BlockRef{func, block}});
+  if (recorder_ != nullptr) {
+    recorder_->OnBlock(tid, BlockRef{func, block});
   }
 }
 
@@ -197,10 +184,9 @@ void Vm::ThreadExit(uint32_t tid, int64_t value) {
   }
 }
 
-// Handler prologue/epilogue shared between the two dispatch modes: RES_OP
-// opens a handler for one opcode (a case label under dense-switch, an
-// address-taken label under computed goto). A handler never falls through;
-// it leaves by one of
+// Handler prologue/epilogue of the computed-goto dispatch: RES_OP opens a
+// handler for one opcode, an address-taken label. A handler never falls
+// through; it leaves by one of
 //   RES_NEXT()      the op ran straight through: step to the next op;
 //   RES_DISPATCH()  the handler moved `op` itself (a branch, call or return);
 //   goto schedule   a trap, or a change of threads or of runnability.
@@ -214,7 +200,6 @@ void Vm::ThreadExit(uint32_t tid, int64_t value) {
   if (recorder != nullptr) {             \
     recorder->OnSchedule(tid);           \
   }
-#if RES_VM_COMPUTED_GOTO
 #define RES_OP(name) op_##name:
 #define RES_OP_INVALID op_invalid:
 #define RES_DISPATCH()                   \
@@ -231,12 +216,6 @@ void Vm::ThreadExit(uint32_t tid, int64_t value) {
     ++f->index;                          \
     RES_DISPATCH();                      \
   } while (0)
-#else
-#define RES_OP(name) case Opcode::name:
-#define RES_OP_INVALID default:
-#define RES_DISPATCH() goto dispatch
-#define RES_NEXT() goto advance
-#endif
 // Binary ALU ops: `expr` over the operands as signed (a, b) or unsigned
 // (ua, ub) words, wrapping.
 #define RES_BINARY_OP(name, expr)                            \
@@ -250,7 +229,6 @@ void Vm::ThreadExit(uint32_t tid, int64_t value) {
   }
 
 RunResult Vm::RunBounded(uint64_t budget) {
-#if RES_VM_COMPUTED_GOTO
   constexpr size_t kOpCount = static_cast<size_t>(Opcode::kHalt) + 1;
   // One slot per opcode byte, in strict Opcode enum order.
   static const void* const kDispatch[] = {
@@ -265,7 +243,6 @@ RunResult Vm::RunBounded(uint64_t budget) {
   };
   static_assert(sizeof(kDispatch) / sizeof(kDispatch[0]) == kOpCount,
                 "dispatch table must cover the full opcode enum");
-#endif
   const uint64_t room =
       steps_ < options_.max_steps ? options_.max_steps - steps_ : 0;
   const uint64_t end = steps_ + std::min(budget, room);
@@ -356,7 +333,7 @@ schedule:
       scheduler_->OnGrantedSteps(turn_length_ - turn_left_ - 1);
     }
     tid = scheduler_->Pick(runnable_, current_tid_);
-    if (scheduler_->failed()) {
+    if (tid == Scheduler::kDiverged) {
       turn_length_ = turn_left_ = 0;
       result.outcome = RunOutcome::kScheduleDiverged;
       result.steps = steps_;
@@ -370,12 +347,6 @@ schedule:
   assert(t->runnable());
   enter_frame();
   RES_DISPATCH();
-
-#if !RES_VM_COMPUTED_GOTO
-dispatch:
-  RES_BEGIN_STEP()
-  switch (op->op()) {
-#endif
 
   RES_OP(kConst) {
     regs[op->rd] = op->imm;
@@ -462,9 +433,6 @@ dispatch:
   RES_OP(kInput) {
     const int64_t value = inputs_ != nullptr ? inputs_->Next(tid, op->imm) : 0;
     regs[op->rd] = value;
-    if (options_.record_consumed_inputs) {
-      consumed_inputs_.push_back(ConsumedInput{tid, op->imm, value});
-    }
     if (recorder != nullptr) {
       recorder->OnInput(tid, op->imm, value);
     }
@@ -600,7 +568,6 @@ dispatch:
     RecordBranch(tid, f->pc(), f->func, op->target0);
     f->block = op->target0;
     f->index = 0;
-    scheduler_->OnBlockBoundary(tid);
     EnterBlock(tid, f->func, f->block);
     op = fn_ops + block_first[f->block];
     RES_DISPATCH();
@@ -610,7 +577,6 @@ dispatch:
     RecordBranch(tid, f->pc(), f->func, dest);
     f->block = dest;
     f->index = 0;
-    scheduler_->OnBlockBoundary(tid);
     EnterBlock(tid, f->func, f->block);
     op = fn_ops + block_first[f->block];
     RES_DISPATCH();
@@ -631,7 +597,6 @@ dispatch:
     nf.caller_result_reg = op->rd;
     RecordBranch(tid, pc, op->callee, 0);
     t->frames.push_back(std::move(nf));  // may invalidate f
-    scheduler_->OnBlockBoundary(tid);
     EnterBlock(tid, op->callee, 0);
     enter_frame();
     RES_DISPATCH();
@@ -642,7 +607,6 @@ dispatch:
     const Pc pc = f->pc();
     t->frames.pop_back();
     if (t->frames.empty()) {
-      scheduler_->OnBlockBoundary(tid);
       ThreadExit(tid, value);
       goto schedule;
     }
@@ -651,12 +615,10 @@ dispatch:
       regs[result_reg] = value;
     }
     RecordBranch(tid, pc, f->func, f->block);
-    scheduler_->OnBlockBoundary(tid);
     EnterBlock(tid, f->func, f->block);
     RES_DISPATCH();
   }
   RES_OP(kHalt) {
-    scheduler_->OnBlockBoundary(tid);
     ThreadExit(tid, 0);
     goto schedule;
   }
@@ -665,14 +627,6 @@ dispatch:
               StrFormat("invalid opcode %u", static_cast<unsigned>(op->raw_op)));
     goto schedule;
   }
-
-#if !RES_VM_COMPUTED_GOTO
-  }
-advance:
-  ++op;
-  ++f->index;
-  goto dispatch;
-#endif
 }
 
 #undef RES_BEGIN_STEP

@@ -3,11 +3,11 @@
 // Executes a verified Module one instruction at a time under sequential
 // consistency, fetching from its predecoded lowering (src/vm/predecode.h).
 // One interpreter loop, RunBounded, holds both the scheduling and the
-// handlers, dispatched direct-threaded; a thread runs op after op in place
-// for as many steps as its scheduler picked and granted it. A pluggable
-// Scheduler interleaves threads, a pluggable InputProvider supplies
-// environment values, and an optional Recorder implements the record-replay
-// baselines. On failure the VM freezes with full state (memory, heap
+// handlers, dispatched direct-threaded (computed goto); a thread runs op
+// after op in place for as many steps as its scheduler picked and granted
+// it. A pluggable Scheduler interleaves threads, a pluggable InputProvider
+// supplies environment values, and an optional Recorder observes the run
+// (the record-replay baselines, and tests' ground truth). On failure the VM freezes with full state (memory, heap
 // metadata, all thread stacks, LBR rings, error log) ready for coredump
 // capture. docs/ARCHITECTURE.md §12.
 #ifndef RES_VM_VM_H_
@@ -17,7 +17,6 @@
 #include <memory>
 #include <vector>
 
-#include "src/cfg/cfg.h"
 #include "src/ir/module.h"
 #include "src/support/status.h"
 #include "src/vm/address_space.h"
@@ -34,24 +33,13 @@ namespace res {
 
 struct VmOptions {
   uint64_t max_steps = 50'000'000;
-  // Records the full sequence of (thread, block) entries — ground truth for
-  // tests; never available to RES itself (that would be recording!).
-  bool record_block_trace = false;
-  // Journals every consumed input (test ground truth, same caveat).
-  bool record_consumed_inputs = false;
-};
-
-struct BlockTraceEntry {
-  uint32_t thread;
-  BlockRef block;
-  bool operator==(const BlockTraceEntry&) const = default;
 };
 
 enum class RunOutcome : uint8_t {
   kHalted = 0,         // main thread exited normally
   kTrapped = 1,        // failure trap (see TrapInfo)
   kStepLimit = 2,      // budget exhausted
-  kScheduleDiverged = 3,  // scripted replay could not follow its schedule
+  kScheduleDiverged = 3,  // the scheduler's Pick returned kDiverged
 };
 
 struct RunResult {
@@ -105,8 +93,6 @@ class Vm {
   const ErrorLog& error_log() const { return error_log_; }
   const LbrRing& lbr(uint32_t tid) const { return lbr_[tid]; }
   uint64_t steps() const { return steps_; }
-  const std::vector<BlockTraceEntry>& block_trace() const { return block_trace_; }
-  const std::vector<ConsumedInput>& consumed_inputs() const { return consumed_inputs_; }
 
  private:
   // Builds the owned lowering unless a shared PredecodedModule was provided.
@@ -157,9 +143,6 @@ class Vm {
   Scheduler* scheduler_;
   InputProvider* inputs_ = nullptr;  // null => every input reads 0
   Recorder* recorder_ = nullptr;
-
-  std::vector<BlockTraceEntry> block_trace_;
-  std::vector<ConsumedInput> consumed_inputs_;
 };
 
 }  // namespace res

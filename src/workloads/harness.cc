@@ -22,8 +22,6 @@ Result<FailureRun> RunToFailure(const Module& module, const WorkloadSpec& spec,
     uint64_t seed = options.first_seed + attempt;
     VmOptions vm_options;
     vm_options.max_steps = options.max_steps_per_try;
-    vm_options.record_block_trace = options.record_ground_truth;
-    vm_options.record_consumed_inputs = options.record_ground_truth;
     Vm vm(&module, vm_options);
     vm.set_predecoded(&predecoded);
     RandomScheduler scheduler(seed, spec.switch_permille);
@@ -70,10 +68,6 @@ Result<FailureRun> RunToFailure(const Module& module, const WorkloadSpec& spec,
     result.run = run;
     result.seed = seed;
     result.tries = attempt + 1;
-    if (options.record_ground_truth) {
-      result.block_trace = vm.block_trace();
-      result.consumed_inputs = vm.consumed_inputs();
-    }
     return result;
   }
   return NotFound(StrFormat("workload '%s' did not produce trap '%s' within %llu seeds",

@@ -1,9 +1,8 @@
 // Failure-driving harness: runs a workload under a seeded preemptive
 // scheduler until the expected failure fires, then captures the coredump.
 //
-// This stands in for "production": nothing the harness records (ground-truth
-// block traces, consumed inputs) is ever shown to RES — RES sees only the
-// module and the coredump, exactly as the paper prescribes.
+// This stands in for "production": the harness records nothing, and RES sees
+// only the module and the coredump, exactly as the paper prescribes.
 #ifndef RES_WORKLOADS_HARNESS_H_
 #define RES_WORKLOADS_HARNESS_H_
 
@@ -24,7 +23,6 @@ struct FailureRunOptions {
   // Require that no thread has exited when the trap fires (keeps racing
   // peers' stacks in the dump).
   bool require_live_peers = false;
-  bool record_ground_truth = false;  // block trace + consumed inputs
 };
 
 struct FailureRun {
@@ -32,9 +30,6 @@ struct FailureRun {
   RunResult run;
   uint64_t seed = 0;              // scheduler seed that triggered the failure
   uint64_t tries = 0;             // seeds attempted
-  // Ground truth (only if record_ground_truth):
-  std::vector<BlockTraceEntry> block_trace;
-  std::vector<ConsumedInput> consumed_inputs;
 };
 
 // Runs `spec` until its expected trap fires. Each attempt uses a fresh VM

@@ -22,18 +22,6 @@ TEST(WorkloadsTest, EveryWorkloadFailsAsSpecified) {
   }
 }
 
-TEST(WorkloadsTest, GroundTruthRecordingCapturesTrace) {
-  const WorkloadSpec& spec = WorkloadByName("div_by_zero_input");
-  Module module = spec.build();
-  FailureRunOptions options;
-  options.record_ground_truth = true;
-  auto run = RunToFailure(module, spec, options);
-  ASSERT_TRUE(run.ok());
-  EXPECT_FALSE(run.value().block_trace.empty());
-  ASSERT_EQ(run.value().consumed_inputs.size(), 1u);
-  EXPECT_EQ(run.value().consumed_inputs[0].value, 0);
-}
-
 TEST(WorkloadsTest, LongExecutionScalesPrefix) {
   // The loop actually runs `n` iterations: step counts grow linearly.
   WorkloadSpec spec = WorkloadByName("div_by_zero_input");

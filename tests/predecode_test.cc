@@ -37,6 +37,7 @@
 #include "src/vm/vm.h"
 #include "src/workloads/harness.h"
 #include "src/workloads/workloads.h"
+#include "tests/ground_truth_recorder.h"
 
 namespace res {
 namespace {
@@ -85,15 +86,13 @@ VmSignature RunSignature(const Module& module, const std::string& policy,
     return out;
   }
   VmOptions options;
-  options.record_block_trace = true;
-  options.record_consumed_inputs = true;
   options.max_steps = 200000;
   Vm vm(&module, options);
   vm.set_scheduler(scheduler.value().get());
   QueueInputProvider provider(/*fallback=*/0);
   provider.PushAll(0, inputs);
   vm.set_input_provider(&provider);
-  FullMemoryRecorder recorder;
+  GroundTruthRecorder recorder;
   vm.set_recorder(&recorder);
   if (Status s = vm.Reset(); !s.ok()) {
     sig = "reset failed: " + s.ToString();
@@ -117,12 +116,12 @@ VmSignature RunSignature(const Module& module, const std::string& policy,
                    run.trap.thread, module.PcToString(run.trap.pc).c_str(),
                    static_cast<unsigned long long>(run.trap.address),
                    run.trap.message.c_str());
-  sig += StrFormat("block_trace=%zu\n", vm.block_trace().size());
-  for (const BlockTraceEntry& e : vm.block_trace()) {
+  sig += StrFormat("block_trace=%zu\n", recorder.block_trace().size());
+  for (const BlockTraceEntry& e : recorder.block_trace()) {
     sig += StrFormat("  t%u %u.%u\n", e.thread, e.block.func, e.block.block);
   }
-  sig += StrFormat("inputs=%zu\n", vm.consumed_inputs().size());
-  for (const ConsumedInput& in : vm.consumed_inputs()) {
+  sig += StrFormat("inputs=%zu\n", recorder.inputs().size());
+  for (const InputRecord& in : recorder.inputs()) {
     sig += StrFormat("  t%u ch%lld = %lld\n", in.thread,
                      static_cast<long long>(in.channel),
                      static_cast<long long>(in.value));

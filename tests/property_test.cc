@@ -12,6 +12,7 @@
 #include "src/support/rng.h"
 #include "src/workloads/harness.h"
 #include "src/workloads/workloads.h"
+#include "tests/ground_truth_recorder.h"
 
 namespace res {
 namespace {
@@ -361,18 +362,19 @@ TEST(VmCorpusDeterminism, IdenticalRunsAcrossCorpus) {
   for (const WorkloadSpec& spec : AllWorkloads()) {
     Module module = spec.build();
     VmOptions vm_options;
-    vm_options.record_block_trace = true;
     vm_options.max_steps = 200000;
     auto run_once = [&]() {
       Vm vm(&module, vm_options);
       RandomScheduler sched(1234, spec.switch_permille);
       QueueInputProvider inputs(0);
       inputs.PushAll(0, spec.channel0_inputs);
+      GroundTruthRecorder recorder;
       vm.set_scheduler(&sched);
       vm.set_input_provider(&inputs);
+      vm.set_recorder(&recorder);
       EXPECT_TRUE(vm.Reset().ok());
       RunResult r = vm.Run();
-      return std::make_pair(r.steps, vm.block_trace());
+      return std::make_pair(r.steps, recorder.block_trace());
     };
     auto [steps_a, trace_a] = run_once();
     auto [steps_b, trace_b] = run_once();

@@ -93,9 +93,8 @@ TEST(SchedulerGrantTest, OnlyRoundRobinGrants) {
   PctScheduler pct(/*seed=*/1, /*depth=*/3, /*expected_steps=*/64);
   RandomScheduler random(/*seed=*/1, /*switch_permille=*/0);
   DelayInjectionScheduler delay(/*seed=*/1, /*permille=*/0);
-  ScriptedScheduler scripted({0, 0, 0});
   SliceScheduler slice({{0, 100}});
-  Scheduler* const others[] = {&pct, &random, &delay, &scripted, &slice};
+  Scheduler* const others[] = {&pct, &random, &delay, &slice};
   for (Scheduler* s : others) {
     uint32_t current = 0;
     for (int i = 0; i < 8; ++i) {
@@ -171,30 +170,21 @@ TEST(DelayInjectionSchedulerTest, SoleRunnableThreadNeverStarves) {
   }
 }
 
-TEST(ScriptedSchedulerTest, DivergenceSetsFailed) {
-  ScriptedScheduler s({0, 1});
-  EXPECT_FALSE(s.failed());
-  EXPECT_EQ(s.Pick({1, 2}, /*current=*/1), 1u);  // scripted 0 not runnable
-  EXPECT_TRUE(s.failed());
-}
-
-TEST(SliceSchedulerTest, ExhaustionIsOverrunNotFailure) {
+TEST(SliceSchedulerTest, ExhaustionIsNotDivergence) {
   SliceScheduler s({{0, 2}});
   EXPECT_EQ(s.Pick({0, 1}, 0), 0u);
   EXPECT_EQ(s.Pick({0, 1}, 0), 0u);
-  EXPECT_FALSE(s.overran());
-  // Script exhausted: the current thread keeps running, overran() turns
-  // true, but this is not divergence — failed() must stay false.
+  // Script exhausted: the current thread keeps running; that is not a
+  // divergence.
   EXPECT_EQ(s.Pick({0, 1}, 0), 0u);
-  EXPECT_TRUE(s.overran());
-  EXPECT_FALSE(s.failed());
+  EXPECT_EQ(s.Pick({1}, 0), 1u);
 }
 
 TEST(SliceSchedulerTest, UnavailableScriptedThreadIsDivergence) {
   SliceScheduler s({{3, 5}});
-  EXPECT_EQ(s.Pick({0, 1}, 0), 0u);
-  EXPECT_TRUE(s.failed());
-  EXPECT_FALSE(s.overran());
+  EXPECT_EQ(s.Pick({0, 1}, 0), Scheduler::kDiverged);
+  // Nothing ran, so asking again gives the same answer.
+  EXPECT_EQ(s.Pick({0, 1}, 0), Scheduler::kDiverged);
 }
 
 // --- Spec parsing ---
@@ -243,7 +233,7 @@ TEST(SchedulerSpecTest, ErrorsAreStatusNotCrash) {
             4294967295u);
 }
 
-TEST(SchedulerSpecTest, ScriptedPoliciesAreNotSpecConstructible) {
+TEST(SchedulerSpecTest, ReplaySchedulesAreNotSpecPolicies) {
   for (const char* name : {"scripted", "slice"}) {
     auto parsed = ParseSchedulerSpec(name);
     EXPECT_FALSE(parsed.ok()) << name;
@@ -251,23 +241,19 @@ TEST(SchedulerSpecTest, ScriptedPoliciesAreNotSpecConstructible) {
   }
 }
 
-TEST(SchedulerSpecTest, RegistryMatchesConstructibility) {
-  size_t constructible = 0;
+TEST(SchedulerSpecTest, EveryRegisteredPolicyIsConstructible) {
   for (const SchedulerPolicyInfo& info : RegisteredSchedulerPolicies()) {
     SchedulerSpec spec;
     spec.policy = std::string(info.name);
     auto made = MakeScheduler(spec);
-    EXPECT_EQ(made.ok(), info.spec_constructible) << info.name;
-    if (info.spec_constructible) {
-      ++constructible;
-      EXPECT_NE(made.value(), nullptr) << info.name;
-      // The catalog string form must parse back to the same policy.
-      auto parsed = ParseSchedulerSpec(info.name);
-      ASSERT_TRUE(parsed.ok()) << info.name;
-      EXPECT_EQ(parsed.value().policy, info.name);
-    }
+    ASSERT_TRUE(made.ok()) << info.name;
+    EXPECT_NE(made.value(), nullptr) << info.name;
+    // The catalog string form must parse back to the same policy.
+    auto parsed = ParseSchedulerSpec(info.name);
+    ASSERT_TRUE(parsed.ok()) << info.name;
+    EXPECT_EQ(parsed.value().policy, info.name);
   }
-  EXPECT_EQ(constructible, 4u);  // rr, random, pct, delay
+  EXPECT_EQ(RegisteredSchedulerPolicies().size(), 4u);  // rr, random, pct, delay
 }
 
 TEST(SchedulerSpecTest, ExplicitSeedOverridesSpecSeed) {

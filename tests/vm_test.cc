@@ -5,6 +5,7 @@
 #include "src/ir/verifier.h"
 #include "src/vm/vm.h"
 #include "src/workloads/workloads.h"
+#include "tests/ground_truth_recorder.h"
 
 namespace res {
 namespace {
@@ -390,21 +391,23 @@ TEST(VmThreadTest, LockProvidesMutualExclusion) {
 TEST(VmDeterminismTest, SameSeedSameExecution) {
   Module m = BuildRacyCounter();
   for (uint64_t seed : {3ull, 17ull, 99ull}) {
-    VmOptions opts;
-    opts.record_block_trace = true;
-    Vm vm1(&m, opts);
-    Vm vm2(&m, opts);
+    Vm vm1(&m);
+    Vm vm2(&m);
     RandomScheduler s1(seed, 350);
     RandomScheduler s2(seed, 350);
+    GroundTruthRecorder g1;
+    GroundTruthRecorder g2;
     vm1.set_scheduler(&s1);
     vm2.set_scheduler(&s2);
+    vm1.set_recorder(&g1);
+    vm2.set_recorder(&g2);
     ASSERT_TRUE(vm1.Reset().ok());
     ASSERT_TRUE(vm2.Reset().ok());
     RunResult r1 = vm1.Run();
     RunResult r2 = vm2.Run();
     EXPECT_EQ(r1.outcome, r2.outcome);
     EXPECT_EQ(r1.steps, r2.steps);
-    EXPECT_EQ(vm1.block_trace(), vm2.block_trace());
+    EXPECT_EQ(g1.block_trace(), g2.block_trace());
   }
 }
 
@@ -525,14 +528,73 @@ TEST(SliceSchedulerTest, FollowsSlices) {
     picks.push_back(sched.Pick(runnable, picks.empty() ? 0 : picks.back()));
   }
   EXPECT_EQ(picks, (std::vector<uint32_t>{0, 0, 1, 1, 1, 0}));
-  EXPECT_FALSE(sched.failed());
 }
 
 TEST(SliceSchedulerTest, DivergesWhenThreadUnavailable) {
   SliceScheduler sched({{1, 1}});
   std::vector<uint32_t> runnable = {0};  // thread 1 not runnable
-  sched.Pick(runnable, 0);
-  EXPECT_TRUE(sched.failed());
+  EXPECT_EQ(sched.Pick(runnable, 0), Scheduler::kDiverged);
+}
+
+// main spawns "child", which writes 123 to "out", and joins it. Both run
+// straight-line code, so a thread's steps are its instruction count (plus
+// one for a join that blocks and is retried).
+Module SpawnJoinProgram() {
+  ModuleBuilder mb;
+  mb.AddGlobal("out", 1);
+  FuncId child = mb.DeclareFunction("child", 1);
+  {
+    FunctionBuilder fb = mb.DefineDeclared(child);
+    RegId v = fb.Const(123);
+    fb.StoreGlobal("out", v);
+    fb.Ret();
+    fb.Finish();
+  }
+  FunctionBuilder fb = mb.DefineFunction("main", 0);
+  RegId arg = fb.Const(0);
+  RegId t = fb.Spawn(child, arg);
+  fb.Join(t);
+  fb.Halt();
+  fb.Finish();
+  mb.SetEntry("main");
+  Module m = std::move(mb).Build();
+  EXPECT_TRUE(VerifyModule(m).ok());
+  return m;
+}
+
+TEST(SliceSchedulerTest, DivergingScheduleEndsTheRun) {
+  Module m = SpawnJoinProgram();
+  // main's first three steps spawn the child and block on the join; the
+  // next slice names main again, which cannot run until the child exits.
+  SliceScheduler sched({{0, 3}, {0, 2}});
+  Vm vm(&m);
+  vm.set_scheduler(&sched);
+  ASSERT_TRUE(vm.Reset().ok());
+  RunResult r = vm.Run();
+  EXPECT_EQ(r.outcome, RunOutcome::kScheduleDiverged);
+  EXPECT_EQ(r.steps, 3u);
+  EXPECT_EQ(vm.threads()[0].state, ThreadState::kBlockedOnJoin);
+  EXPECT_EQ(vm.memory().ReadWord(m.FindGlobal("out")->address).value(), 0);
+  // The run stays where it diverged.
+  EXPECT_EQ(vm.Run().outcome, RunOutcome::kScheduleDiverged);
+  EXPECT_EQ(vm.steps(), 3u);
+}
+
+TEST(SliceSchedulerTest, FollowedScheduleDoesNotDiverge) {
+  Module m = SpawnJoinProgram();
+  const uint64_t main_ops = m.function(m.entry()).blocks[0].instructions.size();
+  const uint64_t child_ops =
+      m.function(*m.FindFunction("child")).blocks[0].instructions.size();
+  // main up to its blocked join, the whole child, then main to its halt
+  // (the join again, and what follows it).
+  SliceScheduler sched({{0, 3}, {1, child_ops}, {0, main_ops - 2}});
+  Vm vm(&m);
+  vm.set_scheduler(&sched);
+  ASSERT_TRUE(vm.Reset().ok());
+  RunResult r = vm.Run();
+  EXPECT_EQ(r.outcome, RunOutcome::kHalted);
+  EXPECT_EQ(r.steps, 3 + child_ops + main_ops - 2);
+  EXPECT_EQ(vm.memory().ReadWord(m.FindGlobal("out")->address).value(), 123);
 }
 
 }  // namespace
