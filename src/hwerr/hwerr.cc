@@ -2,18 +2,6 @@
 
 namespace res {
 
-std::string_view HwVerdictName(HwVerdict verdict) {
-  switch (verdict) {
-    case HwVerdict::kSoftwareBug:
-      return "software_bug";
-    case HwVerdict::kHardwareError:
-      return "hardware_error";
-    case HwVerdict::kInconclusive:
-      return "inconclusive";
-  }
-  return "?";
-}
-
 HwAnalysis HardwareErrorAnalyzer::Analyze(const Coredump& dump) const {
   ResEngine engine(module_, dump, options_);
   ResResult result = engine.Run();

@@ -26,8 +26,6 @@ enum class HwVerdict : uint8_t {
   kInconclusive = 2,   // budget exhausted before either was established
 };
 
-std::string_view HwVerdictName(HwVerdict verdict);
-
 struct HwAnalysis {
   HwVerdict verdict = HwVerdict::kInconclusive;
   bool depth0_inconsistency = false;  // trap itself impossible from dump state

@@ -20,10 +20,7 @@ inline constexpr uint64_t kGlobalLimit = 0x0000000001000000ULL;
 inline constexpr uint64_t kHeapBase = 0x0000000010000000ULL;
 inline constexpr uint64_t kHeapLimit = 0x0000000040000000ULL;
 
-// Stack segment: thread t's stack occupies
-// [kStackBase + t*kStackSize, kStackBase + (t+1)*kStackSize), growing down.
-inline constexpr uint64_t kStackBase = 0x0000000080000000ULL;
-inline constexpr uint64_t kStackSize = 0x0000000000100000ULL;  // 1 MiB per thread
+// Threads keep their registers in frames; no stack memory is mapped.
 inline constexpr uint64_t kMaxThreads = 64;
 
 inline constexpr bool IsGlobalAddress(uint64_t addr) {
@@ -32,15 +29,7 @@ inline constexpr bool IsGlobalAddress(uint64_t addr) {
 inline constexpr bool IsHeapAddress(uint64_t addr) {
   return addr >= kHeapBase && addr < kHeapLimit;
 }
-inline constexpr bool IsStackAddress(uint64_t addr) {
-  return addr >= kStackBase && addr < kStackBase + kMaxThreads * kStackSize;
-}
 inline constexpr bool IsWordAligned(uint64_t addr) { return (addr % kWordSize) == 0; }
-
-// Thread id owning a stack address (only meaningful if IsStackAddress).
-inline constexpr uint64_t StackOwner(uint64_t addr) {
-  return (addr - kStackBase) / kStackSize;
-}
 
 }  // namespace res
 

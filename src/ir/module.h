@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "src/ir/opcode.h"
-#include "src/support/hash.h"
 
 namespace res {
 
@@ -91,13 +90,6 @@ struct Pc {
     if (block != o.block) return block < o.block;
     return index < o.index;
   }
-  uint64_t Hash() const {
-    return HashCombine(HashCombine(HashU64(func), HashU64(block)), HashU64(index));
-  }
-};
-
-struct PcHasher {
-  size_t operator()(const Pc& pc) const { return static_cast<size_t>(pc.Hash()); }
 };
 
 class Module {

@@ -72,14 +72,6 @@ const SnapAlloc* SymSnapshot::FindAlloc(uint64_t addr) const {
   return nullptr;
 }
 
-SnapAlloc* SymSnapshot::FindAllocMutable(uint64_t addr) {
-  const SnapAlloc* found = FindAlloc(addr);
-  if (found == nullptr) {
-    return nullptr;
-  }
-  return &MutableHeap()[found->base];
-}
-
 SnapAlloc* SymSnapshot::NewestLiveAlloc() {
   const SnapAlloc* best = nullptr;
   for (const auto& [base, a] : *heap_) {

@@ -108,8 +108,6 @@ class CowOverlay {
   // Number of distinct addresses (counts shadowed writes once).
   size_t DistinctCount() const { return map_.DistinctCount(); }
 
-  size_t LayerDepth() const { return map_.LayerDepth(); }
-
  private:
   PersistentMap<uint64_t, const Expr*> map_;
 };
@@ -151,7 +149,6 @@ class SymSnapshot {
 
   // Allocation covering addr, if any.
   const SnapAlloc* FindAlloc(uint64_t addr) const;
-  SnapAlloc* FindAllocMutable(uint64_t addr);
 
   // The live (not kUnallocated) allocation with the highest alloc_seq — the
   // one a reversed kAlloc must unwind (the heap is a bump allocator, so

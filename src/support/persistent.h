@@ -187,8 +187,6 @@ class PersistentMap {
     return n;
   }
 
-  size_t LayerDepth() const { return frozen_ ? frozen_->depth : 0; }
-
  private:
   struct Layer {
     std::unordered_map<K, V, Hash> entries;
@@ -247,7 +245,6 @@ class PersistentSet {
   }
 
   size_t size() const { return size_; }
-  size_t LayerDepth() const { return map_.LayerDepth(); }
 
  private:
   struct Unit {};
@@ -292,7 +289,6 @@ class PersistentEraseSet {
 
   size_t size() const { return live_; }
   bool empty() const { return live_ == 0; }
-  size_t LayerDepth() const { return map_.LayerDepth(); }
 
  private:
   // Flatten filter: keep live members only, so erase-heavy folds do not

@@ -71,17 +71,11 @@ inline Status OutOfRange(std::string msg) {
 inline Status FailedPrecondition(std::string msg) {
   return Status(StatusCode::kFailedPrecondition, std::move(msg));
 }
-inline Status Unimplemented(std::string msg) {
-  return Status(StatusCode::kUnimplemented, std::move(msg));
-}
 inline Status Internal(std::string msg) {
   return Status(StatusCode::kInternal, std::move(msg));
 }
 inline Status ResourceExhausted(std::string msg) {
   return Status(StatusCode::kResourceExhausted, std::move(msg));
-}
-inline Status Aborted(std::string msg) {
-  return Status(StatusCode::kAborted, std::move(msg));
 }
 inline Status DataLoss(std::string msg) {
   return Status(StatusCode::kDataLoss, std::move(msg));

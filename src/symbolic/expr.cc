@@ -32,20 +32,6 @@ std::string_view BinOpName(BinOp op) {
   return "?";
 }
 
-bool BinOpIsComparison(BinOp op) {
-  switch (op) {
-    case BinOp::kEq:
-    case BinOp::kNe:
-    case BinOp::kLtS:
-    case BinOp::kLeS:
-    case BinOp::kLtU:
-    case BinOp::kLeU:
-      return true;
-    default:
-      return false;
-  }
-}
-
 BinOp BinOpFromOpcode(Opcode op) {
   switch (op) {
     case Opcode::kAdd: return BinOp::kAdd;

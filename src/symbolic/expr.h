@@ -42,7 +42,6 @@ enum class BinOp : uint8_t {
 };
 
 std::string_view BinOpName(BinOp op);
-bool BinOpIsComparison(BinOp op);
 // Maps an ALU opcode to its BinOp; asserts on non-ALU opcodes.
 BinOp BinOpFromOpcode(Opcode op);
 

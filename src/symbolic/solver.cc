@@ -259,18 +259,6 @@ const Expr* SubstituteFix(ExprPool* pool, const Expr* e,
 
 }  // namespace
 
-std::string_view SatResultName(SatResult r) {
-  switch (r) {
-    case SatResult::kSat:
-      return "sat";
-    case SatResult::kUnsat:
-      return "unsat";
-    case SatResult::kUnknown:
-      return "unknown";
-  }
-  return "?";
-}
-
 namespace {
 
 // Pure function of everything that can change a check's outcome (the seed

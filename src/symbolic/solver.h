@@ -63,8 +63,6 @@ namespace res {
 
 enum class SatResult : uint8_t { kSat = 0, kUnsat = 1, kUnknown = 2 };
 
-std::string_view SatResultName(SatResult r);
-
 struct SolveOutcome {
   SatResult result = SatResult::kUnknown;
   Assignment model;  // meaningful iff result == kSat
@@ -190,13 +188,10 @@ class SolverContext {
 
   // Prefix of the constraint vector already absorbed into bindings/residual.
   size_t absorbed() const { return absorbed_; }
-  bool known_unsat() const { return unsat_; }
-  bool has_model() const { return has_model_; }
   const Assignment& model() const { return model_; }
   // Order-insensitive cache key over the distinct absorbed constraints,
   // maintained incrementally (O(delta) per absorption, O(delta) per fork).
   uint64_t set_key() const { return set_key_; }
-  size_t distinct_absorbed() const { return distinct_; }
 
  private:
   friend class Solver;

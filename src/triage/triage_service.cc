@@ -28,18 +28,6 @@ ResOptions DegradedProfile(ResOptions base) {
   return base;
 }
 
-std::string_view TriageOutcomeName(TriageOutcome o) {
-  switch (o) {
-    case TriageOutcome::kOk:
-      return "ok";
-    case TriageOutcome::kDegraded:
-      return "degraded";
-    case TriageOutcome::kQuarantined:
-      return "quarantined";
-  }
-  return "?";
-}
-
 TriageService::TriageService(ResRuntime* runtime, const Module& module,
                              TriageOptions options)
     : runtime_(runtime), module_(module), options_(std::move(options)) {}

@@ -70,8 +70,6 @@ enum class TriageOutcome : uint8_t {
   kQuarantined = 2, // parse/validate/internal/deadline failure; no verdict
 };
 
-std::string_view TriageOutcomeName(TriageOutcome o);
-
 // One dump's triage verdicts, all derived from a single RES run (plus the
 // two cheap symptom-side baselines for comparison columns).
 struct TriageReport {
