@@ -1,6 +1,8 @@
 #include "src/coredump/serialize.h"
 
-#include <cstring>
+#include <utility>
+
+#include "src/support/wire.h"
 
 namespace res {
 
@@ -9,116 +11,67 @@ namespace {
 constexpr uint64_t kMagic = 0x524553434f524531ULL;  // "RESCORE1"
 constexpr uint32_t kVersion = 2;
 
-class Writer {
- public:
-  void U8(uint8_t v) { buf_.push_back(v); }
-  void U32(uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-    }
-  }
-  void U64(uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-    }
-  }
-  void I64(int64_t v) { U64(static_cast<uint64_t>(v)); }
-  void Str(const std::string& s) {
-    U64(s.size());
-    buf_.insert(buf_.end(), s.begin(), s.end());
-  }
-  void PcVal(const Pc& pc) {
-    U32(pc.func);
-    U32(pc.block);
-    U32(pc.index);
-  }
-  std::vector<uint8_t> Take() { return std::move(buf_); }
+void WritePc(WireWriter* w, const Pc& pc) {
+  w->U32(pc.func);
+  w->U32(pc.block);
+  w->U32(pc.index);
+}
 
- private:
-  std::vector<uint8_t> buf_;
-};
+bool ReadPc(WireReader* r, Pc* pc) {
+  return r->U32(&pc->func) && r->U32(&pc->block) && r->U32(&pc->index);
+}
 
-class Reader {
- public:
-  explicit Reader(const std::vector<uint8_t>& buf) : buf_(buf) {}
+using MemoryWord = std::pair<uint64_t, int64_t>;  // (address, value)
 
-  bool U8(uint8_t* v) {
-    if (pos_ + 1 > buf_.size()) {
-      return false;
-    }
-    *v = buf_[pos_++];
-    return true;
+// The shape of every image a VM captures: word-aligned addresses in
+// ascending order, each in the globals segment or in a heap allocation;
+// allocations that tile the heap segment from kHeapBase, as the bump
+// allocator hands them out; every allocation word present; and no image at
+// all in a minidump. Checked before a single page is built, so an image
+// maps at most the globals segment plus the heap words its bytes carry,
+// never a page per word.
+Status CheckMemoryImage(const std::vector<MemoryWord>& words, bool has_memory,
+                        const std::vector<Allocation>& allocations) {
+  if (!has_memory && !words.empty()) {
+    return DataLoss("minidump carries a memory image");
   }
-  bool U32(uint32_t* v) {
-    if (pos_ + 4 > buf_.size()) {
-      return false;
+  uint64_t heap_end = kHeapBase;
+  for (const Allocation& a : allocations) {
+    if (a.base != heap_end ||
+        a.size_words > (kHeapLimit - heap_end) / kWordSize) {
+      return DataLoss("heap allocations do not tile the heap segment");
     }
-    *v = 0;
-    for (int i = 0; i < 4; ++i) {
-      *v |= static_cast<uint32_t>(buf_[pos_++]) << (8 * i);
+    heap_end += a.size_words * kWordSize;
+  }
+  uint64_t heap_words = 0;
+  for (size_t i = 0; i < words.size(); ++i) {
+    const uint64_t addr = words[i].first;
+    if (!IsWordAligned(addr) || (i > 0 && addr <= words[i - 1].first)) {
+      return DataLoss("memory image not aligned and ascending");
     }
-    return true;
-  }
-  bool U64(uint64_t* v) {
-    if (pos_ + 8 > buf_.size()) {
-      return false;
+    if (addr >= kHeapBase && addr < heap_end) {
+      ++heap_words;
+    } else if (!IsGlobalAddress(addr)) {
+      return DataLoss("memory word outside globals and heap allocations");
     }
-    *v = 0;
-    for (int i = 0; i < 8; ++i) {
-      *v |= static_cast<uint64_t>(buf_[pos_++]) << (8 * i);
-    }
-    return true;
   }
-  bool I64(int64_t* v) {
-    uint64_t u;
-    if (!U64(&u)) {
-      return false;
-    }
-    *v = static_cast<int64_t>(u);
-    return true;
+  if (has_memory && heap_words != (heap_end - kHeapBase) / kWordSize) {
+    return DataLoss("heap allocation word missing from the memory image");
   }
-  bool Str(std::string* s) {
-    uint64_t n;
-    // Compare against the remaining byte count, never against pos_ + n: an
-    // adversarial n near UINT64_MAX would wrap the addition and pass.
-    if (!U64(&n) || n > Remaining()) {
-      return false;
-    }
-    s->assign(reinterpret_cast<const char*>(buf_.data()) + pos_,
-              static_cast<size_t>(n));
-    pos_ += static_cast<size_t>(n);
-    return true;
-  }
-  bool PcVal(Pc* pc) {
-    return U32(&pc->func) && U32(&pc->block) && U32(&pc->index);
-  }
-  // Sanity gate for untrusted element counts: a table of `count` elements,
-  // each at least `min_element_bytes` on the wire, cannot be larger than
-  // the remaining payload. Checked BEFORE any loop or allocation sized by
-  // the count, so corrupt dumps can neither drive unbounded resize() nor
-  // spin a read loop that only fails at the end.
-  bool FitsRemaining(uint64_t count, uint64_t min_element_bytes) const {
-    return count <= Remaining() / min_element_bytes;
-  }
-  uint64_t Remaining() const { return buf_.size() - pos_; }
-  bool AtEnd() const { return pos_ == buf_.size(); }
-
- private:
-  const std::vector<uint8_t>& buf_;
-  size_t pos_ = 0;
-};
+  return OkStatus();
+}
 
 }  // namespace
 
 std::vector<uint8_t> SerializeCoredump(const Coredump& dump) {
-  Writer w;
+  WireWriter w;
   w.U64(kMagic);
   w.U32(kVersion);
 
   // Trap.
   w.U8(static_cast<uint8_t>(dump.trap.kind));
   w.U32(dump.trap.thread);
-  w.PcVal(dump.trap.pc);
+  WritePc(&w, dump.trap.pc);
   w.U64(dump.trap.address);
   w.Str(dump.trap.message);
 
@@ -149,8 +102,8 @@ std::vector<uint8_t> SerializeCoredump(const Coredump& dump) {
     }
     w.U64(t.lbr.size());
     for (const BranchRecord& b : t.lbr) {
-      w.PcVal(b.source);
-      w.PcVal(b.dest);
+      WritePc(&w, b.source);
+      WritePc(&w, b.dest);
     }
   }
 
@@ -169,7 +122,7 @@ std::vector<uint8_t> SerializeCoredump(const Coredump& dump) {
   w.U64(dump.error_log.size());
   for (const ErrorLogEntry& e : dump.error_log) {
     w.U32(e.thread);
-    w.PcVal(e.pc);
+    WritePc(&w, e.pc);
     w.I64(e.channel);
     w.I64(e.value);
     w.U32(e.message);
@@ -183,7 +136,7 @@ RES_FAULT_SITE(kFaultDeserialize, "coredump.deserialize",
 Result<Coredump> DeserializeCoredump(const std::vector<uint8_t>& bytes,
                                      const FaultScope& faults) {
   RES_RETURN_IF_ERROR(faults.Check(kFaultDeserialize));
-  Reader r(bytes);
+  WireReader r(bytes);
   uint64_t magic;
   uint32_t version;
   if (!r.U64(&magic) || magic != kMagic) {
@@ -195,8 +148,9 @@ Result<Coredump> DeserializeCoredump(const std::vector<uint8_t>& bytes,
   Coredump dump;
 
   uint8_t kind;
-  if (!r.U8(&kind) || !r.U32(&dump.trap.thread) || !r.PcVal(&dump.trap.pc) ||
-      !r.U64(&dump.trap.address) || !r.Str(&dump.trap.message)) {
+  if (!r.U8(&kind) || !r.U32(&dump.trap.thread) ||
+      !ReadPc(&r, &dump.trap.pc) || !r.U64(&dump.trap.address) ||
+      !r.Str(&dump.trap.message)) {
     return DataLoss("truncated trap record");
   }
   dump.trap.kind = static_cast<TrapKind>(kind);
@@ -210,13 +164,13 @@ Result<Coredump> DeserializeCoredump(const std::vector<uint8_t>& bytes,
     return DataLoss("memory image larger than payload");
   }
   dump.has_memory = has_memory != 0;
-  for (uint64_t i = 0; i < word_count; ++i) {
-    uint64_t addr;
-    int64_t value;
+  // Pages are built only after the heap table, once CheckMemoryImage has
+  // placed every word.
+  std::vector<MemoryWord> words(word_count);
+  for (auto& [addr, value] : words) {
     if (!r.U64(&addr) || !r.I64(&value)) {
       return DataLoss("truncated memory image");
     }
-    dump.memory.WriteWordUnchecked(addr, value);
   }
 
   uint64_t thread_count;
@@ -267,7 +221,7 @@ Result<Coredump> DeserializeCoredump(const std::vector<uint8_t>& bytes,
     }
     for (uint64_t j = 0; j < lbr_count; ++j) {
       BranchRecord b;
-      if (!r.PcVal(&b.source) || !r.PcVal(&b.dest)) {
+      if (!ReadPc(&r, &b.source) || !ReadPc(&r, &b.dest)) {
         return DataLoss("truncated LBR entry");
       }
       t.lbr.push_back(b);
@@ -295,6 +249,11 @@ Result<Coredump> DeserializeCoredump(const std::vector<uint8_t>& bytes,
   if (!r.U64(&dump.heap_next_free) || !r.U64(&dump.heap_next_seq)) {
     return DataLoss("truncated heap cursor");
   }
+  RES_RETURN_IF_ERROR(
+      CheckMemoryImage(words, dump.has_memory, dump.heap_allocations));
+  for (const auto& [addr, value] : words) {
+    dump.memory.WriteWordUnchecked(addr, value);
+  }
 
   uint64_t log_count;
   if (!r.U64(&log_count)) {
@@ -305,7 +264,7 @@ Result<Coredump> DeserializeCoredump(const std::vector<uint8_t>& bytes,
   }
   for (uint64_t i = 0; i < log_count; ++i) {
     ErrorLogEntry e;
-    if (!r.U32(&e.thread) || !r.PcVal(&e.pc) || !r.I64(&e.channel) ||
+    if (!r.U32(&e.thread) || !ReadPc(&r, &e.pc) || !r.I64(&e.channel) ||
         !r.I64(&e.value) || !r.U32(&e.message)) {
       return DataLoss("truncated error log entry");
     }

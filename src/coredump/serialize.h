@@ -17,8 +17,12 @@ std::vector<uint8_t> SerializeCoredump(const Coredump& dump);
 
 // Parses an UNTRUSTED byte stream. Every length field is checked against
 // the remaining payload before it is trusted (no out-of-bounds reads, no
-// attacker-controlled allocations), and every failure — truncation, bad
-// magic, oversized counts, trailing garbage — returns kDataLoss. A
+// attacker-controlled allocations), and the memory image must have the
+// shape a VM captures (aligned ascending words in the globals segment or
+// in heap allocations that tile the heap, each allocation word present)
+// before a page is built, so a blob cannot map far more memory than it
+// carries. Every failure — truncation, bad magic, oversized counts, a
+// misshapen image, trailing garbage — returns kDataLoss. A
 // structurally well-formed result may still be semantically garbage; run
 // Coredump::Validate against the module before handing it to an engine.
 // `faults` carries the "coredump.deserialize" fault site (tests / the

@@ -2,116 +2,14 @@
 
 #include <string>
 
+#include "src/support/wire.h"
+
 namespace res {
 
 namespace {
 
 constexpr uint64_t kMagic = 0x5245534d4f443100ULL;  // "RESMOD1" + NUL
 constexpr uint32_t kVersion = 1;
-
-class Writer {
- public:
-  void U8(uint8_t v) { buf_.push_back(v); }
-  void U16(uint16_t v) {
-    for (int i = 0; i < 2; ++i) {
-      buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-    }
-  }
-  void U32(uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-    }
-  }
-  void U64(uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-    }
-  }
-  void I64(int64_t v) { U64(static_cast<uint64_t>(v)); }
-  void Str(const std::string& s) {
-    U64(s.size());
-    buf_.insert(buf_.end(), s.begin(), s.end());
-  }
-  std::vector<uint8_t> Take() { return std::move(buf_); }
-
- private:
-  std::vector<uint8_t> buf_;
-};
-
-class Reader {
- public:
-  explicit Reader(const std::vector<uint8_t>& buf) : buf_(buf) {}
-
-  bool U8(uint8_t* v) {
-    if (pos_ + 1 > buf_.size()) {
-      return false;
-    }
-    *v = buf_[pos_++];
-    return true;
-  }
-  bool U16(uint16_t* v) {
-    if (pos_ + 2 > buf_.size()) {
-      return false;
-    }
-    *v = 0;
-    for (int i = 0; i < 2; ++i) {
-      *v = static_cast<uint16_t>(*v |
-                                 static_cast<uint16_t>(buf_[pos_++]) << (8 * i));
-    }
-    return true;
-  }
-  bool U32(uint32_t* v) {
-    if (pos_ + 4 > buf_.size()) {
-      return false;
-    }
-    *v = 0;
-    for (int i = 0; i < 4; ++i) {
-      *v |= static_cast<uint32_t>(buf_[pos_++]) << (8 * i);
-    }
-    return true;
-  }
-  bool U64(uint64_t* v) {
-    if (pos_ + 8 > buf_.size()) {
-      return false;
-    }
-    *v = 0;
-    for (int i = 0; i < 8; ++i) {
-      *v |= static_cast<uint64_t>(buf_[pos_++]) << (8 * i);
-    }
-    return true;
-  }
-  bool I64(int64_t* v) {
-    uint64_t u;
-    if (!U64(&u)) {
-      return false;
-    }
-    *v = static_cast<int64_t>(u);
-    return true;
-  }
-  bool Str(std::string* s) {
-    uint64_t n;
-    // Compare against the remaining byte count, never against pos_ + n: an
-    // adversarial n near UINT64_MAX would wrap the addition and pass.
-    if (!U64(&n) || n > Remaining()) {
-      return false;
-    }
-    s->assign(reinterpret_cast<const char*>(buf_.data()) + pos_,
-              static_cast<size_t>(n));
-    pos_ += static_cast<size_t>(n);
-    return true;
-  }
-  // Sanity gate for untrusted element counts, checked BEFORE any loop or
-  // allocation sized by the count (see coredump/serialize.cc).
-  bool FitsRemaining(uint64_t count, uint64_t min_element_bytes) const {
-    return count <= Remaining() / min_element_bytes;
-  }
-  uint64_t Remaining() const { return buf_.size() - pos_; }
-  bool AtEnd() const { return pos_ == buf_.size(); }
-
- private:
-  const std::vector<uint8_t>& buf_;
-  size_t pos_ = 0;
-};
 
 // Minimum on-wire sizes, used as FitsRemaining element bounds. An
 // instruction is op(1) + 4 regs(8) + imm(8) + targets(8) + callee(4) +
@@ -125,13 +23,13 @@ constexpr uint64_t kMinStringBytes = 8;
 }  // namespace
 
 bool LooksLikeBinaryModule(const std::vector<uint8_t>& bytes) {
-  Reader r(bytes);
+  WireReader r(bytes);
   uint64_t magic;
   return r.U64(&magic) && magic == kMagic;
 }
 
 std::vector<uint8_t> SerializeModule(const Module& module) {
-  Writer w;
+  WireWriter w;
   w.U64(kMagic);
   w.U32(kVersion);
   w.U32(module.entry());
@@ -189,7 +87,7 @@ RES_FAULT_SITE(kFaultModuleDeserialize, "module.deserialize",
 Result<Module> DeserializeModule(const std::vector<uint8_t>& bytes,
                                  const FaultScope& faults) {
   RES_RETURN_IF_ERROR(faults.Check(kFaultModuleDeserialize));
-  Reader r(bytes);
+  WireReader r(bytes);
   uint64_t magic;
   uint32_t version;
   if (!r.U64(&magic) || magic != kMagic) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "src/coredump/corruptor.h"
 #include "src/coredump/serialize.h"
 #include "src/workloads/harness.h"
@@ -119,6 +122,90 @@ TEST(SerializeTest, RejectsTrailingGarbage) {
   std::vector<uint8_t> bytes = SerializeCoredump(dump);
   bytes.push_back(0);
   EXPECT_FALSE(DeserializeCoredump(bytes).ok());
+}
+
+// --- Memory images the VM cannot capture: the deserializer used to build a
+// 4 KiB page for each wire word before checking anything, so a small blob
+// could make the daemon map far more memory than it carried. ---
+
+// `bytes` must fail with kDataLoss, for the reason `why` names.
+void ExpectDataLoss(const std::vector<uint8_t>& bytes, const std::string& why) {
+  auto parsed = DeserializeCoredump(bytes);
+  ASSERT_FALSE(parsed.ok()) << why;
+  EXPECT_EQ(parsed.status().code(), StatusCode::kDataLoss) << why;
+  EXPECT_NE(parsed.status().message().find(why), std::string::npos)
+      << parsed.status().ToString();
+}
+
+TEST(SerializeTest, RejectsOneWordPerPageImage) {
+  Coredump hostile = DumpOf("div_by_zero_input");
+  ASSERT_TRUE(hostile.heap_allocations.empty());
+  // One word on each of 64 pages of the heap segment, no allocation under
+  // any of them.
+  for (uint64_t i = 0; i < 64; ++i) {
+    hostile.memory.WriteWordUnchecked(
+        kHeapBase + i * AddressSpace::kPageBytes, static_cast<int64_t>(i));
+  }
+  ExpectDataLoss(SerializeCoredump(hostile),
+                 "outside globals and heap allocations");
+}
+
+TEST(SerializeTest, RejectsSparseWordsInALargeAllocation) {
+  Coredump hostile = DumpOf("div_by_zero_input");
+  ASSERT_TRUE(hostile.heap_allocations.empty());
+  constexpr uint64_t kPages = 64;
+  Allocation big;
+  big.base = kHeapBase;
+  big.size_words = kPages * AddressSpace::kPageWords;
+  big.alloc_seq = 1;
+  hostile.heap_allocations = {big};
+  hostile.heap_next_free = kHeapBase + kPages * AddressSpace::kPageBytes;
+  hostile.heap_next_seq = 2;
+  for (uint64_t i = 0; i < kPages; ++i) {
+    hostile.memory.WriteWordUnchecked(
+        kHeapBase + i * AddressSpace::kPageBytes, static_cast<int64_t>(i));
+  }
+  ExpectDataLoss(SerializeCoredump(hostile), "allocation word missing");
+  // The same allocation fully present is an image the VM captures.
+  for (uint64_t w = 0; w < big.size_words; ++w) {
+    hostile.memory.WriteWordUnchecked(kHeapBase + w * kWordSize, 0);
+  }
+  auto dense = DeserializeCoredump(SerializeCoredump(hostile));
+  ASSERT_TRUE(dense.ok()) << dense.status().ToString();
+  EXPECT_TRUE(dense.value().memory == hostile.memory);
+}
+
+TEST(SerializeTest, RejectsMisshapenImages) {
+  const Coredump dump = DumpOf("use_after_free");
+  ASSERT_FALSE(dump.heap_allocations.empty());
+  ASSERT_GE(dump.memory.MappedWordCount(), 2u);
+  const std::vector<uint8_t> bytes = SerializeCoredump(dump);
+  // The has_memory byte follows magic, version and the trap record; the
+  // word count and then the (address, value) words follow it.
+  const size_t has_memory =
+      8 + 4 + (1 + 4 + 12 + 8 + 8) + dump.trap.message.size();
+  const size_t first_word = has_memory + 1 + 8;
+  ASSERT_EQ(bytes[has_memory], 1);
+
+  std::vector<uint8_t> unaligned = bytes;
+  unaligned[first_word] ^= 4;
+  ExpectDataLoss(unaligned, "not aligned and ascending");
+
+  std::vector<uint8_t> swapped = bytes;
+  std::swap_ranges(swapped.begin() + first_word,
+                   swapped.begin() + first_word + 16,
+                   swapped.begin() + first_word + 16);
+  ExpectDataLoss(swapped, "not aligned and ascending");
+
+  Coredump gap = dump;
+  gap.heap_allocations.front().base += kWordSize;
+  ExpectDataLoss(SerializeCoredump(gap), "do not tile the heap");
+
+  std::vector<uint8_t> minidump_with_image = bytes;
+  minidump_with_image[has_memory] = 0;
+  ExpectDataLoss(minidump_with_image, "minidump carries a memory image");
+  auto mini = DeserializeCoredump(SerializeCoredump(MakeMinidump(dump)));
+  EXPECT_TRUE(mini.ok()) << mini.status().ToString();
 }
 
 TEST(CorruptorTest, MemoryBitFlipChangesExactlyOneWord) {
