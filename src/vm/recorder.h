@@ -45,7 +45,7 @@ class Recorder {
   virtual void OnInput(uint32_t thread, int64_t channel, int64_t value) {}
   virtual void OnSchedule(uint32_t thread) {}
   // `thread` entered `block`: its first block, a branch, call or return.
-  virtual void OnBlock(uint32_t thread, BlockRef block) {}
+  virtual void OnBlock(uint32_t /*thread*/, BlockRef /*block*/) {}
   virtual size_t LogBytes() const = 0;
 };
 

@@ -7,9 +7,10 @@
 // after op in place for as many steps as its scheduler picked and granted
 // it. A pluggable Scheduler interleaves threads, a pluggable InputProvider
 // supplies environment values, and an optional Recorder observes the run
-// (the record-replay baselines, and tests' ground truth). On failure the VM freezes with full state (memory, heap
-// metadata, all thread stacks, LBR rings, error log) ready for coredump
-// capture. docs/ARCHITECTURE.md §12.
+// (the record-replay baselines, and tests' ground truth). On failure the
+// VM freezes with full state (memory, heap metadata, all thread stacks,
+// LBR rings, error log) ready for coredump capture. docs/ARCHITECTURE.md
+// §12.
 #ifndef RES_VM_VM_H_
 #define RES_VM_VM_H_
 
