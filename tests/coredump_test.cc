@@ -124,9 +124,9 @@ TEST(SerializeTest, RejectsTrailingGarbage) {
   EXPECT_FALSE(DeserializeCoredump(bytes).ok());
 }
 
-// --- Memory images the VM cannot capture: the deserializer used to build a
-// 4 KiB page for each wire word before checking anything, so a small blob
-// could make the daemon map far more memory than it carried. ---
+// --- Memory images the VM cannot capture. Each page costs 4 KiB whatever
+// the wire carries, so a blob must fail before a page is built rather than
+// make the daemon map far more memory than it carries. ---
 
 // `bytes` must fail with kDataLoss, for the reason `why` names.
 void ExpectDataLoss(const std::vector<uint8_t>& bytes, const std::string& why) {
