@@ -3,6 +3,7 @@
 #include "src/coredump/coredump.h"
 #include "src/ir/builder.h"
 #include "src/ir/verifier.h"
+#include "src/support/string_util.h"
 #include "src/vm/vm.h"
 #include "src/workloads/workloads.h"
 #include "tests/ground_truth_recorder.h"
@@ -207,6 +208,83 @@ TEST(VmTrapTest, UnalignedLoadTraps) {
   ASSERT_EQ(r.outcome, RunOutcome::kTrapped);
   EXPECT_EQ(r.trap.kind, TrapKind::kMemoryFault);
   EXPECT_EQ(r.trap.address, 0x13u);
+}
+
+// main: allocates two 2-word blocks (kHeapBase and kHeapBase + 16), frees
+// the second, then applies `op` to `addr`. Globals: "out" at kGlobalBase,
+// then the 2-word "cell".
+Module MemoryOpProgram(Opcode op, uint64_t addr) {
+  ModuleBuilder mb;
+  mb.AddGlobal("out", 1);
+  mb.AddGlobal("cell", 2);
+  FunctionBuilder fb = mb.DefineFunction("main", 0);
+  RegId size = fb.Const(16);
+  fb.Alloc(size);
+  fb.Free(fb.Alloc(size));
+  RegId a = fb.Const(static_cast<int64_t>(addr));
+  RegId v = fb.Const(7);
+  if (op == Opcode::kLoad) {
+    fb.StoreGlobal("out", fb.Load(a, 0));
+  } else if (op == Opcode::kStore) {
+    fb.Store(a, 0, v);
+  } else {
+    fb.StoreGlobal("out", fb.AtomicRmwAdd(a, v));
+  }
+  fb.Halt();
+  fb.Finish();
+  mb.SetEntry("main");
+  return std::move(mb).Build();
+}
+
+// A memory trap's kind, address and message are captured into every
+// coredump, so each faulting access keeps its exact trap.
+TEST(VmTrapTest, MemoryFaultsKeepTheirTraps) {
+  struct Case {
+    uint64_t addr;
+    TrapKind kind;
+    const char* read;   // kLoad and kAtomicRmwAdd (which reads first)
+    const char* write;  // kStore
+  };
+  const Case cases[] = {
+      {0x1000c, TrapKind::kMemoryFault, "unaligned read at 0x1000c",
+       "unaligned write at 0x1000c"},
+      {0x10018, TrapKind::kMemoryFault, "read of unmapped 0x10018",
+       "write to unmapped 0x10018"},
+      {0x8, TrapKind::kMemoryFault, "read of unmapped 0x8", "write to unmapped 0x8"},
+      {kGlobalLimit, TrapKind::kMemoryFault, "read of unmapped 0x1000000",
+       "write to unmapped 0x1000000"},
+      {kHeapLimit, TrapKind::kMemoryFault, "read of unmapped 0x40000000",
+       "write to unmapped 0x40000000"},
+      {kHeapBase + 4, TrapKind::kMemoryFault, "unaligned read at 0x10000004",
+       "unaligned write at 0x10000004"},
+      {kHeapBase + 24, TrapKind::kUseAfterFree, "read of freed memory",
+       "write to freed memory"},
+      {kHeapBase + 28, TrapKind::kUseAfterFree, "read of freed memory",
+       "write to freed memory"},
+      {kHeapBase + 32, TrapKind::kMemoryFault, "read of unallocated heap",
+       "write to unallocated heap"},
+  };
+  for (Opcode op : {Opcode::kLoad, Opcode::kStore, Opcode::kAtomicRmwAdd}) {
+    for (const Case& c : cases) {
+      SCOPED_TRACE(StrFormat("%s at 0x%llx", std::string(OpcodeName(op)).c_str(),
+                             static_cast<unsigned long long>(c.addr)));
+      Module m = MemoryOpProgram(op, c.addr);
+      ASSERT_TRUE(VerifyModule(m).ok());
+      Vm vm(&m);
+      ASSERT_TRUE(vm.Reset().ok());
+      RunResult r = vm.Run();
+      ASSERT_EQ(r.outcome, RunOutcome::kTrapped);
+      EXPECT_EQ(r.trap.kind, c.kind);
+      EXPECT_EQ(r.trap.thread, 0u);
+      EXPECT_EQ(r.trap.address, c.addr);
+      EXPECT_EQ(r.trap.message, op == Opcode::kStore ? c.write : c.read);
+      EXPECT_EQ(m.function(r.trap.pc.func)
+                    .blocks[r.trap.pc.block]
+                    .instructions[r.trap.pc.index]
+                    .op,
+                op);
+    }
+  }
 }
 
 TEST(VmTrapTest, AssertFailureCarriesMessage) {
