@@ -98,6 +98,26 @@ Status Coredump::Validate(const Module& module,
       return DataLoss("allocation sequence outside heap epoch");
     }
   }
+  if (has_memory) {
+    // The VM maps exactly the module's globals in the globals segment:
+    // every word of each, and no other.
+    uint64_t declared_words = 0;
+    for (const GlobalVar& g : module.globals()) {
+      for (uint64_t i = 0; i < g.size_words; ++i) {
+        if (!memory.IsMappedWord(g.address + i * kWordSize)) {
+          return DataLoss("declared global word missing from the memory image");
+        }
+      }
+      declared_words += g.size_words;
+    }
+    uint64_t global_words = 0;
+    memory.ForEachWord([&global_words](uint64_t addr, int64_t) {
+      global_words += IsGlobalAddress(addr) ? 1 : 0;
+    });
+    if (global_words != declared_words) {
+      return DataLoss("memory image maps globals the module does not declare");
+    }
+  }
   if (error_log.size() > kErrorLogCapacity) {
     return DataLoss("error log longer than its ring");
   }

@@ -94,51 +94,62 @@ void Vm::RaiseTrap(TrapKind kind, uint32_t tid, const Pc& pc, uint64_t address,
   stopped_ = true;
 }
 
-bool Vm::CheckedRead(uint32_t tid, const Frame& f, uint64_t addr, int64_t* out) {
-  if (IsHeapAddress(addr)) {
-    Heap::AccessVerdict verdict = heap_.CheckAccess(addr);
-    if (verdict == Heap::AccessVerdict::kFreed) {
-      RaiseTrap(TrapKind::kUseAfterFree, tid, f.pc(), addr, "read of freed memory");
-      return false;
-    }
-    if (verdict == Heap::AccessVerdict::kUnallocated) {
-      RaiseTrap(TrapKind::kMemoryFault, tid, f.pc(), addr, "read of unallocated heap");
-      return false;
-    }
-  }
-  auto r = memory_.ReadWord(addr);
-  if (!r.ok()) {
-    RaiseTrap(TrapKind::kMemoryFault, tid, f.pc(), addr, r.status().message());
+namespace {
+
+// A heap word is readable and writable while its allocation lives.
+bool HeapAdmits(const Heap& heap, uint64_t addr) {
+  return !IsHeapAddress(addr) ||
+         heap.CheckAccess(addr) == Heap::AccessVerdict::kOk;
+}
+
+}  // namespace
+
+inline bool Vm::CheckedRead(uint32_t tid, const Frame& f, uint64_t addr,
+                            int64_t* out) {
+  const int64_t* word = memory_.FindWord(addr);
+  if (word == nullptr || !HeapAdmits(heap_, addr)) [[unlikely]] {
+    RaiseMemoryTrap(tid, f, addr, /*is_write=*/false);
     return false;
   }
-  *out = r.value();
+  *out = *word;
   if (recorder_ != nullptr) {
     recorder_->OnMemoryOp(tid, addr, *out, /*is_write=*/false);
   }
   return true;
 }
 
-bool Vm::CheckedWrite(uint32_t tid, const Frame& f, uint64_t addr, int64_t value) {
-  if (IsHeapAddress(addr)) {
-    Heap::AccessVerdict verdict = heap_.CheckAccess(addr);
-    if (verdict == Heap::AccessVerdict::kFreed) {
-      RaiseTrap(TrapKind::kUseAfterFree, tid, f.pc(), addr, "write to freed memory");
-      return false;
-    }
-    if (verdict == Heap::AccessVerdict::kUnallocated) {
-      RaiseTrap(TrapKind::kMemoryFault, tid, f.pc(), addr, "write to unallocated heap");
-      return false;
-    }
-  }
-  Status s = memory_.WriteWord(addr, value);
-  if (!s.ok()) {
-    RaiseTrap(TrapKind::kMemoryFault, tid, f.pc(), addr, s.message());
+inline bool Vm::CheckedWrite(uint32_t tid, const Frame& f, uint64_t addr,
+                             int64_t value) {
+  int64_t* word = memory_.FindWord(addr);
+  if (word == nullptr || !HeapAdmits(heap_, addr)) [[unlikely]] {
+    RaiseMemoryTrap(tid, f, addr, /*is_write=*/true);
     return false;
   }
+  *word = value;
   if (recorder_ != nullptr) {
     recorder_->OnMemoryOp(tid, addr, value, /*is_write=*/true);
   }
   return true;
+}
+
+void Vm::RaiseMemoryTrap(uint32_t tid, const Frame& f, uint64_t addr,
+                         bool is_write) {
+  if (IsHeapAddress(addr)) {
+    switch (heap_.CheckAccess(addr)) {
+      case Heap::AccessVerdict::kFreed:
+        RaiseTrap(TrapKind::kUseAfterFree, tid, f.pc(), addr,
+                  is_write ? "write to freed memory" : "read of freed memory");
+        return;
+      case Heap::AccessVerdict::kUnallocated:
+        RaiseTrap(TrapKind::kMemoryFault, tid, f.pc(), addr,
+                  is_write ? "write to unallocated heap" : "read of unallocated heap");
+        return;
+      case Heap::AccessVerdict::kOk:
+        break;
+    }
+  }
+  RaiseTrap(TrapKind::kMemoryFault, tid, f.pc(), addr,
+            AddressSpace::AccessError(addr, is_write).message());
 }
 
 void Vm::RecordBranch(uint32_t tid, const Pc& source, FuncId dfunc, BlockId dblock) {

@@ -103,9 +103,14 @@ class Vm {
                  std::string message);
 
   // Memory access with heap poisoning checks for thread `tid` at frame `f`'s
-  // pc. On failure raises a trap and returns false.
+  // pc. On failure raises a trap and returns false. Inline in vm.cc: an
+  // access that succeeds builds no status.
   bool CheckedRead(uint32_t tid, const Frame& f, uint64_t addr, int64_t* out);
   bool CheckedWrite(uint32_t tid, const Frame& f, uint64_t addr, int64_t value);
+  // Raises the trap of an access CheckedRead/CheckedWrite refused: the
+  // heap's verdict first, then the address space's error.
+  [[gnu::cold, gnu::noinline]] void RaiseMemoryTrap(uint32_t tid, const Frame& f,
+                                                    uint64_t addr, bool is_write);
 
   void RecordBranch(uint32_t tid, const Pc& source, FuncId dfunc, BlockId dblock);
   void EnterBlock(uint32_t tid, FuncId func, BlockId block);

@@ -402,6 +402,37 @@ TEST(ValidateTest, RejectsSemanticGarbage) {
   }
 }
 
+TEST(ValidateTest, GlobalsImageIsTheModulesGlobals) {
+  WorkloadDump wd = ModuleAndDumpOf("div_by_zero_input");
+  ASSERT_TRUE(wd.dump.Validate(wd.module).ok());
+  auto expect_rejected = [&wd](const Coredump& mutant, const char* why) {
+    Status s = mutant.Validate(wd.module);
+    EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s.ToString();
+    EXPECT_NE(s.message().find(why), std::string::npos) << s.ToString();
+  };
+  // One undeclared word on each page of the globals segment: an image the
+  // deserializer admits, since each word lies in the segment.
+  Coredump spread = wd.dump;
+  constexpr uint64_t kPages = (kGlobalLimit - kGlobalBase) / AddressSpace::kPageBytes;
+  for (uint64_t p = 1; p <= kPages; ++p) {
+    spread.memory.WriteWordUnchecked(
+        kGlobalBase + p * AddressSpace::kPageBytes - kWordSize, static_cast<int64_t>(p));
+  }
+  const std::vector<uint8_t> blob = SerializeCoredump(spread);
+  EXPECT_LT(blob.size(), 66'000u);
+  auto parsed = DeserializeCoredump(blob);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  expect_rejected(parsed.value(), "globals the module does not declare");
+  // Each declared global word is in the image.
+  for (const GlobalVar& g : wd.module.globals()) {
+    Coredump missing = wd.dump;
+    missing.memory.UnmapRegion(g.address, 1);
+    expect_rejected(missing, "declared global word missing");
+  }
+  // A minidump carries no image to check.
+  EXPECT_TRUE(MakeMinidump(wd.dump).Validate(wd.module).ok());
+}
+
 TEST(ValidateTest, ErrorLogNoLongerThanItsRing) {
   // No VM keeps more than kErrorLogCapacity entries, but wire bytes can
   // carry any number: a full ring validates, one entry more is data loss.

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "src/vm/address_space.h"
 #include "src/vm/heap.h"
 
@@ -72,6 +75,124 @@ TEST(AddressSpaceTest, ForEachWordVisitsInOrder) {
   ASSERT_EQ(addrs.size(), 3u);
   EXPECT_EQ(addrs[0], kGlobalBase);  // ascending order
   EXPECT_EQ(addrs[1], kHeapBase);
+}
+
+TEST(AddressSpaceTest, SegmentEdgesAreMemory) {
+  constexpr uint64_t kPage = AddressSpace::kPageBytes;
+  AddressSpace as;
+  ASSERT_TRUE(as.MapRegion(kGlobalLimit - kWordSize, 1).ok());
+  ASSERT_TRUE(as.MapRegion(kHeapBase, AddressSpace::kPageWords).ok());
+  ASSERT_TRUE(as.MapRegion(kHeapLimit - kPage, AddressSpace::kPageWords).ok());
+  for (uint64_t addr : {kGlobalLimit - kWordSize, kHeapBase, kHeapBase + kPage - kWordSize,
+                        kHeapLimit - kPage, kHeapLimit - kWordSize}) {
+    ASSERT_TRUE(as.WriteWord(addr, static_cast<int64_t>(addr)).ok());
+    EXPECT_EQ(as.ReadWord(addr).value(), static_cast<int64_t>(addr));
+  }
+  EXPECT_FALSE(as.IsMappedWord(kGlobalLimit));
+  EXPECT_FALSE(as.IsMappedWord(kHeapBase - kWordSize));
+  EXPECT_FALSE(as.IsMappedWord(kHeapBase + kPage));
+  EXPECT_FALSE(as.IsMappedWord(kHeapLimit));
+  EXPECT_FALSE(as.ReadWord(kHeapLimit).ok());
+  EXPECT_EQ(as.MappedWordCount(), 1 + 2 * AddressSpace::kPageWords);
+}
+
+TEST(AddressSpaceTest, MapRegionStaysInsideOneSegment) {
+  struct Region {
+    uint64_t base;
+    uint64_t words;
+  };
+  const Region outside[] = {
+      {0, 1},
+      {0x8, 1},
+      {kGlobalBase - kWordSize, 2},   // runs into the globals
+      {kGlobalLimit - kWordSize, 2},  // runs past the globals' end
+      {kGlobalLimit, 1},
+      {kHeapBase - kWordSize, 2},
+      {kHeapLimit - kWordSize, 2},    // runs past the heap's end
+      {kHeapLimit, 1},
+      {kGlobalBase, (kHeapBase - kGlobalBase) / kWordSize + 1},  // spans the gap
+      {kHeapBase, UINT64_MAX / kWordSize},
+      {UINT64_MAX - 7, 2},            // wraps around
+  };
+  AddressSpace as;
+  for (const Region& r : outside) {
+    EXPECT_EQ(as.MapRegion(r.base, r.words).code(), StatusCode::kInvalidArgument)
+        << std::hex << r.base << " + " << std::dec << r.words << " words";
+  }
+  EXPECT_EQ(as.MappedWordCount(), 0u);
+  EXPECT_FALSE(as.IsMappedWord(kGlobalLimit - kWordSize));
+  EXPECT_FALSE(as.IsMappedWord(kHeapLimit - kWordSize));
+  EXPECT_TRUE(as == AddressSpace());
+  // Nor does an unchecked write map a word outside both segments.
+  for (uint64_t addr : {uint64_t{0x8}, kGlobalLimit, kHeapLimit}) {
+    as.WriteWordUnchecked(addr, 1);
+  }
+  EXPECT_EQ(as.MappedWordCount(), 0u);
+}
+
+TEST(AddressSpaceTest, ForEachWordWalksBothTablesInOrder) {
+  constexpr uint64_t kPage = AddressSpace::kPageBytes;
+  // Across pages of both tables and across 64-word mask boundaries,
+  // written out of order.
+  const std::vector<uint64_t> addrs = {
+      kHeapBase + 3 * kPage + 8, kGlobalBase + kPage, kHeapBase + 64 * kWordSize,
+      kGlobalLimit - kWordSize,  kHeapBase,           kGlobalBase,
+      kHeapBase + 63 * kWordSize};
+  AddressSpace as;
+  for (uint64_t addr : addrs) {
+    as.WriteWordUnchecked(addr, static_cast<int64_t>(addr ^ 5));
+  }
+  std::vector<uint64_t> sorted = addrs;
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<uint64_t> seen;
+  as.ForEachWord([&seen](uint64_t a, int64_t value) {
+    EXPECT_EQ(value, static_cast<int64_t>(a ^ 5));
+    seen.push_back(a);
+  });
+  EXPECT_EQ(seen, sorted);
+  EXPECT_EQ(as.MappedWordCount(), addrs.size());
+}
+
+TEST(AddressSpaceTest, CopyAssignmentIsDeepAndSelfSafe) {
+  AddressSpace as;
+  ASSERT_TRUE(as.MapRegion(kGlobalBase, 2).ok());
+  ASSERT_TRUE(as.WriteWord(kGlobalBase, 11).ok());
+  ASSERT_TRUE(as.MapRegion(kHeapBase, 1).ok());
+  AddressSpace other;
+  const uint64_t stale = kHeapBase + 5 * AddressSpace::kPageBytes;
+  ASSERT_TRUE(other.MapRegion(stale, 4).ok());
+  other = as;
+  EXPECT_TRUE(other == as);
+  EXPECT_FALSE(other.IsMappedWord(stale));
+  EXPECT_EQ(other.MappedWordCount(), 3u);
+  ASSERT_TRUE(other.WriteWord(kGlobalBase, 12).ok());
+  EXPECT_EQ(as.ReadWord(kGlobalBase).value(), 11);
+  EXPECT_FALSE(other == as);
+  const AddressSpace& alias = other;
+  other = alias;
+  EXPECT_EQ(other.ReadWord(kGlobalBase).value(), 12);
+  EXPECT_EQ(other.MappedWordCount(), 3u);
+}
+
+TEST(AddressSpaceTest, EqualityIgnoresPagesLeftEmpty) {
+  AddressSpace as;
+  ASSERT_TRUE(as.MapRegion(kGlobalBase, 1).ok());
+  ASSERT_TRUE(as.WriteWord(kGlobalBase, 5).ok());
+  AddressSpace other = as;
+  for (uint64_t base : {kGlobalBase + 3 * AddressSpace::kPageBytes,
+                        kHeapBase + 2 * AddressSpace::kPageBytes}) {
+    ASSERT_TRUE(other.MapRegion(base, 3).ok());  // a page `as` never built
+    ASSERT_TRUE(other.WriteWord(base + kWordSize, 7).ok());
+    EXPECT_FALSE(as == other);
+    EXPECT_FALSE(other == as);
+    other.UnmapRegion(base, 3);
+    EXPECT_TRUE(as == other);
+    EXPECT_TRUE(other == as);
+  }
+  EXPECT_EQ(other.MappedWordCount(), 1u);
+  // A mapped zero is not an unmapped word.
+  ASSERT_TRUE(other.MapRegion(kHeapBase, 1).ok());
+  EXPECT_FALSE(as == other);
 }
 
 TEST(HeapTest, BumpAllocation) {

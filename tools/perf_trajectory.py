@@ -58,6 +58,14 @@ every stream both sides ran. A part that neither side printed reads "none
 printed" and does not count towards AGREE (`long_run` prints neither report
 digests nor a ground-truth table); a part that only one side printed, or
 that no run printed at all, makes the verdict DIFFER or NOTHING COMPARED.
+
+Last, it prints where each side's `ReferenceLoop` (the host-speed probe
+that scales the metrics) starts, as its address mod 64, read with `nm -C`
+from that checkout's .bench_build/perfbench/perfbench; "unknown" when nm,
+the binary or the symbol is missing. A change elsewhere in the binary can
+move the loop, and a moved loop can time differently on the same host, so a
+warning line follows when the two offsets differ: then the scaled ratios
+carry that artifact, and the as-measured medians are the check.
 """
 
 import argparse
@@ -65,6 +73,7 @@ import json
 import math
 import os
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -234,6 +243,21 @@ def as_measured(name, stdout):
     return float(match.group(1)) if match else math.nan
 
 
+def reference_loop_offset(root):
+    """ReferenceLoop's address mod 64 in root's perfbench binary, as a
+    string, or "unknown"."""
+    binary = os.path.join(root, ".bench_build", "perfbench", "perfbench")
+    if shutil.which("nm") is None or not os.path.isfile(binary):
+        return "unknown"
+    out = subprocess.run(["nm", "-C", binary], capture_output=True, text=True)
+    for line in out.stdout.splitlines():
+        fields = line.split(maxsplit=2)
+        if (len(fields) == 3 and fields[1] in ("t", "T")
+                and "ReferenceLoop(" in fields[2]):
+            return str(int(fields[0], 16) % 64)
+    return "unknown"
+
+
 def compare_identity(runs):
     """One line on whether both sides' runs agree on what identity() reads.
 
@@ -340,6 +364,13 @@ def pairs(args):
                      f"{statistics.median(vm_rates):.4g}")
         print(line)
     print(compare_identity(outputs))
+    offsets = {side: reference_loop_offset(root) for side, root in roots.items()}
+    print(f"ReferenceLoop offset mod 64: parent {offsets['parent']}, "
+          f"change {offsets['change']}")
+    if "unknown" not in offsets.values() and len(set(offsets.values())) == 2:
+        print("warning: ReferenceLoop offsets differ, so the host slowdown "
+              "that scales the metrics may read differently on the two "
+              "sides; compare the as-measured medians")
 
 
 def main():
