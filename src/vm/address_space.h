@@ -92,22 +92,8 @@ class AddressSpace {
   };
   using Table = std::vector<std::unique_ptr<Page>>;
 
-  // The table of the segment holding `addr`, and addr's offset from that
-  // segment's base; null outside both segments.
-  const Table* Locate(uint64_t addr, uint64_t* offset) const {
-    if (IsGlobalAddress(addr)) {
-      *offset = addr - kGlobalBase;
-      return &globals_;
-    }
-    if (IsHeapAddress(addr)) {
-      *offset = addr - kHeapBase;
-      return &heap_;
-    }
-    return nullptr;
-  }
-
   // The page holding `addr`, and addr's word index in it; null if `addr`
-  // is unaligned or its page was never built.
+  // is unaligned, outside both segments, or its page was never built.
   const Page* FindPage(uint64_t addr, size_t* slot) const;
   Page* FindPage(uint64_t addr, size_t* slot) {
     return const_cast<Page*>(std::as_const(*this).FindPage(addr, slot));
@@ -127,14 +113,17 @@ class AddressSpace {
 
 inline const AddressSpace::Page* AddressSpace::FindPage(uint64_t addr,
                                                          size_t* slot) const {
-  uint64_t offset = 0;
-  const Table* table = Locate(addr, &offset);
-  if (table == nullptr || !IsWordAligned(addr) ||
-      offset / kPageBytes >= table->size()) {
+  const bool global = IsGlobalAddress(addr);
+  if ((!global && !IsHeapAddress(addr)) || !IsWordAligned(addr)) {
+    return nullptr;
+  }
+  const Table& table = global ? globals_ : heap_;
+  const uint64_t offset = addr - (global ? kGlobalBase : kHeapBase);
+  if (offset / kPageBytes >= table.size()) {
     return nullptr;
   }
   *slot = offset % kPageBytes / kWordSize;
-  return (*table)[offset / kPageBytes].get();
+  return table[offset / kPageBytes].get();
 }
 
 inline const int64_t* AddressSpace::FindWord(uint64_t addr) const {
