@@ -49,8 +49,9 @@ class AddressSpace {
   // nothing.
   Status MapRegion(uint64_t base, uint64_t words);
 
-  // Unmaps words (used only by tests; kFree keeps pages mapped so RES can
-  // still observe freed memory in the dump, like a real coredump does).
+  // Unmaps words (replay unmaps allocations its suffix has yet to make;
+  // kFree keeps pages mapped so RES can still observe freed memory in the
+  // dump, like a real coredump does).
   void UnmapRegion(uint64_t base, uint64_t words);
 
   // The mapped word at `addr`; null if `addr` is unaligned or unmapped.
