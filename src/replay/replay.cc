@@ -53,7 +53,8 @@ Result<ReplayState> BuildReplayState(const Module& module, const Coredump& dump,
   state.heap.set_next_seq(next_seq);
 
   // --- Threads. ---
-  for (const SymThread& st : snap.threads()) {
+  for (size_t tid = 0; tid < snap.thread_count(); ++tid) {
+    const SymThread& st = snap.thread(tid);
     Thread t;
     t.id = st.id;
     if (st.opaque) {

@@ -127,8 +127,6 @@ struct ResEngine::Hypothesis {
   // Per-hypothesis incremental detector state, folded one unit at a time
   // alongside the chain (mirrors how SolverContext threads solver state).
   RootCauseContext rc_ctx;
-  std::vector<size_t> lbr_remaining;       // per thread, unconsumed LBR entries
-  std::vector<size_t> errlog_remaining;    // per thread, unconsumed log entries
 
   void AppendUnit(SuffixUnit unit) {
     units_backward = ExtendSuffixChain(std::move(units_backward), std::move(unit));
@@ -154,7 +152,7 @@ struct ResEngine::TaskCtx {
 // witness model, which each child forks at its own gate.
 struct ResEngine::Gated {
   SolverContext ctx;
-  Assignment model;
+  std::shared_ptr<const Assignment> model;  // never null once gated
   bool verified = false;
 };
 
@@ -260,11 +258,10 @@ uint64_t ResEngine::solver_fingerprint() const { return solver_.fingerprint(); }
 ResEngine::Hypothesis ResEngine::MakeInitialHypothesis() {
   Hypothesis h;
   h.state = SymSnapshot::FromCoredump(module_, dump_, pool_);
-  h.lbr_remaining.resize(dump_.threads.size(), 0);
-  h.errlog_remaining.resize(dump_.threads.size(), 0);
   for (size_t t = 0; t < dump_.threads.size(); ++t) {
-    h.lbr_remaining[t] = dump_.threads[t].lbr.size();
-    h.errlog_remaining[t] = thread_logs_[t].size();
+    SymThread& st = h.state.MutableThread(t);
+    st.lbr_remaining = dump_.threads[t].lbr.size();
+    st.errlog_remaining = thread_logs_[t].size();
   }
   return h;
 }
@@ -403,7 +400,7 @@ bool ResEngine::LbrAllowsEdge(const Hypothesis& h, uint32_t tid,
   if (!options_.use_lbr) {
     return true;
   }
-  size_t rem = h.lbr_remaining[tid];
+  size_t rem = h.state.thread(tid).lbr_remaining;
   if (rem == 0) {
     return true;  // ring rotated past this point: no information
   }
@@ -435,11 +432,11 @@ bool ResEngine::CommitFresh(Hypothesis* h, std::vector<const Expr*> fresh,
 bool ResEngine::GateNode(const StackEntry& n, Gated* g, TaskCtx* tctx,
                          std::vector<const Expr*>* core) {
   if (n.parent == nullptr) {
-    g->verified = true;  // the base case needs no gate
+    // The base case needs no gate; its witness is the empty assignment.
+    g->model = std::make_shared<const Assignment>();
+    g->verified = true;
     return true;
   }
-  // Unknown verdicts keep the parent's witness as the node's model.
-  g->model = n.parent->model;
   g->ctx = n.parent->ctx;
   SolveOutcome outcome = solver_.CheckIncremental(&g->ctx, n.h.constraints,
                                                   &tctx->stats.solver);
@@ -460,6 +457,8 @@ bool ResEngine::GateNode(const StackEntry& n, Gated* g, TaskCtx* tctx,
       g->model = std::move(outcome.model);
       return true;
     case SatResult::kUnknown:
+      // Unknown verdicts keep the parent's witness as the node's model.
+      g->model = n.parent->model;
       g->verified = false;
       ++tctx->stats.unknown_kept;
       return true;
@@ -523,10 +522,12 @@ struct ResEngine::UnitState {
     uint64_t base;
   };
 
+  explicit UnitState(Hypothesis base) : h(std::move(base)) {}
+
   Hypothesis h;                        // the copy of `base` being extended
   std::vector<bool> wset;              // the unit's static register write set
-  std::vector<const Expr*> post_regs;  // the frame's registers in S_post
-  std::vector<const Expr*> pre_regs;   // ... and in S_pre, write set havocked
+  std::vector<const Expr*> pre_regs;   // the frame's registers in S_pre
+                                       // (S_post's, write set havocked)
   std::vector<const Expr*> env;        // register values so far
   std::vector<const Expr*> cons;       // matching constraints so far
   std::map<uint64_t, MemCell> cells;   // unit-local memory
@@ -539,11 +540,10 @@ struct ResEngine::UnitState {
   std::optional<int64_t> pinned;  // a fork's option for instruction `next`
 };
 
-void ResEngine::ExecuteUnit(const Hypothesis& base, const UnitPlan& plan,
+void ResEngine::ExecuteUnit(Hypothesis base, const UnitPlan& plan,
                             TaskCtx* tctx, std::vector<Hypothesis>* out) {
-  UnitState s;
-  s.h = base;
-  const SymThread& st = base.state.threads()[plan.tid];
+  UnitState s(std::move(base));
+  const SymThread& st = s.h.state.thread(plan.tid);
   assert(!st.frames.empty());
   const SymFrame& frame = st.frames.back();
   assert(frame.func == plan.block.func);
@@ -566,8 +566,7 @@ void ResEngine::ExecuteUnit(const Hypothesis& base, const UnitPlan& plan,
 
   // S_pre registers: havoc the write set (paper §2.4: "replacing every
   // memory location overwritten by B with an unconstrained symbolic value").
-  s.post_regs = frame.regs;
-  s.pre_regs = s.post_regs;
+  s.pre_regs = frame.regs;
   if (plan.check_frame_post) {
     for (RegId r = 0; r < fn.num_regs; ++r) {
       if (s.wset[r]) {
@@ -602,8 +601,8 @@ void ResEngine::ContinueUnit(const UnitPlan& plan, UnitState s, TaskCtx* tctx,
   // Resolves a multi-way choice, which every instruction makes before its
   // first write: `s` is still the state at the instruction's start. A
   // single option resolves in place. Otherwise each option continues from
-  // its own copy of `s`, re-entering this instruction with the option
-  // pinned, and this run stops.
+  // its own copy of `s` (the last from `s` itself), re-entering this
+  // instruction with the option pinned, and this run stops.
   auto choose_single_aware =
       [&](const std::vector<int64_t>& options) -> std::optional<int64_t> {
     if (options.size() == 1) {
@@ -614,11 +613,13 @@ void ResEngine::ContinueUnit(const UnitPlan& plan, UnitState s, TaskCtx* tctx,
       return std::nullopt;
     }
     tctx->stats.address_forks += options.size();
-    for (int64_t c : options) {
+    for (size_t k = 0; k + 1 < options.size(); ++k) {
       UnitState fork = s;
-      fork.pinned = c;
+      fork.pinned = options[k];
       ContinueUnit(plan, std::move(fork), tctx, out);
     }
+    s.pinned = options.back();
+    ContinueUnit(plan, std::move(s), tctx, out);
     forked = true;
     return std::nullopt;
   };
@@ -906,7 +907,8 @@ void ResEngine::ContinueUnit(const UnitPlan& plan, UnitState s, TaskCtx* tctx,
         // Link the spawn to a thread whose snapshot still sits at birth.
         const Function& callee = module_.function(inst.callee);
         std::vector<int64_t> candidates;
-        for (const SymThread& u : h.state.threads()) {
+        for (size_t t = 0; t < h.state.thread_count(); ++t) {
+          const SymThread& u = h.state.thread(t);
           if (u.id == plan.tid || u.spawn_linked || u.opaque ||
               u.frames.size() != 1) {
             continue;
@@ -921,7 +923,7 @@ void ResEngine::ContinueUnit(const UnitPlan& plan, UnitState s, TaskCtx* tctx,
         if (!chosen) {
           break;
         }
-        SymThread& u = h.state.threads()[static_cast<size_t>(*chosen)];
+        SymThread& u = h.state.MutableThread(static_cast<size_t>(*chosen));
         SymFrame& uf = u.frames.back();
         cons.push_back(pool_->Eq(uf.regs[0], env[inst.ra]));
         for (size_t r = callee.num_params; r < uf.regs.size(); ++r) {
@@ -942,8 +944,8 @@ void ResEngine::ContinueUnit(const UnitPlan& plan, UnitState s, TaskCtx* tctx,
         if (!target) {
           break;
         }
-        if (*target >= h.state.threads().size() ||
-            h.state.threads()[*target].dump_state != ThreadState::kExited) {
+        if (*target >= h.state.thread_count() ||
+            h.state.thread(*target).dump_state != ThreadState::kExited) {
           // A completed join inside the suffix requires the joined thread
           // to have exited before the suffix (exited threads are opaque).
           infeasible = true;
@@ -1077,12 +1079,13 @@ void ResEngine::ContinueUnit(const UnitPlan& plan, UnitState s, TaskCtx* tctx,
     }
   }
 
-  // --- Register matching. ---
-  SymFrame& frame = h.state.threads()[plan.tid].frames.back();
+  // --- Register matching (the frame still holds S_post's registers). ---
+  SymThread& thread = h.state.MutableThread(plan.tid);
+  SymFrame& frame = thread.frames.back();
   if (plan.check_frame_post) {
     for (RegId r = 0; r < fn.num_regs; ++r) {
       if (s.wset[r]) {
-        cons.push_back(pool_->Eq(env[r], s.post_regs[r]));
+        cons.push_back(pool_->Eq(env[r], frame.regs[r]));
       }
     }
     frame.regs = std::move(s.pre_regs);
@@ -1099,7 +1102,7 @@ void ResEngine::ContinueUnit(const UnitPlan& plan, UnitState s, TaskCtx* tctx,
   // --- Error-log breadcrumbs (§2.4). ---
   if (options_.use_error_log && !s.outputs.empty()) {
     const std::vector<ErrorLogEntry>& tlog = thread_logs_[plan.tid];
-    size_t rem = h.errlog_remaining[plan.tid];
+    size_t rem = thread.errlog_remaining;
     size_t k = s.outputs.size();
     size_t matched = std::min(rem, k);
     if (k > rem && !log_was_full_) {
@@ -1116,12 +1119,12 @@ void ResEngine::ContinueUnit(const UnitPlan& plan, UnitState s, TaskCtx* tctx,
       }
       cons.push_back(pool_->Eq(oval, pool_->Const(entry.value)));
     }
-    h.errlog_remaining[plan.tid] = rem - matched;
+    thread.errlog_remaining = rem - matched;
   }
 
   // --- LBR breadcrumb consumption. ---
-  if (plan.consumes_lbr && options_.use_lbr && h.lbr_remaining[plan.tid] > 0) {
-    --h.lbr_remaining[plan.tid];
+  if (plan.consumes_lbr && options_.use_lbr && thread.lbr_remaining > 0) {
+    --thread.lbr_remaining;
   }
 
   h.AppendUnit(std::move(unit));
@@ -1148,8 +1151,7 @@ void ResEngine::ContinueUnit(const UnitPlan& plan, UnitState s, TaskCtx* tctx,
 std::vector<ResEngine::Hypothesis> ResEngine::TryReversePartial(const Hypothesis& h,
                                                                 uint32_t tid,
                                                                 TaskCtx* tctx) {
-  const SymThread& st = h.state.threads()[tid];
-  const SymFrame& top = st.frames.back();
+  const SymFrame& top = h.state.thread(tid).frames.back();
   std::vector<Hypothesis> out;
   UnitPlan plan;
   plan.tid = tid;
@@ -1160,7 +1162,7 @@ std::vector<ResEngine::Hypothesis> ResEngine::TryReversePartial(const Hypothesis
   plan.consumes_lbr = false;
   ExecuteUnit(h, plan, tctx, &out);
   for (Hypothesis& h2 : out) {
-    h2.state.threads()[tid].partial_done = true;
+    h2.state.MutableThread(tid).partial_done = true;
   }
   return out;
 }
@@ -1169,8 +1171,7 @@ std::vector<ResEngine::Hypothesis> ResEngine::TryReverseLocal(const Hypothesis& 
                                                               uint32_t tid,
                                                               const PredEdge& edge,
                                                               TaskCtx* tctx) {
-  const SymThread& st = h.state.threads()[tid];
-  const SymFrame& top = st.frames.back();
+  const SymFrame& top = h.state.thread(tid).frames.back();
   const Function& fn = module_.function(edge.pred.func);
   const BasicBlock& pred_bb = fn.blocks[edge.pred.block];
   const Pc source{edge.pred.func, edge.pred.block,
@@ -1195,7 +1196,7 @@ std::vector<ResEngine::Hypothesis> ResEngine::TryReverseLocal(const Hypothesis& 
 
 std::vector<ResEngine::Hypothesis> ResEngine::TryReverseCallEntry(
     const Hypothesis& h, uint32_t tid, const PredEdge& edge, TaskCtx* tctx) {
-  const SymThread& st = h.state.threads()[tid];
+  const SymThread& st = h.state.thread(tid);
   if (st.frames.size() < 2) {
     return {};
   }
@@ -1219,7 +1220,7 @@ std::vector<ResEngine::Hypothesis> ResEngine::TryReverseCallEntry(
   }
 
   Hypothesis h2 = h;
-  SymThread& st2 = h2.state.threads()[tid];
+  SymThread& st2 = h2.state.MutableThread(tid);
   const Function& callee_fn = module_.function(top.func);
 
   UnitPlan plan;
@@ -1242,7 +1243,7 @@ std::vector<ResEngine::Hypothesis> ResEngine::TryReverseCallEntry(
   st2.frames.pop_back();
 
   std::vector<Hypothesis> out;
-  ExecuteUnit(h2, plan, tctx, &out);
+  ExecuteUnit(std::move(h2), plan, tctx, &out);
   return out;
 }
 
@@ -1250,8 +1251,7 @@ std::vector<ResEngine::Hypothesis> ResEngine::TryReverseReturn(const Hypothesis&
                                                                uint32_t tid,
                                                                const PredEdge& edge,
                                                                TaskCtx* tctx) {
-  const SymThread& st = h.state.threads()[tid];
-  const SymFrame& top = st.frames.back();
+  const SymFrame& top = h.state.thread(tid).frames.back();
   const Function& callee_fn = module_.function(edge.pred.func);
   const BasicBlock& ret_bb = callee_fn.blocks[edge.pred.block];
   const Function& caller_fn = module_.function(edge.call_site.func);
@@ -1266,7 +1266,7 @@ std::vector<ResEngine::Hypothesis> ResEngine::TryReverseReturn(const Hypothesis&
   }
 
   Hypothesis h2 = h;
-  SymThread& st2 = h2.state.threads()[tid];
+  SymThread& st2 = h2.state.MutableThread(tid);
   SymFrame& caller = st2.frames.back();
 
   UnitPlan plan;
@@ -1294,7 +1294,7 @@ std::vector<ResEngine::Hypothesis> ResEngine::TryReverseReturn(const Hypothesis&
   st2.frames.push_back(std::move(callee));
 
   std::vector<Hypothesis> out;
-  ExecuteUnit(h2, plan, tctx, &out);
+  ExecuteUnit(std::move(h2), plan, tctx, &out);
   return out;
 }
 
@@ -1302,12 +1302,11 @@ std::vector<ResEngine::Hypothesis> ResEngine::TryMarkBirth(const Hypothesis& h,
                                                            uint32_t tid,
                                                            const PredEdge* spawn_edge,
                                                            TaskCtx* tctx) {
-  const SymThread& st = h.state.threads()[tid];
-  const SymFrame& top = st.frames.back();
+  const SymFrame& top = h.state.thread(tid).frames.back();
   const Function& fn = module_.function(top.func);
 
   Hypothesis h2 = h;
-  h2.state.threads()[tid].at_birth = true;
+  h2.state.MutableThread(tid).at_birth = true;
   std::vector<const Expr*> cons;
   // At creation, parameters hold the (spawn) argument and everything else
   // is zero. main() has no parameters, so all registers are zero.
@@ -1371,17 +1370,17 @@ std::optional<SynthesizedSuffix> ResEngine::CompleteStartNode(
       ++tctx->stats.pruned_unsat;
       return std::nullopt;
     case SatResult::kSat:
-      return Finalize(h2, outcome.model, /*verified=*/true);
+      return Finalize(h2, *outcome.model, /*verified=*/true);
     case SatResult::kUnknown:
       ++tctx->stats.unknown_kept;
-      return Finalize(h2, g.model, /*verified=*/false);  // inherited witness
+      return Finalize(h2, *g.model, /*verified=*/false);  // inherited witness
   }
   return std::nullopt;
 }
 
 bool ResEngine::AllThreadsAtBirth(const Hypothesis& h) const {
-  for (const SymThread& t : h.state.threads()) {
-    if (!t.at_birth) {
+  for (size_t t = 0; t < h.state.thread_count(); ++t) {
+    if (!h.state.thread(t).at_birth) {
       return false;
     }
   }
@@ -1394,13 +1393,13 @@ std::vector<ResEngine::Hypothesis> ResEngine::Expand(const Hypothesis& h,
   // Thread order heuristic: the faulting thread's history first.
   std::vector<uint32_t> order;
   order.push_back(dump_.trap.thread);
-  for (uint32_t t = 0; t < h.state.threads().size(); ++t) {
+  for (uint32_t t = 0; t < h.state.thread_count(); ++t) {
     if (t != dump_.trap.thread) {
       order.push_back(t);
     }
   }
   for (uint32_t tid : order) {
-    const SymThread& st = h.state.threads()[tid];
+    const SymThread& st = h.state.thread(tid);
     if (!st.Reversible()) {
       continue;
     }
@@ -1476,7 +1475,7 @@ std::vector<RootCause> ResEngine::DetectNode(const Hypothesis& h,
   if (!options_.incremental_root_causes) {
     // The full-rescan oracle: materialize the suffix and run every detector
     // pass over it.
-    *suffix = Finalize(h, g.model, g.verified);
+    *suffix = Finalize(h, *g.model, g.verified);
     return DetectRootCauses(module_, dump_, *suffix, pool_, stats);
   }
   // Incremental path: detection consumes the context folded along the
@@ -1489,13 +1488,13 @@ std::vector<RootCause> ResEngine::DetectNode(const Hypothesis& h,
                                h.rc_ctx.lock_mutexes.end());
     mutexes.insert(rc_setup_.blocked_mutexes.begin(),
                    rc_setup_.blocked_mutexes.end());
-    owners = InitialLockOwners(h, g.model, mutexes);
+    owners = InitialLockOwners(h, *g.model, mutexes);
   }
   std::vector<RootCause> causes = DetectRootCausesIncremental(
       module_, dump_, rc_setup_, h.rc_ctx, h.units_backward.get(), owners,
       stats);
   if (!causes.empty()) {
-    *suffix = Finalize(h, g.model, g.verified);
+    *suffix = Finalize(h, *g.model, g.verified);
   }
   return causes;
 }
@@ -1584,7 +1583,7 @@ ResResult ResEngine::Run() {
 
   struct BestHyp {
     Hypothesis h;
-    Assignment model;
+    std::shared_ptr<const Assignment> model;
     bool verified = false;
     bool has = false;
   };
@@ -1754,13 +1753,8 @@ ResResult ResEngine::Run() {
     stats_ += explore.stats;
     auto gated = std::make_shared<const Gated>(std::move(g));
     for (size_t i = children.size(); i-- > 0;) {
-      StackEntry child;
-      child.h = std::move(children[i]);
-      child.ns = HashCombine(n.ns, i + 1);
-      child.parent = gated;
-      child.screen_base = n.h.constraints.size();
-      child.parent_screen_seq = screen_seq;
-      stack.push_back(std::move(child));
+      stack.push_back(StackEntry{std::move(children[i]), HashCombine(n.ns, i + 1),
+                                 gated, n.h.constraints.size(), screen_seq});
     }
   }
 
@@ -1782,7 +1776,7 @@ ResResult ResEngine::Run() {
     if (!deadline_hit && best.h.depth() >= options_.max_units) {
       result.stop = StopReason::kMaxDepth;
     }
-    result.suffix = Finalize(best.h, best.model, best.verified);
+    result.suffix = Finalize(best.h, *best.model, best.verified);
     result.causes =
         DetectRootCauses(module_, dump_, *result.suffix, pool_, &stats_);
   }

@@ -259,12 +259,13 @@ class ResEngine {
     bool consumes_lbr = false;
   };
   struct UnitState;
-  // Executes `plan` over a copy of `base`: havocs the unit's register write
+  // Executes `plan` over `base` (a caller's own copy, so a thread it
+  // already cloned is not cloned again): havocs the unit's register write
   // set into S_pre, runs the unit forward symbolically, and matches the
   // result against S_post — written memory and, when `check_frame_post`,
   // written registers must equal their post values. Appends each feasible
   // result (its SuffixUnit attached, ungated) to `out`.
-  void ExecuteUnit(const Hypothesis& base, const UnitPlan& plan, TaskCtx* tctx,
+  void ExecuteUnit(Hypothesis base, const UnitPlan& plan, TaskCtx* tctx,
                    std::vector<Hypothesis>* out);
   // Runs `s` on from instruction s.next. At a multi-way choice (a symbolic
   // address, a spawn linkage) each option continues from its own copy of

@@ -31,7 +31,7 @@ SymSnapshot SymSnapshot::FromCoredump(const Module& module, const Coredump& dump
       // Nothing of the current block has executed; there is no partial unit.
       t.partial_done = true;
     }
-    snap.threads_.push_back(std::move(t));
+    snap.threads_.push_back(std::make_shared<SymThread>(std::move(t)));
   }
   HeapMap heap;
   for (const Allocation& a : dump.heap_allocations) {

@@ -10,18 +10,17 @@
 // Memory is represented as the coredump image plus a copy-on-write overlay
 // of symbolic words; thread stacks hold expression-valued registers; heap
 // metadata is rewound alongside (an allocation that happens inside the
-// suffix is kUnallocated in the snapshot). Both the overlay and the heap
-// table are structured so that forking a hypothesis (which copies its
-// snapshot) is O(delta), not O(state): the overlay freezes its writes into
-// shared immutable layers, and the heap map is shared until a fork mutates.
+// suffix is kUnallocated in the snapshot). The overlay, the thread stacks
+// and the heap table are structured so that forking a hypothesis (which
+// copies its snapshot) is O(delta), not O(state): the overlay freezes its
+// writes into shared immutable layers, and each thread and the heap map are
+// shared until a fork mutates them.
 #ifndef RES_RES_SNAPSHOT_H_
 #define RES_RES_SNAPSHOT_H_
 
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/coredump/coredump.h"
@@ -57,6 +56,10 @@ struct SymThread {
   // Threads that were already exited at the coredump are opaque to the
   // engine (their stacks are gone); they contribute no units.
   bool opaque = false;
+  // Breadcrumbs of this thread the suffix has not consumed yet: LBR ring
+  // entries and error-log entries, each oldest first.
+  size_t lbr_remaining = 0;
+  size_t errlog_remaining = 0;
 
   bool Reversible() const { return !at_birth && !opaque && !frames.empty(); }
 };
@@ -128,17 +131,29 @@ class SymSnapshot {
   void WriteMem(uint64_t addr, const Expr* value) { overlay_.Set(addr, value); }
   const CowOverlay& overlay() const { return overlay_; }
 
-  std::vector<SymThread>& threads() { return threads_; }
-  const std::vector<SymThread>& threads() const { return threads_; }
+  // Thread stacks, indexed by thread id. Reads share each SymThread across
+  // snapshot copies; MutableThread clones that one thread first if any
+  // other snapshot still shares it, so a fork that changes one thread
+  // copies one thread.
+  size_t thread_count() const { return threads_.size(); }
+  const SymThread& thread(size_t tid) const { return *threads_[tid]; }
+  SymThread& MutableThread(size_t tid) {
+    std::shared_ptr<SymThread>& t = threads_[tid];
+    if (t.use_count() != 1) {
+      t = std::make_shared<SymThread>(*t);
+    }
+    return *t;
+  }
 
   // Heap metadata. Reads share the table across snapshot copies; the
   // mutable accessor clones it first if any other snapshot still shares it.
   //
-  // Thread-safety: safe under the engine's ownership protocol — the shared
-  // table itself is never mutated (a writer clones first), concurrent
-  // cloners only read it, and use_count() can only report a stale value in
-  // benign directions (a false "shared" triggers a redundant clone; a false
-  // "exclusive" is impossible while other owners exist).
+  // Thread-safety (threads and heap alike): safe under the engine's
+  // ownership protocol — the hypotheses of one engine run live on one
+  // thread, a shared object is never mutated (a writer clones first),
+  // concurrent cloners only read it, and use_count() can only report a
+  // stale value in benign directions (a false "shared" triggers a redundant
+  // clone; a false "exclusive" is impossible while other owners exist).
   const HeapMap& heap() const { return *heap_; }
   HeapMap& MutableHeap() {
     if (heap_.use_count() != 1) {
@@ -160,7 +175,7 @@ class SymSnapshot {
  private:
   const Coredump* dump_ = nullptr;  // not owned; source of concrete words
   CowOverlay overlay_;
-  std::vector<SymThread> threads_;
+  std::vector<std::shared_ptr<SymThread>> threads_;
   std::shared_ptr<HeapMap> heap_ = std::make_shared<HeapMap>();
 };
 

@@ -4,9 +4,10 @@
 // branches; anything the hypothesis owns by value is copied per fork. These
 // containers make that copy O(delta) instead of O(total): an immutable,
 // shared_ptr-shared spine holds the bulk of the data, and each copy carries
-// only a small private tail/delta. They all follow the CowOverlay recipe
-// (src/res/snapshot.h, PR 1): writes land in the private part; once the
-// private part grows past a threshold it is frozen into the shared spine.
+// only a small private tail/delta, one flat vector, so copying a container
+// costs at most one allocation. They all follow the CowOverlay recipe
+// (src/res/snapshot.h): writes land in the private part; once the private
+// part grows past a threshold it is frozen into the shared spine.
 //
 // Thread-safety (same contract as CowOverlay): the frozen spine is immutable
 // and reference-counted through std::shared_ptr, so any number of threads
@@ -18,10 +19,11 @@
 #ifndef RES_SUPPORT_PERSISTENT_H_
 #define RES_SUPPORT_PERSISTENT_H_
 
+#include <algorithm>
 #include <cstddef>
+#include <functional>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 namespace res {
@@ -120,10 +122,17 @@ class PersistentVector {
   std::vector<T> tail_;                  // private to this copy
 };
 
-// Last-write-wins hash map with O(delta) copies. This is the generic form of
-// the snapshot memory overlay (CowOverlay is a thin wrapper around it), and
-// the single home of the layer-chain/freeze/flatten recipe: PersistentSet
-// and PersistentEraseSet below are thin wrappers too.
+// Last-write-wins map with O(delta) copies. This is the generic form of the
+// snapshot memory overlay (CowOverlay is a thin wrapper around it), and the
+// single home of the layer-chain/freeze/flatten recipe: PersistentSet and
+// PersistentEraseSet below are thin wrappers too.
+//
+// Every part is a flat vector of (key, value) entries. The private delta
+// holds at most kFreezeThreshold - 1 distinct keys in first-write order, so
+// copying a map costs one allocation (none while the delta is empty), and a
+// lookup scans it linearly. A freeze sorts the delta by key and moves it,
+// buffer and all, into a new immutable layer; lookups binary-search each
+// layer, newest first.
 //
 // `FlattenKeep` is a stateless predicate over values consulted ONLY when a
 // too-deep chain is flattened into a single parentless layer: entries it
@@ -135,47 +144,64 @@ struct FlattenKeepAll {
   bool operator()(const V&) const { return true; }
 };
 
-template <typename K, typename V, typename Hash = std::hash<K>,
-          typename FlattenKeep = FlattenKeepAll<V>>
+template <typename K, typename V, typename FlattenKeep = FlattenKeepAll<V>>
 class PersistentMap {
  public:
   // Pointer to the value stored for `key`, or nullptr when absent. The
   // pointer is invalidated by the next Set on this copy.
   const V* Find(const K& key) const {
-    auto it = delta_.find(key);
-    if (it != delta_.end()) {
-      return &it->second;
+    for (const Entry& e : delta_) {
+      if (e.first == key) {
+        return &e.second;
+      }
     }
     for (const Layer* l = frozen_.get(); l != nullptr; l = l->parent.get()) {
-      auto lit = l->entries.find(key);
-      if (lit != l->entries.end()) {
-        return &lit->second;
+      auto it = std::lower_bound(l->entries.begin(), l->entries.end(), key,
+                                 [](const Entry& e, const K& k) {
+                                   return std::less<K>()(e.first, k);
+                                 });
+      if (it != l->entries.end() && it->first == key) {
+        return &it->second;
       }
     }
     return nullptr;
   }
 
   void Set(K key, V value) {
-    delta_[std::move(key)] = std::move(value);
+    for (Entry& e : delta_) {
+      if (e.first == key) {
+        e.second = std::move(value);
+        return;
+      }
+    }
+    delta_.emplace_back(std::move(key), std::move(value));
     if (delta_.size() >= kFreezeThreshold) {
       Freeze();
     }
   }
 
-  // Visits every live (key, value) pair exactly once, newest layer wins.
+  // Visits every live (key, value) pair exactly once, with its newest value,
+  // in ascending key order.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    std::unordered_set<K, Hash> seen;
-    for (const auto& [key, value] : delta_) {
-      if (seen.insert(key).second) {
-        fn(key, value);
-      }
+    std::vector<const Entry*> all;  // newest first
+    all.reserve(delta_.size() +
+                (frozen_ ? frozen_->depth * kFreezeThreshold : 0));
+    for (const Entry& e : delta_) {
+      all.push_back(&e);
     }
     for (const Layer* l = frozen_.get(); l != nullptr; l = l->parent.get()) {
-      for (const auto& [key, value] : l->entries) {
-        if (seen.insert(key).second) {
-          fn(key, value);
-        }
+      for (const Entry& e : l->entries) {
+        all.push_back(&e);
+      }
+    }
+    // Stable: among equal keys the newest stays first.
+    std::stable_sort(all.begin(), all.end(), [](const Entry* a, const Entry* b) {
+      return std::less<K>()(a->first, b->first);
+    });
+    for (size_t i = 0; i < all.size(); ++i) {
+      if (i == 0 || all[i]->first != all[i - 1]->first) {
+        fn(all[i]->first, all[i]->second);
       }
     }
   }
@@ -188,8 +214,9 @@ class PersistentMap {
   }
 
  private:
+  using Entry = std::pair<K, V>;
   struct Layer {
-    std::unordered_map<K, V, Hash> entries;
+    std::vector<Entry> entries;  // sorted by key, keys unique
     std::shared_ptr<const Layer> parent;
     size_t depth = 1;  // chain length including this layer
   };
@@ -198,38 +225,41 @@ class PersistentMap {
   static constexpr size_t kMaxChainDepth = 32;
 
   void Freeze() {
-    size_t depth = frozen_ ? frozen_->depth : 0;
+    const size_t depth = frozen_ ? frozen_->depth : 0;
     auto layer = std::make_shared<Layer>();
     if (depth + 1 > kMaxChainDepth) {
       // Chain too deep for fast lookups: flatten everything into one layer,
       // dropping entries FlattenKeep rejects (e.g. tombstones — absent and
-      // rejected read identically once no parent layer remains).
+      // rejected read identically once no parent layer remains). ForEach
+      // visits in key order, so the layer comes out sorted.
       layer->entries.reserve(delta_.size() + kFreezeThreshold * depth);
       ForEach([&layer](const K& key, const V& value) {
         if (FlattenKeep()(value)) {
-          layer->entries.emplace(key, value);
+          layer->entries.emplace_back(key, value);
         }
       });
-      layer->parent = nullptr;
-      layer->depth = 1;
     } else {
+      std::sort(delta_.begin(), delta_.end(),
+                [](const Entry& a, const Entry& b) {
+                  return std::less<K>()(a.first, b.first);
+                });
       layer->entries = std::move(delta_);
-      layer->parent = frozen_;
+      layer->parent = std::move(frozen_);
       layer->depth = depth + 1;
     }
     frozen_ = std::move(layer);
     delta_.clear();
   }
 
-  std::shared_ptr<const Layer> frozen_;    // immutable, structure-shared
-  std::unordered_map<K, V, Hash> delta_;   // private to this copy
+  std::shared_ptr<const Layer> frozen_;  // immutable, structure-shared
+  std::vector<Entry> delta_;             // private to this copy
 };
 
-// Insert-only hash set with O(delta) copies: a PersistentMap whose values
-// carry no information. The per-copy size counter rides along with each copy
+// Insert-only set with O(delta) copies: a PersistentMap whose values carry
+// no information. The per-copy size counter rides along with each copy
 // (layers are disjoint because insert() checks membership first), so size()
 // never walks the chain.
-template <typename T, typename Hash = std::hash<T>>
+template <typename T>
 class PersistentSet {
  public:
   bool contains(const T& v) const { return map_.Find(v) != nullptr; }
@@ -249,17 +279,17 @@ class PersistentSet {
  private:
   struct Unit {};
 
-  PersistentMap<T, Unit, Hash> map_;
+  PersistentMap<T, Unit> map_;
   size_t size_ = 0;
 };
 
-// Hash set supporting erase, with O(delta) copies: membership is a
+// Set supporting erase, with O(delta) copies: membership is a
 // last-write-wins boolean over the PersistentMap layer chain (erase writes a
 // tombstone), plus a per-copy live count so emptiness checks stay O(1). Used
 // for fold state that both grows and shrinks along a hypothesis chain (e.g.
 // the origin fold's live def-use frontier), where a plain std::set would be
 // value-copied in full at every fork.
-template <typename T, typename Hash = std::hash<T>>
+template <typename T>
 class PersistentEraseSet {
  public:
   bool contains(const T& v) const {
@@ -297,7 +327,7 @@ class PersistentEraseSet {
     bool operator()(const bool& present) const { return present; }
   };
 
-  PersistentMap<T, bool, Hash, KeepLive> map_;
+  PersistentMap<T, bool, KeepLive> map_;
   size_t live_ = 0;  // live membership count
 };
 

@@ -532,14 +532,13 @@ void CollectVars(const Expr* e, std::unordered_set<VarId>* out) {
   }
 }
 
-const Expr* Substitute(ExprPool* pool, const Expr* e,
-                       const std::unordered_map<VarId, const Expr*>& bindings) {
+const Expr* Substitute(ExprPool* pool, const Expr* e, const Bindings& bindings) {
   switch (e->kind) {
     case ExprKind::kConst:
       return e;
     case ExprKind::kVar: {
-      auto it = bindings.find(e->var);
-      return it == bindings.end() ? e : it->second;
+      const Expr* const* bound = bindings.Find(e->var);
+      return bound == nullptr ? e : *bound;
     }
     case ExprKind::kBinary: {
       const Expr* a = Substitute(pool, e->a, bindings);

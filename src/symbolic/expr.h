@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "src/ir/opcode.h"
+#include "src/support/persistent.h"
 #include "src/support/status.h"
 
 namespace res {
@@ -316,10 +317,13 @@ int64_t ApplyBinOp(BinOp op, int64_t a, int64_t b);
 // All variables appearing in `e`.
 void CollectVars(const Expr* e, std::unordered_set<VarId>* out);
 
+// Variable -> bound expression, structurally shared across solver-context
+// forks.
+using Bindings = PersistentMap<VarId, const Expr*>;
+
 // Structural substitution: replaces variables by bound expressions,
 // re-simplifying through `pool`.
-const Expr* Substitute(ExprPool* pool, const Expr* e,
-                       const std::unordered_map<VarId, const Expr*>& bindings);
+const Expr* Substitute(ExprPool* pool, const Expr* e, const Bindings& bindings);
 
 // Human-readable rendering ("(add v3 8)").
 std::string ExprToString(const ExprPool& pool, const Expr* e);

@@ -20,8 +20,6 @@ constexpr size_t kMaxEnumVars = 4;            // exhaustive enumeration caps
 constexpr uint64_t kMaxEnumPoints = 65536;
 constexpr uint64_t kSearchRestarts = 8;
 constexpr uint64_t kSearchSteps = 512;        // per restart
-// Largest conflict (in constraints) still reported as an UNSAT core.
-constexpr size_t kMaxCoreSize = 12;
 // Memo cache bound (a shard resets when it fills its share).
 constexpr size_t kCheckCacheMaxEntries = 1 << 18;
 
@@ -147,49 +145,65 @@ int64_t SatSub(int64_t a, int64_t b) {
 
 using Prov = SolverContext::Prov;
 
+// The provenance of an input constraint: itself.
+Prov SourceProv(const Expr* c) {
+  Prov p;
+  p.srcs[0] = c;
+  p.size = 1;
+  return p;
+}
+
 // Merges `from` into `into`, deduping by pointer; growing past the core
 // cap, or merging a poisoned Prov, poisons.
 void MergeProv(Prov* into, const Prov& from) {
   if (from.overflow) {
     into->overflow = true;
   }
-  if (into->overflow) {
-    into->srcs.clear();
-    return;
-  }
-  for (const Expr* e : from.srcs) {
-    if (std::find(into->srcs.begin(), into->srcs.end(), e) == into->srcs.end()) {
-      into->srcs.push_back(e);
+  for (const Expr* e : from) {
+    if (into->overflow) {
+      break;
     }
+    if (std::find(into->begin(), into->end(), e) != into->end()) {
+      continue;
+    }
+    if (into->size == kMaxCoreSize) {
+      into->overflow = true;
+      break;
+    }
+    into->srcs[into->size++] = e;
   }
-  if (into->srcs.size() > kMaxCoreSize) {
-    into->overflow = true;
-    into->srcs.clear();
+  if (into->overflow) {
+    into->size = 0;
   }
 }
 
-void TightenFromComparison(std::map<VarId, Interval>* intervals,
-                           std::map<VarId, std::pair<Prov, Prov>>* interval_prov,
+using IntervalMap = PersistentMap<VarId, Interval>;
+using IntervalProvMap = PersistentMap<VarId, std::pair<Prov, Prov>>;
+
+void TightenFromComparison(IntervalMap* intervals, IntervalProvMap* interval_prov,
                            const Expr* e, const Prov& prov, SolverStats* stats) {
   if (e->kind != ExprKind::kBinary) {
     return;
   }
-  auto tighten_hi = [&](VarId v, int64_t hi) {
-    Interval& iv = (*intervals)[v];
-    if (hi < iv.hi) {
-      iv.hi = hi;
-      (*interval_prov)[v].second = prov;
-      ++stats->interval_cuts;
+  // Sets v's bound (`lo` or hi) to `bound` with `prov` behind it, when that
+  // tightens the current one.
+  auto tighten = [&](VarId v, int64_t bound, bool lo) {
+    const Interval* cur = intervals->Find(v);
+    Interval iv = cur != nullptr ? *cur : Interval{};
+    if (lo ? bound <= iv.lo : bound >= iv.hi) {
+      return;
     }
+    (lo ? iv.lo : iv.hi) = bound;
+    intervals->Set(v, iv);
+    const std::pair<Prov, Prov>* cur_prov = interval_prov->Find(v);
+    std::pair<Prov, Prov> provs =
+        cur_prov != nullptr ? *cur_prov : std::pair<Prov, Prov>{};
+    (lo ? provs.first : provs.second) = prov;
+    interval_prov->Set(v, provs);
+    ++stats->interval_cuts;
   };
-  auto tighten_lo = [&](VarId v, int64_t lo) {
-    Interval& iv = (*intervals)[v];
-    if (lo > iv.lo) {
-      iv.lo = lo;
-      (*interval_prov)[v].first = prov;
-      ++stats->interval_cuts;
-    }
-  };
+  auto tighten_hi = [&](VarId v, int64_t hi) { tighten(v, hi, false); };
+  auto tighten_lo = [&](VarId v, int64_t lo) { tighten(v, lo, true); };
   auto tighten_eq = [&](VarId v, int64_t c) {
     tighten_lo(v, c);
     tighten_hi(v, c);
@@ -246,7 +260,7 @@ void TightenFromComparison(std::map<VarId, Interval>* intervals,
 // until stable resolves the whole chain; bindings are acyclic (SolveForVar's
 // occurs check runs on fully-substituted sides), so this terminates.
 const Expr* SubstituteFix(ExprPool* pool, const Expr* e,
-                          const std::unordered_map<VarId, const Expr*>& bindings) {
+                          const Bindings& bindings) {
   for (int i = 0; i < 64; ++i) {
     const Expr* s = Substitute(pool, e, bindings);
     if (s == e) {
@@ -450,7 +464,7 @@ void Solver::Propagate(SolverContext* ctx, const std::vector<const Expr*>& fresh
     ctx->conflict_core_ = BuildCore(*ctx, seeds);
   };
   auto record_binding = [&](VarId var, const Expr* value, const Prov& prov) {
-    ctx->bindings_[var] = value;
+    ctx->bindings_.Set(var, value);
     // Transitive store-time provenance: the creating constraint plus the
     // provenance of every binding already substituted into the stored
     // value. Late bindings (vars still free in `value`) are closed over at
@@ -459,12 +473,17 @@ void Solver::Propagate(SolverContext* ctx, const std::vector<const Expr*>& fresh
     std::unordered_set<VarId> deps;
     CollectVars(value, &deps);
     for (VarId d : deps) {
-      auto pit = ctx->binding_prov_.find(d);
-      if (pit != ctx->binding_prov_.end()) {
-        MergeProv(&p, pit->second);
+      if (const Prov* dp = ctx->binding_prov_.Find(d)) {
+        MergeProv(&p, *dp);
       }
     }
-    ctx->binding_prov_[var] = std::move(p);
+    ctx->binding_prov_.Set(var, p);
+  };
+  // A bound variable's provenance (record_binding keeps the maps aligned).
+  auto binding_prov = [&](VarId var) -> const Prov& {
+    const Prov* p = ctx->binding_prov_.Find(var);
+    assert(p != nullptr);
+    return *p;
   };
 
   // Round 0 runs over the fresh suffix only: the cached residual is already
@@ -478,7 +497,7 @@ void Solver::Propagate(SolverContext* ctx, const std::vector<const Expr*>& fresh
     next.reserve(pending.size());
     for (const Expr* c : pending) {
       ++stats->propagated_constraints;
-      Prov prov{{c}, false};
+      const Prov prov = SourceProv(c);
       const Expr* s = SubstituteFix(pool_, c, ctx->bindings_);
       if (s->is_const()) {
         if (s->value == 0) {
@@ -489,8 +508,8 @@ void Solver::Propagate(SolverContext* ctx, const std::vector<const Expr*>& fresh
       }
       if (s->kind == ExprKind::kBinary && s->bin_op == BinOp::kEq) {
         if (auto solved = SolveForVar(pool_, s->a, s->b)) {
-          auto it = ctx->bindings_.find(solved->var);
-          if (it == ctx->bindings_.end()) {
+          const Expr* const* bound = ctx->bindings_.Find(solved->var);
+          if (bound == nullptr) {
             record_binding(solved->var,
                            SubstituteFix(pool_, solved->value, ctx->bindings_),
                            prov);
@@ -501,19 +520,18 @@ void Solver::Propagate(SolverContext* ctx, const std::vector<const Expr*>& fresh
           // Derived equality: follows from this constraint plus the
           // binding's sources.
           Prov merged = prov;
-          MergeProv(&merged, ctx->binding_prov_[solved->var]);
-          next.push_back(pool_->Eq(it->second, solved->value));
-          next_prov.push_back(std::move(merged));
+          MergeProv(&merged, binding_prov(solved->var));
+          next.push_back(pool_->Eq(*bound, solved->value));
+          next_prov.push_back(merged);
           continue;
         }
       }
       next.push_back(s);
-      next_prov.push_back(std::move(prov));
+      next_prov.push_back(prov);
     }
     ctx->residual_.insert(ctx->residual_.end(), next.begin(), next.end());
-    ctx->residual_prov_.insert(ctx->residual_prov_.end(),
-                               std::make_move_iterator(next_prov.begin()),
-                               std::make_move_iterator(next_prov.end()));
+    ctx->residual_prov_.insert(ctx->residual_prov_.end(), next_prov.begin(),
+                               next_prov.end());
   }
   if (!new_binding) {
     return;
@@ -545,8 +563,8 @@ void Solver::Propagate(SolverContext* ctx, const std::vector<const Expr*>& fresh
       }
       if (s->kind == ExprKind::kBinary && s->bin_op == BinOp::kEq) {
         if (auto solved = SolveForVar(pool_, s->a, s->b)) {
-          auto it = ctx->bindings_.find(solved->var);
-          if (it == ctx->bindings_.end()) {
+          const Expr* const* bound = ctx->bindings_.Find(solved->var);
+          if (bound == nullptr) {
             record_binding(solved->var,
                            SubstituteFix(pool_, solved->value, ctx->bindings_),
                            prov);
@@ -555,9 +573,9 @@ void Solver::Propagate(SolverContext* ctx, const std::vector<const Expr*>& fresh
             continue;
           }
           Prov merged = prov;
-          MergeProv(&merged, ctx->binding_prov_[solved->var]);
-          next.push_back(pool_->Eq(it->second, solved->value));
-          next_prov.push_back(std::move(merged));
+          MergeProv(&merged, binding_prov(solved->var));
+          next.push_back(pool_->Eq(*bound, solved->value));
+          next_prov.push_back(merged);
           continue;
         }
       }
@@ -606,7 +624,7 @@ std::vector<const Expr*> Solver::BuildCore(
     if (p->overflow) {
       return {};
     }
-    for (const Expr* c : p->srcs) {
+    for (const Expr* c : *p) {
       if (!add(c)) {
         return {};
       }
@@ -618,22 +636,21 @@ std::vector<const Expr*> Solver::BuildCore(
   while (!worklist.empty()) {
     VarId v = worklist.back();
     worklist.pop_back();
-    auto bit = ctx.bindings_.find(v);
-    if (bit == ctx.bindings_.end()) {
+    const Expr* const* bound = ctx.bindings_.Find(v);
+    if (bound == nullptr) {
       continue;
     }
-    auto pit = ctx.binding_prov_.find(v);
-    if (pit != ctx.binding_prov_.end()) {
-      if (pit->second.overflow) {
+    if (const SolverContext::Prov* p = ctx.binding_prov_.Find(v)) {
+      if (p->overflow) {
         return {};
       }
-      for (const Expr* c : pit->second.srcs) {
+      for (const Expr* c : *p) {
         if (!add(c)) {
           return {};
         }
       }
     }
-    queue_vars(bit->second);
+    queue_vars(*bound);
   }
   std::sort(core.begin(), core.end(), DetExprLess);
   return core;
@@ -647,10 +664,22 @@ bool Solver::FinishSat(SolverContext* ctx, const ConstraintInput& constraints,
   // Complete the model: free vars from `free_assignment`, bound vars by
   // evaluating their binding expressions, then re-verify everything.
   Assignment model = std::move(free_assignment);
-  // Bindings may reference other vars; iterate to fixpoint (bounded).
-  for (size_t round = 0; round < ctx->bindings_.size() + 1; ++round) {
-    bool progress = false;
-    for (const auto& [var, expr] : ctx->bindings_) {
+  // The bindings once, in ascending VarId order (ForEach's order).
+  std::vector<std::pair<VarId, const Expr*>> bindings;
+  ctx->bindings_.ForEach([&bindings](VarId var, const Expr* expr) {
+    bindings.emplace_back(var, expr);
+  });
+  auto bound = [&bindings](VarId v) {
+    auto it = std::lower_bound(
+        bindings.begin(), bindings.end(), v,
+        [](const std::pair<VarId, const Expr*>& b, VarId k) { return b.first < k; });
+    return it != bindings.end() && it->first == v;
+  };
+  // Bindings may reference other vars; iterate to fixpoint. Every round but
+  // the last evaluates at least one more binding.
+  for (bool progress = true; progress;) {
+    progress = false;
+    for (const auto& [var, expr] : bindings) {
       if (model.count(var) != 0) {
         continue;
       }
@@ -658,7 +687,7 @@ bool Solver::FinishSat(SolverContext* ctx, const ConstraintInput& constraints,
       CollectVars(expr, &deps);
       bool ready = true;
       for (VarId d : deps) {
-        if (model.count(d) == 0 && ctx->bindings_.count(d) != 0) {
+        if (model.count(d) == 0 && bound(d)) {
           ready = false;
           break;
         }
@@ -668,11 +697,8 @@ bool Solver::FinishSat(SolverContext* ctx, const ConstraintInput& constraints,
         progress = true;
       }
     }
-    if (!progress) {
-      break;
-    }
   }
-  for (const auto& [var, expr] : ctx->bindings_) {
+  for (const auto& [var, expr] : bindings) {
     if (model.count(var) == 0) {
       model[var] = EvalExpr(expr, model);  // best effort on cycles
     }
@@ -681,7 +707,7 @@ bool Solver::FinishSat(SolverContext* ctx, const ConstraintInput& constraints,
     return false;
   }
   out->result = SatResult::kSat;
-  out->model = std::move(model);
+  out->model = std::make_shared<const Assignment>(std::move(model));
   ++stats->sat;
   return true;
 }
@@ -712,13 +738,12 @@ bool Solver::TightenIntervals(SolverContext* ctx, std::vector<VarId>* order,
     order->push_back(v);
   }
   for (VarId v : free_vars) {
-    auto it = ctx->intervals_.find(v);
-    if (it != ctx->intervals_.end() && it->second.empty()) {
+    const Interval* iv = ctx->intervals_.Find(v);
+    if (iv != nullptr && iv->empty()) {
       out->result = SatResult::kUnsat;
-      auto pit = ctx->interval_prov_.find(v);
-      if (pit != ctx->interval_prov_.end()) {
-        std::vector<const SolverContext::Prov*> seeds{&pit->second.first,
-                                                      &pit->second.second};
+      if (const auto* provs = ctx->interval_prov_.Find(v)) {
+        std::vector<const SolverContext::Prov*> seeds{&provs->first,
+                                                      &provs->second};
         out->core = BuildCore(*ctx, seeds);
       }
       return true;
@@ -736,20 +761,23 @@ bool Solver::Enumerate(SolverContext* ctx, const ConstraintInput& constraints,
     return false;
   }
   uint64_t points = 1;
+  std::vector<Interval> domain;  // aligned with `order`
+  domain.reserve(order.size());
   for (VarId v : order) {
-    auto it = ctx->intervals_.find(v);
-    if (it == ctx->intervals_.end() || !it->second.finite()) {
+    const Interval* iv = ctx->intervals_.Find(v);
+    if (iv == nullptr || !iv->finite()) {
       return false;
     }
-    uint64_t w = it->second.width();
+    uint64_t w = iv->width();
     if (w == 0 || w > kMaxEnumPoints || points > kMaxEnumPoints / w) {
       return false;
     }
     points *= w;
+    domain.push_back(*iv);
   }
   std::vector<int64_t> cursor(order.size());
   for (size_t i = 0; i < order.size(); ++i) {
-    cursor[i] = ctx->intervals_[order[i]].lo;
+    cursor[i] = domain[i].lo;
   }
   while (true) {
     ++stats->enumerated_points;
@@ -770,10 +798,10 @@ bool Solver::Enumerate(SolverContext* ctx, const ConstraintInput& constraints,
     // Advance the odometer.
     size_t i = 0;
     for (; i < order.size(); ++i) {
-      if (cursor[i] < ctx->intervals_[order[i]].hi) {
+      if (cursor[i] < domain[i].hi) {
         ++cursor[i];
         for (size_t j = 0; j < i; ++j) {
-          cursor[j] = ctx->intervals_[order[j]].lo;
+          cursor[j] = domain[j].lo;
         }
         break;
       }
@@ -789,10 +817,9 @@ bool Solver::Enumerate(SolverContext* ctx, const ConstraintInput& constraints,
         seeds.push_back(&p);
       }
       for (VarId v : order) {
-        auto pit = ctx->interval_prov_.find(v);
-        if (pit != ctx->interval_prov_.end()) {
-          seeds.push_back(&pit->second.first);
-          seeds.push_back(&pit->second.second);
+        if (const auto* provs = ctx->interval_prov_.Find(v)) {
+          seeds.push_back(&provs->first);
+          seeds.push_back(&provs->second);
         }
       }
       out->core = BuildCore(*ctx, seeds);
@@ -814,14 +841,13 @@ bool Solver::Search(SolverContext* ctx, const ConstraintInput& constraints,
   for (uint64_t restart = 0; restart < kSearchRestarts; ++restart) {
     candidate.clear();
     for (VarId v : order) {
-      auto it = ctx->intervals_.find(v);
+      const Interval* iv = ctx->intervals_.Find(v);
       int64_t seed_value = 0;
-      if (it != ctx->intervals_.end() && it->second.finite()) {
-        seed_value =
-            restart == 0
-                ? it->second.lo
-                : rng.NextInRange(std::max<int64_t>(it->second.lo, -4096),
-                                  std::min<int64_t>(it->second.hi, 4096));
+      if (iv != nullptr && iv->finite()) {
+        seed_value = restart == 0
+                         ? iv->lo
+                         : rng.NextInRange(std::max<int64_t>(iv->lo, -4096),
+                                           std::min<int64_t>(iv->hi, 4096));
       } else if (restart > 0) {
         seed_value = static_cast<int64_t>(rng.NextBelow(257)) - 128;
       }
@@ -952,10 +978,10 @@ SolveOutcome Solver::CheckWith(SolverContext* ctx,
 
   // Fast path 1: the fresh suffix may already hold under the cached model
   // (every absorbed constraint was verified against it when it was cached).
-  if (ctx->has_model_) {
+  if (ctx->model_ != nullptr) {
     bool model_ok = true;
     for (const Expr* c : fresh) {
-      if (EvalExpr(c, ctx->model_) == 0) {
+      if (EvalExpr(c, *ctx->model_) == 0) {
         model_ok = false;
         break;
       }
@@ -1032,12 +1058,11 @@ SolveOutcome Solver::CheckWith(SolverContext* ctx,
       Propagate(ctx, canonical, total, stats);
       if (cached.result == SatResult::kSat) {
         ctx->model_ = cached.model;
-        ctx->has_model_ = true;
         ctx->unsat_ = false;
         ++stats->sat;
       } else {
         // Only definitive verdicts are stored, so this is kUnsat.
-        ctx->has_model_ = false;
+        ctx->model_ = nullptr;
         ctx->unsat_ = true;
         ctx->conflict_core_ = cached.core;
         ++stats->unsat;
@@ -1061,9 +1086,8 @@ SolveOutcome Solver::CheckWith(SolverContext* ctx,
     }
     if (o.result == SatResult::kSat) {
       ctx->model_ = o.model;
-      ctx->has_model_ = true;
     } else {
-      ctx->has_model_ = false;
+      ctx->model_ = nullptr;
       if (o.result == SatResult::kUnsat) {
         ctx->unsat_ = true;
         ctx->conflict_core_ = o.core;
@@ -1126,7 +1150,7 @@ SolveOutcome Solver::CheckIncremental(SolverContext* ctx,
                                       SolverStats* stats) {
   SolverStats* st = stats != nullptr ? stats : &stats_;
   ++st->checks;
-  if (ctx->absorbed_ > 0 || ctx->has_model_ || ctx->unsat_) {
+  if (ctx->absorbed_ > 0 || ctx->model_ != nullptr || ctx->unsat_) {
     ++st->incremental_checks;
   }
   ConstraintInput input;
@@ -1139,7 +1163,7 @@ SolveOutcome Solver::CheckIncremental(
     SolverStats* stats) {
   SolverStats* st = stats != nullptr ? stats : &stats_;
   ++st->checks;
-  if (ctx->absorbed_ > 0 || ctx->has_model_ || ctx->unsat_) {
+  if (ctx->absorbed_ > 0 || ctx->model_ != nullptr || ctx->unsat_) {
     ++st->incremental_checks;
   }
   ConstraintInput input;
@@ -1175,7 +1199,7 @@ std::vector<int64_t> Solver::EnumerateValues(
     if (outcome.result != SatResult::kSat) {
       return values;  // incomplete
     }
-    int64_t v = EvalExpr(target, outcome.model);
+    int64_t v = EvalExpr(target, *outcome.model);
     if (values.size() >= limit) {
       return values;  // one more value exists than we may return
     }

@@ -44,7 +44,6 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -65,7 +64,10 @@ enum class SatResult : uint8_t { kSat = 0, kUnsat = 1, kUnknown = 2 };
 
 struct SolveOutcome {
   SatResult result = SatResult::kUnknown;
-  Assignment model;  // meaningful iff result == kSat
+  // The witness, iff result == kSat (null otherwise). Immutable and shared:
+  // the context that produced it, the check cache and the caller all hold
+  // the same object.
+  std::shared_ptr<const Assignment> model;
   // For kUnsat only: a minimized conflict — a DetExprLess-sorted, deduped
   // subset of the *input* constraints whose conjunction is itself UNSAT.
   // Empty when no small core could be derived (soundness never depends on
@@ -165,10 +167,16 @@ struct SolverOptions {
   int fault_task = FaultPlan::kAnyTask;
 };
 
+// Largest conflict (in constraints) still reported as an UNSAT core.
+inline constexpr size_t kMaxCoreSize = 12;
+
 // Per-hypothesis persistent solving state. The reverse engine stores one per
 // hypothesis and copies it when a hypothesis forks; all cached facts are
 // monotone (constraints are only ever appended), so a child context remains
-// valid for every extension of the parent's constraint vector.
+// valid for every extension of the parent's constraint vector. A copy costs
+// O(delta): the binding and interval maps are persistent (structurally
+// shared with the parent), the witness model is a shared immutable object,
+// and a provenance entry holds its sources inline.
 //
 // Thread-safety: a SolverContext belongs to exactly one hypothesis and must
 // only be passed to one check at a time (it is mutable per-chain state).
@@ -179,16 +187,20 @@ class SolverContext {
   SolverContext() = default;
 
   // Provenance of a derived fact: the input constraints it follows from.
-  // Deduped, small; `overflow` poisons facts whose dependency set outgrew
-  // the core cap (no core will be derived through them).
+  // Deduped and capped at kMaxCoreSize, so the sources live inline and a
+  // copy never allocates; `overflow` poisons facts whose dependency set
+  // outgrew the cap (no core will be derived through them).
   struct Prov {
-    std::vector<const Expr*> srcs;
+    std::array<const Expr*, kMaxCoreSize> srcs{};
+    uint8_t size = 0;
     bool overflow = false;
+
+    const Expr* const* begin() const { return srcs.data(); }
+    const Expr* const* end() const { return srcs.data() + size; }
   };
 
   // Prefix of the constraint vector already absorbed into bindings/residual.
   size_t absorbed() const { return absorbed_; }
-  const Assignment& model() const { return model_; }
   // Order-insensitive cache key over the distinct absorbed constraints,
   // maintained incrementally (O(delta) per absorption, O(delta) per fork).
   uint64_t set_key() const { return set_key_; }
@@ -196,12 +208,12 @@ class SolverContext {
  private:
   friend class Solver;
 
-  std::unordered_map<VarId, const Expr*> bindings_;
+  Bindings bindings_;
   // Which source constraints produced each binding (aligned with bindings_).
-  std::unordered_map<VarId, Prov> binding_prov_;
-  std::map<VarId, Interval> intervals_;
+  PersistentMap<VarId, Prov> binding_prov_;
+  PersistentMap<VarId, Interval> intervals_;
   // Which source constraints set each var's current lo / hi bound.
-  std::map<VarId, std::pair<Prov, Prov>> interval_prov_;
+  PersistentMap<VarId, std::pair<Prov, Prov>> interval_prov_;
   std::vector<const Expr*> residual_;  // simplified, non-constant survivors
   std::vector<Prov> residual_prov_;    // aligned with residual_
   size_t absorbed_ = 0;
@@ -215,8 +227,8 @@ class SolverContext {
   uint64_t set_key_ = 0;
   size_t distinct_ = 0;
   PersistentSet<const Expr*> absorbed_set_;
-  Assignment model_;     // witness from the last SAT answer
-  bool has_model_ = false;
+  // Witness from the last SAT answer; null when the last answer was not SAT.
+  std::shared_ptr<const Assignment> model_;
   bool unsat_ = false;   // a previous check proved the prefix UNSAT
   // The minimized conflict behind unsat_, when one was derivable.
   std::vector<const Expr*> conflict_core_;

@@ -61,7 +61,7 @@ TEST_F(SolverDecisionTest, EnumerationRunsToTheFirstOdometerModel) {
   SolverStats stats;
   SolveOutcome out = Run(constraints, &stats);
   ASSERT_EQ(out.result, SatResult::kSat);
-  EXPECT_EQ(out.model.at(x->var), 8192);
+  EXPECT_EQ(out.model->at(x->var), 8192);
   EXPECT_EQ(stats.enumerated_points, 8193u);
   EXPECT_EQ(stats.search_steps, 0u);
 }
@@ -120,7 +120,7 @@ TEST_F(SolverDecisionTest, SearchWinsWhenEnumerationCannotApply) {
   SolverStats stats;
   SolveOutcome out = Run(constraints, &stats);
   ASSERT_EQ(out.result, SatResult::kSat);
-  EXPECT_EQ((out.model.at(x->var) & 3), 3);
+  EXPECT_EQ((out.model->at(x->var) & 3), 3);
   EXPECT_EQ(stats.enumerated_points, 0u);
   EXPECT_GT(stats.search_steps, 0u);
 }

@@ -2,7 +2,11 @@
 // for every workload and every dump, not just the curated happy paths.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "src/coredump/serialize.h"
 #include "src/ir/parser.h"
@@ -352,6 +356,88 @@ TEST(PersistentStructureTest, CowOverlayMatchesPlainMapAcrossForks) {
         ASSERT_EQ(b.cow.DistinctCount(), b.oracle.size());
         break;
       }
+    }
+  }
+}
+
+// The whole content of `map` through ForEach, which must visit each live key
+// once, with its newest value, in ascending key order.
+std::vector<std::pair<uint64_t, int>> Contents(
+    const PersistentMap<uint64_t, int>& map) {
+  std::vector<std::pair<uint64_t, int>> out;
+  map.ForEach([&out](uint64_t key, int value) { out.emplace_back(key, value); });
+  return out;
+}
+
+TEST(PersistentStructureTest, PersistentMapCopiesHoldAtEveryDeltaSize) {
+  // A copy after every write takes the private delta at every size from 0
+  // to 15 (the 16th distinct key freezes it), over 48 freezes: past the
+  // flatten of the 32-layer chain. A quarter of the writes overwrite a live
+  // key, in the delta or shadowing a frozen layer, and every fifth copy
+  // writes once on its own. At the end every copy, and the source, must
+  // read exactly as its oracle: the source's later writes never reach a
+  // copy, and a copy's writes never reach the source.
+  Rng rng(4242017);
+  PersistentMap<uint64_t, int> map;
+  std::map<uint64_t, int> oracle;
+  std::vector<std::pair<PersistentMap<uint64_t, int>, std::map<uint64_t, int>>>
+      copies;
+  uint64_t fresh = 0;
+  for (int step = 0; step < 16 * 48; ++step) {
+    const uint64_t key =
+        fresh > 0 && rng.NextChance(1, 4) ? rng.NextBelow(fresh) : fresh++;
+    map.Set(key, step);
+    oracle[key] = step;
+    copies.emplace_back(map, oracle);
+    if (step % 5 == 0) {
+      const uint64_t own = rng.NextBelow(fresh + 1);
+      copies.back().first.Set(own, -step);
+      copies.back().second[own] = -step;
+    }
+  }
+  copies.emplace_back(map, oracle);
+  for (size_t c = 0; c < copies.size(); ++c) {
+    const auto& [copy, want] = copies[c];
+    const std::vector<std::pair<uint64_t, int>> want_contents(want.begin(),
+                                                              want.end());
+    ASSERT_EQ(Contents(copy), want_contents) << "copy " << c;
+    ASSERT_EQ(copy.DistinctCount(), want.size()) << "copy " << c;
+    for (uint64_t key = 0; key <= fresh; ++key) {
+      auto it = want.find(key);
+      const int* got = copy.Find(key);
+      ASSERT_EQ(got != nullptr, it != want.end()) << "copy " << c << " key " << key;
+      if (got != nullptr) {
+        ASSERT_EQ(*got, it->second) << "copy " << c << " key " << key;
+      }
+    }
+  }
+}
+
+TEST(PersistentStructureTest, PersistentEraseSetTombstonesHoldThroughTheFlatten) {
+  // Erase writes a tombstone, and the flatten drops tombstones once no
+  // older layer is left to shadow. A copy after every operation, over
+  // enough churn on 96 keys to flatten the chain more than once, must keep
+  // reading as its oracle: an erased key stays absent, a re-inserted one is
+  // present, and size() stays exact.
+  Rng rng(1357911);
+  PersistentEraseSet<uint64_t> set;
+  std::set<uint64_t> oracle;
+  std::vector<std::pair<PersistentEraseSet<uint64_t>, std::set<uint64_t>>> copies;
+  for (int step = 0; step < 16 * 48 * 3; ++step) {
+    const uint64_t key = rng.NextBelow(96);
+    if (rng.NextChance(1, 2)) {
+      ASSERT_EQ(set.insert(key), oracle.insert(key).second) << "step " << step;
+    } else {
+      ASSERT_EQ(set.erase(key), oracle.erase(key) != 0) << "step " << step;
+    }
+    copies.emplace_back(set, oracle);
+  }
+  for (size_t c = 0; c < copies.size(); ++c) {
+    const auto& [copy, want] = copies[c];
+    ASSERT_EQ(copy.size(), want.size()) << "copy " << c;
+    for (uint64_t key = 0; key < 96; ++key) {
+      ASSERT_EQ(copy.contains(key), want.count(key) != 0)
+          << "copy " << c << " key " << key;
     }
   }
 }

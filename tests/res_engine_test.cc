@@ -27,8 +27,8 @@ TEST(SymSnapshotTest, BaseCaseIsExactCoredumpCopy) {
   SymSnapshot snap = SymSnapshot::FromCoredump(module, failure.dump, &pool);
 
   // Every register is the concrete dump value.
-  ASSERT_EQ(snap.threads().size(), failure.dump.threads.size());
-  const SymFrame& frame = snap.threads()[0].frames.back();
+  ASSERT_EQ(snap.thread_count(), failure.dump.threads.size());
+  const SymFrame& frame = snap.thread(0).frames.back();
   const Frame& dump_frame = failure.dump.threads[0].frames.back();
   for (size_t r = 0; r < frame.regs.size(); ++r) {
     ASSERT_TRUE(frame.regs[r]->is_const());

@@ -88,8 +88,9 @@ TEST_F(ExprTest, SubstituteRebuildsAndSimplifies) {
   const Expr* v = pool_.Var("v", VarOrigin::kInput);
   const Expr* w = pool_.Var("w", VarOrigin::kInput);
   const Expr* e = pool_.Add(pool_.Binary(BinOp::kMul, v, pool_.Const(2)), w);
-  std::unordered_map<VarId, const Expr*> bindings{{v->var, pool_.Const(10)},
-                                                  {w->var, pool_.Const(2)}};
+  Bindings bindings;
+  bindings.Set(v->var, pool_.Const(10));
+  bindings.Set(w->var, pool_.Const(2));
   const Expr* s = Substitute(&pool_, e, bindings);
   ASSERT_TRUE(s->is_const());
   EXPECT_EQ(s->value, 22);
@@ -240,11 +241,11 @@ TEST_P(ExprPropertyTest, SimplificationPreservesSemantics) {
   for (int trial = 0; trial < 50; ++trial) {
     const Expr* e = gen(4);
     Assignment a;
-    std::unordered_map<VarId, const Expr*> bindings;
+    Bindings bindings;
     for (const Expr* v : vars) {
       int64_t value = rng.NextInRange(-16, 16);
       a[v->var] = value;
-      bindings[v->var] = pool.Const(value);
+      bindings.Set(v->var, pool.Const(value));
     }
     const Expr* substituted = Substitute(&pool, e, bindings);
     ASSERT_TRUE(substituted->is_const());
@@ -277,7 +278,7 @@ TEST_F(SolverTest, EqualityPropagation) {
   const Expr* x = pool_.Var("x", VarOrigin::kUnknown);
   auto out = solver_.Check({pool_.Eq(x, pool_.Const(7))});
   ASSERT_EQ(out.result, SatResult::kSat);
-  EXPECT_EQ(out.model[x->var], 7);
+  EXPECT_EQ(out.model->at(x->var), 7);
 }
 
 TEST_F(SolverTest, ConflictingEqualitiesUnsat) {
@@ -296,7 +297,7 @@ TEST_F(SolverTest, BindingChainsResolve) {
                             pool_.Eq(z, pool_.Const(3)),
                             pool_.Ne(pool_.Ne(x, pool_.Const(0)), pool_.Const(0))});
   ASSERT_EQ(out.result, SatResult::kSat);
-  EXPECT_EQ(out.model[x->var], 3);
+  EXPECT_EQ(out.model->at(x->var), 3);
 }
 
 TEST_F(SolverTest, LinearInversion) {
@@ -304,17 +305,17 @@ TEST_F(SolverTest, LinearInversion) {
   // x + 5 == 12
   auto out = solver_.Check({pool_.Eq(pool_.Add(x, pool_.Const(5)), pool_.Const(12))});
   ASSERT_EQ(out.result, SatResult::kSat);
-  EXPECT_EQ(out.model[x->var], 7);
+  EXPECT_EQ(out.model->at(x->var), 7);
   // 20 - x == 12
   auto out2 = solver_.Check(
       {pool_.Eq(pool_.Binary(BinOp::kSub, pool_.Const(20), x), pool_.Const(12))});
   ASSERT_EQ(out2.result, SatResult::kSat);
-  EXPECT_EQ(out2.model[x->var], 8);
+  EXPECT_EQ(out2.model->at(x->var), 8);
   // x ^ 0xff == 0xf0
   auto out3 = solver_.Check({pool_.Eq(pool_.Binary(BinOp::kXor, x, pool_.Const(0xff)),
                                       pool_.Const(0xf0))});
   ASSERT_EQ(out3.result, SatResult::kSat);
-  EXPECT_EQ(out3.model[x->var], 0x0f);
+  EXPECT_EQ(out3.model->at(x->var), 0x0f);
 }
 
 TEST_F(SolverTest, IntervalUnsat) {
@@ -333,7 +334,7 @@ TEST_F(SolverTest, BoundedEnumeration) {
                             pool_.Eq(pool_.Binary(BinOp::kMul, x, x),
                                      pool_.Const(169))});
   ASSERT_EQ(out.result, SatResult::kSat);
-  EXPECT_EQ(out.model[x->var], 13);
+  EXPECT_EQ(out.model->at(x->var), 13);
 }
 
 TEST_F(SolverTest, BoundedEnumerationProvesUnsat) {
@@ -391,7 +392,7 @@ TEST_F(SolverTest, SatModelsAreAlwaysVerified) {
     auto out = solver.Check(cs);
     if (out.result == SatResult::kSat) {
       for (const Expr* c : cs) {
-        EXPECT_NE(EvalExpr(c, out.model), 0) << ExprToString(pool, c);
+        EXPECT_NE(EvalExpr(c, *out.model), 0) << ExprToString(pool, c);
       }
     }
   }
@@ -478,7 +479,7 @@ TEST_F(SolverTest, IncrementalAgreesWithMonolithicOnRandomSuites) {
       ASSERT_NE(inc.result, SatResult::kUnknown);
       if (inc.result == SatResult::kSat) {
         for (const Expr* c : suite) {
-          EXPECT_NE(EvalExpr(c, inc.model), 0) << ExprToString(pool, c);
+          EXPECT_NE(EvalExpr(c, *inc.model), 0) << ExprToString(pool, c);
         }
       } else {
         prefix_unsat = true;
@@ -559,7 +560,7 @@ TEST_F(SolverTest, IncrementalContextForkMatchesIndependentChecks) {
   SolveOutcome l = solver_.CheckIncremental(&left, left_cs);
   SolveOutcome r = solver_.CheckIncremental(&right, right_cs);
   ASSERT_EQ(l.result, SatResult::kSat);
-  EXPECT_EQ(EvalExpr(pool_.Eq(x, pool_.Const(7)), l.model), 1);
+  EXPECT_EQ(EvalExpr(pool_.Eq(x, pool_.Const(7)), *l.model), 1);
   EXPECT_EQ(r.result, SatResult::kUnsat);
   // The left fork must be unaffected by the right fork's contradiction.
   left_cs.push_back(pool_.Binary(BinOp::kLeS, pool_.Const(0), x));
