@@ -1,5 +1,6 @@
 #include "src/coredump/serialize.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "src/support/wire.h"
@@ -24,14 +25,16 @@ bool ReadPc(WireReader* r, Pc* pc) {
 using MemoryWord = std::pair<uint64_t, int64_t>;  // (address, value)
 
 // The shape of every image a VM captures: word-aligned addresses in
-// ascending order, each in the globals segment or in a heap allocation;
-// allocations that tile the heap segment from kHeapBase, as the bump
-// allocator hands them out; every allocation word present; and no image at
-// all in a minidump. Checked before a single page is built, so an image
-// maps at most the globals segment plus the heap words its bytes carry,
-// never a page per word.
+// ascending order, each in the globals segment (in a declared global, when
+// the module is known) or in a heap allocation; allocations that tile the
+// heap segment from kHeapBase, as the bump allocator hands them out; every
+// allocation word present; and no image at all in a minidump. Checked
+// before a single page is built, so an image maps at most the globals
+// segment (the module's globals, when it is known) plus the heap words its
+// bytes carry, never a page per word.
 Status CheckMemoryImage(const std::vector<MemoryWord>& words, bool has_memory,
-                        const std::vector<Allocation>& allocations) {
+                        const std::vector<Allocation>& allocations,
+                        const Module* module) {
   if (!has_memory && !words.empty()) {
     return DataLoss("minidump carries a memory image");
   }
@@ -43,6 +46,15 @@ Status CheckMemoryImage(const std::vector<MemoryWord>& words, bool has_memory,
     }
     heap_end += a.size_words * kWordSize;
   }
+  // The declared globals as [begin, end) byte ranges, ascending.
+  std::vector<std::pair<uint64_t, uint64_t>> declared;
+  if (module != nullptr) {
+    for (const GlobalVar& g : module->globals()) {
+      declared.emplace_back(g.address, g.address + g.size_words * kWordSize);
+    }
+    std::sort(declared.begin(), declared.end());
+  }
+  size_t next_global = 0;  // the first range not wholly below the cursor
   uint64_t heap_words = 0;
   for (size_t i = 0; i < words.size(); ++i) {
     const uint64_t addr = words[i].first;
@@ -53,6 +65,15 @@ Status CheckMemoryImage(const std::vector<MemoryWord>& words, bool has_memory,
       ++heap_words;
     } else if (!IsGlobalAddress(addr)) {
       return DataLoss("memory word outside globals and heap allocations");
+    } else if (module != nullptr) {
+      while (next_global < declared.size() &&
+             declared[next_global].second <= addr) {
+        ++next_global;
+      }
+      if (next_global == declared.size() ||
+          addr < declared[next_global].first) {
+        return DataLoss("memory image maps globals the module does not declare");
+      }
     }
   }
   if (has_memory && heap_words != (heap_end - kHeapBase) / kWordSize) {
@@ -134,7 +155,8 @@ RES_FAULT_SITE(kFaultDeserialize, "coredump.deserialize",
                StatusCode::kDataLoss);
 
 Result<Coredump> DeserializeCoredump(const std::vector<uint8_t>& bytes,
-                                     const FaultScope& faults) {
+                                     const FaultScope& faults,
+                                     const Module* module) {
   RES_RETURN_IF_ERROR(faults.Check(kFaultDeserialize));
   WireReader r(bytes);
   uint64_t magic;
@@ -249,8 +271,8 @@ Result<Coredump> DeserializeCoredump(const std::vector<uint8_t>& bytes,
   if (!r.U64(&dump.heap_next_free) || !r.U64(&dump.heap_next_seq)) {
     return DataLoss("truncated heap cursor");
   }
-  RES_RETURN_IF_ERROR(
-      CheckMemoryImage(words, dump.has_memory, dump.heap_allocations));
+  RES_RETURN_IF_ERROR(CheckMemoryImage(words, dump.has_memory,
+                                       dump.heap_allocations, module));
   for (const auto& [addr, value] : words) {
     dump.memory.WriteWordUnchecked(addr, value);
   }

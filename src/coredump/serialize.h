@@ -22,13 +22,17 @@ std::vector<uint8_t> SerializeCoredump(const Coredump& dump);
 // in heap allocations that tile the heap, each allocation word present)
 // before a page is built, so a blob cannot map far more memory than it
 // carries. Every failure — truncation, bad magic, oversized counts, a
-// misshapen image, trailing garbage — returns kDataLoss. A
+// misshapen image, trailing garbage — returns kDataLoss. When the caller
+// knows the `module` the dump claims to be a crash of, a globals word
+// outside every global it declares is refused too, before any page is
+// built; without it the image may map anywhere in the globals segment. A
 // structurally well-formed result may still be semantically garbage; run
 // Coredump::Validate against the module before handing it to an engine.
 // `faults` carries the "coredump.deserialize" fault site (tests / the
 // RES_FAULT_PLAN env can make this call fail deterministically).
 Result<Coredump> DeserializeCoredump(const std::vector<uint8_t>& bytes,
-                                     const FaultScope& faults = {});
+                                     const FaultScope& faults = {},
+                                     const Module* module = nullptr);
 
 }  // namespace res
 

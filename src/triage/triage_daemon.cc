@@ -59,7 +59,8 @@ Result<uint64_t> TriageDaemon::Enqueue(const Module& module, Coredump dump,
   if (p.admit.ok()) {
     if (blob != nullptr) {
       Result<Coredump> parsed = DeserializeCoredump(
-          *blob, FaultScope{options_.fault_plan, static_cast<int>(seq)});
+          *blob, FaultScope{options_.fault_plan, static_cast<int>(seq)},
+          &module);
       if (parsed.ok()) {
         p.dump = std::move(parsed).value();
         p.has_dump = true;

@@ -46,7 +46,8 @@ std::vector<TriageReport> TriageService::RunBatchSerialized(
   std::vector<Status> admit(n, OkStatus());
   for (size_t i = 0; i < n; ++i) {
     Result<Coredump> parsed = DeserializeCoredump(
-        blobs[i], FaultScope{options_.fault_plan, static_cast<int>(i)});
+        blobs[i], FaultScope{options_.fault_plan, static_cast<int>(i)},
+        &module_);
     if (parsed.ok()) {
       storage[i] = std::move(parsed).value();
       ptrs[i] = &storage[i];

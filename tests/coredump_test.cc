@@ -423,6 +423,17 @@ TEST(ValidateTest, GlobalsImageIsTheModulesGlobals) {
   auto parsed = DeserializeCoredump(blob);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   expect_rejected(parsed.value(), "globals the module does not declare");
+  // Given the module, the deserializer refuses that image itself, before it
+  // builds a page per word; the VM's own dump still deserializes.
+  auto refused = DeserializeCoredump(blob, {}, &wd.module);
+  EXPECT_EQ(refused.status().code(), StatusCode::kDataLoss)
+      << refused.status().ToString();
+  EXPECT_NE(refused.status().message().find("globals the module does not declare"),
+            std::string::npos)
+      << refused.status().ToString();
+  auto own = DeserializeCoredump(SerializeCoredump(wd.dump), {}, &wd.module);
+  ASSERT_TRUE(own.ok()) << own.status().ToString();
+  EXPECT_TRUE(own.value().Validate(wd.module).ok());
   // Each declared global word is in the image.
   for (const GlobalVar& g : wd.module.globals()) {
     Coredump missing = wd.dump;
