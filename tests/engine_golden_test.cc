@@ -1,9 +1,10 @@
 // Golden engine signatures: each case's full observable outcome — stop
 // reason, hardware verdict, synthesized suffix (units, schedule, rendered
-// constraints), root causes, every engine and solver counter, and the size
-// of the run's expression pool — is hashed and compared against a
-// checked-in line. Each line carries two hashes: the full one, and one over
-// the output alone (counters left out) with every variable renamed by first
+// constraints), root causes with their taint flags and threads, every
+// engine and solver counter, and the size of the run's expression pool — is
+// hashed and compared against a checked-in line. Each line carries two
+// hashes: the full one, and one over the rendered output alone (taint,
+// threads and counters left out) with every variable renamed by first
 // appearance, so a change that only renumbers the variables the engine mints
 // keeps the second hash while moving the first. The lines were generated by
 // the engine this suite pins, so a mismatch means the search changed what it
@@ -19,8 +20,10 @@
 #include <string>
 #include <string_view>
 
+#include "src/coredump/serialize.h"
 #include "src/ir/builder.h"
 #include "src/res/res_api.h"
+#include "src/scenario/scenario.h"
 #include "src/support/hash.h"
 #include "src/support/string_util.h"
 #include "src/symbolic/expr.h"
@@ -122,10 +125,20 @@ Signature RunSignature(const Module& module, const Coredump& dump,
     sig.first_cause = std::string(RootCauseKindName(result.causes.front().kind));
   }
   sig.renamed = RenameVars(sig.text);
-  // Every engine and solver counter, one line each, walked from the lists,
-  // then the size of the run's private pool.
+  // Each cause's taint flag and threads, which the rendered causes above
+  // leave out; then every engine and solver counter, one line each, walked
+  // from the lists, then the size of the run's private pool.
+  for (const RootCause& cause : result.causes) {
+    sig.text += StrFormat("taint=%d t%u/t%u\n", cause.input_tainted ? 1 : 0,
+                          cause.thread_a, cause.thread_b);
+  }
   sig.text += "counters:\n";
   result.stats.ForEachCounter([&sig](std::string_view key, uint64_t value) {
+    // The rescan-avoidance counter is left out: the lines hold for the one
+    // folded detector that replaces the rescan.
+    if (key == "detector_rescans_avoided") {
+      return;
+    }
     sig.text += StrFormat("%s=%llu\n", std::string(key).c_str(),
                           static_cast<unsigned long long>(value));
   });
@@ -145,52 +158,64 @@ void ExpectGolden(const char* name, const char* golden, const Module& module,
 // Golden lines, one per case.
 constexpr const char* kCorpusGolden[] = {
     "div_by_zero_input root_cause_found 2 div_by_zero "
-    "82514110e81e79ad db2e290cb0b1f603",
+    "a43c8ced905fbe22 db2e290cb0b1f603",
     "semantic_assert root_cause_found 2 semantic_bug "
-    "77a1420c6db8ab14 ccb30f9374a36c77",
+    "fa7f8b71bbf98931 ccb30f9374a36c77",
     "use_after_free root_cause_found 4 use_after_free "
-    "db6d643ccce106b2 b464612ff13a544a",
+    "6796c48f5451a8cb b464612ff13a544a",
     "double_free root_cause_found 3 double_free "
-    "d9cc98570c146912 9cf00da63237a67d",
+    "9952198d8bcff905 9cf00da63237a67d",
     "racy_counter root_cause_found 5 atomicity_violation "
-    "b3c50a4d47e22c19 6641805f830a202e",
+    "ba46ce81e810a383 6641805f830a202e",
     "buffer_overflow root_cause_found 3 buffer_overflow "
-    "d7f9e04e6ac10ee8 3dbfa7c92043f515",
+    "a9931b173d09603e 3dbfa7c92043f515",
     "atomicity_violation root_cause_found 3 atomicity_violation "
-    "892d1f43e796e8e3 117eff5a023a2151",
+    "e3e5bb090a41f9a1 117eff5a023a2151",
     "order_violation reached_start 6 order_violation "
-    "0b6288aa453b6490 b11148896be58671",
+    "73524cb28bfd5c12 b11148896be58671",
+    "deadlock root_cause_found 0 deadlock "
+    "d90f20e6daec659f 08df21ca33bb67bb",
+    "locked_counter_input_bug root_cause_found 2 div_by_zero "
+    "e0335bf9a2babde8 457e2d550c64fbed",
 };
+constexpr const char* kMinidumpGolden =
+    "use_after_free_minidump frontier_exhausted 3 none "
+    "618d55c4207aa8fa 27c0d3fb277a5620";
+constexpr const char* kSweepGolden =
+    "sweep_grid fixtures=67 315 with_cause=67 "
+    "d27c829b2406e8e8 d1f27b03d67d89da";
 constexpr const char* kDeepChainGolden =
     "root_cause_distance_48 root_cause_found 50 semantic_bug "
-    "a5320d4758721ec2 0aad6abaa80e9f44";
+    "76b13d5ae34c9f7f 0aad6abaa80e9f44";
 constexpr const char* kFullSynthesisGolden =
     "full_synthesis reached_start 2 div_by_zero "
-    "cf1c086f6da51f29 b7df6adde8c565f8";
+    "e1f05f7667d4ab90 b7df6adde8c565f8";
 constexpr const char* kSpawnForkGolden[] = {
     "racy_wide4_budget budget 17 atomicity_violation "
-    "57d4ed4e152f3c43 73b9f3cef314777c",
+    "c7db2dbd087fc68a 73b9f3cef314777c",
     "racy_wide4_full reached_start 21 atomicity_violation "
-    "f495c9306f30f6e0 9b9a64d84b4435be",
+    "1e7d2055acc79be7 9b9a64d84b4435be",
 };
 constexpr const char* kAddressForkGolden =
     "address_fork reached_start 2 semantic_bug "
-    "46eae54c287bb544 c1e2349b9bcf6a8f";
+    "e880522a259821df c1e2349b9bcf6a8f";
 constexpr const char* kDecisionProceduresGolden[] = {
     "hash_chain_spilled reached_start 4 semantic_bug "
-    "2007a13bbfc2214a bf13edebe454f102",
+    "00ea5771a057c14a bf13edebe454f102",
     "hash_chain_unspilled reached_start 4 semantic_bug "
-    "a17d6a91ff054dff 848b69faec13f5f8",
+    "0c1b609b2cacd5bb 848b69faec13f5f8",
     "long_execution_no_breadcrumbs max_depth 24 div_by_zero "
-    "30bb81b031870a24 3763096d7a63f978",
+    "0c6abb5a77ea2885 3763096d7a63f978",
 };
 
 TEST(EngineGoldenTest, WorkloadCorpus) {
-  const char* names[] = {"div_by_zero_input", "semantic_assert",
-                         "use_after_free",    "double_free",
-                         "racy_counter",      "buffer_overflow",
-                         "atomicity_violation", "order_violation"};
+  const char* names[] = {"div_by_zero_input",   "semantic_assert",
+                         "use_after_free",      "double_free",
+                         "racy_counter",        "buffer_overflow",
+                         "atomicity_violation", "order_violation",
+                         "deadlock",            "locked_counter_input_bug"};
   static_assert(std::size(names) == std::size(kCorpusGolden));
+  ASSERT_EQ(std::size(names), AllWorkloads().size());
   for (size_t i = 0; i < std::size(names); ++i) {
     const WorkloadSpec& spec = WorkloadByName(names[i]);
     Module module = spec.build();
@@ -201,6 +226,50 @@ TEST(EngineGoldenTest, WorkloadCorpus) {
     ExpectGolden(names[i], kCorpusGolden[i], module, run.value().dump,
                  ResOptions{});
   }
+}
+
+TEST(EngineGoldenTest, Minidump) {
+  // A dump without its memory image: the detector screens must stay sound
+  // when memory reads are unconstrained.
+  const WorkloadSpec& spec = WorkloadByName("use_after_free");
+  Module module = spec.build();
+  auto run = RunToFailure(module, spec, {});
+  ASSERT_TRUE(run.ok());
+  ExpectGolden("use_after_free_minidump", kMinidumpGolden, module,
+               MakeMinidump(run.value().dump), ResOptions{});
+}
+
+TEST(EngineGoldenTest, SweepGrid) {
+  // Every fixture the fixed schedule-space grid mints, analyzed with the
+  // default options: one line over all of them, in sweep order. The line's
+  // middle fields count the fixtures, their suffix units and the fixtures
+  // with a cause.
+  auto sweep = RunSweep(DefaultSweepGrid());
+  ASSERT_TRUE(sweep.ok()) << sweep.status().ToString();
+  std::map<std::string, Module> modules;
+  Signature all;
+  size_t with_cause = 0;
+  for (size_t i = 0; i < sweep.value().fixtures.size(); ++i) {
+    const FixtureRecord& f = sweep.value().fixtures[i];
+    auto module = modules.find(f.workload);
+    if (module == modules.end()) {
+      module = modules.emplace(f.workload, WorkloadByName(f.workload).build())
+                   .first;
+    }
+    auto dump = DeserializeCoredump(sweep.value().dump_blobs[i]);
+    ASSERT_TRUE(dump.ok()) << dump.status().ToString();
+    Signature sig = RunSignature(module->second, dump.value(), ResOptions{});
+    const std::string header =
+        StrFormat("fixture %s %s seed=%llu\n", f.workload.c_str(),
+                  f.policy.c_str(), static_cast<unsigned long long>(f.seed));
+    all.text += header + sig.text;
+    all.renamed += header + sig.renamed;
+    all.units += sig.units;
+    with_cause += sig.first_cause != "none" ? 1 : 0;
+  }
+  all.stop = StrFormat("fixtures=%zu", sweep.value().fixtures.size());
+  all.first_cause = StrFormat("with_cause=%zu", with_cause);
+  EXPECT_EQ(all.Line("sweep_grid"), kSweepGolden);
 }
 
 TEST(EngineGoldenTest, DeepSuffixChain) {
