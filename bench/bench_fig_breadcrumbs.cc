@@ -1,5 +1,6 @@
 // F3 — execution breadcrumbs (paper §2.4): LBR and error-log anchors trim
-// the backward search at zero recording cost.
+// the backward search at zero recording cost. Each row also appends a
+// record to BENCH_res_scaling.json.
 #include "bench/bench_util.h"
 #include "src/res/res_api.h"
 #include "src/support/string_util.h"
@@ -13,6 +14,7 @@ int main() {
   std::vector<std::vector<std::string>> rows;
   rows.push_back({"workload", "breadcrumbs", "hypotheses", "lbr prunes",
                   "log prunes", "time(ms)", "cause"});
+  BenchJsonWriter json;
 
   struct Config {
     const char* label;
@@ -40,14 +42,17 @@ int main() {
       WallTimer timer;
       ResEngine engine(module, run.value().dump, options);
       ResResult result = engine.Run();
+      double ms = timer.ElapsedMs();
       rows.push_back(
           {name, config.label, std::to_string(result.stats.hypotheses_explored),
            std::to_string(result.stats.pruned_lbr),
-           std::to_string(result.stats.pruned_errlog),
-           StrFormat("%.1f", timer.ElapsedMs()),
+           std::to_string(result.stats.pruned_errlog), StrFormat("%.1f", ms),
            result.causes.empty()
                ? "(none)"
                : std::string(RootCauseKindName(result.causes.front().kind))});
+      json.Append(StrFormat("breadcrumbs/workload=%s/crumbs=%s", name,
+                            config.label),
+                  ms, result.stats);
     }
   }
 
@@ -66,12 +71,16 @@ int main() {
         WallTimer timer;
         ResEngine engine(module, run.value().dump, options);
         ResResult result = engine.Run();
+        double ms = timer.ElapsedMs();
         rows.push_back({"long_execution/24u", config.label,
                         std::to_string(result.stats.hypotheses_explored),
                         std::to_string(result.stats.pruned_lbr),
                         std::to_string(result.stats.pruned_errlog),
-                        StrFormat("%.1f", timer.ElapsedMs()),
+                        StrFormat("%.1f", ms),
                         result.suffix ? "suffix@depth" : "-"});
+        json.Append(StrFormat("breadcrumbs/workload=long_execution_24u/crumbs=%s",
+                              config.label),
+                    ms, result.stats);
       }
     }
   }
