@@ -1,8 +1,9 @@
 // F2 — path explosion vs root-cause distance (paper §6): RES cost grows with
 // how far the root cause sits from the failure, NOT with execution length.
-// Also the incremental-solver scaling probe: at each distance it reports the
-// solver work (propagation rounds, constraint visits, cache/model-reuse
-// hits) and appends machine-readable records to BENCH_res_scaling.json.
+// Also the incremental-solver and detector scaling probe: at each distance it
+// reports the solver work (propagation rounds, constraint visits,
+// cache/model-reuse hits) and the detector's unit scans, and appends
+// machine-readable records to BENCH_res_scaling.json.
 #include "bench/bench_util.h"
 #include "src/res/res_api.h"
 #include "src/support/string_util.h"
@@ -16,16 +17,16 @@ int main() {
   std::vector<std::vector<std::string>> rows;
   rows.push_back({"distance(blocks)", "suffix units", "hypotheses", "time(ms)",
                   "prop rounds", "prop visits", "reuse+cache hits",
-                  "cause found"});
+                  "detector scans", "cause found"});
   BenchJsonWriter json;
 
   WorkloadSpec spec = WorkloadByName("semantic_assert");
-  for (uint32_t distance : {0u, 1u, 2u, 4u, 8u, 16u, 32u, 64u, 128u}) {
+  for (uint32_t distance : {0u, 1u, 2u, 4u, 8u, 16u, 32u, 64u, 128u, 200u}) {
     Module module = BuildRootCauseDistance(distance);
     auto run = RunToFailure(module, spec, {});
     if (!run.ok()) {
       rows.push_back({std::to_string(distance), "-", "-", "-", "-", "-", "-",
-                      "no failure"});
+                      "-", "no failure"});
       continue;
     }
     ResOptions options;
@@ -42,6 +43,7 @@ int main() {
          std::to_string(solver.propagation_rounds),
          std::to_string(solver.propagated_constraints),
          std::to_string(solver.model_reuse_hits + solver.cache_hits),
+         std::to_string(result.stats.detector_units_scanned),
          result.causes.empty()
              ? "NO"
              : std::string(RootCauseKindName(result.causes.front().kind))});
@@ -49,57 +51,9 @@ int main() {
                 result.stats);
   }
   PrintTable(rows);
-  std::printf("\nexpected shape: suffix length and hypotheses grow with the "
-              "distance; the cause is found at every distance\n");
-
-  // --- Incremental root-cause detection: scan economy at distance 200. ---
-  // Rescan mode re-walks the whole materialized suffix for every verified
-  // hypothesis (O(depth) per detect, O(depth^2) total); the incremental
-  // detector folds each appended unit once and answers detect-time passes
-  // from the context. Output is byte-identical (enforced by
-  // tests/root_cause_incremental_test.cc); only the work counters differ.
-  PrintHeader("F2c: detector scan economy at distance 200 (incremental vs rescan)");
-  const uint32_t kDetectorDistance = 200;
-  Module dmodule = BuildRootCauseDistance(kDetectorDistance);
-  auto drun = RunToFailure(dmodule, spec, {});
-  if (!drun.ok()) {
-    std::printf("no failure; skipping detector economy\n");
-    return 0;
-  }
-  std::vector<std::vector<std::string>> drows;
-  drows.push_back({"detector", "time(ms)", "units scanned", "rescans avoided",
-                   "cause found"});
-  uint64_t scanned[2] = {0, 0};
-  for (int mode = 0; mode < 2; ++mode) {
-    const bool incremental = mode == 0;
-    ResOptions options;
-    options.max_units = 256;
-    options.incremental_root_causes = incremental;
-    WallTimer timer;
-    ResEngine engine(dmodule, drun.value().dump, options);
-    ResResult result = engine.Run();
-    double ms = timer.ElapsedMs();
-    scanned[mode] = result.stats.detector_units_scanned;
-    drows.push_back(
-        {incremental ? "incremental" : "rescan", StrFormat("%.1f", ms),
-         std::to_string(result.stats.detector_units_scanned),
-         std::to_string(result.stats.detector_rescans_avoided),
-         result.causes.empty()
-             ? "NO"
-             : std::string(RootCauseKindName(result.causes.front().kind))});
-    json.Append(StrFormat("suffix_depth/distance=%u/detector=%s",
-                          kDetectorDistance,
-                          incremental ? "incremental" : "rescan"),
-                ms, result.stats);
-  }
-  PrintTable(drows);
-  std::printf("\nexpected shape: incremental scans >=10x fewer units than "
-              "rescan at this depth (identical suffix and causes)\n");
-  if (scanned[0] > 0) {
-    std::printf("scan ratio: %.1fx fewer unit-scans incremental vs rescan\n",
-                static_cast<double>(scanned[1]) /
-                    static_cast<double>(scanned[0]));
-  }
+  std::printf("\nexpected shape: suffix length, hypotheses and detector scans "
+              "grow linearly with the distance; the cause is found at every "
+              "distance\n");
 
   // --- Learned-clause sharing on the interleaving frontier.
   // Full synthesis over a 4-worker racy counter: sibling subtrees re-derive

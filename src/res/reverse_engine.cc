@@ -124,8 +124,9 @@ struct ResEngine::Hypothesis {
   // shares the rest of the chain with its parent. head = deepest unit
   // (furthest from the crash); walking prev reaches the crash.
   SuffixChainPtr units_backward;
-  // Per-hypothesis incremental detector state, folded one unit at a time
-  // alongside the chain (mirrors how SolverContext threads solver state).
+  // Per-hypothesis detector state, folded one unit at a time alongside the
+  // chain (mirrors how SolverContext threads solver state) while the run
+  // detects per node (stop_at_root_cause); empty otherwise.
   RootCauseContext rc_ctx;
 
   void AppendUnit(SuffixUnit unit) {
@@ -168,6 +169,14 @@ struct ResEngine::StackEntry {
   // screen covered.
   size_t screen_base = 0;
   uint64_t parent_screen_seq = 0;
+};
+
+// A node Run may report — its root-cause candidate, its reconstructed start
+// or its deepest node — with the model and verified flag of its gate.
+struct ResEngine::Reported {
+  Hypothesis h;
+  std::shared_ptr<const Assignment> model;
+  bool verified = false;
 };
 
 namespace {
@@ -213,9 +222,7 @@ ResEngine::ResEngine(const Module& module, const Coredump& dump, ResOptions opti
     promoted_watermark_ =
         options_.promoted_watermark.value_or(promoted_->published());
   }
-  if (options_.incremental_root_causes) {
-    rc_setup_ = MakeRootCauseSetup(module, dump);
-  }
+  rc_setup_ = MakeRootCauseSetup(module, dump);
   thread_logs_.resize(dump.threads.size());
   for (const ErrorLogEntry& e : dump.error_log) {
     if (e.thread < thread_logs_.size()) {
@@ -1130,8 +1137,8 @@ void ResEngine::ContinueUnit(const UnitPlan& plan, UnitState s, TaskCtx* tctx,
   h.AppendUnit(std::move(unit));
 
   // Fold the new unit into the hypothesis's detector context: O(|unit|) at
-  // append time buys Finalize-time detection that never re-walks the chain.
-  if (options_.incremental_root_causes && options_.stop_at_root_cause) {
+  // append time buys per-node detection that never re-walks the chain.
+  if (options_.stop_at_root_cause) {
     h.rc_ctx.AppendUnit(rc_setup_, module_, dump_, h.units_backward);
     ++tctx->stats.detector_units_scanned;
   }
@@ -1331,7 +1338,7 @@ std::vector<ResEngine::Hypothesis> ResEngine::TryMarkBirth(const Hypothesis& h,
 // state (globals at their initializers, empty heap). It needs the node's
 // post-gate solver context, and its own solver check is the final gate of
 // the synthesized full execution.
-std::optional<SynthesizedSuffix> ResEngine::CompleteStartNode(
+std::optional<ResEngine::Reported> ResEngine::CompleteStartNode(
     const Hypothesis& h, const Gated& g, TaskCtx* tctx) {
   for (const auto& [base, a] : h.state.heap()) {
     if (a.state != SnapAllocState::kUnallocated) {
@@ -1370,10 +1377,10 @@ std::optional<SynthesizedSuffix> ResEngine::CompleteStartNode(
       ++tctx->stats.pruned_unsat;
       return std::nullopt;
     case SatResult::kSat:
-      return Finalize(h2, *outcome.model, /*verified=*/true);
+      return Reported{std::move(h2), std::move(outcome.model), true};
     case SatResult::kUnknown:
       ++tctx->stats.unknown_kept;
-      return Finalize(h2, *g.model, /*verified=*/false);  // inherited witness
+      return Reported{std::move(h2), g.model, false};  // inherited witness
   }
   return std::nullopt;
 }
@@ -1462,88 +1469,73 @@ RES_FAULT_SITE(kFaultExplore, "engine.lane.explore", StatusCode::kInternal);
 RES_FAULT_SITE(kFaultDetect, "engine.lane.detect", StatusCode::kInternal);
 
 std::vector<RootCause> ResEngine::DetectNode(const Hypothesis& h,
-                                             const Gated& g,
-                                             SynthesizedSuffix* suffix,
-                                             ResStats* stats) {
-  {
-    Status fault = faults_.Check(kFaultDetect);
-    if (!fault.ok()) {
-      RecordFault(std::move(fault));
-      return {};
-    }
+                                             const Gated& g) {
+  Status fault = faults_.Check(kFaultDetect);
+  if (!fault.ok()) {
+    RecordFault(std::move(fault));
+    return {};
   }
-  if (!options_.incremental_root_causes) {
-    // The full-rescan oracle: materialize the suffix and run every detector
-    // pass over it.
-    *suffix = Finalize(h, *g.model, g.verified);
-    return DetectRootCauses(module_, dump_, *suffix, pool_, stats);
-  }
-  // Incremental path: detection consumes the context folded along the
-  // chain; the suffix is materialized only when a cause actually fired.
-  std::map<uint64_t, uint32_t> owners;
-  if (h.rc_ctx.conc_candidate) {
-    // The lockset scan will run; seed it with exactly the initial lock
-    // owners Finalize would publish.
-    std::set<uint64_t> mutexes(h.rc_ctx.lock_mutexes.begin(),
-                               h.rc_ctx.lock_mutexes.end());
-    mutexes.insert(rc_setup_.blocked_mutexes.begin(),
-                   rc_setup_.blocked_mutexes.end());
-    owners = InitialLockOwners(h, *g.model, mutexes);
-  }
-  std::vector<RootCause> causes = DetectRootCausesIncremental(
-      module_, dump_, rc_setup_, h.rc_ctx, h.units_backward.get(), owners,
-      stats);
-  if (!causes.empty()) {
-    *suffix = Finalize(h, *g.model, g.verified);
-  }
-  return causes;
+  return Detect(h, h.rc_ctx, *g.model);
 }
 
-std::map<uint64_t, uint32_t> ResEngine::InitialLockOwners(
-    const Hypothesis& h, const Assignment& model,
-    const std::set<uint64_t>& mutexes) const {
-  std::map<uint64_t, uint32_t> owners;
-  ExprPool* pool = pool_;
-  for (uint64_t m : mutexes) {
-    const Expr* value = h.state.ReadMem(pool, m);
-    if (value == nullptr) {
-      continue;
-    }
-    int64_t owner = EvalExpr(value, model);
-    if (owner > 0 && static_cast<uint64_t>(owner) <= kMaxThreads) {
-      owners[m] = static_cast<uint32_t>(owner - 1);
-    }
+std::vector<RootCause> ResEngine::DetectFinal(const Reported& r) {
+  // Hypotheses carry a folded context only while the run detects per node,
+  // so fold the reported chain here, in append order: from the unit at the
+  // crash back to the head.
+  std::vector<const SuffixChainPtr*> links;
+  for (const SuffixChainPtr* p = &r.h.units_backward; *p != nullptr;
+       p = &(*p)->prev) {
+    links.push_back(p);
   }
-  return owners;
+  RootCauseContext ctx;
+  for (size_t i = links.size(); i-- > 0;) {
+    ctx.AppendUnit(rc_setup_, module_, dump_, *links[i]);
+  }
+  stats_.detector_units_scanned += links.size();
+  return Detect(r.h, ctx, *r.model);
 }
 
-SynthesizedSuffix ResEngine::Finalize(const Hypothesis& h, const Assignment& model,
-                                      bool verified) const {
+std::vector<RootCause> ResEngine::Detect(const Hypothesis& h,
+                                         const RootCauseContext& ctx,
+                                         const Assignment& model) {
+  // The lockset scan runs only once the screen latched. Seed it with the
+  // owner, at suffix start, of every lock word the chain touches or a
+  // blocked thread waits on.
+  std::map<uint64_t, uint32_t> owners;
+  if (ctx.conc_candidate) {
+    auto seed = [&](uint64_t m) {
+      const Expr* value = h.state.ReadMem(pool_, m);
+      if (value == nullptr) {
+        return;
+      }
+      int64_t owner = EvalExpr(value, model);
+      if (owner > 0 && static_cast<uint64_t>(owner) <= kMaxThreads) {
+        owners[m] = static_cast<uint32_t>(owner - 1);
+      }
+    };
+    for (uint64_t m : ctx.lock_mutexes) {
+      seed(m);
+    }
+    for (uint64_t m : rc_setup_.blocked_mutexes) {
+      seed(m);
+    }
+  }
+  return DetectRootCausesIncremental(module_, dump_, rc_setup_, ctx,
+                                     h.units_backward.get(), owners, &stats_);
+}
+
+SynthesizedSuffix ResEngine::Finalize(const Reported& r) const {
   SynthesizedSuffix s;
   // The chain head is the deepest unit, i.e. the first in execution order.
-  s.units.reserve(h.depth());
-  for (const SuffixChainNode* n = h.units_backward.get(); n != nullptr;
+  s.units.reserve(r.h.depth());
+  for (const SuffixChainNode* n = r.h.units_backward.get(); n != nullptr;
        n = n->prev.get()) {
     s.units.push_back(n->unit);
   }
-  s.initial_state = h.state;
-  s.model = model;
-  s.constraints = h.constraints.Materialize();
-  s.verified = verified;
-  // Initial lock owners: evaluate every mutex word touched by suffix lock
-  // ops (plus blocked-thread targets) at suffix start.
-  std::set<uint64_t> mutexes;
-  for (const SuffixUnit& u : s.units) {
-    for (const LockOp& op : u.lock_ops) {
-      mutexes.insert(op.mutex);
-    }
-  }
-  for (const ThreadDump& t : dump_.threads) {
-    if (t.state == ThreadState::kBlockedOnLock) {
-      mutexes.insert(t.blocked_on);
-    }
-  }
-  s.initial_lock_owners = InitialLockOwners(h, model, mutexes);
+  s.initial_state = r.h.state;
+  s.model = *r.model;
+  s.constraints = r.h.constraints.Materialize();
+  s.verified = r.verified;
   return s;
 }
 
@@ -1575,32 +1567,19 @@ ResResult ResEngine::Run() {
   }
   const bool detecting = options_.stop_at_root_cause;
 
-  // Root-cause candidate under refinement (see below).
-  std::optional<SynthesizedSuffix> candidate;
+  // Root-cause candidate under refinement (see below), with its causes.
+  std::optional<Reported> candidate;
   std::vector<RootCause> candidate_causes;
   int candidate_strength = 0;
   uint64_t refine_deadline = 0;
-
-  struct BestHyp {
-    Hypothesis h;
-    std::shared_ptr<const Assignment> model;
-    bool verified = false;
-    bool has = false;
-  };
-  BestHyp best;
-  auto consider_best = [&best](const Hypothesis& h, const Gated& g) {
-    bool better = !best.has || h.depth() > best.h.depth() ||
-                  (h.depth() == best.h.depth() && g.verified && !best.verified);
-    if (better) {
-      best.h = h;
-      best.model = g.model;
-      best.verified = g.verified;
-      best.has = true;
-    }
-  };
+  // The deepest node committed so far (verified preferred at equal depth).
+  std::optional<Reported> best;
 
   uint64_t committed_pops = 0;
-  auto finish = [&](ResResult&& r) {
+  // Every verdict leaves through here; the reported node's suffix is
+  // materialized here, once.
+  auto finish = [&](StopReason stop, const Reported* reported,
+                    std::vector<RootCause> causes) {
     stats_.solver.clauses_evicted = clause_store_.evicted_count();
     if (!fault_.ok()) {
       // A recorded fault fails the whole run: the in-progress result (stats
@@ -1611,8 +1590,17 @@ ResResult ResEngine::Run() {
       return failed;
     }
     stats_.committed_units = committed_pops;
-    r.stats = stats_;
-    return std::move(r);
+    result.stop = stop;
+    if (reported != nullptr) {
+      result.suffix = Finalize(*reported);
+    }
+    result.causes = std::move(causes);
+    result.stats = stats_;
+    return std::move(result);
+  };
+  auto finish_candidate = [&] {
+    return finish(StopReason::kRootCauseFound, &*candidate,
+                  std::move(candidate_causes));
   };
 
   bool budget_hit = false;
@@ -1684,15 +1672,17 @@ ResResult ResEngine::Run() {
     if (g.verified) {
       stats_.max_sat_depth = std::max(stats_.max_sat_depth, n.h.depth());
     }
-    consider_best(n.h, g);
+    if (!best.has_value() || n.h.depth() > best->h.depth() ||
+        (n.h.depth() == best->h.depth() && g.verified && !best->verified)) {
+      best = Reported{n.h, g.model, g.verified};
+    }
 
     if (g.verified && detecting) {
-      SynthesizedSuffix suffix;
-      std::vector<RootCause> causes = DetectNode(n.h, g, &suffix, &stats_);
+      std::vector<RootCause> causes = DetectNode(n.h, g);
       if (!causes.empty()) {
         int strength = CauseStrength(causes.front());
         if (!candidate.has_value() || strength > candidate_strength) {
-          candidate = std::move(suffix);
+          candidate = Reported{n.h, g.model, g.verified};
           candidate_causes = std::move(causes);
           candidate_strength = strength;
           refine_deadline = stats_.hypotheses_explored + kRefineBudget;
@@ -1701,38 +1691,26 @@ ResResult ResEngine::Run() {
         // explanation once more of the interleaving is in the suffix; keep
         // searching briefly. Fully specific causes stop immediately.
         if (candidate_strength >= kTerminalStrength) {
-          result.stop = StopReason::kRootCauseFound;
-          result.suffix = std::move(candidate);
-          result.causes = std::move(candidate_causes);
-          return finish(std::move(result));
+          return finish_candidate();
         }
       }
     }
     if (candidate.has_value() && stats_.hypotheses_explored >= refine_deadline) {
-      result.stop = StopReason::kRootCauseFound;
-      result.suffix = std::move(candidate);
-      result.causes = std::move(candidate_causes);
-      return finish(std::move(result));
+      return finish_candidate();
     }
 
     if (AllThreadsAtBirth(n.h)) {
       TaskCtx complete;
-      std::optional<SynthesizedSuffix> start =
-          CompleteStartNode(n.h, g, &complete);
+      std::optional<Reported> start = CompleteStartNode(n.h, g, &complete);
       stats_ += complete.stats;
       if (start.has_value()) {
-        result.stop = StopReason::kReachedStart;
-        result.suffix = std::move(start);
-        result.causes =
-            DetectRootCauses(module_, dump_, *result.suffix, pool_, &stats_);
-        if (result.causes.empty() && candidate.has_value()) {
+        std::vector<RootCause> causes = DetectFinal(*start);
+        if (causes.empty() && candidate.has_value()) {
           // A shallower suffix explained the failure better than the full
           // path (e.g. the racing window); prefer that explanation.
-          result.stop = StopReason::kRootCauseFound;
-          result.suffix = std::move(candidate);
-          result.causes = std::move(candidate_causes);
+          return finish_candidate();
         }
-        return finish(std::move(result));
+        return finish(StopReason::kReachedStart, &*start, std::move(causes));
       }
       continue;
     }
@@ -1759,26 +1737,24 @@ ResResult ResEngine::Run() {
   }
 
   if (candidate.has_value()) {
-    result.stop = StopReason::kRootCauseFound;
-    result.suffix = std::move(candidate);
-    result.causes = std::move(candidate_causes);
-    return finish(std::move(result));
+    return finish_candidate();
   }
-  result.stop = deadline_hit ? StopReason::kDeadlineExceeded
-                : budget_hit ? StopReason::kBudget
-                             : StopReason::kFrontierExhausted;
+  StopReason stop = deadline_hit ? StopReason::kDeadlineExceeded
+                    : budget_hit ? StopReason::kBudget
+                                 : StopReason::kFrontierExhausted;
   if (deadline_hit) {
     ++stats_.deadline_cancels;
   }
-  if (best.has && best.h.depth() > 0) {
+  const Reported* reported = nullptr;
+  std::vector<RootCause> causes;
+  if (best.has_value() && best->h.depth() > 0) {
     // A deadline stop keeps its reason even when the best suffix happens to
     // sit at max depth: the triage layer's degraded-retry logic keys off it.
-    if (!deadline_hit && best.h.depth() >= options_.max_units) {
-      result.stop = StopReason::kMaxDepth;
+    if (!deadline_hit && best->h.depth() >= options_.max_units) {
+      stop = StopReason::kMaxDepth;
     }
-    result.suffix = Finalize(best.h, *best.model, best.verified);
-    result.causes =
-        DetectRootCauses(module_, dump_, *result.suffix, pool_, &stats_);
+    reported = &*best;
+    causes = DetectFinal(*best);
   }
   // Hardware verdict: the search space was exhausted and no feasible suffix
   // of the required confidence depth exists — no execution of P can have
@@ -1788,7 +1764,7 @@ ResResult ResEngine::Run() {
       stats_.max_sat_depth < kHwConfidenceDepth) {
     result.hardware_error_suspected = true;
   }
-  return finish(std::move(result));
+  return finish(stop, reported, std::move(causes));
 }
 
 }  // namespace res

@@ -47,14 +47,6 @@ struct ResOptions {
   bool use_lbr = true;               // consume LBR breadcrumbs
   bool use_error_log = true;         // consume error-log breadcrumbs
   bool stop_at_root_cause = true;    // stop once a detector fires
-  // When true (default), root-cause detection consumes the per-hypothesis
-  // RootCauseContext folded along the suffix chain (O(delta) per appended
-  // unit) instead of re-scanning the whole materialized suffix per verified
-  // hypothesis. When false, every detect runs the full-rescan oracle
-  // (DetectRootCauses) — kept so differential tests can pin the incremental
-  // detector to the monolithic one. Output is byte-identical either way;
-  // only the ResStats detector counters differ.
-  bool incremental_root_causes = true;
   // When true (default), hypotheses share a learned-clause store: failed
   // gates publish their minimized UNSAT cores in deterministic commit order,
   // and every popped hypothesis is screened against them, so a sibling
@@ -122,9 +114,9 @@ std::string_view StopReasonName(StopReason r);
 // deterministic at any parallelism.
 //
 // Every ResStats counter, once (see src/support/counters.h). Detector work
-// economy: with incremental_root_causes detector_units_scanned grows with
-// the number of appended units (O(1) per hypothesis step); in rescan mode it
-// grows with (verified hypotheses x suffix depth).
+// economy: detector_units_scanned grows by one per folded unit (each
+// appended unit while the run detects per node, each unit of a final
+// verdict's chain) plus the fallback scans the folded context cannot answer.
 #define RES_ENGINE_STATS(SUM, MAX)                                             \
   SUM(hypotheses_explored)     /* nodes committed past the solver gate */      \
   SUM(expansions)              /* committed nodes other than the root */       \
@@ -147,7 +139,6 @@ std::string_view StopReasonName(StopReason r);
      a fixed watermark the total is a pure function of (dump, options). */     \
   SUM(expr_reuse_hits)                                                         \
   SUM(detector_units_scanned)  /* units visited by any detector pass */        \
-  SUM(detector_rescans_avoided) /* passes answered by the incremental ctx */   \
   /* Nodes popped by the commit loop: the deterministic abstract clock the     \
      step deadline (ResOptions::deadline_units) is measured against. */        \
   SUM(committed_units)                                                         \
@@ -173,7 +164,9 @@ struct ResStats {
 
 struct ResResult {
   StopReason stop = StopReason::kFrontierExhausted;
-  std::optional<SynthesizedSuffix> suffix;  // deepest feasible suffix found
+  // The reported suffix: the root cause's when one was found, else the
+  // reconstructed full execution or the deepest feasible suffix.
+  std::optional<SynthesizedSuffix> suffix;
   std::vector<RootCause> causes;            // detectors applied to `suffix`
   bool hardware_error_suspected = false;
   bool dump_inconsistent_at_trap = false;   // depth-0 contradiction
@@ -217,6 +210,7 @@ class ResEngine {
   struct TaskCtx;
   struct Gated;
   struct StackEntry;
+  struct Reported;
 
   Hypothesis MakeInitialHypothesis();
   // All single-unit extensions of `h` (one per thread × predecessor edge ×
@@ -284,17 +278,20 @@ class ResEngine {
   // refutes the node (its UNSAT core, if any, in *core) or faults.
   bool GateNode(const StackEntry& n, Gated* g, TaskCtx* tctx,
                 std::vector<const Expr*>* core);
-  // Root-cause detection on h's suffix under g's model, counting detector
-  // work into *stats; *suffix is filled (materialized) whenever a cause
-  // fired.
-  std::vector<RootCause> DetectNode(const Hypothesis& h, const Gated& g,
-                                    SynthesizedSuffix* suffix,
-                                    ResStats* stats);
-  // All-at-birth completion: the finalized full execution when h's snapshot
-  // matches the program's initial state, nullopt otherwise.
-  std::optional<SynthesizedSuffix> CompleteStartNode(const Hypothesis& h,
-                                                     const Gated& g,
-                                                     TaskCtx* tctx);
+  // Root-cause detection on h's suffix under g's model, from the context
+  // folded along h's chain (the "engine.lane.detect" fault site).
+  std::vector<RootCause> DetectNode(const Hypothesis& h, const Gated& g);
+  // Root-cause detection for a final verdict: folds r's chain once, then
+  // detects as DetectNode does.
+  std::vector<RootCause> DetectFinal(const Reported& r);
+  // Detection from `ctx`, folded over h's chain, under `model`.
+  std::vector<RootCause> Detect(const Hypothesis& h, const RootCauseContext& ctx,
+                                const Assignment& model);
+  // All-at-birth completion: the full execution (h with the initial-state
+  // constraints, and its own gate's model) when h's snapshot matches the
+  // program's initial state, nullopt otherwise.
+  std::optional<Reported> CompleteStartNode(const Hypothesis& h,
+                                            const Gated& g, TaskCtx* tctx);
 
   bool LbrAllowsEdge(const Hypothesis& h, uint32_t tid, const Pc& branch_source,
                      const Pc& branch_dest) const;
@@ -310,14 +307,8 @@ class ResEngine {
   // in *hit_seq).
   int ScreenRefutes(const StackEntry& n, uint64_t screen_seq, uint64_t* hit_seq);
 
-  SynthesizedSuffix Finalize(const Hypothesis& h, const Assignment& model,
-                             bool verified) const;
-  // Owner (tid) of every mutex word in `mutexes` at suffix start, evaluated
-  // under `model` — the shared core of Finalize's initial_lock_owners and
-  // the incremental detector's lockset seeding.
-  std::map<uint64_t, uint32_t> InitialLockOwners(
-      const Hypothesis& h, const Assignment& model,
-      const std::set<uint64_t>& mutexes) const;
+  // Materializes the suffix Run returns.
+  SynthesizedSuffix Finalize(const Reported& r) const;
   bool AllThreadsAtBirth(const Hypothesis& h) const;
 
   const Expr* FreshVar(TaskCtx* tctx, VarTag tag, VarOrigin origin);
@@ -355,7 +346,7 @@ class ResEngine {
   // ResStats::expr_reuse_hits.
   size_t var_watermark_ = 0;
   ResStats stats_;
-  // Per-engine immutable detector precomputation (incremental mode only).
+  // Per-engine immutable detector precomputation.
   RootCauseSetup rc_setup_;
   // Per-thread error-log entries (oldest first), split from the global log.
   std::vector<std::vector<ErrorLogEntry>> thread_logs_;

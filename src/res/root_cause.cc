@@ -11,21 +11,9 @@ namespace res {
 
 namespace {
 
-// Borrowed execution-order view of a suffix: the shared substrate for the
-// monolithic oracle (built from SynthesizedSuffix::units) and the
-// incremental fallback scans (built from the suffix chain). Keeping every
-// detector pass expressed over this one view is what makes the two paths
-// byte-identical by construction.
+// Borrowed execution-order view of a suffix chain (SuffixChainUnits), for
+// the scans detection cannot answer from the folded context.
 using UnitsView = std::vector<const SuffixUnit*>;
-
-UnitsView ViewOf(const SynthesizedSuffix& suffix) {
-  UnitsView view;
-  view.reserve(suffix.units.size());
-  for (const SuffixUnit& u : suffix.units) {
-    view.push_back(&u);
-  }
-  return view;
-}
 
 // Symbolizes a memory address against the module's globals / segments.
 std::string SymbolizeAddress(const Module& module, uint64_t addr) {
@@ -53,10 +41,9 @@ struct AccessWithLockset {
 };
 
 std::vector<AccessWithLockset> ComputeLocksets(
-    const UnitsView& units,
-    const std::map<uint64_t, uint32_t>& initial_lock_owners) {
+    const UnitsView& units, const std::map<uint64_t, uint32_t>& lock_owners) {
   std::map<uint32_t, std::set<uint64_t>> held;
-  for (const auto& [mutex, owner] : initial_lock_owners) {
+  for (const auto& [mutex, owner] : lock_owners) {
     held[owner].insert(mutex);
   }
   std::vector<AccessWithLockset> out;
@@ -101,10 +88,9 @@ bool LocksetsDisjoint(const std::set<uint64_t>& a, const std::set<uint64_t>& b) 
 
 // The concurrency-bug detectors (§4 evaluates RES on exactly these classes).
 void DetectConcurrencyBugs(const Module& module, const UnitsView& units,
-                           const std::map<uint64_t, uint32_t>& initial_lock_owners,
+                           const std::map<uint64_t, uint32_t>& lock_owners,
                            std::vector<RootCause>* out) {
-  std::vector<AccessWithLockset> accesses =
-      ComputeLocksets(units, initial_lock_owners);
+  std::vector<AccessWithLockset> accesses = ComputeLocksets(units, lock_owners);
 
   // Atomicity violation: thread T reads X, another thread writes X, T writes
   // (or re-reads) X — the interleaved read-modify-write pattern.
@@ -203,31 +189,19 @@ const Instruction* InstructionAt(const Module& module, const Pc& pc) {
   return &fn.blocks[pc.block].instructions[pc.index];
 }
 
-// View-based origin track: the shared core of TrackRegisterOrigin and the
-// incremental taint fallback. Counts visited units into `stats` when given.
-ValueOrigin TrackRegisterOriginView(const Module& module, const UnitsView& units,
-                                    uint32_t tid, RegId reg, size_t from_unit,
-                                    uint32_t before_index, ResStats* stats) {
+// The overflow pass's taint refinement: the backward def-use walk of
+// register `reg` on thread `tid` from just before instruction
+// `before_index` of units[from_unit]. Counts the units it visits.
+ValueOrigin TrackOrigin(const Module& module, const UnitsView& units,
+                        uint32_t tid, RegId reg, size_t from_unit,
+                        uint32_t before_index, ResStats* stats) {
   OriginFold fold;
   fold.live_regs.insert(reg);
-  if (units.empty()) {
-    ValueOrigin origin;
-    origin.reaches_before_suffix = true;
-    return origin;
-  }
-  size_t start = std::min(from_unit, units.size() - 1);
-  for (size_t ui = start + 1; ui-- > 0;) {
-    if (fold.stopped) {
-      break;
-    }
+  for (size_t ui = from_unit + 1; ui-- > 0 && !fold.stopped;) {
     const SuffixUnit& u = *units[ui];
-    uint32_t scan_end = u.end_index;
-    if (ui == start && before_index != UINT32_MAX) {
-      scan_end = std::min(scan_end, before_index);
-    }
-    if (stats != nullptr) {
-      ++stats->detector_units_scanned;
-    }
+    const uint32_t scan_end =
+        ui == from_unit ? std::min(u.end_index, before_index) : u.end_index;
+    ++stats->detector_units_scanned;
     fold.ProcessUnit(module, u, tid, scan_end);
   }
   return fold.Finish();
@@ -288,7 +262,7 @@ bool OverflowWitnessForAccess(const Module& module, const Coredump& dump,
 }
 
 // Use-after-free / double-free matching for one unit's kFree events against
-// the dump's trap (pure per-event; shared by oracle and free-chain walks).
+// the dump's trap (pure per-event).
 void AppendFreeMatchCauses(const Module& module, const Coredump& dump,
                            const SuffixUnit& u, std::vector<RootCause>* out) {
   for (const UnitEvent& e : u.events) {
@@ -329,8 +303,7 @@ void AppendFreeMatchCauses(const Module& module, const Coredump& dump,
   }
 }
 
-// The div/assert/fault explanation from a tracked operand origin (shared by
-// the oracle's walk and the incremental origin fold).
+// The div/assert/fault explanation from the trap operand's folded origin.
 void AppendOriginTrapCause(const Module& module, const Coredump& dump,
                            const ValueOrigin& origin,
                            std::vector<RootCause>* out) {
@@ -508,13 +481,6 @@ void OriginFold::ProcessUnit(const Module& module, const SuffixUnit& u,
   }
 }
 
-ValueOrigin TrackRegisterOrigin(const Module& module, const SynthesizedSuffix& suffix,
-                                uint32_t tid, RegId reg, size_t from_unit,
-                                uint32_t before_index) {
-  return TrackRegisterOriginView(module, ViewOf(suffix), tid, reg, from_unit,
-                                 before_index, nullptr);
-}
-
 std::optional<RootCause> DetectDeadlockCycle(const Module& module,
                                              const Coredump& dump) {
   if (dump.trap.kind != TrapKind::kDeadlock) {
@@ -570,88 +536,6 @@ std::optional<RootCause> DetectDeadlockCycle(const Module& module,
   }
   return std::nullopt;
 }
-
-std::vector<RootCause> DetectRootCauses(const Module& module, const Coredump& dump,
-                                        const SynthesizedSuffix& suffix,
-                                        const ExprPool* pool,
-                                        ResStats* stats) {
-  (void)pool;
-  std::vector<RootCause> causes;
-
-  if (auto deadlock = DetectDeadlockCycle(module, dump)) {
-    causes.push_back(*deadlock);
-    return causes;
-  }
-
-  const UnitsView view = ViewOf(suffix);
-
-  // Buffer overflow witness: a write whose symbolic base object differs from
-  // the object the concrete address landed in.
-  if (stats != nullptr) {
-    stats->detector_units_scanned += view.size();
-  }
-  for (size_t ui = 0; ui < view.size(); ++ui) {
-    const SuffixUnit& u = *view[ui];
-    for (const MemAccess& a : u.accesses) {
-      RootCause cause;
-      bool needs_taint = false;
-      RegId value_reg = kNoReg;
-      if (!OverflowWitnessForAccess(module, dump, a, &cause, &needs_taint,
-                                    &value_reg)) {
-        continue;
-      }
-      if (needs_taint) {
-        ValueOrigin vo = TrackRegisterOriginView(module, view, a.tid, value_reg,
-                                                 ui, a.pc.index, stats);
-        cause.input_tainted = !vo.input_pcs.empty();
-      }
-      causes.push_back(std::move(cause));
-    }
-  }
-
-  // Concurrency detectors next: an interleaving explanation is the most
-  // precise label for races, atomicity and order violations, and frequently
-  // the only explanation for assert failures.
-  if (stats != nullptr) {
-    stats->detector_units_scanned += view.size();
-  }
-  DetectConcurrencyBugs(module, view, suffix.initial_lock_owners, &causes);
-
-  switch (dump.trap.kind) {
-    case TrapKind::kUseAfterFree:
-    case TrapKind::kDoubleFree: {
-      if (stats != nullptr) {
-        stats->detector_units_scanned += view.size();
-      }
-      for (const SuffixUnit* u : view) {
-        AppendFreeMatchCauses(module, dump, *u, &causes);
-      }
-      break;
-    }
-    case TrapKind::kDivByZero:
-    case TrapKind::kAssertFailure:
-    case TrapKind::kMemoryFault: {
-      if (!causes.empty()) {
-        break;  // a concurrency or overflow explanation already covers it
-      }
-      RegId operand = OriginOperandForTrap(module, dump);
-      if (operand == kNoReg) {
-        break;
-      }
-      ValueOrigin origin = TrackRegisterOriginView(
-          module, view, dump.trap.thread, operand, SIZE_MAX, UINT32_MAX, stats);
-      AppendOriginTrapCause(module, dump, origin, &causes);
-      break;
-    }
-    default:
-      break;
-  }
-  return causes;
-}
-
-// ---------------------------------------------------------------------------
-// Incremental detection.
-// ---------------------------------------------------------------------------
 
 RootCauseSetup MakeRootCauseSetup(const Module& module, const Coredump& dump) {
   RootCauseSetup setup;
@@ -727,7 +611,7 @@ void RootCauseContext::AppendUnit(const RootCauseSetup& setup,
     }
   }
 
-  // Lock words, for the initial-lock-owner set Finalize would compute.
+  // Lock words, whose owners at suffix start seed the lockset scan.
   for (const LockOp& op : u.lock_ops) {
     auto it = std::lower_bound(lock_mutexes.begin(), lock_mutexes.end(), op.mutex);
     if (it == lock_mutexes.end() || *it != op.mutex) {
@@ -748,7 +632,7 @@ void RootCauseContext::AppendUnit(const RootCauseSetup& setup,
 
   // Trap-operand origin fold: the backward def-use walk visits units in
   // exactly append order, so one ProcessUnit per append keeps the fold equal
-  // to the oracle's full walk.
+  // to a walk over the whole chain.
   if (setup.track_origin) {
     if (!origin_seeded) {
       origin.live_regs.insert(setup.origin_operand);
@@ -766,8 +650,7 @@ void RootCauseContext::AppendUnit(const RootCauseSetup& setup,
 std::vector<RootCause> DetectRootCausesIncremental(
     const Module& module, const Coredump& dump, const RootCauseSetup& setup,
     const RootCauseContext& ctx, const SuffixChainNode* chain_head,
-    const std::map<uint64_t, uint32_t>& initial_lock_owners,
-    ResStats* stats) {
+    const std::map<uint64_t, uint32_t>& lock_owners, ResStats* stats) {
   std::vector<RootCause> causes;
 
   if (setup.deadlock.has_value()) {
@@ -776,29 +659,23 @@ std::vector<RootCause> DetectRootCausesIncremental(
   }
 
   const size_t n_units = chain_head != nullptr ? chain_head->depth : 0;
-  UnitsView view;
-  bool view_built = false;
+  UnitsView view;  // built on first use
   auto ensure_view = [&]() -> const UnitsView& {
-    if (!view_built) {
+    if (view.empty()) {
       view = SuffixChainUnits(chain_head);
-      view_built = true;
     }
     return view;
   };
 
-  // Overflow pass: replay the prebuilt witnesses (chain order == the
-  // oracle's emission order); only the rare taint refinement walks units.
-  if (stats != nullptr && n_units > 0) {
-    ++stats->detector_rescans_avoided;
-  }
+  // Overflow pass: replay the prebuilt witnesses (chain order is execution
+  // order); only the rare taint refinement walks units.
   for (const RootCauseContext::OverflowWitness* w = ctx.overflows.get();
        w != nullptr; w = w->prev.get()) {
     RootCause cause = w->cause;
     if (w->needs_taint) {
-      size_t ui = n_units - w->unit_depth;
-      ValueOrigin vo = TrackRegisterOriginView(module, ensure_view(), w->tid,
-                                               w->value_reg, ui,
-                                               w->before_index, stats);
+      ValueOrigin vo =
+          TrackOrigin(module, ensure_view(), w->tid, w->value_reg,
+                      n_units - w->unit_depth, w->before_index, stats);
       cause.input_tainted = !vo.input_pcs.empty();
     }
     causes.push_back(std::move(cause));
@@ -806,20 +683,13 @@ std::vector<RootCause> DetectRootCausesIncremental(
 
   // Concurrency pass: skipped outright while the screen proves it empty.
   if (ctx.conc_candidate) {
-    if (stats != nullptr) {
-      stats->detector_units_scanned += n_units;
-    }
-    DetectConcurrencyBugs(module, ensure_view(), initial_lock_owners, &causes);
-  } else if (stats != nullptr && n_units > 0) {
-    ++stats->detector_rescans_avoided;
+    stats->detector_units_scanned += n_units;
+    DetectConcurrencyBugs(module, ensure_view(), lock_owners, &causes);
   }
 
   switch (dump.trap.kind) {
     case TrapKind::kUseAfterFree:
     case TrapKind::kDoubleFree: {
-      if (stats != nullptr && n_units > 0) {
-        ++stats->detector_rescans_avoided;
-      }
       for (const RootCauseContext::FreeUnit* f = ctx.frees.get(); f != nullptr;
            f = f->prev.get()) {
         AppendFreeMatchCauses(module, dump, f->node->unit, &causes);
@@ -829,16 +699,10 @@ std::vector<RootCause> DetectRootCausesIncremental(
     case TrapKind::kDivByZero:
     case TrapKind::kAssertFailure:
     case TrapKind::kMemoryFault: {
-      if (!causes.empty()) {
-        break;  // a concurrency or overflow explanation already covers it
+      // A concurrency or overflow explanation already covers the trap.
+      if (causes.empty() && setup.track_origin) {
+          AppendOriginTrapCause(module, dump, ctx.origin.Finish(), &causes);
       }
-      if (!setup.track_origin) {
-        break;
-      }
-      if (stats != nullptr && n_units > 0) {
-        ++stats->detector_rescans_avoided;
-      }
-      AppendOriginTrapCause(module, dump, ctx.origin.Finish(), &causes);
       break;
     }
     default:

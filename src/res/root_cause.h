@@ -5,23 +5,19 @@
 // triaging (§3.1). They operate purely on the suffix (accesses, events,
 // locksets) plus the coredump; no ground truth from the workload leaks in.
 //
-// Two entry points:
-//  - DetectRootCauses: the monolithic oracle — full detector passes over a
-//    materialized suffix. O(suffix) per call.
-//  - RootCauseContext + DetectRootCausesIncremental: the engine's hot path.
-//    A context is forked with its hypothesis and folds each appended unit
-//    in O(|unit|) (per-kind partial scans, candidate chains, a def-use
-//    origin fold); Finalize-time detection then consumes the context
-//    instead of re-walking the whole suffix. Output is byte-identical to
-//    the oracle by construction: every incremental shortcut either replays
-//    the oracle's per-unit logic verbatim (shared helpers below) or skips a
-//    pass only when a sound screen proves the pass would find nothing.
+// One detector, in two halves: a RootCauseContext folds each unit of a
+// suffix chain in O(|unit|) (per-kind partial scans, candidate chains, a
+// def-use origin fold), and DetectRootCausesIncremental consumes the folded
+// context instead of re-walking the suffix. A pass falls back to a scan of
+// the chain only where a sound screen cannot rule it out. The engine folds
+// per appended unit while it detects per node, and folds a final verdict's
+// chain once (src/res/reverse_engine.cc). tests/engine_golden_test.cc pins
+// the detector's output.
 #ifndef RES_RES_ROOT_CAUSE_H_
 #define RES_RES_ROOT_CAUSE_H_
 
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -64,11 +60,9 @@ struct RootCause {
   std::string BucketSignature(const Module& module) const;
 };
 
-// Detector work is counted into ResStats (src/res/reverse_engine.h):
-// detector_units_scanned and detector_rescans_avoided. The incremental path
-// pays exactly one visit per appended unit (the fold) plus whatever fallback
-// scans it could not answer from context; the oracle pays O(suffix) per
-// call.
+// Detector work is counted into ResStats::detector_units_scanned
+// (src/res/reverse_engine.h): one visit per folded unit, plus the fallback
+// scans detection could not answer from the context.
 struct ResStats;
 
 // Where a register value came from, chasing def-use chains backward through
@@ -76,15 +70,13 @@ struct ResStats;
 struct ValueOrigin {
   std::vector<Pc> writer_pcs;   // in-suffix stores feeding the value
   std::vector<Pc> input_pcs;    // kInput instructions feeding the value
-  bool reaches_before_suffix = false;  // part of the flow predates the suffix
 };
 
-// The backward def-use walk of TrackRegisterOrigin, expressed as a fold so
-// the incremental detector can advance it one unit at a time: the engine
+// The backward def-use walk behind a register's ValueOrigin, expressed as a
+// fold so the detector can advance it one unit at a time: the engine
 // appends units in reverse execution order (each new unit is EARLIER in
-// time), which is exactly the order the backward walk visits them, so the
-// fold state after k appends equals the oracle walk's state after its first
-// k units.
+// time), which is exactly the order a backward walk visits them, so the
+// fold state after k appends is the walk's state after its first k units.
 // The fold state forks with its hypothesis, so every member is a persistent
 // (structurally-shared) container: the live sets shrink as writers are found
 // (PersistentEraseSet), the emitted-pc vectors only append. A pathological
@@ -97,8 +89,8 @@ struct OriginFold {
   PersistentVector<Pc> input_pcs;
   bool stopped = false;  // hit a frame boundary; no further units matter
 
-  // Replays the oracle's per-unit walk body over instructions [0, scan_end)
-  // of `unit` (tracked thread `tid`; foreign units only feed live addrs).
+  // The walk body over instructions [0, scan_end) of `unit` (tracked
+  // thread `tid`; foreign units only feed live addrs).
   void ProcessUnit(const Module& module, const SuffixUnit& unit, uint32_t tid,
                    uint32_t scan_end);
 
@@ -106,36 +98,13 @@ struct OriginFold {
     ValueOrigin origin;
     origin.writer_pcs = writer_pcs.Materialize();
     origin.input_pcs = input_pcs.Materialize();
-    origin.reaches_before_suffix = !live_regs.empty() || !live_addrs.empty();
     return origin;
   }
 };
 
-// Tracks the origin of register `reg` as of just before instruction
-// `before_index` of unit `from_unit` (defaults: from the very end of the
-// suffix — the operands of the trap instruction).
-ValueOrigin TrackRegisterOrigin(const Module& module, const SynthesizedSuffix& suffix,
-                                uint32_t tid, RegId reg,
-                                size_t from_unit = SIZE_MAX,
-                                uint32_t before_index = UINT32_MAX);
-
-// Runs every applicable detector. `pool` is unused today — input taint is
-// derived from flags recorded on the suffix's accesses plus the def-use
-// walk — and is kept (nullable) so the signature stays stable if a
-// detector needs expression inspection again. `stats` (optional)
-// accumulates the detector work counters.
-std::vector<RootCause> DetectRootCauses(const Module& module, const Coredump& dump,
-                                        const SynthesizedSuffix& suffix,
-                                        const ExprPool* pool,
-                                        ResStats* stats = nullptr);
-
 // Deadlock detection needs no suffix: the waits-for cycle is in the dump.
 std::optional<RootCause> DetectDeadlockCycle(const Module& module,
                                              const Coredump& dump);
-
-// ---------------------------------------------------------------------------
-// Incremental detection.
-// ---------------------------------------------------------------------------
 
 // Per-engine immutable precomputation shared by every hypothesis's context:
 // everything about detection that depends only on <module, dump>.
@@ -161,7 +130,7 @@ RootCauseSetup MakeRootCauseSetup(const Module& module, const Coredump& dump);
 struct RootCauseContext {
   // --- Buffer-overflow pass: per-unit witnesses, found at append time. ---
   // Chain of prebuilt causes; head = newest append = earliest execution, so
-  // walking `prev` yields exactly the oracle's unit-scan emission order.
+  // walking `prev` yields the witnesses in execution order.
   struct OverflowWitness {
     RootCause cause;           // complete except a possible taint refinement
     bool needs_taint = false;  // run the def-use track at detect time
@@ -187,8 +156,8 @@ struct RootCauseContext {
   PersistentMap<uint64_t, AddrConcInfo> addr_info;
   bool conc_candidate = false;
 
-  // Mutex words seen in lock ops (sorted unique; with the setup's blocked
-  // mutexes this reproduces Finalize's initial-lock-owner key set).
+  // Mutex words seen in lock ops (sorted unique). With the setup's blocked
+  // mutexes, the words whose owners at suffix start seed the lockset scan.
   std::vector<uint64_t> lock_mutexes;
 
   // --- Use-after-free / double-free pass: units containing kFree events.
@@ -209,15 +178,14 @@ struct RootCauseContext {
                   const Coredump& dump, const SuffixChainPtr& head);
 };
 
-// Finalize-time detection from the folded context. Byte-identical to
-// DetectRootCauses over the materialized chain. `initial_lock_owners` is
-// only consulted when ctx.conc_candidate is set (pass the same map Finalize
-// would compute); `chain_head` is only walked for fallback scans.
+// Detection from `ctx`, the context folded over the chain at `chain_head`.
+// `lock_owners` (owner tid per mutex word at suffix start) is consulted only
+// when ctx.conc_candidate is set; `chain_head` is walked only for fallback
+// scans, which count into stats->detector_units_scanned.
 std::vector<RootCause> DetectRootCausesIncremental(
     const Module& module, const Coredump& dump, const RootCauseSetup& setup,
     const RootCauseContext& ctx, const SuffixChainNode* chain_head,
-    const std::map<uint64_t, uint32_t>& initial_lock_owners,
-    ResStats* stats);
+    const std::map<uint64_t, uint32_t>& lock_owners, ResStats* stats);
 
 }  // namespace res
 

@@ -99,9 +99,6 @@ struct SynthesizedSuffix {
   Assignment model;                     // concrete witness for all variables
   std::vector<const Expr*> constraints; // the path/match condition
   bool verified = false;                // solver proved SAT (vs unknown)
-  // Mutexes already held when the suffix starts (owner tid per mutex word),
-  // for lockset-based race detection.
-  std::map<uint64_t, uint32_t> initial_lock_owners;
 
   size_t TotalInstructions() const {
     size_t n = 0;

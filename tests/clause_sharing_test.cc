@@ -350,8 +350,8 @@ TEST(ClauseStoreTest, ScreensWhilePromotionCrossesChunks) {
 // ---------------------------------------------------------------------------
 
 // Everything observable about an engine run, rendered to one string so a
-// mismatch diff shows exactly which facet diverged (same shape as
-// root_cause_incremental_test.cc's signature).
+// mismatch diff shows exactly which facet diverged: engine_golden_test.cc's
+// rendering plus each cause's taint flag and threads.
 std::string RunSignature(const Module& module, const Coredump& dump,
                          ResOptions options, bool sharing,
                          ResStats* stats_out = nullptr) {
@@ -378,11 +378,6 @@ std::string RunSignature(const Module& module, const Coredump& dump,
     for (const Expr* c : s.constraints) {
       sig += ExprToString(*engine.pool(), c);
       sig += "\n";
-    }
-    sig += "lock_owners:\n";
-    for (const auto& [mutex, owner] : s.initial_lock_owners) {
-      sig += StrFormat("  0x%llx -> t%u\n",
-                       static_cast<unsigned long long>(mutex), owner);
     }
   } else {
     sig += "suffix none\n";

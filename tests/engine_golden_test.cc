@@ -134,11 +134,6 @@ Signature RunSignature(const Module& module, const Coredump& dump,
   }
   sig.text += "counters:\n";
   result.stats.ForEachCounter([&sig](std::string_view key, uint64_t value) {
-    // The rescan-avoidance counter is left out: the lines hold for the one
-    // folded detector that replaces the rescan.
-    if (key == "detector_rescans_avoided") {
-      return;
-    }
     sig.text += StrFormat("%s=%llu\n", std::string(key).c_str(),
                           static_cast<unsigned long long>(value));
   });
