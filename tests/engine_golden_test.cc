@@ -169,22 +169,22 @@ constexpr const char* kCorpusGolden[] = {
     "order_violation reached_start 6 order_violation "
     "73524cb28bfd5c12 b11148896be58671",
     "deadlock root_cause_found 0 deadlock "
-    "d90f20e6daec659f 08df21ca33bb67bb",
+    "d91296e6daef63f8 08df21ca33bb67bb",
     "locked_counter_input_bug root_cause_found 2 div_by_zero "
     "e0335bf9a2babde8 457e2d550c64fbed",
 };
 constexpr const char* kMinidumpGolden =
     "use_after_free_minidump frontier_exhausted 3 none "
-    "618d55c4207aa8fa 27c0d3fb277a5620";
+    "4e4ce48817e6280b 27c0d3fb277a5620";
 constexpr const char* kSweepGolden =
     "sweep_grid fixtures=67 315 with_cause=67 "
-    "d27c829b2406e8e8 d1f27b03d67d89da";
+    "4872c587dc7bc314 d1f27b03d67d89da";
 constexpr const char* kDeepChainGolden =
     "root_cause_distance_48 root_cause_found 50 semantic_bug "
     "76b13d5ae34c9f7f 0aad6abaa80e9f44";
 constexpr const char* kFullSynthesisGolden =
     "full_synthesis reached_start 2 div_by_zero "
-    "e1f05f7667d4ab90 b7df6adde8c565f8";
+    "ceae907c5d1d4614 b7df6adde8c565f8";
 constexpr const char* kSpawnForkGolden[] = {
     "racy_wide4_budget budget 17 atomicity_violation "
     "c7db2dbd087fc68a 73b9f3cef314777c",
@@ -193,14 +193,14 @@ constexpr const char* kSpawnForkGolden[] = {
 };
 constexpr const char* kAddressForkGolden =
     "address_fork reached_start 2 semantic_bug "
-    "e880522a259821df c1e2349b9bcf6a8f";
+    "c579f3e2f8b3398b c1e2349b9bcf6a8f";
 constexpr const char* kDecisionProceduresGolden[] = {
     "hash_chain_spilled reached_start 4 semantic_bug "
-    "00ea5771a057c14a bf13edebe454f102",
+    "87ea9fe01b1b0a0a bf13edebe454f102",
     "hash_chain_unspilled reached_start 4 semantic_bug "
-    "0c1b609b2cacd5bb 848b69faec13f5f8",
+    "14f95657f90fbacf 848b69faec13f5f8",
     "long_execution_no_breadcrumbs max_depth 24 div_by_zero "
-    "0c6abb5a77ea2885 3763096d7a63f978",
+    "f4897acbc772b4d8 3763096d7a63f978",
 };
 
 TEST(EngineGoldenTest, WorkloadCorpus) {
