@@ -116,8 +116,9 @@ struct RootCauseSetup {
   bool track_origin = false;
   RegId origin_operand = kNoReg;
   uint32_t trap_thread = 0;
-  // Lock words blocked threads wait on (sorted unique) — part of the
-  // initial-lock-owner mutex set the lockset scan needs.
+  // Lock words blocked threads wait on (sorted unique). With a context's
+  // lock_mutexes, the words whose owners at suffix start seed the lockset
+  // scan.
   std::vector<uint64_t> blocked_mutexes;
 };
 
