@@ -241,19 +241,14 @@ TEST(EngineGoldenTest, SweepGrid) {
   // with a cause.
   auto sweep = RunSweep(DefaultSweepGrid());
   ASSERT_TRUE(sweep.ok()) << sweep.status().ToString();
-  std::map<std::string, Module> modules;
   Signature all;
   size_t with_cause = 0;
   for (size_t i = 0; i < sweep.value().fixtures.size(); ++i) {
     const FixtureRecord& f = sweep.value().fixtures[i];
-    auto module = modules.find(f.workload);
-    if (module == modules.end()) {
-      module = modules.emplace(f.workload, WorkloadByName(f.workload).build())
-                   .first;
-    }
+    Module module = WorkloadByName(f.workload).build();
     auto dump = DeserializeCoredump(sweep.value().dump_blobs[i]);
     ASSERT_TRUE(dump.ok()) << dump.status().ToString();
-    Signature sig = RunSignature(module->second, dump.value(), ResOptions{});
+    Signature sig = RunSignature(module, dump.value(), ResOptions{});
     const std::string header =
         StrFormat("fixture %s %s seed=%llu\n", f.workload.c_str(),
                   f.policy.c_str(), static_cast<unsigned long long>(f.seed));
