@@ -473,8 +473,7 @@ bool ResEngine::GateNode(const StackEntry& n, Gated* g, TaskCtx* tctx,
   return false;
 }
 
-int ResEngine::ScreenRefutes(const StackEntry& n, uint64_t screen_seq,
-                             uint64_t* hit_seq) {
+int ResEngine::ScreenRefutes(const StackEntry& n, uint64_t screen_seq) {
   auto contains = [&n](const Expr* e) { return n.h.constraint_set.contains(e); };
   // (i) Cores containing one of this node's fresh constraints. A core made
   // entirely of inherited constraints with seq <= parent_screen_seq would
@@ -483,14 +482,14 @@ int ResEngine::ScreenRefutes(const StackEntry& n, uint64_t screen_seq,
   std::vector<const Expr*> fresh;
   n.h.constraints.AppendSuffixTo(n.screen_base, &fresh);
   for (const Expr* f : fresh) {
-    if (clause_store_.RefutesByMember(f, screen_seq, contains, hit_seq)) {
+    if (clause_store_.RefutesByMember(f, screen_seq, contains)) {
       return 1;
     }
   }
   // (ii) ...cores published after the parent's screen ran can apply.
   if (screen_seq > n.parent_screen_seq &&
-      clause_store_.RefutesNewSince(n.parent_screen_seq, screen_seq, contains,
-                                    hit_seq)) {
+      clause_store_.RefutesNewSince(n.parent_screen_seq, screen_seq,
+                                    contains)) {
     return 1;
   }
   // (iii) The promoted (cross-task) store, bounded by this run's fixed
@@ -499,8 +498,7 @@ int ResEngine::ScreenRefutes(const StackEntry& n, uint64_t screen_seq,
   // refuted one of them already.
   if (promoted_ != nullptr) {
     for (const Expr* f : fresh) {
-      if (promoted_->RefutesByMember(f, promoted_watermark_, contains,
-                                     hit_seq)) {
+      if (promoted_->RefutesByMember(f, promoted_watermark_, contains)) {
         return 2;
       }
     }
@@ -1580,7 +1578,6 @@ ResResult ResEngine::Run() {
   // materialized here, once.
   auto finish = [&](StopReason stop, const Reported* reported,
                     std::vector<RootCause> causes) {
-    stats_.solver.clauses_evicted = clause_store_.evicted_count();
     if (!fault_.ok()) {
       // A recorded fault fails the whole run: the in-progress result (stats
       // included) is discarded, so the kTaskFailed output is a constant.
@@ -1629,15 +1626,12 @@ ResResult ResEngine::Run() {
     const uint64_t screen_seq = clause_store_.published();
     if (options_.clause_sharing && n.parent != nullptr &&
         (screen_seq > 0 || promoted_watermark_ > 0)) {
-      uint64_t hit_seq = 0;
-      int refuted = ScreenRefutes(n, screen_seq, &hit_seq);
+      int refuted = ScreenRefutes(n, screen_seq);
       if (refuted != 0) {
         if (refuted == 1) {
           ++stats_.solver.clause_hits;
-          clause_store_.RecordHit(hit_seq);  // eviction order follows use
         } else {
           ++stats_.solver.promoted_clause_hits;
-          promoted_->RecordHit(hit_seq);
         }
         ++stats_.pruned_unsat;
         continue;

@@ -303,9 +303,8 @@ class ResEngine {
   // the parent's screen — everything older that could refute n would have
   // refuted an ancestor at its own screen (constraints are append-only, and
   // every node screens against the same promoted watermark). Returns 0 =
-  // no, 1 = local store (seq in *hit_seq), 2 = promoted store (promoted seq
-  // in *hit_seq).
-  int ScreenRefutes(const StackEntry& n, uint64_t screen_seq, uint64_t* hit_seq);
+  // no, 1 = local store, 2 = promoted store.
+  int ScreenRefutes(const StackEntry& n, uint64_t screen_seq);
 
   // Materializes the suffix Run returns.
   SynthesizedSuffix Finalize(const Reported& r) const;

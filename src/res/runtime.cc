@@ -8,11 +8,7 @@ namespace res {
 ModuleFacts::ModuleFacts(const Module& m)
     : module(&m),
       cfg(ModuleCfg::Build(m)),
-      predecoded(PredecodedModule::Build(m)),
-      // live capacity == slot capacity: the full-slab check in Publish
-      // fires before any eviction could, so promoted cores are never
-      // displaced out from under a running engine's watermark.
-      promoted_clauses(kPromotedClauseCapacity, kPromotedClauseCapacity) {}
+      predecoded(PredecodedModule::Build(m)) {}
 
 ResRuntime::ResRuntime() = default;
 
@@ -47,7 +43,7 @@ ResRuntime::FactsEviction ResRuntime::EvictIdleFacts(size_t max_resident,
     for (auto it = facts_.begin(); it != facts_.end();) {
       const FactsEntry& e = it->second;
       if (!pinned(e) && facts_tick_ - e.last_use_tick >= ttl_ticks) {
-        out.cores_dropped += e.facts->promoted_clauses.live_count();
+        out.cores_dropped += e.facts->promoted_clauses.published();
         ++out.facts_evicted;
         ++out.ttl_evicted;
         it = facts_.erase(it);
@@ -77,7 +73,7 @@ ResRuntime::FactsEviction ResRuntime::EvictIdleFacts(size_t max_resident,
                      });
     size_t need = facts_.size() - max_resident;
     for (size_t i = 0; i < victims.size() && need > 0; ++i, --need) {
-      out.cores_dropped += victims[i]->second.facts->promoted_clauses.live_count();
+      out.cores_dropped += victims[i]->second.facts->promoted_clauses.published();
       ++out.facts_evicted;
       facts_.erase(victims[i]);
     }
@@ -98,7 +94,7 @@ ResRuntime::Reclaim ResRuntime::ReclaimSubstrate() {
   }
   std::lock_guard<std::mutex> promote_lock(promote_mu_);
   for (auto& [module, entry] : facts_) {
-    out.cores_dropped += entry.facts->promoted_clauses.live_count();
+    out.cores_dropped += entry.facts->promoted_clauses.published();
     entry.facts->promoted_clauses.Clear();
   }
   out.keys_dropped = check_cache_.promoted_keys();
@@ -127,13 +123,9 @@ ResRuntime::Promotion ResRuntime::Promote(
   }
   std::shared_ptr<ModuleFacts> facts = FactsFor(module);
   std::lock_guard<std::mutex> lock(promote_mu_);
-  // Cores in task seq order (itself deterministic commit order); evicted
-  // cores stayed cold in their own run, so only live ones promote.
+  // Cores in task seq order (itself deterministic commit order).
   const uint64_t published = task_cores.published();
   for (uint64_t seq = 0; seq < published; ++seq) {
-    if (task_cores.IsEvicted(seq)) {
-      continue;
-    }
     if (facts->promoted_clauses.Publish(task_cores.CoreElems(seq))) {
       ++result.new_cores;
     }

@@ -64,20 +64,13 @@
 
 namespace res {
 
-// Core cap of each module's promoted store: the most cores it may hold, not
-// an up-front allocation (its slots are allocated a chunk at a time, as
-// cores are promoted). Unlike the run-local stores, the promoted store
-// NEVER evicts individual cores: a running engine's fixed watermark may
-// cover any promoted core, and the determinism contract requires the
-// covered prefix to stay visible for the whole run — so at the cap,
-// promotion simply stops for that module. (Whole-entry residency is bounded
-// separately: EvictIdleFacts / ReclaimSubstrate drop a module's facts only
-// while no run pins them.)
-inline constexpr size_t kPromotedClauseCapacity = 16384;
-
 // Facts scoped to one module, built on first use and shared by every run
 // over that module. The promoted ClauseStore is published to exclusively by
-// ResRuntime::Promote (single logical publisher, serialized internally).
+// ResRuntime::Promote (single logical publisher, serialized internally). It
+// never drops a core: a running engine's fixed watermark may cover any
+// promoted core, so a full store simply stops promoting for that module.
+// (Whole-entry residency is bounded separately: EvictIdleFacts and
+// ReclaimSubstrate drop a module's facts only while no run pins them.)
 struct ModuleFacts {
   explicit ModuleFacts(const Module& m);
 

@@ -72,20 +72,4 @@ const SnapAlloc* SymSnapshot::FindAlloc(uint64_t addr) const {
   return nullptr;
 }
 
-SnapAlloc* SymSnapshot::NewestLiveAlloc() {
-  const SnapAlloc* best = nullptr;
-  for (const auto& [base, a] : *heap_) {
-    if (a.state == SnapAllocState::kUnallocated) {
-      continue;
-    }
-    if (best == nullptr || a.alloc_seq > best->alloc_seq) {
-      best = &a;
-    }
-  }
-  if (best == nullptr) {
-    return nullptr;
-  }
-  return &MutableHeap()[best->base];
-}
-
 }  // namespace res

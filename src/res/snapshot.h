@@ -165,13 +165,6 @@ class SymSnapshot {
   // Allocation covering addr, if any.
   const SnapAlloc* FindAlloc(uint64_t addr) const;
 
-  // The live (not kUnallocated) allocation with the highest alloc_seq — the
-  // one a reversed kAlloc must unwind (the heap is a bump allocator, so
-  // creation order is seq order). The mutable variant clones a shared table.
-  SnapAlloc* NewestLiveAlloc();
-
-  const Coredump* dump() const { return dump_; }
-
  private:
   const Coredump* dump_ = nullptr;  // not owned; source of concrete words
   CowOverlay overlay_;

@@ -303,41 +303,6 @@ Solver::Solver(ExprPool* pool, uint64_t seed, SolverOptions options,
 
 // --- Learned-clause store. ---
 
-void ClauseStore::EvictOne() {
-  const uint64_t count = count_.load(std::memory_order_relaxed);
-  uint32_t victim = std::numeric_limits<uint32_t>::max();
-  uint32_t victim_hits = 0;
-  for (uint32_t id = 0; id < count; ++id) {
-    const Core& core = Slot(id);
-    if (core.evicted.load(std::memory_order_relaxed)) {
-      continue;
-    }
-    uint32_t h = core.hits.load(std::memory_order_relaxed);
-    if (victim == std::numeric_limits<uint32_t>::max() || h < victim_hits) {
-      victim = id;  // ties keep the first (oldest seq) candidate
-      victim_hits = h;
-    }
-  }
-  if (victim == std::numeric_limits<uint32_t>::max()) {
-    return;
-  }
-  // Purge the dedup entry first so the conflict can be re-learned later;
-  // the by_member index keeps the id (probes skip it via the flag).
-  uint64_t h = 0;
-  for (const Expr* e : Slot(victim).elems) {
-    h ^= MixKey(e->det_hash);
-  }
-  auto it = dedup_.find(h);
-  if (it != dedup_.end()) {
-    auto& bucket = it->second;
-    bucket.erase(std::remove(bucket.begin(), bucket.end(), victim),
-                 bucket.end());
-  }
-  Slot(victim).evicted.store(true, std::memory_order_release);
-  live_.fetch_sub(1, std::memory_order_relaxed);
-  evicted_.fetch_add(1, std::memory_order_relaxed);
-}
-
 void ClauseStore::Clear() {
   // Quiesced by contract (see header); locks taken so misuse is loud.
   for (Shard& shard : shards_) {
@@ -348,8 +313,6 @@ void ClauseStore::Clear() {
   for (std::unique_ptr<Core[]>& chunk : chunks_) {
     chunk.reset();
   }
-  live_.store(0, std::memory_order_relaxed);
-  evicted_.store(0, std::memory_order_relaxed);
   count_.store(0, std::memory_order_release);
 }
 
@@ -358,8 +321,8 @@ bool ClauseStore::Publish(std::vector<const Expr*> core) {
     return false;
   }
   uint64_t count = count_.load(std::memory_order_relaxed);
-  if (count >= slot_capacity_) {
-    return false;  // slot slab exhausted: stop learning entirely
+  if (count >= capacity_) {
+    return false;  // store full: stop learning
   }
   uint64_t h = 0;
   for (const Expr* e : core) {
@@ -367,26 +330,22 @@ bool ClauseStore::Publish(std::vector<const Expr*> core) {
   }
   auto& bucket = dedup_[h];
   for (uint32_t id : bucket) {
-    if (Slot(id).elems == core) {
-      return false;  // already learned (and still live)
+    if (Slot(id) == core) {
+      return false;  // already learned
     }
-  }
-  if (live_.load(std::memory_order_relaxed) >= live_capacity_) {
-    EvictOne();
   }
   uint32_t id = static_cast<uint32_t>(count);
   if (id % kChunkSlots == 0) {
     chunks_[id / kChunkSlots] = std::make_unique<Core[]>(kChunkSlots);
   }
   Core& slot = Slot(id);
-  slot.elems = std::move(core);
+  slot = std::move(core);
   bucket.push_back(id);
-  for (const Expr* e : slot.elems) {
+  for (const Expr* e : slot) {
     Shard& shard = shards_[ShardOf(e)];
     std::lock_guard<std::mutex> lock(shard.mu);
     shard.by_member[e].push_back(id);
   }
-  live_.fetch_add(1, std::memory_order_relaxed);
   // Release: the slot, its chunk and its index entries are fully written
   // before the published count advances past it.
   count_.store(count + 1, std::memory_order_release);
@@ -447,12 +406,6 @@ void Solver::Propagate(SolverContext* ctx, const std::vector<const Expr*>& fresh
   ctx->absorbed_ = new_absorbed;
   for (const Expr* c : pending) {
     ctx->det_set_hash_ ^= c->det_hash;
-    // The deduped cache key + membership set, maintained O(delta) per
-    // absorption (and O(delta) per context fork: the set is persistent).
-    if (ctx->absorbed_set_.insert(c)) {
-      ctx->set_key_ ^= MixKey(c->det_hash);
-      ++ctx->distinct_;
-    }
   }
   if (ctx->unsat_ || pending.empty()) {
     return;
@@ -1019,23 +972,16 @@ SolveOutcome Solver::CheckWith(SolverContext* ctx,
   std::vector<const Expr*> cache_vec;
   CheckKey cache_key;
   if (use_cache) {
-    // Form the full-set key from the context's incrementally-maintained
-    // deduped hash plus an O(delta) pass over the unabsorbed suffix. On a
-    // cold context (today's only cache consumer) set_key_ is trivially 0,
-    // but the computation is written against the context so a warm chain's
-    // key is equally an O(delta) update away.
+    // A cold context has absorbed nothing, so the full-set key is a
+    // commutative mix over the distinct members of the fresh slice.
     std::unordered_set<const Expr*> fresh_members;
     fresh_members.reserve(fresh.size() * 2);
-    uint64_t key_delta = 0;
-    size_t distinct_delta = 0;
     for (const Expr* c : fresh) {
-      if (!ctx->absorbed_set_.contains(c) && fresh_members.insert(c).second) {
-        key_delta ^= MixKey(c->det_hash);
-        ++distinct_delta;
+      if (fresh_members.insert(c).second) {
+        cache_key.set_key ^= MixKey(c->det_hash);
       }
     }
-    cache_key.set_key = ctx->set_key_ ^ key_delta;
-    cache_key.distinct = static_cast<uint32_t>(ctx->distinct_ + distinct_delta);
+    cache_key.distinct = static_cast<uint32_t>(fresh_members.size());
     // Journal the key (hit or miss) — but only when a shared cache makes
     // promotion possible: the engine merges these in commit order, and the
     // batch scheduler promotes a committed run's keys. Private-cache
@@ -1043,9 +989,7 @@ SolveOutcome Solver::CheckWith(SolverContext* ctx,
     if (cache_ != &own_cache_) {
       stats->cold_check_keys.push_back(cache_key);
     }
-    auto contains = [&](const Expr* e) {
-      return fresh_members.count(e) != 0 || ctx->absorbed_set_.contains(e);
-    };
+    auto contains = [&](const Expr* e) { return fresh_members.count(e) != 0; };
     SolveOutcome cached;
     std::vector<const Expr*> canonical;
     bool via_promotion = false;

@@ -127,7 +127,6 @@ struct CheckKey {
   SUM(unknown)                   /* checks answered unknown */                 \
   SUM(clauses_learned)           /* UNSAT cores published to the store */      \
   SUM(clause_hits)               /* hypotheses refuted by a stored core */     \
-  SUM(clauses_evicted)           /* cores evicted to keep on learning */       \
   /* Hypotheses refuted by a core promoted from an earlier task's run          \
      (deterministic: screened against a store snapshot fixed at engine         \
      construction). */                                                         \
@@ -201,9 +200,6 @@ class SolverContext {
 
   // Prefix of the constraint vector already absorbed into bindings/residual.
   size_t absorbed() const { return absorbed_; }
-  // Order-insensitive cache key over the distinct absorbed constraints,
-  // maintained incrementally (O(delta) per absorption, O(delta) per fork).
-  uint64_t set_key() const { return set_key_; }
 
  private:
   friend class Solver;
@@ -221,12 +217,6 @@ class SolverContext {
   // multiset; seeds the local-search RNG so every check's randomness is a
   // pure function of the constraint set rather than of global call order.
   uint64_t det_set_hash_ = 0;
-  // Deduped variant used as the memo-cache key: commutative mix over the
-  // distinct absorbed constraints, plus the membership set that maintains
-  // it (structurally shared, so context forks stay O(delta)).
-  uint64_t set_key_ = 0;
-  size_t distinct_ = 0;
-  PersistentSet<const Expr*> absorbed_set_;
   // Witness from the last SAT answer; null when the last answer was not SAT.
   std::shared_ptr<const Assignment> model_;
   bool unsat_ = false;   // a previous check proved the prefix UNSAT
@@ -241,9 +231,10 @@ class SolverContext {
 // contain this constraint?) is striped across independently locked shards,
 // while the core slots themselves are an append-only array published
 // through an atomic count (acquire/release), so readers never lock the
-// payload. The array is a chunk table sized once from `slot_capacity`; a
-// chunk of slots is allocated when its first seq is published, before the
-// count advances past it, so a store that learns little costs little.
+// payload. The array is a chunk table sized once from `capacity`; a chunk
+// of slots is allocated when its first seq is published, before the count
+// advances past it, so a store that learns little costs little. A full
+// store refuses further cores: the search stops learning, it never forgets.
 //
 // Determinism protocol (see docs/ARCHITECTURE.md): each store has one
 // logical publisher — a run-local store the engine's commit loop, in commit
@@ -252,61 +243,32 @@ class SolverContext {
 // bounded by a published() snapshot, a pure function of the committed
 // prefix of the search. Concurrent engines may read a promoted store while
 // it is published to.
-// Bounded learning: the store keeps at most `live_capacity` cores live.
-// Publishing past that bound evicts the live core with the fewest screen
-// hits (ties break toward the oldest seq) instead of refusing to learn —
-// long searches keep learning, and a hot core is never displaced by a cold
-// one. Eviction is a publisher-side action (commit thread, commit order), so
-// screen verdicts remain pure functions of the committed search prefix; an
-// evicted core's payload is never mutated (readers skip it via an atomic
-// flag), and its dedup entry is purged so the conflict can be re-learned if
-// it proves itself again. Hits are recorded only by the commit thread
-// (RecordHit), keeping the eviction order deterministic. The slot slab is
-// finite (`slot_capacity`); a search that exhausts it stops learning, as the
-// pre-eviction store did at live capacity.
 class ClauseStore {
  public:
-  explicit ClauseStore(size_t live_capacity = 4096, size_t slot_capacity = 0)
-      : live_capacity_(live_capacity),
-        slot_capacity_(slot_capacity == 0 ? live_capacity * 4 : slot_capacity),
-        chunks_((slot_capacity_ + kChunkSlots - 1) / kChunkSlots) {}
+  explicit ClauseStore(size_t capacity = 16384)
+      : capacity_(capacity),
+        chunks_((capacity_ + kChunkSlots - 1) / kChunkSlots) {}
 
   // Publishes a core (DetExprLess-sorted, deduped). Single-publisher: only
   // the engine's commit thread calls this. Returns true when the core was
-  // new (not a duplicate) and a slot was available (evicting if needed).
+  // new (not a duplicate) and a slot was available.
   bool Publish(std::vector<const Expr*> core);
 
   // Cores published so far (acquire; safe from any thread). Seq values are
-  // stable: eviction flags a slot, it never renumbers.
+  // stable until Clear.
   uint64_t published() const { return count_.load(std::memory_order_acquire); }
 
-  // Commit-thread bookkeeping for eviction order: one deterministic screen
-  // hit on core `seq`.
-  void RecordHit(uint64_t seq) {
-    Slot(seq).hits.fetch_add(1, std::memory_order_relaxed);
-  }
-  uint64_t evicted_count() const {
-    return evicted_.load(std::memory_order_relaxed);
-  }
-  uint64_t live_count() const { return live_.load(std::memory_order_relaxed); }
-
-  // The core behind `seq` (publisher / post-run readers; a concurrently
-  // evicted core's elements stay valid — eviction never mutates payloads).
+  // The core behind `seq` (publisher / post-run readers).
   const std::vector<const Expr*>& CoreElems(uint64_t seq) const {
-    return Slot(seq).elems;
-  }
-  bool IsEvicted(uint64_t seq) const {
-    return Slot(seq).evicted.load(std::memory_order_acquire);
+    return Slot(seq);
   }
 
-  // Does a live core with seq <= up_to containing `member` refute the set
-  // probed by `contains`? `contains` must answer membership for the querying
-  // hypothesis's constraint set. On success `hit_seq` (when given) receives
-  // the refuting core's seq, for RecordHit.
+  // Does a core with seq < up_to containing `member` refute the set probed
+  // by `contains`? `contains` must answer membership for the querying
+  // hypothesis's constraint set.
   template <typename ContainsFn>
   bool RefutesByMember(const Expr* member, uint64_t up_to,
-                       const ContainsFn& contains,
-                       uint64_t* hit_seq = nullptr) const {
+                       const ContainsFn& contains) const {
     uint64_t limit = std::min(up_to, published());
     const Shard& shard = shards_[ShardOf(member)];
     std::vector<uint32_t> ids;
@@ -319,39 +281,36 @@ class ClauseStore {
       ids = it->second;  // copy out: probe cores without holding the lock
     }
     for (uint32_t id : ids) {
-      if (id < limit && !IsEvicted(id) && CoreSubsetOf(Slot(id), contains)) {
-        if (hit_seq != nullptr) {
-          *hit_seq = id;
-        }
+      if (id < limit && CoreSubsetOf(Slot(id), contains)) {
         return true;
       }
     }
     return false;
   }
 
-  // Does any live core with seq in (after, up_to] refute the probed set?
+  // Does any core with seq in [after, up_to) refute the probed set?
   template <typename ContainsFn>
   bool RefutesNewSince(uint64_t after, uint64_t up_to,
-                       const ContainsFn& contains,
-                       uint64_t* hit_seq = nullptr) const {
+                       const ContainsFn& contains) const {
     uint64_t limit = std::min(up_to, published());
     for (uint64_t id = after; id < limit; ++id) {
-      if (!IsEvicted(id) && CoreSubsetOf(Slot(id), contains)) {
-        if (hit_seq != nullptr) {
-          *hit_seq = id;
-        }
+      if (CoreSubsetOf(Slot(id), contains)) {
         return true;
       }
     }
     return false;
   }
 
+  // Drops every published core and resets seq numbering to 0. The substrate
+  // eviction hook for ResRuntime::ReclaimSubstrate: promoted cores hold
+  // Expr* into the shared pool, so they must be cleared before the pool
+  // reclaims. REQUIRES quiescence (no engine holds a watermark over this
+  // store): Clear breaks the "seq values are stable" guarantee, which is
+  // only sound when nobody is watching.
+  void Clear();
+
  private:
-  struct Core {
-    std::vector<const Expr*> elems;  // sorted by DetExprLess, deduped
-    std::atomic<uint32_t> hits{0};   // commit-thread screen hits
-    std::atomic<bool> evicted{false};
-  };
+  using Core = std::vector<const Expr*>;  // sorted by DetExprLess, deduped
   static constexpr size_t kChunkSlots = 64;
   static constexpr size_t kShards = 16;
   struct Shard {
@@ -372,7 +331,7 @@ class ClauseStore {
   }
   template <typename ContainsFn>
   static bool CoreSubsetOf(const Core& core, const ContainsFn& contains) {
-    for (const Expr* e : core.elems) {
+    for (const Expr* e : core) {
       if (!contains(e)) {
         return false;
       }
@@ -380,29 +339,11 @@ class ClauseStore {
     return true;
   }
 
-  // Flags the minimum-(hits, seq) live core evicted and purges its dedup
-  // entry. Publisher-only.
-  void EvictOne();
-
- public:
-  // Drops every published core and resets seq numbering to 0. The substrate
-  // eviction hook for ResRuntime::ReclaimSubstrate: promoted cores hold
-  // Expr* into the shared pool, so they must be cleared before the pool
-  // reclaims. REQUIRES quiescence (no engine holds a watermark over this
-  // store) — unlike EvictOne, Clear breaks the "seq values are stable"
-  // guarantee, which is only sound when nobody is watching.
-  void Clear();
-
- private:
-
-  size_t live_capacity_;
-  size_t slot_capacity_;
+  size_t capacity_;
   // kChunkSlots slots per chunk; never resized. Chunk k is null until seq
   // k * kChunkSlots is published, and Clear frees every chunk.
   std::vector<std::unique_ptr<Core[]>> chunks_;
   std::atomic<uint64_t> count_{0};     // published prefix of the slots
-  std::atomic<uint64_t> live_{0};      // published minus evicted
-  std::atomic<uint64_t> evicted_{0};
   std::array<Shard, kShards> shards_;  // member -> core ids (may run ahead
                                        // of count_; queries bound by it)
   // Publisher-private dedup index (commit thread only; no locking).

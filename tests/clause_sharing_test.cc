@@ -151,54 +151,6 @@ TEST(ClauseStoreTest, PublishAndRefute) {
   EXPECT_FALSE(store.RefutesNewSince(/*after=*/1, store.published(), in_abc));
 }
 
-TEST(ClauseStoreTest, EvictionKeepsLearningAndFollowsHits) {
-  ExprPool pool;
-  const Expr* a = pool.Var("a", VarOrigin::kInput);
-  const Expr* b = pool.Var("b", VarOrigin::kInput);
-  const Expr* c = pool.Var("c", VarOrigin::kInput);
-  const Expr* d = pool.Var("d", VarOrigin::kInput);
-  auto core = [](std::vector<const Expr*> elems) {
-    std::sort(elems.begin(), elems.end(), DetExprLess);
-    return elems;
-  };
-
-  ClauseStore store(/*live_capacity=*/2, /*slot_capacity=*/8);
-  ASSERT_TRUE(store.Publish(core({a, b})));  // seq 0
-  ASSERT_TRUE(store.Publish(core({a, c})));  // seq 1
-  EXPECT_EQ(store.evicted_count(), 0u);
-
-  // Protect seq 0 with a screen hit: the eviction forced by the third core
-  // must pick seq 1 (fewest hits; ties would go to the oldest).
-  store.RecordHit(0);
-  ASSERT_TRUE(store.Publish(core({a, d})));  // seq 2, evicts seq 1
-  EXPECT_EQ(store.published(), 3u);
-  EXPECT_EQ(store.evicted_count(), 1u);
-  EXPECT_EQ(store.live_count(), 2u);
-  EXPECT_TRUE(store.IsEvicted(1));
-
-  // An evicted core no longer refutes...
-  auto in_ac = [&](const Expr* e) { return e == a || e == c; };
-  EXPECT_FALSE(store.RefutesByMember(a, store.published(), in_ac));
-  EXPECT_FALSE(store.RefutesNewSince(0, store.published(), in_ac));
-  // ...while the survivors still do.
-  auto in_ab = [&](const Expr* e) { return e == a || e == b; };
-  auto in_ad = [&](const Expr* e) { return e == a || e == d; };
-  uint64_t hit_seq = 99;
-  EXPECT_TRUE(store.RefutesByMember(a, store.published(), in_ab, &hit_seq));
-  EXPECT_EQ(hit_seq, 0u);
-  EXPECT_TRUE(store.RefutesByMember(a, store.published(), in_ad, &hit_seq));
-  EXPECT_EQ(hit_seq, 2u);
-
-  // A re-derived conflict re-learns into a fresh slot (dedup was purged).
-  store.RecordHit(0);
-  store.RecordHit(2);
-  EXPECT_TRUE(store.Publish(core({a, c})));  // seq 3, evicts seq 2 (1 hit < 2)
-  EXPECT_EQ(store.published(), 4u);
-  EXPECT_EQ(store.evicted_count(), 2u);
-  EXPECT_TRUE(store.RefutesByMember(a, store.published(), in_ac, &hit_seq));
-  EXPECT_EQ(hit_seq, 3u);
-}
-
 // Core k of a store whose cores are {a, v_k}, DetExprLess-sorted.
 std::vector<const Expr*> PairCore(const Expr* a, const Expr* v) {
   std::vector<const Expr*> core = {a, v};
@@ -207,10 +159,9 @@ std::vector<const Expr*> PairCore(const Expr* a, const Expr* v) {
 }
 
 TEST(ClauseStoreTest, SlabGrowsByChunkAndStopsAtCapacity) {
-  // 150 slots is not a whole number of chunks, and the 110 evictions below
-  // run past the first chunk boundary.
+  // 150 slots is not a whole number of chunks, so the last chunk is partly
+  // past the capacity.
   constexpr uint64_t kSlots = 150;
-  constexpr uint64_t kLive = 40;
   ExprPool pool;
   const Expr* a = pool.Var("a", VarOrigin::kInput);
   std::vector<const Expr*> v;
@@ -221,61 +172,43 @@ TEST(ClauseStoreTest, SlabGrowsByChunkAndStopsAtCapacity) {
     return [&, k](const Expr* e) { return e == a || e == v[k]; };
   };
 
-  ClauseStore store(kLive, kSlots);
+  ClauseStore store(kSlots);
   for (uint64_t k = 0; k < kSlots; ++k) {
     ASSERT_TRUE(store.Publish(PairCore(a, v[k]))) << "seq " << k;
-    if (k == 0) {
-      store.RecordHit(0);  // seq 0 outlives every eviction below
-    }
   }
-  // From seq 40 on, each publish evicted the oldest hitless live core:
-  // seqs 1..110 went, seq 0 and seqs 111..149 stayed.
   const uint64_t published = store.published();
   EXPECT_EQ(published, kSlots);
-  EXPECT_EQ(store.live_count(), kLive);
-  EXPECT_EQ(store.evicted_count(), 110u);
   for (uint64_t k = 0; k < kSlots; ++k) {
-    const bool live = k == 0 || k > 110;
-    EXPECT_EQ(store.IsEvicted(k), !live) << "seq " << k;
     EXPECT_EQ(store.CoreElems(k), PairCore(a, v[k])) << "seq " << k;
-    uint64_t by_member = kSlots;
-    uint64_t new_since = kSlots;
-    EXPECT_EQ(store.RefutesByMember(v[k], published, in_core(k), &by_member),
-              live)
+    EXPECT_TRUE(store.RefutesByMember(v[k], published, in_core(k)))
         << "seq " << k;
-    EXPECT_EQ(store.RefutesNewSince(0, published, in_core(k), &new_since),
-              live)
+    EXPECT_TRUE(store.RefutesNewSince(k, published, in_core(k)))
         << "seq " << k;
-    if (live) {
-      EXPECT_EQ(by_member, k);
-      EXPECT_EQ(new_since, k);
-    }
+    EXPECT_FALSE(store.RefutesNewSince(k + 1, published, in_core(k)))
+        << "seq " << k;
   }
 
-  // The slab is full: a new core is refused before any eviction.
+  // The slab is full: a new core is refused, and nothing is forgotten.
   EXPECT_FALSE(store.Publish(PairCore(a, v[kSlots])));
   EXPECT_EQ(store.published(), kSlots);
-  EXPECT_EQ(store.evicted_count(), 110u);
+  EXPECT_TRUE(store.RefutesByMember(v[0], kSlots, in_core(0)));
 
   store.Clear();
   EXPECT_EQ(store.published(), 0u);
-  EXPECT_EQ(store.live_count(), 0u);
-  EXPECT_EQ(store.evicted_count(), 0u);
   for (uint64_t k : {uint64_t{0}, uint64_t{64}, uint64_t{149}}) {
     EXPECT_FALSE(store.RefutesByMember(v[k], kSlots, in_core(k)));
     EXPECT_FALSE(store.RefutesNewSince(0, kSlots, in_core(k)));
   }
   ASSERT_TRUE(store.Publish(PairCore(a, v[149])));
   EXPECT_EQ(store.published(), 1u);
-  uint64_t hit_seq = kSlots;
-  EXPECT_TRUE(store.RefutesByMember(v[149], 1, in_core(149), &hit_seq));
-  EXPECT_EQ(hit_seq, 0u);
+  EXPECT_TRUE(store.RefutesByMember(v[149], 1, in_core(149)));
+  EXPECT_TRUE(store.RefutesNewSince(0, 1, in_core(149)));
 }
 
 TEST(ClauseStoreTest, ScreensWhilePromotionCrossesChunks) {
-  // The promoted shape (live capacity == slot capacity): one publisher
-  // fills 16 chunks while three readers screen the newest published core,
-  // as engines screen against a promoted store that Promote extends.
+  // One publisher fills 16 chunks while three readers screen the newest
+  // published core, as engines screen against a promoted store that Promote
+  // extends.
   constexpr uint64_t kCapacity = 1000;
   constexpr int kReaders = 3;
   ExprPool pool;
@@ -289,7 +222,7 @@ TEST(ClauseStoreTest, ScreensWhilePromotionCrossesChunks) {
     cores.push_back(PairCore(a, var));
   }
 
-  ClauseStore store(kCapacity, kCapacity);
+  ClauseStore store(kCapacity);
   std::atomic<bool> done{false};
   std::atomic<uint64_t> refused_in_capacity{0};
   std::atomic<bool> refused_past_capacity{false};
@@ -318,14 +251,11 @@ TEST(ClauseStoreTest, ScreensWhilePromotionCrossesChunks) {
         }
         const uint64_t seq = n - 1;
         auto contains = [&](const Expr* e) { return e == a || e == v[seq]; };
-        uint64_t by_member = kCapacity;
-        uint64_t new_since = kCapacity;
-        const bool refuted =
-            store.RefutesByMember(v[seq], n, contains, &by_member) &&
-            by_member == seq &&
-            store.RefutesNewSince(seq, n, contains, &new_since) &&
-            new_since == seq && !store.IsEvicted(seq) &&
-            store.CoreElems(seq) == cores[seq];
+        // Only core seq holds v[seq], and the window [seq, n) holds only
+        // core seq, so both screens name it.
+        const bool refuted = store.RefutesByMember(v[seq], n, contains) &&
+                             store.RefutesNewSince(seq, n, contains) &&
+                             store.CoreElems(seq) == cores[seq];
         misses.fetch_add(refuted ? 0 : 1);
         screens.fetch_add(1);
       }
@@ -339,7 +269,6 @@ TEST(ClauseStoreTest, ScreensWhilePromotionCrossesChunks) {
   EXPECT_EQ(refused_in_capacity.load(), 0u);
   EXPECT_TRUE(refused_past_capacity.load());
   EXPECT_EQ(store.published(), kCapacity);
-  EXPECT_EQ(store.evicted_count(), 0u);
   EXPECT_GE(screens.load(), static_cast<uint64_t>(kReaders));
   EXPECT_EQ(misses.load(), 0u) << "of " << screens.load() << " screens";
 }

@@ -134,11 +134,6 @@ Signature RunSignature(const Module& module, const Coredump& dump,
   }
   sig.text += "counters:\n";
   result.stats.ForEachCounter([&sig](std::string_view key, uint64_t value) {
-    // The eviction counter is left out: the lines hold for a clause store
-    // that never evicts.
-    if (key == "clauses_evicted") {
-      return;
-    }
     sig.text += StrFormat("%s=%llu\n", std::string(key).c_str(),
                           static_cast<unsigned long long>(value));
   });

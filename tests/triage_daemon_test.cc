@@ -566,7 +566,7 @@ TEST(RuntimeEvictionTest, FaultedPromotionLeavesEvictionOrderUnchanged) {
   // victim to a (older tick). It must not.
   FaultPlan plan;
   plan.Arm("runtime.promote");
-  ClauseStore none(4, 4);
+  ClauseStore none(4);
   ResRuntime::Promotion promo =
       runtime.Promote(b, none, {}, 0, FaultScope{&plan});
   EXPECT_FALSE(promo.status.ok());
@@ -584,7 +584,7 @@ TEST(RuntimeEvictionTest, FaultedPromotionCreatesNoFactsEntry) {
   ResRuntime runtime;
   FaultPlan plan;
   plan.Arm("runtime.promote");
-  ClauseStore none(4, 4);
+  ClauseStore none(4);
   EXPECT_FALSE(runtime.Promote(c, none, {}, 0, FaultScope{&plan}).status.ok());
   runtime.AdvanceFactsTick();
   // A TTL pass that would evict any idle entry finds none: the faulted
@@ -660,7 +660,7 @@ TEST(RuntimeEvictionTest, EvictIdleFactsVictimOrder) {
   EXPECT_EQ(batch.facts_evicted, 3u);
   EXPECT_EQ(batch.cores_dropped, 14u);  // m1 + m3 + m2
   // The survivor is m0: its core count is intact.
-  EXPECT_EQ(rt2.FactsFor(m0)->promoted_clauses.live_count(), 1u);
+  EXPECT_EQ(rt2.FactsFor(m0)->promoted_clauses.published(), 1u);
 }
 
 }  // namespace
