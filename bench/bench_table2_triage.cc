@@ -5,11 +5,9 @@
 #include "src/res/runtime.h"
 #include "src/support/string_util.h"
 #include "src/triage/triage.h"
-#include "src/triage/triage_service.h"
+#include "src/triage/triage_daemon.h"
 #include "src/workloads/harness.h"
 #include "src/workloads/workloads.h"
-
-#include "src/triage/triage_daemon.h"
 
 using namespace res;  // NOLINT
 
@@ -105,33 +103,49 @@ int main() {
               "(paper: WER mis-buckets up to 37%%)\n",
               100.0 * (1 - stack_acc), 100.0 * (1 - res_acc));
 
-  // --- T2b: batch triage over the shared ResRuntime — the dumps/sec axis.
-  //     Serial batches (max_parallel_dumps = 1), so every promotion counter
+  // One module's dumps as a single serial daemon wave (wave_size 0: the
+  // wave is cut on drain). The record takes only the daemon's TriageStats
+  // part, so its daemon-only counters stay 0.
+  auto run_wave = [&json](const char* label, const Module& module,
+                          const std::vector<Coredump>& dumps,
+                          const std::vector<std::vector<uint8_t>>& blobs,
+                          ResOptions res_options) {
+    ResRuntime runtime;
+    TriageDaemonOptions options;
+    options.triage.res = res_options;
+    options.wave_size = 0;
+    TriageDaemon daemon(&runtime, options);
+    WallTimer timer;
+    for (const Coredump& dump : dumps) {
+      daemon.Submit(module, dump);
+    }
+    for (const std::vector<uint8_t>& blob : blobs) {
+      daemon.SubmitSerialized(module, blob);
+    }
+    daemon.Shutdown();
+    BenchRecord record;
+    record.name = StrFormat("table2_triage/batch=%s/dumps=%zu", label,
+                            dumps.size() + blobs.size());
+    record.wall_ms = timer.ElapsedMs();
+    record.stats += daemon.stats();  // the TriageStats part only
+    json.Append(record);
+    return static_cast<const TriageStats&>(record.stats);
+  };
+
+  // --- T2b: triage over the shared ResRuntime — the dumps/sec axis.
+  //     Serial waves (max_parallel_dumps = 1), so every promotion counter
   //     below is deterministic and baseline-gated (tools/check_bench.py
   //     floors clause_promotions / cache_promotions: LOSING reuse is the
   //     regression here).
   PrintHeader("T2b: batch triage throughput (shared ResRuntime)");
-  auto run_batch = [&json](const char* label, const Module& module,
-                           const std::vector<Coredump>& dumps,
-                           ResOptions res_options) {
-    ResRuntime runtime;
-    TriageOptions options;
-    options.res = res_options;
-    TriageService service(&runtime, module, options);
-    TriageStats tstats;
-    WallTimer timer;
-    std::vector<TriageReport> reports = service.RunBatch(dumps, &tstats);
-    BenchRecord record;
-    record.name = StrFormat("table2_triage/batch=%s/dumps=%zu", label,
-                            dumps.size());
-    record.wall_ms = timer.ElapsedMs();
-    record.stats += tstats;
-    json.Append(record);
-    std::printf("%s: %zu dumps, %.1f dumps/sec, %.1f ms cold-start saved, "
+  auto run_batch = [&run_wave](const char* label, const Module& module,
+                               const std::vector<Coredump>& dumps,
+                               ResOptions res_options) {
+    const TriageStats tstats = run_wave(label, module, dumps, {}, res_options);
+    std::printf("%s: %zu dumps, %.1f dumps/sec, "
                 "%llu clause promotions, %llu cache promotions, "
                 "%llu promoted-clause hits, %llu shared-var reuses\n",
                 label, tstats.dumps, tstats.dumps_per_sec(),
-                tstats.cold_start_saved_ms,
                 static_cast<unsigned long long>(tstats.clause_promotions),
                 static_cast<unsigned long long>(tstats.cache_promotions),
                 static_cast<unsigned long long>(
@@ -199,19 +213,8 @@ int main() {
     if (blobs.size() == 4) {
       blobs[1].resize(blobs[1].size() / 2);  // truncated upload
       blobs[3][0] ^= 0xff;                   // corrupted magic
-      ResRuntime runtime;
-      TriageOptions options;
-      TriageService service(&runtime, module, options);
-      TriageStats tstats;
-      WallTimer timer;
-      std::vector<TriageReport> reports =
-          service.RunBatchSerialized(blobs, &tstats);
-      BenchRecord record;
-      record.name = StrFormat("table2_triage/batch=corrupted_stream/dumps=%zu",
-                              blobs.size());
-      record.wall_ms = timer.ElapsedMs();
-      record.stats += tstats;
-      json.Append(record);
+      const TriageStats tstats =
+          run_wave("corrupted_stream", module, {}, blobs, ResOptions{});
       std::printf("corrupted_stream: %zu dumps, %llu quarantined, "
                   "%llu triaged ok\n",
                   tstats.dumps,
@@ -243,19 +246,8 @@ int main() {
               .stats.committed_units;
       res_options.deadline_units = u_deg;
       std::vector<Coredump> dumps(2, run.value().dump);
-      ResRuntime runtime;
-      TriageOptions options;
-      options.res = res_options;
-      TriageService service(&runtime, module, options);
-      TriageStats tstats;
-      WallTimer timer;
-      std::vector<TriageReport> reports = service.RunBatch(dumps, &tstats);
-      BenchRecord record;
-      record.name = StrFormat("table2_triage/batch=deadline_degraded/dumps=%zu",
-                              dumps.size());
-      record.wall_ms = timer.ElapsedMs();
-      record.stats += tstats;
-      json.Append(record);
+      const TriageStats tstats =
+          run_wave("deadline_degraded", module, dumps, {}, res_options);
       std::printf("deadline_degraded: %zu dumps, deadline %llu units, "
                   "%llu deadline cancels, %llu degraded retries, "
                   "%llu quarantined\n",

@@ -210,8 +210,8 @@ ResEngine::ResEngine(const Module& module, const Coredump& dump, ResOptions opti
               options.runtime != nullptr ? options.runtime->NextEpoch() : 0) {
   // Shared-pool watermark for the deterministic expr_reuse_hits counter.
   // 0 for a private pool (nothing predates the run). Taken at construction:
-  // serial batch/wave schedulers construct each engine after the previous
-  // task committed, making the watermark — and with it the counter —
+  // serial daemon waves construct each engine after the previous dump
+  // committed, making the watermark — and with it the counter —
   // schedule-independent.
   var_watermark_ = pool_->var_count();
   if (facts_ != nullptr && options_.consult_promoted) {

@@ -67,8 +67,9 @@ struct ResOptions {
   // engine's expand and detect steps ("engine.lane.explore",
   // "engine.lane.detect" — names kept so existing plans still fire), and
   // forwarded to the solver ("solver.strategy"). nullptr falls back to the
-  // RES_FAULT_PLAN env plan; fault_task scopes hits to this engine's batch
-  // index. A fired fault fails the run with kTaskFailed (see ResResult).
+  // RES_FAULT_PLAN env plan; fault_task scopes hits to this engine's dump
+  // (the triage daemon passes the dump's global submission seq). A fired
+  // fault fails the run with kTaskFailed (see ResResult).
   FaultPlan* fault_plan = nullptr;
   int fault_task = FaultPlan::kAnyTask;
   // Shared substrate to attach this run to (see src/res/runtime.h): the
@@ -85,9 +86,9 @@ struct ResOptions {
   // SolverStats::promoted_clause_hits, deterministic per snapshot.
   bool consult_promoted = true;
   // Explicit promoted-store watermark to screen against instead of
-  // snapshotting at construction (the batch scheduler's parallel path sets
-  // this to the batch-start prefix, so every task sees the same snapshot
-  // no matter when its engine is lazily constructed). Values beyond the
+  // snapshotting at construction (a parallel daemon wave sets this to the
+  // wave-start prefix, so every dump sees the same snapshot no matter when
+  // its engine is lazily constructed). Values beyond the
   // store's published count are clamped by the store's own probes.
   std::optional<uint64_t> promoted_watermark;
 };
@@ -200,7 +201,7 @@ class ResEngine {
   ExprPool* pool() { return pool_; }
   const ResStats& stats() const { return stats_; }
   // The run-local learned-clause store and the solver's seed/limits
-  // fingerprint — what a batch commit thread promotes after this run
+  // fingerprint — what the daemon's commit thread promotes after this run
   // committed (ResRuntime::Promote). Call only after Run returned.
   const ClauseStore& learned_clauses() const { return clause_store_; }
   uint64_t solver_fingerprint() const;

@@ -26,12 +26,11 @@
 //     ClauseStore fed by the promotion protocol below.
 //
 // The runtime owns no threads. Concurrency in RES lives at dump
-// granularity: TriageService workers and TriageDaemon waves run whole
-// engines in parallel over one runtime, each engine searching on its
-// caller's thread.
+// granularity: TriageDaemon waves run whole engines in parallel over one
+// runtime, each engine searching on its worker's thread.
 //
 // Promotion protocol (the cross-task analogue of PR 4's commit-order clause
-// protocol): a batch commit thread — TriageService's caller thread —
+// protocol): a commit thread — the thread running a daemon wave —
 // processes completed tasks in dump-submission order and, per task, calls
 // Promote with the task's learned cores (deterministic: published by the
 // task's commit thread in commit order) and its committed cold-check keys

@@ -141,7 +141,7 @@ struct SolverStats {
   // Journal of the cold-check keys this run consulted the shared cache for.
   // The engine merges per-step journals in commit order, so a completed
   // run's journal is a pure function of the committed search — it is what
-  // the batch scheduler promotes (TriageStats::cache_promotions).
+  // the triage daemon promotes (TriageStats::cache_promotions).
   std::vector<CheckKey> cold_check_keys;
 
   SolverStats& operator+=(const SolverStats& o) {

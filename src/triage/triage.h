@@ -27,7 +27,7 @@
 namespace res {
 
 // Result -> verdict mappings shared by the solo classes below and by
-// TriageService (src/triage/triage_service.h), which derives bucket AND
+// TriageDaemon (src/triage/triage_daemon.h), which derives bucket AND
 // rating from one engine run per dump instead of two.
 std::string BucketFromResult(const Module& module, const Coredump& dump,
                              const ResResult& result);

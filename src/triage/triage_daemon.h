@@ -1,9 +1,8 @@
-// TriageDaemon — the standing, always-on face of fleet triage.
+// TriageDaemon — fleet-scale triage over a shared ResRuntime.
 //
 // The paper's deployment model (§3.1) is a WER-style backend: a long-lived
-// process fed an endless mixed-module stream of coredumps from the field,
-// not a library called once per batch. TriageService::RunBatch is that
-// library call; this daemon turns it into a service:
+// process fed an endless mixed-module stream of coredumps from the field.
+// The daemon is that backend:
 //
 //   Submit / SubmitSerialized        (any thread, bounded queue,
 //        │                            reject-with-status when full)
@@ -14,31 +13,42 @@
 //   wave scheduler                   (Pump / Drain / standing thread;
 //        │                            one wave in flight at a time)
 //        ▼
-//   TriageService::RunBatchAdmitted  (one RunBatch per wave; promotion at
-//        │                            the wave boundary, submission order)
+//   wave runner                      (verify the module, validate each dump,
+//        │                            run the engines serially or in
+//        │                            parallel, commit in submission order:
+//        │                            promote, degraded retry, quarantine)
 //        ▼
 //   on_report stream                 (report.index = global submission seq)
 //        +
 //   bounded-memory step              (facts TTL/capacity eviction, ExprPool
 //                                     reclaim — between waves only)
 //
-// Wave-scheduled promotion (ROADMAP PR 5 tail b): dumps are batched in
-// waves of K per module; each wave is exactly one RunBatch, so a parallel
-// wave pins the wave-start promoted watermark and the commit thread
-// promotes the wave's facts in submission order at the wave boundary.
-// Tail dumps therefore reuse facts from every *earlier wave* instead of
-// only from batches that happened to be split by the caller.
+// Wave-scheduled promotion: dumps are batched in waves of K per module. A
+// serial wave constructs each engine after every earlier dump's promotion;
+// a parallel wave pins the wave-start promoted watermark before any worker
+// runs. Either way the commit thread promotes the wave's facts in
+// submission order, so tail dumps reuse facts from every earlier dump of
+// their module, and every watermark is schedule-independent.
 //
-// Determinism contract: for a given submission order, the daemon's report
-// stream is byte-identical to a sequence of RunBatch calls over the same
-// per-module chunks at the same wave boundaries — at every (engine threads
-// × wave parallelism) combination, with or without eviction/reclaim. This
-// holds by construction: wave boundaries are pure functions of submission
-// order (a module's wave launches exactly when its K-th dump arrives;
-// partial waves flush only on Drain/Shutdown, earliest-first), each wave IS
-// one RunBatchAdmitted call, and the bounded-memory knobs are cost-only
-// (cross-task reuse changes cost, never output). tests/triage_daemon_test.cc
-// enforces the byte-compare across the full matrix.
+// Output contract: every report's res_bucket / cause_signature / res_rating
+// equals a solo ResEngine run over the same dump with the same ResOptions
+// (under DegradedProfile for a degraded report) — at every wave size and
+// wave parallelism, with or without eviction/reclaim. Cross-task reuse
+// changes cost, never output (tests/triage_daemon_test.cc pins this).
+//
+// Determinism of the counters: wave boundaries are pure functions of
+// submission order (a module's wave launches exactly when its K-th dump
+// arrives; partial waves flush only on Drain/Shutdown, earliest-first), and
+// promotion happens in submission order, so clause_promotions and
+// cache_promotions are pure functions of (dumps, options, wave config). The
+// engine counters summed into TriageStats::res include two reuse counters,
+// promoted_clause_hits and expr_reuse_hits, counted per dump against a
+// construction-time watermark and merged in commit order: at wave
+// parallelism 1 they are pure functions of (dumps, options). In parallel
+// waves engines construct concurrently, so the expr-reuse var watermark
+// (unlike the explicitly pinned clause watermark) can vary with worker
+// timing; promoted_cache_hits (key promotion is consulted live at lookup
+// time) stays a reuse gauge whenever anything runs concurrently.
 //
 // Backpressure and teardown: Submit rejects with kResourceExhausted when
 // the queue is full (deterministic: queue occupancy is a pure function of
@@ -46,13 +56,13 @@
 // kFailedPrecondition after Shutdown began. Shutdown drains: every
 // admitted dump gets exactly one streamed report before Shutdown returns.
 //
-// Fault sites (PR 6 vocabulary): "daemon.ingest" poisons a submission at
-// admission and "daemon.promote_wave" poisons a dump's slot at its wave's
-// promotion boundary — both scoped to the GLOBAL submission seq, both
-// surfacing as an ordered kQuarantined report rather than a silent drop,
-// with the usual isolation guarantee (survivors byte-identical to a stream
-// without the poisoned dump). Engine/batch-level sites fired inside a wave
-// keep their TriageService scoping: the WAVE-LOCAL dump index.
+// Failure isolation: no wave fails as a whole. A dump that cannot be
+// parsed, validated, triaged within its deadline, or promoted yields an
+// ordered kQuarantined report; every other report stays byte-identical to
+// a stream submitted without that dump, and nothing from a quarantined or
+// degraded run is promoted module-global. Every per-dump fault site is
+// scoped to the dump's global submission seq; "ir.verify" is the one
+// wave-scoped site (see docs/ARCHITECTURE.md §7).
 //
 // Thread-safety: Submit/SubmitSerialized/stats/pending/accepting are safe
 // from any thread. Pump/Drain may be called from any thread; waves are
@@ -67,22 +77,107 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "src/coredump/coredump.h"
 #include "src/ir/module.h"
+#include "src/res/reverse_engine.h"
 #include "src/res/runtime.h"
 #include "src/support/faultpoint.h"
 #include "src/support/status.h"
-#include "src/triage/triage_service.h"
+#include "src/triage/triage.h"
 
 namespace res {
 
+// How one dump's triage ended.
+enum class TriageOutcome : uint8_t {
+  kOk = 0,          // full-fidelity run, facts promoted
+  kDegraded = 1,    // deadline hit; report from the degraded retry profile
+  kQuarantined = 2, // parse/validate/internal/deadline failure; no verdict
+};
+
+// One dump's triage verdicts, all derived from a single RES run (plus the
+// two cheap symptom-side baselines for comparison columns).
+struct TriageReport {
+  size_t index = 0;                 // global submission seq (Submit's value)
+  TriageOutcome outcome = TriageOutcome::kOk;
+  // Non-OK exactly when outcome == kQuarantined: the failure that stopped
+  // this dump (kDataLoss parse/validate, kInternal invariant/fault,
+  // kResourceExhausted deadline). Quarantined reports carry ONLY index,
+  // outcome, status, and a "quarantine:<code>" res_bucket — the dump may be
+  // arbitrary garbage, so no baseline bucketer runs over it either.
+  Status status;
+  // True for outcome == kDegraded: the step deadline fired and the verdicts
+  // below come from the deterministic degraded retry profile.
+  bool degraded = false;
+  std::string res_bucket;           // == ResBucketer::BucketFor
+  std::string stack_bucket;         // WER-style baseline (StackBucketer)
+  std::string cause_signature;      // first root cause's signature, or ""
+  Exploitability res_rating = Exploitability::kUnknown;
+  Exploitability heuristic_rating = Exploitability::kUnknown;
+  bool hardware_error_suspected = false;
+  ResStats stats;                   // the engine run's merged counters
+};
+
+// Every TriageStats counter, once (see src/support/counters.h). The
+// promotion counters are counted by the commit thread in submission order;
+// the failure-surface counters derive from per-dump outcomes that are pure
+// functions of (dumps, options, fault plan, wave config). All are
+// deterministic.
+#define RES_TRIAGE_STATS(SUM)                                                  \
+  SUM(dumps)                /* dumps committed, quarantined ones included */   \
+  SUM(clause_promotions)    /* cores newly published module-global */          \
+  SUM(cache_promotions)     /* check keys newly promoted module-global */      \
+  SUM(quarantined)          /* reports with outcome kQuarantined */            \
+  SUM(deadline_exceeded)    /* engine runs stopped by the step deadline */     \
+  SUM(degraded_retries)     /* degraded-profile retries launched */
+
+struct TriageStats {
+  RES_TRIAGE_STATS(RES_COUNTER_FIELD)
+  // The committed runs' engine counters, summed in commit order (see the
+  // header comment for which are deterministic at which configuration).
+  ResStats res;
+  // Wall-clock shape (machine-dependent; summed by += like the counters).
+  double wall_ms = 0;
+
+  double dumps_per_sec() const {
+    return wall_ms > 0 ? static_cast<double>(dumps) / (wall_ms / 1000.0) : 0;
+  }
+  TriageStats& operator+=(const TriageStats& o) {
+    RES_TRIAGE_STATS(RES_COUNTER_SUM)
+    res += o.res;
+    wall_ms += o.wall_ms;
+    return *this;
+  }
+  template <typename Fn>
+  void ForEachCounter(Fn&& fn) const {
+    res.ForEachCounter(fn);
+    RES_TRIAGE_STATS(RES_COUNTER_VISIT)
+  }
+};
+
+struct TriageOptions {
+  // Per-dump engine configuration. `runtime`, `consult_promoted`,
+  // `fault_plan` and `fault_task` are overwritten by the wave runner (it
+  // wires the daemon's runtime, cross_task_reuse and fault plan, and scopes
+  // each run to its seq); everything else is honored as-is.
+  ResOptions res;
+  // Wave parallelism: how many engine runs of one wave may be in flight.
+  size_t max_parallel_dumps = 1;
+  // Consult and publish module-level facts across dumps. Off = every dump
+  // is a cold solo run (still sharing the pool).
+  bool cross_task_reuse = true;
+};
+
+// The deterministic degraded retry profile a dump runs after its step
+// deadline fires: half the suffix depth and no clause sharing. Same deadline
+// — the point is to fit under it with a cheaper search, not to wait longer.
+ResOptions DegradedProfile(ResOptions base);
+
 struct TriageDaemonOptions {
-  // Per-wave engine/batch configuration. `triage.max_parallel_dumps` is the
-  // wave parallelism; `triage.fault_plan` and `triage.on_result` are
-  // overwritten by the daemon (use the fields below).
+  // Per-dump engine and wave configuration.
   TriageOptions triage;
   // Wave size K: a module's wave launches as soon as K of its dumps are
   // pending; smaller partial waves flush only on Drain/Shutdown. 0 = cut by
@@ -105,12 +200,14 @@ struct TriageDaemonOptions {
   // drains on Shutdown). Off = the caller drives Pump/Drain explicitly —
   // the deterministic-harness mode the tests use.
   bool start_thread = false;
-  // Fault-injection plan for the daemon sites and everything below them.
+  // Fault-injection plan for every site a submission reaches (ingest,
+  // deserialize, wave, verify, validate, solver, engine, promotion).
   // nullptr falls back to the RES_FAULT_PLAN env plan.
   FaultPlan* fault_plan = nullptr;
   // Streamed per-report callback, invoked on the wave-committing thread in
-  // submission order within each wave; report.index carries the GLOBAL
-  // submission seq returned by Submit.
+  // submission order within each wave; report.index carries the global
+  // submission seq returned by Submit. Quarantined and degraded reports
+  // stream too.
   std::function<void(const TriageReport&)> on_report;
 };
 
@@ -119,7 +216,7 @@ struct TriageDaemonOptions {
   SUM(submitted)               /* Submit calls (accepted + rejected) */        \
   SUM(admitted)                /* accepted into the queue */                   \
   SUM(rejected)                /* backpressure rejections (queue full) */      \
-  SUM(waves)                   /* RunBatch calls issued */                     \
+  SUM(waves)                   /* waves run */                                 \
   /* Facts promoted at wave boundaries (clause + cache promotions): the        \
      wave-scheduling payoff counter. Serial single-batch scheduling ties       \
      it; batch-start-snapshot scheduling loses it. */                          \
@@ -127,7 +224,7 @@ struct TriageDaemonOptions {
   /* Bounded memory. */                                                        \
   SUM(facts_evicted)           /* ModuleFacts entries dropped */               \
   SUM(facts_ttl_evicted)       /* the subset dropped by TTL */                 \
-  SUM(promoted_cores_dropped)  /* live cores on dropped/cleared facts */       \
+  SUM(promoted_cores_dropped)  /* cores on dropped/cleared facts */            \
   SUM(pool_reclaims)           /* successful ReclaimSubstrate calls */         \
   SUM(pool_nodes_reclaimed)    /* ExprPool nodes freed by those */             \
   SUM(promoted_keys_dropped)   /* promoted check keys cleared */
@@ -135,7 +232,7 @@ struct TriageDaemonOptions {
 // Monotone daemon counters: every wave's TriageStats, summed with one +=
 // per wave (so `dumps` counts the dumps whose report has streamed), plus
 // the daemon's own list. Deterministic at wave parallelism 1 for a fixed
-// submission order (the per-wave counters are — see triage_service.h).
+// submission order (see the header comment).
 struct TriageDaemonStats : TriageStats {
   RES_DAEMON_STATS(RES_COUNTER_FIELD)
 
@@ -186,18 +283,21 @@ class TriageDaemon {
  private:
   struct Pending {
     uint64_t seq = 0;
-    Coredump dump;
-    bool has_dump = false;
-    Status admit;  // non-OK: pre-failed at ingest (fault / parse)
+    Coredump dump;  // meaningful only while `admit` is OK
+    Status admit;   // non-OK: pre-failed (ingest fault, parse, validation)
   };
 
-  Result<uint64_t> Enqueue(const Module& module, Coredump dump, bool has_dump,
+  Result<uint64_t> Enqueue(const Module& module, Coredump dump,
                            const std::vector<uint8_t>* blob);
   // Picks and pops the next wave under state_mu_; nullptr when none ready
   // (in non-flush mode: no module has wave_size pending).
   const Module* PickWaveLocked(bool flush_partial, std::vector<Pending>* wave);
   size_t RunWaves(bool flush_partial);
+  // One wave: triage it, fold its counters in, then the bounded-memory step.
   size_t RunWave(const Module& module, std::vector<Pending> wave);
+  // The wave runner: admission, engine runs and the in-order commit, each
+  // report streamed to on_report. Returns the wave's counters.
+  TriageStats TriageWave(const Module& module, std::vector<Pending>* wave);
   bool HasFullWaveLocked() const;
   void ThreadMain();
 

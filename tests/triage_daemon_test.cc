@@ -1,12 +1,12 @@
-// The standing daemon must be observationally invisible scheduling: for a
-// given submission order, TriageDaemon's report stream must be
-// byte-identical to a sequence of TriageService::RunBatch calls over the
-// same per-module chunks at the same wave boundaries — at every (wave
-// parallelism × wave size) combination, with or without the
-// bounded-memory knobs (facts eviction, substrate reclaim) engaged: reuse
-// changes cost, never output. Backpressure must reject deterministically,
-// shutdown must drain everything admitted, and the daemon's own fault sites
-// must quarantine exactly the poisoned submission. See
+// The daemon's reports must be invisible to scheduling and reuse: every
+// report equals a solo ResEngine run over the same dump with the same
+// options — at every (wave parallelism × wave size) combination, warm or
+// cold, with or without the bounded-memory knobs (facts eviction, substrate
+// reclaim) engaged: reuse changes cost, never output. The promotion
+// counters must be deterministic and show real reuse. Backpressure must
+// reject deterministically, shutdown must drain everything admitted, and
+// every fault site a submission reaches must quarantine exactly the
+// poisoned submission, scoped by its global seq. See
 // src/triage/triage_daemon.h for the contract and docs/ARCHITECTURE.md §8.
 #include <gtest/gtest.h>
 
@@ -23,7 +23,6 @@
 #include "src/res/runtime.h"
 #include "src/support/faultpoint.h"
 #include "src/triage/triage_daemon.h"
-#include "src/triage/triage_service.h"
 #include "src/workloads/harness.h"
 #include "src/workloads/workloads.h"
 
@@ -41,6 +40,24 @@ void ExpectSameVerdict(const TriageReport& got, const TriageReport& want,
   EXPECT_EQ(got.heuristic_rating, want.heuristic_rating) << label;
   EXPECT_EQ(got.hardware_error_suspected, want.hardware_error_suspected)
       << label;
+}
+
+// The contract's oracle: one self-contained ResEngine run (private pool and
+// cache, no runtime) over the dump, with its verdicts derived as a report
+// derives them.
+TriageReport SoloReport(const Module& module, const Coredump& dump,
+                        const ResOptions& options) {
+  const ResResult result = ResEngine(module, dump, options).Run();
+  TriageReport r;
+  r.res_bucket = BucketFromResult(module, dump, result);
+  r.stack_bucket = StackBucketer(module).BucketFor(dump);
+  r.cause_signature = result.causes.empty()
+                          ? std::string()
+                          : result.causes.front().BucketSignature(module);
+  r.res_rating = RateFromResult(result);
+  r.heuristic_rating = HeuristicExploitabilityRater().Rate(dump);
+  r.hardware_error_suspected = result.hardware_error_suspected;
+  return r;
 }
 
 TriageOptions TriageFor(size_t parallel, ResOptions res = ResOptions{}) {
@@ -87,29 +104,19 @@ std::map<uint64_t, TriageReport> RunDaemonStream(
   return reports;
 }
 
-// The determinism oracle: the same per-module chunks, issued as explicit
-// RunBatch calls on one shared runtime in wave order. For a single-module
-// stream the wave boundaries are simply chunks of wave_size in submission
-// order (trailing partial last).
-std::vector<TriageReport> ReferenceBatches(
-    const Module& module, const std::vector<const Coredump*>& dumps,
-    size_t wave_size, size_t parallel, TriageStats* agg = nullptr) {
-  ResRuntime runtime;
-  std::vector<TriageReport> out;
-  const size_t k = wave_size == 0 ? dumps.size() : wave_size;
-  for (size_t start = 0; start < dumps.size(); start += k) {
-    const size_t end = std::min(dumps.size(), start + k);
-    std::vector<const Coredump*> chunk(dumps.begin() + start,
-                                       dumps.begin() + end);
-    TriageService service(&runtime, module, TriageFor(parallel));
-    TriageStats stats;
-    std::vector<TriageReport> reports = service.RunBatch(chunk, &stats);
-    out.insert(out.end(), reports.begin(), reports.end());
-    if (agg != nullptr) {
-      *agg += stats;
-    }
+// Every report of `got` equals the solo run over its submission's dump.
+void ExpectMatchesSolo(const std::map<uint64_t, TriageReport>& got,
+                       const std::vector<Sub>& stream,
+                       const ResOptions& options, const std::string& label) {
+  ASSERT_EQ(got.size(), stream.size()) << label;
+  for (size_t i = 0; i < stream.size(); ++i) {
+    const std::string at = label + "/seq=" + std::to_string(i);
+    auto it = got.find(i);
+    ASSERT_NE(it, got.end()) << at;
+    ExpectSameVerdict(it->second,
+                      SoloReport(*stream[i].module, *stream[i].dump, options),
+                      at);
   }
-  return out;
 }
 
 class TriageDaemonTest : public ::testing::Test {
@@ -140,73 +147,216 @@ class TriageDaemonTest : public ::testing::Test {
     return stream;
   }
 
-  std::vector<const Coredump*> DumpPtrs() const {
-    std::vector<const Coredump*> ptrs;
-    for (const Coredump& d : dumps_) {
-      ptrs.push_back(&d);
-    }
-    return ptrs;
-  }
-
   Module module_;
   std::vector<Coredump> dumps_;
 };
 
-// --- The tentpole contract: daemon == RunBatch sequence, everywhere. ------
+// --- The contract: every report equals a solo run, everywhere. ------------
 
-TEST_F(TriageDaemonTest, DaemonMatchesRunBatchAcrossConfigs) {
+TEST_F(TriageDaemonTest, DaemonMatchesSoloRunsAcrossConfigs) {
   const std::vector<Sub> stream = SingleModuleStream();
   for (size_t parallel : {1u, 2u}) {
     for (size_t wave_size : {1u, 3u, 0u}) {  // 0 = one wave holds all
       const std::string label = "parallel=" + std::to_string(parallel) +
                                 "/wave=" + std::to_string(wave_size);
-      TriageStats ref_agg;
-      std::vector<TriageReport> ref = ReferenceBatches(
-          module_, DumpPtrs(), wave_size, parallel, &ref_agg);
-      ASSERT_EQ(ref.size(), stream.size()) << label;
-
       TriageDaemonOptions options;
       options.triage = TriageFor(parallel);
       options.wave_size = wave_size;
-      TriageDaemonStats dstats;
-      std::map<uint64_t, TriageReport> got =
-          RunDaemonStream(stream, options, &dstats);
-      ASSERT_EQ(got.size(), stream.size()) << label;
-      for (size_t i = 0; i < ref.size(); ++i) {
-        ASSERT_TRUE(got.count(i)) << label << "/seq=" << i;
-        ExpectSameVerdict(got[i], ref[i],
-                          label + "/seq=" + std::to_string(i));
-      }
-      // Promotion counters are deterministic per wave, so the daemon's
-      // aggregates equal the explicit batch sequence's.
-      EXPECT_EQ(dstats.clause_promotions, ref_agg.clause_promotions)
-          << label;
-      EXPECT_EQ(dstats.cache_promotions, ref_agg.cache_promotions) << label;
-      EXPECT_EQ(dstats.res.solver.promoted_clause_hits,
-                ref_agg.res.solver.promoted_clause_hits)
-          << label;
-      EXPECT_EQ(dstats.wave_promotions,
-                ref_agg.clause_promotions + ref_agg.cache_promotions)
-          << label;
-      if (parallel == 1) {
-        // Commit-order deterministic counter: exact whenever engines
-        // construct serially.
-        EXPECT_EQ(dstats.res.expr_reuse_hits, ref_agg.res.expr_reuse_hits)
-            << label;
-      }
+      TriageDaemonStats first;
+      ExpectMatchesSolo(RunDaemonStream(stream, options, &first), stream,
+                        ResOptions{}, label);
       const size_t n = stream.size();
       const size_t k = wave_size == 0 ? n : wave_size;
-      EXPECT_EQ(dstats.waves, (n + k - 1) / k) << label;
-      EXPECT_EQ(dstats.dumps, n) << label;
-      EXPECT_EQ(dstats.quarantined, 0u) << label;
+      EXPECT_EQ(first.waves, (n + k - 1) / k) << label;
+      EXPECT_EQ(first.dumps, n) << label;
+      EXPECT_EQ(first.quarantined, 0u) << label;
+      EXPECT_EQ(first.wave_promotions,
+                first.clause_promotions + first.cache_promotions)
+          << label;
+      // Promotion happens in submission order at wave boundaries that are
+      // pure functions of submission order, so a second stream on a fresh
+      // runtime repeats the counters exactly.
+      TriageDaemonStats second;
+      RunDaemonStream(stream, options, &second);
+      EXPECT_EQ(second.clause_promotions, first.clause_promotions) << label;
+      EXPECT_EQ(second.cache_promotions, first.cache_promotions) << label;
+      EXPECT_EQ(second.res.solver.promoted_clause_hits,
+                first.res.solver.promoted_clause_hits)
+          << label;
+      if (parallel == 1) {
+        // Commit-order counter: exact whenever engines construct serially.
+        EXPECT_EQ(second.res.expr_reuse_hits, first.res.expr_reuse_hits)
+            << label;
+      }
     }
   }
 }
 
+TEST(TriageDaemonWorkloadTest, ColdAndWarmWavesMatchSoloAcrossWorkloads) {
+  struct Corpus {
+    const char* workload;
+    std::vector<std::vector<int64_t>> inputs;  // one dump per entry
+  };
+  const Corpus corpora[] = {
+      {"use_after_free", {{1}, {2}}},  // two crash paths, one bug
+      {"racy_counter", {{}, {}}},
+      {"buffer_overflow", {{5}}},
+      {"div_by_zero_input", {{0}}},
+  };
+  for (const Corpus& corpus : corpora) {
+    WorkloadSpec spec = WorkloadByName(corpus.workload);
+    Module module = spec.build();
+    std::vector<Coredump> dumps;
+    for (size_t d = 0; d < corpus.inputs.size(); ++d) {
+      WorkloadSpec dspec = spec;
+      if (!corpus.inputs[d].empty()) {
+        dspec.channel0_inputs = corpus.inputs[d];
+      }
+      FailureRunOptions run_options;
+      run_options.require_live_peers = spec.requires_live_peers;
+      run_options.first_seed = 1 + d * 37;
+      auto run = RunToFailure(module, dspec, run_options);
+      ASSERT_TRUE(run.ok()) << corpus.workload;
+      dumps.push_back(std::move(run).value().dump);
+    }
+    // Every dump twice: the first wave runs cold, the second consults the
+    // facts the first one promoted.
+    std::vector<Sub> stream;
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const Coredump& dump : dumps) {
+        stream.push_back({&module, &dump});
+      }
+    }
+    for (size_t parallel : {1u, 2u}) {
+      TriageDaemonOptions options;
+      options.triage = TriageFor(parallel);
+      options.wave_size = dumps.size();
+      TriageDaemonStats stats;
+      ExpectMatchesSolo(RunDaemonStream(stream, options, &stats), stream,
+                        ResOptions{},
+                        std::string(corpus.workload) +
+                            "/parallel=" + std::to_string(parallel));
+      EXPECT_EQ(stats.waves, 2u) << corpus.workload;
+    }
+  }
+}
+
+// The clause-learning workload: full synthesis over the 4-worker
+// interleaving space learns real UNSAT cores.
+class ClauseLearningStream : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    module_ = BuildRacyCounterWide(4);
+    WorkloadSpec spec = WorkloadByName("racy_counter");
+    FailureRunOptions run_options;
+    run_options.require_live_peers = spec.requires_live_peers;
+    auto run = RunToFailure(module_, spec, run_options);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    dump_ = std::move(run).value().dump;
+    res_options_.stop_at_root_cause = false;
+    res_options_.max_units = 48;
+    res_options_.max_hypotheses = 1000;
+    solo_ = SoloReport(module_, dump_, res_options_);
+  }
+
+  TriageDaemonOptions Options(size_t parallel, size_t wave_size) const {
+    TriageDaemonOptions options;
+    options.triage = TriageFor(parallel, res_options_);
+    options.wave_size = wave_size;
+    return options;
+  }
+
+  Module module_;
+  Coredump dump_;
+  ResOptions res_options_;
+  TriageReport solo_;
+};
+
+TEST_F(ClauseLearningStream, PromotionCountersDeterministicAndPositive) {
+  // A serial wave: dump i's engine sees the promotions of dumps 0..i-1, so
+  // identical dumps must show genuine cross-dump reuse — and the promotion
+  // counters must repeat exactly on a fresh runtime.
+  const std::vector<Sub> stream(3, Sub{&module_, &dump_});
+  TriageDaemonStats reference;
+  for (int repeat = 0; repeat < 2; ++repeat) {
+    const std::string label = "repeat=" + std::to_string(repeat);
+    TriageDaemonStats stats;
+    ExpectMatchesSolo(RunDaemonStream(stream, Options(1, 3), &stats), stream,
+                      res_options_, label);
+    EXPECT_GT(stats.clause_promotions, 0u) << label;
+    EXPECT_GT(stats.cache_promotions, 0u) << label;
+    EXPECT_GT(stats.res.solver.promoted_clause_hits, 0u)
+        << label << ": later dumps re-derived conflicts instead of reusing them";
+    EXPECT_GT(stats.res.expr_reuse_hits, 0u)
+        << label << ": identical dumps must re-intern earlier dumps' variables";
+    if (repeat == 0) {
+      reference = stats;
+    } else {
+      EXPECT_EQ(stats.clause_promotions, reference.clause_promotions);
+      EXPECT_EQ(stats.cache_promotions, reference.cache_promotions);
+      EXPECT_EQ(stats.res.solver.promoted_clause_hits,
+                reference.res.solver.promoted_clause_hits);
+      // A commit-order counter against the construction watermark,
+      // deterministic in serial waves.
+      EXPECT_EQ(stats.res.expr_reuse_hits, reference.res.expr_reuse_hits);
+    }
+  }
+}
+
+TEST_F(ClauseLearningStream, ParallelWavesReuseAcrossWaves) {
+  // A parallel wave screens against the wave-start watermark: within a wave
+  // the dumps are independent, and the next wave over the same module reaps
+  // the promotions.
+  ResRuntime runtime;
+  TriageDaemonOptions options = Options(2, 3);
+  std::map<uint64_t, TriageReport> reports;
+  options.on_report = [&](const TriageReport& r) { reports[r.index] = r; };
+  TriageDaemon daemon(&runtime, options);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(daemon.Submit(module_, dump_).ok());
+  }
+  daemon.Pump();
+  const TriageDaemonStats first = daemon.stats();
+  EXPECT_EQ(first.waves, 1u);
+  EXPECT_GT(first.clause_promotions, 0u);
+  EXPECT_EQ(first.res.solver.promoted_clause_hits, 0u)
+      << "wave-start watermark was empty; nothing to reuse yet";
+
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(daemon.Submit(module_, dump_).ok());
+  }
+  daemon.Shutdown();
+  const TriageDaemonStats both = daemon.stats();
+  EXPECT_EQ(both.waves, 2u);
+  EXPECT_EQ(both.clause_promotions, first.clause_promotions)
+      << "identical dumps cannot contribute new module-level cores";
+  EXPECT_GT(both.res.solver.promoted_clause_hits, 0u)
+      << "the warm wave re-derived conflicts the first wave promoted";
+  EXPECT_GT(both.res.solver.promoted_cache_hits,
+            first.res.solver.promoted_cache_hits)
+      << "the warm wave re-solved constraint sets the first wave promoted";
+  ASSERT_EQ(reports.size(), 6u);
+  for (const auto& [seq, report] : reports) {
+    ExpectSameVerdict(report, solo_, "seq=" + std::to_string(seq));
+  }
+}
+
+TEST_F(ClauseLearningStream, CrossTaskReuseOffIsColdEveryTime) {
+  const std::vector<Sub> stream(2, Sub{&module_, &dump_});
+  TriageDaemonOptions options = Options(1, 2);
+  options.triage.cross_task_reuse = false;
+  TriageDaemonStats stats;
+  ExpectMatchesSolo(RunDaemonStream(stream, options, &stats), stream,
+                    res_options_, "reuse=off");
+  EXPECT_EQ(stats.clause_promotions, 0u);
+  EXPECT_EQ(stats.cache_promotions, 0u);
+  EXPECT_EQ(stats.res.solver.promoted_clause_hits, 0u);
+}
+
 TEST_F(TriageDaemonTest, MixedModuleStreamCutsWavesPerModule) {
   // A second, structurally independent module interleaved with the first:
-  // wave assembly is per-module, so each module's reports must match its
-  // own chunked RunBatch sequence regardless of the interleaving.
+  // wave assembly is per-module, and every report still equals its solo
+  // run regardless of the interleaving.
   WorkloadSpec ospec = WorkloadByName("buffer_overflow");
   ospec.channel0_inputs = {5};
   Module other = ospec.build();
@@ -225,22 +375,9 @@ TEST_F(TriageDaemonTest, MixedModuleStreamCutsWavesPerModule) {
   options.triage = TriageFor(1);
   options.wave_size = 2;
   TriageDaemonStats dstats;
-  std::map<uint64_t, TriageReport> got =
-      RunDaemonStream(stream, options, &dstats);
-  ASSERT_EQ(got.size(), 6u);
+  ExpectMatchesSolo(RunDaemonStream(stream, options, &dstats), stream,
+                    ResOptions{}, "mixed");
   EXPECT_EQ(dstats.waves, 4u);
-
-  std::vector<const Coredump*> uaf = {&dumps_[0], &dumps_[1], &dumps_[2]};
-  std::vector<TriageReport> uaf_ref =
-      ReferenceBatches(module_, uaf, 2, 1);
-  std::vector<const Coredump*> ovf(3, &other_dump);
-  std::vector<TriageReport> ovf_ref = ReferenceBatches(other, ovf, 2, 1);
-  for (size_t i = 0; i < 3; ++i) {
-    ExpectSameVerdict(got[i * 2], uaf_ref[i],
-                      "uaf/seq=" + std::to_string(i * 2));
-    ExpectSameVerdict(got[i * 2 + 1], ovf_ref[i],
-                      "ovf/seq=" + std::to_string(i * 2 + 1));
-  }
 }
 
 // --- Bounded memory: eviction and reclaim change cost, never output. ------
@@ -509,6 +646,68 @@ TEST_F(TriageDaemonTest, UnarmedDaemonChecksAreInert) {
   EXPECT_EQ(unmatched.fired(), 0u);
 }
 
+TEST_F(TriageDaemonTest, PerDumpFaultSitesAreScopedByGlobalSeq) {
+  // Four serialized submissions in waves of two: seq 3 is index 1 of the
+  // second wave. An arm scoped to task 3 must quarantine seq 3 and nothing
+  // else, wherever in the wave runner its site sits: no site is scoped by
+  // the wave-local index.
+  std::vector<std::vector<uint8_t>> blobs;
+  for (size_t i = 0; i < 4; ++i) {
+    blobs.push_back(SerializeCoredump(dumps_[i]));
+  }
+  auto run = [&](size_t count, FaultPlan* plan, size_t parallel,
+                 TriageDaemonStats* stats) {
+    ResRuntime runtime;
+    TriageDaemonOptions options;
+    options.triage = TriageFor(parallel);
+    options.wave_size = 2;
+    options.fault_plan = plan;
+    std::map<uint64_t, TriageReport> reports;
+    options.on_report = [&](const TriageReport& r) { reports[r.index] = r; };
+    TriageDaemon daemon(&runtime, options);
+    for (size_t i = 0; i < count; ++i) {
+      EXPECT_TRUE(daemon.SubmitSerialized(module_, blobs[i]).ok());
+    }
+    daemon.Shutdown();
+    *stats = daemon.stats();
+    return reports;
+  };
+  struct SiteCase {
+    std::string_view site;
+    StatusCode code;
+  };
+  const SiteCase cases[] = {
+      {"coredump.validate", StatusCode::kDataLoss},
+      {"engine.lane.detect", StatusCode::kInternal},
+  };
+  for (size_t parallel : {1u, 2u}) {
+    // Reference: the same stream without seq 3.
+    TriageDaemonStats ref_stats;
+    std::map<uint64_t, TriageReport> ref =
+        run(3, nullptr, parallel, &ref_stats);
+    ASSERT_EQ(ref.size(), 3u);
+    for (const SiteCase& c : cases) {
+      const std::string label =
+          std::string(c.site) + "/parallel=" + std::to_string(parallel);
+      FaultPlan plan;
+      plan.Arm(c.site, 1, /*task=*/3);
+      TriageDaemonStats stats;
+      std::map<uint64_t, TriageReport> got = run(4, &plan, parallel, &stats);
+      ASSERT_EQ(got.size(), 4u) << label;
+      EXPECT_EQ(plan.fired(), 1u) << label << ": the arm never matched seq 3";
+      EXPECT_EQ(stats.waves, 2u) << label;
+      EXPECT_EQ(stats.quarantined, 1u) << label;
+      EXPECT_EQ(got[3].outcome, TriageOutcome::kQuarantined) << label;
+      EXPECT_EQ(got[3].status.code(), c.code) << label;
+      for (uint64_t seq = 0; seq < 3; ++seq) {
+        EXPECT_EQ(got[seq].outcome, TriageOutcome::kOk) << label;
+        ExpectSameVerdict(got[seq], ref[seq],
+                          label + "/seq=" + std::to_string(seq));
+      }
+    }
+  }
+}
+
 // --- Wire-facing ingest. --------------------------------------------------
 
 TEST_F(TriageDaemonTest, SerializedIngestQuarantinesCorruptBlobInItsSlot) {
@@ -534,6 +733,7 @@ TEST_F(TriageDaemonTest, SerializedIngestQuarantinesCorruptBlobInItsSlot) {
   EXPECT_EQ(reports[1].status.code(), StatusCode::kDataLoss);
   EXPECT_EQ(reports[0].outcome, TriageOutcome::kOk);
   EXPECT_EQ(reports[2].outcome, TriageOutcome::kOk);
+  EXPECT_EQ(daemon.stats().quarantined, 1u);
 }
 
 // --- ResRuntime facts eviction: promotion faults vs eviction bookkeeping. --

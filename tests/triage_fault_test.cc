@@ -1,11 +1,11 @@
 // Failure isolation must be total and invisible: poisoning any registered
-// fault site under one dump of a batch quarantines exactly that dump — the
-// batch completes, every surviving report is byte-identical to a batch
+// fault site under one submission quarantines exactly that dump — the
+// stream completes, every surviving report is byte-identical to a stream
 // submitted without the poisoned dump, and nothing from a failed or
-// degraded task promotes module-global. The step-deadline watchdog is
+// degraded run promotes module-global. The step-deadline watchdog is
 // measured on the same abstract clock as the search itself (committed
 // pops), so deadline verdicts, degraded retries, and quarantines are
-// byte-identical at any dump-level parallelism. An injected solver fault
+// byte-identical at any wave parallelism. An injected solver fault
 // anywhere in a run fails that run outright: no verdict is published from
 // a search the fault cut short.
 // See docs/ARCHITECTURE.md §7 for the contract and src/support/faultpoint.h
@@ -19,9 +19,9 @@
 #include <vector>
 
 #include "src/coredump/serialize.h"
+#include "src/ir/module_serialize.h"
 #include "src/support/faultpoint.h"
 #include "src/triage/triage_daemon.h"
-#include "src/triage/triage_service.h"
 #include "src/workloads/harness.h"
 #include "src/workloads/workloads.h"
 
@@ -37,6 +37,7 @@ TEST(FaultPlanTest, RegistryHasEveryPipelineSite) {
     return std::find(sites.begin(), sites.end(), name) != sites.end();
   };
   EXPECT_TRUE(has("coredump.deserialize"));
+  EXPECT_TRUE(has("module.deserialize"));
   EXPECT_TRUE(has("coredump.validate"));
   EXPECT_TRUE(has("ir.verify"));
   EXPECT_TRUE(has("solver.strategy"));
@@ -45,6 +46,20 @@ TEST(FaultPlanTest, RegistryHasEveryPipelineSite) {
   EXPECT_TRUE(has("runtime.promote"));
   EXPECT_TRUE(has("daemon.ingest"));
   EXPECT_TRUE(has("daemon.promote_wave"));
+}
+
+TEST(FaultPlanTest, ModuleDeserializeSiteFailsTheParse) {
+  // The module codec's site: an armed "module.deserialize" fails an
+  // otherwise valid parse with kDataLoss, once.
+  const std::vector<uint8_t> bytes =
+      SerializeModule(WorkloadByName("use_after_free").build());
+  FaultPlan plan;
+  plan.Arm("module.deserialize");
+  Result<Module> failed = DeserializeModule(bytes, FaultScope{&plan});
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(plan.fired(), 1u);
+  EXPECT_TRUE(DeserializeModule(bytes, FaultScope{&plan}).ok());
 }
 
 TEST(FaultPlanTest, ParseArmsCountAndTaskScopes) {
@@ -86,8 +101,9 @@ TEST(FaultPlanTest, TaskScopedArmIgnoresOtherScopes) {
 }
 
 // ---------------------------------------------------------------------------
-// Batch fault sweep: three use_after_free dumps (two distinct crash paths);
-// dump 1 is the poison target, dumps 0 and 2 must be untouched.
+// Fault sweep through the daemon: three use_after_free dumps (two distinct
+// crash paths) submitted serialized; seq 1 is the poison target, seqs 0 and
+// 2 must be untouched.
 
 class TriageFaultTest : public ::testing::Test {
  protected:
@@ -107,15 +123,21 @@ class TriageFaultTest : public ::testing::Test {
     }
   }
 
-  std::vector<TriageReport> RunBlobs(
-      const std::vector<std::vector<uint8_t>>& blobs, FaultPlan* plan,
-      size_t parallel, TriageStats* stats) {
+  // SubmitSerialized every blob to a fresh daemon, then Shutdown (which
+  // drains); returns the reports keyed by submission seq.
+  std::map<uint64_t, TriageReport> RunBlobs(
+      const std::vector<std::vector<uint8_t>>& blobs,
+      TriageDaemonOptions options, TriageDaemonStats* stats) {
     ResRuntime runtime;
-    TriageOptions options;
-    options.max_parallel_dumps = parallel;
-    options.fault_plan = plan;
-    TriageService service(&runtime, module_, options);
-    return service.RunBatchSerialized(blobs, stats);
+    std::map<uint64_t, TriageReport> reports;
+    options.on_report = [&](const TriageReport& r) { reports[r.index] = r; };
+    TriageDaemon daemon(&runtime, options);
+    for (const auto& blob : blobs) {
+      EXPECT_TRUE(daemon.SubmitSerialized(module_, blob).ok());
+    }
+    daemon.Shutdown();
+    *stats = daemon.stats();
+    return reports;
   }
 
   static void ExpectSameVerdict(const TriageReport& got,
@@ -141,8 +163,9 @@ TEST_F(TriageFaultTest, SiteSweepQuarantinesExactlyThePoisonedDump) {
     std::string_view site;
     StatusCode code;
   };
-  // Every per-task site in the pipeline, with the failure it surfaces as.
-  // ("ir.verify" is batch-scoped — covered by ModuleVerifyFaultFailsEverySlot.)
+  // Every per-dump site a submission reaches below the daemon's own, with
+  // the failure it surfaces as. ("ir.verify" is wave-scoped — covered by
+  // ModuleVerifyFaultFailsEverySlot.)
   const SiteCase cases[] = {
       {"coredump.deserialize", StatusCode::kDataLoss},
       {"coredump.validate", StatusCode::kDataLoss},
@@ -152,23 +175,30 @@ TEST_F(TriageFaultTest, SiteSweepQuarantinesExactlyThePoisonedDump) {
       {"runtime.promote", StatusCode::kInternal},
   };
   for (size_t parallel : {1u, 2u}) {
-    // Reference: the same batch submitted without the poisoned dump.
-    const std::vector<std::vector<uint8_t>> survivors = {blobs_[0], blobs_[2]};
-    TriageStats ref_stats;
-    std::vector<TriageReport> ref =
-        RunBlobs(survivors, nullptr, parallel, &ref_stats);
+    // Waves of two: the poisoned seq 1 rides wave {0, 1}, and seq 2 flushes
+    // on drain. The reference submits the survivors one per wave, so each
+    // screens against exactly the promotions it sees in the poisoned
+    // stream: seq 0's, and none from seq 1.
+    TriageDaemonOptions options;
+    options.triage.max_parallel_dumps = parallel;
+    options.wave_size = 1;
+    TriageDaemonStats ref_stats;
+    std::map<uint64_t, TriageReport> ref =
+        RunBlobs({blobs_[0], blobs_[2]}, options, &ref_stats);
     ASSERT_EQ(ref.size(), 2u);
     ASSERT_EQ(ref[0].outcome, TriageOutcome::kOk);
     ASSERT_EQ(ref[1].outcome, TriageOutcome::kOk);
+    options.wave_size = 2;
 
     for (const SiteCase& c : cases) {
       const std::string label =
           std::string(c.site) + "/parallel=" + std::to_string(parallel);
       FaultPlan plan;
-      plan.Arm(c.site, 1, 1);  // poison dump 1, first hit
-      TriageStats stats;
-      std::vector<TriageReport> reports =
-          RunBlobs(blobs_, &plan, parallel, &stats);
+      plan.Arm(c.site, 1, 1);  // poison seq 1, first hit
+      options.fault_plan = &plan;
+      TriageDaemonStats stats;
+      std::map<uint64_t, TriageReport> reports =
+          RunBlobs(blobs_, options, &stats);
       ASSERT_EQ(reports.size(), 3u) << label;
       EXPECT_GE(plan.fired(), 1u) << label << ": site never reached";
       EXPECT_EQ(reports[1].outcome, TriageOutcome::kQuarantined) << label;
@@ -179,12 +209,13 @@ TEST_F(TriageFaultTest, SiteSweepQuarantinesExactlyThePoisonedDump) {
       EXPECT_TRUE(reports[1].cause_signature.empty()) << label;
       EXPECT_EQ(stats.quarantined, 1u) << label;
       EXPECT_EQ(stats.deadline_exceeded, 0u) << label;
+      EXPECT_EQ(stats.waves, 2u) << label;
       // Failure isolation: the surviving reports are byte-identical to the
-      // batch that never saw the poisoned dump...
-      ExpectSameVerdict(reports[0], ref[0], label + "/dump0");
-      ExpectSameVerdict(reports[2], ref[1], label + "/dump2");
-      // ...and so is everything the batch promoted (poison-free promotion:
-      // a failed task publishes no cores and no check keys).
+      // stream that never saw the poisoned dump...
+      ExpectSameVerdict(reports[0], ref[0], label + "/seq=0");
+      ExpectSameVerdict(reports[2], ref[1], label + "/seq=2");
+      // ...and so is everything the stream promoted (poison-free
+      // promotion: a failed run publishes no cores and no check keys).
       EXPECT_EQ(stats.clause_promotions, ref_stats.clause_promotions)
           << label;
       EXPECT_EQ(stats.cache_promotions, ref_stats.cache_promotions) << label;
@@ -195,80 +226,23 @@ TEST_F(TriageFaultTest, SiteSweepQuarantinesExactlyThePoisonedDump) {
   }
 }
 
-TEST_F(TriageFaultTest, SiteSweepThroughDaemonIngestPath) {
-  // The same per-task sites, exercised under wave scheduling: blobs are
-  // SubmitSerialized to a TriageDaemon with wave_size=2, so the poisoned
-  // dump (global seq 1) rides wave {0,1} and dump 2 flushes on Drain. The
-  // task-scoped arm matches either scoping convention here by construction:
-  // seq 1 IS wave-local index 1 of its wave ("coredump.deserialize" fires
-  // at ingest, scoped to the global seq; every site below the daemon keeps
-  // TriageService's wave-local index). Isolation must be unchanged:
-  // survivors byte-identical to a plain batch that never saw the dump.
-  struct SiteCase {
-    std::string_view site;
-    StatusCode code;
-  };
-  const SiteCase cases[] = {
-      {"coredump.deserialize", StatusCode::kDataLoss},
-      {"coredump.validate", StatusCode::kDataLoss},
-      {"solver.strategy", StatusCode::kInternal},
-      {"engine.lane.explore", StatusCode::kInternal},
-      {"engine.lane.detect", StatusCode::kInternal},
-      {"runtime.promote", StatusCode::kInternal},
-  };
-  for (size_t parallel : {1u, 2u}) {
-    const std::vector<std::vector<uint8_t>> survivors = {blobs_[0], blobs_[2]};
-    TriageStats ref_stats;
-    std::vector<TriageReport> ref =
-        RunBlobs(survivors, nullptr, parallel, &ref_stats);
-    ASSERT_EQ(ref.size(), 2u);
-
-    for (const SiteCase& c : cases) {
-      const std::string label = "daemon/" + std::string(c.site) +
-                                "/parallel=" + std::to_string(parallel);
-      FaultPlan plan;
-      plan.Arm(c.site, 1, 1);
-      ResRuntime runtime;
-      TriageDaemonOptions options;
-      options.triage.max_parallel_dumps = parallel;
-      options.wave_size = 2;
-      options.fault_plan = &plan;
-      std::map<uint64_t, TriageReport> reports;
-      options.on_report = [&](const TriageReport& r) { reports[r.index] = r; };
-      TriageDaemon daemon(&runtime, options);
-      for (const auto& blob : blobs_) {
-        ASSERT_TRUE(daemon.SubmitSerialized(module_, blob).ok()) << label;
-      }
-      daemon.Shutdown();  // drains: full wave {0,1} then partial {2}
-      ASSERT_EQ(reports.size(), 3u) << label;
-      EXPECT_GE(plan.fired(), 1u) << label << ": site never reached";
-      EXPECT_EQ(reports[1].outcome, TriageOutcome::kQuarantined) << label;
-      EXPECT_EQ(reports[1].status.code(), c.code) << label;
-      EXPECT_EQ(reports[1].res_bucket,
-                "quarantine:" + std::string(StatusCodeName(c.code)))
-          << label;
-      TriageDaemonStats dstats = daemon.stats();
-      EXPECT_EQ(dstats.quarantined, 1u) << label;
-      EXPECT_EQ(dstats.waves, 2u) << label;
-      ExpectSameVerdict(reports[0], ref[0], label + "/dump0");
-      ExpectSameVerdict(reports[2], ref[1], label + "/dump2");
-    }
-  }
-}
-
 TEST_F(TriageFaultTest, ModuleVerifyFaultFailsEverySlot) {
-  // Module admission is batch-scoped: an unscoped ir.verify arm fails every
-  // slot (no engine can trust the IR)...
+  // Module admission is wave-scoped: an unscoped ir.verify arm fails every
+  // slot of the wave it fires in (no engine can trust the IR)...
   for (size_t parallel : {1u, 2u}) {
     FaultPlan plan;
     plan.Arm("ir.verify");
-    TriageStats stats;
-    std::vector<TriageReport> reports =
-        RunBlobs(blobs_, &plan, parallel, &stats);
+    TriageDaemonOptions options;
+    options.triage.max_parallel_dumps = parallel;
+    options.wave_size = 0;  // one wave holds all three
+    options.fault_plan = &plan;
+    TriageDaemonStats stats;
+    std::map<uint64_t, TriageReport> reports =
+        RunBlobs(blobs_, options, &stats);
     ASSERT_EQ(reports.size(), 3u);
-    for (const TriageReport& r : reports) {
-      EXPECT_EQ(r.outcome, TriageOutcome::kQuarantined) << r.index;
-      EXPECT_EQ(r.status.code(), StatusCode::kInternal) << r.index;
+    for (const auto& [seq, r] : reports) {
+      EXPECT_EQ(r.outcome, TriageOutcome::kQuarantined) << seq;
+      EXPECT_EQ(r.status.code(), StatusCode::kInternal) << seq;
     }
     EXPECT_EQ(stats.quarantined, 3u);
   }
@@ -276,26 +250,16 @@ TEST_F(TriageFaultTest, ModuleVerifyFaultFailsEverySlot) {
   // attributable to any one dump.
   FaultPlan scoped;
   scoped.Arm("ir.verify", 1, 1);
-  TriageStats stats;
-  std::vector<TriageReport> reports = RunBlobs(blobs_, &scoped, 1, &stats);
+  TriageDaemonOptions options;
+  options.wave_size = 0;
+  options.fault_plan = &scoped;
+  TriageDaemonStats stats;
+  std::map<uint64_t, TriageReport> reports = RunBlobs(blobs_, options, &stats);
   EXPECT_EQ(scoped.fired(), 0u);
   ASSERT_EQ(reports.size(), 3u);
-  for (const TriageReport& r : reports) {
-    EXPECT_EQ(r.outcome, TriageOutcome::kOk) << r.index;
+  for (const auto& [seq, r] : reports) {
+    EXPECT_EQ(r.outcome, TriageOutcome::kOk) << seq;
   }
-}
-
-TEST_F(TriageFaultTest, CorruptBlobQuarantinesOnlyItsSlot) {
-  std::vector<std::vector<uint8_t>> blobs = blobs_;
-  blobs[1].resize(blobs[1].size() / 2);  // truncated mid-wire
-  TriageStats stats;
-  std::vector<TriageReport> reports = RunBlobs(blobs, nullptr, 1, &stats);
-  ASSERT_EQ(reports.size(), 3u);
-  EXPECT_EQ(reports[1].outcome, TriageOutcome::kQuarantined);
-  EXPECT_EQ(reports[1].status.code(), StatusCode::kDataLoss);
-  EXPECT_EQ(reports[0].outcome, TriageOutcome::kOk);
-  EXPECT_EQ(reports[2].outcome, TriageOutcome::kOk);
-  EXPECT_EQ(stats.quarantined, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -355,54 +319,69 @@ TEST_F(DeadlineTest, DeadlineTriggersDegradedRetryThenQuarantine) {
   ASSERT_GT(u_deg, 1u);
   ASSERT_LT(u_deg, u_full);
 
+  // Submits two copies of the dump as one wave and drains.
+  auto run = [&](const TriageOptions& triage, TriageDaemonStats* stats) {
+    ResRuntime runtime;
+    TriageDaemonOptions options;
+    options.triage = triage;
+    options.wave_size = 0;
+    std::map<uint64_t, TriageReport> reports;
+    options.on_report = [&](const TriageReport& r) { reports[r.index] = r; };
+    TriageDaemon daemon(&runtime, options);
+    for (int i = 0; i < 2; ++i) {
+      EXPECT_TRUE(daemon.Submit(module_, dump_).ok());
+    }
+    daemon.Shutdown();
+    *stats = daemon.stats();
+    return reports;
+  };
+
   // Deadline exactly at the degraded run's length: the full-fidelity attempt
   // overshoots, the degraded retry fits. Same plan at every configuration.
   std::string degraded_bucket;
   for (size_t parallel : {1u, 2u}) {
     const std::string label = "parallel=" + std::to_string(parallel);
-    ResRuntime runtime;
-    TriageOptions options;
-    options.res = full_options;
-    options.res.deadline_units = u_deg;
-    options.max_parallel_dumps = parallel;
-    TriageService service(&runtime, module_, options);
-    TriageStats stats;
-    std::vector<TriageReport> reports =
-        service.RunBatch(std::vector<const Coredump*>{&dump_}, &stats);
-    ASSERT_EQ(reports.size(), 1u) << label;
-    EXPECT_EQ(reports[0].outcome, TriageOutcome::kDegraded) << label;
-    EXPECT_TRUE(reports[0].degraded) << label;
-    EXPECT_TRUE(reports[0].status.ok()) << label;
-    EXPECT_FALSE(reports[0].res_bucket.empty()) << label;
-    EXPECT_EQ(reports[0].stats.committed_units, u_deg) << label;
-    EXPECT_EQ(stats.deadline_exceeded, 1u) << label;
-    EXPECT_EQ(stats.degraded_retries, 1u) << label;
-    EXPECT_EQ(stats.quarantined, 0u) << label;
-    // The degraded verdict itself is deterministic across configurations.
-    if (degraded_bucket.empty()) {
-      degraded_bucket = reports[0].res_bucket;
-    } else {
-      EXPECT_EQ(reports[0].res_bucket, degraded_bucket) << label;
+    TriageOptions triage;
+    triage.res = full_options;
+    triage.res.deadline_units = u_deg;
+    triage.max_parallel_dumps = parallel;
+    TriageDaemonStats stats;
+    std::map<uint64_t, TriageReport> reports = run(triage, &stats);
+    ASSERT_EQ(reports.size(), 2u) << label;
+    for (const auto& [seq, report] : reports) {
+      EXPECT_EQ(report.outcome, TriageOutcome::kDegraded) << label;
+      EXPECT_TRUE(report.degraded) << label;
+      EXPECT_TRUE(report.status.ok()) << label;
+      EXPECT_FALSE(report.res_bucket.empty()) << label;
+      EXPECT_EQ(report.stats.committed_units, u_deg) << label;
+      // The degraded verdict itself is deterministic across configurations.
+      if (degraded_bucket.empty()) {
+        degraded_bucket = report.res_bucket;
+      } else {
+        EXPECT_EQ(report.res_bucket, degraded_bucket) << label;
+      }
     }
+    EXPECT_EQ(stats.deadline_exceeded, 2u) << label;
+    EXPECT_EQ(stats.degraded_retries, 2u) << label;
+    EXPECT_EQ(stats.quarantined, 0u) << label;
   }
 
   // A deadline even the degraded profile can't meet: retry once, then
   // quarantine as resource exhaustion — never hang, never crash.
-  ResRuntime runtime;
-  TriageOptions options;
-  options.res = full_options;
-  options.res.deadline_units = 1;
-  TriageService service(&runtime, module_, options);
-  TriageStats stats;
-  std::vector<TriageReport> reports =
-      service.RunBatch(std::vector<const Coredump*>{&dump_}, &stats);
-  ASSERT_EQ(reports.size(), 1u);
-  EXPECT_EQ(reports[0].outcome, TriageOutcome::kQuarantined);
-  EXPECT_EQ(reports[0].status.code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(reports[0].res_bucket, "quarantine:resource_exhausted");
-  EXPECT_EQ(stats.deadline_exceeded, 2u);
-  EXPECT_EQ(stats.degraded_retries, 1u);
-  EXPECT_EQ(stats.quarantined, 1u);
+  TriageOptions triage;
+  triage.res = full_options;
+  triage.res.deadline_units = 1;
+  TriageDaemonStats stats;
+  std::map<uint64_t, TriageReport> reports = run(triage, &stats);
+  ASSERT_EQ(reports.size(), 2u);
+  for (const auto& [seq, report] : reports) {
+    EXPECT_EQ(report.outcome, TriageOutcome::kQuarantined) << seq;
+    EXPECT_EQ(report.status.code(), StatusCode::kResourceExhausted) << seq;
+    EXPECT_EQ(report.res_bucket, "quarantine:resource_exhausted") << seq;
+  }
+  EXPECT_EQ(stats.deadline_exceeded, 4u);
+  EXPECT_EQ(stats.degraded_retries, 2u);
+  EXPECT_EQ(stats.quarantined, 2u);
 }
 
 // ---------------------------------------------------------------------------
