@@ -4,9 +4,10 @@
 # the SCENARIOS.md scheduler-policy catalog drifts out of sync with the
 # registry in src/vm/scheduler_spec.cc, if the RESMOD1 wire-format
 # version documented in ARCHITECTURE.md §12 drifts from the codec's
-# kVersion constant in src/ir/module_serialize.cc, or if bench/README.md's
+# kVersion constant in src/ir/module_serialize.cc, if bench/README.md's
 # bench-only key table drifts from the keys bench/bench_util.h writes
-# beside the stats lists.
+# beside the stats lists, or if ARCHITECTURE.md §7.1's fault-site table
+# drifts from the sites src/ registers.
 #
 # Checked references:
 #   - markdown links pointing into the repo:  [text](path)
@@ -16,6 +17,8 @@
 #   - bench-only keys: every key BenchJsonWriter writes outside the stats
 #     lists must be a row of bench/README.md's "Bench-only keys" table, and
 #     vice versa
+#   - fault sites: every RES_FAULT_SITE name under src/ must be a row of
+#     docs/ARCHITECTURE.md §7.1's site table, and vice versa
 #
 # Usage: tools/check_docs.sh   (from the repository root)
 set -u
@@ -157,12 +160,43 @@ check_bench_keys_sync() {
   fi
 }
 
+check_fault_sites_sync() {
+  local arch="docs/ARCHITECTURE.md"
+  if [ ! -d src ] || [ ! -f "$arch" ]; then
+    echo "ERROR: fault-site sync inputs missing (src/, $arch)"
+    fail=1
+    return
+  fi
+  # Sites are declared at namespace scope, one per line start:
+  #   RES_FAULT_SITE(kFaultValidate, "coredump.validate", ...
+  local registered documented
+  registered="$(grep -rhoE '^RES_FAULT_SITE\([A-Za-z0-9_]+, "[a-z_.]+"' src \
+      | grep -oE '"[a-z_.]+"' | tr -d '"' | sort)"
+  # Table rows of the "### 7.1" section: | `site` | domain | code |
+  documented="$(awk '/^### 7\.1 / { on = 1; next }
+                     /^#/ { on = 0 }
+                     on' "$arch" \
+      | grep -oE '^\| `[a-z_.]+` ' | grep -oE '`[a-z_.]+`' | tr -d '\`' | sort)"
+  if [ -z "$registered" ]; then
+    echo "ERROR: no RES_FAULT_SITE declarations found under src/ (pattern drift?)"
+    fail=1
+    return
+  fi
+  if [ "$registered" != "$documented" ]; then
+    echo "ERROR: fault-site table out of sync"
+    echo "  registered (src/): $(echo $registered)"
+    echo "  table      ($arch §7.1): $(echo $documented)"
+    fail=1
+  fi
+}
+
 check_doc README.md
 check_doc docs/ARCHITECTURE.md
 check_doc docs/SCENARIOS.md
 check_policy_sync
 check_module_format_sync
 check_bench_keys_sync
+check_fault_sites_sync
 
 if [ "$fail" -ne 0 ]; then
   echo "docs check FAILED"
