@@ -73,7 +73,8 @@ ResRuntime::FactsEviction ResRuntime::EvictIdleFacts(size_t max_resident,
                      });
     size_t need = facts_.size() - max_resident;
     for (size_t i = 0; i < victims.size() && need > 0; ++i, --need) {
-      out.cores_dropped += victims[i]->second.facts->promoted_clauses.published();
+      out.cores_dropped +=
+          victims[i]->second.facts->promoted_clauses.published();
       ++out.facts_evicted;
       facts_.erase(victims[i]);
     }

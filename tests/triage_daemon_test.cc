@@ -286,7 +286,7 @@ TEST_F(ClauseLearningStream, PromotionCountersDeterministicAndPositive) {
     EXPECT_GT(stats.clause_promotions, 0u) << label;
     EXPECT_GT(stats.cache_promotions, 0u) << label;
     EXPECT_GT(stats.res.solver.promoted_clause_hits, 0u)
-        << label << ": later dumps re-derived conflicts instead of reusing them";
+        << label << ": later dumps re-derived conflicts instead of reuse";
     EXPECT_GT(stats.res.expr_reuse_hits, 0u)
         << label << ": identical dumps must re-intern earlier dumps' variables";
     if (repeat == 0) {
