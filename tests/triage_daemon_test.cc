@@ -192,6 +192,33 @@ TEST_F(TriageDaemonTest, DaemonMatchesSoloRunsAcrossConfigs) {
   }
 }
 
+TEST_F(TriageDaemonTest, MixedModuleStreamCutsWavesPerModule) {
+  // A second, structurally independent module interleaved with the first:
+  // wave assembly is per-module, and every report still equals its solo
+  // run regardless of the interleaving.
+  WorkloadSpec ospec = WorkloadByName("buffer_overflow");
+  ospec.channel0_inputs = {5};
+  Module other = ospec.build();
+  auto run = RunToFailure(other, ospec, {});
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  Coredump other_dump = std::move(run).value().dump;
+
+  // u o u o u o — uaf seqs {0,2,4}, overflow seqs {1,3,5}, wave_size 2:
+  // waves are uaf{0,2}, ovf{1,3}, then drain flushes uaf{4}, ovf{5}.
+  std::vector<Sub> stream;
+  for (size_t i = 0; i < 3; ++i) {
+    stream.push_back({&module_, &dumps_[i]});
+    stream.push_back({&other, &other_dump});
+  }
+  TriageDaemonOptions options;
+  options.triage = TriageFor(1);
+  options.wave_size = 2;
+  TriageDaemonStats dstats;
+  ExpectMatchesSolo(RunDaemonStream(stream, options, &dstats), stream,
+                    ResOptions{}, "mixed");
+  EXPECT_EQ(dstats.waves, 4u);
+}
+
 TEST(TriageDaemonWorkloadTest, ColdAndWarmWavesMatchSoloAcrossWorkloads) {
   struct Corpus {
     const char* workload;
@@ -351,33 +378,6 @@ TEST_F(ClauseLearningStream, CrossTaskReuseOffIsColdEveryTime) {
   EXPECT_EQ(stats.clause_promotions, 0u);
   EXPECT_EQ(stats.cache_promotions, 0u);
   EXPECT_EQ(stats.res.solver.promoted_clause_hits, 0u);
-}
-
-TEST_F(TriageDaemonTest, MixedModuleStreamCutsWavesPerModule) {
-  // A second, structurally independent module interleaved with the first:
-  // wave assembly is per-module, and every report still equals its solo
-  // run regardless of the interleaving.
-  WorkloadSpec ospec = WorkloadByName("buffer_overflow");
-  ospec.channel0_inputs = {5};
-  Module other = ospec.build();
-  auto run = RunToFailure(other, ospec, {});
-  ASSERT_TRUE(run.ok()) << run.status().ToString();
-  Coredump other_dump = std::move(run).value().dump;
-
-  // u o u o u o — uaf seqs {0,2,4}, overflow seqs {1,3,5}, wave_size 2:
-  // waves are uaf{0,2}, ovf{1,3}, then drain flushes uaf{4}, ovf{5}.
-  std::vector<Sub> stream;
-  for (size_t i = 0; i < 3; ++i) {
-    stream.push_back({&module_, &dumps_[i]});
-    stream.push_back({&other, &other_dump});
-  }
-  TriageDaemonOptions options;
-  options.triage = TriageFor(1);
-  options.wave_size = 2;
-  TriageDaemonStats dstats;
-  ExpectMatchesSolo(RunDaemonStream(stream, options, &dstats), stream,
-                    ResOptions{}, "mixed");
-  EXPECT_EQ(dstats.waves, 4u);
 }
 
 // --- Bounded memory: eviction and reclaim change cost, never output. ------
@@ -562,7 +562,7 @@ TEST_F(TriageDaemonTest, StandingThreadMatchesExplicitPumping) {
   }
 }
 
-// --- The daemon's own fault sites. ----------------------------------------
+// --- Fault sites: the daemon's own, and one seq scope for all. ------------
 
 TEST_F(TriageDaemonTest, DaemonFaultSitesAreRegistered) {
   const std::vector<std::string_view> sites = RegisteredFaultSites();
