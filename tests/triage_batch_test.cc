@@ -1,51 +1,29 @@
-// Batch triage must be observationally invisible: for any dump-level
-// parallelism, TriageService::RunBatch's verdicts
-// (bucket, rating, root-cause signature) must be byte-identical to solo
-// ResBucketer / ResExploitabilityRater runs over the same dumps with the
-// same options — cross-task reuse through the shared ResRuntime changes
-// cost, never output. The promotion counters themselves must be
-// deterministic: pure functions of (dumps, options, batch configuration).
-// See src/res/runtime.h for the promotion protocol and
-// docs/ARCHITECTURE.md §6 for the contract.
+// Batch triage must be observationally invisible: a daemon wave is a batch
+// of dumps over one module, and for any dump-level parallelism every report
+// (bucket, rating, root-cause signature, both baselines) equals a solo
+// ResEngine run over the same dump with the same options, whether the wave
+// runs cold or consults the facts an earlier wave promoted — cross-dump
+// reuse through the shared ResRuntime changes cost, never output. The
+// promotion counters themselves must be deterministic: pure functions of
+// (dumps, options, wave configuration). See src/res/runtime.h for the
+// promotion protocol and docs/ARCHITECTURE.md §6 for the contract.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
-#include "src/triage/triage_service.h"
+#include "src/res/runtime.h"
+#include "src/triage/triage_daemon.h"
 #include "src/workloads/harness.h"
 #include "src/workloads/workloads.h"
+#include "tests/triage_oracle.h"
 
 namespace res {
 namespace {
 
-struct SoloVerdict {
-  std::string bucket;
-  Exploitability rating = Exploitability::kUnknown;
-};
-
-// The pre-runtime public API: fresh self-contained engines, no sharing.
-SoloVerdict Solo(const Module& module, const Coredump& dump,
-                 const ResOptions& options) {
-  SoloVerdict v;
-  v.bucket = ResBucketer(module, options).BucketFor(dump);
-  v.rating = ResExploitabilityRater(module, options).Rate(dump);
-  return v;
-}
-
-void ExpectReportsMatchSolo(const std::vector<TriageReport>& reports,
-                            const std::vector<SoloVerdict>& solo,
-                            const char* label) {
-  ASSERT_EQ(reports.size(), solo.size()) << label;
-  for (size_t i = 0; i < reports.size(); ++i) {
-    EXPECT_EQ(reports[i].res_bucket, solo[i].bucket)
-        << label << ": dump " << i << " bucket diverged from solo";
-    EXPECT_EQ(reports[i].res_rating, solo[i].rating)
-        << label << ": dump " << i << " rating diverged from solo";
-  }
-}
-
-TEST(TriageBatchTest, BatchMatchesSoloAcrossParallelism) {
+TEST(TriageDaemonWorkloadTest, ColdAndWarmWavesMatchSoloAcrossWorkloads) {
   struct Corpus {
     const char* workload;
     std::vector<std::vector<int64_t>> inputs;  // one dump per entry
@@ -72,33 +50,31 @@ TEST(TriageBatchTest, BatchMatchesSoloAcrossParallelism) {
       ASSERT_TRUE(run.ok()) << corpus.workload;
       dumps.push_back(std::move(run).value().dump);
     }
-
-    const ResOptions res_options;  // defaults
-    std::vector<SoloVerdict> solo;
-    for (const Coredump& dump : dumps) {
-      solo.push_back(Solo(module, dump, res_options));
+    // Every dump twice: the first wave runs cold, the second consults the
+    // facts the first one promoted.
+    std::vector<Sub> stream;
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const Coredump& dump : dumps) {
+        stream.push_back({&module, &dump});
+      }
     }
-
     for (size_t parallel : {1u, 2u}) {
-      ResRuntime runtime;
-      TriageOptions options;
-      options.res = res_options;
-      options.max_parallel_dumps = parallel;
-      TriageService service(&runtime, module, options);
-      std::string label = std::string(corpus.workload) + "/parallel=" +
-                          std::to_string(parallel);
-      ExpectReportsMatchSolo(service.RunBatch(dumps), solo, label.c_str());
-      // A second batch on the now-warm runtime consults the facts the
-      // first batch promoted — output must still be byte-identical.
-      ExpectReportsMatchSolo(service.RunBatch(dumps), solo,
-                             (label + "/warm").c_str());
+      TriageDaemonOptions options;
+      options.triage = TriageFor(parallel);
+      options.wave_size = dumps.size();
+      TriageDaemonStats stats;
+      ExpectMatchesSolo(RunDaemonStream(stream, options, &stats), stream,
+                        ResOptions{},
+                        std::string(corpus.workload) +
+                            "/parallel=" + std::to_string(parallel));
+      EXPECT_EQ(stats.waves, 2u) << corpus.workload;
     }
   }
 }
 
-// The clause-learning workload from tests/clause_sharing_test.cc: full
-// synthesis over the 4-worker interleaving space learns real UNSAT cores.
-class SameModuleBatch : public ::testing::Test {
+// The clause-learning workload: full synthesis over the 4-worker
+// interleaving space learns real UNSAT cores.
+class ClauseLearningStream : public ::testing::Test {
  protected:
   void SetUp() override {
     module_ = BuildRacyCounterWide(4);
@@ -111,52 +87,39 @@ class SameModuleBatch : public ::testing::Test {
     res_options_.stop_at_root_cause = false;
     res_options_.max_units = 48;
     res_options_.max_hypotheses = 1000;
+    solo_ = SoloReport(module_, dump_, res_options_);
   }
 
-  TriageStats RunSameDumpBatch(size_t copies, size_t parallel,
-                               ResRuntime* runtime,
-                               std::vector<TriageReport>* reports = nullptr) {
-    std::vector<const Coredump*> dumps(copies, &dump_);
-    TriageOptions options;
-    options.res = res_options_;
-    options.max_parallel_dumps = parallel;
-    TriageService service(runtime, module_, options);
-    TriageStats stats;
-    std::vector<TriageReport> out = service.RunBatch(dumps, &stats);
-    if (reports != nullptr) {
-      *reports = std::move(out);
-    }
-    return stats;
+  TriageDaemonOptions Options(size_t parallel, size_t wave_size) const {
+    TriageDaemonOptions options;
+    options.triage = TriageFor(parallel, res_options_);
+    options.wave_size = wave_size;
+    return options;
   }
 
   Module module_;
   Coredump dump_;
   ResOptions res_options_;
+  TriageReport solo_;
 };
 
-TEST_F(SameModuleBatch, PromotionCountersDeterministicAndPositive) {
-  // Serial batches: task i's engine sees the promotions of tasks 0..i-1, so
-  // identical dumps must show genuine cross-task reuse — and the promotion
+TEST_F(ClauseLearningStream, PromotionCountersDeterministicAndPositive) {
+  // A serial wave: dump i's engine sees the promotions of dumps 0..i-1, so
+  // identical dumps must show genuine cross-dump reuse — and the promotion
   // counters must repeat exactly on a fresh runtime.
-  const SoloVerdict solo = Solo(module_, dump_, res_options_);
-  TriageStats reference;
+  const std::vector<Sub> stream(3, Sub{&module_, &dump_});
+  TriageDaemonStats reference;
   for (int repeat = 0; repeat < 2; ++repeat) {
-    ResRuntime runtime;
-    std::vector<TriageReport> reports;
-    TriageStats stats = RunSameDumpBatch(/*copies=*/3, /*parallel=*/1,
-                                         &runtime, &reports);
-    for (const TriageReport& report : reports) {
-      EXPECT_EQ(report.res_bucket, solo.bucket) << "repeat=" << repeat;
-      EXPECT_EQ(report.res_rating, solo.rating) << "repeat=" << repeat;
-    }
-    EXPECT_GT(stats.clause_promotions, 0u) << "repeat=" << repeat;
-    EXPECT_GT(stats.cache_promotions, 0u) << "repeat=" << repeat;
+    const std::string label = "repeat=" + std::to_string(repeat);
+    TriageDaemonStats stats;
+    ExpectMatchesSolo(RunDaemonStream(stream, Options(1, 3), &stats), stream,
+                      res_options_, label);
+    EXPECT_GT(stats.clause_promotions, 0u) << label;
+    EXPECT_GT(stats.cache_promotions, 0u) << label;
     EXPECT_GT(stats.res.solver.promoted_clause_hits, 0u)
-        << "repeat=" << repeat
-        << ": later tasks re-derived conflicts instead of reusing them";
+        << label << ": later dumps re-derived conflicts instead of reuse";
     EXPECT_GT(stats.res.expr_reuse_hits, 0u)
-        << "repeat=" << repeat
-        << ": identical dumps must re-intern earlier tasks' variables";
+        << label << ": identical dumps must re-intern earlier dumps' variables";
     if (repeat == 0) {
       reference = stats;
     } else {
@@ -164,61 +127,61 @@ TEST_F(SameModuleBatch, PromotionCountersDeterministicAndPositive) {
       EXPECT_EQ(stats.cache_promotions, reference.cache_promotions);
       EXPECT_EQ(stats.res.solver.promoted_clause_hits,
                 reference.res.solver.promoted_clause_hits);
-      // No longer a racy pool gauge — a commit-order counter against the
-      // construction watermark, deterministic in serial batches.
+      // A commit-order counter against the construction watermark,
+      // deterministic in serial waves.
       EXPECT_EQ(stats.res.expr_reuse_hits, reference.res.expr_reuse_hits);
     }
   }
 }
 
-TEST_F(SameModuleBatch, ParallelBatchesReuseAcrossBatches) {
-  // Parallel batches snapshot the promoted store at batch start: within a
-  // batch the tasks are independent (deterministic watermark), and the
-  // *next* batch over the same module reaps the promotions.
-  const SoloVerdict solo = Solo(module_, dump_, res_options_);
+TEST_F(ClauseLearningStream, ParallelWavesReuseAcrossWaves) {
+  // A parallel wave screens against the wave-start watermark: within a wave
+  // the dumps are independent, and the next wave over the same module reaps
+  // the promotions.
   ResRuntime runtime;
-  std::vector<TriageReport> first_reports;
-  TriageStats first = RunSameDumpBatch(/*copies=*/3, /*parallel=*/2, &runtime,
-                                       &first_reports);
+  TriageDaemonOptions options = Options(2, 3);
+  std::map<uint64_t, TriageReport> reports;
+  options.on_report = [&](const TriageReport& r) { reports[r.index] = r; };
+  TriageDaemon daemon(&runtime, options);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(daemon.Submit(module_, dump_).ok());
+  }
+  daemon.Pump();
+  const TriageDaemonStats first = daemon.stats();
+  EXPECT_EQ(first.waves, 1u);
   EXPECT_GT(first.clause_promotions, 0u);
   EXPECT_EQ(first.res.solver.promoted_clause_hits, 0u)
-      << "batch-start watermark was empty; nothing to reuse yet";
+      << "wave-start watermark was empty; nothing to reuse yet";
 
-  std::vector<TriageReport> second_reports;
-  TriageStats second = RunSameDumpBatch(/*copies=*/3, /*parallel=*/2,
-                                        &runtime, &second_reports);
-  EXPECT_EQ(second.clause_promotions, 0u)
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(daemon.Submit(module_, dump_).ok());
+  }
+  daemon.Shutdown();
+  const TriageDaemonStats both = daemon.stats();
+  EXPECT_EQ(both.waves, 2u);
+  EXPECT_EQ(both.clause_promotions, first.clause_promotions)
       << "identical dumps cannot contribute new module-level cores";
-  EXPECT_GT(second.res.solver.promoted_clause_hits, 0u)
-      << "the warm batch re-derived conflicts the first batch promoted";
-  EXPECT_GT(second.res.solver.promoted_cache_hits, 0u)
-      << "the warm batch re-solved constraint sets the first batch promoted";
-  for (const std::vector<TriageReport>* reports :
-       {&first_reports, &second_reports}) {
-    for (const TriageReport& report : *reports) {
-      EXPECT_EQ(report.res_bucket, solo.bucket);
-      EXPECT_EQ(report.res_rating, solo.rating);
-    }
+  EXPECT_GT(both.res.solver.promoted_clause_hits, 0u)
+      << "the warm wave re-derived conflicts the first wave promoted";
+  EXPECT_GT(both.res.solver.promoted_cache_hits,
+            first.res.solver.promoted_cache_hits)
+      << "the warm wave re-solved constraint sets the first wave promoted";
+  ASSERT_EQ(reports.size(), 6u);
+  for (const auto& [seq, report] : reports) {
+    ExpectSameVerdict(report, solo_, "seq=" + std::to_string(seq));
   }
 }
 
-TEST_F(SameModuleBatch, CrossTaskReuseOffIsColdEveryTime) {
-  ResRuntime runtime;
-  std::vector<const Coredump*> dumps(2, &dump_);
-  TriageOptions options;
-  options.res = res_options_;
-  options.cross_task_reuse = false;
-  TriageService service(&runtime, module_, options);
-  TriageStats stats;
-  std::vector<TriageReport> reports = service.RunBatch(dumps, &stats);
+TEST_F(ClauseLearningStream, CrossTaskReuseOffIsColdEveryTime) {
+  const std::vector<Sub> stream(2, Sub{&module_, &dump_});
+  TriageDaemonOptions options = Options(1, 2);
+  options.triage.cross_task_reuse = false;
+  TriageDaemonStats stats;
+  ExpectMatchesSolo(RunDaemonStream(stream, options, &stats), stream,
+                    res_options_, "reuse=off");
   EXPECT_EQ(stats.clause_promotions, 0u);
   EXPECT_EQ(stats.cache_promotions, 0u);
   EXPECT_EQ(stats.res.solver.promoted_clause_hits, 0u);
-  const SoloVerdict solo = Solo(module_, dump_, res_options_);
-  for (const TriageReport& report : reports) {
-    EXPECT_EQ(report.res_bucket, solo.bucket);
-    EXPECT_EQ(report.res_rating, solo.rating);
-  }
 }
 
 }  // namespace

@@ -1,13 +1,14 @@
 // The daemon's reports must be invisible to scheduling and reuse: every
 // report equals a solo ResEngine run over the same dump with the same
-// options — at every (wave parallelism × wave size) combination, warm or
-// cold, with or without the bounded-memory knobs (facts eviction, substrate
-// reclaim) engaged: reuse changes cost, never output. The promotion
-// counters must be deterministic and show real reuse. Backpressure must
-// reject deterministically, shutdown must drain everything admitted, and
-// every fault site a submission reaches must quarantine exactly the
-// poisoned submission, scoped by its global seq. See
-// src/triage/triage_daemon.h for the contract and docs/ARCHITECTURE.md §8.
+// options — at every (wave parallelism × wave size) combination, with or
+// without the bounded-memory knobs (facts eviction, substrate reclaim)
+// engaged: reuse changes cost, never output. Backpressure must reject
+// deterministically, shutdown must drain everything admitted, and every
+// fault site a submission reaches must quarantine exactly the poisoned
+// submission, scoped by its global seq. Cold and warm waves over the
+// workload corpus and the promotion counters are pinned by
+// tests/triage_batch_test.cc. See src/triage/triage_daemon.h for the
+// contract and docs/ARCHITECTURE.md §8.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,99 +26,10 @@
 #include "src/triage/triage_daemon.h"
 #include "src/workloads/harness.h"
 #include "src/workloads/workloads.h"
+#include "tests/triage_oracle.h"
 
 namespace res {
 namespace {
-
-void ExpectSameVerdict(const TriageReport& got, const TriageReport& want,
-                       const std::string& label) {
-  EXPECT_EQ(got.outcome, want.outcome) << label;
-  EXPECT_EQ(got.degraded, want.degraded) << label;
-  EXPECT_EQ(got.res_bucket, want.res_bucket) << label;
-  EXPECT_EQ(got.stack_bucket, want.stack_bucket) << label;
-  EXPECT_EQ(got.cause_signature, want.cause_signature) << label;
-  EXPECT_EQ(got.res_rating, want.res_rating) << label;
-  EXPECT_EQ(got.heuristic_rating, want.heuristic_rating) << label;
-  EXPECT_EQ(got.hardware_error_suspected, want.hardware_error_suspected)
-      << label;
-}
-
-// The contract's oracle: one self-contained ResEngine run (private pool and
-// cache, no runtime) over the dump, with its verdicts derived as a report
-// derives them.
-TriageReport SoloReport(const Module& module, const Coredump& dump,
-                        const ResOptions& options) {
-  const ResResult result = ResEngine(module, dump, options).Run();
-  TriageReport r;
-  r.res_bucket = BucketFromResult(module, dump, result);
-  r.stack_bucket = StackBucketer(module).BucketFor(dump);
-  r.cause_signature = result.causes.empty()
-                          ? std::string()
-                          : result.causes.front().BucketSignature(module);
-  r.res_rating = RateFromResult(result);
-  r.heuristic_rating = HeuristicExploitabilityRater().Rate(dump);
-  r.hardware_error_suspected = result.hardware_error_suspected;
-  return r;
-}
-
-TriageOptions TriageFor(size_t parallel, ResOptions res = ResOptions{}) {
-  TriageOptions options;
-  options.res = std::move(res);
-  options.max_parallel_dumps = parallel;
-  return options;
-}
-
-// One submission of the mixed-module stream under test.
-struct Sub {
-  const Module* module;
-  const Coredump* dump;
-};
-
-// Drives a daemon over `stream` (Pump after every submit — the streaming
-// shape; the wave cut is a pure function of submission order, so pump
-// timing cannot matter), drains, and returns the reports keyed by
-// submission seq.
-std::map<uint64_t, TriageReport> RunDaemonStream(
-    const std::vector<Sub>& stream, const TriageDaemonOptions& base,
-    TriageDaemonStats* stats_out = nullptr) {
-  ResRuntime runtime;
-  std::map<uint64_t, TriageReport> reports;
-  std::mutex mu;
-  TriageDaemonOptions options = base;
-  options.on_report = [&](const TriageReport& r) {
-    std::lock_guard<std::mutex> lock(mu);
-    reports[r.index] = r;
-  };
-  TriageDaemon daemon(&runtime, options);
-  for (size_t i = 0; i < stream.size(); ++i) {
-    Result<uint64_t> seq = daemon.Submit(*stream[i].module, *stream[i].dump);
-    EXPECT_TRUE(seq.ok()) << "submit " << i;
-    if (seq.ok()) {
-      EXPECT_EQ(seq.value(), i);
-    }
-    daemon.Pump();
-  }
-  daemon.Shutdown();
-  if (stats_out != nullptr) {
-    *stats_out = daemon.stats();
-  }
-  return reports;
-}
-
-// Every report of `got` equals the solo run over its submission's dump.
-void ExpectMatchesSolo(const std::map<uint64_t, TriageReport>& got,
-                       const std::vector<Sub>& stream,
-                       const ResOptions& options, const std::string& label) {
-  ASSERT_EQ(got.size(), stream.size()) << label;
-  for (size_t i = 0; i < stream.size(); ++i) {
-    const std::string at = label + "/seq=" + std::to_string(i);
-    auto it = got.find(i);
-    ASSERT_NE(it, got.end()) << at;
-    ExpectSameVerdict(it->second,
-                      SoloReport(*stream[i].module, *stream[i].dump, options),
-                      at);
-  }
-}
 
 class TriageDaemonTest : public ::testing::Test {
  protected:
@@ -217,167 +129,6 @@ TEST_F(TriageDaemonTest, MixedModuleStreamCutsWavesPerModule) {
   ExpectMatchesSolo(RunDaemonStream(stream, options, &dstats), stream,
                     ResOptions{}, "mixed");
   EXPECT_EQ(dstats.waves, 4u);
-}
-
-TEST(TriageDaemonWorkloadTest, ColdAndWarmWavesMatchSoloAcrossWorkloads) {
-  struct Corpus {
-    const char* workload;
-    std::vector<std::vector<int64_t>> inputs;  // one dump per entry
-  };
-  const Corpus corpora[] = {
-      {"use_after_free", {{1}, {2}}},  // two crash paths, one bug
-      {"racy_counter", {{}, {}}},
-      {"buffer_overflow", {{5}}},
-      {"div_by_zero_input", {{0}}},
-  };
-  for (const Corpus& corpus : corpora) {
-    WorkloadSpec spec = WorkloadByName(corpus.workload);
-    Module module = spec.build();
-    std::vector<Coredump> dumps;
-    for (size_t d = 0; d < corpus.inputs.size(); ++d) {
-      WorkloadSpec dspec = spec;
-      if (!corpus.inputs[d].empty()) {
-        dspec.channel0_inputs = corpus.inputs[d];
-      }
-      FailureRunOptions run_options;
-      run_options.require_live_peers = spec.requires_live_peers;
-      run_options.first_seed = 1 + d * 37;
-      auto run = RunToFailure(module, dspec, run_options);
-      ASSERT_TRUE(run.ok()) << corpus.workload;
-      dumps.push_back(std::move(run).value().dump);
-    }
-    // Every dump twice: the first wave runs cold, the second consults the
-    // facts the first one promoted.
-    std::vector<Sub> stream;
-    for (int pass = 0; pass < 2; ++pass) {
-      for (const Coredump& dump : dumps) {
-        stream.push_back({&module, &dump});
-      }
-    }
-    for (size_t parallel : {1u, 2u}) {
-      TriageDaemonOptions options;
-      options.triage = TriageFor(parallel);
-      options.wave_size = dumps.size();
-      TriageDaemonStats stats;
-      ExpectMatchesSolo(RunDaemonStream(stream, options, &stats), stream,
-                        ResOptions{},
-                        std::string(corpus.workload) +
-                            "/parallel=" + std::to_string(parallel));
-      EXPECT_EQ(stats.waves, 2u) << corpus.workload;
-    }
-  }
-}
-
-// The clause-learning workload: full synthesis over the 4-worker
-// interleaving space learns real UNSAT cores.
-class ClauseLearningStream : public ::testing::Test {
- protected:
-  void SetUp() override {
-    module_ = BuildRacyCounterWide(4);
-    WorkloadSpec spec = WorkloadByName("racy_counter");
-    FailureRunOptions run_options;
-    run_options.require_live_peers = spec.requires_live_peers;
-    auto run = RunToFailure(module_, spec, run_options);
-    ASSERT_TRUE(run.ok()) << run.status().ToString();
-    dump_ = std::move(run).value().dump;
-    res_options_.stop_at_root_cause = false;
-    res_options_.max_units = 48;
-    res_options_.max_hypotheses = 1000;
-    solo_ = SoloReport(module_, dump_, res_options_);
-  }
-
-  TriageDaemonOptions Options(size_t parallel, size_t wave_size) const {
-    TriageDaemonOptions options;
-    options.triage = TriageFor(parallel, res_options_);
-    options.wave_size = wave_size;
-    return options;
-  }
-
-  Module module_;
-  Coredump dump_;
-  ResOptions res_options_;
-  TriageReport solo_;
-};
-
-TEST_F(ClauseLearningStream, PromotionCountersDeterministicAndPositive) {
-  // A serial wave: dump i's engine sees the promotions of dumps 0..i-1, so
-  // identical dumps must show genuine cross-dump reuse — and the promotion
-  // counters must repeat exactly on a fresh runtime.
-  const std::vector<Sub> stream(3, Sub{&module_, &dump_});
-  TriageDaemonStats reference;
-  for (int repeat = 0; repeat < 2; ++repeat) {
-    const std::string label = "repeat=" + std::to_string(repeat);
-    TriageDaemonStats stats;
-    ExpectMatchesSolo(RunDaemonStream(stream, Options(1, 3), &stats), stream,
-                      res_options_, label);
-    EXPECT_GT(stats.clause_promotions, 0u) << label;
-    EXPECT_GT(stats.cache_promotions, 0u) << label;
-    EXPECT_GT(stats.res.solver.promoted_clause_hits, 0u)
-        << label << ": later dumps re-derived conflicts instead of reuse";
-    EXPECT_GT(stats.res.expr_reuse_hits, 0u)
-        << label << ": identical dumps must re-intern earlier dumps' variables";
-    if (repeat == 0) {
-      reference = stats;
-    } else {
-      EXPECT_EQ(stats.clause_promotions, reference.clause_promotions);
-      EXPECT_EQ(stats.cache_promotions, reference.cache_promotions);
-      EXPECT_EQ(stats.res.solver.promoted_clause_hits,
-                reference.res.solver.promoted_clause_hits);
-      // A commit-order counter against the construction watermark,
-      // deterministic in serial waves.
-      EXPECT_EQ(stats.res.expr_reuse_hits, reference.res.expr_reuse_hits);
-    }
-  }
-}
-
-TEST_F(ClauseLearningStream, ParallelWavesReuseAcrossWaves) {
-  // A parallel wave screens against the wave-start watermark: within a wave
-  // the dumps are independent, and the next wave over the same module reaps
-  // the promotions.
-  ResRuntime runtime;
-  TriageDaemonOptions options = Options(2, 3);
-  std::map<uint64_t, TriageReport> reports;
-  options.on_report = [&](const TriageReport& r) { reports[r.index] = r; };
-  TriageDaemon daemon(&runtime, options);
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(daemon.Submit(module_, dump_).ok());
-  }
-  daemon.Pump();
-  const TriageDaemonStats first = daemon.stats();
-  EXPECT_EQ(first.waves, 1u);
-  EXPECT_GT(first.clause_promotions, 0u);
-  EXPECT_EQ(first.res.solver.promoted_clause_hits, 0u)
-      << "wave-start watermark was empty; nothing to reuse yet";
-
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(daemon.Submit(module_, dump_).ok());
-  }
-  daemon.Shutdown();
-  const TriageDaemonStats both = daemon.stats();
-  EXPECT_EQ(both.waves, 2u);
-  EXPECT_EQ(both.clause_promotions, first.clause_promotions)
-      << "identical dumps cannot contribute new module-level cores";
-  EXPECT_GT(both.res.solver.promoted_clause_hits, 0u)
-      << "the warm wave re-derived conflicts the first wave promoted";
-  EXPECT_GT(both.res.solver.promoted_cache_hits,
-            first.res.solver.promoted_cache_hits)
-      << "the warm wave re-solved constraint sets the first wave promoted";
-  ASSERT_EQ(reports.size(), 6u);
-  for (const auto& [seq, report] : reports) {
-    ExpectSameVerdict(report, solo_, "seq=" + std::to_string(seq));
-  }
-}
-
-TEST_F(ClauseLearningStream, CrossTaskReuseOffIsColdEveryTime) {
-  const std::vector<Sub> stream(2, Sub{&module_, &dump_});
-  TriageDaemonOptions options = Options(1, 2);
-  options.triage.cross_task_reuse = false;
-  TriageDaemonStats stats;
-  ExpectMatchesSolo(RunDaemonStream(stream, options, &stats), stream,
-                    res_options_, "reuse=off");
-  EXPECT_EQ(stats.clause_promotions, 0u);
-  EXPECT_EQ(stats.cache_promotions, 0u);
-  EXPECT_EQ(stats.res.solver.promoted_clause_hits, 0u);
 }
 
 // --- Bounded memory: eviction and reclaim change cost, never output. ------
